@@ -15,6 +15,7 @@
 
 use roadrunner_vkernel::pipe::Pipe;
 use roadrunner_vkernel::tcp::TcpEndpoint;
+use roadrunner_vkernel::VkError;
 
 use crate::error::RoadrunnerError;
 use crate::region::MemoryRegion;
@@ -38,33 +39,34 @@ pub fn send(shim: &mut Shim, module: &str, tcp: &TcpEndpoint) -> Result<usize, R
     let region = shim.take_outbox(module)?.ok_or_else(|| {
         RoadrunnerError::Config(format!("module `{module}` has no pending outbox"))
     })?;
-    // ① read the data out of the Wasm VM (the unavoidable VM I/O copy).
+    // ① read the data out of the Wasm VM (the unavoidable VM I/O copy):
+    // the pages gifted below must be an owned buffer the kernel can keep
+    // references to after this call returns, so this one staging copy
+    // stays (a real vmsplice would gift the linear memory's own pages).
     let data = shim.read_memory_host(module, region)?;
-    let sandbox = shim.sandbox().clone();
+    let sandbox = shim.sandbox();
     // ② create the virtual data hose — enlarged like `F_SETPIPE_SZ` so
     // each vmsplice/splice syscall moves up to 1 MiB of page references.
     let mut vdh = Pipe::new(HOSE_PIPE_CAPACITY);
     // Length header travels the ordinary way (8 bytes, negligible).
-    tcp.send(&sandbox, &(data.len() as u64).to_le_bytes())?;
+    tcp.send(sandbox, &(data.len() as u64).to_le_bytes())?;
     // ③ vmsplice the user pages in, ④ splice them on towards the socket.
     let chunk = vdh.capacity();
     let mut offset = 0usize;
     while offset < data.len() {
         let end = (offset + chunk).min(data.len());
         // `Bytes::slice` is a reference, not a copy — the gift is real.
-        vdh.vmsplice_gift(&sandbox, data.slice(offset..end))?;
-        while let Some(seg) = vdh.splice_out(&sandbox, chunk)? {
+        vdh.vmsplice_gift(sandbox, data.slice(offset..end))?;
+        while let Some(seg) = vdh.splice_out(sandbox, chunk)? {
             if seg.is_empty() {
                 break;
             }
-            tcp.send_spliced(&sandbox, seg)?;
+            tcp.send_spliced(sandbox, seg)?;
         }
         offset = end;
     }
-    let total = data.len();
-    drop(data);
     shim.deallocate(module, region)?;
-    Ok(total)
+    Ok(data.len())
 }
 
 /// Receives one framed payload from the hose into `module`'s memory.
@@ -87,7 +89,7 @@ pub fn recv(
     let mut header = Vec::with_capacity(8);
     while header.len() < 8 {
         match tcp.recv(&sandbox)? {
-            None => return Err(roadrunner_vkernel::VkError::Closed.into()),
+            None => return Err(VkError::Closed.into()),
             Some(seg) if seg.is_empty() => {
                 return Err(RoadrunnerError::Config(
                     "hose recv: no framed message pending".into(),
@@ -100,35 +102,38 @@ pub fn recv(
     let overshoot = header.split_off(8);
 
     // ⑤ allocate the target region, then splice pages from the socket
-    // through the target-side pipe and write them into the VM.
-    let region = shim.allocate_inbox(module, total)?;
-    let mut vdh = Pipe::new(HOSE_PIPE_CAPACITY);
-    let mut offset = 0usize;
-    if !overshoot.is_empty() {
-        shim.write_into_inbox(module, region, 0, &overshoot)?;
-        offset = overshoot.len();
-    }
-    while offset < total {
-        match tcp.recv_spliced(&sandbox)? {
-            None => return Err(roadrunner_vkernel::VkError::Closed.into()),
-            Some(seg) if seg.is_empty() => {
-                return Err(RoadrunnerError::Config(format!(
-                    "hose recv: stream stalled at {offset}/{total} bytes"
-                )))
-            }
-            Some(seg) => {
-                vdh.splice_in(&sandbox, seg)?;
-                while let Some(pages) = vdh.splice_out(&sandbox, usize::MAX)? {
-                    if pages.is_empty() {
-                        break;
+    // through the target-side pipe and write them into the VM (the one
+    // landing copy). On any error the region is released again.
+    shim.fill_inbox(module, total, |shim, region| {
+        let mut vdh = Pipe::new(HOSE_PIPE_CAPACITY);
+        if !overshoot.is_empty() {
+            shim.write_into_inbox(module, region, 0, &overshoot)?;
+        }
+        let mut offset = overshoot.len();
+        while offset < total {
+            match tcp.recv_spliced(&sandbox)? {
+                None => return Err(VkError::Closed.into()),
+                Some(seg) if seg.is_empty() => {
+                    return Err(RoadrunnerError::Config(format!(
+                        "hose recv: stream stalled at {offset}/{total} bytes"
+                    )))
+                }
+                Some(seg) => {
+                    vdh.splice_in(&sandbox, seg)?;
+                    while let Some(pages) = vdh.splice_out(&sandbox, usize::MAX)? {
+                        if pages.is_empty() {
+                            break;
+                        }
+                        // `offset <= total` (a write past it is refused),
+                        // and `total` fits the inbox's u32 length.
+                        shim.write_into_inbox(module, region, offset as u32, &pages)?;
+                        offset += pages.len();
                     }
-                    shim.write_into_inbox(module, region, offset as u32, &pages)?;
-                    offset += pages.len();
                 }
             }
         }
-    }
-    Ok(region)
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -233,6 +238,33 @@ mod tests {
             recv(&mut sb, "b", &tb),
             Err(RoadrunnerError::Kernel(_))
         ));
+    }
+
+    #[test]
+    fn failed_recv_releases_its_inbox() {
+        let bed = Testbed::paper();
+        // (framed length, bytes actually sent, expected error)
+        type Check = fn(&RoadrunnerError) -> bool;
+        let cases: [(u64, usize, Check); 2] = [
+            // The peer closes mid-stream…
+            (1000, 400, |e| matches!(e, RoadrunnerError::Kernel(_))),
+            // …or a segment overshoots the framed length.
+            (100, 200, |e| matches!(e, RoadrunnerError::AccessViolation(_))),
+        ];
+        for (framed, sent, expected) in cases {
+            let (sa, mut sb) = shims(&bed);
+            let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+            let probe = sb.allocate_inbox("b", 1).unwrap();
+            sb.deallocate("b", probe).unwrap();
+            ta.send(sa.sandbox(), &framed.to_le_bytes()).unwrap();
+            ta.send_spliced(sa.sandbox(), bytes::Bytes::from(vec![1u8; sent])).unwrap();
+            ta.close();
+            let err = recv(&mut sb, "b", &tb).unwrap_err();
+            assert!(expected(&err), "{err}");
+            let leaked = MemoryRegion::new(probe.addr, framed as u32);
+            assert!(sb.peek_memory("b", leaked).is_err(), "the inbox is revoked");
+            assert_eq!(sb.allocate_inbox("b", 1).unwrap(), probe, "and freed in the guest");
+        }
     }
 
     #[test]

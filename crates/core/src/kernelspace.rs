@@ -9,13 +9,16 @@
 //! [`Shim::io_chunk`]-sized chunks.
 
 use roadrunner_vkernel::unix::UnixEndpoint;
+use roadrunner_vkernel::VkError;
 
 use crate::error::RoadrunnerError;
 use crate::region::MemoryRegion;
 use crate::shim::Shim;
 
-/// Sends the source module's pending outbox over `endpoint`.
-/// Returns the number of payload bytes sent.
+/// Sends the source module's pending outbox over `endpoint`, streaming
+/// chunks of the region as it lies in linear memory: the user→kernel copy
+/// inside [`UnixEndpoint::send`] is the only one. Returns the number of
+/// payload bytes sent.
 ///
 /// # Errors
 ///
@@ -29,27 +32,27 @@ pub fn send(
     let region = shim.take_outbox(module)?.ok_or_else(|| {
         RoadrunnerError::Config(format!("module `{module}` has no pending outbox"))
     })?;
-    let data = shim.read_memory_host(module, region)?;
-    let sandbox = shim.sandbox().clone();
-    endpoint.send(&sandbox, &(data.len() as u64).to_le_bytes())?;
-    let chunk = shim.io_chunk();
-    let mut offset = 0;
-    while offset < data.len() {
-        let end = (offset + chunk).min(data.len());
-        endpoint.send(&sandbox, &data[offset..end])?;
-        offset = end;
+    // The VM I/O read is charged here, ahead of the first socket call.
+    let data = shim.lend_region(module, region)?;
+    let sandbox = shim.sandbox();
+    endpoint.send(sandbox, &(data.len() as u64).to_le_bytes())?;
+    for chunk in data.chunks(shim.io_chunk()) {
+        endpoint.send(sandbox, chunk)?;
     }
+    let sent = data.len();
     shim.deallocate(module, region)?;
-    Ok(data.len())
+    Ok(sent)
 }
 
-/// Receives one framed payload from `endpoint` into `module`'s memory.
-/// Returns the filled inbox region.
+/// Receives one framed payload from `endpoint` into `module`'s memory:
+/// each kernel segment is copied straight into the inbox. Returns the
+/// filled inbox region; on any error the inbox is released again.
 ///
 /// # Errors
 ///
-/// [`RoadrunnerError::Kernel`] if the peer closed mid-message; shim
-/// errors otherwise.
+/// [`RoadrunnerError::Kernel`] if the peer closed mid-message;
+/// [`RoadrunnerError::AccessViolation`] if a segment overshoots the
+/// framed length; shim errors otherwise.
 pub fn recv(
     shim: &mut Shim,
     module: &str,
@@ -59,7 +62,7 @@ pub fn recv(
     let mut header = Vec::with_capacity(8);
     while header.len() < 8 {
         match endpoint.recv(&sandbox)? {
-            None => return Err(roadrunner_vkernel::VkError::Closed.into()),
+            None => return Err(VkError::Closed.into()),
             Some(seg) if seg.is_empty() => {
                 return Err(RoadrunnerError::Config(
                     "kernel-space recv: no framed message pending".into(),
@@ -69,29 +72,29 @@ pub fn recv(
         }
     }
     let total = u64::from_le_bytes(header[..8].try_into().expect("8 bytes")) as usize;
-    let mut extra = header.split_off(8);
-    let region = shim.allocate_inbox(module, total)?;
-    let mut offset = 0usize;
-    if !extra.is_empty() {
-        shim.write_into_inbox(module, region, 0, &extra)?;
-        offset = extra.len();
-        extra.clear();
-    }
-    while offset < total {
-        match endpoint.recv(&sandbox)? {
-            None => return Err(roadrunner_vkernel::VkError::Closed.into()),
-            Some(seg) if seg.is_empty() => {
-                return Err(RoadrunnerError::Config(format!(
-                    "kernel-space recv: stream stalled at {offset}/{total} bytes"
-                )))
-            }
-            Some(seg) => {
-                shim.write_into_inbox(module, region, offset as u32, &seg)?;
-                offset += seg.len();
-            }
+    let extra = header.split_off(8);
+    shim.fill_inbox(module, total, |shim, region| {
+        if !extra.is_empty() {
+            shim.write_into_inbox(module, region, 0, &extra)?;
         }
-    }
-    Ok(region)
+        let mut offset = extra.len();
+        while offset < total {
+            offset += endpoint
+                .recv_with(&sandbox, |seg| {
+                    if seg.is_empty() {
+                        return Err(RoadrunnerError::Config(format!(
+                            "kernel-space recv: stream stalled at {offset}/{total} bytes"
+                        )));
+                    }
+                    // `offset <= total` (a write past it is refused), and
+                    // `total` fits the inbox's u32 length.
+                    shim.write_into_inbox(module, region, offset as u32, seg)?;
+                    Ok(seg.len())
+                })?
+                .ok_or(VkError::Closed)??;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -191,6 +194,33 @@ mod tests {
             recv(&mut sb, "b", &eb),
             Err(RoadrunnerError::Kernel(_))
         ));
+    }
+
+    #[test]
+    fn failed_recv_releases_its_inbox() {
+        let bed = Testbed::paper();
+        // (framed length, bytes actually sent, expected error)
+        type Check = fn(&RoadrunnerError) -> bool;
+        let cases: [(u64, usize, Check); 2] = [
+            // The peer closes mid-stream…
+            (1000, 400, |e| matches!(e, RoadrunnerError::Kernel(_))),
+            // …or a segment overshoots the framed length.
+            (100, 200, |e| matches!(e, RoadrunnerError::AccessViolation(_))),
+        ];
+        for (framed, sent, expected) in cases {
+            let (sa, mut sb) = shims(&bed);
+            let (ea, eb) = UnixConn::pair();
+            let probe = sb.allocate_inbox("b", 1).unwrap();
+            sb.deallocate("b", probe).unwrap();
+            ea.send(sa.sandbox(), &framed.to_le_bytes()).unwrap();
+            ea.send(sa.sandbox(), &vec![1u8; sent]).unwrap();
+            ea.close();
+            let err = recv(&mut sb, "b", &eb).unwrap_err();
+            assert!(expected(&err), "{err}");
+            let leaked = MemoryRegion::new(probe.addr, framed as u32);
+            assert!(sb.peek_memory("b", leaked).is_err(), "the inbox is revoked");
+            assert_eq!(sb.allocate_inbox("b", 1).unwrap(), probe, "and freed in the guest");
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod error;
 pub mod guest;
 pub mod hose;
 pub mod kernelspace;
+mod module;
 pub mod plane;
 pub mod region;
 pub mod shim;

@@ -236,26 +236,6 @@ impl RoadrunnerPlane {
         Ok(&self.shims[self.entry(function)?.shim_idx])
     }
 
-    fn unix_pair(&mut self, a: usize, b: usize) -> (usize, usize) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.unix_links.entry(key).or_insert_with(UnixConn::pair);
-        (key.0, key.1)
-    }
-
-    /// Ensures a TCP connection exists between the two shims. A fresh
-    /// connection is established over the link joining `node_a` and
-    /// `node_b` (the effective nodes of the edge that first needed it);
-    /// an existing shim-pair connection is reused as-is.
-    fn tcp_pair(&mut self, a: usize, b: usize, node_a: usize, node_b: usize) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        if !self.tcp_links.contains_key(&key) {
-            let link = Arc::clone(self.testbed.link_between(node_a, node_b));
-            let sandbox = self.shims[key.0].sandbox().clone();
-            let pair = TcpConn::establish(&sandbox, link);
-            self.tcp_links.insert(key, pair);
-        }
-    }
-
     /// Delivers `payload` into `function` and runs its handler —
     /// the ingress step a platform performs for the first function of a
     /// workflow.
@@ -354,36 +334,23 @@ impl RoadrunnerPlane {
         let t1 = clock.now();
         let to_shim = self.entry(to)?.shim_idx;
         let region_b = match mode {
-            Mode::UserSpace => {
-                let shim = &mut self.shims[from_shim];
-                let (region, _) = userspace::transfer(shim, from, to)?;
-                region
-            }
+            Mode::UserSpace => userspace::move_outbox(&mut self.shims[from_shim], from, to)?,
             Mode::KernelSpace => {
-                let (i, j) = self.unix_pair(from_shim, to_shim);
-                let (ea, eb) = self.unix_links.get(&(i, j)).expect("just ensured");
-                // Endpoint 0 belongs to shim i; pick by direction.
-                let (send_ep, recv_ep) =
-                    if from_shim == i { (ea, eb) } else { (eb, ea) };
-                let send_ep = send_ep_clone(send_ep);
-                let recv_ep = send_ep_clone(recv_ep);
-                kernelspace::send(&mut self.shims[from_shim], from, &send_ep)?;
-                kernelspace::recv(&mut self.shims[to_shim], to, &recv_ep)?
+                let (tx, rx) = channel(&mut self.unix_links, from_shim, to_shim, UnixConn::pair);
+                kernelspace::send(&mut self.shims[from_shim], from, tx)?;
+                kernelspace::recv(&mut self.shims[to_shim], to, rx)?
             }
             Mode::Network => {
-                self.tcp_pair(from_shim, to_shim, eff_src, eff_dst);
-                let key = if from_shim < to_shim {
-                    (from_shim, to_shim)
-                } else {
-                    (to_shim, from_shim)
-                };
-                let (ea, eb) = self.tcp_links.get(&key).expect("just ensured");
-                let (send_ep, recv_ep) =
-                    if from_shim == key.0 { (ea, eb) } else { (eb, ea) };
-                let send_ep = tcp_ep_clone(send_ep);
-                let recv_ep = tcp_ep_clone(recv_ep);
-                hose::send(&mut self.shims[from_shim], from, &send_ep)?;
-                hose::recv(&mut self.shims[to_shim], to, &recv_ep)?
+                // A fresh connection runs over the link joining the
+                // effective nodes of the edge that first needed it.
+                let (tx, rx) = channel(&mut self.tcp_links, from_shim, to_shim, || {
+                    TcpConn::establish(
+                        self.shims[from_shim.min(to_shim)].sandbox(),
+                        Arc::clone(self.testbed.link_between(eff_src, eff_dst)),
+                    )
+                });
+                hose::send(&mut self.shims[from_shim], from, tx)?;
+                hose::recv(&mut self.shims[to_shim], to, rx)?
             }
         };
         let transfer_ns = clock.now() - t1;
@@ -407,14 +374,32 @@ impl RoadrunnerPlane {
     }
 }
 
-// The vkernel endpoints are handle types over shared state; expose
-// cheap clones for split-borrow ergonomics.
-fn send_ep_clone(ep: &UnixEndpoint) -> UnixEndpoint {
-    ep.clone_handle()
+/// The cached channel between shims `from` and `to`, connected on first
+/// use and reused in both directions, as `(sender's end, receiver's end)`;
+/// the pair's first endpoint belongs to the lower-indexed shim. Takes the
+/// link map alone so the caller's `shims` stay borrowable beside it.
+fn channel<E>(
+    links: &mut HashMap<(usize, usize), (E, E)>,
+    from: usize,
+    to: usize,
+    connect: impl FnOnce() -> (E, E),
+) -> (&E, &E) {
+    let (low, high) = links.entry((from.min(to), from.max(to))).or_insert_with(connect);
+    if from < to {
+        (low, high)
+    } else {
+        (high, low)
+    }
 }
 
-fn tcp_ep_clone(ep: &TcpEndpoint) -> TcpEndpoint {
-    ep.clone_handle()
+impl From<EdgeBreakdown> for TransferTiming {
+    fn from(bd: EdgeBreakdown) -> Self {
+        TransferTiming {
+            prepare_ns: bd.prepare_ns,
+            transfer_ns: bd.transfer_ns,
+            consume_ns: bd.consume_ns,
+        }
+    }
 }
 
 impl DataPlane for RoadrunnerPlane {
@@ -428,13 +413,7 @@ impl DataPlane for RoadrunnerPlane {
         to: &str,
         payload: Bytes,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let received = self.transfer_edge(from, to, &payload).map_err(PlatformError::from)?;
-        let timing = self.last_breakdown.map(|bd| TransferTiming {
-            prepare_ns: bd.prepare_ns,
-            transfer_ns: bd.transfer_ns,
-            consume_ns: bd.consume_ns,
-        });
-        Ok((received, timing))
+        self.transfer_placed(from, to, payload, None, None)
     }
 
     fn transfer_placed(
@@ -445,15 +424,8 @@ impl DataPlane for RoadrunnerPlane {
         src_node: Option<usize>,
         dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let received = self
-            .transfer_edge_placed(from, to, &payload, src_node, dst_node)
-            .map_err(PlatformError::from)?;
-        let timing = self.last_breakdown.map(|bd| TransferTiming {
-            prepare_ns: bd.prepare_ns,
-            transfer_ns: bd.transfer_ns,
-            consume_ns: bd.consume_ns,
-        });
-        Ok((received, timing))
+        let received = self.transfer_edge_placed(from, to, &payload, src_node, dst_node)?;
+        Ok((received, self.last_breakdown.map(TransferTiming::from)))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {

@@ -36,6 +36,15 @@ impl MemoryRegion {
         other.addr >= self.addr && other.end() <= self.end()
     }
 
+    /// The `len`-byte window starting `offset` bytes into this region, or
+    /// `None` if it would leave the region or 32-bit addressing — checked
+    /// arithmetic, so a hostile offset can neither wrap back inside nor
+    /// panic under overflow checks.
+    pub fn slice(&self, offset: u32, len: usize) -> Option<MemoryRegion> {
+        let window = MemoryRegion::new(self.addr.checked_add(offset)?, u32::try_from(len).ok()?);
+        self.contains(&window).then_some(window)
+    }
+
     /// Whether the region fits inside a memory of `memory_len` bytes.
     pub fn fits(&self, memory_len: usize) -> bool {
         self.end() <= memory_len as u64
@@ -112,6 +121,20 @@ mod tests {
         assert!(big.contains(&MemoryRegion::new(150, 50)));
         assert!(!big.contains(&MemoryRegion::new(99, 2)));
         assert!(!big.contains(&MemoryRegion::new(150, 51)));
+    }
+
+    #[test]
+    fn slices_stay_inside_without_wrapping() {
+        let r = MemoryRegion::new(4096, 64);
+        assert_eq!(r.slice(0, 64), Some(r));
+        assert_eq!(r.slice(60, 4), Some(MemoryRegion::new(4156, 4)));
+        assert_eq!(r.slice(64, 0), Some(MemoryRegion::new(4160, 0)));
+        assert_eq!(r.slice(64, 1), None);
+        assert_eq!(r.slice(60, 5), None);
+        assert_eq!(r.slice(u32::MAX, 1), None);
+        // `addr + offset` wrapping to exactly `addr` must not pass.
+        assert_eq!(r.slice(u32::MAX - 4095, 8), None);
+        assert_eq!(r.slice(0, usize::MAX), None);
     }
 
     #[test]

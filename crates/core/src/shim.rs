@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner_platform::FunctionBundle;
-use roadrunner_platform::BundleKind;
+use roadrunner_platform::{BundleKind, FunctionBundle};
 use roadrunner_vkernel::node::{Node, Sandbox};
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::types::Value;
@@ -21,14 +20,8 @@ use crate::api::{register_roadrunner_api, ShimState};
 use crate::config::ShimConfig;
 use crate::error::RoadrunnerError;
 use crate::guest::{ALLOCATE, DEALLOCATE};
+use crate::module::LoadedModule;
 use crate::region::MemoryRegion;
-
-struct LoadedModule {
-    instance: Instance,
-    bundle: Arc<FunctionBundle>,
-    /// Last observed linear-memory size, for RAM accounting.
-    known_memory_len: usize,
-}
 
 /// A Roadrunner sidecar shim: one Wasm VM, one sandbox (cgroup), one or
 /// more modules of the same workflow/tenant.
@@ -164,12 +157,7 @@ impl Shim {
 
     /// Current linear-memory size of a module.
     pub fn memory_len(&self, module: &str) -> Result<usize, RoadrunnerError> {
-        Ok(self
-            .module_ref(module)?
-            .instance
-            .memory()
-            .map(|m| m.len())
-            .unwrap_or(0))
+        Ok(self.module_ref(module)?.memory_len())
     }
 
     /// Invokes an exported guest function, charging interpreted
@@ -184,20 +172,37 @@ impl Shim {
         func: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, RoadrunnerError> {
-        let wasm_instr_ns = self.sandbox.cost().wasm_instr_ns;
-        let sandbox = self.sandbox.clone();
         let entry = self.module_mut(module)?;
         entry.instance.reset_instr_count();
         let result = entry.instance.invoke(func, args);
         let executed = entry.instance.instr_count();
-        sandbox.charge_user((executed as f64 * wasm_instr_ns).round() as u64);
-        // RAM accounting: linear memory only grows.
-        let now_len = entry.instance.memory().map(|m| m.len()).unwrap_or(0);
-        if now_len > entry.known_memory_len {
-            sandbox.account().alloc((now_len - entry.known_memory_len) as u64);
-            entry.known_memory_len = now_len;
+        // RAM accounting: linear memory only grows, and only while the
+        // guest runs (a host write cannot grow it).
+        let grown = entry.memory_len().saturating_sub(entry.known_memory_len);
+        entry.known_memory_len += grown;
+        let wasm_instr_ns = self.sandbox.cost().wasm_instr_ns;
+        self.sandbox.charge_user((executed as f64 * wasm_instr_ns).round() as u64);
+        if grown > 0 {
+            self.sandbox.account().alloc(grown as u64);
         }
         result.map_err(RoadrunnerError::from)
+    }
+
+    fn charge_vm_io(&self, bytes: usize) {
+        self.sandbox.charge_user(self.sandbox.cost().vm_io_ns(bytes));
+    }
+
+    /// The data plane's read of a registered region: checks it, charges
+    /// the Wasm VM I/O cost and lends the bytes where they lie, so the
+    /// caller's own copy (into a socket, a host buffer) is the only one.
+    pub(crate) fn lend_region(
+        &self,
+        module: &str,
+        region: MemoryRegion,
+    ) -> Result<&[u8], RoadrunnerError> {
+        let data = self.module_ref(module)?.bytes(region)?;
+        self.charge_vm_io(data.len());
+        Ok(data)
     }
 
     /// Table 1 `read_memory_host`: copies a registered region out of the
@@ -213,21 +218,9 @@ impl Shim {
         module: &str,
         region: MemoryRegion,
     ) -> Result<Bytes, RoadrunnerError> {
-        let sandbox = self.sandbox.clone();
-        let entry = self.module_mut(module)?;
-        let memory_len = entry.instance.memory().map(|m| m.len()).unwrap_or(0);
-        let state = entry
-            .instance
-            .data::<ShimState>()
-            .ok_or_else(|| RoadrunnerError::Config("host state is not ShimState".into()))?;
-        state.regions().check(region, memory_len)?;
-        let memory = entry
-            .instance
-            .memory()
-            .ok_or_else(|| RoadrunnerError::Config("module has no memory".into()))?;
-        let data = Bytes::copy_from_slice(memory.read(region.addr, region.len)?);
-        sandbox.charge_user(sandbox.cost().vm_io_ns(data.len()));
-        Ok(data)
+        let data = self.lend_region(module, region)?;
+        self.sandbox.account().count_copy(data.len());
+        Ok(Bytes::copy_from_slice(data))
     }
 
     /// Allocates an inbox of `len` bytes in the guest (via its exported
@@ -257,12 +250,25 @@ impl Shim {
             Err(e) => return Err(e),
         };
         let region = MemoryRegion::new(addr, len);
-        let entry = self.module_mut(module)?;
-        let state = entry
-            .instance
-            .data_mut::<ShimState>()
-            .ok_or_else(|| RoadrunnerError::Config("host state is not ShimState".into()))?;
-        state.regions_mut().register(region);
+        self.module_mut(module)?.state_mut()?.regions_mut().register(region);
+        Ok(region)
+    }
+
+    /// [`allocate_inbox`](Self::allocate_inbox), then `fill` lands the
+    /// payload in it. If `fill` fails the inbox is released again, so a
+    /// failed receive leaves no region registered and no guest allocation.
+    pub(crate) fn fill_inbox(
+        &mut self,
+        module: &str,
+        len: usize,
+        fill: impl FnOnce(&mut Self, MemoryRegion) -> Result<(), RoadrunnerError>,
+    ) -> Result<MemoryRegion, RoadrunnerError> {
+        let region = self.allocate_inbox(module, len)?;
+        if let Err(e) = fill(self, region) {
+            // Best effort: the fill error is the one worth reporting.
+            let _ = self.deallocate(module, region);
+            return Err(e);
+        }
         Ok(region)
     }
 
@@ -272,7 +278,7 @@ impl Shim {
     /// # Errors
     ///
     /// [`RoadrunnerError::AccessViolation`] if the slice would leave the
-    /// registered region.
+    /// registered region (or its end does not fit 32-bit addressing).
     pub fn write_into_inbox(
         &mut self,
         module: &str,
@@ -280,34 +286,17 @@ impl Shim {
         offset: u32,
         data: &[u8],
     ) -> Result<(), RoadrunnerError> {
-        let slice = MemoryRegion::new(region.addr + offset, data.len() as u32);
-        if !region.contains(&slice) {
-            return Err(RoadrunnerError::AccessViolation(format!(
+        let slice = region.slice(offset, data.len()).ok_or_else(|| {
+            RoadrunnerError::AccessViolation(format!(
                 "write of {} bytes at offset {offset} escapes region [{}, {})",
                 data.len(),
                 region.addr,
                 region.end()
-            )));
-        }
-        let sandbox = self.sandbox.clone();
-        let entry = self.module_mut(module)?;
-        let memory_len = entry.instance.memory().map(|m| m.len()).unwrap_or(0);
-        let state = entry
-            .instance
-            .data::<ShimState>()
-            .ok_or_else(|| RoadrunnerError::Config("host state is not ShimState".into()))?;
-        state.regions().check(slice, memory_len)?;
-        let memory = entry
-            .instance
-            .memory_mut()
-            .ok_or_else(|| RoadrunnerError::Config("module has no memory".into()))?;
-        memory.write(slice.addr, data)?;
-        let now_len = entry.instance.memory().map(|m| m.len()).unwrap_or(0);
-        if now_len > entry.known_memory_len {
-            sandbox.account().alloc((now_len - entry.known_memory_len) as u64);
-            entry.known_memory_len = now_len;
-        }
-        sandbox.charge_user(sandbox.cost().vm_io_ns(data.len()));
+            ))
+        })?;
+        self.module_mut(module)?.bytes_mut(slice)?.copy_from_slice(data);
+        self.charge_vm_io(data.len());
+        self.sandbox.account().count_copy(data.len());
         Ok(())
     }
 
@@ -325,13 +314,48 @@ impl Shim {
         module: &str,
         data: &[u8],
     ) -> Result<MemoryRegion, RoadrunnerError> {
-        let region = self.allocate_inbox(module, data.len())?;
-        self.write_into_inbox(module, region, 0, data)?;
-        Ok(region)
+        self.fill_inbox(module, data.len(), |shim, region| {
+            shim.write_into_inbox(module, region, 0, data)
+        })
     }
 
-    /// Releases a region: calls the guest's `deallocate_memory` and
-    /// revokes host access.
+    /// The user-space move (paper §4.1): copies region `src` of module
+    /// `from` straight into region `dst` of module `to` of this one VM —
+    /// the shim's read and write as a single real copy. Both regions are
+    /// checked like any host access; both Wasm VM I/O passes are charged.
+    ///
+    /// # Errors
+    ///
+    /// [`RoadrunnerError::Config`] if `from` and `to` name the same
+    /// module or the regions differ in length;
+    /// [`RoadrunnerError::AccessViolation`] if either region is refused.
+    pub fn copy_between(
+        &mut self,
+        from: &str,
+        src: MemoryRegion,
+        to: &str,
+        dst: MemoryRegion,
+    ) -> Result<(), RoadrunnerError> {
+        // Refused here, where `get_disjoint_mut` and `copy_from_slice` would panic.
+        if from == to || src.len != dst.len {
+            return Err(RoadrunnerError::Config(format!(
+                "cannot move {} bytes of `{from}` into {} bytes of `{to}`",
+                src.len, dst.len
+            )));
+        }
+        let [source, target] = self.modules.get_disjoint_mut([from, to]);
+        let source = source.ok_or_else(|| RoadrunnerError::UnknownModule(from.to_owned()))?;
+        let target = target.ok_or_else(|| RoadrunnerError::UnknownModule(to.to_owned()))?;
+        target.bytes_mut(dst)?.copy_from_slice(source.bytes(src)?);
+        let len = src.len as usize;
+        self.charge_vm_io(len);
+        self.charge_vm_io(len);
+        self.sandbox.account().count_copy(len);
+        Ok(())
+    }
+
+    /// Releases a region: revokes host access, then calls the guest's
+    /// `deallocate_memory` (access ends even if the guest's free traps).
     ///
     /// # Errors
     ///
@@ -341,31 +365,19 @@ impl Shim {
         module: &str,
         region: MemoryRegion,
     ) -> Result<(), RoadrunnerError> {
-        self.invoke(module, DEALLOCATE, &[Value::I32(region.addr as i32)])?;
-        let entry = self.module_mut(module)?;
-        if let Some(state) = entry.instance.data_mut::<ShimState>() {
-            state.regions_mut().revoke(region);
-        }
-        Ok(())
+        self.module_mut(module)?.state_mut()?.regions_mut().revoke(region);
+        self.invoke(module, DEALLOCATE, &[Value::I32(region.addr as i32)]).map(drop)
     }
 
     /// Takes the outbox region the guest last handed over via
     /// `send_to_host`.
     pub fn take_outbox(&mut self, module: &str) -> Result<Option<MemoryRegion>, RoadrunnerError> {
-        let entry = self.module_mut(module)?;
-        Ok(entry
-            .instance
-            .data_mut::<ShimState>()
-            .and_then(ShimState::take_outbox))
+        Ok(self.module_mut(module)?.state_mut()?.take_outbox())
     }
 
     /// Looks at the pending outbox without consuming it.
     pub fn peek_outbox(&self, module: &str) -> Result<Option<MemoryRegion>, RoadrunnerError> {
-        let entry = self.module_ref(module)?;
-        Ok(entry
-            .instance
-            .data::<ShimState>()
-            .and_then(ShimState::peek_outbox))
+        Ok(self.module_ref(module)?.state()?.peek_outbox())
     }
 
     /// Cost-free verification read used by tests and integrity checks —
@@ -377,29 +389,15 @@ impl Shim {
         module: &str,
         region: MemoryRegion,
     ) -> Result<Bytes, RoadrunnerError> {
-        let entry = self.module_ref(module)?;
-        let memory_len = entry.instance.memory().map(|m| m.len()).unwrap_or(0);
-        let state = entry
-            .instance
-            .data::<ShimState>()
-            .ok_or_else(|| RoadrunnerError::Config("host state is not ShimState".into()))?;
-        state.regions().check(region, memory_len)?;
-        let memory = entry
-            .instance
-            .memory()
-            .ok_or_else(|| RoadrunnerError::Config("module has no memory".into()))?;
-        Ok(Bytes::copy_from_slice(memory.read(region.addr, region.len)?))
+        let data = self.module_ref(module)?.bytes(region)?;
+        self.sandbox.account().count_copy(data.len());
+        Ok(Bytes::copy_from_slice(data))
     }
 
     /// Direct WASI-context access for a module (installing sockets,
     /// seeding files, reading stdout).
     pub fn wasi_mut(&mut self, module: &str) -> Result<&mut WasiCtx, RoadrunnerError> {
-        let entry = self.module_mut(module)?;
-        entry
-            .instance
-            .data_mut::<ShimState>()
-            .map(ShimState::wasi_mut)
-            .ok_or_else(|| RoadrunnerError::Config("host state is not ShimState".into()))
+        Ok(self.module_mut(module)?.state_mut()?.wasi_mut())
     }
 }
 
@@ -507,6 +505,68 @@ mod tests {
             "RAM accounting must see the growth: {ram_before} -> {ram_after}"
         );
         assert_eq!(&shim.peek_memory("b", region).unwrap()[..], &payload[..]);
+    }
+
+    #[test]
+    fn inbox_offsets_are_checked_without_wrapping() {
+        let bed = Testbed::paper();
+        let mut shim = shim_on(&bed);
+        shim.load_module("b", wasm_bundle("b", guest::consumer())).unwrap();
+        let inbox = shim.allocate_inbox("b", 64).unwrap();
+        let refused = |r: Result<(), RoadrunnerError>| {
+            assert!(matches!(r, Err(RoadrunnerError::AccessViolation(_))), "{r:?}");
+        };
+        // `addr + offset` must not wrap back into the region (nor panic
+        // under overflow checks).
+        refused(shim.write_into_inbox("b", inbox, u32::MAX, &[1]));
+        refused(shim.write_into_inbox("b", inbox, u32::MAX - inbox.addr + 1, &[1; 8]));
+        refused(shim.write_into_inbox("b", inbox, inbox.len, &[1]));
+        refused(shim.write_into_inbox("b", inbox, 60, &[1; 5]));
+        // Up to the last byte, and nothing at all at the very end, is fine.
+        shim.write_into_inbox("b", inbox, 60, &[7; 4]).unwrap();
+        shim.write_into_inbox("b", inbox, inbox.len, &[]).unwrap();
+        assert_eq!(&shim.peek_memory("b", inbox).unwrap()[60..], &[7; 4]);
+    }
+
+    #[test]
+    fn copy_between_moves_one_region_into_another() {
+        let bed = Testbed::paper();
+        let mut shim = shim_on(&bed);
+        shim.load_module("a", wasm_bundle("a", guest::producer())).unwrap();
+        shim.load_module("b", wasm_bundle("b", guest::consumer())).unwrap();
+        let src = shim.write_memory_host("a", b"straight across").unwrap();
+        let dst = shim.allocate_inbox("b", src.len as usize).unwrap();
+        let (user, copied) = (shim.sandbox().user_ns(), shim.sandbox().account().copied_bytes());
+        shim.copy_between("a", src, "b", dst).unwrap();
+        // Charged as the read plus the write it replaces; copied once.
+        assert_eq!(shim.sandbox().user_ns() - user, 2 * bed.cost().vm_io_ns(src.len as usize));
+        assert_eq!(shim.sandbox().account().copied_bytes() - copied, u64::from(src.len));
+        assert_eq!(&shim.peek_memory("b", dst).unwrap()[..], b"straight across");
+        // One module twice, or regions of unequal length, are typed errors
+        // — not a `get_disjoint_mut` or `copy_from_slice` panic.
+        let short = shim.allocate_inbox("b", 3).unwrap();
+        for (to, dst) in [("a", src), ("b", short)] {
+            assert!(matches!(
+                shim.copy_between("a", src, to, dst),
+                Err(RoadrunnerError::Config(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_failed_fill_releases_the_inbox() {
+        let bed = Testbed::paper();
+        let mut shim = shim_on(&bed);
+        shim.load_module("b", wasm_bundle("b", guest::consumer())).unwrap();
+        let probe = shim.allocate_inbox("b", 1).unwrap();
+        shim.deallocate("b", probe).unwrap();
+        let err = shim
+            .fill_inbox("b", 100, |shim, region| shim.write_into_inbox("b", region, 0, &[0; 101]))
+            .unwrap_err();
+        assert!(matches!(err, RoadrunnerError::AccessViolation(_)));
+        let leaked = MemoryRegion::new(probe.addr, 100);
+        assert!(shim.peek_memory("b", leaked).is_err(), "the inbox is revoked");
+        assert_eq!(shim.allocate_inbox("b", 1).unwrap(), probe, "and freed in the guest");
     }
 
     #[test]

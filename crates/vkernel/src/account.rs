@@ -7,7 +7,10 @@ use crate::Nanos;
 
 /// Per-sandbox resource telemetry, mirroring what the paper reads from the
 /// cgroup of each container: user-space CPU time, kernel-space CPU time,
-/// and memory (current and peak).
+/// and memory (current and peak) — plus one host-side ledger the cgroup
+/// has no counterpart for: the payload bytes the sandbox's calls really
+/// `memcpy`'d ([`copied_bytes`](Self::copied_bytes)), so the cost model's
+/// copy charges can be held against the copies the host performs.
 ///
 /// Handles are cheaply cloneable and thread-safe; all charging methods take
 /// `&self`.
@@ -28,6 +31,7 @@ pub struct ResourceAccount {
     kernel_ns: AtomicU64,
     ram_current: AtomicU64,
     ram_peak: AtomicU64,
+    copied_bytes: AtomicU64,
 }
 
 impl ResourceAccount {
@@ -49,6 +53,13 @@ impl ResourceAccount {
     /// Charges `ns` of kernel-space CPU time.
     pub fn charge_kernel(&self, ns: Nanos) {
         self.kernel_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Records one real host `memcpy` of `bytes` payload bytes made on
+    /// this sandbox's behalf. Called once per copying *call*, beside the
+    /// virtual charge for it; reference moves (gift, splice) never call it.
+    pub fn count_copy(&self, bytes: usize) {
+        self.copied_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records an allocation of `bytes`, updating the peak watermark.
@@ -101,11 +112,17 @@ impl ResourceAccount {
         self.ram_peak.load(Ordering::Relaxed)
     }
 
-    /// Resets CPU counters and the peak watermark (current RAM is kept).
-    /// Used between benchmark repetitions.
+    /// Payload bytes really copied by the host for this sandbox.
+    pub fn copied_bytes(&self) -> u64 {
+        self.copied_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Resets CPU counters, the copy ledger and the peak watermark
+    /// (current RAM is kept). Used between benchmark repetitions.
     pub fn reset(&self) {
         self.user_ns.store(0, Ordering::Relaxed);
         self.kernel_ns.store(0, Ordering::Relaxed);
+        self.copied_bytes.store(0, Ordering::Relaxed);
         let current = self.ram_current.load(Ordering::Relaxed);
         self.ram_peak.store(current, Ordering::Relaxed);
     }
@@ -195,9 +212,12 @@ mod tests {
     fn reset_clears_cpu_keeps_ram() {
         let a = ResourceAccount::new("x");
         a.charge_user(5);
+        a.count_copy(7);
         a.alloc(64);
+        assert_eq!(a.copied_bytes(), 7);
         a.reset();
         assert_eq!(a.total_cpu_ns(), 0);
+        assert_eq!(a.copied_bytes(), 0);
         assert_eq!(a.ram_current(), 64);
         assert_eq!(a.ram_peak(), 64);
     }

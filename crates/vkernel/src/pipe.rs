@@ -95,6 +95,7 @@ impl Pipe {
         let cost = caller.cost();
         let syscalls = data.len().div_ceil(self.capacity) as u64;
         caller.charge_kernel(syscalls * cost.syscall_ns + cost.memcpy_ns(data.len()));
+        caller.account().count_copy(data.len());
         self.buf.push_copy(data);
         Ok(data.len())
     }
@@ -152,6 +153,7 @@ impl Pipe {
         match self.buf.pop_copy(max) {
             Some(chunk) => {
                 caller.charge_kernel(cost.syscall_ns + cost.memcpy_ns(chunk.len()));
+                caller.account().count_copy(chunk.len());
                 Ok(Some(chunk))
             }
             None if !self.write_open => Ok(None),
@@ -232,6 +234,19 @@ mod tests {
         let out = pipe.splice_out(&sb, 4096).unwrap().unwrap();
         assert_ne!(out.as_ptr(), data.as_ptr());
         assert_eq!(&out[..], &data[..]);
+    }
+
+    #[test]
+    fn only_the_copying_lane_reaches_the_copy_ledger() {
+        let sb = sandbox();
+        let mut pipe = Pipe::default();
+        pipe.vmsplice_gift(&sb, Bytes::from(vec![3u8; 8192])).unwrap();
+        let pages = pipe.splice_out(&sb, usize::MAX).unwrap().unwrap();
+        pipe.splice_in(&sb, pages).unwrap();
+        assert_eq!(sb.account().copied_bytes(), 0, "gift and splice move references");
+        pipe.read(&sb, 4096).unwrap();
+        pipe.write(&sb, &[4u8; 100]).unwrap();
+        assert_eq!(sb.account().copied_bytes(), 4096 + 100);
     }
 
     #[test]

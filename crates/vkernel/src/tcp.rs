@@ -92,19 +92,13 @@ impl TcpEndpoint {
         let chunk = cost.io_chunk_bytes.max(1);
         let syscalls = data.len().div_ceil(chunk) as u64;
         caller.charge_kernel(syscalls * cost.syscall_ns + cost.memcpy_ns(data.len()));
+        caller.account().count_copy(data.len());
         let arrives_at = shared.link.reserve(caller.clock().now(), data.len());
-        let mut offset = 0;
-        while offset < data.len() {
-            let end = (offset + chunk).min(data.len());
-            let mut seg = bytes::BytesMut::with_capacity(end - offset);
-            seg.extend_from_slice(&data[offset..end]);
-            shared.dirs[self.tx].queue.push_back(TimedSeg {
-                data: seg.freeze(),
-                arrives_at,
-                spliced: false,
-            });
-            offset = end;
-        }
+        shared.dirs[self.tx].queue.extend(data.chunks(chunk).map(|seg| TimedSeg {
+            data: Bytes::copy_from_slice(seg),
+            arrives_at,
+            spliced: false,
+        }));
         Ok(data.len())
     }
 
@@ -143,9 +137,8 @@ impl TcpEndpoint {
                 caller.charge_kernel(
                     cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(seg.data.len()),
                 );
-                let mut out = bytes::BytesMut::with_capacity(seg.data.len());
-                out.extend_from_slice(&seg.data);
-                Ok(Some(out.freeze()))
+                caller.account().count_copy(seg.data.len());
+                Ok(Some(Bytes::copy_from_slice(&seg.data)))
             }
             None if dir.closed => Ok(None),
             None => {
@@ -186,12 +179,6 @@ impl TcpEndpoint {
     pub fn close(&self) {
         let mut shared = self.shared.lock();
         shared.dirs[self.tx].closed = true;
-    }
-
-    /// Duplicates this endpoint handle (like `dup(2)`): both handles
-    /// refer to the same underlying connection end.
-    pub fn clone_handle(&self) -> TcpEndpoint {
-        TcpEndpoint { shared: Arc::clone(&self.shared), tx: self.tx }
     }
 }
 
@@ -272,6 +259,17 @@ mod tests {
         assert_eq!(eb.next_is_spliced(), Some(true));
         let got = eb.recv_spliced(&sb).unwrap().unwrap();
         assert_eq!(got.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn only_the_copying_lane_reaches_the_copy_ledger() {
+        let (ea, eb, sa, sb) = pair(Link::loopback("lo"));
+        ea.send_spliced(&sa, Bytes::from(vec![7u8; 8192])).unwrap();
+        eb.recv_spliced(&sb).unwrap().unwrap();
+        assert_eq!((sa.account().copied_bytes(), sb.account().copied_bytes()), (0, 0));
+        ea.send(&sa, &[1u8; 300]).unwrap();
+        eb.recv(&sb).unwrap().unwrap();
+        assert_eq!((sa.account().copied_bytes(), sb.account().copied_bytes()), (300, 300));
     }
 
     #[test]

@@ -81,15 +81,9 @@ impl UnixEndpoint {
         let chunk = cost.io_chunk_bytes.max(1);
         let syscalls = data.len().div_ceil(chunk) as u64;
         caller.charge_kernel(syscalls * cost.syscall_ns + cost.memcpy_ns(data.len()));
+        caller.account().count_copy(data.len());
         // The copy into kernel buffers is real: fresh storage per chunk.
-        let mut offset = 0;
-        while offset < data.len() {
-            let end = (offset + chunk).min(data.len());
-            let mut seg = bytes::BytesMut::with_capacity(end - offset);
-            seg.extend_from_slice(&data[offset..end]);
-            dir.queue.push_back(seg.freeze());
-            offset = end;
-        }
+        dir.queue.extend(data.chunks(chunk).map(Bytes::copy_from_slice));
         Ok(data.len())
     }
 
@@ -115,30 +109,45 @@ impl UnixEndpoint {
         Ok(n)
     }
 
-    /// Receives one buffered segment, copying it to user space (the
-    /// kernel→user copy of `recv(2)`) and charging the receiver's wakeup
-    /// context switch. Returns `Ok(None)` if the peer closed and the
-    /// stream is drained, and an empty buffer if no data is ready.
-    pub fn recv(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        let mut shared = self.shared.lock();
-        let dir = &mut shared.dirs[1 - self.tx];
+    /// Receives one buffered segment and lends it, still in its kernel
+    /// buffer, to `sink` — which performs the kernel→user copy of
+    /// `recv(2)` straight into wherever the bytes are to rest. Charges
+    /// that copy, the syscall and the receiver's wakeup context switch
+    /// before `sink` runs. Returns `Ok(None)` if the peer closed and the
+    /// stream is drained; `sink` sees an empty slice if no data is ready.
+    pub fn recv_with<R>(
+        &self,
+        caller: &Sandbox,
+        sink: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, VkError> {
+        let seg = {
+            let mut shared = self.shared.lock();
+            let dir = &mut shared.dirs[1 - self.tx];
+            match dir.queue.pop_front() {
+                None if dir.closed => return Ok(None),
+                seg => seg.unwrap_or_default(),
+            }
+        };
         let cost = caller.cost();
-        match dir.queue.pop_front() {
-            Some(seg) => {
-                caller.charge_kernel(
-                    cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(seg.len()),
-                );
-                // Real kernel→user copy.
-                let mut out = bytes::BytesMut::with_capacity(seg.len());
-                out.extend_from_slice(&seg);
-                Ok(Some(out.freeze()))
+        caller.charge_kernel(if seg.is_empty() {
+            cost.syscall_ns
+        } else {
+            cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(seg.len())
+        });
+        Ok(Some(sink(&seg)))
+    }
+
+    /// [`recv_with`](Self::recv_with) into a fresh user buffer: returns
+    /// the copied segment, `Ok(None)` if the peer closed and the stream
+    /// is drained, and an empty buffer if no data is ready.
+    pub fn recv(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
+        self.recv_with(caller, |seg| {
+            if seg.is_empty() {
+                return Bytes::new();
             }
-            None if dir.closed => Ok(None),
-            None => {
-                caller.charge_kernel(cost.syscall_ns);
-                Ok(Some(Bytes::new()))
-            }
-        }
+            caller.account().count_copy(seg.len());
+            Bytes::copy_from_slice(seg)
+        })
     }
 
     /// Zero-copy receive used by `splice` from the socket into a pipe:
@@ -170,12 +179,6 @@ impl UnixEndpoint {
     pub fn close(&self) {
         let mut shared = self.shared.lock();
         shared.dirs[self.tx].closed = true;
-    }
-
-    /// Duplicates this endpoint handle (like `dup(2)`): both handles
-    /// refer to the same underlying socket end.
-    pub fn clone_handle(&self) -> UnixEndpoint {
-        UnixEndpoint { shared: Arc::clone(&self.shared), tx: self.tx }
     }
 }
 
@@ -253,6 +256,30 @@ mod tests {
         a.send_spliced(&sa, data).unwrap();
         let got = b.recv(&sb).unwrap().unwrap();
         assert_ne!(got.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn recv_with_lends_the_kernel_segment_and_charges_like_recv() {
+        let (a, b) = UnixConn::pair();
+        let sa = sandbox("a");
+        let (lent, copied) = (sandbox("lent"), sandbox("copied"));
+        let data = Bytes::from(vec![1u8; 4096]);
+        let ptr = data.as_ptr();
+        a.send_spliced(&sa, data.clone()).unwrap();
+        a.send_spliced(&sa, data).unwrap();
+        let seen = b.recv_with(&lent, |seg| (seg.as_ptr(), seg.len())).unwrap();
+        assert_eq!(seen, Some((ptr, 4096)), "the sink sees the queued buffer itself");
+        b.recv(&copied).unwrap().unwrap();
+        assert_eq!(lent.kernel_ns(), copied.kernel_ns());
+        // The ledger counts the copy where it is made: in `recv`, not in
+        // the lending call, whose sink decides where the bytes land.
+        assert_eq!((lent.account().copied_bytes(), copied.account().copied_bytes()), (0, 4096));
+        // Nothing ready: the sink sees an empty slice for one syscall.
+        let before = lent.kernel_ns();
+        assert_eq!(b.recv_with(&lent, <[u8]>::len).unwrap(), Some(0));
+        assert_eq!(lent.kernel_ns() - before, CostModel::paper_testbed().syscall_ns);
+        a.close();
+        assert_eq!(b.recv_with(&lent, <[u8]>::len).unwrap(), None);
     }
 
     #[test]

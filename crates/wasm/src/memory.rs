@@ -102,6 +102,17 @@ impl Memory {
         Ok(&self.data[start..start + len as usize])
     }
 
+    /// Mutably borrows `len` bytes starting at `addr`, so a host can land
+    /// data in place instead of staging it for [`Memory::write`].
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::MemoryOutOfBounds`] if the range exceeds the memory.
+    pub fn slice_mut(&mut self, addr: u32, len: u32) -> Result<&mut [u8], Trap> {
+        let start = self.check(addr as u64, len as u64)?;
+        Ok(&mut self.data[start..start + len as usize])
+    }
+
     /// Copies `bytes` into memory at `addr`.
     ///
     /// # Errors
@@ -205,6 +216,11 @@ mod tests {
         // …one past it is not.
         assert!(m.write(PAGE as u32, &[0]).is_err());
         assert!(m.read(0, PAGE as u32 + 1).is_err());
+        // The mutable borrow obeys the same bounds and lands in place.
+        m.slice_mut(PAGE as u32 - 2, 2).unwrap().copy_from_slice(&[1, 2]);
+        assert_eq!(m.read(PAGE as u32 - 2, 2).unwrap(), &[1, 2]);
+        assert!(m.slice_mut(PAGE as u32 - 1, 2).is_err());
+        assert!(m.slice_mut(u32::MAX, u32::MAX).is_err());
     }
 
     #[test]

@@ -133,3 +133,87 @@ fn deallocated_regions_lose_host_access() {
         Err(RoadrunnerError::AccessViolation(_))
     ));
 }
+
+/// Every way a guest (or a confused host) can hand over a 16-byte region
+/// the shim must not touch: never registered, wrapping the 32-bit address
+/// space, ending exactly at its top, straddling or starting at the end of
+/// linear memory, and — appended by the callers below — registered once
+/// but since revoked.
+fn hostile_regions(shim: &Shim, module: &str) -> Vec<MemoryRegion> {
+    let memory_len = shim.memory_len(module).unwrap() as u32;
+    vec![
+        MemoryRegion::new(8192, 16),
+        MemoryRegion::new(u32::MAX - 3, 16),
+        MemoryRegion::new(u32::MAX - 15, 16),
+        MemoryRegion::new(memory_len - 8, 16),
+        MemoryRegion::new(memory_len, 16),
+    ]
+}
+
+fn assert_refused<T: std::fmt::Debug>(result: Result<T, RoadrunnerError>, what: &str) {
+    assert!(
+        matches!(result, Err(RoadrunnerError::AccessViolation(_))),
+        "{what}: {result:?}"
+    );
+}
+
+#[test]
+fn every_host_access_refuses_hostile_regions() {
+    let bed = Testbed::paper();
+    let mut shim = Shim::new("iso", bed.node(0), ShimConfig::default().with_load_costs(false));
+    shim.load_module("f", bundle_for("wf", "t", "f")).unwrap();
+    let revoked = shim.write_memory_host("f", &[5u8; 16]).unwrap();
+    shim.deallocate("f", revoked).unwrap();
+    let mut regions = hostile_regions(&shim, "f");
+    regions.extend([revoked, MemoryRegion::new(u32::MAX, u32::MAX)]);
+    for region in regions {
+        assert_refused(shim.read_memory_host("f", region), "read");
+        assert_refused(shim.peek_memory("f", region), "peek");
+        // A streaming write is checked against the registry as well as
+        // against the inbox it claims to fill.
+        let data = vec![1u8; (region.len as usize).min(16)];
+        assert_refused(shim.write_into_inbox("f", region, 0, &data), "write");
+    }
+}
+
+#[test]
+fn the_direct_move_checks_both_of_its_regions() {
+    let bed = Testbed::paper();
+    let mut shim = Shim::new("iso", bed.node(0), ShimConfig::default().with_load_costs(false));
+    shim.load_module("a", bundle_for("wf", "t", "a")).unwrap();
+    shim.load_module("b", bundle_for("wf", "t", "b")).unwrap();
+    // Padding keeps the two guests' allocators from handing out the same
+    // address, so a region of one module is recognisably not the other's.
+    shim.write_memory_host("a", &[0u8; 64]).unwrap();
+    let src = shim.write_memory_host("a", &[7u8; 16]).unwrap();
+    let dst = shim.allocate_inbox("b", 16).unwrap();
+    assert_ne!(src, dst);
+
+    for module in ["a", "b"] {
+        let revoked = shim.write_memory_host(module, &[5u8; 16]).unwrap();
+        shim.deallocate(module, revoked).unwrap();
+        let mut regions = hostile_regions(&shim, module);
+        regions.push(revoked);
+        for bad in regions {
+            let result = match module {
+                "a" => shim.copy_between("a", bad, "b", dst),
+                _ => shim.copy_between("a", src, "b", bad),
+            };
+            assert_refused(result, module);
+        }
+    }
+    // A region registered by one module means nothing in the other.
+    assert_refused(shim.copy_between("b", src, "a", dst), "swapped modules");
+    assert!(matches!(
+        shim.copy_between("a", src, "ghost", dst),
+        Err(RoadrunnerError::UnknownModule(_))
+    ));
+    assert!(matches!(
+        shim.copy_between("ghost", src, "b", dst),
+        Err(RoadrunnerError::UnknownModule(_))
+    ));
+    // Every refusal left the target untouched, and the honest move works.
+    assert_eq!(&shim.peek_memory("b", dst).unwrap()[..], &[0u8; 16]);
+    shim.copy_between("a", src, "b", dst).unwrap();
+    assert_eq!(&shim.peek_memory("b", dst).unwrap()[..], &[7u8; 16]);
+}
