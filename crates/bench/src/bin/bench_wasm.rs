@@ -1,39 +1,41 @@
-//! Interpreter-throughput benchmark — the execution-tier gate.
+//! Interpreter-throughput benchmark.
 //!
-//! Runs three guest kernels on **both** execution tiers in the same
-//! process — the flat-bytecode dispatch loop ([`ExecTier::Compiled`])
-//! against the tree walker ([`ExecTier::Reference`]) — and records
-//! calls/sec and ns per retired wasm instruction for each:
+//! Times three guest kernels on the interpreter's dispatch loop and
+//! records calls/sec and ns per retired wasm instruction for each:
 //!
 //! * `compute` — a two-round xorshift32/accumulate loop in the
 //!   local-SSA style compilers emit: pure local arithmetic and branch
-//!   dispatch, the tree walker's worst case and the superinstruction
-//!   pass's best;
+//!   dispatch, the superinstruction pass's best case;
 //! * `calls` — naive recursive `fib`, all frame setup/teardown on the
-//!   reusable frame arena vs host-stack recursion;
+//!   reusable frame arena;
 //! * `memory` — a bounds-checked load/increment/store loop.
 //!
-//! Every scenario asserts the two tiers return the same value and
-//! retire the same `instr_count` — the flat tier may only change
-//! wall-clock — and the `compute` scenario must show **>= 3x**
-//! calls/sec, the regression gate future interpreter PRs are judged
-//! against (enforced in `--quick` CI runs too).
+//! Every scenario asserts the kernel's result and the exact number of
+//! instructions it retires per call against constants (in full mode the
+//! totals are 122 001 800 / 9 850 750 / 40 001 400), so a change may
+//! only move wall-clock. What those counts *should* be is settled
+//! elsewhere: `roadrunner-wasm`'s differential suite runs the same three
+//! kernels against the reference tree walker. There is no pass/fail
+//! speed gate here — the numbers are a trajectory, recorded with the host
+//! they were measured on; the live regression guard is the benchmark's
+//! `edge_resize` workload and its `wasm.instr_ns` layer metric.
 //!
 //! Emits `BENCH_wasm.json` (written to the working directory) and the
 //! same JSON on stdout.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin bench_wasm [--quick]`
 
+use std::process::Command;
 use std::time::Instant;
 
 use roadrunner_bench::quick_flag;
 use roadrunner_wasm::types::{FuncType, ValType, Value};
 use roadrunner_wasm::{
-    BlockType, EngineLimits, ExecTier, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
+    BlockType, EngineLimits, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
 };
 
-/// The compute gate: flat must beat tree by at least this factor.
-const COMPUTE_GATE: f64 = 3.0;
+/// What `compute(10_000)` returns.
+const COMPUTE_RESULT: i32 = 259_479_847;
 
 /// `loop(n) { x = xorshift32(xorshift32(x)); acc += x }` — locals
 /// 0 = n (param), 1 = i, 2 = x, 3 = acc, 4 = t. Two mixing rounds per
@@ -169,7 +171,7 @@ fn memory_module() -> Module {
         .expect("memory guest validates")
 }
 
-/// One timed tier run: `calls` invocations retiring `instrs` wasm
+/// One timed run: `calls` invocations retiring `instrs` wasm
 /// instructions in `wall_s` seconds of host time.
 struct Measured {
     calls: usize,
@@ -185,39 +187,39 @@ impl Measured {
     fn ns_per_instr(&self) -> f64 {
         self.wall_s * 1e9 / self.instrs.max(1) as f64
     }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"calls\": {}, \"instrs\": {}, \"wall_ms\": {:.3}, ",
-                "\"calls_per_sec\": {:.1}, \"ns_per_instr\": {:.2}}}"
-            ),
-            self.calls,
-            self.instrs,
-            self.wall_s * 1e3,
-            self.calls_per_sec(),
-            self.ns_per_instr(),
-        )
-    }
 }
 
-/// Timed batches per tier run. The reported wall time extrapolates the
+/// Timed batches per scenario. The reported wall time extrapolates the
 /// *fastest* batch — every batch retires identical work, so the spread
 /// between them is scheduler noise, not the interpreter.
 const BATCHES: usize = 5;
 
-/// Instantiates `module` on `tier`, warms it up (so the compiled tier's
-/// one-time lowering and the OS's cold caches drop out), then times
-/// `calls` invocations in [`BATCHES`] batches, keeping the fastest.
-/// Returns the guest's result alongside the measurement so tiers can
-/// be cross-checked.
-fn run_tier(module: &Module, tier: ExecTier, arg: i32, calls: usize) -> (Value, Measured) {
-    let limits = EngineLimits::default().with_exec_tier(tier);
-    let mut inst = Instance::new(module.clone(), &Linker::new(), limits, Box::new(()))
-        .expect("guest instantiates");
-    let args = [Value::I32(arg)];
-    inst.invoke("run", &args).expect("warmup call");
-    let expect = inst.invoke("run", &args).expect("warmup call")[0];
+/// One guest kernel and what a call of it must produce.
+struct Kernel {
+    name: &'static str,
+    module: Module,
+    /// Loop iterations (or fib argument) per call.
+    arg: i32,
+    /// The value `run(arg)` returns.
+    result: i32,
+    /// Instructions one call retires.
+    instrs_per_call: u64,
+    /// Timed calls in full mode (`--quick` runs a tenth).
+    calls: usize,
+}
+
+/// Instantiates the kernel, warms it up (so the one-time lowering and the
+/// OS's cold caches drop out), then times `calls` invocations in
+/// [`BATCHES`] batches, keeping the fastest.
+fn measure(kernel: &Kernel, calls: usize) -> Measured {
+    let mut inst =
+        Instance::new(kernel.module.clone(), &Linker::new(), EngineLimits::default(), Box::new(()))
+            .expect("guest instantiates");
+    let args = [Value::I32(kernel.arg)];
+    let expect = [Value::I32(kernel.result)];
+    for _ in 0..2 {
+        assert_eq!(inst.invoke("run", &args).expect("warmup call"), expect, "{}", kernel.name);
+    }
     inst.reset_instr_count();
     let per_batch = (calls / BATCHES).max(1);
     let mut best_s = f64::INFINITY;
@@ -225,7 +227,7 @@ fn run_tier(module: &Module, tier: ExecTier, arg: i32, calls: usize) -> (Value, 
         let start = Instant::now();
         for _ in 0..per_batch {
             let out = inst.invoke("run", &args).expect("timed call");
-            assert_eq!(out[0], expect, "guest must be deterministic");
+            assert_eq!(out, expect, "{}: wrong result", kernel.name);
         }
         best_s = best_s.min(start.elapsed().as_secs_f64());
     }
@@ -234,82 +236,105 @@ fn run_tier(module: &Module, tier: ExecTier, arg: i32, calls: usize) -> (Value, 
         instrs: inst.instr_count(),
         wall_s: best_s * BATCHES as f64,
     };
-    (expect, measured)
-}
-
-struct Scenario {
-    name: &'static str,
-    /// Loop iterations (or fib argument) per call.
-    arg: i32,
-    tree: Measured,
-    flat: Measured,
-}
-
-impl Scenario {
-    fn speedup(&self) -> f64 {
-        self.flat.calls_per_sec() / self.tree.calls_per_sec().max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"scenario\": \"{}\", \"arg\": {}, \"tree\": {}, ",
-                "\"flat\": {}, \"speedup\": {:.2}}}"
-            ),
-            self.name,
-            self.arg,
-            self.tree.json(),
-            self.flat.json(),
-            self.speedup(),
-        )
-    }
-}
-
-/// Runs one guest on both tiers and cross-checks them: same result,
-/// same retired instruction count — the tiers' exact-equivalence
-/// contract, here end-to-end rather than per-op.
-fn scenario(name: &'static str, module: &Module, arg: i32, calls: usize) -> Scenario {
-    let (tree_val, tree) = run_tier(module, ExecTier::Reference, arg, calls);
-    let (flat_val, flat) = run_tier(module, ExecTier::Compiled, arg, calls);
-    assert_eq!(flat_val, tree_val, "{name}: tiers must return the same value");
     assert_eq!(
-        flat.instrs, tree.instrs,
-        "{name}: tiers must retire the same instruction count"
+        measured.instrs,
+        kernel.instrs_per_call * measured.calls as u64,
+        "{}: retired-instruction count moved",
+        kernel.name
     );
-    Scenario { name, arg, tree, flat }
+    measured
+}
+
+fn scenario_json(kernel: &Kernel, m: &Measured) -> String {
+    format!(
+        concat!(
+            "    {{\"scenario\": \"{}\", \"arg\": {}, \"calls\": {}, \"instrs\": {}, ",
+            "\"wall_ms\": {:.3}, \"calls_per_sec\": {:.1}, \"ns_per_instr\": {:.2}}}"
+        ),
+        kernel.name,
+        kernel.arg,
+        m.calls,
+        m.instrs,
+        m.wall_s * 1e3,
+        m.calls_per_sec(),
+        m.ns_per_instr(),
+    )
+}
+
+/// The host a row was measured on, as a JSON object.
+fn host_json() -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let rustc = Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!(
+        "{{\"logical_cores\": {cores}, \"cpu_model\": \"{}\", \"rustc\": \"{}\"}}",
+        cpu_model.replace('"', "'"),
+        rustc.replace('"', "'"),
+    )
 }
 
 fn main() {
     let quick = quick_flag();
-    let calls = |full: usize| if quick { full / 10 } else { full };
 
-    let scenarios = [
-        scenario("compute", &compute_module(), 10_000, calls(200)),
-        scenario("calls", &calls_module(), 20, calls(50)),
-        scenario("memory", &memory_module(), 10_000, calls(200)),
+    // Per-call counts: 61n + 9; c(n) = 13 + c(n-1) + c(n-2) from
+    // c(0) = c(1) = 5; 20n + 7.
+    let kernels = [
+        Kernel {
+            name: "compute",
+            module: compute_module(),
+            arg: 10_000,
+            result: COMPUTE_RESULT,
+            instrs_per_call: 610_009,
+            calls: 200,
+        },
+        Kernel {
+            name: "calls",
+            module: calls_module(),
+            arg: 20,
+            result: 6765,
+            instrs_per_call: 197_015,
+            calls: 50,
+        },
+        Kernel {
+            name: "memory",
+            module: memory_module(),
+            arg: 10_000,
+            result: 10_000,
+            instrs_per_call: 200_007,
+            calls: 200,
+        },
     ];
 
-    let compute_speedup = scenarios[0].speedup();
-    assert!(
-        compute_speedup >= COMPUTE_GATE,
-        "execution-tier gate: flat bytecode must run the compute kernel >= {COMPUTE_GATE}x \
-         calls/sec over the tree walker (measured {compute_speedup:.2}x)"
-    );
-
-    let rows: Vec<String> = scenarios.iter().map(Scenario::json).collect();
+    let rows: Vec<String> = kernels
+        .iter()
+        .map(|kernel| {
+            let calls = if quick { kernel.calls / 10 } else { kernel.calls };
+            scenario_json(kernel, &measure(kernel, calls))
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"benchmark\": \"bench_wasm\",\n",
             "  \"quick\": {},\n",
-            "  \"gate\": {{\"scenario\": \"compute\", \"min_speedup\": {:.1}, ",
-            "\"measured\": {:.2}}},\n",
+            "  \"host\": {},\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}"
         ),
         quick,
-        COMPUTE_GATE,
-        compute_speedup,
+        host_json(),
         rows.join(",\n"),
     );
     std::fs::write("BENCH_wasm.json", format!("{json}\n")).expect("write BENCH_wasm.json");

@@ -352,28 +352,6 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         let slo = SLO_INTERVALS * i;
         (goodput_rps(&run, 0, burst_start, slo), goodput_rps(&run, post_start, post_end, slo))
     });
-    if std::env::var_os("FIG16_DEBUG").is_some() {
-        let d = run.sojourn_percentiles();
-        eprintln!(
-            "[fig16] {}: interval={} arrivals={} completed={} failed={} dl={} shed={} retries={} \
-             p50={:?} p95={:?} goodput={:?} tenants={:?}",
-            job.cell.label(),
-            i,
-            run.arrivals,
-            run.completed(),
-            run.failed,
-            run.deadline_exceeded,
-            run.shed,
-            run.retries,
-            d.map(|x| x.p50_ns / i.max(1)),
-            d.map(|x| x.p95_ns / i.max(1)),
-            goodput,
-            run.tenants
-                .iter()
-                .map(|t| (t.name.clone(), t.completed, t.sojourn_percentiles().map(|p| p.p95_ns / i.max(1))))
-                .collect::<Vec<_>>(),
-        );
-    }
     CellResult { job: *job, solo_ns: system.solo_ns, interval_ns: i, run, goodput }
 }
 

@@ -1,25 +1,24 @@
-//! Micro-benchmarks for the interpreter's hot paths, run on both
-//! execution tiers so the flat-bytecode speedup over the tree walker is
-//! visible per-kernel (the end-to-end gate lives in `bench_wasm`).
+//! Micro-benchmarks for the interpreter's hot paths (the committed
+//! trajectory lives in `bench_wasm` / `BENCH_wasm.json`).
 //!
 //! Covered: the dispatch loop on a compute-bound kernel, a call-heavy
-//! recursive fib, the host-call round-trip, and `Instance::new` cost
-//! (which after the first compile must not pay for lowering again).
+//! recursive fib, a load/store loop, the host-call round-trip, and
+//! `Instance::new` cost (which after the first compile must not pay for
+//! lowering again). Each kernel's result and retired-instruction count
+//! are asserted against constants before it is timed, so a run that
+//! measures the wrong work fails instead of reporting a number.
 //!
 //! Run: `cargo bench -p roadrunner-wasm`
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use roadrunner_wasm::types::{FuncType, ValType, Value};
 use roadrunner_wasm::{
-    BlockType, EngineLimits, ExecTier, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
+    BlockType, EngineLimits, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
 };
-
-const TIERS: [(&str, ExecTier); 2] =
-    [("flat", ExecTier::Compiled), ("tree", ExecTier::Reference)];
 
 /// `loop(n) { x = xorshift32(x); acc += x }` — pure local arithmetic
 /// and branch dispatch in the local-SSA style compilers emit, no calls,
-/// no memory: the tree walker's worst case.
+/// no memory: the superinstruction pass's best case.
 ///
 /// Locals: 0 = n (param), 1 = i, 2 = x, 3 = acc, 4 = t.
 fn compute_module() -> Module {
@@ -190,58 +189,62 @@ fn host_module() -> Module {
         .unwrap()
 }
 
-fn instantiate(module: &Module, tier: ExecTier, linker: &Linker) -> Instance {
-    Instance::new(
-        module.clone(),
-        linker,
-        EngineLimits::default().with_exec_tier(tier),
-        Box::new(()),
-    )
-    .unwrap()
+fn instantiate(module: &Module, linker: &Linker) -> Instance {
+    Instance::new(module.clone(), linker, EngineLimits::default(), Box::new(())).unwrap()
+}
+
+/// Instantiates `module` and checks that `export(arg)` returns `result`
+/// after retiring exactly `instrs` instructions.
+fn checked(
+    module: &Module,
+    linker: &Linker,
+    export: &str,
+    arg: i32,
+    result: i32,
+    instrs: u64,
+) -> Instance {
+    let mut inst = instantiate(module, linker);
+    let out = inst.invoke(export, &[Value::I32(arg)]).unwrap();
+    assert_eq!(out, [Value::I32(result)], "{export}({arg})");
+    assert_eq!(inst.instr_count(), instrs, "{export}({arg}) retired-instruction count");
+    inst
 }
 
 fn bench_compute(c: &mut Criterion) {
-    let module = compute_module();
     let n = 10_000;
+    // 37 instructions per iteration, 9 around the loop.
+    let mut inst = checked(&compute_module(), &Linker::new(), "run", n, -1_041_914_565, 370_009);
     let mut group = c.benchmark_group("compute_loop");
     group.throughput(Throughput::Elements(n as u64));
-    for (name, tier) in TIERS {
-        let mut inst = instantiate(&module, tier, &Linker::new());
-        group.bench_function(name, |b| {
-            b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
-        });
-    }
+    group.bench_function("flat", |b| {
+        b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
+    });
     group.finish();
 }
 
 fn bench_fib(c: &mut Criterion) {
-    let module = fib_module();
+    // c(n) = 13 + c(n-1) + c(n-2) from c(0) = c(1) = 5.
+    let mut inst = checked(&fib_module(), &Linker::new(), "fib", 18, 2584, 75_245);
     let mut group = c.benchmark_group("fib_calls");
-    for (name, tier) in TIERS {
-        let mut inst = instantiate(&module, tier, &Linker::new());
-        group.bench_function(name, |b| {
-            b.iter(|| inst.invoke("fib", &[Value::I32(black_box(18))]).unwrap())
-        });
-    }
+    group.bench_function("flat", |b| {
+        b.iter(|| inst.invoke("fib", &[Value::I32(black_box(18))]).unwrap())
+    });
     group.finish();
 }
 
 fn bench_memory(c: &mut Criterion) {
-    let module = memory_module();
     let n = 10_000;
+    // 20 instructions per iteration, 7 around the loop.
+    let mut inst = checked(&memory_module(), &Linker::new(), "run", n, n, 200_007);
     let mut group = c.benchmark_group("memory_loop");
     group.throughput(Throughput::Elements(n as u64));
-    for (name, tier) in TIERS {
-        let mut inst = instantiate(&module, tier, &Linker::new());
-        group.bench_function(name, |b| {
-            b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
-        });
-    }
+    group.bench_function("flat", |b| {
+        b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
+    });
     group.finish();
 }
 
 fn bench_host_roundtrip(c: &mut Criterion) {
-    let module = host_module();
     let mut linker = Linker::new();
     linker.define(
         "env",
@@ -256,34 +259,27 @@ fn bench_host_roundtrip(c: &mut Criterion) {
         },
     );
     let n = 1_000;
+    // 12 instructions per iteration (the host's work is not counted), 7
+    // around the loop.
+    let mut inst = checked(&host_module(), &linker, "run", n, n, 12_007);
     let mut group = c.benchmark_group("host_roundtrip");
     group.throughput(Throughput::Elements(n as u64));
-    for (name, tier) in TIERS {
-        let mut inst = instantiate(&module, tier, &linker);
-        group.bench_function(name, |b| {
-            b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
-        });
-    }
+    group.bench_function("flat", |b| {
+        b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
+    });
     group.finish();
 }
 
-/// Instantiation cost. The first `Instance::new` on the compiled tier
-/// pays the one-time lowering; this bench measures the steady state,
-/// where the module's `CodeCache` is already filled and instantiation
-/// must cost the same as the reference tier.
+/// Instantiation cost in the steady state: the first `Instance::new` +
+/// invoke pays the one-time lowering into the module's `CodeCache`;
+/// every later instantiation of a clone must not.
 fn bench_instantiate(c: &mut Criterion) {
     let module = compute_module();
-    // Warm the code cache so the measurement excludes the first compile.
-    instantiate(&module, ExecTier::Compiled, &Linker::new())
-        .invoke("run", &[Value::I32(1)])
-        .unwrap();
     let linker = Linker::new();
+    // Warm the code cache so the measurement excludes the first compile.
+    instantiate(&module, &linker).invoke("run", &[Value::I32(1)]).unwrap();
     let mut group = c.benchmark_group("instance_new");
-    for (name, tier) in TIERS {
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(instantiate(&module, tier, &linker)))
-        });
-    }
+    group.bench_function("flat", |b| b.iter(|| black_box(instantiate(&module, &linker))));
     group.finish();
 }
 

@@ -1,10 +1,10 @@
-//! AST → flat bytecode lowering: the compile tier.
+//! AST → flat bytecode lowering.
 //!
-//! The tree walker ([`crate::interp`]) re-discovers control flow on every
-//! execution: each `Block`/`Loop`/`If` is a recursive Rust call, each
-//! branch unwinds through `Flow` values, and each wasm→wasm call recurses.
-//! This module lowers a validated function body once into a flat
-//! [`Vec<Op>`] where
+//! Executing the structured [`Instr`] tree directly would re-discover
+//! control flow on every run: each `Block`/`Loop`/`If` a recursive Rust
+//! call, each branch an unwind through them, each wasm→wasm call a
+//! recursion. This module lowers a validated function body once into a
+//! flat [`Vec<Op>`] where
 //!
 //! * blocks, loops and ifs become *jumps*: every branch carries a
 //!   pre-resolved instruction offset plus the static operand-stack height
@@ -22,12 +22,18 @@
 //! validator's unreachable-code polymorphism means static heights there
 //! are meaningless, and the ops can never execute.
 //!
-//! Two synthetic ops exist only in flat code and are **not counted** by
-//! the interpreter's instruction/fuel accounting, because they have no
-//! tree-walker counterpart: [`Op::Goto`] (end of a then-arm skipping the
-//! else) and [`Op::FnEnd`] (the fall-through return appended to every
-//! body). Everything else counts exactly once, keeping `instr_count` and
-//! fuel byte-identical to the reference tier.
+//! # Accounting
+//!
+//! `instr_count` and fuel are defined on the source tree: every [`Instr`]
+//! node counts exactly once, when execution reaches it (the test-only
+//! tree walker, `interp/reference.rs`, is that definition in executable
+//! form). Two synthetic ops exist only in flat code and are therefore
+//! **not counted**: [`Op::Goto`] (end of a then-arm skipping the else)
+//! and [`Op::FnEnd`] (the fall-through return appended to every body).
+//! A `Block`/`Loop` header lowers to [`Op::Enter`], which counts and does
+//! nothing else; loop back-edges land *after* it, so the header counts
+//! once per entry, not per iteration. Every other op stands for exactly
+//! one source instruction.
 //!
 //! # Superinstruction fusion
 //!
@@ -36,14 +42,21 @@
 //! friends — into single register-style superinstructions, cutting both
 //! dispatch count and operand-stack traffic. Only *pure* ops fuse:
 //! non-trapping i32 arithmetic/comparisons, `local.get`/`local.set` and
-//! `i32.const`. Each fused op charges the exact number of tree
+//! `i32.const`. Each fused op charges the exact number of source
 //! instructions it replaces; when fuel runs out inside a group, the
 //! remaining sub-instructions are skipped entirely, which is
 //! unobservable — they could only have touched the operand stack and
 //! locals, both discarded when the trap unwinds — while `instr_count`
-//! and fuel land on exactly the reference tier's values. Runs never
+//! and fuel land on exactly the unfused sequence's values. Runs never
 //! extend across a branch target (fusion would hide the landing pad);
 //! all surviving targets are remapped to the shortened stream.
+//!
+//! # Self-check
+//!
+//! The dispatch loop trusts the static facts computed here (it indexes
+//! code, frames and the operand stack by them). Debug builds re-derive
+//! them per function, after lowering and again after fusion ([`verify`]);
+//! release builds compile the check out.
 
 use crate::instr::Instr;
 use crate::module::Module;
@@ -252,7 +265,7 @@ macro_rules! define_op {
             // Fused superinstructions — produced only by the [`fuse`]
             // peephole pass, never by direct lowering. The trailing
             // comment gives the replaced pattern; each counts as that
-            // many tree instructions ("L" local, "C" const, "T" stack
+            // many source instructions ("L" local, "C" const, "T" stack
             // top; the second operand of `TL`/`TC` forms is the RHS).
             /// `local[dst] = local[a] ⊕ local[b]` (get·get·op·set, 4).
             I32BinLLSet { op: I32Bin, a: u16, b: u16, dst: u16 },
@@ -338,6 +351,7 @@ pub(crate) fn compile(module: &Module) -> CompiledModule {
                     patches: Vec::new(),
                 }],
                 height: 0,
+                max_height: ret_arity as usize,
             };
             c.seq(&def.body);
             // Branches to the function label land on the trailing FnEnd.
@@ -347,8 +361,11 @@ pub(crate) fn compile(module: &Module) -> CompiledModule {
                 patch_op(&mut c.ops[at], slot, end);
             }
             c.ops.push(Op::FnEnd);
+            debug_assert_eq!(verify(&c.ops, module, c.max_height), Ok(()), "after lowering");
+            let code = fuse(c.ops);
+            debug_assert_eq!(verify(&code, module, c.max_height), Ok(()), "after fusion");
             CompiledFunc {
-                code: fuse(c.ops).into_boxed_slice(),
+                code: code.into_boxed_slice(),
                 params: ty.params().len() as u32,
                 locals: def.locals.clone().into_boxed_slice(),
                 frame_size: (ty.params().len() + def.locals.len()) as u32,
@@ -357,6 +374,54 @@ pub(crate) fn compile(module: &Module) -> CompiledModule {
         })
         .collect();
     CompiledModule { funcs }
+}
+
+/// Re-derives the static facts the dispatch loop indexes by without
+/// checking (see the module docs): every jump target inside the
+/// function, every unwind height + arity within the deepest operand
+/// stack the lowering saw, every call index in range, `FnEnd` last.
+fn verify(code: &[Op], module: &Module, max_height: usize) -> Result<(), String> {
+    let target = |at: usize, t: u32| {
+        if (t as usize) < code.len() {
+            Ok(())
+        } else {
+            Err(format!("op {at}: target {t} outside {} ops", code.len()))
+        }
+    };
+    let jump = |at: usize, j: &Jump| {
+        target(at, j.target)?;
+        if j.height as usize + j.arity as usize > max_height {
+            return Err(format!(
+                "op {at}: unwind to {} + {} exceeds operand depth {max_height}",
+                j.height, j.arity
+            ));
+        }
+        Ok(())
+    };
+    for (at, op) in code.iter().enumerate() {
+        match op {
+            Op::Goto(t) | Op::IfElse(t) => target(at, *t)?,
+            Op::Br(j) | Op::BrIf(j) => jump(at, j)?,
+            Op::BrIfBinLL(f) => jump(at, &f.jump)?,
+            Op::BrIfBinLC(f) => jump(at, &f.jump)?,
+            Op::BrTable(bt) => {
+                for j in bt.targets.iter().chain([&bt.default]) {
+                    jump(at, j)?;
+                }
+            }
+            Op::Call(f) if *f as usize >= module.funcs.len() => {
+                return Err(format!("op {at}: call to undefined function {f}"));
+            }
+            Op::CallHost { func, .. } if *func as usize >= module.imports.len() => {
+                return Err(format!("op {at}: call to unknown import {func}"));
+            }
+            _ => {}
+        }
+    }
+    match code.last() {
+        Some(Op::FnEnd) => Ok(()),
+        other => Err(format!("code ends with {other:?}, not FnEnd")),
+    }
 }
 
 /// The superinstruction peephole pass (see module docs).
@@ -392,6 +457,10 @@ fn fuse(code: Vec<Op>) -> Vec<Op> {
         let free = 1 + is_target[i + 1..].iter().take(3).take_while(|&&t| !t).count();
         match match_superop(&code[i..], free) {
             Some((op, len)) => {
+                debug_assert!(
+                    !is_target[i + 1..i + len].contains(&true),
+                    "fused run at op {i} covers a branch target"
+                );
                 for slot in &mut map[i..i + len] {
                     *slot = out.len() as u32;
                 }
@@ -527,6 +596,9 @@ struct FnCompiler<'m> {
     /// Static operand height. Meaningless (but safely clamped) in dead
     /// code, where the validator permits polymorphic stack use.
     height: usize,
+    /// Largest value `height` (or a label's `height + arity`) takes: the
+    /// bound [`verify`] holds every unwind to.
+    max_height: usize,
 }
 
 fn patch_op(op: &mut Op, slot: usize, target: u32) {
@@ -545,14 +617,58 @@ fn patch_op(op: &mut Op, slot: usize, target: u32) {
 }
 
 impl FnCompiler<'_> {
+    /// Lowers a sequence. Recursion runs once per nested block through
+    /// this function alone; [`FnCompiler::lower_plain`]'s large frame
+    /// stays out of the cycle.
     fn seq(&mut self, body: &[Instr]) {
         for instr in body {
-            self.lower(instr);
+            match instr {
+                Instr::Block(bt, inner) => {
+                    self.ops.push(Op::Enter);
+                    self.open(CtrlKind::Block, bt.arity() as u32);
+                    self.seq(inner);
+                    self.close();
+                }
+                Instr::Loop(bt, inner) => {
+                    self.ops.push(Op::Enter);
+                    // Back-edges re-enter *after* the header, so the Enter
+                    // counts once per entry, not per iteration (see the
+                    // module docs on accounting).
+                    let start = self.ops.len() as u32;
+                    self.open(CtrlKind::Loop(start), bt.arity() as u32);
+                    self.seq(inner);
+                    self.close();
+                }
+                Instr::If(bt, then, els) => {
+                    self.pop_vals(1);
+                    let if_at = self.ops.len();
+                    self.ops.push(Op::IfElse(u32::MAX));
+                    self.open(CtrlKind::Block, bt.arity() as u32);
+                    self.seq(then);
+                    if els.is_empty() {
+                        // No else: a false condition falls through to merge.
+                        self.ctrls.last_mut().expect("if frame").patches.push((if_at, 0));
+                    } else {
+                        let goto_at = self.ops.len();
+                        self.ops.push(Op::Goto(u32::MAX));
+                        let else_start = self.ops.len() as u32;
+                        patch_op(&mut self.ops[if_at], 0, else_start);
+                        let frame = self.ctrls.last_mut().expect("if frame");
+                        frame.patches.push((goto_at, 0));
+                        let floor = frame.height;
+                        self.height = floor;
+                        self.seq(els);
+                    }
+                    self.close();
+                }
+                plain => self.lower_plain(plain),
+            }
         }
     }
 
     fn push_vals(&mut self, n: usize) {
         self.height += n;
+        self.max_height = self.max_height.max(self.height);
     }
 
     /// Pops `n` static values, clamped at the innermost frame's floor so
@@ -579,6 +695,7 @@ impl FnCompiler<'_> {
             patch_op(&mut self.ops[at], slot, merge);
         }
         self.height = frame.height + frame.arity as usize;
+        self.max_height = self.max_height.max(self.height);
     }
 
     /// Builds the jump for a branch to the `depth`-th enclosing label.
@@ -604,7 +721,8 @@ impl FnCompiler<'_> {
         self.ops.push(op);
     }
 
-    fn lower(&mut self, instr: &Instr) {
+    /// Lowers one instruction that contains no others.
+    fn lower_plain(&mut self, instr: &Instr) {
         use Instr as I;
         if let Some((params, results)) = numeric_sig(instr) {
             return self.emit(numeric_op(instr), params.len(), results.len());
@@ -615,44 +733,6 @@ impl FnCompiler<'_> {
                 self.reset_to_floor();
             }
             I::Nop => self.ops.push(Op::Nop),
-            I::Block(bt, inner) => {
-                self.ops.push(Op::Enter);
-                self.open(CtrlKind::Block, bt.arity() as u32);
-                self.seq(inner);
-                self.close();
-            }
-            I::Loop(bt, inner) => {
-                self.ops.push(Op::Enter);
-                // Back-edges re-enter *after* the header, so the Enter
-                // counts once — exactly like the tree walker, which counts
-                // the Loop instruction on entry but not per iteration.
-                let start = self.ops.len() as u32;
-                self.open(CtrlKind::Loop(start), bt.arity() as u32);
-                self.seq(inner);
-                self.close();
-            }
-            I::If(bt, then, els) => {
-                self.pop_vals(1);
-                let if_at = self.ops.len();
-                self.ops.push(Op::IfElse(u32::MAX));
-                self.open(CtrlKind::Block, bt.arity() as u32);
-                self.seq(then);
-                if els.is_empty() {
-                    // No else: a false condition falls through to merge.
-                    self.ctrls.last_mut().expect("if frame").patches.push((if_at, 0));
-                } else {
-                    let goto_at = self.ops.len();
-                    self.ops.push(Op::Goto(u32::MAX));
-                    let else_start = self.ops.len() as u32;
-                    patch_op(&mut self.ops[if_at], 0, else_start);
-                    let frame = self.ctrls.last_mut().expect("if frame");
-                    frame.patches.push((goto_at, 0));
-                    let floor = frame.height;
-                    self.height = floor;
-                    self.seq(els);
-                }
-                self.close();
-            }
             I::Br(depth) => {
                 let at = self.ops.len();
                 let jump = self.jump_to(*depth, at, 0);
@@ -731,7 +811,7 @@ impl FnCompiler<'_> {
             I::I64Const(v) => self.emit(Op::I64Const(*v), 0, 1),
             I::F32Const(v) => self.emit(Op::F32Const(*v), 0, 1),
             I::F64Const(v) => self.emit(Op::F64Const(*v), 0, 1),
-            other => unreachable!("numeric instruction fell through: {other:?}"),
+            other => unreachable!("structured or numeric instruction fell through: {other:?}"),
         }
     }
 }
@@ -1024,6 +1104,27 @@ mod tests {
         ));
         let Op::Br(back) = &f.code[4] else { panic!("expected Br, got {:?}", f.code[4]) };
         assert_eq!(back.target, 2, "back-edge lands on the fused exit test, past Enter");
+    }
+
+    #[test]
+    fn verify_names_each_broken_fact() {
+        let module = ModuleBuilder::new()
+            .func(FuncType::new([], []), [], vec![])
+            .build()
+            .expect("validates");
+        let jump = |target, height, arity| Jump { target, height, arity };
+        let cases: [(Vec<Op>, &str); 5] = [
+            (vec![Op::Goto(2), Op::FnEnd], "target 2 outside"),
+            (vec![Op::Br(jump(1, 2, 1)), Op::FnEnd], "exceeds operand depth"),
+            (vec![Op::Call(1), Op::FnEnd], "undefined function"),
+            (vec![Op::CallHost { func: 0, params: 0 }, Op::FnEnd], "unknown import"),
+            (vec![Op::Nop], "not FnEnd"),
+        ];
+        for (code, complaint) in cases {
+            let err = verify(&code, &module, 2).unwrap_err();
+            assert!(err.contains(complaint), "{err}");
+        }
+        assert_eq!(verify(&[Op::Br(jump(1, 1, 1)), Op::FnEnd], &module, 2), Ok(()));
     }
 
     #[test]

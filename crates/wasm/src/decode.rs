@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::instr::{BlockType, Instr, MemArg};
+use crate::instr::{BlockType, Instr, MemArg, MAX_NESTING};
 use crate::leb;
 use crate::module::{DataSegment, Export, ExportKind, FuncDef, GlobalDef, Import, Module};
 use crate::opcode::*;
@@ -54,12 +54,14 @@ impl Error for WasmDecodeError {}
 /// the reproduced subset. Run [`crate::validate::validate`] on the result
 /// before instantiating.
 pub fn decode(bytes: &[u8]) -> Result<Module, WasmDecodeError> {
-    Parser { input: bytes, pos: 0 }.module()
+    Parser { input: bytes, pos: 0, nesting: 0 }.module()
 }
 
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Open `block`/`loop`/`if` constructs around the current position.
+    nesting: usize,
 }
 
 type PResult<T> = Result<T, WasmDecodeError>;
@@ -96,6 +98,19 @@ impl<'a> Parser<'a> {
     fn u32(&mut self) -> PResult<u32> {
         leb::read_u32(self.input, &mut self.pos)
             .ok_or_else(|| WasmDecodeError::new(self.pos, "bad unsigned LEB128"))
+    }
+
+    /// Reads the length of a vector whose elements each occupy at least
+    /// one byte, refusing any count the remaining input cannot hold — so
+    /// nothing is ever reserved or looped over on the word of a count
+    /// alone.
+    fn count(&mut self) -> PResult<usize> {
+        let at = self.pos;
+        let n = self.u32()? as usize;
+        if n > self.input.len() - self.pos {
+            return Err(WasmDecodeError::new(at, format!("count {n} exceeds remaining input")));
+        }
+        Ok(n)
     }
 
     fn i32(&mut self) -> PResult<i32> {
@@ -176,29 +191,30 @@ impl<'a> Parser<'a> {
     }
 
     fn type_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let tag = self.byte()?;
             if tag != 0x60 {
                 return self.err(format!("expected functype 0x60, got 0x{tag:02x}"));
             }
-            let n_params = self.u32()?;
-            let mut params = Vec::with_capacity(n_params as usize);
-            for _ in 0..n_params {
-                params.push(self.valtype()?);
-            }
-            let n_results = self.u32()?;
-            let mut results = Vec::with_capacity(n_results as usize);
-            for _ in 0..n_results {
-                results.push(self.valtype()?);
-            }
+            let params = self.valtypes()?;
+            let results = self.valtypes()?;
             module.types.push(FuncType::new(params, results));
         }
         Ok(())
     }
 
+    fn valtypes(&mut self) -> PResult<Vec<ValType>> {
+        let n = self.count()?;
+        let mut types = Vec::with_capacity(n);
+        for _ in 0..n {
+            types.push(self.valtype()?);
+        }
+        Ok(types)
+    }
+
     fn import_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let mod_name = self.name()?;
             let field = self.name()?;
@@ -213,7 +229,7 @@ impl<'a> Parser<'a> {
     }
 
     fn function_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let type_idx = self.u32()?;
             module.funcs.push(FuncDef { type_idx, locals: Vec::new(), body: Vec::new() });
@@ -245,7 +261,7 @@ impl<'a> Parser<'a> {
     }
 
     fn global_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let ty = self.valtype()?;
             let mutable = match self.byte()? {
@@ -283,7 +299,7 @@ impl<'a> Parser<'a> {
     }
 
     fn export_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let name = self.name()?;
             let kind_byte = self.byte()?;
@@ -300,7 +316,7 @@ impl<'a> Parser<'a> {
     }
 
     fn code_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()? as usize;
+        let count = self.count()?;
         if count != module.funcs.len() {
             return self.err(format!(
                 "code section has {count} bodies for {} functions",
@@ -314,7 +330,7 @@ impl<'a> Parser<'a> {
                 .checked_add(size)
                 .filter(|&e| e <= self.input.len())
                 .ok_or_else(|| WasmDecodeError::new(self.pos, "code body out of range"))?;
-            let n_runs = self.u32()?;
+            let n_runs = self.count()?;
             let mut locals = Vec::new();
             for _ in 0..n_runs {
                 let run = self.u32()?;
@@ -338,7 +354,7 @@ impl<'a> Parser<'a> {
     }
 
     fn data_section(&mut self, module: &mut Module) -> PResult<()> {
-        let count = self.u32()?;
+        let count = self.count()?;
         for _ in 0..count {
             let mem_idx = self.u32()?;
             if mem_idx != 0 {
@@ -367,18 +383,55 @@ impl<'a> Parser<'a> {
 
     /// Parses instructions until `end` (0x0B) or `else` (0x05), returning
     /// the terminator consumed.
+    ///
+    /// Parsing recurses once per nested `block`/`loop`/`if` — `instrs` →
+    /// [`Parser::structured`] → `instrs` — as do validation, lowering and
+    /// dropping the tree behind it, so the depth is capped here, where
+    /// hostile input first arrives. The cycle deliberately excludes
+    /// [`Parser::plain`], whose frame is an order of magnitude larger.
     fn instrs(&mut self) -> PResult<(Vec<Instr>, u8)> {
         let mut out = Vec::new();
         loop {
             let op = self.byte()?;
-            if op == OP_END || op == OP_ELSE {
-                return Ok((out, op));
-            }
-            out.push(self.instr(op)?);
+            out.push(match op {
+                OP_END | OP_ELSE => return Ok((out, op)),
+                OP_BLOCK | OP_LOOP | OP_IF => self.structured(op)?,
+                _ => self.plain(op)?,
+            });
         }
     }
 
-    fn instr(&mut self, op: u8) -> PResult<Instr> {
+    /// Parses the rest of a `block`, `loop` or `if` after its opcode.
+    fn structured(&mut self, op: u8) -> PResult<Instr> {
+        if self.nesting == MAX_NESTING {
+            return self.err(format!("blocks nested deeper than {MAX_NESTING}"));
+        }
+        self.nesting += 1;
+        let bt = self.blocktype()?;
+        let (body, mut term) = self.instrs()?;
+        let instr = match op {
+            OP_BLOCK => Instr::Block(bt, body),
+            OP_LOOP => Instr::Loop(bt, body),
+            _ => {
+                let els = if term == OP_ELSE {
+                    let (els, end) = self.instrs()?;
+                    term = end;
+                    els
+                } else {
+                    Vec::new()
+                };
+                Instr::If(bt, body, els)
+            }
+        };
+        if term != OP_END {
+            return self.err("block, loop and if must end with `end`");
+        }
+        self.nesting -= 1;
+        Ok(instr)
+    }
+
+    /// Parses one instruction that contains no others.
+    fn plain(&mut self, op: u8) -> PResult<Instr> {
         if let Some(i) = simple_from_opcode(op) {
             return Ok(i);
         }
@@ -389,40 +442,10 @@ impl<'a> Parser<'a> {
                 .ok_or_else(|| WasmDecodeError::new(self.pos, "bad memory opcode"));
         }
         match op {
-            OP_BLOCK => {
-                let bt = self.blocktype()?;
-                let (body, term) = self.instrs()?;
-                if term != OP_END {
-                    return self.err("block must end with `end`");
-                }
-                Ok(Instr::Block(bt, body))
-            }
-            OP_LOOP => {
-                let bt = self.blocktype()?;
-                let (body, term) = self.instrs()?;
-                if term != OP_END {
-                    return self.err("loop must end with `end`");
-                }
-                Ok(Instr::Loop(bt, body))
-            }
-            OP_IF => {
-                let bt = self.blocktype()?;
-                let (then, term) = self.instrs()?;
-                let els = if term == OP_ELSE {
-                    let (els, term2) = self.instrs()?;
-                    if term2 != OP_END {
-                        return self.err("if/else must end with `end`");
-                    }
-                    els
-                } else {
-                    Vec::new()
-                };
-                Ok(Instr::If(bt, then, els))
-            }
             OP_BR => Ok(Instr::Br(self.u32()?)),
             OP_BR_IF => Ok(Instr::BrIf(self.u32()?)),
             OP_BR_TABLE => {
-                let count = self.u32()? as usize;
+                let count = self.count()?;
                 if count > 100_000 {
                     return self.err("br_table too large");
                 }
@@ -485,7 +508,7 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::encode::encode;
@@ -584,6 +607,101 @@ mod tests {
         bytes.extend_from_slice(&encode(&m)[8..]);
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.memory, m.memory);
+    }
+
+    /// The preamble followed by one section.
+    fn one_section(id: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = crate::encode::PREAMBLE.to_vec();
+        bytes.push(id);
+        leb::write_u32(&mut bytes, payload.len() as u32);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// A module exporting `f: [] -> []` whose code entry is `locals`
+    /// (the run vector) then `body` (which brings its own final `end`).
+    pub(crate) fn module_with_func(locals: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut bytes = crate::encode::PREAMBLE.to_vec();
+        bytes.extend_from_slice(&[1, 4, 1, 0x60, 0, 0]); // type [] -> []
+        bytes.extend_from_slice(&[3, 2, 1, 0]); // one function of it
+        bytes.extend_from_slice(&[7, 5, 1, 1, b'f', 0, 0]); // exported as `f`
+        let mut code = vec![1];
+        leb::write_u32(&mut code, (locals.len() + body.len()) as u32);
+        code.extend_from_slice(locals);
+        code.extend_from_slice(body);
+        bytes.extend_from_slice(&one_section(10, &code)[8..]);
+        bytes
+    }
+
+    /// `depth` constructs nested inside each other: `open` × depth, then
+    /// `close` × depth, then the body's `end`.
+    fn nested(open: &[u8], close: &[u8], depth: usize) -> Vec<u8> {
+        let mut body = open.repeat(depth);
+        body.extend(close.repeat(depth));
+        body.push(OP_END);
+        module_with_func(&[0], &body)
+    }
+
+    /// The four ways to nest: block, loop, then-arm, else-arm.
+    const NESTINGS: [(&[u8], &[u8]); 4] = [
+        (&[OP_BLOCK, 0x40], &[OP_END]),
+        (&[OP_LOOP, 0x40], &[OP_END]),
+        (&[OP_I32_CONST, 0, OP_IF, 0x40], &[OP_END]),
+        (&[OP_I32_CONST, 0, OP_IF, 0x40, OP_ELSE], &[OP_END]),
+    ];
+
+    #[test]
+    fn nesting_at_the_limit_runs_end_to_end() {
+        // Every recursive pass — parse, validate, lower (on first
+        // invoke), drop — on this thread's default stack, debug frames
+        // included.
+        for (open, close) in NESTINGS {
+            let module = decode(&nested(open, close, MAX_NESTING)).expect("decodes");
+            let mut inst = crate::Instance::new(
+                module,
+                &crate::Linker::new(),
+                crate::EngineLimits::default(),
+                Box::new(()),
+            )
+            .expect("validates and instantiates");
+            assert_eq!(inst.invoke("f", &[]), Ok(vec![]));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused_not_recursed_into() {
+        // 50 000 levels is a ~150 KB module that used to overflow the
+        // stack inside `instr` ↔ `instrs`.
+        for depth in [MAX_NESTING + 1, 50_000] {
+            for (open, close) in NESTINGS {
+                let err = decode(&nested(open, close, depth)).unwrap_err();
+                assert!(err.reason().contains("nested deeper"), "{depth}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_input_before_anything_is_reserved() {
+        // LEB128 for u32::MAX.
+        const MAX: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let cases = [
+            ("types", one_section(1, &MAX)),
+            ("params", one_section(1, &[&[1, 0x60][..], &MAX].concat())),
+            ("results", one_section(1, &[&[1, 0x60, 0][..], &MAX].concat())),
+            ("local runs", module_with_func(&MAX, &[OP_END])),
+            ("br_table", module_with_func(&[0], &[&[OP_BR_TABLE][..], &MAX, &[OP_END]].concat())),
+        ];
+        for (what, bytes) in cases {
+            // Refused at the count itself — `Vec::with_capacity(n_params)`
+            // used to reserve 4 GiB for these five bytes first.
+            let err = decode(&bytes).unwrap_err();
+            assert!(err.reason().contains("exceeds remaining input"), "{what}: {err}");
+        }
+        // A run's *length* counts locals, not input: it is capped, before
+        // any are materialized.
+        let one_huge_run = [&[1][..], &MAX, &[0x7F]].concat();
+        let err = decode(&module_with_func(&one_huge_run, &[OP_END])).unwrap_err();
+        assert!(err.reason().contains("too many locals"), "{err}");
     }
 
     #[test]

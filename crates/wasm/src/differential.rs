@@ -1,9 +1,10 @@
-//! Differential property suite: the flat-bytecode tier and the tree
-//! walker must be observationally identical.
+//! Differential property suite: the dispatch loop and the reference
+//! tree walker must be observationally identical.
 //!
-//! Every case builds one module, instantiates it once per
-//! [`ExecTier`], invokes the same export, and asserts agreement on the
-//! full observable state:
+//! The walker (`interp/reference.rs`) exists only under `cfg(test)`, so
+//! this suite lives in-crate. Every case builds one module, instantiates
+//! it once per [`Runner`], invokes the same export, and asserts agreement
+//! on the full observable state:
 //!
 //! * the invoke outcome — result values **and** trap variant,
 //! * `instr_count` (exact, including the trapping instruction),
@@ -19,11 +20,31 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use roadrunner_wasm::types::{FuncType, ValType, Value};
-use roadrunner_wasm::{
-    BlockType, EngineLimits, ExecTier, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
-    Trap,
+
+use crate::types::{FuncType, ValType, Value};
+use crate::{
+    BlockType, EngineLimits, Instance, Instr, Linker, MemArg, Module, ModuleBuilder, Trap,
 };
+
+mod hostile;
+
+/// Which interpreter runs a case.
+#[derive(Debug, Clone, Copy)]
+enum Runner {
+    /// The shipping dispatch loop ([`Instance::invoke`]).
+    Loop,
+    /// The reference tree walker ([`Instance::invoke_reference`]).
+    Oracle,
+}
+
+impl Runner {
+    fn invoke(self, inst: &mut Instance, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
+        match self {
+            Runner::Loop => inst.invoke(name, args),
+            Runner::Oracle => inst.invoke_reference(name, args),
+        }
+    }
+}
 
 /// Function index of the `env.acc` host import.
 const HOST: u32 = 0;
@@ -73,8 +94,9 @@ fn build_module(body: Vec<Instr>) -> Module {
         .expect("generated module must validate")
 }
 
-/// Runs `module` on the given tier and captures the observable state.
-fn run_tier(module: &Module, tier: ExecTier, fuel: Option<u64>) -> Observation {
+/// A linker providing `env.acc`: logs its argument into the instance's
+/// `Vec<i32>` host data and returns it plus one.
+fn acc_linker() -> Linker {
     let mut linker = Linker::new();
     linker.define(
         "env",
@@ -89,13 +111,30 @@ fn run_tier(module: &Module, tier: ExecTier, fuel: Option<u64>) -> Observation {
             Ok(vec![Value::I32(x.wrapping_add(1))])
         },
     );
-    let mut limits = EngineLimits::default().with_exec_tier(tier).with_max_call_depth(48);
-    if let Some(f) = fuel {
-        limits = limits.with_fuel(f);
+    linker
+}
+
+fn limits_with(fuel: Option<u64>, max_call_depth: usize) -> EngineLimits {
+    let limits = EngineLimits::default().with_max_call_depth(max_call_depth);
+    match fuel {
+        Some(f) => limits.with_fuel(f),
+        None => limits,
     }
-    let mut inst = Instance::new(module.clone(), &linker, limits, Box::new(Vec::<i32>::new()))
-        .expect("instantiation");
-    let outcome = inst.invoke("run", &[]);
+}
+
+/// Invokes `export` of `module` on `runner` and captures the observable
+/// state.
+fn observe(
+    module: &Module,
+    runner: Runner,
+    limits: EngineLimits,
+    export: &str,
+    args: &[Value],
+) -> Observation {
+    let mut inst =
+        Instance::new(module.clone(), &acc_linker(), limits, Box::new(Vec::<i32>::new()))
+            .expect("instantiation");
+    let outcome = runner.invoke(&mut inst, export, args);
     Observation {
         outcome,
         instrs: inst.instr_count(),
@@ -109,13 +148,19 @@ fn run_tier(module: &Module, tier: ExecTier, fuel: Option<u64>) -> Observation {
     }
 }
 
-/// Asserts tier equivalence for one module + fuel budget. Memory is
+/// [`observe`] for a [`build_module`] module: its `run` export under the
+/// suite's default call-depth cap.
+fn run_on(module: &Module, runner: Runner, fuel: Option<u64>) -> Observation {
+    observe(module, runner, limits_with(fuel, 48), "run", &[])
+}
+
+/// Asserts equivalence for one module + fuel budget. Memory is
 /// compared separately so a mismatch doesn't dump 64 KiB into the
 /// failure message.
-fn assert_tiers_agree(body: Vec<Instr>, fuel: Option<u64>) -> Result<(), TestCaseError> {
+fn assert_runners_agree(body: Vec<Instr>, fuel: Option<u64>) -> Result<(), TestCaseError> {
     let module = build_module(body);
-    let flat = run_tier(&module, ExecTier::Compiled, fuel);
-    let tree = run_tier(&module, ExecTier::Reference, fuel);
+    let flat = run_on(&module, Runner::Loop, fuel);
+    let tree = run_on(&module, Runner::Oracle, fuel);
     prop_assert_eq!(&flat.outcome, &tree.outcome, "invoke outcome diverged");
     prop_assert_eq!(flat.instrs, tree.instrs, "instr_count diverged");
     prop_assert_eq!(flat.fuel_left, tree.fuel_left, "remaining fuel diverged");
@@ -351,8 +396,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn tiers_agree_on_arbitrary_modules(body in arb_body(), fuel in arb_fuel()) {
-        assert_tiers_agree(body, fuel)?;
+    fn runners_agree_on_arbitrary_modules(body in arb_body(), fuel in arb_fuel()) {
+        assert_runners_agree(body, fuel)?;
     }
 }
 
@@ -391,12 +436,12 @@ fn fuel_boundary_sweep_matches_on_every_budget() {
     ];
     let module = build_module(body);
     // Find the unmetered cost first, then sweep a little past it.
-    let full = run_tier(&module, ExecTier::Compiled, None);
+    let full = run_on(&module, Runner::Loop, None);
     assert!(full.outcome.is_ok());
     let cost = full.instrs;
     for budget in 0..=cost + 2 {
-        let flat = run_tier(&module, ExecTier::Compiled, Some(budget));
-        let tree = run_tier(&module, ExecTier::Reference, Some(budget));
+        let flat = run_on(&module, Runner::Loop, Some(budget));
+        let tree = run_on(&module, Runner::Oracle, Some(budget));
         assert_eq!(flat, tree, "divergence at fuel budget {budget}");
         if budget < cost {
             assert_eq!(
@@ -408,10 +453,12 @@ fn fuel_boundary_sweep_matches_on_every_budget() {
     }
 }
 
-/// Deep recursion must hit [`Trap::StackOverflow`] at the same depth
-/// (and instruction count) on both tiers.
+/// The call-depth cap must bite at the same depth (and instruction
+/// count) on both runners: a zero budget refuses the entry call itself,
+/// `down(n)` needs exactly `n + 1` frames, and runaway recursion hits
+/// [`Trap::StackOverflow`].
 #[test]
-fn stack_overflow_depth_matches() {
+fn call_depth_cap_matches() {
     let module = ModuleBuilder::new()
         .func(
             FuncType::new([ValType::I32], [ValType::I32]),
@@ -434,19 +481,20 @@ fn stack_overflow_depth_matches() {
         .build()
         .unwrap();
 
-    for depth_limit in [1usize, 2, 3, 17] {
-        let mut observed = Vec::new();
-        for tier in [ExecTier::Compiled, ExecTier::Reference] {
-            let limits = EngineLimits::default()
-                .with_exec_tier(tier)
-                .with_max_call_depth(depth_limit);
-            let mut inst =
-                Instance::new(module.clone(), &Linker::new(), limits, Box::new(())).unwrap();
-            let out = inst.invoke("down", &[Value::I32(1000)]);
-            observed.push((out, inst.instr_count()));
+    for depth_limit in [0usize, 1, 2, 3, 17] {
+        // Runaway, one frame too many, and (where any call fits) exact fit.
+        let mut cases = vec![(1000, false), (depth_limit as i32, false)];
+        if depth_limit > 0 {
+            cases.push((depth_limit as i32 - 1, true));
         }
-        assert_eq!(observed[0], observed[1], "depth limit {depth_limit}");
-        assert_eq!(observed[0].0, Err(Trap::StackOverflow));
+        for (n, fits) in cases {
+            let limits = limits_with(None, depth_limit);
+            let flat = observe(&module, Runner::Loop, limits, "down", &[Value::I32(n)]);
+            let tree = observe(&module, Runner::Oracle, limits, "down", &[Value::I32(n)]);
+            assert_eq!(flat, tree, "depth limit {depth_limit}, down({n})");
+            let expected = if fits { Ok(vec![Value::I32(0)]) } else { Err(Trap::StackOverflow) };
+            assert_eq!(flat.outcome, expected, "depth limit {depth_limit}, down({n})");
+        }
     }
 }
 
@@ -462,7 +510,7 @@ fn host_trap_propagates_identically() {
         Instr::Call(HOST),
     ];
     let module = build_module(body);
-    let make = |tier| {
+    let make = |runner: Runner| {
         let mut linker = Linker::new();
         linker.define(
             "env",
@@ -483,22 +531,22 @@ fn host_trap_propagates_identically() {
         let mut inst = Instance::new(
             module.clone(),
             &linker,
-            EngineLimits::default().with_exec_tier(tier),
+            EngineLimits::default(),
             Box::new(Vec::<i32>::new()),
         )
         .unwrap();
-        let out = inst.invoke("run", &[]);
+        let out = runner.invoke(&mut inst, "run", &[]);
         (out, inst.instr_count(), inst.data::<Vec<i32>>().cloned().unwrap())
     };
-    let flat = make(ExecTier::Compiled);
-    let tree = make(ExecTier::Reference);
+    let flat = make(Runner::Loop);
+    let tree = make(Runner::Oracle);
     assert_eq!(flat, tree);
     assert_eq!(flat.0, Err(Trap::Unreachable));
     assert_eq!(flat.2, vec![10, 99], "host saw both calls before the trap");
 }
 
 /// Division traps (by zero and `i32::MIN / -1`) carry the same variant
-/// and leave the same counts on both tiers.
+/// and leave the same counts on both runners.
 #[test]
 fn division_traps_match() {
     for (a, b, expect_trap) in [
@@ -509,9 +557,179 @@ fn division_traps_match() {
     ] {
         let body = vec![Instr::I32Const(a), Instr::I32Const(b), Instr::I32DivS];
         let module = build_module(body);
-        let flat = run_tier(&module, ExecTier::Compiled, None);
-        let tree = run_tier(&module, ExecTier::Reference, None);
+        let flat = run_on(&module, Runner::Loop, None);
+        let tree = run_on(&module, Runner::Oracle, None);
         assert_eq!(flat, tree, "divergence for {a} / {b}");
         assert_eq!(flat.outcome.is_err(), expect_trap, "{a} / {b}");
+    }
+}
+
+// ------------------------------------------------- whole-kernel fixed cases
+//
+// The three guest kernels `bench_wasm` times (same bodies, small
+// arguments): each must return the same value, retire the same
+// `instr_count` and — metered — exhaust at the same point on both
+// runners. `bench_wasm` itself pins the loop's full-size results and
+// counts against constants.
+
+/// `loop(n) { x = xorshift32(xorshift32(x)); acc += x }` in the local-SSA
+/// style compilers emit — locals 0 = n (param), 1 = i, 2 = x, 3 = acc,
+/// 4 = t; nearly every instruction lands in a fused superinstruction.
+fn compute_kernel() -> Module {
+    let shift = |amount: i32, op: Instr| {
+        vec![
+            Instr::LocalGet(2),
+            Instr::I32Const(amount),
+            op,
+            Instr::LocalSet(4),
+            Instr::LocalGet(2),
+            Instr::LocalGet(4),
+            Instr::I32Xor,
+            Instr::LocalSet(2),
+        ]
+    };
+    let mut body = vec![
+        Instr::LocalGet(1),
+        Instr::LocalGet(0),
+        Instr::I32GeU,
+        Instr::BrIf(1),
+    ];
+    for _ in 0..2 {
+        body.extend(shift(13, Instr::I32Shl));
+        body.extend(shift(17, Instr::I32ShrU));
+        body.extend(shift(5, Instr::I32Shl));
+    }
+    body.extend([
+        Instr::LocalGet(3),
+        Instr::LocalGet(2),
+        Instr::I32Add,
+        Instr::LocalSet(3),
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Add,
+        Instr::LocalSet(1),
+        Instr::Br(0),
+    ]);
+    ModuleBuilder::new()
+        .func(
+            FuncType::new([ValType::I32], [ValType::I32]),
+            [ValType::I32; 4],
+            [
+                Instr::I32Const(0x9E3779B9u32 as i32),
+                Instr::LocalSet(2),
+                Instr::Block(BlockType::Empty, vec![Instr::Loop(BlockType::Empty, body)]),
+                Instr::LocalGet(3),
+            ],
+        )
+        .export_func("run", 0)
+        .build()
+        .unwrap()
+}
+
+/// Naive recursive fib — every level is two wasm→wasm calls.
+fn calls_kernel() -> Module {
+    ModuleBuilder::new()
+        .func(
+            FuncType::new([ValType::I32], [ValType::I32]),
+            [],
+            [
+                Instr::LocalGet(0),
+                Instr::I32Const(2),
+                Instr::I32LtS,
+                Instr::If(
+                    BlockType::Value(ValType::I32),
+                    vec![Instr::LocalGet(0)],
+                    vec![
+                        Instr::LocalGet(0),
+                        Instr::I32Const(1),
+                        Instr::I32Sub,
+                        Instr::Call(0),
+                        Instr::LocalGet(0),
+                        Instr::I32Const(2),
+                        Instr::I32Sub,
+                        Instr::Call(0),
+                        Instr::I32Add,
+                    ],
+                ),
+            ],
+        )
+        .export_func("run", 0)
+        .build()
+        .unwrap()
+}
+
+/// `loop(n) { mem[a] = load(mem[a]) + 1 }` with `a = (i*4) & 0xFFFC`.
+fn memory_kernel() -> Module {
+    ModuleBuilder::new()
+        .func(
+            FuncType::new([ValType::I32], [ValType::I32]),
+            [ValType::I32, ValType::I32],
+            [
+                Instr::Block(
+                    BlockType::Empty,
+                    vec![Instr::Loop(
+                        BlockType::Empty,
+                        vec![
+                            Instr::LocalGet(1),
+                            Instr::LocalGet(0),
+                            Instr::I32GeU,
+                            Instr::BrIf(1),
+                            Instr::LocalGet(1),
+                            Instr::I32Const(4),
+                            Instr::I32Mul,
+                            Instr::I32Const(0xFFFC),
+                            Instr::I32And,
+                            Instr::LocalTee(2),
+                            Instr::LocalGet(2),
+                            Instr::I32Load(MemArg::natural(4)),
+                            Instr::I32Const(1),
+                            Instr::I32Add,
+                            Instr::I32Store(MemArg::natural(4)),
+                            Instr::LocalGet(1),
+                            Instr::I32Const(1),
+                            Instr::I32Add,
+                            Instr::LocalSet(1),
+                            Instr::Br(0),
+                        ],
+                    )],
+                ),
+                Instr::LocalGet(1),
+            ],
+        )
+        .memory(1, Some(1))
+        .export_func("run", 0)
+        .export_memory("mem")
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn bench_kernels_match_metered_and_unmetered() {
+    // (kernel, argument, instructions one call retires: 61n + 9,
+    // c(n) = 13 + c(n-1) + c(n-2) from c(0) = c(1) = 5, and 20n + 7 —
+    // the same formulas give `bench_wasm`'s full-size constants).
+    let kernels = [
+        ("compute", compute_kernel(), 40, 2449),
+        ("calls", calls_kernel(), 9, 977),
+        ("memory", memory_kernel(), 40, 807),
+    ];
+    for (name, module, arg, cost) in &kernels {
+        let cost = *cost;
+        let args = [Value::I32(*arg)];
+        let limits = limits_with(None, 48);
+        let flat = observe(module, Runner::Loop, limits, "run", &args);
+        let tree = observe(module, Runner::Oracle, limits, "run", &args);
+        assert!(flat.outcome.is_ok(), "{name} completes unmetered");
+        assert_eq!(flat.instrs, cost, "{name} retires its formula's count");
+        assert_eq!(flat, tree, "{name}, unmetered");
+        // Budgets that run dry inside the loop, one short of completing,
+        // exactly enough, and generous.
+        for budget in [0, 1, cost / 3, cost / 2, cost - 1, cost, cost + 100] {
+            let limits = limits_with(Some(budget), 48);
+            let flat = observe(module, Runner::Loop, limits, "run", &args);
+            let tree = observe(module, Runner::Oracle, limits, "run", &args);
+            assert_eq!(flat, tree, "{name}, fuel {budget} of {cost}");
+            assert_eq!(flat.outcome.is_ok(), budget >= cost, "{name}, fuel {budget} of {cost}");
+        }
     }
 }

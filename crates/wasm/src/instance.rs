@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::host::{HostFunc, Linker};
 use crate::interp::{Exec, Machine};
-use crate::limits::{EngineLimits, ExecTier};
+use crate::limits::EngineLimits;
 use crate::memory::Memory;
 use crate::module::{ExportKind, Module};
 use crate::trap::Trap;
@@ -96,7 +96,7 @@ pub struct Instance {
     limits: EngineLimits,
     fuel: Option<u64>,
     instr_count: u64,
-    /// Reusable value stack + frame arena for the flat tier.
+    /// Reusable value stack + frame arena for the dispatch loop.
     machine: Machine,
 }
 
@@ -197,13 +197,32 @@ impl Instance {
     /// [`Trap::BadExport`] if `name` is missing or not a function, a
     /// host-error trap if argument types mismatch, plus any runtime trap.
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
+        let idx = self.exported_func(name, args)?;
+        self.call_index(idx, args)
+    }
+
+    /// [`Instance::invoke`] on the reference tree walker — the oracle the
+    /// differential suite compares the dispatch loop against.
+    #[cfg(test)]
+    pub(crate) fn invoke_reference(
+        &mut self,
+        name: &str,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
+        let idx = self.exported_func(name, args)?;
+        self.parts().0.call_function(idx, args, 0)
+    }
+
+    /// Resolves the exported function `name` and checks `args` against
+    /// its signature.
+    fn exported_func(&self, name: &str, args: &[Value]) -> Result<u32, Trap> {
         let Some(export) = self.module.export(name) else {
             return Err(Trap::BadExport(name.to_owned()));
         };
         let ExportKind::Func(idx) = export.kind else {
             return Err(Trap::BadExport(name.to_owned()));
         };
-        let ty = self.module.func_type(idx).expect("validated export").clone();
+        let ty = self.module.func_type(idx).expect("validated export");
         if args.len() != ty.params().len()
             || args.iter().zip(ty.params()).any(|(a, &p)| a.ty() != p)
         {
@@ -211,13 +230,20 @@ impl Instance {
                 "invoke `{name}`: arguments do not match signature {ty}"
             )));
         }
-        self.call_index(idx, args)
+        Ok(idx)
     }
 
     fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
-        let module = Arc::clone(&self.module);
-        let mut exec = Exec {
-            module: &module,
+        let code = Arc::clone(self.module.code());
+        let (mut exec, machine) = self.parts();
+        exec.run_flat(machine, &code, func_idx, args)
+    }
+
+    /// The execution context over this instance's state, plus the
+    /// dispatch loop's reusable machine.
+    fn parts(&mut self) -> (Exec<'_>, &mut Machine) {
+        let exec = Exec {
+            module: &self.module,
             memory: &mut self.memory,
             globals: &mut self.globals,
             host_funcs: &self.host_funcs,
@@ -226,13 +252,7 @@ impl Instance {
             instr_count: &mut self.instr_count,
             max_call_depth: self.limits.max_call_depth,
         };
-        match self.limits.exec_tier {
-            ExecTier::Compiled => {
-                let code = Arc::clone(module.code());
-                exec.run_flat(&mut self.machine, &code, func_idx, args)
-            }
-            ExecTier::Reference => exec.call_function(func_idx, args, 0),
-        }
+        (exec, &mut self.machine)
     }
 
     /// The instance's module.

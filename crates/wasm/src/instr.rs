@@ -4,9 +4,16 @@
 //!
 //! Bodies are kept as trees (blocks contain their instructions) rather
 //! than a flat stream with jump targets; the binary codec flattens and
-//! re-builds this structure, and the interpreter walks it directly.
+//! re-builds this structure, validation type-checks it, and the engine
+//! lowers it once per module to the flat code its interpreter runs.
 
 use crate::types::ValType;
+
+/// Deepest `block`/`loop`/`if` nesting a function body may have (a body
+/// with no blocks has depth 0). Every pass over the tree — decode,
+/// validate, lower, drop — recurses once per level, so the decoder and
+/// the validator both refuse deeper bodies; compilers emit tens.
+pub(crate) const MAX_NESTING: usize = 200;
 
 /// The result type of a block/loop/if (MVP: at most one value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,10 +24,13 @@
 //!   checker runs before any instantiation.
 //! * **Metering** — executed-instruction counts and optional fuel, which
 //!   the simulation converts into CPU time.
-//! * **Two execution tiers** ([`ExecTier`]) — function bodies run on flat
-//!   pre-compiled bytecode (cached per module, reusable frame arena) by
-//!   default, with the original tree walker kept as a reference path;
-//!   both are trap-, fuel- and instruction-count-identical.
+//! * **One interpreter** — function bodies are lowered once per module to
+//!   flat bytecode (cached, shared across clones) and run by a single
+//!   program-counter dispatch loop over a reusable frame arena. What an
+//!   instruction *counts* is defined by the structured AST: a test-only
+//!   tree walker is the oracle, and a differential suite holds the loop
+//!   to it on outcome, trap, instruction count, fuel, host calls, globals
+//!   and memory.
 //!
 //! # Example
 //!
@@ -59,6 +62,8 @@
 pub mod builder;
 mod compile;
 pub mod decode;
+#[cfg(test)]
+mod differential;
 pub mod encode;
 pub mod host;
 pub mod instance;
@@ -77,7 +82,7 @@ pub use builder::ModuleBuilder;
 pub use host::{Caller, Linker};
 pub use instance::{Instance, InstanceError};
 pub use instr::{BlockType, Instr, MemArg};
-pub use limits::{EngineLimits, ExecTier};
+pub use limits::EngineLimits;
 pub use memory::{Memory, PAGE};
 pub use module::Module;
 pub use trap::Trap;

@@ -1,34 +1,4 @@
-//! Engine-wide execution limits and tier selection.
-
-use std::sync::OnceLock;
-
-/// Which interpreter executes function bodies.
-///
-/// Both tiers are trap-, fuel- and `instr_count`-identical; they differ
-/// only in speed. See `crates/wasm/tests/interp_differential.rs` for the
-/// property suite holding them equivalent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecTier {
-    /// Flat pre-compiled bytecode run by a program-counter dispatch loop
-    /// with a reusable frame arena — the fast default.
-    #[default]
-    Compiled,
-    /// The original tree walker over the `Instr` AST, kept as the
-    /// differential-testing reference path.
-    Reference,
-}
-
-/// Process-wide tier default: `ROADRUNNER_EXEC_TIER=reference` selects
-/// the tree walker (for byte-identity gates and A/B runs without code
-/// changes); anything else — including unset — selects `Compiled`.
-/// Read once and cached for the life of the process.
-fn env_default_tier() -> ExecTier {
-    static TIER: OnceLock<ExecTier> = OnceLock::new();
-    *TIER.get_or_init(|| match std::env::var("ROADRUNNER_EXEC_TIER").as_deref() {
-        Ok("reference") | Ok("tree") => ExecTier::Reference,
-        _ => ExecTier::Compiled,
-    })
-}
+//! Engine-wide execution limits.
 
 /// Resource limits enforced by the engine, independent of what a module
 /// declares. The shim sets these per function at deployment time (paper
@@ -44,8 +14,6 @@ pub struct EngineLimits {
     /// Initial fuel (instructions the instance may execute); `None`
     /// disables metering.
     pub initial_fuel: Option<u64>,
-    /// Which interpreter tier runs this instance's code.
-    pub exec_tier: ExecTier,
 }
 
 impl EngineLimits {
@@ -71,13 +39,6 @@ impl EngineLimits {
         self.initial_fuel = Some(fuel);
         self
     }
-
-    /// Selects the interpreter tier (overriding the
-    /// `ROADRUNNER_EXEC_TIER` process default).
-    pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier = tier;
-        self
-    }
 }
 
 impl Default for EngineLimits {
@@ -86,7 +47,6 @@ impl Default for EngineLimits {
             max_memory_pages: 16 * 1024,
             max_call_depth: 512,
             initial_fuel: None,
-            exec_tier: env_default_tier(),
         }
     }
 }
@@ -107,16 +67,9 @@ mod tests {
         let l = EngineLimits::new()
             .with_max_memory_pages(8)
             .with_max_call_depth(10)
-            .with_fuel(1000)
-            .with_exec_tier(ExecTier::Reference);
+            .with_fuel(1000);
         assert_eq!(l.max_memory_pages, 8);
         assert_eq!(l.max_call_depth, 10);
         assert_eq!(l.initial_fuel, Some(1000));
-        assert_eq!(l.exec_tier, ExecTier::Reference);
-    }
-
-    #[test]
-    fn compiled_is_the_tier_default() {
-        assert_eq!(ExecTier::default(), ExecTier::Compiled);
     }
 }

@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::instr::{BlockType, Instr};
+use crate::instr::{BlockType, Instr, MAX_NESTING};
 use crate::memory::PAGE;
 use crate::module::{ExportKind, Module};
 use crate::types::ValType;
@@ -174,7 +174,7 @@ pub fn validate(module: &Module) -> VResult<()> {
             ctrls: Vec::new(),
             context: format!("func[{i}]"),
         };
-        checker.push_frame(FrameKind::Func, ty.results().to_vec());
+        checker.push_frame(FrameKind::Func, ty.results().to_vec())?;
         checker
             .check_instrs(&func.body)
             .and_then(|()| checker.pop_frame().map(|_| ()))?;
@@ -213,8 +213,14 @@ impl<'m> FuncValidator<'m> {
         Err(ValidationError::new(self.context.clone(), msg))
     }
 
-    fn push_frame(&mut self, kind: FrameKind, results: Vec<ValType>) {
+    /// Opens a control frame. The function frame sits at the bottom, so
+    /// `ctrls.len() - 1` is the block nesting depth.
+    fn push_frame(&mut self, kind: FrameKind, results: Vec<ValType>) -> VResult<()> {
+        if self.ctrls.len() > MAX_NESTING {
+            return self.fail(format!("blocks nested deeper than {MAX_NESTING}"));
+        }
         self.ctrls.push(CtrlFrame { kind, results, height: self.stack.len(), unreachable: false });
+        Ok(())
     }
 
     /// Closes the innermost frame: its results must be on the stack, then
@@ -281,9 +287,40 @@ impl<'m> FuncValidator<'m> {
         Ok(if frame.kind == FrameKind::Loop { Vec::new() } else { frame.results.clone() })
     }
 
+    /// Checks a sequence. Recursion runs once per nested block through
+    /// this function alone; everything that contains no other
+    /// instruction goes to [`FuncValidator::check_plain`], keeping that
+    /// function's large frame out of the cycle.
     fn check_instrs(&mut self, instrs: &[Instr]) -> VResult<()> {
-        for i in instrs {
-            self.check_instr(i)?;
+        for instr in instrs {
+            match instr {
+                Instr::Block(bt, body) => {
+                    self.push_frame(FrameKind::Block, Self::block_results(*bt))?;
+                    self.check_instrs(body)?;
+                    self.pop_frame()?;
+                }
+                Instr::Loop(bt, body) => {
+                    self.push_frame(FrameKind::Loop, Self::block_results(*bt))?;
+                    self.check_instrs(body)?;
+                    self.pop_frame()?;
+                }
+                Instr::If(bt, then, els) => {
+                    self.pop_expect(ValType::I32)?;
+                    let results = Self::block_results(*bt);
+                    self.push_frame(FrameKind::If, results.clone())?;
+                    self.check_instrs(then)?;
+                    self.pop_frame()?;
+                    // Re-check the else arm against the same result type;
+                    // the then arm's results were pushed, pop them first.
+                    for &ty in results.iter().rev() {
+                        self.pop_expect(ty)?;
+                    }
+                    self.push_frame(FrameKind::If, results)?;
+                    self.check_instrs(els)?;
+                    self.pop_frame()?;
+                }
+                plain => self.check_plain(plain)?,
+            }
         }
         Ok(())
     }
@@ -295,7 +332,7 @@ impl<'m> FuncValidator<'m> {
         }
     }
 
-    fn check_instr(&mut self, instr: &Instr) -> VResult<()> {
+    fn check_plain(&mut self, instr: &Instr) -> VResult<()> {
         use ValType::*;
         if let Some((params, results)) = numeric_sig(instr) {
             for &p in params.iter().rev() {
@@ -309,31 +346,6 @@ impl<'m> FuncValidator<'m> {
         match instr {
             Instr::Unreachable => self.set_unreachable(),
             Instr::Nop => {}
-            Instr::Block(bt, body) => {
-                self.push_frame(FrameKind::Block, Self::block_results(*bt));
-                self.check_instrs(body)?;
-                self.pop_frame()?;
-            }
-            Instr::Loop(bt, body) => {
-                self.push_frame(FrameKind::Loop, Self::block_results(*bt));
-                self.check_instrs(body)?;
-                self.pop_frame()?;
-            }
-            Instr::If(bt, then, els) => {
-                self.pop_expect(I32)?;
-                let results = Self::block_results(*bt);
-                self.push_frame(FrameKind::If, results.clone());
-                self.check_instrs(then)?;
-                self.pop_frame()?;
-                // Re-check the else arm against the same result type; the
-                // then arm's results were pushed, pop them first.
-                for &ty in results.iter().rev() {
-                    self.pop_expect(ty)?;
-                }
-                self.push_frame(FrameKind::If, results);
-                self.check_instrs(els)?;
-                self.pop_frame()?;
-            }
             Instr::Br(depth) => {
                 for &ty in self.label_types(*depth)?.iter().rev() {
                     self.pop_expect(ty)?;
@@ -821,6 +833,23 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.message().contains("depth"));
+    }
+
+    #[test]
+    fn nesting_limit_applies_to_built_modules_too() {
+        // `ModuleBuilder` bypasses the decoder, so the validator holds the
+        // same line before the lowering recurses over the body.
+        let nested = |depth: usize| {
+            let body = (0..depth).fold(vec![Instr::Nop], |inner, level| match level % 3 {
+                0 => vec![Instr::Block(BlockType::Empty, inner)],
+                1 => vec![Instr::Loop(BlockType::Empty, inner)],
+                _ => vec![Instr::I32Const(0), Instr::If(BlockType::Empty, vec![], inner)],
+            });
+            ModuleBuilder::new().func(FuncType::new([], []), [], body)
+        };
+        check(nested(MAX_NESTING)).unwrap();
+        let err = check(nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message().contains("nested deeper"), "{err}");
     }
 
     #[test]
