@@ -13,12 +13,23 @@ use roadrunner_wasm::{EngineLimits, Instance, Linker};
 use std::sync::Arc;
 
 fn codecs(c: &mut Criterion) {
-    let payload = Payload::synthetic(PayloadKind::SensorRecords, 3, MB);
     let mut group = c.benchmark_group("serial");
-    group.throughput(Throughput::Bytes(payload.flat().len() as u64));
-    group.bench_function("text-encode-1MB", |b| b.iter(|| text::to_text(payload.value())));
-    let encoded = text::to_text(payload.value());
-    group.bench_function("text-decode-1MB", |b| b.iter(|| text::from_text(&encoded).unwrap()));
+    group.throughput(Throughput::Bytes(MB as u64));
+    // The text codec has three inner loops and each payload kind lives in
+    // one of them: string runs (text), number formatting and parsing
+    // (sensor-records), and the `x'…'` hex form every opaque DAG edge
+    // takes through a baseline.
+    for kind in [PayloadKind::Text, PayloadKind::SensorRecords, PayloadKind::Opaque] {
+        let payload = Payload::synthetic(kind, 3, MB);
+        group.bench_function(format!("text-encode-{kind}-1MB"), |b| {
+            b.iter(|| text::to_text(payload.value()))
+        });
+        let encoded = text::to_text(payload.value());
+        group.bench_function(format!("text-decode-{kind}-1MB"), |b| {
+            b.iter(|| text::from_text(&encoded).unwrap())
+        });
+    }
+    let payload = Payload::synthetic(PayloadKind::SensorRecords, 3, MB);
     group.bench_function("binary-encode-1MB", |b| {
         b.iter(|| binary::to_binary(payload.value()))
     });

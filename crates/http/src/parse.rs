@@ -109,18 +109,25 @@ fn decode_chunked(buf: &[u8]) -> Result<Option<DecodedBody>, HttpError> {
         let size = usize::from_str_radix(size_line.trim(), 16)
             .map_err(|_| HttpError::Parse(format!("bad chunk size `{size_line}`")))?;
         let data_start = pos + line_end + 2;
-        let data_end = data_start + size;
-        if buf.len() < data_end + 2 {
+        // `size` is the peer's claim, not a length this buffer has: a
+        // chunk that would end past `usize::MAX` is malformed, not
+        // merely incomplete.
+        let chunk_end = data_start
+            .checked_add(size)
+            .and_then(|data_end| data_end.checked_add(2))
+            .ok_or_else(|| HttpError::Parse(format!("chunk size `{size_line}` overflows")))?;
+        let data_end = chunk_end - 2;
+        if buf.len() < chunk_end {
             return Ok(None);
         }
-        if &buf[data_end..data_end + 2] != b"\r\n" {
+        if &buf[data_end..chunk_end] != b"\r\n" {
             return Err(HttpError::Parse("chunk not terminated by CRLF".into()));
         }
         if size == 0 {
-            return Ok(Some((body.freeze(), data_end + 2)));
+            return Ok(Some((body.freeze(), chunk_end)));
         }
         body.extend_from_slice(&buf[data_start..data_end]);
-        pos = data_end + 2;
+        pos = chunk_end;
     }
 }
 
@@ -323,6 +330,19 @@ mod tests {
         let mut reader = MessageReader::new();
         reader.feed(raw);
         assert!(reader.try_request().is_err());
+    }
+
+    #[test]
+    fn overflowing_chunk_size_is_a_parse_error() {
+        // `data_start + size` used to wrap (release) or panic (debug and
+        // the overflow-checks pass). The size line ends at byte 18, so
+        // the last size overflows only when the trailing CRLF is added.
+        for size in ["ffffffffffffffff", "fffffffffffffffe", "ffffffffffffffed"] {
+            let mut reader = MessageReader::new();
+            reader.feed(b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
+            reader.feed(format!("{size}\r\nab\r\n").as_bytes());
+            assert!(matches!(reader.try_request(), Err(HttpError::Parse(_))), "size {size}");
+        }
     }
 
     #[test]

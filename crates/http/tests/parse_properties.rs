@@ -6,6 +6,12 @@
 //! This is the invariant the baselines' streaming path leans on — TCP
 //! delivers HTTP heads and bodies at whatever chunk boundaries the link
 //! model produces, and the reassembled message must not depend on them.
+//!
+//! The last two properties feed it what a peer is free to send instead —
+//! noise, and real messages with bytes flipped, cut out or spliced in —
+//! and ask only that every poll answers `Ok` or `Err`: no panic, no
+//! arithmetic overflow (CI runs them in release with overflow checks on
+//! as well as in debug).
 
 use proptest::prelude::*;
 use roadrunner_http::{MessageReader, Request, Response};
@@ -172,5 +178,125 @@ proptest! {
         prop_assert_eq!(&first.body[..], &a.body[..]);
         prop_assert_eq!(&second.body[..], &b.body[..]);
         prop_assert!(reader.try_request().unwrap().is_none());
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        noise in proptest::collection::vec(any::<u8>(), 0..400),
+        max_chunk in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        // Raw noise rarely gets past the head; a well-formed start line
+        // in front of it reaches the header and body paths too.
+        let prefixes: [&[u8]; 4] = [
+            b"",
+            b"POST /f HTTP/1.1\r\n",
+            b"HTTP/1.1 200 OK\r\n",
+            b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+        ];
+        for prefix in prefixes {
+            let wire = [prefix, &noise].concat();
+            poll_through(&wire, seed, max_chunk);
+        }
+    }
+
+    #[test]
+    fn mutated_messages_never_panic_the_reader(
+        body_len in 0usize..300,
+        max_chunk in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Mix(seed ^ 0x4057);
+        let body = body_of(body_len, seed);
+        let mut chunked = b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
+        for piece in body.chunks(37) {
+            chunked.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
+            chunked.extend_from_slice(piece);
+            chunked.extend_from_slice(b"\r\n");
+        }
+        chunked.extend_from_slice(b"0\r\n\r\n");
+        let originals = [
+            Request::post("/invoke", body.clone()).with_header("x-tenant", "acme").to_bytes().to_vec(),
+            Response::ok(body.clone()).to_bytes().to_vec(),
+            chunked,
+        ];
+        for original in &originals {
+            for _ in 0..8 {
+                let mut wire = original.clone();
+                for _ in 0..1 + rng.below(3) {
+                    mutate(&mut wire, &mut rng);
+                }
+                poll_through(&wire, rng.next(), max_chunk);
+            }
+        }
+    }
+}
+
+/// Header and chunk-framing fragments that steer a mutant down the
+/// parser's less travelled paths: absurd lengths, a second body framing,
+/// stray line ends, bytes that are not UTF-8.
+const SPLICES: &[&[u8]] = &[
+    b"\r\n",
+    b"\r\n\r\n",
+    b":",
+    b"content-length: 18446744073709551615\r\n",
+    b"content-length: -1\r\n",
+    b"transfer-encoding: chunked\r\n",
+    b"ffffffffffffffff\r\n",
+    b"fffffffffffffffe\r\n",
+    b"0\r\n\r\n",
+    b"+7\r\n",
+    b"\xff\xfe",
+    b" ",
+];
+
+/// One random edit of `wire` — flip a byte, cut a range out, cut the tail
+/// off, or splice a fragment in — half the time at the start of a line,
+/// where the parser looks for a header or a chunk size.
+fn mutate(wire: &mut Vec<u8>, rng: &mut Mix) {
+    let mut at = rng.below(wire.len() as u64 + 1) as usize;
+    if rng.below(2) == 0 {
+        let line_starts: Vec<usize> =
+            wire.windows(2).enumerate().filter(|(_, w)| w == b"\r\n").map(|(i, _)| i + 2).collect();
+        if !line_starts.is_empty() {
+            at = line_starts[rng.below(line_starts.len() as u64) as usize];
+        }
+    }
+    match rng.below(5) {
+        0 if at < wire.len() => wire[at] ^= 1 << rng.below(8),
+        1 => {
+            let end = (at + rng.below(24) as usize).min(wire.len());
+            wire.drain(at..end);
+        }
+        2 => wire.truncate(at),
+        _ => {
+            let splice = SPLICES[rng.below(SPLICES.len() as u64) as usize];
+            wire.splice(at..at, splice.iter().copied());
+        }
+    }
+}
+
+/// Feeds `wire` in random pieces to a reader polled for requests and to
+/// one polled for responses. Any outcome is fine; the point is that
+/// every poll has one.
+fn poll_through(wire: &[u8], seed: u64, max_chunk: usize) {
+    let chunks = random_chunks(wire, seed, max_chunk);
+    connection_loop(&chunks, |reader| reader.try_request().map(|message| message.is_some()));
+    connection_loop(&chunks, |reader| reader.try_response().map(|message| message.is_some()));
+}
+
+/// What a connection does with its reader: poll after every piece, keep
+/// polling while messages come out, hang up on the first error.
+fn connection_loop<E>(chunks: &[Vec<u8>], poll: impl Fn(&mut MessageReader) -> Result<bool, E>) {
+    let mut reader = MessageReader::new();
+    for chunk in chunks {
+        reader.feed(chunk);
+        loop {
+            match poll(&mut reader) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(_) => return,
+            }
+        }
     }
 }

@@ -20,9 +20,7 @@ const TAG_BYTES: u8 = 0x06;
 const TAG_LIST: u8 = 0x07;
 const TAG_MAP: u8 = 0x08;
 
-/// Maximum nesting depth accepted by [`from_binary`], guarding the decoder
-/// against stack exhaustion from hostile inputs.
-pub const MAX_DEPTH: usize = 128;
+pub use crate::MAX_DEPTH;
 
 /// Serializes `value` into the binary format.
 ///
@@ -306,6 +304,32 @@ mod tests {
 
         #[test]
         fn random_bytes_never_panic(buf in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let _ = from_binary(&buf);
+        }
+
+        #[test]
+        fn mutated_encodings_never_panic(
+            v in arb_value(),
+            edits in proptest::collection::vec((any::<usize>(), any::<u8>(), 0u8..5), 1..4),
+        ) {
+            // A real document keeps the decoder going past the first tag,
+            // so a damaged length, count or varint is actually reached.
+            let mut buf = to_binary(&v);
+            for (at, byte, kind) in edits {
+                let at = at % (buf.len() + 1);
+                match kind {
+                    0 => buf.truncate(at),
+                    1 => drop(buf.splice(at..at, [byte])),
+                    // A varint that never ends, and one that ends at 2^63.
+                    2 => drop(buf.splice(at..at, [0xFF; 11])),
+                    3 => drop(buf.splice(at..at, [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01])),
+                    _ => {
+                        if let Some(b) = buf.get_mut(at) {
+                            *b = byte;
+                        }
+                    }
+                }
+            }
             let _ = from_binary(&buf);
         }
     }

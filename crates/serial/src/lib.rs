@@ -48,6 +48,12 @@ pub mod raw;
 pub mod text;
 pub mod varint;
 
+/// Maximum nesting depth [`text::from_text`] and [`binary::from_binary`]
+/// accept, guarding both recursive decoders against stack exhaustion
+/// from hostile inputs. A document's root is at depth 0; a value inside
+/// more than `MAX_DEPTH` containers is refused.
+pub const MAX_DEPTH: usize = 128;
+
 pub use error::DecodeError;
 pub use payload::Payload;
 pub use raw::RawView;
