@@ -1,6 +1,6 @@
 //! Interpreter-throughput benchmark.
 //!
-//! Times three guest kernels on the interpreter's dispatch loop and
+//! Times four guest kernels on the interpreter's dispatch loop and
 //! records calls/sec and ns per retired wasm instruction for each:
 //!
 //! * `compute` — a two-round xorshift32/accumulate loop in the
@@ -8,17 +8,21 @@
 //!   dispatch, the superinstruction pass's best case;
 //! * `calls` — naive recursive `fib`, all frame setup/teardown on the
 //!   reusable frame arena;
-//! * `memory` — a bounds-checked load/increment/store loop.
+//! * `memory` — a bounds-checked load/increment/store loop;
+//! * `stack` — a byte copy whose two addresses are built on the operand
+//!   stack, the shape of `guest::resize_image`'s inner loop: push/pop
+//!   traffic that fusion shortens but cannot remove.
 //!
 //! Every scenario asserts the kernel's result and the exact number of
 //! instructions it retires per call against constants (in full mode the
-//! totals are 122 001 800 / 9 850 750 / 40 001 400), so a change may
-//! only move wall-clock. What those counts *should* be is settled
-//! elsewhere: `roadrunner-wasm`'s differential suite runs the same three
-//! kernels against the reference tree walker. There is no pass/fail
-//! speed gate here — the numbers are a trajectory, recorded with the host
-//! they were measured on; the live regression guard is the benchmark's
-//! `edge_resize` workload and its `wasm.instr_ns` layer metric.
+//! totals are 122 001 800 / 9 850 750 / 40 001 400 / 54 003 200), so a
+//! change may only move wall-clock. What those counts *should* be is
+//! settled elsewhere: `roadrunner-wasm`'s differential suite runs the
+//! same four kernels against the reference tree walker. There is no
+//! pass/fail speed gate here — the numbers are a trajectory, recorded
+//! with the host they were measured on; the live regression guard is the
+//! benchmark's `edge_resize` workload and its `wasm.instr_ns` layer
+//! metric.
 //!
 //! Emits `BENCH_wasm.json` (written to the working directory) and the
 //! same JSON on stdout.
@@ -171,6 +175,72 @@ fn memory_module() -> Module {
         .expect("memory guest validates")
 }
 
+/// Where the `stack` kernel reads (a data segment of `7k + 3 mod 256`
+/// bytes) and writes; its row is fixed at 3.
+const STACK_IN: i32 = 1024;
+const STACK_OUT: i32 = 65_536;
+
+/// `loop(n) { out[y*320 + i] = in[y*1280 + 2i] }` at `y = 3`, written
+/// the way `guest::resize_image` writes its inner loop: both addresses
+/// are built on the operand stack (`local·const·mul`, `local·add`,
+/// `const·add`, …) under an `i32.load8_u` and an `i32.store8`, so every
+/// iteration is a dozen pushes and pops and fusion can only shorten
+/// them, not remove them. Locals: 0 = n (param), 1 = i, 2 = y. Returns
+/// the last byte written.
+fn stack_module() -> Module {
+    let out_index = |base: i32| {
+        vec![
+            Instr::LocalGet(2),
+            Instr::I32Const(320),
+            Instr::I32Mul,
+            Instr::LocalGet(1),
+            Instr::I32Add,
+            Instr::I32Const(base),
+            Instr::I32Add,
+        ]
+    };
+    let mut body = vec![
+        Instr::LocalGet(1),
+        Instr::LocalGet(0),
+        Instr::I32GeU,
+        Instr::BrIf(1),
+    ];
+    body.extend(out_index(STACK_OUT));
+    body.extend([
+        Instr::LocalGet(2),
+        Instr::I32Const(1280),
+        Instr::I32Mul,
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Shl,
+        Instr::I32Add,
+        Instr::I32Const(STACK_IN),
+        Instr::I32Add,
+        Instr::I32Load8U(MemArg::default()),
+        Instr::I32Store8(MemArg::default()),
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Add,
+        Instr::LocalSet(1),
+        Instr::Br(0),
+    ]);
+    let mut func = vec![
+        Instr::I32Const(3),
+        Instr::LocalSet(2),
+        Instr::Block(BlockType::Empty, vec![Instr::Loop(BlockType::Empty, body)]),
+    ];
+    // The byte at `i - 1`, the last one stored.
+    func.extend(out_index(STACK_OUT - 1));
+    func.push(Instr::I32Load8U(MemArg::default()));
+    ModuleBuilder::new()
+        .func(FuncType::new([ValType::I32], [ValType::I32]), [ValType::I32; 2], func)
+        .memory(2, Some(2))
+        .data(STACK_IN as u32, (0..32_768u32).map(|k| (7 * k + 3) as u8).collect())
+        .export_func("run", 0)
+        .build()
+        .expect("stack guest validates")
+}
+
 /// One timed run: `calls` invocations retiring `instrs` wasm
 /// instructions in `wall_s` seconds of host time.
 struct Measured {
@@ -289,7 +359,7 @@ fn main() {
     let quick = quick_flag();
 
     // Per-call counts: 61n + 9; c(n) = 13 + c(n-1) + c(n-2) from
-    // c(0) = c(1) = 5; 20n + 7.
+    // c(0) = c(1) = 5; 20n + 7; 27n + 16.
     let kernels = [
         Kernel {
             name: "compute",
@@ -313,6 +383,15 @@ fn main() {
             arg: 10_000,
             result: 10_000,
             instrs_per_call: 200_007,
+            calls: 200,
+        },
+        Kernel {
+            name: "stack",
+            module: stack_module(),
+            arg: 10_000,
+            // in[3 * 1280 + 2 * 9999] = 7 * 23838 + 3 mod 256.
+            result: 213,
+            instrs_per_call: 270_016,
             calls: 200,
         },
     ];

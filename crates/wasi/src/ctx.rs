@@ -18,6 +18,12 @@ pub mod errno {
     pub const NOENT: i32 = 44;
 }
 
+/// Largest size a guest's writes may grow an in-memory file to: the
+/// engine's default linear-memory cap. A guest can seek anywhere, but a
+/// write that would stretch the file past this is refused (`INVAL`)
+/// rather than served by zero-filling whatever the host has.
+const MAX_FILE_LEN: usize = 1 << 30;
+
 /// A socket backend a WASI `sock_send`/`sock_recv` pair talks to.
 ///
 /// The baselines install adapters over the virtual kernel's TCP or Unix
@@ -199,7 +205,10 @@ impl WasiCtx {
                     return Err(errno::INVAL);
                 }
                 let file = self.files.get_mut(&open.path).ok_or(errno::NOENT)?;
-                let end = open.cursor + data.len();
+                let end = open.cursor.saturating_add(data.len());
+                if end > MAX_FILE_LEN.max(file.len()) {
+                    return Err(errno::INVAL);
+                }
                 if file.len() < end {
                     file.resize(end, 0);
                 }
@@ -213,7 +222,7 @@ impl WasiCtx {
     pub(crate) fn read_fd(&mut self, fd: u32, max: usize) -> Result<Vec<u8>, i32> {
         match fd {
             0 => {
-                let end = (self.stdin_cursor + max).min(self.stdin.len());
+                let end = self.stdin_cursor.saturating_add(max).min(self.stdin.len());
                 let out = self.stdin[self.stdin_cursor..end].to_vec();
                 self.stdin_cursor = end;
                 Ok(out)
@@ -221,9 +230,12 @@ impl WasiCtx {
             _ => {
                 let open = self.open_files.get_mut(&fd).ok_or(errno::BADF)?;
                 let file = self.files.get(&open.path).ok_or(errno::NOENT)?;
-                let end = (open.cursor + max).min(file.len());
-                let out = file[open.cursor..end].to_vec();
-                open.cursor = end;
+                // A cursor seeked past the end reads nothing and stays put.
+                let Some(rest) = file.get(open.cursor..) else {
+                    return Ok(Vec::new());
+                };
+                let out = rest[..max.min(rest.len())].to_vec();
+                open.cursor += out.len();
                 Ok(out)
             }
         }
@@ -238,11 +250,11 @@ impl WasiCtx {
             2 => len,                  // END
             _ => return Err(errno::INVAL),
         };
-        let target = base + offset;
-        if target < 0 {
-            return Err(errno::INVAL);
-        }
-        open.cursor = target as usize;
+        let target = base
+            .checked_add(offset)
+            .and_then(|t| usize::try_from(t).ok())
+            .ok_or(errno::INVAL)?;
+        open.cursor = target;
         Ok(target as u64)
     }
 

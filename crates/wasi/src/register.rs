@@ -41,15 +41,93 @@ struct IoVec {
     len: u32,
 }
 
+/// The trap an access of `len` bytes at `addr` raises when it cannot
+/// lie in `memory` — for ranges whose end does not even fit the `u32`
+/// address space, which [`Memory::read`] has no way to be asked about.
+fn out_of_bounds(memory: &Memory, addr: u64, len: u64) -> Trap {
+    Trap::MemoryOutOfBounds { addr, len, memory_size: memory.len() as u64 }
+}
+
+/// Checks that the guest range `[ptr, ptr + len)` lies in `memory`.
+/// Every call validates the ranges its arguments name with this before it
+/// reserves, charges, generates or consumes anything on their behalf, so
+/// a call that traps on a bad pointer has had no other effect.
+fn check_range(memory: &Memory, ptr: u32, len: u32) -> Result<(), Trap> {
+    memory.read(ptr, len).map(drop)
+}
+
+/// Reads the `count` iovecs at `iovs` and checks every buffer they name.
+///
+/// The array itself must lie in memory, which bounds `count` by
+/// `memory.len() / 8` before a single element is reserved for — a guest
+/// cannot make the host allocate by naming a large count.
 fn read_iovecs(memory: &Memory, iovs: u32, count: u32) -> Result<Vec<IoVec>, Trap> {
+    let array_len = count
+        .checked_mul(8)
+        .ok_or_else(|| out_of_bounds(memory, iovs as u64, count as u64 * 8))?;
+    let array = memory.read(iovs, array_len)?;
     let mut out = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        let base = iovs + i * 8;
-        let ptr = u32::from_le_bytes(memory.load::<4>(base, 0)?);
-        let len = u32::from_le_bytes(memory.load::<4>(base, 4)?);
-        out.push(IoVec { ptr, len });
+    for raw in array.chunks_exact(8) {
+        let word = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().expect("4 bytes"));
+        let iov = IoVec { ptr: word(0), len: word(4) };
+        check_range(memory, iov.ptr, iov.len)?;
+        out.push(iov);
     }
     Ok(out)
+}
+
+/// Gathers the bytes the `count` iovecs at `iovs` name, in order —
+/// `None` when together they name more bytes than the memory holds
+/// (iovecs may overlap, so a few words could otherwise ask the host to
+/// assemble gigabytes).
+fn gather(memory: &Memory, iovs: u32, count: u32) -> Result<Option<Vec<u8>>, Trap> {
+    let iovecs = read_iovecs(memory, iovs, count)?;
+    let total: u64 = iovecs.iter().map(|v| v.len as u64).sum();
+    if total > memory.len() as u64 {
+        return Ok(None);
+    }
+    let mut data = Vec::with_capacity(total as usize);
+    for iov in iovecs {
+        data.extend_from_slice(memory.read(iov.ptr, iov.len)?);
+    }
+    Ok(Some(data))
+}
+
+/// Scatters `data` over `iovecs` in order; returns the bytes placed
+/// (`data` may be longer than the buffers, or shorter).
+fn scatter(memory: &mut Memory, iovecs: &[IoVec], data: &[u8]) -> Result<u32, Trap> {
+    let mut offset = 0usize;
+    for iov in iovecs {
+        if offset >= data.len() {
+            break;
+        }
+        let take = (iov.len as usize).min(data.len() - offset);
+        memory.write(iov.ptr, &data[offset..offset + take])?;
+        offset += take;
+    }
+    Ok(offset as u32)
+}
+
+/// Lays `entries` out the way `args_get` and `environ_get` do: a table
+/// of pointers at `table_ptr`, the NUL-terminated strings packed from
+/// `buf_ptr`.
+fn write_string_table(
+    memory: &mut Memory,
+    table_ptr: u32,
+    buf_ptr: u32,
+    entries: &[String],
+) -> Result<(), Trap> {
+    let mut cursor = buf_ptr;
+    for (i, entry) in entries.iter().enumerate() {
+        let len = entry.len() as u32;
+        memory.store::<4>(table_ptr, 4 * i as u32, cursor.to_le_bytes())?;
+        memory.write(cursor, entry.as_bytes())?;
+        memory.store::<1>(cursor, len, [0])?;
+        cursor = cursor
+            .checked_add(len + 1)
+            .ok_or_else(|| out_of_bounds(memory, cursor as u64, len as u64 + 1))?;
+    }
+    Ok(())
 }
 
 fn arg_i32(args: &[roadrunner_wasm::Value], i: usize) -> i32 {
@@ -79,17 +157,14 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let nwritten_ptr = arg_i32(args, 3) as u32;
-            let mut data = Vec::new();
-            {
-                let memory = caller.memory()?;
-                for iov in read_iovecs(memory, iovs, count)? {
-                    data.extend_from_slice(memory.read(iov.ptr, iov.len)?);
-                }
-            }
+            let memory = caller.memory()?;
+            check_range(memory, nwritten_ptr, 4)?;
+            let Some(data) = gather(memory, iovs, count)? else {
+                return ret(errno::INVAL);
+            };
             let ctx = caller.data::<T>()?.wasi();
             ctx.charge_boundary(data.len());
-            let result = ctx.write_fd(fd, &data);
-            match result {
+            match ctx.write_fd(fd, &data) {
                 Ok(n) => {
                     caller.memory()?.store::<4>(nwritten_ptr, 0, (n as u32).to_le_bytes())?;
                     ret(errno::SUCCESS)
@@ -109,7 +184,9 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let nread_ptr = arg_i32(args, 3) as u32;
-            let iovecs = read_iovecs(caller.memory()?, iovs, count)?;
+            let memory = caller.memory()?;
+            check_range(memory, nread_ptr, 4)?;
+            let iovecs = read_iovecs(memory, iovs, count)?;
             let want: usize = iovecs.iter().map(|v| v.len as usize).sum();
             let ctx = caller.data::<T>()?.wasi();
             let data = match ctx.read_fd(fd, want) {
@@ -118,16 +195,8 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             };
             ctx.charge_boundary(data.len());
             let memory = caller.memory()?;
-            let mut offset = 0usize;
-            for iov in iovecs {
-                if offset >= data.len() {
-                    break;
-                }
-                let take = (iov.len as usize).min(data.len() - offset);
-                memory.write(iov.ptr, &data[offset..offset + take])?;
-                offset += take;
-            }
-            memory.store::<4>(nread_ptr, 0, (offset as u32).to_le_bytes())?;
+            let placed = scatter(memory, &iovecs, &data)?;
+            memory.store::<4>(nread_ptr, 0, placed.to_le_bytes())?;
             ret(errno::SUCCESS)
         },
     );
@@ -158,6 +227,7 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let offset = arg_i64(args, 1);
             let whence = arg_i32(args, 2) as u8;
             let new_ptr = arg_i32(args, 3) as u32;
+            check_range(caller.memory()?, new_ptr, 8)?;
             let ctx = caller.data::<T>()?.wasi();
             ctx.charge_boundary(0);
             match ctx.seek_fd(fd, offset, whence) {
@@ -184,6 +254,7 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let path_len = arg_i32(args, 3) as u32;
             let oflags = arg_i32(args, 4);
             let fd_ptr = arg_i32(args, 8) as u32;
+            check_range(caller.memory()?, fd_ptr, 4)?;
             let path = caller.read_string(path_ptr, path_len)?;
             let ctx = caller.data::<T>()?.wasi();
             ctx.charge_boundary(path.len());
@@ -205,7 +276,9 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
         FuncType::new([i32_, i32_], [i32_]),
         |mut caller: Caller<'_>, args| {
             let buf = arg_i32(args, 0) as u32;
-            let len = arg_i32(args, 1) as usize;
+            let len = arg_i32(args, 1) as u32;
+            check_range(caller.memory()?, buf, len)?;
+            let len = len as usize;
             let ctx = caller.data::<T>()?.wasi();
             ctx.charge_boundary(len);
             let mut bytes = Vec::with_capacity(len);
@@ -266,14 +339,7 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
                 ctx.charge_boundary(list.iter().map(String::len).sum());
                 list
             };
-            let memory = caller.memory()?;
-            let mut cursor = buf_ptr;
-            for (i, arg) in arg_list.iter().enumerate() {
-                memory.store::<4>(argv_ptr + (i as u32) * 4, 0, cursor.to_le_bytes())?;
-                memory.write(cursor, arg.as_bytes())?;
-                memory.write(cursor + arg.len() as u32, &[0])?;
-                cursor += arg.len() as u32 + 1;
-            }
+            write_string_table(caller.memory()?, argv_ptr, buf_ptr, &arg_list)?;
             ret(errno::SUCCESS)
         },
     );
@@ -311,14 +377,7 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
                 ctx.charge_boundary(pairs.iter().map(String::len).sum());
                 pairs
             };
-            let memory = caller.memory()?;
-            let mut cursor = buf_ptr;
-            for (i, entry) in pairs.iter().enumerate() {
-                memory.store::<4>(environ_ptr + (i as u32) * 4, 0, cursor.to_le_bytes())?;
-                memory.write(cursor, entry.as_bytes())?;
-                memory.write(cursor + entry.len() as u32, &[0])?;
-                cursor += entry.len() as u32 + 1;
-            }
+            write_string_table(caller.memory()?, environ_ptr, buf_ptr, &pairs)?;
             ret(errno::SUCCESS)
         },
     );
@@ -347,13 +406,11 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let sent_ptr = arg_i32(args, 4) as u32;
-            let mut data = Vec::new();
-            {
-                let memory = caller.memory()?;
-                for iov in read_iovecs(memory, iovs, count)? {
-                    data.extend_from_slice(memory.read(iov.ptr, iov.len)?);
-                }
-            }
+            let memory = caller.memory()?;
+            check_range(memory, sent_ptr, 4)?;
+            let Some(data) = gather(memory, iovs, count)? else {
+                return ret(errno::INVAL);
+            };
             let ctx = caller.data::<T>()?.wasi();
             ctx.charge_boundary(data.len());
             let sandbox = ctx.sandbox().clone();
@@ -381,7 +438,10 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let count = arg_i32(args, 2) as u32;
             let recvd_ptr = arg_i32(args, 4) as u32;
             let flags_ptr = arg_i32(args, 5) as u32;
-            let iovecs = read_iovecs(caller.memory()?, iovs, count)?;
+            let memory = caller.memory()?;
+            check_range(memory, recvd_ptr, 4)?;
+            check_range(memory, flags_ptr, 4)?;
+            let iovecs = read_iovecs(memory, iovs, count)?;
             let ctx = caller.data::<T>()?.wasi();
             let sandbox = ctx.sandbox().clone();
             let Some(socket) = ctx.socket_mut(fd) else {
@@ -395,16 +455,8 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             };
             caller.data::<T>()?.wasi().charge_boundary(data.len());
             let memory = caller.memory()?;
-            let mut offset = 0usize;
-            for iov in iovecs {
-                if offset >= data.len() {
-                    break;
-                }
-                let take = (iov.len as usize).min(data.len() - offset);
-                memory.write(iov.ptr, &data[offset..offset + take])?;
-                offset += take;
-            }
-            memory.store::<4>(recvd_ptr, 0, (offset as u32).to_le_bytes())?;
+            let placed = scatter(memory, &iovecs, &data)?;
+            memory.store::<4>(recvd_ptr, 0, placed.to_le_bytes())?;
             memory.store::<4>(flags_ptr, 0, 0u32.to_le_bytes())?;
             ret(errno::SUCCESS)
         },

@@ -2,8 +2,8 @@
 //! trajectory lives in `bench_wasm` / `BENCH_wasm.json`).
 //!
 //! Covered: the dispatch loop on a compute-bound kernel, a call-heavy
-//! recursive fib, a load/store loop, the host-call round-trip, and
-//! `Instance::new` cost (which after the first compile must not pay for
+//! recursive fib, a load/store loop, an operand-stack-bound byte copy,
+//! the host-call round-trip, and `Instance::new` cost (which after the first compile must not pay for
 //! lowering again). Each kernel's result and retired-instruction count
 //! are asserted against constants before it is timed, so a run that
 //! measures the wrong work fails instead of reporting a number.
@@ -153,6 +153,64 @@ fn memory_module() -> Module {
         .unwrap()
 }
 
+/// `loop(n) { out[3*320 + i] = in[3*1280 + 2i] }` with both addresses
+/// built on the operand stack, as `guest::resize_image`'s inner loop
+/// builds them — push/pop traffic that fusion shortens but cannot
+/// remove (`bench_wasm`'s `stack` row). Locals: 0 = n, 1 = i, 2 = y.
+fn stack_module() -> Module {
+    let out_index = |base: i32| {
+        vec![
+            Instr::LocalGet(2),
+            Instr::I32Const(320),
+            Instr::I32Mul,
+            Instr::LocalGet(1),
+            Instr::I32Add,
+            Instr::I32Const(base),
+            Instr::I32Add,
+        ]
+    };
+    let mut body = vec![
+        Instr::LocalGet(1),
+        Instr::LocalGet(0),
+        Instr::I32GeU,
+        Instr::BrIf(1),
+    ];
+    body.extend(out_index(65_536));
+    body.extend([
+        Instr::LocalGet(2),
+        Instr::I32Const(1280),
+        Instr::I32Mul,
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Shl,
+        Instr::I32Add,
+        Instr::I32Const(1024),
+        Instr::I32Add,
+        Instr::I32Load8U(MemArg::default()),
+        Instr::I32Store8(MemArg::default()),
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Add,
+        Instr::LocalSet(1),
+        Instr::Br(0),
+    ]);
+    let mut func = vec![
+        Instr::I32Const(3),
+        Instr::LocalSet(2),
+        Instr::Block(BlockType::Empty, vec![Instr::Loop(BlockType::Empty, body)]),
+    ];
+    // The last byte stored.
+    func.extend(out_index(65_535));
+    func.push(Instr::I32Load8U(MemArg::default()));
+    ModuleBuilder::new()
+        .func(FuncType::new([ValType::I32], [ValType::I32]), [ValType::I32; 2], func)
+        .memory(2, Some(2))
+        .data(1024, (0..32_768u32).map(|k| (7 * k + 3) as u8).collect())
+        .export_func("run", 0)
+        .build()
+        .unwrap()
+}
+
 /// `loop(n) { acc = host(acc) }` — measures the wasm->host boundary.
 fn host_module() -> Module {
     ModuleBuilder::new()
@@ -244,6 +302,19 @@ fn bench_memory(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_stack(c: &mut Criterion) {
+    let n = 10_000;
+    // 27 instructions per iteration, 16 around the loop; the result is
+    // in[3 * 1280 + 2 * 9999].
+    let mut inst = checked(&stack_module(), &Linker::new(), "run", n, 213, 270_016);
+    let mut group = c.benchmark_group("stack_loop");
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("flat", |b| {
+        b.iter(|| inst.invoke("run", &[Value::I32(black_box(n))]).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_host_roundtrip(c: &mut Criterion) {
     let mut linker = Linker::new();
     linker.define(
@@ -288,6 +359,7 @@ criterion_group!(
     bench_compute,
     bench_fib,
     bench_memory,
+    bench_stack,
     bench_host_roundtrip,
     bench_instantiate
 );

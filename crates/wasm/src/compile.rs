@@ -51,12 +51,22 @@
 //! extend across a branch target (fusion would hide the landing pad);
 //! all surviving targets are remapped to the shortened stream.
 //!
+//! # Frame size
+//!
+//! The lowering tracks the operand-stack height anyway (branches need
+//! it), so it also records the deepest it gets: [`CompiledFunc::max_stack`].
+//! With `frame_size` (params + declared locals) that is everything a call
+//! will ever touch, so the dispatch loop reserves `frame_size + max_stack`
+//! slots when it opens a frame and never checks capacity on a push.
+//!
 //! # Self-check
 //!
 //! The dispatch loop trusts the static facts computed here (it indexes
 //! code, frames and the operand stack by them). Debug builds re-derive
-//! them per function, after lowering and again after fusion ([`verify`]);
-//! release builds compile the check out.
+//! them per function, after lowering and again after fusion ([`verify`]) —
+//! including, by running every op's pops and pushes over the reachable
+//! code, that the height stays within `max_stack`; release builds
+//! compile the check out.
 
 use crate::instr::Instr;
 use crate::module::Module;
@@ -303,6 +313,16 @@ macro_rules! define_op {
                 other => unreachable!("not a pure numeric instruction: {other:?}"),
             }
         }
+
+        /// `(pops, pushes)` of a pure-numeric [`Op`], from its [`Instr`]
+        /// twin's signature.
+        fn numeric_effect(op: &Op) -> Option<(usize, usize)> {
+            let instr = match op {
+                $( Op::$num => Instr::$num, )*
+                _ => return None,
+            };
+            numeric_sig(&instr).map(|(params, results)| (params.len(), results.len()))
+        }
     };
 }
 
@@ -316,13 +336,18 @@ pub(crate) struct CompiledFunc {
     pub code: Box<[Op]>,
     /// Number of parameters (popped from the caller's operand stack).
     pub params: u32,
-    /// Declared locals, zero-initialized at call time.
-    pub locals: Box<[ValType]>,
-    /// `params + locals.len()`: operands start this far above the frame
-    /// base.
+    /// Params plus declared locals: operands start this far above the
+    /// frame base. The declared locals (`params..frame_size`) are
+    /// zeroed at call time; being untyped slots, their types are not
+    /// kept.
     pub frame_size: u32,
-    /// Number of result values.
-    pub ret_arity: u32,
+    /// Deepest the operand stack gets above `frame_size`. A call
+    /// reserves `frame_size + max_stack` slots once, and the dispatch
+    /// loop then pushes without a capacity check.
+    pub max_stack: u32,
+    /// Result types; the entry call turns its result slots back into
+    /// [`crate::Value`]s by them.
+    pub results: Box<[ValType]>,
 }
 
 /// A whole module's functions in flat form, indexed by *defined* index
@@ -367,20 +392,58 @@ pub(crate) fn compile(module: &Module) -> CompiledModule {
             CompiledFunc {
                 code: code.into_boxed_slice(),
                 params: ty.params().len() as u32,
-                locals: def.locals.clone().into_boxed_slice(),
                 frame_size: (ty.params().len() + def.locals.len()) as u32,
-                ret_arity,
+                max_stack: c.max_height as u32,
+                results: ty.results().into(),
             }
         })
         .collect();
     CompiledModule { funcs }
 }
 
+/// What one op does to the operand stack, as `(pops, pushes)`.
+fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
+    if let Some(effect) = numeric_effect(op) {
+        return effect;
+    }
+    let sig = |type_idx: u32| {
+        let ty = &module.types[type_idx as usize];
+        (ty.params().len(), ty.results().len())
+    };
+    match op {
+        Op::I32Const(_) | Op::I64Const(_) | Op::F32Const(_) | Op::F64Const(_) => (0, 1),
+        Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize => (0, 1),
+        Op::I32BinLL { .. } | Op::I32BinLC { .. } => (0, 1),
+        Op::I32BinTL { .. } | Op::I32BinTC { .. } | Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
+        Op::I32Load(_) | Op::I64Load(_) | Op::F32Load(_) | Op::F64Load(_) => (1, 1),
+        Op::I32Load8S(_) | Op::I32Load8U(_) | Op::I32Load16S(_) | Op::I32Load16U(_) => (1, 1),
+        Op::I64Load8S(_) | Op::I64Load8U(_) | Op::I64Load16S(_) | Op::I64Load16U(_) => (1, 1),
+        Op::I64Load32S(_) | Op::I64Load32U(_) => (1, 1),
+        Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
+        Op::IfElse(_) | Op::BrIf(_) | Op::BrTable(_) => (1, 0),
+        Op::I32BinTLSet { .. } | Op::I32BinTCSet { .. } => (1, 0),
+        Op::I32Store(_) | Op::I64Store(_) | Op::F32Store(_) | Op::F64Store(_) => (2, 0),
+        Op::I32Store8(_) | Op::I32Store16(_) => (2, 0),
+        Op::I64Store8(_) | Op::I64Store16(_) | Op::I64Store32(_) => (2, 0),
+        Op::Select => (3, 1),
+        Op::MemoryCopy | Op::MemoryFill => (3, 0),
+        Op::Call(f) => sig(module.funcs[*f as usize].type_idx),
+        Op::CallHost { func, .. } => sig(module.imports[*func as usize].type_idx),
+        // Control that moves no value (the values a taken branch carries
+        // stay where the unwind puts them) and the local-to-local fused
+        // forms.
+        _ => (0, 0),
+    }
+}
+
 /// Re-derives the static facts the dispatch loop indexes by without
 /// checking (see the module docs): every jump target inside the
-/// function, every unwind height + arity within the deepest operand
-/// stack the lowering saw, every call index in range, `FnEnd` last.
-fn verify(code: &[Op], module: &Module, max_height: usize) -> Result<(), String> {
+/// function, every call index in range, `FnEnd` last — and, by running
+/// the operand-stack height through every reachable op, that no op pops
+/// below its frame's operand base, that every path into an op agrees on
+/// the height there, and that the height never exceeds `max_stack`, the
+/// slots a call reserves.
+fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> {
     let target = |at: usize, t: u32| {
         if (t as usize) < code.len() {
             Ok(())
@@ -390,37 +453,96 @@ fn verify(code: &[Op], module: &Module, max_height: usize) -> Result<(), String>
     };
     let jump = |at: usize, j: &Jump| {
         target(at, j.target)?;
-        if j.height as usize + j.arity as usize > max_height {
+        if j.height as usize + j.arity as usize > max_stack {
             return Err(format!(
-                "op {at}: unwind to {} + {} exceeds operand depth {max_height}",
+                "op {at}: unwind to {} + {} exceeds operand depth {max_stack}",
                 j.height, j.arity
             ));
         }
         Ok(())
     };
     for (at, op) in code.iter().enumerate() {
+        for j in jumps_of(op) {
+            jump(at, j)?;
+        }
         match op {
             Op::Goto(t) | Op::IfElse(t) => target(at, *t)?,
-            Op::Br(j) | Op::BrIf(j) => jump(at, j)?,
-            Op::BrIfBinLL(f) => jump(at, &f.jump)?,
-            Op::BrIfBinLC(f) => jump(at, &f.jump)?,
-            Op::BrTable(bt) => {
-                for j in bt.targets.iter().chain([&bt.default]) {
-                    jump(at, j)?;
-                }
-            }
             Op::Call(f) if *f as usize >= module.funcs.len() => {
                 return Err(format!("op {at}: call to undefined function {f}"));
             }
             Op::CallHost { func, .. } if *func as usize >= module.imports.len() => {
                 return Err(format!("op {at}: call to unknown import {func}"));
             }
+            Op::CallHost { func, params } => {
+                let ty = &module.types[module.imports[*func as usize].type_idx as usize];
+                if ty.params().len() != *params as usize {
+                    return Err(format!("op {at}: host call passes {params} of {ty}"));
+                }
+            }
             _ => {}
         }
     }
-    match code.last() {
-        Some(Op::FnEnd) => Ok(()),
-        other => Err(format!("code ends with {other:?}, not FnEnd")),
+    if !matches!(code.last(), Some(Op::FnEnd)) {
+        return Err(format!("code ends with {:?}, not FnEnd", code.last()));
+    }
+
+    // Heights, over reachable ops only: dead code (whose static heights
+    // mean nothing) is never visited, just as it is never run.
+    let mut height_at: Vec<Option<usize>> = vec![None; code.len()];
+    let mut pending = vec![(0usize, 0usize)];
+    while let Some((mut at, mut height)) = pending.pop() {
+        loop {
+            match height_at[at] {
+                Some(seen) if seen == height => break,
+                Some(seen) => {
+                    return Err(format!("op {at}: reached at heights {seen} and {height}"));
+                }
+                None => height_at[at] = Some(height),
+            }
+            let op = &code[at];
+            let (pops, pushes) = stack_effect(op, module);
+            if pops > height {
+                return Err(format!("op {at}: {op:?} pops {pops} from height {height}"));
+            }
+            height = height - pops + pushes;
+            if height > max_stack {
+                return Err(format!(
+                    "op {at}: {op:?} raises the stack to {height}, max_stack is {max_stack}"
+                ));
+            }
+            for j in jumps_of(op) {
+                let landing = (j.height + j.arity) as usize;
+                if height < landing {
+                    return Err(format!(
+                        "op {at}: branch from height {height} carries {} to {}",
+                        j.arity, j.height
+                    ));
+                }
+                pending.push((j.target as usize, landing));
+            }
+            match op {
+                Op::FnEnd | Op::Unreachable | Op::Return | Op::Br(_) | Op::BrTable(_) => break,
+                Op::Goto(t) => {
+                    at = *t as usize;
+                    continue;
+                }
+                Op::IfElse(t) => pending.push((*t as usize, height)),
+                _ => {}
+            }
+            at += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Every pre-resolved branch an op carries.
+fn jumps_of(op: &Op) -> Vec<&Jump> {
+    match op {
+        Op::Br(j) | Op::BrIf(j) => vec![j],
+        Op::BrIfBinLL(f) => vec![&f.jump],
+        Op::BrIfBinLC(f) => vec![&f.jump],
+        Op::BrTable(bt) => bt.targets.iter().chain([&bt.default]).collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -596,8 +718,9 @@ struct FnCompiler<'m> {
     /// Static operand height. Meaningless (but safely clamped) in dead
     /// code, where the validator permits polymorphic stack use.
     height: usize,
-    /// Largest value `height` (or a label's `height + arity`) takes: the
-    /// bound [`verify`] holds every unwind to.
+    /// Largest value `height` (or a label's `height + arity`) takes:
+    /// the function's [`CompiledFunc::max_stack`], which [`verify`]
+    /// re-derives.
     max_height: usize,
 }
 
@@ -844,7 +967,7 @@ mod tests {
         assert_eq!(f.code.len(), 2);
         assert!(matches!(f.code[0], Op::I32Const(7)));
         assert!(matches!(f.code[1], Op::FnEnd));
-        assert_eq!(f.ret_arity, 1);
+        assert_eq!(f.results.len(), 1);
     }
 
     #[test]
@@ -1113,18 +1236,124 @@ mod tests {
             .build()
             .expect("validates");
         let jump = |target, height, arity| Jump { target, height, arity };
-        let cases: [(Vec<Op>, &str); 5] = [
+        let cases: [(Vec<Op>, &str); 9] = [
             (vec![Op::Goto(2), Op::FnEnd], "target 2 outside"),
             (vec![Op::Br(jump(1, 2, 1)), Op::FnEnd], "exceeds operand depth"),
             (vec![Op::Call(1), Op::FnEnd], "undefined function"),
             (vec![Op::CallHost { func: 0, params: 0 }, Op::FnEnd], "unknown import"),
             (vec![Op::Nop], "not FnEnd"),
+            (vec![Op::Drop, Op::FnEnd], "pops 1 from height 0"),
+            (vec![Op::Br(jump(1, 0, 1)), Op::FnEnd], "branch from height 0 carries 1"),
+            // The then arm leaves a value the else arm does not.
+            (
+                vec![Op::I32Const(1), Op::IfElse(3), Op::I32Const(2), Op::FnEnd],
+                "op 3: reached at heights",
+            ),
+            // Three pushes against a claim of two.
+            (
+                vec![
+                    Op::I32Const(1),
+                    Op::I32BinLC { op: I32Bin::Add, a: 0, c: 1 },
+                    Op::LocalGet(0),
+                    Op::FnEnd,
+                ],
+                "raises the stack to 3, max_stack is 2",
+            ),
         ];
         for (code, complaint) in cases {
             let err = verify(&code, &module, 2).unwrap_err();
             assert!(err.contains(complaint), "{err}");
         }
-        assert_eq!(verify(&[Op::Br(jump(1, 1, 1)), Op::FnEnd], &module, 2), Ok(()));
+        let sound = [Op::I32Const(1), Op::I32Const(2), Op::Br(jump(3, 1, 1)), Op::FnEnd];
+        assert_eq!(verify(&sound, &module, 2), Ok(()));
+    }
+
+    #[test]
+    fn verify_names_an_understated_max_stack() {
+        // `helper(i32, i32) -> i32` called on two pushed constants under
+        // a fused push: the caller's operand stack reaches three slots.
+        let module = ModuleBuilder::new()
+            .func(
+                FuncType::new([ValType::I32; 2], [ValType::I32]),
+                [],
+                [Instr::LocalGet(0), Instr::LocalGet(1), Instr::I32Add],
+            )
+            .func(
+                FuncType::new([], [ValType::I32]),
+                [ValType::I32],
+                [
+                    Instr::LocalGet(0),
+                    Instr::I32Const(1),
+                    Instr::I32Const(2),
+                    Instr::Call(0),
+                    Instr::I32Add,
+                ],
+            )
+            .build()
+            .expect("validates");
+        let compiled = compile(&module);
+        let caller = &compiled.funcs[1];
+        assert_eq!(caller.max_stack, 3);
+        assert_eq!(verify(&caller.code, &module, 3), Ok(()));
+        let err = verify(&caller.code, &module, 2).unwrap_err();
+        assert!(err.contains("op 2") && err.contains("max_stack is 2"), "{err}");
+        // The callee's own frame is not the caller's business: its two
+        // params are the caller's top two operands.
+        assert_eq!(compiled.funcs[0].max_stack, 2);
+    }
+
+    #[test]
+    fn max_stack_is_pinned_for_three_shapes() {
+        // Flat expression: (1 + 2 * 3) - 4 needs three slots at its
+        // deepest, one at the end.
+        let flat = compile_body(vec![
+            Instr::I32Const(1),
+            Instr::I32Const(2),
+            Instr::I32Const(3),
+            Instr::I32Mul,
+            Instr::I32Add,
+            Instr::I32Const(4),
+            Instr::I32Sub,
+        ]);
+        assert_eq!(flat.max_stack, 3);
+
+        // Nested blocks with arity: each block's result stays on the
+        // stack while the next operand is computed inside another block.
+        let nested = compile_body(vec![
+            Instr::Block(
+                BlockType::Value(ValType::I32),
+                vec![
+                    Instr::I32Const(1),
+                    Instr::Block(
+                        BlockType::Value(ValType::I32),
+                        vec![Instr::I32Const(2), Instr::I32Const(3), Instr::I32Add],
+                    ),
+                    Instr::I32Add,
+                ],
+            ),
+            Instr::Block(BlockType::Value(ValType::I32), vec![Instr::I32Const(4)]),
+            Instr::I32Add,
+        ]);
+        assert_eq!(nested.max_stack, 3);
+
+        // Dead code after `br`: the pushes that can never run still
+        // count (an over-estimate is safe), the clamped pops do not
+        // drag the height below the block's floor.
+        let dead = compile_body(vec![Instr::Block(
+            BlockType::Value(ValType::I32),
+            vec![
+                Instr::I32Const(5),
+                Instr::Br(0),
+                Instr::Drop,
+                Instr::Drop,
+                Instr::I32Const(6),
+                Instr::I32Const(7),
+                Instr::I32Const(8),
+                Instr::I32Add,
+                Instr::I32Add,
+            ],
+        )]);
+        assert_eq!(dead.max_stack, 3);
     }
 
     #[test]
@@ -1143,6 +1372,6 @@ mod tests {
         assert_eq!(compiled.funcs.len(), 2);
         assert_eq!(compiled.funcs[1].params, 1);
         assert_eq!(compiled.funcs[1].frame_size, 2);
-        assert_eq!(compiled.funcs[1].locals.len(), 1);
+        assert_eq!(compiled.funcs[1].results[..], [ValType::I64]);
     }
 }

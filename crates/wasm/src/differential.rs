@@ -566,7 +566,7 @@ fn division_traps_match() {
 
 // ------------------------------------------------- whole-kernel fixed cases
 //
-// The three guest kernels `bench_wasm` times (same bodies, small
+// The four guest kernels `bench_wasm` times (same bodies, small
 // arguments): each must return the same value, retire the same
 // `instr_count` and — metered — exhaust at the same point on both
 // runners. `bench_wasm` itself pins the loop's full-size results and
@@ -703,15 +703,73 @@ fn memory_kernel() -> Module {
         .unwrap()
 }
 
+/// `loop(n) { out[3*320 + i] = in[3*1280 + 2i] }`, both addresses built
+/// on the operand stack the way `guest::resize_image` builds them.
+fn stack_kernel() -> Module {
+    let out_index = |base: i32| {
+        vec![
+            Instr::LocalGet(2),
+            Instr::I32Const(320),
+            Instr::I32Mul,
+            Instr::LocalGet(1),
+            Instr::I32Add,
+            Instr::I32Const(base),
+            Instr::I32Add,
+        ]
+    };
+    let mut body = vec![
+        Instr::LocalGet(1),
+        Instr::LocalGet(0),
+        Instr::I32GeU,
+        Instr::BrIf(1),
+    ];
+    body.extend(out_index(65_536));
+    body.extend([
+        Instr::LocalGet(2),
+        Instr::I32Const(1280),
+        Instr::I32Mul,
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Shl,
+        Instr::I32Add,
+        Instr::I32Const(1024),
+        Instr::I32Add,
+        Instr::I32Load8U(MemArg::default()),
+        Instr::I32Store8(MemArg::default()),
+        Instr::LocalGet(1),
+        Instr::I32Const(1),
+        Instr::I32Add,
+        Instr::LocalSet(1),
+        Instr::Br(0),
+    ]);
+    let mut func = vec![
+        Instr::I32Const(3),
+        Instr::LocalSet(2),
+        Instr::Block(BlockType::Empty, vec![Instr::Loop(BlockType::Empty, body)]),
+    ];
+    func.extend(out_index(65_535));
+    func.push(Instr::I32Load8U(MemArg::default()));
+    ModuleBuilder::new()
+        .func(FuncType::new([ValType::I32], [ValType::I32]), [ValType::I32; 2], func)
+        .memory(2, Some(2))
+        .data(1024, (0..32_768u32).map(|k| (7 * k + 3) as u8).collect())
+        .export_func("run", 0)
+        .export_memory("mem")
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn bench_kernels_match_metered_and_unmetered() {
     // (kernel, argument, instructions one call retires: 61n + 9,
-    // c(n) = 13 + c(n-1) + c(n-2) from c(0) = c(1) = 5, and 20n + 7 —
-    // the same formulas give `bench_wasm`'s full-size constants).
+    // c(n) = 13 + c(n-1) + c(n-2) from c(0) = c(1) = 5, 20n + 7 and
+    // 27n + 16 — the same formulas give `bench_wasm`'s full-size
+    // constants).
     let kernels = [
         ("compute", compute_kernel(), 40, 2449),
         ("calls", calls_kernel(), 9, 977),
         ("memory", memory_kernel(), 40, 807),
+        ("stack", stack_kernel(), 40, 1096),
     ];
     for (name, module, arg, cost) in &kernels {
         let cost = *cost;
@@ -732,4 +790,512 @@ fn bench_kernels_match_metered_and_unmetered() {
             assert_eq!(flat.outcome.is_ok(), budget >= cost, "{name}, fuel {budget} of {cost}");
         }
     }
+}
+
+// ------------------------------------------------ what untyped slots must keep
+//
+// The loop's operand stack holds raw 64-bit slots where the walker holds
+// tagged [`Value`]s, so everything a tag used to guarantee is checked
+// here against the walker: float bits survive every move, an i32 never
+// drags stale high bits into a wider reader, and nothing a previous
+// frame or a trapped invocation left on the stack is ever read.
+
+/// A value as its type and bit pattern: NaNs compare equal to themselves.
+fn bits(v: Value) -> (ValType, u64) {
+    let raw = match v {
+        Value::I32(v) => v as u32 as u64,
+        Value::I64(v) => v as u64,
+        Value::F32(v) => v.to_bits() as u64,
+        Value::F64(v) => v.to_bits(),
+    };
+    (v.ty(), raw)
+}
+
+/// What one invocation of a [`session`] leaves observable.
+#[derive(Debug, PartialEq)]
+struct Step {
+    outcome: Result<Vec<(ValType, u64)>, Trap>,
+    instrs: u64,
+    fuel_left: Option<u64>,
+    /// Bit patterns the `env.echo32` / `env.echo64` imports saw so far.
+    host_log: Vec<u64>,
+    /// The exported globals `g32` and `g64`, where the module has them.
+    globals: Vec<(ValType, u64)>,
+    memory: Vec<u8>,
+}
+
+/// A linker whose `env.echo32` and `env.echo64` log the bits of their
+/// argument into the instance's `Vec<u64>` and hand it straight back.
+fn echo_linker() -> Linker {
+    let mut linker = Linker::new();
+    for (name, ty) in [("echo32", ValType::F32), ("echo64", ValType::F64)] {
+        linker.define("env", name, FuncType::new([ty], [ty]), |mut caller, args| {
+            caller.data::<Vec<u64>>()?.push(bits(args[0]).1);
+            Ok(vec![args[0]])
+        });
+    }
+    linker
+}
+
+/// Makes `calls` one after another on **one** instance of `module`
+/// (refuelled to `limits`' budget before each) and records what every
+/// one of them leaves behind.
+fn session(
+    module: &Module,
+    runner: Runner,
+    limits: EngineLimits,
+    calls: &[(&str, Vec<Value>)],
+) -> Vec<Step> {
+    let mut inst =
+        Instance::new(module.clone(), &echo_linker(), limits, Box::new(Vec::<u64>::new()))
+            .expect("instantiation");
+    calls
+        .iter()
+        .map(|(export, args)| {
+            if let Some(fuel) = limits.initial_fuel {
+                inst.set_fuel(fuel);
+            }
+            let outcome = runner.invoke(&mut inst, export, args);
+            Step {
+                outcome: outcome.map(|values| values.into_iter().map(bits).collect()),
+                instrs: inst.instr_count(),
+                fuel_left: inst.fuel(),
+                host_log: inst.data::<Vec<u64>>().cloned().unwrap(),
+                globals: ["g32", "g64"].iter().filter_map(|g| inst.global(g)).map(bits).collect(),
+                memory: inst
+                    .memory()
+                    .map(|m| m.read(0, m.len() as u32).unwrap().to_vec())
+                    .unwrap_or_default(),
+            }
+        })
+        .collect()
+}
+
+/// Runs the session on both runners, asserts they agree step for step,
+/// and returns the steps.
+fn agreed_session(module: &Module, limits: EngineLimits, calls: &[(&str, Vec<Value>)]) -> Vec<Step> {
+    let flat = session(module, Runner::Loop, limits, calls);
+    let tree = session(module, Runner::Oracle, limits, calls);
+    for (i, (f, t)) in flat.iter().zip(&tree).enumerate() {
+        assert_eq!(f.outcome, t.outcome, "step {i} {:?}: outcome", calls[i]);
+        assert_eq!(f.instrs, t.instrs, "step {i} {:?}: instr_count", calls[i]);
+        assert_eq!(f.fuel_left, t.fuel_left, "step {i} {:?}: fuel", calls[i]);
+        assert_eq!(f.host_log, t.host_log, "step {i} {:?}: host log", calls[i]);
+        assert_eq!(f.globals, t.globals, "step {i} {:?}: globals", calls[i]);
+        assert!(f.memory == t.memory, "step {i} {:?}: memory", calls[i]);
+    }
+    flat
+}
+
+/// A module that carries a float through every kind of move the engine
+/// has: `tour32(bits: i32) -> i32` and `tour64(bits: i64) -> i64`
+/// reinterpret their argument as a float, pass it through
+/// `local.set/get/tee`, `select` (both arms), `global.set/get`, a
+/// wasm→wasm call's parameter and result, and a host call's argument
+/// and result, and return its bits.
+fn float_tour_module() -> Module {
+    use ValType::{F32, F64, I32, I64};
+    // (float type, carrier int type, echo import, global, pass helper,
+    // int→float, float→int, a zero of the float type)
+    let tour = |f, echo: u32, global: u32, pass: u32, to_float: Instr, to_bits: Instr, zero: Instr| {
+        let _: ValType = f;
+        vec![
+            Instr::LocalGet(0),
+            to_float,
+            Instr::LocalSet(1),
+            Instr::LocalGet(1),
+            Instr::LocalTee(2),
+            // select(x, 0, 1) keeps x; select(0, x, 0) keeps x too.
+            zero.clone(),
+            Instr::I32Const(1),
+            Instr::Select,
+            Instr::LocalSet(1),
+            zero,
+            Instr::LocalGet(1),
+            Instr::I32Const(0),
+            Instr::Select,
+            Instr::GlobalSet(global),
+            Instr::GlobalGet(global),
+            Instr::Call(pass),
+            Instr::Call(echo),
+            // The copy `local.tee` made must be the same bits.
+            Instr::Drop,
+            Instr::LocalGet(2),
+            Instr::Call(echo),
+            to_bits,
+        ]
+    };
+    // A helper that moves its parameter through a declared local.
+    let pass = |_f: ValType| {
+        vec![Instr::LocalGet(0), Instr::LocalSet(1), Instr::LocalGet(1)]
+    };
+    ModuleBuilder::new()
+        .import_func("env", "echo32", FuncType::new([F32], [F32]))
+        .import_func("env", "echo64", FuncType::new([F64], [F64]))
+        .global(F32, true, Value::F32(0.0))
+        .global(F64, true, Value::F64(0.0))
+        .func(FuncType::new([F32], [F32]), [F32], pass(F32))
+        .func(FuncType::new([F64], [F64]), [F64], pass(F64))
+        .func(
+            FuncType::new([I32], [I32]),
+            [F32, F32],
+            tour(
+                F32,
+                0,
+                0,
+                2,
+                Instr::F32ReinterpretI32,
+                Instr::I32ReinterpretF32,
+                Instr::F32Const(0.0),
+            ),
+        )
+        .func(
+            FuncType::new([I64], [I64]),
+            [F64, F64],
+            tour(
+                F64,
+                1,
+                1,
+                3,
+                Instr::F64ReinterpretI64,
+                Instr::I64ReinterpretF64,
+                Instr::F64Const(0.0),
+            ),
+        )
+        .export_func("tour32", 4)
+        .export_func("tour64", 5)
+        .export_global("g32", 0)
+        .export_global("g64", 1)
+        .build()
+        .expect("float tour validates")
+}
+
+#[test]
+fn float_bits_survive_every_move() {
+    // Quiet and signalling NaNs, with payloads and either sign, next to
+    // the ordinary values whose sign or exponent a sloppy move would lose.
+    let f32_patterns: [u32; 10] = [
+        0x7FC0_0000, // canonical quiet NaN
+        0xFFC0_0000, // its negative
+        0x7FC0_0001, // quiet, payload 1
+        0xFFFF_FFFF, // quiet, negative, all payload bits
+        0x7F80_0001, // signalling, payload 1
+        0xFF80_0001, // its negative
+        0x7FBF_FFFF, // signalling, all payload bits
+        0x8000_0000, // -0.0
+        0x7F80_0000, // +inf
+        0x0000_0001, // smallest subnormal
+    ];
+    let f64_patterns: [u64; 10] = [
+        0x7FF8_0000_0000_0000,
+        0xFFF8_0000_0000_0000,
+        0x7FF8_0000_0000_0001,
+        0xFFFF_FFFF_FFFF_FFFF,
+        0x7FF0_0000_0000_0001,
+        0xFFF0_0000_0000_0001,
+        0x7FF7_FFFF_FFFF_FFFF,
+        0x8000_0000_0000_0000,
+        0x7FF0_0000_0000_0000,
+        0x0000_0000_0000_0001,
+    ];
+    let module = float_tour_module();
+    let mut calls: Vec<(&str, Vec<Value>)> = Vec::new();
+    for p in f32_patterns {
+        calls.push(("tour32", vec![Value::I32(p as i32)]));
+    }
+    for p in f64_patterns {
+        calls.push(("tour64", vec![Value::I64(p as i64)]));
+    }
+    let steps = agreed_session(&module, EngineLimits::default(), &calls);
+    let mut log_len = 0;
+    for (step, (export, args)) in steps.iter().zip(&calls) {
+        let (ty, wanted) = bits(args[0]);
+        assert_eq!(step.outcome, Ok(vec![(ty, wanted)]), "{export}({wanted:#x}) result");
+        // Both host calls saw exactly these bits…
+        log_len += 2;
+        assert_eq!(step.host_log.len(), log_len);
+        assert_eq!(step.host_log[log_len - 2..], [wanted, wanted], "{export}({wanted:#x}) host");
+        // …and the global it went through still holds them.
+        let global = if *export == "tour32" { step.globals[0] } else { step.globals[1] };
+        assert_eq!(global.1, wanted, "{export}({wanted:#x}) global");
+    }
+}
+
+/// `run` with a `[] -> [i64]` body and one i32 + one i64 local.
+fn i64_result_module(body: Vec<Instr>) -> Module {
+    ModuleBuilder::new()
+        .func(FuncType::new([], [ValType::I64]), [ValType::I32, ValType::I64], body)
+        .memory(1, Some(1))
+        .data(0, vec![0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5, 0xA6, 0xA7])
+        .export_func("run", 0)
+        .build()
+        .expect("slot hygiene case validates")
+}
+
+#[test]
+fn i32_slots_carry_no_stale_high_bits() {
+    let run = |body: Vec<Instr>| {
+        let steps =
+            agreed_session(&i64_result_module(body), EngineLimits::default(), &[("run", vec![])]);
+        match steps[0].outcome.as_deref() {
+            Ok([(ValType::I64, v)]) => *v,
+            other => panic!("expected one i64, got {other:?}"),
+        }
+    };
+    // -1 is 32 one-bits; widened unsigned it must stay 32 one-bits,
+    // whether it came from a constant, a local, a fused op or a load.
+    assert_eq!(run(vec![Instr::I32Const(-1), Instr::I64ExtendI32U]), 0xFFFF_FFFF);
+    assert_eq!(
+        run(vec![
+            Instr::I32Const(-1),
+            Instr::LocalSet(0),
+            Instr::LocalGet(0),
+            Instr::I64ExtendI32U,
+        ]),
+        0xFFFF_FFFF
+    );
+    assert_eq!(
+        // local·const·sub fuses; 0 - 1 wraps to -1.
+        run(vec![Instr::LocalGet(0), Instr::I32Const(1), Instr::I32Sub, Instr::I64ExtendI32U]),
+        0xFFFF_FFFF
+    );
+    assert_eq!(
+        run(vec![
+            Instr::I32Const(0),
+            Instr::I32Load8S(MemArg::default()),
+            Instr::I64ExtendI32U,
+        ]),
+        0xFFFF_FFA0
+    );
+    assert_eq!(run(vec![Instr::I32Const(-1), Instr::I64ExtendI32S]), u64::MAX);
+
+    // Wrapping 0x1_0000_0001 leaves 1 — as a `br_table` selector…
+    let wrapped = || [Instr::I64Const(0x1_0000_0001), Instr::I32WrapI64];
+    let mut selector = wrapped().to_vec();
+    selector.push(Instr::BrTable(vec![0, 1], 2));
+    let table = vec![
+        Instr::Block(
+            BlockType::Empty,
+            vec![
+                Instr::Block(
+                    BlockType::Empty,
+                    vec![
+                        Instr::Block(BlockType::Empty, selector),
+                        Instr::I64Const(100),
+                        Instr::Return,
+                    ],
+                ),
+                Instr::I64Const(101),
+                Instr::Return,
+            ],
+        ),
+        Instr::I64Const(102),
+    ];
+    assert_eq!(run(table), 101);
+    // …under `i32.eqz`, a conditional and `select`…
+    let mut eqz = wrapped().to_vec();
+    eqz.extend([Instr::I32Eqz, Instr::I64ExtendI32U]);
+    assert_eq!(run(eqz), 0);
+    let mut cond = wrapped().to_vec();
+    cond.extend([
+        Instr::I32Const(1),
+        Instr::I32Sub,
+        Instr::If(
+            BlockType::Value(ValType::I64),
+            vec![Instr::I64Const(7)],
+            vec![Instr::I64Const(8)],
+        ),
+    ]);
+    assert_eq!(run(cond), 8, "1 - 1 is zero, not 0x1_0000_0000");
+    // …as a load address (byte 1, not an out-of-bounds trap), and stored
+    // through a local and a tee.
+    let mut addr = wrapped().to_vec();
+    addr.extend([Instr::I32Load8U(MemArg::default()), Instr::I64ExtendI32U]);
+    assert_eq!(run(addr), 0xA1);
+    let mut tee = wrapped().to_vec();
+    tee.extend([Instr::LocalTee(0), Instr::Drop, Instr::LocalGet(0), Instr::I64ExtendI32U]);
+    assert_eq!(run(tee), 1);
+    // An i64 whose low half is zero is not "false" to i64.eqz.
+    assert_eq!(
+        run(vec![Instr::I64Const(0x1_0000_0000), Instr::I64Eqz, Instr::I64ExtendI32U]),
+        0
+    );
+}
+
+/// Exports for the stale-slot and after-trap cases:
+///
+/// * `junk(depth)` — fills a deep operand stack and four locals with
+///   all-ones patterns of every type, recursing `depth` levels so the
+///   junk reaches well up the slot stack, and returns normally;
+/// * `zeros()` — declares a local of each type and returns all four
+///   (their bits) plus a nested call's, untouched: every one must read
+///   zero however dirty the slots they land on;
+/// * `div_deep(depth)`, `store_deep(depth)`, `spin_deep(depth)` — leave
+///   the same junk, then trap `depth` frames down: division by zero, an
+///   out-of-bounds store, an endless loop that runs out of fuel.
+fn stale_slot_module() -> Module {
+    use ValType::{F32, F64, I32, I64};
+    const JUNK: u32 = 0;
+    const ZEROS: u32 = 1;
+    const FRESH: u32 = 2;
+    let dirty_frame = || {
+        vec![
+            Instr::I32Const(-1),
+            Instr::LocalSet(1),
+            Instr::I64Const(-1),
+            Instr::LocalSet(2),
+            Instr::F32Const(f32::from_bits(0xFFFF_FFFF)),
+            Instr::LocalSet(3),
+            Instr::F64Const(f64::from_bits(u64::MAX)),
+            Instr::LocalSet(4),
+            // Six operands deep, then gone.
+            Instr::I64Const(-1),
+            Instr::I64Const(-1),
+            Instr::F64Const(f64::from_bits(u64::MAX)),
+            Instr::I32Const(-1),
+            Instr::I64Const(-1),
+            Instr::F32Const(f32::from_bits(0xFFFF_FFFF)),
+            Instr::Drop,
+            Instr::Drop,
+            Instr::Drop,
+            Instr::Drop,
+            Instr::Drop,
+            Instr::Drop,
+        ]
+    };
+    // `f(depth)`: dirty this frame, recurse while depth > 0, and at the
+    // bottom run `bottom`.
+    let descend = |me: u32, bottom: Vec<Instr>| {
+        let mut body = dirty_frame();
+        body.extend([
+            Instr::LocalGet(0),
+            Instr::If(
+                BlockType::Empty,
+                vec![
+                    Instr::LocalGet(0),
+                    Instr::I32Const(1),
+                    Instr::I32Sub,
+                    Instr::Call(me),
+                ],
+                bottom,
+            ),
+        ]);
+        body
+    };
+    let locals = [I32, I64, F32, F64];
+    ModuleBuilder::new()
+        .func(FuncType::new([I32], []), locals, descend(JUNK, vec![]))
+        .func(
+            FuncType::new([], [I32, I64, I32, I64, I64]),
+            locals,
+            vec![
+                Instr::LocalGet(0),
+                Instr::LocalGet(1),
+                Instr::LocalGet(2),
+                Instr::I32ReinterpretF32,
+                Instr::LocalGet(3),
+                Instr::I64ReinterpretF64,
+                // A callee frame opened above these operands.
+                Instr::I64Const(5),
+                Instr::Call(FRESH),
+            ],
+        )
+        .func(
+            // fresh(x: i64) -> i64: x plus every one of its zeroed locals.
+            FuncType::new([I64], [I64]),
+            locals,
+            vec![
+                Instr::LocalGet(0),
+                Instr::LocalGet(1),
+                Instr::I64ExtendI32U,
+                Instr::I64Add,
+                Instr::LocalGet(2),
+                Instr::I64Add,
+                Instr::LocalGet(3),
+                Instr::I32ReinterpretF32,
+                Instr::I64ExtendI32U,
+                Instr::I64Add,
+                Instr::LocalGet(4),
+                Instr::I64ReinterpretF64,
+                Instr::I64Add,
+            ],
+        )
+        .func(
+            FuncType::new([I32], []),
+            locals,
+            descend(3, vec![Instr::I32Const(1), Instr::I32Const(0), Instr::I32DivU, Instr::Drop]),
+        )
+        .func(
+            FuncType::new([I32], []),
+            locals,
+            descend(
+                4,
+                vec![Instr::I32Const(-4), Instr::I64Const(-1), Instr::I64Store(MemArg::default())],
+            ),
+        )
+        .func(
+            FuncType::new([I32], []),
+            locals,
+            descend(5, vec![Instr::Loop(BlockType::Empty, vec![Instr::Br(0)])]),
+        )
+        .memory(1, Some(1))
+        .export_func("junk", JUNK)
+        .export_func("zeros", ZEROS)
+        .export_func("div_deep", 3)
+        .export_func("store_deep", 4)
+        .export_func("spin_deep", 5)
+        .build()
+        .expect("stale slot module validates")
+}
+
+/// What `zeros()` must return: four zeroed locals and `fresh(5)`.
+fn all_zero() -> Result<Vec<(ValType, u64)>, Trap> {
+    use ValType::{I32, I64};
+    Ok(vec![(I32, 0), (I64, 0), (I32, 0), (I64, 0), (I64, 5)])
+}
+
+#[test]
+fn declared_locals_read_zero_over_stale_slots() {
+    let module = stale_slot_module();
+    let calls = [
+        ("zeros", vec![]),
+        ("junk", vec![Value::I32(0)]),
+        ("zeros", vec![]),
+        ("junk", vec![Value::I32(9)]),
+        ("zeros", vec![]),
+    ];
+    let steps = agreed_session(&module, limits_with(None, 48), &calls);
+    for i in [0, 2, 4] {
+        assert_eq!(steps[i].outcome, all_zero(), "zeros() at step {i}");
+    }
+    assert_eq!(steps[1].outcome, Ok(vec![]));
+    assert_eq!(steps[3].outcome, Ok(vec![]));
+}
+
+#[test]
+fn an_invoke_after_a_trap_mid_frame_starts_clean() {
+    let module = stale_slot_module();
+    let calls = [
+        ("div_deep", vec![Value::I32(6)]),
+        ("zeros", vec![]),
+        ("store_deep", vec![Value::I32(4)]),
+        ("zeros", vec![]),
+        ("spin_deep", vec![Value::I32(7)]),
+        ("zeros", vec![]),
+        // Deeper than the call-depth cap allows.
+        ("junk", vec![Value::I32(100)]),
+        ("zeros", vec![]),
+        ("junk", vec![Value::I32(3)]),
+    ];
+    // Enough fuel for everything but the endless loop.
+    let steps = agreed_session(&module, limits_with(Some(2_000), 48), &calls);
+    assert_eq!(steps[0].outcome, Err(Trap::DivisionByZero));
+    assert!(matches!(steps[2].outcome, Err(Trap::MemoryOutOfBounds { .. })));
+    assert_eq!(steps[4].outcome, Err(Trap::FuelExhausted));
+    assert_eq!(steps[6].outcome, Err(Trap::StackOverflow));
+    for i in [1, 3, 5, 7] {
+        assert_eq!(steps[i].outcome, all_zero(), "zeros() after the trap at step {}", i - 1);
+    }
+    assert_eq!(steps[8].outcome, Ok(vec![]));
+    assert!(steps[8].memory.iter().all(|&b| b == 0), "the trapped store wrote nothing");
 }

@@ -12,6 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::host::{HostFunc, Linker};
+use crate::compile::CompiledModule;
 use crate::interp::{Exec, Machine};
 use crate::limits::EngineLimits;
 use crate::memory::Memory;
@@ -234,14 +235,16 @@ impl Instance {
     }
 
     fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
-        let code = Arc::clone(self.module.code());
-        let (mut exec, machine) = self.parts();
-        exec.run_flat(machine, &code, func_idx, args)
+        let (mut exec, machine, code) = self.parts();
+        exec.run_flat(machine, code, func_idx, args)
     }
 
     /// The execution context over this instance's state, plus the
-    /// dispatch loop's reusable machine.
-    fn parts(&mut self) -> (Exec<'_>, &mut Machine) {
+    /// dispatch loop's reusable machine and the module's flat code
+    /// (borrowed from the module: an invocation takes no reference
+    /// count).
+    fn parts(&mut self) -> (Exec<'_>, &mut Machine, &CompiledModule) {
+        let code = self.module.code();
         let exec = Exec {
             module: &self.module,
             memory: &mut self.memory,
@@ -252,7 +255,7 @@ impl Instance {
             instr_count: &mut self.instr_count,
             max_call_depth: self.limits.max_call_depth,
         };
-        (exec, &mut self.machine)
+        (exec, &mut self.machine, code)
     }
 
     /// The instance's module.

@@ -12,10 +12,13 @@
 //! superinstructions are correct exactly insofar as they reproduce these
 //! numbers.
 //!
-//! It shares the operand helpers (`pop_*`, `bin_*`, float and truncation
-//! semantics) with the dispatch loop, so a divergence can only come from
-//! control flow, frame handling or metering — the parts the two
-//! strategies do differently.
+//! It keeps its operands as typed [`Value`]s — the `pop_*`/`un_*`/
+//! `bin_*`/`cmp_*` helpers at the bottom of this file check every tag —
+//! where the dispatch loop runs on untyped slots, and it shares only the
+//! float and truncation semantics (`wasm_min_*`, `nearest_*`,
+//! `trunc_to_*`) with the loop. A divergence can therefore come from
+//! control flow, frame handling, metering or the slot representation —
+//! everything the two strategies do differently.
 
 use super::*;
 use crate::instr::Instr;
@@ -91,6 +94,10 @@ impl Exec<'_> {
         let arity = ty.results().len();
         stack.drain(height..stack.len() - arity);
         Ok(())
+    }
+
+    fn mem(&mut self) -> Result<&mut Memory, Trap> {
+        self.memory.as_mut().ok_or_else(|| Trap::host("module has no memory"))
     }
 
     /// Keeps the top `arity` values and truncates the rest down to
@@ -618,4 +625,129 @@ impl Exec<'_> {
         }
         Ok(Flow::Normal)
     }
+}
+
+// ------------------------------------------------------- typed stack helpers
+//
+// The walker keeps its operands as [`Value`]s and checks every tag it
+// pops: a type confusion the slot loop would silently reinterpret fails
+// loudly here.
+
+#[inline]
+fn pop_i32(stack: &mut Vec<Value>) -> i32 {
+    stack.pop().expect("validated stack").as_i32().expect("validated i32")
+}
+
+#[inline]
+fn pop_addr(stack: &mut Vec<Value>) -> u32 {
+    pop_i32(stack) as u32
+}
+
+#[inline]
+fn pop_i64(stack: &mut Vec<Value>) -> i64 {
+    stack.pop().expect("validated stack").as_i64().expect("validated i64")
+}
+
+#[inline]
+fn pop_f32(stack: &mut Vec<Value>) -> f32 {
+    stack.pop().expect("validated stack").as_f32().expect("validated f32")
+}
+
+#[inline]
+fn pop_f64(stack: &mut Vec<Value>) -> f64 {
+    stack.pop().expect("validated stack").as_f64().expect("validated f64")
+}
+
+#[inline]
+fn un_i32(stack: &mut Vec<Value>, f: impl FnOnce(i32) -> i32) {
+    let a = pop_i32(stack);
+    stack.push(Value::I32(f(a)));
+}
+
+#[inline]
+fn bin_i32(stack: &mut Vec<Value>, f: impl FnOnce(i32, i32) -> i32) {
+    let b = pop_i32(stack);
+    let a = pop_i32(stack);
+    stack.push(Value::I32(f(a, b)));
+}
+
+#[inline]
+fn cmp_i32(stack: &mut Vec<Value>, f: impl FnOnce(i32, i32) -> bool) {
+    let b = pop_i32(stack);
+    let a = pop_i32(stack);
+    stack.push(Value::I32(f(a, b) as i32));
+}
+
+#[inline]
+fn cmp_u32(stack: &mut Vec<Value>, f: impl FnOnce(u32, u32) -> bool) {
+    let b = pop_i32(stack) as u32;
+    let a = pop_i32(stack) as u32;
+    stack.push(Value::I32(f(a, b) as i32));
+}
+
+#[inline]
+fn un_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64) -> i64) {
+    let a = pop_i64(stack);
+    stack.push(Value::I64(f(a)));
+}
+
+#[inline]
+fn bin_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> i64) {
+    let b = pop_i64(stack);
+    let a = pop_i64(stack);
+    stack.push(Value::I64(f(a, b)));
+}
+
+#[inline]
+fn cmp_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> bool) {
+    let b = pop_i64(stack);
+    let a = pop_i64(stack);
+    stack.push(Value::I32(f(a, b) as i32));
+}
+
+#[inline]
+fn cmp_u64(stack: &mut Vec<Value>, f: impl FnOnce(u64, u64) -> bool) {
+    let b = pop_i64(stack) as u64;
+    let a = pop_i64(stack) as u64;
+    stack.push(Value::I32(f(a, b) as i32));
+}
+
+#[inline]
+fn un_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32) -> f32) {
+    let a = pop_f32(stack);
+    stack.push(Value::F32(f(a)));
+}
+
+#[inline]
+fn bin_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32, f32) -> f32) {
+    let b = pop_f32(stack);
+    let a = pop_f32(stack);
+    stack.push(Value::F32(f(a, b)));
+}
+
+#[inline]
+fn cmp_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32, f32) -> bool) {
+    let b = pop_f32(stack);
+    let a = pop_f32(stack);
+    stack.push(Value::I32(f(a, b) as i32));
+}
+
+#[inline]
+fn un_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64) -> f64) {
+    let a = pop_f64(stack);
+    stack.push(Value::F64(f(a)));
+}
+
+#[inline]
+fn bin_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64, f64) -> f64) {
+    let b = pop_f64(stack);
+    let a = pop_f64(stack);
+    stack.push(Value::F64(f(a, b)));
+}
+
+#[inline]
+fn cmp_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64, f64) -> bool) {
+    let b = pop_f64(stack);
+    let a = pop_f64(stack);
+    stack.push(Value::I32(f(a, b) as i32));
 }

@@ -26,7 +26,9 @@
 //!   the simulation converts into CPU time.
 //! * **One interpreter** — function bodies are lowered once per module to
 //!   flat bytecode (cached, shared across clones) and run by a single
-//!   program-counter dispatch loop over a reusable frame arena. What an
+//!   program-counter dispatch loop over a reusable frame arena and a
+//!   stack of untyped 64-bit slots (validation has settled every type;
+//!   [`Value`] exists only at the engine's edge). What an
 //!   instruction *counts* is defined by the structured AST: a test-only
 //!   tree walker is the oracle, and a differential suite holds the loop
 //!   to it on outcome, trap, instruction count, fuel, host calls, globals
