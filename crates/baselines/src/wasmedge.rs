@@ -139,7 +139,7 @@ impl WasmedgePair {
     /// onto the first `active_nodes` nodes, so a map written for a larger
     /// cluster keeps attributing work to live timelines after the active
     /// set shrank. Note the load generator never consults this map — its
-    /// `Placed` wrapper overrides placement per instance — so clamping
+    /// per-instance plane overrides placement per instance — so clamping
     /// only matters when a pair is driven directly (e.g. handed to
     /// `execute_concurrent` against downsized `SchedResources`).
     ///

@@ -40,60 +40,21 @@
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin bench_engine [--quick]`
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
-use roadrunner_bench::{quick_flag, MB};
+use roadrunner_bench::{cluster, pipeline_spec, quick_flag, roadrunner_pipeline, uncontended, MB};
 use roadrunner_platform::{
-    execute, execute_compiled, execute_compiled_at, execute_concurrent_at, AdmissionConfig, Autoscaler,
-    AutoscalerConfig, ClosedLoop, CompiledWorkflow, DataPlane, FunctionBundle, LoadRun,
-    MemoizedPlane, OpenLoop, WorkflowSpec,
+    available_workers, execute, execute_compiled, execute_compiled_at, execute_concurrent_at,
+    loadgen, run_jobs, AdmissionConfig, ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop,
+    Cluster, CompiledWorkflow, Controls, DataPlane, LoadRun, LocalityFirst, MemoizedPlane,
+    OpenLoop, PackThenSpill, SweepMode,
 };
-use roadrunner_platform::{
-    available_workers, run_jobs, ArrivalProcess, LocalityFirst, PackThenSpill, SweepMode,
-};
-use roadrunner_vkernel::{ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
+use roadrunner_vkernel::{Nanos, SchedResources};
 
 const NODES: usize = 4;
 const CORES: u32 = 4;
 
-fn cluster() -> Arc<Testbed> {
-    Arc::new(ClusterSpec::homogeneous(NODES, CORES, 8 << 30).build())
-}
-
-fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("bench_engine")
-            .with_tenant("bench"),
-    )
-}
-
-fn roadrunner_plane(bed: &Arc<Testbed>) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    plane
-        .deploy(0, "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(0, "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(0, "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
-}
 
 /// One timed measurement: `instances` workflow instances comprising
 /// `events` engine events, in `wall_s` seconds of host time.
@@ -175,22 +136,17 @@ fn main() {
     let open_n = if quick { 32 } else { 96 };
     let (users, rounds) = if quick { (8, 4) } else { (16, 5) };
     let payload = Bytes::from(vec![0xE1u8; payload_bytes]);
-    let workflow = spec();
+    let workflow = pipeline_spec("bench");
     let edges = workflow.dag.edge_count();
 
-    let bed = cluster();
+    let bed = cluster(NODES, CORES);
     let clock = bed.clock().clone();
-    let mut plane = roadrunner_plane(&bed);
+    let mut plane = roadrunner_pipeline(&bed, "bench_engine", [0, 0, 0]);
     // Warm-up: lazy connection establishment and the solo makespan the
     // closed loop derives its think time from, all outside every timed
     // window.
-    execute(&mut plane, &clock, &workflow, payload.clone()).expect("warmup");
-    let solo_ns = {
-        let mut fresh = SchedResources::mesh(&[CORES; NODES]);
-        execute_concurrent_at(&mut plane, &clock, &workflow, payload.clone(), &mut fresh, 0)
-            .expect("solo run")
-            .total_latency_ns
-    };
+    let solo_ns =
+        uncontended(&mut plane, &bed, &payload, &mut SchedResources::mesh(&[CORES; NODES]));
 
     let mut scenarios: Vec<Scenario> = Vec::new();
 
@@ -262,7 +218,7 @@ fn main() {
     // --- open loop --------------------------------------------------
     {
         let load = OpenLoop {
-            spec: spec(),
+            spec: pipeline_spec("bench"),
             payload: payload.clone(),
             arrivals: ArrivalProcess::Uniform { interval_ns: (solo_ns / 2).max(1) },
             instances: open_n,
@@ -272,9 +228,13 @@ fn main() {
         // and scratch-view savings apply to both sides here, so this row
         // isolates the transfer memo.
         let run_open = |plane: &mut dyn DataPlane| {
-            let mut policy = LocalityFirst::new();
-            let mut resources = SchedResources::mesh(&[CORES; NODES]);
-            load.run(plane, &clock, &mut resources, &mut policy).expect("open-loop run")
+            let cluster = Cluster {
+                plane,
+                clock: &clock,
+                resources: &mut SchedResources::mesh(&[CORES; NODES]),
+                policy: &mut LocalityFirst::new(),
+            };
+            loadgen::run(&load, cluster, Controls::default()).expect("open-loop run")
         };
         let mut base_run = None;
         let baseline = timed(open_n, edges + 2, || {
@@ -296,7 +256,7 @@ fn main() {
     // --- closed loop + autoscaler (the fig13-style sweep) -----------
     {
         let load = ClosedLoop {
-            spec: spec(),
+            spec: pipeline_spec("bench"),
             payload: payload.clone(),
             users,
             think_ns: solo_ns / 4,
@@ -305,8 +265,6 @@ fn main() {
             admission: AdmissionConfig::warm(),
         };
         let run_closed = |plane: &mut dyn DataPlane| {
-            let mut policy = PackThenSpill::new(solo_ns);
-            let mut resources = SchedResources::mesh(&[CORES; 2]);
             let mut scaler = Autoscaler::new(AutoscalerConfig {
                 min_nodes: 2,
                 max_nodes: NODES,
@@ -315,8 +273,14 @@ fn main() {
                 scale_down_backlog_ns: solo_ns / 16,
                 window_ns: (solo_ns / 4).max(1),
             });
-            load.run_elastic(plane, &clock, &mut resources, &mut policy, Some(&mut scaler))
-                .expect("closed-loop run")
+            let cluster = Cluster {
+                plane,
+                clock: &clock,
+                resources: &mut SchedResources::mesh(&[CORES; 2]),
+                policy: &mut PackThenSpill::new(solo_ns),
+            };
+            let controls = Controls { autoscaler: Some(&mut scaler), ..Controls::default() };
+            loadgen::run(&load, cluster, controls).expect("closed-loop run")
         };
         let instances = users * rounds;
         let mut base_run = None;
@@ -360,13 +324,13 @@ fn main() {
         // sweeps fan out, so serial vs pooled execution of the *same*
         // job list isolates the worker pool's wall-clock effect.
         let run_one = |seed: u64| {
-            let bed = cluster();
+            let bed = cluster(NODES, CORES);
             let clock = bed.clock().clone();
-            let mut plane = roadrunner_plane(&bed);
-            execute(&mut plane, &clock, &spec(), payload.clone()).expect("job warmup");
+            let mut plane = roadrunner_pipeline(&bed, "bench_engine", [0, 0, 0]);
+            execute(&mut plane, &clock, &workflow, payload.clone()).expect("job warmup");
             let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
             let load = OpenLoop {
-                spec: spec(),
+                spec: pipeline_spec("bench"),
                 payload: payload.clone(),
                 arrivals: ArrivalProcess::Poisson {
                     mean_interval_ns: (solo_ns / 2).max(1),
@@ -375,9 +339,13 @@ fn main() {
                 instances: job_n,
                 admission: AdmissionConfig::warm(),
             };
-            let mut policy = LocalityFirst::new();
-            let mut resources = SchedResources::mesh(&[CORES; NODES]);
-            load.run(&mut memo, &clock, &mut resources, &mut policy).expect("parallel job")
+            let cluster = Cluster {
+                plane: &mut memo,
+                clock: &clock,
+                resources: &mut SchedResources::mesh(&[CORES; NODES]),
+                policy: &mut LocalityFirst::new(),
+            };
+            loadgen::run(&load, cluster, Controls::default()).expect("parallel job")
         };
         let total = jobs.len() * job_n;
         let mut serial_runs = Vec::new();

@@ -29,17 +29,15 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute, execute_concurrent, replicate, sweep, AdmissionConfig, ArrivalProcess, DataPlane, FunctionBundle,
+    loadgen, replicate, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane,
     LocalityFirst, MemoizedPlane, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat,
-    SpreadLoad, SweepGrid, SweepMode, SweepPoint, WorkflowSpec,
+    SpreadLoad, SweepGrid, SweepMode, SweepPoint,
 };
-use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
+use roadrunner_vkernel::{secs, Nanos, SchedResources, Testbed};
 
-use crate::MB;
+use crate::{cluster, pipeline_spec, roadrunner_pipeline, uncontended, MB};
 
 const NODES: usize = 4;
 
@@ -63,56 +61,23 @@ pub struct Fig12Options {
     pub mode: SweepMode,
 }
 
-fn cluster() -> Arc<Testbed> {
-    Arc::new(ClusterSpec::homogeneous(NODES, 4, 8 << 30).build())
-}
-
-fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig12")
-            .with_tenant("bench"),
-    )
-}
-
-/// Deploys the Roadrunner pipeline, colocated on node 0 (`locality`
-/// regime: kernel-space edges) or spread over nodes 0/1/2 (`spread`
-/// regime: network edges).
-fn roadrunner_plane(bed: &Arc<Testbed>, colocated: bool) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    let nodes: [usize; 3] = if colocated { [0, 0, 0] } else { [0, 1, 2] };
-    plane
-        .deploy(nodes[0], "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(nodes[1], "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(nodes[2], "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
-}
-
 struct SystemUnderLoad {
     label: &'static str,
     plane: Box<dyn DataPlane>,
 }
 
-/// The three systems, each deployed for one co-location regime. Pairs
+/// The three systems, each deployed for one co-location regime: the
+/// Roadrunner pipeline colocated on node 0 (`locality`: kernel-space
+/// edges) or spread over nodes 0/1/2 (`spread`: network edges). Pairs
 /// carry every edge of the pipeline over their established connection.
 fn systems(bed: &Arc<Testbed>, colocated: bool) -> Vec<SystemUnderLoad> {
     let peer = usize::from(!colocated);
+    let nodes = if colocated { [0, 0, 0] } else { [0, 1, 2] };
     vec![
-        SystemUnderLoad { label: "roadrunner", plane: Box::new(roadrunner_plane(bed, colocated)) },
+        SystemUnderLoad {
+            label: "roadrunner",
+            plane: Box::new(roadrunner_pipeline(bed, "fig12", nodes)),
+        },
         SystemUnderLoad {
             label: "runc",
             plane: Box::new(RuncPair::establish(Arc::clone(bed), 0, peer)),
@@ -129,20 +94,6 @@ fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
         "locality" => Box::new(LocalityFirst::new()),
         _ => Box::new(SpreadLoad::new()),
     }
-}
-
-/// Uncontended concurrent makespan of one instance on a fresh, empty
-/// cluster — the lower bound no instance under load may beat. The plane
-/// is warmed first (one discarded serial run) so lazy connection
-/// establishment is excluded from every measured comparison.
-fn uncontended(plane: &mut dyn DataPlane, bed: &Arc<Testbed>, payload: &Bytes) -> Nanos {
-    let clock = bed.clock().clone();
-    let workflow = spec();
-    execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
-    let mut fresh = SchedResources::for_testbed(bed);
-    execute_concurrent(plane, &clock, &workflow, payload.clone(), &mut fresh)
-        .expect("uncontended run")
-        .total_latency_ns
 }
 
 /// One system's digest for one grid point (a single seed replica).
@@ -170,11 +121,14 @@ struct PointResult {
 fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
     let colocated = point.policy == "locality";
     let payload = Bytes::from(vec![0xA7u8; point.payload_bytes]);
-    let bed = cluster();
+    let bed = cluster(NODES, 4);
     let mut under_load = systems(&bed, colocated);
     let solos: Vec<Nanos> = under_load
         .iter_mut()
-        .map(|s| uncontended(s.plane.as_mut(), &bed, &payload))
+        .map(|s| {
+            let mut fresh = SchedResources::for_testbed(&bed);
+            uncontended(s.plane.as_mut(), &bed, &payload, &mut fresh)
+        })
         .collect();
     let wasmedge_solo = under_load
         .iter()
@@ -194,7 +148,7 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
         let mut policy = policy_of(&point.policy);
         let mut resources = SchedResources::for_testbed(&bed);
         let load = OpenLoop {
-            spec: spec(),
+            spec: pipeline_spec("bench"),
             payload: payload.clone(),
             arrivals,
             instances,
@@ -206,13 +160,16 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
         // the unmemoized reference run the CI gate diffs this JSON
         // against.
         let clock = bed.clock().clone();
-        let run = if memo {
-            let mut memo_plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-            load.run(&mut memo_plane, &clock, &mut resources, policy.as_mut())
+        let mut memo_plane;
+        let plane: &mut dyn DataPlane = if memo {
+            memo_plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
+            &mut memo_plane
         } else {
-            load.run(system.plane.as_mut(), &clock, &mut resources, policy.as_mut())
-        }
-        .expect("load run");
+            system.plane.as_mut()
+        };
+        let cluster =
+            Cluster { plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
+        let run = loadgen::run(&load, cluster, Controls::default()).expect("load run");
         for outcome in &run.outcomes {
             assert!(
                 outcome.sojourn_ns >= solo,

@@ -16,27 +16,24 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::coldstart::{
     container_cold_ns, wasm_cold_ns, CONTAINER_IMAGE_BYTES, PAPER_WASM_HELLO_BYTES,
 };
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute, execute_concurrent, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane,
-    FunctionBundle, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy,
-    SweepMode, WorkflowSpec,
+    loadgen, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls,
+    DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy, SweepMode,
 };
-use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
-use roadrunner_wasm::encode;
+use roadrunner_vkernel::{secs, Nanos, SchedResources, Testbed};
 
-use crate::MB;
+use crate::{pipeline_spec, roadrunner_pipeline, uncontended, MB};
 
 /// Fixed-capacity (and autoscaler-minimum) active node count. Shared
 /// with fig14, which drives the same workload through failure
 /// schedules.
 pub(crate) const START_NODES: usize = 2;
 /// Autoscaler ceiling; the testbed always has this many nodes built.
-const MAX_NODES: usize = 6;
+pub(crate) const MAX_NODES: usize = 6;
 pub(crate) const CORES: u32 = 4;
 
 /// Knobs for one fig13 sweep.
@@ -54,41 +51,9 @@ pub struct Fig13Options {
     pub mode: SweepMode,
 }
 
+/// The fig13–fig16 testbed: every node the autoscaler may ever add.
 pub(crate) fn cluster() -> Arc<Testbed> {
-    Arc::new(ClusterSpec::homogeneous(MAX_NODES, CORES, 8 << 30).build())
-}
-
-pub(crate) fn spec() -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        "bench",
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig13")
-            .with_tenant("bench"),
-    )
-}
-
-/// Deploys the Roadrunner pipeline co-located on node 0 (kernel-space
-/// edges — the regime the packing policies reproduce per instance).
-fn roadrunner_plane(bed: &Arc<Testbed>) -> RoadrunnerPlane {
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
-    plane
-        .deploy(0, "src", rr_bundle("src", guest::producer()), "produce", false)
-        .expect("deploy src");
-    plane
-        .deploy(0, "relay", rr_bundle("relay", guest::relay()), "relay", false)
-        .expect("deploy relay");
-    plane
-        .deploy(0, "sink", rr_bundle("sink", guest::consumer()), "consume", true)
-        .expect("deploy sink");
-    plane
+    crate::cluster(MAX_NODES, CORES)
 }
 
 pub(crate) struct SystemUnderLoad {
@@ -101,8 +66,9 @@ pub(crate) struct SystemUnderLoad {
     pub(crate) cold_ns: Nanos,
 }
 
-/// The three systems, co-located, warmed, with their solo makespans
-/// measured on a fresh two-node mesh.
+/// The three systems, co-located on node 0 (kernel-space edges — the
+/// regime the packing policies reproduce per instance), warmed, with
+/// their solo makespans measured on a fresh two-node mesh.
 pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoad> {
     let cost = bed.cost();
     let wasm_cold = wasm_cold_ns(cost, PAPER_WASM_HELLO_BYTES);
@@ -110,7 +76,7 @@ pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoa
     let mut out = vec![
         SystemUnderLoad {
             label: "roadrunner",
-            plane: Box::new(roadrunner_plane(bed)),
+            plane: Box::new(roadrunner_pipeline(bed, "fig13", [0, 0, 0])),
             solo_ns: 0,
             cold_ns: wasm_cold,
         },
@@ -128,23 +94,23 @@ pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoa
         },
     ];
     for system in &mut out {
-        system.solo_ns = uncontended(system.plane.as_mut(), bed, payload);
+        let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
+        system.solo_ns = uncontended(system.plane.as_mut(), bed, payload, &mut fresh);
     }
     out
 }
 
-/// Uncontended concurrent makespan of one instance on a fresh, empty
-/// two-node mesh. The plane is warmed first (one discarded serial run)
-/// so lazy connection establishment is excluded from every measured
-/// comparison.
-fn uncontended(plane: &mut dyn DataPlane, bed: &Arc<Testbed>, payload: &Bytes) -> Nanos {
-    let clock = bed.clock().clone();
-    let workflow = spec();
-    execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
-    let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
-    execute_concurrent(plane, &clock, &workflow, payload.clone(), &mut fresh)
-        .expect("uncontended run")
-        .total_latency_ns
+/// The backlog autoscaler of the elastic cells (fig14's self-healing
+/// cell included), thresholds in fractions of the solo makespan.
+pub(crate) fn autoscaler(solo_ns: Nanos) -> Autoscaler {
+    Autoscaler::new(AutoscalerConfig {
+        min_nodes: START_NODES,
+        max_nodes: MAX_NODES,
+        node_cores: CORES,
+        scale_up_backlog_ns: solo_ns / 2,
+        scale_down_backlog_ns: solo_ns / 16,
+        window_ns: (solo_ns / 4).max(1),
+    })
 }
 
 fn policy_of(name: &str, solo_ns: Nanos) -> Box<dyn PlacementPolicy> {
@@ -180,7 +146,7 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     // ramp lets the controller race the building load instead of
     // measuring an unavoidable thundering herd.
     let load = ClosedLoop {
-        spec: spec(),
+        spec: pipeline_spec("bench"),
         payload: payload.clone(),
         users,
         think_ns: solo / 4,
@@ -201,20 +167,12 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     } else {
         system.plane.as_mut()
     };
-    let run = if autoscaled {
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
-            min_nodes: START_NODES,
-            max_nodes: MAX_NODES,
-            node_cores: CORES,
-            scale_up_backlog_ns: solo / 2,
-            scale_down_backlog_ns: solo / 16,
-            window_ns: (solo / 4).max(1),
-        });
-        load.run_elastic(plane, &clock, &mut resources, policy.as_mut(), Some(&mut scaler))
-    } else {
-        load.run(plane, &clock, &mut resources, policy.as_mut())
-    }
-    .expect("closed-loop run");
+    let mut scaler = autoscaler(solo);
+    let cluster =
+        Cluster { plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
+    let controls =
+        Controls { autoscaler: autoscaled.then_some(&mut scaler), ..Controls::default() };
+    let run = loadgen::run(&load, cluster, controls).expect("closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run
 }

@@ -40,17 +40,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, DataPlane, FailurePlan, LoadRun,
-    LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy, ScaleAction, SpreadLoad,
-    SweepMode,
+    loadgen, run_jobs, AdmissionConfig, Autoscaler, ClosedLoop, Cluster, Controls,
+    DataPlane, FailurePlan, LoadRun, LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy,
+    ScaleAction, SpreadLoad, SweepMode,
 };
 use roadrunner_vkernel::{secs, Nanos, OutageSchedule, SchedResources, Testbed};
 
-use crate::fig13::{cluster, spec, systems, SystemUnderLoad, CORES, START_NODES};
-use crate::MB;
-
-/// Autoscaler ceiling for the elastic kill cell.
-const MAX_NODES: usize = 6;
+use crate::fig13::{autoscaler, cluster, systems, SystemUnderLoad, CORES, MAX_NODES, START_NODES};
+use crate::{pipeline_spec, MB};
 
 /// Knobs for one fig14 sweep.
 pub struct Fig14Options {
@@ -123,7 +120,7 @@ fn shape(system: &SystemUnderLoad, payload: &Bytes, job: Job) -> CellShape {
     let cycle = solo + think;
     CellShape {
         load: ClosedLoop {
-            spec: spec(),
+            spec: pipeline_spec("bench"),
             payload: payload.clone(),
             users: job.users,
             think_ns: think,
@@ -225,63 +222,43 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     } else {
         system.plane.as_mut()
     };
-    let run = if job.scenario == Scenario::KillElastic {
-        let solo = system.solo_ns;
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
-            min_nodes: START_NODES,
-            max_nodes: MAX_NODES,
-            node_cores: CORES,
-            scale_up_backlog_ns: solo / 2,
-            scale_down_backlog_ns: solo / 16,
-            window_ns: (solo / 4).max(1),
-        });
-        shape.load.run_with_failures(
-            plane,
-            &clock,
-            &mut resources,
-            policy.as_mut(),
-            Some(&mut scaler),
-            plan.as_ref(),
-        )
-    } else if job.scenario == Scenario::Baseline {
-        // The in-process identity check: the plain engine and the
-        // fault-aware engine under an empty plan must produce the same
-        // run, outcome for outcome.
-        let plain = shape
-            .load
-            .run(plane, &clock, &mut resources, policy.as_mut())
-            .expect("baseline run");
-        let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
-        let mut fresh_policy = job.scenario.policy();
-        let empty = plan.as_ref().expect("baseline plan is Some(empty)");
-        assert!(empty.is_empty(), "the baseline plan must inject nothing");
-        let faulty = shape
-            .load
-            .run_with_failures(plane, &clock, &mut fresh, fresh_policy.as_mut(), None, Some(empty))
-            .expect("empty-plan run");
-        assert_eq!(plain.outcomes.len(), faulty.outcomes.len());
-        for (a, b) in plain.outcomes.iter().zip(&faulty.outcomes) {
-            assert_eq!(
-                (a.release_ns, a.finish_ns, a.sojourn_ns, &a.assignment),
-                (b.release_ns, b.finish_ns, b.sojourn_ns, &b.assignment),
-                "{}: an empty failure plan must be invisible",
-                system.label,
-            );
+    let mut run_on = |resources: &mut SchedResources,
+                      policy: &mut dyn PlacementPolicy,
+                      autoscaler: Option<&mut Autoscaler>,
+                      failures: Option<&FailurePlan>| {
+        let cluster = Cluster { plane: &mut *plane, clock: &clock, resources, policy };
+        loadgen::run(&shape.load, cluster, Controls { autoscaler, failures, ..Controls::default() })
+            .expect("closed-loop run")
+    };
+    match job.scenario {
+        Scenario::KillElastic => {
+            let mut scaler = autoscaler(system.solo_ns);
+            run_on(&mut resources, policy.as_mut(), Some(&mut scaler), plan.as_ref())
         }
-        assert_eq!((faulty.failed, faulty.retries), (0, 0));
-        return plain;
-    } else {
-        shape.load.run_with_failures(
-            plane,
-            &clock,
-            &mut resources,
-            policy.as_mut(),
-            None,
-            plan.as_ref(),
-        )
+        Scenario::Baseline => {
+            // The in-process identity check: a run without a plan and a
+            // run under an empty plan must be the same run, outcome for
+            // outcome.
+            let plain = run_on(&mut resources, policy.as_mut(), None, None);
+            let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
+            let mut fresh_policy = job.scenario.policy();
+            let empty = plan.as_ref().expect("baseline plan is Some(empty)");
+            assert!(empty.is_empty(), "the baseline plan must inject nothing");
+            let faulty = run_on(&mut fresh, fresh_policy.as_mut(), None, Some(empty));
+            assert_eq!(plain.outcomes.len(), faulty.outcomes.len());
+            for (a, b) in plain.outcomes.iter().zip(&faulty.outcomes) {
+                assert_eq!(
+                    (a.release_ns, a.finish_ns, a.sojourn_ns, &a.assignment),
+                    (b.release_ns, b.finish_ns, b.sojourn_ns, &b.assignment),
+                    "{}: an empty failure plan must be invisible",
+                    system.label,
+                );
+            }
+            assert_eq!((faulty.failed, faulty.retries), (0, 0));
+            plain
+        }
+        _ => run_on(&mut resources, policy.as_mut(), None, plan.as_ref()),
     }
-    .expect("closed-loop run");
-    run
 }
 
 /// One cell's merged result: the three systems' runs plus derived

@@ -44,14 +44,14 @@ use roadrunner_baselines::coldstart::{
     PAPER_WASM_HELLO_BYTES,
 };
 use roadrunner_platform::{
-    percentiles_sorted, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop,
-    KeepAlive, LoadRun, LocalityFirst, MemoizedPlane, PercentileSummary,
-    PrewarmConfig, ScaleAction, SweepMode, WarmPoolConfig,
+    loadgen, percentiles_sorted, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig,
+    ClosedLoop, Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, MemoizedPlane,
+    PercentileSummary, PrewarmConfig, ScaleAction, SweepMode, WarmPoolConfig,
 };
 use roadrunner_vkernel::{secs, CostModel, Nanos, SchedResources, Testbed};
 
-use crate::fig13::{cluster, spec, systems, SystemUnderLoad, CORES, START_NODES};
-use crate::MB;
+use crate::fig13::{cluster, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::{pipeline_spec, MB};
 
 /// The warm-pool p99 at burst peak must beat `no_pool` by at least this
 /// factor (per system, for both the `hybrid` and `hybrid_prewarm`
@@ -131,7 +131,7 @@ fn run_cell(
     let solo = system.solo_ns;
     let gap_ns = gap_ns_of(solo, tiers.full_ns);
     let load = ClosedLoop {
-        spec: spec(),
+        spec: pipeline_spec("bench"),
         payload: payload.clone(),
         users,
         think_ns: gap_ns,
@@ -143,29 +143,32 @@ fn run_cell(
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let clock = bed.clock().clone();
     let mut plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-    let run = if policy == "hybrid_prewarm" {
-        // The node controller is pinned (min = max): only the prewarm
-        // side of the autoscaler acts, staffing the pool predictively.
-        let mut scaler = Autoscaler::new(AutoscalerConfig {
-            min_nodes: START_NODES,
-            max_nodes: START_NODES,
-            node_cores: CORES,
-            scale_up_backlog_ns: Nanos::MAX,
-            scale_down_backlog_ns: 0,
-            window_ns: gap_ns,
-        })
-        .with_prewarm(PrewarmConfig {
-            // Extrapolate one makespan ahead — enough to front-run a
-            // building burst without staffing for phantom demand.
-            headroom: 2.0,
-            lead_ns: solo.max(1),
-            window_ns: solo.max(1),
-        });
-        load.run_elastic(&mut plane, &clock, &mut resources, &mut placement, Some(&mut scaler))
-    } else {
-        load.run(&mut plane, &clock, &mut resources, &mut placement)
-    }
-    .expect("bursty closed-loop run");
+    // The node controller is pinned (min = max): only the prewarm side
+    // of the autoscaler acts, staffing the pool predictively.
+    let mut scaler = Autoscaler::new(AutoscalerConfig {
+        min_nodes: START_NODES,
+        max_nodes: START_NODES,
+        node_cores: CORES,
+        scale_up_backlog_ns: Nanos::MAX,
+        scale_down_backlog_ns: 0,
+        window_ns: gap_ns,
+    })
+    .with_prewarm(PrewarmConfig {
+        // Extrapolate one makespan ahead — enough to front-run a
+        // building burst without staffing for phantom demand.
+        headroom: 2.0,
+        lead_ns: solo.max(1),
+        window_ns: solo.max(1),
+    });
+    let cluster = Cluster {
+        plane: &mut plane,
+        clock: &clock,
+        resources: &mut resources,
+        policy: &mut placement,
+    };
+    let autoscaler = (policy == "hybrid_prewarm").then_some(&mut scaler);
+    let run = loadgen::run(&load, cluster, Controls { autoscaler, ..Controls::default() })
+        .expect("bursty closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run
 }

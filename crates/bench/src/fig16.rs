@@ -36,14 +36,14 @@
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    run_jobs, AdmissionConfig, BreakerConfig, ClosedLoop, FailurePlan, LoadRun, MemoizedPlane,
-    MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig, RetryPolicy, ShedPolicy, SpreadLoad,
-    SweepMode, TenantLoad, WorkflowSpec,
+    loadgen, run_jobs, AdmissionConfig, BreakerConfig, ClosedLoop, Cluster, Controls, FailurePlan,
+    LoadRun, MemoizedPlane, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig, RetryPolicy,
+    ShedPolicy, SpreadLoad, SweepMode, TenantLoad,
 };
 use roadrunner_vkernel::{secs, Nanos, OutageSchedule, SchedResources};
 
 use crate::fig13::{cluster, systems, CORES, START_NODES};
-use crate::MB;
+use crate::{pipeline_spec, MB};
 
 /// The SLO every goodput number is measured against, in multiples of
 /// the measured saturation interval (also the mitigated cell's
@@ -144,14 +144,6 @@ fn burst_trace(i: Nanos, quick: bool) -> Trace {
     Trace { releases, burst_start, post_start, post_end: t }
 }
 
-fn spec_for(tenant: &str) -> WorkflowSpec {
-    WorkflowSpec::sequence(
-        "pipeline",
-        tenant,
-        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
-    )
-}
-
 /// The flap schedule the burst pair injects: two three-interval link
 /// outages on the pair link, nine intervals apart, starting nine
 /// intervals *into* the burst — the healthy front of the burst piles
@@ -250,7 +242,7 @@ fn saturation_interval(
 ) -> Nanos {
     let users = START_NODES * CORES as usize;
     let probe = ClosedLoop {
-        spec: spec_for("bench"),
+        spec: pipeline_spec("bench"),
         payload: payload.clone(),
         users,
         think_ns: 0,
@@ -258,9 +250,13 @@ fn saturation_interval(
         instances: users * 4,
         admission: AdmissionConfig::warm(),
     };
-    let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
-    let mut policy = SpreadLoad::new();
-    let run = probe.run(plane, clock, &mut resources, &mut policy).expect("calibration probe");
+    let cluster = Cluster {
+        plane,
+        clock,
+        resources: &mut SchedResources::mesh(&[CORES; START_NODES]),
+        policy: &mut SpreadLoad::new(),
+    };
+    let run = loadgen::run(&probe, cluster, Controls::default()).expect("calibration probe");
     let horizon = run.outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(1);
     (horizon / run.completed().max(1) as u64).max(1)
 }
@@ -280,14 +276,14 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         let (_, _, _, n_inter, n_flood) = counts(job.quick);
         let interactive = TenantLoad {
             name: "interactive".to_owned(),
-            spec: spec_for("interactive"),
+            spec: pipeline_spec("interactive"),
             payload: payload.clone(),
             releases: (0..n_inter as u64).map(|k| k * 8 * i).collect(),
             weight: 4,
         };
         let flood = TenantLoad {
             name: "flood".to_owned(),
-            spec: spec_for("flood"),
+            spec: pipeline_spec("flood"),
             payload: payload.clone(),
             releases: (0..n_flood as u64).map(|k| k * (i / 2).max(1)).collect(),
             weight: 1,
@@ -310,7 +306,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         let windows = (trace.burst_start, trace.post_start, trace.post_end);
         let tenant = TenantLoad {
             name: "bench".to_owned(),
-            spec: spec_for("bench"),
+            spec: pipeline_spec("bench"),
             payload: payload.clone(),
             releases: trace.releases,
             weight: 1,
@@ -328,17 +324,10 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         )
     };
 
-    let run = load
-        .run_overloaded(
-            &mut plane,
-            &clock,
-            &mut resources,
-            &mut policy,
-            None,
-            plan.as_ref(),
-            &overload,
-        )
-        .expect("fig16 cell run");
+    let cluster =
+        Cluster { plane: &mut plane, clock: &clock, resources: &mut resources, policy: &mut policy };
+    let controls = Controls { failures: plan.as_ref(), overload, ..Controls::default() };
+    let run = loadgen::run(&load, cluster, controls).expect("fig16 cell run");
 
     // Conservation in every cell: arrivals are fully accounted.
     assert_eq!(

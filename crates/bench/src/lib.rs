@@ -21,12 +21,14 @@ pub mod fig16;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner_platform::{available_workers, SweepMode};
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{RuncPair, WasmedgePair};
-use roadrunner_platform::FunctionBundle;
+use roadrunner_platform::{
+    available_workers, execute, execute_concurrent, DataPlane, FunctionBundle, SweepMode,
+    WorkflowSpec,
+};
 use roadrunner_serial::payload::{Payload, PayloadKind};
-use roadrunner_vkernel::{secs, Nanos, Testbed};
+use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
 use roadrunner_wasm::encode;
 
 /// One megabyte.
@@ -156,12 +158,68 @@ fn pct(cpu: Nanos, window: Nanos, cores: u32) -> f64 {
     cpu as f64 / (window as f64 * cores as f64) * 100.0
 }
 
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
+fn rr_bundle(workflow: &str, name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
     Arc::new(
         FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("eval")
+            .with_workflow(workflow)
             .with_tenant("bench"),
     )
+}
+
+/// The `src -> relay -> sink` pipeline every load figure drives, owned
+/// by `tenant`.
+pub fn pipeline_spec(tenant: &str) -> WorkflowSpec {
+    WorkflowSpec::sequence(
+        "pipeline",
+        tenant,
+        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
+    )
+}
+
+/// A homogeneous testbed: `nodes` nodes of `cores` cores and 8 GiB.
+pub fn cluster(nodes: usize, cores: u32) -> Arc<Testbed> {
+    Arc::new(ClusterSpec::homogeneous(nodes, cores, 8 << 30).build())
+}
+
+/// Deploys the Roadrunner pipeline with `src`, `relay` and `sink` on
+/// `nodes` (all equal: kernel-space edges; distinct: network edges),
+/// its bundles labelled with `workflow`.
+pub fn roadrunner_pipeline(
+    bed: &Arc<Testbed>,
+    workflow: &str,
+    nodes: [usize; 3],
+) -> RoadrunnerPlane {
+    let mut plane =
+        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
+    let bundle = |name, module| rr_bundle(workflow, name, module);
+    plane
+        .deploy(nodes[0], "src", bundle("src", guest::producer()), "produce", false)
+        .expect("deploy src");
+    plane
+        .deploy(nodes[1], "relay", bundle("relay", guest::relay()), "relay", false)
+        .expect("deploy relay");
+    plane
+        .deploy(nodes[2], "sink", bundle("sink", guest::consumer()), "consume", true)
+        .expect("deploy sink");
+    plane
+}
+
+/// Uncontended concurrent makespan of one pipeline instance on `fresh`,
+/// empty resources — the lower bound no instance under load may beat.
+/// The plane is warmed first (one discarded serial run) so lazy
+/// connection establishment is excluded from every measured comparison.
+pub fn uncontended(
+    plane: &mut dyn DataPlane,
+    bed: &Testbed,
+    payload: &Bytes,
+    fresh: &mut SchedResources,
+) -> Nanos {
+    let clock = bed.clock().clone();
+    let workflow = pipeline_spec("bench");
+    execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
+    execute_concurrent(plane, &clock, &workflow, payload.clone(), fresh)
+        .expect("uncontended run")
+        .total_latency_ns
 }
 
 /// Sums CPU/RAM telemetry over every sandbox of a testbed. RAM peaks are
@@ -269,17 +327,17 @@ fn measure_roadrunner(system: System, bed: Arc<Testbed>, payload: &Payload) -> M
         ShimConfig::default().with_load_costs(false),
     );
     plane
-        .deploy(0, "a", rr_bundle("a", guest::producer()), "produce", false)
+        .deploy(0, "a", rr_bundle("eval", "a", guest::producer()), "produce", false)
         .expect("deploy a");
     match system {
         System::RoadrunnerUser => plane
-            .deploy_into_shared_vm("a", "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy_into_shared_vm("a", "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
             .expect("deploy b"),
         System::RoadrunnerKernel => plane
-            .deploy(0, "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy(0, "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
             .expect("deploy b"),
         System::RoadrunnerNetwork => plane
-            .deploy(1, "b", rr_bundle("b", guest::consumer()), "consume", true)
+            .deploy(1, "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
             .expect("deploy b"),
         _ => unreachable!("baseline systems handled elsewhere"),
     }
@@ -395,11 +453,11 @@ pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) 
                 ShimConfig::default().with_load_costs(false),
             );
             plane
-                .deploy(0, "a", rr_bundle("a", guest::producer()), "produce", false)
+                .deploy(0, "a", rr_bundle("eval", "a", guest::producer()), "produce", false)
                 .expect("deploy a");
             for i in 0..degree {
                 let name = format!("b{i}");
-                let bundle = rr_bundle(&name, guest::consumer());
+                let bundle = rr_bundle("eval", &name, guest::consumer());
                 match system {
                     System::RoadrunnerUser => plane
                         .deploy_into_shared_vm("a", &name, bundle, "consume", true)

@@ -17,6 +17,8 @@ pub enum PlatformError {
     InvalidWorkflow(String),
     /// Access denied by Roadrunner's trust validation.
     AccessDenied(String),
+    /// A load description that can never admit anything by construction.
+    InvalidLoad(String),
 }
 
 impl fmt::Display for PlatformError {
@@ -27,6 +29,7 @@ impl fmt::Display for PlatformError {
             PlatformError::Transfer(msg) => write!(f, "transfer failed: {msg}"),
             PlatformError::InvalidWorkflow(msg) => write!(f, "invalid workflow: {msg}"),
             PlatformError::AccessDenied(msg) => write!(f, "access denied: {msg}"),
+            PlatformError::InvalidLoad(msg) => write!(f, "invalid load: {msg}"),
         }
     }
 }

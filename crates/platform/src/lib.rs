@@ -90,9 +90,9 @@ pub use dag::WorkflowDag;
 pub use deploy::{DeployedFunction, Deployment};
 pub use error::PlatformError;
 pub use loadgen::{
-    ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, FailurePlan, InstanceOutcome,
-    LoadRun, MultiLoad, NodeKill, OpenLoop, Placed, PrewarmConfig, ScaleAction, ScaleEvent,
-    TenantLoad, TenantStats,
+    ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls, FailurePlan,
+    InstanceOutcome, Load, LoadRun, MultiLoad, NodeKill, OpenLoop, PrewarmConfig, ScaleAction,
+    ScaleEvent, TenantLoad, TenantStats,
 };
 pub use warmpool::{AdmissionConfig, Admitted, KeepAlive, PoolStats, WarmPool, WarmPoolConfig};
 pub use metrics::{
@@ -113,7 +113,6 @@ pub use sweep::{
     available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,
 };
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_compiled_faulty_at,
-    execute_concurrent, execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeFailure,
+    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_concurrent, execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeFailure,
     EdgeResult, FaultyOutcome, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
 };

@@ -160,8 +160,8 @@ impl PlacementPolicy for Pinned {
 /// autoscaler resizes the cluster between arrivals. The returned vector
 /// is indexed by the spec's DAG node index (the same index
 /// [`WorkflowDag::nodes`](crate::dag::WorkflowDag) iterates in) and feeds
-/// [`DataPlane::placement`](crate::workflow::DataPlane) through
-/// [`crate::loadgen::Placed`].
+/// [`DataPlane::placement`](crate::workflow::DataPlane) through the
+/// load engine's per-instance plane.
 ///
 /// Determinism contract: given identical views and call sequences, a
 /// policy must return identical assignments (ties broken by node index,

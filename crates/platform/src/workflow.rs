@@ -266,7 +266,7 @@ pub trait DataPlane {
     /// **instance's** effective placement for both endpoints (`None` =
     /// no override). Planes that derive a delivery mode from co-location
     /// (`RoadrunnerPlane` in `roadrunner-core`) override this so a
-    /// placement wrapper ([`Placed`](crate::loadgen::Placed)) can flip
+    /// placement wrapper (the load engine's per-instance plane) can flip
     /// an edge between user-/kernel-space and network delivery per
     /// instance; the default ignores the overrides and keeps the
     /// deployment's static modes.
@@ -518,7 +518,10 @@ pub fn execute_concurrent_at(
 ///
 /// # Errors
 ///
-/// Propagates transfer errors.
+/// Propagates transfer errors. An edge refused by an outage schedule
+/// attached to `resources` (a failure run leaves its plan's schedule
+/// attached) is a [`PlatformError::Transfer`] too: this entry point
+/// carries no retry policy, so the first refusal is final.
 pub fn execute_compiled_at(
     plane: &mut dyn DataPlane,
     clock: &VirtualClock,
@@ -529,9 +532,12 @@ pub fn execute_compiled_at(
 ) -> Result<WorkflowRun, PlatformError> {
     match run_compiled_at(plane, clock, compiled, payload, resources, release_ns, None, None)? {
         FaultyOutcome::Completed { run, .. } => Ok(run),
-        FaultyOutcome::Failed { .. } => unreachable!("edges cannot fail without a retry policy"),
-        FaultyOutcome::DeadlineExceeded { .. } => {
-            unreachable!("deadlines require an overload control block")
+        FaultyOutcome::Failed { failure, .. } => Err(PlatformError::Transfer(format!(
+            "edge {} -> {} refused at {} ns: a node or link it needs is down",
+            failure.from, failure.to, failure.failed_at_ns,
+        ))),
+        FaultyOutcome::DeadlineExceeded { at_ns, .. } => {
+            Err(PlatformError::Transfer(format!("deadline passed at {at_ns} ns")))
         }
     }
 }
@@ -634,30 +640,6 @@ pub enum FaultyOutcome {
     },
 }
 
-/// [`execute_compiled_at`] made fault-aware: edge attempts consult the
-/// outage schedule attached to `resources`, failed attempts re-run
-/// after `retry`'s deterministic backoff, and an edge that exhausts its
-/// budget fails the instance with accounting instead of an opaque
-/// error. With an empty (or absent) outage schedule the behavior — and
-/// every reservation — is byte-identical to [`execute_compiled_at`].
-///
-/// # Errors
-///
-/// Propagates non-fault transfer errors (unknown function, integrity
-/// violations); outage-induced failures come back as
-/// [`FaultyOutcome::Failed`], not `Err`.
-pub fn execute_compiled_faulty_at(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    compiled: &CompiledWorkflow<'_>,
-    payload: Bytes,
-    resources: &mut SchedResources,
-    release_ns: Nanos,
-    retry: &RetryPolicy,
-) -> Result<FaultyOutcome, PlatformError> {
-    run_compiled_at(plane, clock, compiled, payload, resources, release_ns, Some(retry), None)
-}
-
 /// One edge attempt's scheduling result.
 enum Attempt {
     Done { received: Bytes, timing: TransferTiming, start: Nanos, finish: Nanos },
@@ -666,10 +648,15 @@ enum Attempt {
 }
 
 /// The shared engine behind [`execute_compiled_at`] (faults `None`) and
-/// [`execute_compiled_faulty_at`] (faults `Some`). With `None`, the
-/// fault pre-flight is skipped and every `try_reserve_*` degrades to a
-/// plain reservation, so the fault-free path is the exact schedule the
-/// byte-identity gates pin.
+/// the load engine (faults `Some` under a
+/// [`FailurePlan`](crate::loadgen::FailurePlan)). With `Some`, edge
+/// attempts consult the outage schedule attached to `resources`, failed
+/// attempts re-run after the policy's deterministic backoff, and an
+/// edge that exhausts its budget fails the instance with accounting
+/// ([`FaultyOutcome::Failed`]) instead of an opaque error. With `None`,
+/// the fault pre-flight is skipped and — absent an outage schedule —
+/// every `try_reserve_*` degrades to a plain reservation, so the
+/// fault-free path is the exact schedule the byte-identity gates pin.
 ///
 /// `overload` threads the load engine's per-instance control block in:
 /// deadlines are checked at each edge's ready instant *before* a new
@@ -1456,14 +1443,15 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             payload,
             &mut res,
             100,
-            &RetryPolicy::default(),
+            Some(&RetryPolicy::default()),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {
@@ -1497,14 +1485,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 0, 2_500),
         ));
         let policy = RetryPolicy::new(4, 1_000, 1 << 40);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {
@@ -1529,14 +1518,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().node_killed(dead, 0),
         ));
         let policy = RetryPolicy::new(3, 1_000, 1 << 40);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Failed { failure, retries } = outcome else {
@@ -1550,6 +1540,36 @@ mod tests {
         // Nothing was reserved: the pre-flight rejected every attempt.
         assert_eq!(res.cpu(0).reserved_ns(), 0);
         assert_eq!(res.cpu(1).reserved_ns(), 0);
+    }
+
+    #[test]
+    fn an_outage_schedule_without_a_retry_policy_is_an_error_not_a_panic() {
+        use std::sync::Arc;
+
+        // A failure run leaves its plan's schedule attached to the
+        // caller's resources; the plain entry points then meet refused
+        // reservations with no policy to retry under.
+        let spec = WorkflowSpec::sequence("wf", "t", ["src".to_owned(), "dst".to_owned()]);
+        let compiled = CompiledWorkflow::compile(&spec).unwrap();
+        let fresh = || {
+            let clock = VirtualClock::new();
+            let mut res = SchedResources::mesh(&[2, 2]);
+            let id0 = res.node_id(0);
+            res.set_outages(Arc::new(
+                roadrunner_vkernel::OutageSchedule::new().node_down(id0, 0, 1_000_000),
+            ));
+            (SplitPlane { clock: clock.clone() }, clock, res)
+        };
+        let payload = Bytes::from_static(b"x");
+        let (mut plane, clock, mut res) = fresh();
+        let concurrent = execute_concurrent(&mut plane, &clock, &spec, payload.clone(), &mut res);
+        let (mut plane, clock, mut res) = fresh();
+        let at = execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 10);
+        let (mut plane, clock, mut res) = fresh();
+        let compiled_at = execute_compiled_at(&mut plane, &clock, &compiled, payload, &mut res, 10);
+        for result in [concurrent, at, compiled_at] {
+            assert!(matches!(result, Err(PlatformError::Transfer(_))), "{result:?}");
+        }
     }
 
     #[test]
@@ -1600,14 +1620,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 500, 4_000),
         ));
         let policy = RetryPolicy::new(2, 4_000, 4_000);
-        let outcome = execute_compiled_faulty_at(
+        let outcome = run_compiled_at(
             &mut plane,
             &clock,
             &compiled,
             Bytes::from_static(b"x"),
             &mut res,
             0,
-            &policy,
+            Some(&policy),
+            None,
         )
         .unwrap();
         let FaultyOutcome::Completed { run, retries } = outcome else {

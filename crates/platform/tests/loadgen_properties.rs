@@ -6,8 +6,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
-    AdmissionConfig, ArrivalProcess, ClosedLoop, DataPlane, InstanceOutcome, LocalityFirst, OpenLoop,
-    PlatformError, TransferTiming, WorkflowSpec,
+    loadgen, AdmissionConfig, ArrivalProcess, ClosedLoop, Cluster, Controls, DataPlane,
+    InstanceOutcome, LocalityFirst, OpenLoop, PlatformError, TransferTiming, WorkflowSpec,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, VirtualClock};
 
@@ -87,7 +87,9 @@ proptest! {
         };
         let mut res = SchedResources::new(nodes, cores);
         let mut policy = LocalityFirst::new();
-        let run = load.run(&mut plane, &clock, &mut res, &mut policy).unwrap();
+        let cluster =
+            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), users * rounds);
         prop_assert!(
             peak_concurrency(&run.outcomes) <= users,
@@ -119,7 +121,9 @@ proptest! {
         };
         let mut res = SchedResources::new(2, 2);
         let mut policy = LocalityFirst::new();
-        let run = load.run(&mut plane, &clock, &mut res, &mut policy).unwrap();
+        let cluster =
+            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), users * rounds);
         for user in 0..users {
             // The total bound is global, so a fast user may take more
@@ -161,7 +165,9 @@ proptest! {
         };
         let mut res = SchedResources::new(2, 2);
         let mut policy = LocalityFirst::new();
-        let run = load.run(&mut plane, &clock, &mut res, &mut policy).unwrap();
+        let cluster =
+            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), instances);
         for (k, o) in run.outcomes.iter().enumerate() {
             prop_assert_eq!(o.instance, k);

@@ -18,9 +18,9 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
-    sweep, AdmissionConfig, ArrivalProcess, DataPlane, LoadRun, LocalityFirst, OpenLoop, PackThenSpill,
-    PlacementPolicy, PlatformError, RoundRobin, SpreadLoad, SweepGrid, SweepMode, SweepPoint,
-    TransferTiming, WorkflowDag, WorkflowSpec,
+    loadgen, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, LoadRun,
+    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, RoundRobin, SpreadLoad,
+    SweepGrid, SweepMode, SweepPoint, TransferTiming, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_vkernel::{SchedResources, VirtualClock};
 
@@ -169,7 +169,9 @@ fn run_point(point: &SweepPoint, dag_seed: u64, fill: u8) -> String {
         instances: 5,
         admission: AdmissionConfig::warm(),
     };
-    let run = load.run(&mut plane, &clock, &mut resources, policy.as_mut()).expect("run");
+    let cluster =
+        Cluster { plane: &mut plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
+    let run = loadgen::run(&load, cluster, Controls::default()).expect("run");
     serialize_run(point, &run)
 }
 

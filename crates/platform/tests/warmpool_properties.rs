@@ -6,8 +6,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
-    AdmissionConfig, ClosedLoop, DataPlane, KeepAlive, LoadRun, LocalityFirst, PlatformError,
-    TransferTiming, WarmPoolConfig, WorkflowSpec,
+    loadgen, AdmissionConfig, ClosedLoop, Cluster, Controls, DataPlane, KeepAlive, LoadRun,
+    LocalityFirst, PlatformError, TransferTiming, WarmPoolConfig, WorkflowSpec,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, VirtualClock};
 
@@ -66,7 +66,9 @@ fn run_closed(
     };
     let mut res = SchedResources::new(nodes, cores);
     let mut policy = LocalityFirst::new();
-    load.run(&mut plane, &clock, &mut res, &mut policy).expect("closed loop runs")
+    let cluster =
+        Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+    loadgen::run(&load, cluster, Controls::default()).expect("closed loop runs")
 }
 
 proptest! {

@@ -19,8 +19,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_platform::{
-    AdmissionConfig, ArrivalProcess, ClosedLoop, DataPlane, FailurePlan, LoadRun, OpenLoop, PlatformError,
-    RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag, WorkflowSpec,
+    loadgen, AdmissionConfig, ArrivalProcess, ClosedLoop, Cluster, Controls, DataPlane, FailurePlan,
+    Load, LoadRun, OpenLoop, PlatformError, RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag,
+    WorkflowSpec,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
 
@@ -90,6 +91,19 @@ impl DataPlane for FixedPlane {
         self.clock.advance(timing.total_ns());
         Ok((p, Some(timing)))
     }
+}
+
+/// Runs `load` over a fresh [`FixedPlane`] on `nodes` two-core nodes
+/// under spread placement.
+fn run_on<'a>(load: impl Into<Load<'a>>, nodes: usize, controls: Controls<'a>) -> LoadRun {
+    let clock = VirtualClock::new();
+    let cluster = Cluster {
+        plane: &mut FixedPlane { clock: clock.clone() },
+        clock: &clock,
+        resources: &mut SchedResources::new(nodes, 2),
+        policy: &mut SpreadLoad::new(),
+    };
+    loadgen::run(load.into(), cluster, controls).unwrap()
 }
 
 /// A pseudo-random but deterministic outage schedule over `nodes` stable
@@ -185,10 +199,6 @@ proptest! {
         let plan = FailurePlan::new(RetryPolicy::new(4, 500, 6_000)).with_outages(schedule);
 
         let run_once = || -> LoadRun {
-            let clock = VirtualClock::new();
-            let mut plane = FixedPlane { clock: clock.clone() };
-            let mut resources = SchedResources::new(nodes, 2);
-            let mut policy = SpreadLoad::new();
             let load = ClosedLoop {
                 spec: spec.clone(),
                 payload: Bytes::from_static(b"conserve"),
@@ -198,10 +208,7 @@ proptest! {
                 instances,
                 admission: AdmissionConfig::warm(),
             };
-            load.run_with_failures(
-                &mut plane, &clock, &mut resources, &mut policy, None, Some(&plan),
-            )
-            .unwrap()
+            run_on(&load, nodes, Controls { failures: Some(&plan), ..Controls::default() })
         };
 
         let run = run_once();
@@ -234,10 +241,6 @@ proptest! {
         prop_assert!(empty.is_empty());
 
         let run_with = |plan: Option<&FailurePlan>| -> LoadRun {
-            let clock = VirtualClock::new();
-            let mut plane = FixedPlane { clock: clock.clone() };
-            let mut resources = SchedResources::new(nodes, 2);
-            let mut policy = SpreadLoad::new();
             let load = OpenLoop {
                 spec: spec.clone(),
                 payload: payload.clone(),
@@ -245,8 +248,7 @@ proptest! {
                 instances,
                 admission: AdmissionConfig::cold(10_000),
             };
-            load.run_with_failures(&mut plane, &clock, &mut resources, &mut policy, None, plan)
-                .unwrap()
+            run_on(&load, nodes, Controls { failures: plan, ..Controls::default() })
         };
 
         let plain = run_with(None);
