@@ -116,21 +116,18 @@ impl AdmissionState {
     }
 }
 
-/// Folds one lane's pool accounting into the run-level total (lane
-/// pools merge by summation).
-pub(super) fn merge_pool_stats(acc: Option<PoolStats>, lane: PoolStats) -> PoolStats {
-    match acc {
-        None => lane,
-        Some(acc) => PoolStats {
-            hits: acc.hits + lane.hits,
-            misses: acc.misses + lane.misses,
-            restores: acc.restores + lane.restores,
-            returns: acc.returns + lane.returns,
-            evictions: acc.evictions + lane.evictions,
-            prewarms: acc.prewarms + lane.prewarms,
-            prewarm_ns: acc.prewarm_ns + lane.prewarm_ns,
-            idle_ns: acc.idle_ns + lane.idle_ns,
-            warm_at_end: acc.warm_at_end + lane.warm_at_end,
-        },
+/// Sums two lanes' pool accounting (lane pools merge by summation into
+/// the run-level total).
+pub(super) fn merge_pool_stats(a: PoolStats, b: PoolStats) -> PoolStats {
+    PoolStats {
+        hits: a.hits + b.hits,
+        misses: a.misses + b.misses,
+        restores: a.restores + b.restores,
+        returns: a.returns + b.returns,
+        evictions: a.evictions + b.evictions,
+        prewarms: a.prewarms + b.prewarms,
+        prewarm_ns: a.prewarm_ns + b.prewarm_ns,
+        idle_ns: a.idle_ns + b.idle_ns,
+        warm_at_end: a.warm_at_end + b.warm_at_end,
     }
 }

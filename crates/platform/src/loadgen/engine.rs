@@ -598,8 +598,8 @@ impl<'a> Engine<'a> {
 
     /// Offered load is a property of the admission process, so the
     /// engine computes it. An empty run offers nothing — 0.0, never NaN.
-    fn offered_rps(&self, achieved_rps: f64) -> f64 {
-        match &self.admission {
+    fn offered_rps(admission: &Admission, achieved_rps: f64) -> f64 {
+        match admission {
             Admission::Open { releases, .. } if releases.is_empty() => 0.0,
             Admission::Open { mean_interval_ns, .. } => 1e9 / (*mean_interval_ns).max(1) as f64,
             // A closed loop offers exactly what it completes: each user
@@ -635,10 +635,11 @@ impl<'a> Engine<'a> {
         // instances whose TTL would expire by then count as evictions,
         // the rest stay warm at end (so the idle-residency integral is
         // complete).
-        let pool = std::mem::take(&mut self.lanes)
+        let pool = self
+            .lanes
             .into_iter()
             .filter_map(|lane| lane.admission_state.finalize(last))
-            .fold(None, |acc, stats| Some(merge_pool_stats(acc, stats)));
+            .reduce(merge_pool_stats);
         let util = |used: Nanos, lane_ns: u128| {
             if lane_ns == 0 {
                 0.0
@@ -653,7 +654,7 @@ impl<'a> Engine<'a> {
             offered_rps: 0.0,
             cpu_utilization: util(resources.cpu_reserved().0 - cap.cpu0, cap.cpu_lane_ns),
             link_utilization: util(resources.link_reserved().0 - cap.link0, cap.link_lane_ns),
-            scale_events: self.autoscaler.as_deref().map(|a| a.events().to_vec()).unwrap_or_default(),
+            scale_events: self.autoscaler.map(|a| a.events().to_vec()).unwrap_or_default(),
             final_nodes: resources.node_count(),
             failed: self.counters.failed,
             arrivals: self.counters.arrivals,
@@ -661,11 +662,11 @@ impl<'a> Engine<'a> {
             deadline_exceeded: self.counters.deadline_exceeded,
             retries: self.counters.retries,
             pool,
-            tenants: std::mem::take(&mut self.stats),
-            outcomes: std::mem::take(&mut self.outcomes),
+            tenants: self.stats,
+            outcomes: self.outcomes,
             sorted_sojourns: std::sync::OnceLock::new(),
         };
-        run.offered_rps = self.offered_rps(run.throughput_rps());
+        run.offered_rps = Self::offered_rps(&self.admission, run.throughput_rps());
         debug_assert_eq!(run.arrivals, run.outcomes.len() + run.shed, "arrivals are conserved");
         debug_assert_eq!(
             run.outcomes.len(),
