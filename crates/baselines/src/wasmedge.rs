@@ -138,8 +138,8 @@ impl WasmedgePair {
     /// Clamps every recorded placement (and the pair's node attribution)
     /// onto the first `active_nodes` nodes, so a map written for a larger
     /// cluster keeps attributing work to live timelines after the active
-    /// set shrank. Note the load generator never consults this map — its
-    /// per-instance plane overrides placement per instance — so clamping
+    /// set shrank. Note the load generator never consults this map — it
+    /// places every instance itself, by DAG node index — so clamping
     /// only matters when a pair is driven directly (e.g. handed to
     /// `execute_concurrent` against downsized `SchedResources`).
     ///

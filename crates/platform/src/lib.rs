@@ -83,6 +83,7 @@ pub mod registry;
 pub mod scheduler;
 pub mod sweep;
 pub mod warmpool;
+mod wordhash;
 pub mod workflow;
 
 pub use bundle::{BundleKind, FunctionBundle, Manifest};
@@ -113,6 +114,7 @@ pub use sweep::{
     available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,
 };
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_concurrent, execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeFailure,
-    EdgeResult, FaultyOutcome, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
+    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_concurrent,
+    execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeResult, RetryPolicy, TransferTiming,
+    WorkflowRun, WorkflowSpec,
 };

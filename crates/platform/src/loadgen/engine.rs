@@ -1,72 +1,47 @@
 //! The completion-event engine behind [`run`](super::run).
 //!
-//! Events drain in deterministic time order (FIFO among equals). Every
-//! event first passes [`Engine::observe`] — capacity integration, health
-//! epoch, autoscaler, pre-warming — then its own step: an arrival is
-//! admitted, queued or shed ([`Engine::on_arrival`]); a completion
-//! returns warmth, re-arms its closed-loop user and drains the bounded
-//! queue ([`Engine::on_completion`]); a detected kill removes its node
-//! ([`Engine::on_node_kill`]). [`Engine::start_instance`] is the one
-//! place → admit → execute → account sequence all admissions share, and
-//! [`Engine::finish`] settles the books into a [`LoadRun`].
+//! Events drain in deterministic time order (FIFO among equals) from
+//! two sources merged by [`MergedEvents`]: the ones known before the
+//! run starts (kills, then arrivals) from a time-sorted list, the ones
+//! the run creates (completions, closed-loop re-arrivals) from a heap.
+//! Every event first passes [`Engine::observe`] — capacity integration,
+//! health epoch, autoscaler, pre-warming — then its own step: an
+//! arrival is admitted, queued or shed ([`Engine::on_arrival`]); a
+//! completion returns warmth, re-arms its closed-loop user and drains
+//! the bounded queue ([`Engine::on_completion`]); a detected kill
+//! removes its node ([`Engine::on_node_kill`]).
+//! [`Engine::start_instance`] is the one place → admit → execute →
+//! account sequence all admissions share, and [`Engine::finish`]
+//! settles the books into a [`LoadRun`].
+//!
+//! An instance reaches the workflow engine by index: the policy's
+//! assignment (one node per function, in DAG node order) is the
+//! placement slice [`run_compiled_at`] reads each edge's endpoints from
+//! and hands the plane through
+//! [`DataPlane::transfer_placed`](crate::workflow::DataPlane::transfer_placed),
+//! so the plane derives each edge's mode from the *instance's*
+//! placement, not the deployment's static colocation. The engine asks
+//! for no per-edge records ([`NoEdges`]) and lends each lane's
+//! [`RunScratch`], so steady state allocates nothing per edge.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner_vkernel::sched::{EventQueue, ResourceView, SchedResources};
+use roadrunner_vkernel::sched::{ResourceView, SchedResources};
 use roadrunner_vkernel::Nanos;
 
 use super::admission::{merge_pool_stats, AdmissionState};
 use super::autoscaler::Autoscaler;
+use super::events::MergedEvents;
 use super::failure::FailurePlan;
 use super::report::{InstanceOutcome, LoadRun, TenantStats};
 use super::{Admission, Cluster, Controls, Load};
 use crate::error::PlatformError;
 use crate::overload::{OverloadConfig, OverloadCtl, OverloadState, QueueConfig, ShedPolicy};
 use crate::workflow::{
-    run_compiled_at, CompiledWorkflow, DataPlane, FaultyOutcome, TransferTiming, WorkflowSpec,
+    run_compiled_at, CompiledWorkflow, Instance, NoEdges, RunOutcome, RunScratch, WorkflowSpec,
 };
-
-/// How a [`PlacementPolicy`](crate::scheduler::PlacementPolicy)'s
-/// decision reaches the workflow engine: a [`DataPlane`] wrapper that
-/// answers [`DataPlane::placement`] from the instance's assignment
-/// (`function`'s position in `names` indexes `nodes`; unlisted functions
-/// fall back to the wrapped plane) and routes transfers through the
-/// placement-aware seam, so the wrapped plane derives each edge's mode
-/// from the *instance's* placement, not the deployment's static
-/// colocation. Allocation-free: it borrows the run-wide function-name
-/// list and the policy's assignment.
-pub(super) struct InstancePlane<'a, 'b> {
-    pub(super) inner: &'a mut dyn DataPlane,
-    pub(super) names: &'b [String],
-    pub(super) nodes: &'b [usize],
-}
-
-impl DataPlane for InstancePlane<'_, '_> {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let src = self.placement(from);
-        let dst = self.placement(to);
-        self.inner.transfer_placed(from, to, payload, src, dst)
-    }
-
-    fn placement(&self, function: &str) -> Option<usize> {
-        self.names
-            .iter()
-            .position(|n| n == function)
-            .map(|i| self.nodes[i])
-            .or_else(|| self.inner.placement(function))
-    }
-}
 
 /// Engine events: an instance arriving for admission, one completing
 /// (or failing — failed instances re-arm their closed-loop user too),
@@ -77,24 +52,23 @@ enum LoadEvent {
     NodeKill { node_id: u64 },
 }
 
-/// Schedules a closed-loop user's arrival — unless `at` saturated to
+/// A closed-loop user's arrival at `at` — unless `at` saturated to
 /// `Nanos::MAX`, the end of virtual time: a ramp offset or think time
 /// that long never elapses, and nothing can be reserved after it.
-fn push_closed_arrival(queue: &mut EventQueue<LoadEvent>, at: Nanos, user: usize) {
-    if at < Nanos::MAX {
-        queue.push(at, LoadEvent::Arrival { tenant: 0, user });
-    }
+fn closed_arrival(at: Nanos, user: usize) -> Option<(Nanos, LoadEvent)> {
+    (at < Nanos::MAX).then_some((at, LoadEvent::Arrival { tenant: 0, user }))
 }
 
-/// One tenant's per-run lane: the compiled spec, interned names, its
-/// own admission state (per-tenant warmth never aliases — the paper's
+/// One tenant's per-run lane: the compiled spec, the workflow engine's
+/// working vectors (reused by every instance of the lane), its own
+/// admission state (per-tenant warmth never aliases — the paper's
 /// per-tenant trust boundary), and its slice of the bounded admission
 /// queue.
 struct Lane<'a> {
     spec: &'a WorkflowSpec,
     payload: &'a Bytes,
     compiled: CompiledWorkflow<'a>,
-    fn_names: Vec<String>,
+    scratch: RunScratch,
     weight: u64,
     admission_state: AdmissionState,
     /// Queued-but-not-admitted arrivals: `(user, arrival_ns)` in FIFO
@@ -163,7 +137,7 @@ pub(super) struct Engine<'a> {
     stats: Vec<TenantStats>,
     /// Whether admission is pooled (the pre-warming precondition).
     pooled: bool,
-    queue: EventQueue<LoadEvent>,
+    events: MergedEvents<LoadEvent>,
     /// Scratch snapshot refreshed in place at every observation point:
     /// the per-event view is allocation-free in steady state.
     view: ResourceView,
@@ -194,13 +168,13 @@ impl<'a> Engine<'a> {
         let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(tenants.len());
         let mut stats: Vec<TenantStats> = Vec::with_capacity(tenants.len());
         for t in &tenants {
-            let fn_names: Vec<String> = t.spec.functions().iter().map(|&f| f.to_owned()).collect();
+            let compiled = CompiledWorkflow::compile(t.spec)?;
             lanes.push(Lane {
                 spec: t.spec,
                 payload: t.payload,
-                compiled: CompiledWorkflow::compile(t.spec)?,
-                admission_state: AdmissionState::new(admission_cfg, fn_names.len()),
-                fn_names,
+                admission_state: AdmissionState::new(admission_cfg, compiled.node_count()),
+                compiled,
+                scratch: RunScratch::default(),
                 weight: t.weight.max(1),
                 queued: VecDeque::new(),
                 wrr_credit: 0,
@@ -218,66 +192,81 @@ impl<'a> Engine<'a> {
             cpu0: resources.cpu_reserved().0,
             link0: resources.link_reserved().0,
         };
-        let mut engine = Self {
+        let seeded = Self::arm(&admission, controls.failures, cluster.resources);
+        // Closed loop: the seeded arrivals count against `instances`.
+        let admitted = match admission {
+            Admission::Closed { users, instances, .. } => users.min(instances),
+            _ => 0,
+        };
+        Ok(Self {
             cluster,
             autoscaler: controls.autoscaler,
             failures: controls.failures,
             overload: controls.overload,
             overload_state: OverloadState::new(&controls.overload),
             admission,
-            admitted: 0,
+            admitted,
             pooled: lanes.iter().any(|l| matches!(l.admission_state, AdmissionState::Pool(_))),
             lanes,
             stats,
-            queue: EventQueue::new(),
+            events: MergedEvents::new(seeded),
             view: ResourceView::default(),
             outcomes: Vec::new(),
             counters: Counters::default(),
             capacity,
             last_epoch: 0,
-        };
-        engine.arm();
-        Ok(engine)
+        })
     }
 
     /// Attaches the failure plan's outage schedule (timelines start
-    /// rejecting reservations inside down windows) and seeds the queue:
-    /// kill removals first, so at equal times the control plane acts
-    /// before any arrival (FIFO among equals), then the arrivals.
-    fn arm(&mut self) {
-        if let Some(plan) = self.failures {
-            self.cluster.resources.set_outages(Arc::new(plan.outages().clone()));
-            for kill in plan.kills() {
-                self.queue.push(
-                    kill.at_ns.saturating_add(kill.detect_ns),
-                    LoadEvent::NodeKill { node_id: kill.node_id },
+    /// rejecting reservations inside down windows) and lists the events
+    /// known before the run starts, in insertion order: kill removals
+    /// first, so at equal times the control plane acts before any
+    /// arrival (FIFO among equals), then the arrivals.
+    fn arm(
+        admission: &Admission,
+        failures: Option<&FailurePlan>,
+        resources: &mut SchedResources,
+    ) -> Vec<(Nanos, LoadEvent)> {
+        let mut seeded = Vec::new();
+        if let Some(plan) = failures {
+            resources.set_outages(Arc::new(plan.outages().clone()));
+            seeded.extend(plan.kills().iter().map(|kill| {
+                let detected = kill.at_ns.saturating_add(kill.detect_ns);
+                (detected, LoadEvent::NodeKill { node_id: kill.node_id })
+            }));
+        }
+        match admission {
+            Admission::Open { releases, .. } => {
+                seeded.extend(
+                    releases
+                        .iter()
+                        .enumerate()
+                        .map(|(user, &at)| (at, LoadEvent::Arrival { tenant: 0, user })),
+                );
+            }
+            Admission::Closed { users, ramp_ns, instances, .. } => {
+                seeded.extend((0..(*users).min(*instances)).filter_map(|user| {
+                    closed_arrival((user as Nanos).saturating_mul(*ramp_ns), user)
+                }));
+            }
+            Admission::Multi { releases } => {
+                seeded.extend(
+                    releases
+                        .iter()
+                        .map(|&(at, tenant, user)| (at, LoadEvent::Arrival { tenant, user })),
                 );
             }
         }
-        match &self.admission {
-            Admission::Open { releases, .. } => {
-                for (user, &at) in releases.iter().enumerate() {
-                    self.queue.push(at, LoadEvent::Arrival { tenant: 0, user });
-                }
-            }
-            Admission::Closed { users, ramp_ns, instances, .. } => {
-                self.admitted = (*users).min(*instances);
-                for user in 0..self.admitted {
-                    let at = (user as Nanos).saturating_mul(*ramp_ns);
-                    push_closed_arrival(&mut self.queue, at, user);
-                }
-            }
-            Admission::Multi { releases } => {
-                for &(at, tenant, user) in releases {
-                    self.queue.push(at, LoadEvent::Arrival { tenant, user });
-                }
-            }
-        }
+        seeded
     }
 
-    /// Drains the event queue, one step per event, and settles the run.
+    /// Drains the events, one step per event, and settles the run.
     pub(super) fn run(mut self) -> Result<LoadRun, PlatformError> {
-        while let Some((now, event)) = self.queue.pop() {
+        let mut last: Nanos = 0;
+        while let Some((now, event)) = self.events.pop() {
+            debug_assert!(now >= last, "event at {now} ns popped after one at {last} ns");
+            last = now;
             let view_is_fresh = self.observe(now);
             match event {
                 LoadEvent::Arrival { tenant, user } => {
@@ -428,7 +417,9 @@ impl<'a> Engine<'a> {
         if let Admission::Closed { think_ns, instances, .. } = self.admission {
             if self.admitted < instances {
                 self.admitted += 1;
-                push_closed_arrival(&mut self.queue, now.saturating_add(think_ns), user);
+                if let Some((at, arrival)) = closed_arrival(now.saturating_add(think_ns), user) {
+                    self.events.push(at, arrival);
+                }
             }
         }
         match self.overload.queue {
@@ -518,53 +509,60 @@ impl<'a> Engine<'a> {
         // policy looks — placement steers away without any policy change.
         self.overload_state.penalize_view(start_ns, &mut self.view);
         let assignment = policy.place(lane.spec, &self.view);
+        if assignment.len() != lane.compiled.node_count() {
+            return Err(PlatformError::InvalidLoad(format!(
+                "policy `{}` placed {} functions, workflow `{}` has {}",
+                policy.name(),
+                assignment.len(),
+                lane.spec.name,
+                lane.compiled.node_count(),
+            )));
+        }
         // Charge instantiation: warm-set misses reserve the fig2a-style
         // full cost on the node's CPU; pool misses pay their tier (full
         // build or snapshot restore) while hits admit warm. Either way a
         // charged instance's release is delayed past the work.
         let admitted = lane.admission_state.admit(start_ns, &assignment, resources);
         let release = admitted.release_ns;
-        let mut placed =
-            InstancePlane { inner: &mut **plane, names: &lane.fn_names, nodes: &assignment };
-        // The overload control block rides along only when a knob is on:
-        // the all-off engine path must not even construct it.
-        let ctl = if self.overload.is_off() {
-            None
-        } else {
-            Some(OverloadCtl {
+        let instance = Instance {
+            payload: lane.payload,
+            release_ns: release,
+            placement: Some(&assignment),
+            // `None` keeps every `try_reserve_*` on the plain-reservation
+            // path; a plan hands the fault-aware engine its retry policy.
+            faults: self.failures.map(FailurePlan::retry),
+            // The overload control block rides along only when a knob is
+            // on: the all-off engine path must not even construct it.
+            overload: (!self.overload.is_off()).then(|| OverloadCtl {
                 tenant,
                 deadline_ns: self.overload.deadline_ns.map(|d| arrival_ns.saturating_add(d)),
                 state: &mut self.overload_state,
-            })
+            }),
         };
-        // `None` keeps every `try_reserve_*` on the plain-reservation
-        // path; a plan hands the fault-aware engine its retry policy.
-        let faults = self.failures.map(FailurePlan::retry);
         let outcome = run_compiled_at(
-            &mut placed,
+            &mut **plane,
             clock,
             &lane.compiled,
-            lane.payload.clone(),
             resources,
-            release,
-            faults,
-            ctl,
+            instance,
+            &mut lane.scratch,
+            &mut NoEdges,
         )?;
         let stats = &mut self.stats[tenant];
         let (finish, failed, deadline_exceeded, retries) = match outcome {
-            FaultyOutcome::Completed { run, retries } => {
-                (release + run.total_latency_ns, false, false, retries)
+            RunOutcome::Completed { makespan_ns, retries } => {
+                (release + makespan_ns, false, false, retries)
             }
             // Failed instances still produce a completion event: the
             // closed-loop user saw an error and re-arms.
-            FaultyOutcome::Failed { failure, retries } => {
+            RunOutcome::Failed { failed_at_ns, retries, .. } => {
                 self.counters.failed += 1;
                 stats.failed += 1;
-                (failure.failed_at_ns.max(release), true, false, retries)
+                (failed_at_ns.max(release), true, false, retries)
             }
             // Deadline aborts are shed-as-stale, not failures; they too
             // produce a completion event (the user saw a timeout).
-            FaultyOutcome::DeadlineExceeded { at_ns, retries } => {
+            RunOutcome::DeadlineExceeded { at_ns, retries } => {
                 self.counters.deadline_exceeded += 1;
                 stats.deadline_exceeded += 1;
                 (at_ns.max(release), false, true, retries)
@@ -592,7 +590,7 @@ impl<'a> Engine<'a> {
             retries,
         });
         self.counters.in_flight += 1;
-        self.queue.push(finish, LoadEvent::Completion { user, instance });
+        self.events.push(finish, LoadEvent::Completion { user, instance });
         Ok(())
     }
 

@@ -46,13 +46,15 @@
 //!
 //! Module map: `arrivals` (release-time generators), `failure`
 //! ([`FailurePlan`]), `admission` (per-lane cold-start state),
-//! `autoscaler` (the elastic controller), `engine` (the event loop, one
-//! step per event kind) and `report` ([`LoadRun`] and its digests).
+//! `autoscaler` (the elastic controller), `events` (the seeded-list +
+//! heap event merge), `engine` (the event loop, one step per event
+//! kind) and `report` ([`LoadRun`] and its digests).
 
 mod admission;
 mod arrivals;
 mod autoscaler;
 mod engine;
+mod events;
 mod failure;
 mod report;
 #[cfg(test)]

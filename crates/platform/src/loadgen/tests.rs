@@ -1,9 +1,9 @@
 //! Engine-level tests: every load shape and control layer through
 //! [`run`], on a plane with fixed phase costs.
 
+use roadrunner_vkernel::sched::ResourceView;
 use roadrunner_vkernel::OutageSchedule;
 
-use super::engine::InstancePlane;
 use super::*;
 use crate::overload::{QueueConfig, ShedPolicy};
 use crate::scheduler::{LocalityFirst, Pinned, RoundRobin, SpreadLoad};
@@ -97,16 +97,104 @@ fn overloaded(overload: OverloadConfig) -> Controls<'static> {
     Controls { overload, ..Controls::default() }
 }
 
+/// A policy dealing `len` nodes per instance, rotated by the instance's
+/// ordinal — every function of every instance somewhere else.
+struct Rotating {
+    len: usize,
+    next: usize,
+}
+
+impl PlacementPolicy for Rotating {
+    fn name(&self) -> &'static str {
+        "rotating"
+    }
+
+    fn place(&mut self, _: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
+        self.next += 1;
+        (0..self.len).map(|i| (self.next + i) % view.node_count()).collect()
+    }
+
+    fn reset(&mut self) {
+        self.next = 0;
+    }
+}
+
 #[test]
-fn instance_plane_overrides_placement_and_forwards_transfers() {
-    let mut plane = FixedPlane::new(VirtualClock::new());
-    let names = ["a".to_owned(), "b".to_owned()];
-    let mut placed = InstancePlane { inner: &mut plane, names: &names, nodes: &[2, 5] };
-    assert_eq!(placed.placement("a"), Some(2));
-    assert_eq!(placed.placement("b"), Some(5));
-    assert_eq!(placed.placement("ghost"), None);
-    let out = placed.transfer("a", "b", Bytes::from_static(b"xyz")).unwrap();
-    assert_eq!(&out[..], b"xyz");
+fn the_plane_sees_every_edge_under_the_policys_assignment() {
+    /// Records what the engine asks of `transfer_placed`.
+    struct Recording {
+        inner: FixedPlane,
+        seen: Vec<(String, String, Option<usize>, Option<usize>)>,
+    }
+    impl DataPlane for Recording {
+        fn transfer(&mut self, f: &str, t: &str, p: Bytes) -> Result<Bytes, PlatformError> {
+            self.inner.transfer(f, t, p)
+        }
+        fn transfer_placed(
+            &mut self,
+            from: &str,
+            to: &str,
+            p: Bytes,
+            src: Option<usize>,
+            dst: Option<usize>,
+        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+            self.seen.push((from.to_owned(), to.to_owned(), src, dst));
+            self.inner.transfer_detailed(from, to, p)
+        }
+        // The deployment says node 7 for everything; the instance's
+        // assignment must win.
+        fn placement(&self, _: &str) -> Option<usize> {
+            Some(7)
+        }
+    }
+    // DAG node order is first appearance: s1, sink, s2 — not the order
+    // the edges run in, and not alphabetical.
+    let spec = WorkflowSpec::fan_in("wf", "t", ["s1".to_owned(), "s2".to_owned()], "sink");
+    assert_eq!(spec.functions(), ["s1", "sink", "s2"]);
+    let load = open(spec, 10_000, 5);
+    let clock = VirtualClock::new();
+    let mut plane = Recording { inner: FixedPlane::new(clock.clone()), seen: Vec::new() };
+    let cluster = Cluster {
+        plane: &mut plane,
+        clock: &clock,
+        resources: &mut SchedResources::new(4, 4),
+        policy: &mut Rotating { len: 3, next: 0 },
+    };
+    let run = run(&load, cluster, Controls::default()).unwrap();
+    let expected: Vec<_> = run
+        .outcomes
+        .iter()
+        .flat_map(|o| {
+            let a = &o.assignment;
+            [
+                ("s1".to_owned(), "sink".to_owned(), Some(a[0]), Some(a[1])),
+                ("s2".to_owned(), "sink".to_owned(), Some(a[2]), Some(a[1])),
+            ]
+        })
+        .collect();
+    assert_eq!(run.outcomes.len(), 5);
+    assert_eq!(run.outcomes[0].assignment, [1, 2, 3]);
+    assert_eq!(plane.seen, expected);
+    // Cross-node edges went over links: the engine scheduled by the
+    // same assignment it showed the plane.
+    assert!(run.link_utilization > 0.0);
+}
+
+#[test]
+fn a_policy_placing_the_wrong_number_of_functions_is_an_error_not_a_panic() {
+    for len in [0, 1, 3] {
+        let load = open(pipeline_spec(), 1_000, 2);
+        let mut res = SchedResources::new(2, 4);
+        let result = run_fixed(&load, &mut res, &mut Rotating { len, next: 0 }, Controls::default());
+        match result {
+            Err(PlatformError::InvalidLoad(why)) => {
+                assert!(why.contains("rotating") && why.contains("pipe"), "{why}");
+            }
+            other => panic!("{len} nodes for 2 functions: {other:?}"),
+        }
+        // Refused before anything was charged or reserved.
+        assert_eq!(res.busy_until(), 0);
+    }
 }
 
 #[test]

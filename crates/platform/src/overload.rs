@@ -54,6 +54,8 @@ use std::collections::HashMap;
 use roadrunner_vkernel::sched::ResourceView;
 use roadrunner_vkernel::Nanos;
 
+use crate::wordhash::WordBuild;
+
 /// Millitokens one retry attempt costs a (tenant, function, node)
 /// budget bucket. Fixed-point at 1/1000 token lets per-success credits
 /// express "retries ≤ 20 % of successes" as integral arithmetic
@@ -347,8 +349,10 @@ impl OverloadConfig {
 pub struct OverloadState {
     budget_cfg: Option<RetryBudgetConfig>,
     breaker_cfg: Option<BreakerConfig>,
-    budgets: HashMap<(usize, usize, usize), TokenBucket>,
-    breakers: HashMap<(usize, usize, usize), CircuitBreaker>,
+    // Keyed by indices the engine derived, probed once or twice per
+    // edge attempt: the word hasher, not SipHash.
+    budgets: HashMap<(usize, usize, usize), TokenBucket, WordBuild>,
+    breakers: HashMap<(usize, usize, usize), CircuitBreaker, WordBuild>,
 }
 
 impl OverloadState {
@@ -357,8 +361,8 @@ impl OverloadState {
         Self {
             budget_cfg: cfg.retry_budget,
             breaker_cfg: cfg.breaker,
-            budgets: HashMap::new(),
-            breakers: HashMap::new(),
+            budgets: HashMap::default(),
+            breakers: HashMap::default(),
         }
     }
 

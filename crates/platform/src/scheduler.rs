@@ -90,7 +90,7 @@ impl PlacementPolicy for RoundRobin {
 
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        vec![idx % view.node_count(); spec.functions().len()]
+        vec![idx % view.node_count(); spec.dag.node_count()]
     }
 
     fn reset(&mut self) {
@@ -141,9 +141,9 @@ impl PlacementPolicy for Pinned {
         // constructor rejects zero nodes); saturate anyway so a hostile
         // view degrades to node 0 instead of underflowing.
         let last = view.node_count().saturating_sub(1);
-        spec.functions()
-            .iter()
-            .map(|f| self.map.get(*f).copied().unwrap_or(self.default).min(last))
+        spec.dag
+            .nodes()
+            .map(|f| self.map.get(f).copied().unwrap_or(self.default).min(last))
             .collect()
     }
 
@@ -159,9 +159,11 @@ impl PlacementPolicy for Pinned {
 /// counters — and placements automatically follow capacity as an
 /// autoscaler resizes the cluster between arrivals. The returned vector
 /// is indexed by the spec's DAG node index (the same index
-/// [`WorkflowDag::nodes`](crate::dag::WorkflowDag) iterates in) and feeds
-/// [`DataPlane::placement`](crate::workflow::DataPlane) through the
-/// load engine's per-instance plane.
+/// [`WorkflowDag::nodes`](crate::dag::WorkflowDag) iterates in), one
+/// entry per function — the load engine refuses any other length — and
+/// is the placement slice the workflow engine reads each edge's
+/// endpoints from and hands the plane through
+/// [`DataPlane::transfer_placed`](crate::workflow::DataPlane::transfer_placed).
 ///
 /// Determinism contract: given identical views and call sequences, a
 /// policy must return identical assignments (ties broken by node index,
@@ -216,7 +218,7 @@ impl PlacementPolicy for LocalityFirst {
     }
 
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
-        vec![least_backlogged(view); spec.functions().len()]
+        vec![least_backlogged(view); spec.dag.node_count()]
     }
 
     fn reset(&mut self) {}
@@ -245,7 +247,7 @@ impl PlacementPolicy for SpreadLoad {
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
         let mut order: Vec<usize> = (0..view.node_count()).collect();
         order.sort_by(|&a, &b| backlog_order(view, a, b).then(a.cmp(&b)));
-        (0..spec.functions().len()).map(|i| order[i % order.len()]).collect()
+        (0..spec.dag.node_count()).map(|i| order[i % order.len()]).collect()
     }
 
     fn reset(&mut self) {}
@@ -293,7 +295,7 @@ impl PlacementPolicy for PackThenSpill {
                     .then(b.cmp(&a))
             })
             .unwrap_or_else(|| least_backlogged(view));
-        vec![node; spec.functions().len()]
+        vec![node; spec.dag.node_count()]
     }
 
     fn reset(&mut self) {}

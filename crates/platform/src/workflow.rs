@@ -265,11 +265,11 @@ pub trait DataPlane {
     /// Like [`transfer_detailed`](Self::transfer_detailed), carrying the
     /// **instance's** effective placement for both endpoints (`None` =
     /// no override). Planes that derive a delivery mode from co-location
-    /// (`RoadrunnerPlane` in `roadrunner-core`) override this so a
-    /// placement wrapper (the load engine's per-instance plane) can flip
-    /// an edge between user-/kernel-space and network delivery per
-    /// instance; the default ignores the overrides and keeps the
-    /// deployment's static modes.
+    /// (`RoadrunnerPlane` in `roadrunner-core`) override this so the
+    /// load engine, which places every instance itself, can flip an edge
+    /// between user-/kernel-space and network delivery per instance; the
+    /// default ignores the overrides and keeps the deployment's static
+    /// modes.
     ///
     /// # Errors
     ///
@@ -530,13 +530,29 @@ pub fn execute_compiled_at(
     resources: &mut SchedResources,
     release_ns: Nanos,
 ) -> Result<WorkflowRun, PlatformError> {
-    match run_compiled_at(plane, clock, compiled, payload, resources, release_ns, None, None)? {
-        FaultyOutcome::Completed { run, .. } => Ok(run),
-        FaultyOutcome::Failed { failure, .. } => Err(PlatformError::Transfer(format!(
-            "edge {} -> {} refused at {} ns: a node or link it needs is down",
-            failure.from, failure.to, failure.failed_at_ns,
+    let instance =
+        Instance { payload: &payload, release_ns, placement: None, faults: None, overload: None };
+    let mut edges = Vec::with_capacity(compiled.edge_count());
+    let outcome = run_compiled_at(
+        plane,
+        clock,
+        compiled,
+        resources,
+        instance,
+        &mut RunScratch::default(),
+        &mut edges,
+    )?;
+    let name = |node| compiled.dag().node_name(node);
+    match outcome {
+        RunOutcome::Completed { makespan_ns, .. } => {
+            Ok(WorkflowRun { edges, total_latency_ns: makespan_ns })
+        }
+        RunOutcome::Failed { from, to, failed_at_ns, .. } => Err(PlatformError::Transfer(format!(
+            "edge {} -> {} refused at {failed_at_ns} ns: a node or link it needs is down",
+            name(from),
+            name(to),
         ))),
-        FaultyOutcome::DeadlineExceeded { at_ns, .. } => {
+        RunOutcome::DeadlineExceeded { at_ns, .. } => {
             Err(PlatformError::Transfer(format!("deadline passed at {at_ns} ns")))
         }
     }
@@ -594,50 +610,122 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Accounting for the edge that exhausted its retry budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeFailure {
-    /// Sending function of the failed edge.
-    pub from: String,
-    /// Receiving function of the failed edge.
-    pub to: String,
-    /// Attempts made (== the policy's `max_attempts`).
-    pub attempts: u32,
-    /// Virtual instant the engine gave up, on the resources' timescale.
-    pub failed_at_ns: Nanos,
-}
-
-/// Outcome of a fault-aware execution: the run completed (possibly
-/// after retries), an edge exhausted its retry budget and the
-/// instance failed, or the instance blew its deadline and aborted
-/// early. `retries` counts failed attempts across **all** edges of the
-/// instance.
-#[derive(Debug)]
-pub enum FaultyOutcome {
+/// How one instance ended under [`run_compiled_at`]. `retries` counts
+/// failed attempts across **all** edges of the instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunOutcome {
     /// Every edge eventually succeeded.
     Completed {
-        /// The completed run, identical in shape to a fault-free one.
-        run: WorkflowRun,
+        /// Last edge's finish, measured from the instance's release.
+        makespan_ns: Nanos,
         /// Failed attempts absorbed along the way.
         retries: u32,
     },
-    /// An edge ran out of attempts; the instance did not complete.
+    /// Edge `from → to` (DAG node indices) ran out of attempts; the
+    /// instance did not complete.
     Failed {
-        /// The edge that gave up.
-        failure: EdgeFailure,
+        from: usize,
+        to: usize,
+        /// Attempts made on the fatal edge.
+        attempts: u32,
+        /// Virtual instant the engine gave up, on the resources'
+        /// timescale.
+        failed_at_ns: Nanos,
         /// Failed attempts across all edges, the fatal ones included.
         retries: u32,
     },
     /// An edge's ready instant passed the instance's absolute deadline
     /// (overload control): the engine aborted before placing further
-    /// phases. Distinct from [`FaultyOutcome::Failed`] — the work was
-    /// shed as stale, not exhausted.
+    /// phases. Distinct from `Failed` — the work was shed as stale, not
+    /// exhausted.
     DeadlineExceeded {
         /// The ready instant that crossed the deadline.
         at_ns: Nanos,
         /// Failed attempts absorbed before the abort.
         retries: u32,
     },
+}
+
+/// The per-instance inputs of [`run_compiled_at`].
+pub(crate) struct Instance<'a> {
+    /// Injected into every root.
+    pub payload: &'a Bytes,
+    /// When the roots become ready, on the resources' timescale.
+    pub release_ns: Nanos,
+    /// The node of every function, indexed by DAG node: edges go through
+    /// [`DataPlane::transfer_placed`] with both endpoints given. `None`
+    /// asks the plane by name per edge ([`DataPlane::placement`]) and
+    /// transfers without overrides.
+    pub placement: Option<&'a [usize]>,
+    /// `Some`: edge attempts consult the outage schedule attached to the
+    /// resources, failed attempts re-run after the policy's backoff, and
+    /// an edge that exhausts its budget ends the run as
+    /// [`RunOutcome::Failed`]. `None` skips the fault pre-flight and —
+    /// absent an outage schedule — every `try_reserve_*` degrades to a
+    /// plain reservation, so the fault-free path is the exact schedule
+    /// the byte-identity gates pin.
+    pub faults: Option<&'a RetryPolicy>,
+    /// The load engine's control block: deadlines are checked at each
+    /// edge's ready instant *before* a new attempt is started, open
+    /// circuit breakers fail attempts fast (no transfer, no
+    /// reservations), and each retry must clear the (tenant, function,
+    /// node) token budget. `None` skips all three checks.
+    pub overload: Option<OverloadCtl<'a>>,
+}
+
+/// The working vectors of one [`run_compiled_at`] call. A caller that
+/// runs many instances keeps one and passes it every time: it is
+/// cleared, not reallocated.
+#[derive(Debug, Default)]
+pub(crate) struct RunScratch {
+    pending: Vec<usize>,
+    node_payload: Vec<Option<Bytes>>,
+    node_ready: Vec<Nanos>,
+    ready: EventQueue<usize>,
+}
+
+/// One completed edge, as [`run_compiled_at`] hands it to its
+/// [`EdgeSink`]: endpoints by DAG node index, everything else by value
+/// or borrowed, so a consumer that ignores it costs nothing.
+pub(crate) struct EdgeRecord<'a> {
+    pub from: usize,
+    pub to: usize,
+    /// Payload size in bytes.
+    pub bytes: usize,
+    pub timing: TransferTiming,
+    /// Where the edge's first nonzero phase was granted.
+    pub start_ns: Nanos,
+    pub finish_ns: Nanos,
+    /// The payload as the target received it.
+    pub received: &'a Bytes,
+}
+
+/// Who receives the per-edge records of a run, in completion order.
+pub(crate) trait EdgeSink {
+    fn edge(&mut self, dag: &WorkflowDag, record: EdgeRecord<'_>);
+}
+
+/// The consumer for callers that want only the [`RunOutcome`].
+pub(crate) struct NoEdges;
+
+impl EdgeSink for NoEdges {
+    #[inline]
+    fn edge(&mut self, _: &WorkflowDag, _: EdgeRecord<'_>) {}
+}
+
+/// Collects owned [`EdgeResult`]s — what the `execute_*` family returns.
+impl EdgeSink for Vec<EdgeResult> {
+    fn edge(&mut self, dag: &WorkflowDag, record: EdgeRecord<'_>) {
+        self.push(EdgeResult {
+            from: dag.node_name(record.from).to_owned(),
+            to: dag.node_name(record.to).to_owned(),
+            bytes: record.bytes,
+            latency_ns: record.timing.total_ns(),
+            start_ns: record.start_ns,
+            finish_ns: record.finish_ns,
+            received: record.received.clone(),
+        });
+    }
 }
 
 /// One edge attempt's scheduling result.
@@ -647,59 +735,49 @@ enum Attempt {
     DeadlineBlown { at: Nanos },
 }
 
-/// The shared engine behind [`execute_compiled_at`] (faults `None`) and
-/// the load engine (faults `Some` under a
-/// [`FailurePlan`](crate::loadgen::FailurePlan)). With `Some`, edge
-/// attempts consult the outage schedule attached to `resources`, failed
-/// attempts re-run after the policy's deterministic backoff, and an
-/// edge that exhausts its budget fails the instance with accounting
-/// ([`FaultyOutcome::Failed`]) instead of an opaque error. With `None`,
-/// the fault pre-flight is skipped and — absent an outage schedule —
-/// every `try_reserve_*` degrades to a plain reservation, so the
-/// fault-free path is the exact schedule the byte-identity gates pin.
-///
-/// `overload` threads the load engine's per-instance control block in:
-/// deadlines are checked at each edge's ready instant *before* a new
-/// attempt is started, open circuit breakers fail attempts fast (no
-/// transfer, no reservations), and each retry must clear the
-/// (tenant, function, node) token budget. `None` (every direct caller
-/// outside the overload-aware load engine) skips all three checks and
-/// leaves the schedule untouched.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn run_compiled_at(
+/// The one discrete-event engine: [`execute_compiled_at`] runs it by
+/// name with a collecting sink, the load engine by index with
+/// [`NoEdges`] and a per-lane [`RunScratch`]. Every edge really runs on
+/// `plane`; its prepare / transfer / consume phases are then placed on
+/// `resources`' timelines (see [`execute_concurrent`]), and each
+/// completed edge is handed to `sink`. See [`Instance`] for what the
+/// fault and overload inputs switch on.
+pub(crate) fn run_compiled_at<S: EdgeSink>(
     plane: &mut dyn DataPlane,
     clock: &VirtualClock,
     compiled: &CompiledWorkflow<'_>,
-    payload: Bytes,
     resources: &mut SchedResources,
-    release_ns: Nanos,
-    faults: Option<&RetryPolicy>,
-    mut overload: Option<OverloadCtl<'_>>,
-) -> Result<FaultyOutcome, PlatformError> {
+    instance: Instance<'_>,
+    scratch: &mut RunScratch,
+    sink: &mut S,
+) -> Result<RunOutcome, PlatformError> {
+    let Instance { payload, release_ns, placement, faults, mut overload } = instance;
     let dag = compiled.dag();
     let n = compiled.node_count();
-    let mut pending = compiled.in_degrees.clone();
-    let mut node_payload: Vec<Option<Bytes>> = vec![None; n];
-    let mut node_ready: Vec<Nanos> = vec![release_ns; n];
-    let mut queue = EventQueue::new();
+    debug_assert!(placement.is_none_or(|nodes| nodes.len() == n), "one node per function");
+    let RunScratch { pending, node_payload, node_ready, ready } = scratch;
+    pending.clear();
+    pending.extend_from_slice(&compiled.in_degrees);
+    node_payload.clear();
+    node_payload.resize(n, None);
+    node_ready.clear();
+    node_ready.resize(n, release_ns);
+    ready.clear();
     for &root in compiled.roots() {
         node_payload[root] = Some(payload.clone());
-        queue.push(release_ns, root);
+        ready.push(release_ns, root);
     }
-    let mut edges = Vec::with_capacity(compiled.edge_count());
     let mut makespan: Nanos = 0;
     let mut retries: u32 = 0;
-    while let Some((ready_ns, u)) = queue.pop() {
+    while let Some((ready_ns, u)) = ready.pop() {
         for &v in dag.successors(u) {
-            // One logical copy per transfer (satellite of ISSUE 5): the
-            // reference-counted handle given to the plane is the single
-            // per-edge copy; its length is read before the move.
-            let current =
-                node_payload[u].as_ref().expect("events fire after inputs exist").clone();
-            let bytes = current.len();
-            let (from, to) = (dag.node_name(u).to_owned(), dag.node_name(v).to_owned());
-            let src = plane.placement(&from).unwrap_or(0);
-            let dst = plane.placement(&to).unwrap_or(0);
+            let sending = node_payload[u].as_ref().expect("events fire after inputs exist");
+            let bytes = sending.len();
+            let (from, to) = (dag.node_name(u), dag.node_name(v));
+            let (src, dst) = match placement {
+                Some(nodes) => (nodes[u], nodes[v]),
+                None => (plane.placement(from).unwrap_or(0), plane.placement(to).unwrap_or(0)),
+            };
 
             let mut attempts: u32 = 0;
             let mut edge_ready = ready_ns;
@@ -730,9 +808,15 @@ pub(crate) fn run_compiled_at(
                             || (src != dst
                                 && resources.link_down_between_at(src, dst, edge_ready))));
                 if !blocked {
+                    // One logical copy per attempt: the reference-counted
+                    // handle given to the plane.
                     let t0 = clock.now();
-                    let (received, timing) =
-                        plane.transfer_detailed(&from, &to, current.clone())?;
+                    let (received, timing) = match placement {
+                        Some(_) => {
+                            plane.transfer_placed(from, to, sending.clone(), Some(src), Some(dst))?
+                        }
+                        None => plane.transfer_detailed(from, to, sending.clone())?,
+                    };
                     let measured = clock.now() - t0;
                     let timing = timing.unwrap_or(TransferTiming {
                         prepare_ns: 0,
@@ -804,40 +888,44 @@ pub(crate) fn run_compiled_at(
             match attempt {
                 Attempt::Done { received, timing, start, finish } => {
                     makespan = makespan.max(finish);
+                    sink.edge(
+                        dag,
+                        EdgeRecord {
+                            from: u,
+                            to: v,
+                            bytes,
+                            timing,
+                            start_ns: start,
+                            finish_ns: finish,
+                            received: &received,
+                        },
+                    );
+                    // A node's payload is the first delivery it receives.
                     if node_payload[v].is_none() {
-                        node_payload[v] = Some(received.clone());
+                        node_payload[v] = Some(received);
                     }
-                    edges.push(EdgeResult {
-                        from,
-                        to,
-                        bytes,
-                        latency_ns: timing.total_ns(),
-                        start_ns: start,
-                        finish_ns: finish,
-                        received,
-                    });
                     node_ready[v] = node_ready[v].max(finish);
                     pending[v] -= 1;
                     if pending[v] == 0 && !dag.successors(v).is_empty() {
-                        queue.push(node_ready[v], v);
+                        ready.push(node_ready[v], v);
                     }
                 }
                 Attempt::GaveUp { at } => {
-                    return Ok(FaultyOutcome::Failed {
-                        failure: EdgeFailure { from, to, attempts, failed_at_ns: at },
+                    return Ok(RunOutcome::Failed {
+                        from: u,
+                        to: v,
+                        attempts,
+                        failed_at_ns: at,
                         retries,
                     });
                 }
                 Attempt::DeadlineBlown { at } => {
-                    return Ok(FaultyOutcome::DeadlineExceeded { at_ns: at, retries });
+                    return Ok(RunOutcome::DeadlineExceeded { at_ns: at, retries });
                 }
             }
         }
     }
-    Ok(FaultyOutcome::Completed {
-        run: WorkflowRun { edges, total_latency_ns: makespan.saturating_sub(release_ns) },
-        retries,
-    })
+    Ok(RunOutcome::Completed { makespan_ns: makespan.saturating_sub(release_ns), retries })
 }
 
 pub(crate) fn fnv1a(data: &[u8]) -> u64 {
@@ -1385,6 +1473,37 @@ mod tests {
         }
     }
 
+    /// Runs the engine by name under `policy`, collecting its edges.
+    fn run_faulty(
+        plane: &mut dyn DataPlane,
+        clock: &VirtualClock,
+        compiled: &CompiledWorkflow<'_>,
+        payload: Bytes,
+        resources: &mut SchedResources,
+        release_ns: Nanos,
+        policy: &RetryPolicy,
+    ) -> (RunOutcome, Vec<EdgeResult>) {
+        let instance = Instance {
+            payload: &payload,
+            release_ns,
+            placement: None,
+            faults: Some(policy),
+            overload: None,
+        };
+        let mut edges = Vec::new();
+        let outcome = run_compiled_at(
+            plane,
+            clock,
+            compiled,
+            resources,
+            instance,
+            &mut RunScratch::default(),
+            &mut edges,
+        )
+        .unwrap();
+        (outcome, edges)
+    }
+
     #[test]
     fn backoff_is_exponential_and_capped() {
         let policy = RetryPolicy::new(10, 1_000, 5_000);
@@ -1443,23 +1562,14 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let outcome = run_compiled_at(
-            &mut plane,
-            &clock,
-            &compiled,
-            payload,
-            &mut res,
-            100,
-            Some(&RetryPolicy::default()),
-            None,
-        )
-        .unwrap();
-        let FaultyOutcome::Completed { run, retries } = outcome else {
-            panic!("fault-free resources cannot fail");
-        };
-        assert_eq!(retries, 0);
-        assert_eq!(run.total_latency_ns, plain.total_latency_ns);
-        for (a, b) in plain.edges.iter().zip(&run.edges) {
+        let (outcome, edges) =
+            run_faulty(&mut plane, &clock, &compiled, payload, &mut res, 100, &RetryPolicy::default());
+        assert_eq!(
+            outcome,
+            RunOutcome::Completed { makespan_ns: plain.total_latency_ns, retries: 0 }
+        );
+        assert_eq!(edges.len(), plain.edges.len());
+        for (a, b) in plain.edges.iter().zip(&edges) {
             assert_eq!(
                 (a.start_ns, a.finish_ns, a.checksum()),
                 (b.start_ns, b.finish_ns, b.checksum())
@@ -1485,23 +1595,12 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 0, 2_500),
         ));
         let policy = RetryPolicy::new(4, 1_000, 1 << 40);
-        let outcome = run_compiled_at(
-            &mut plane,
-            &clock,
-            &compiled,
-            Bytes::from_static(b"x"),
-            &mut res,
-            0,
-            Some(&policy),
-            None,
-        )
-        .unwrap();
-        let FaultyOutcome::Completed { run, retries } = outcome else {
-            panic!("the flap ends before the budget does");
-        };
-        assert_eq!(retries, 2);
-        assert_eq!(run.edges[0].start_ns, 3_000);
-        assert_eq!(run.edges[0].finish_ns, 4_000);
+        let (outcome, edges) =
+            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+        // The flap ends before the budget does.
+        assert_eq!(outcome, RunOutcome::Completed { makespan_ns: 4_000, retries: 2 });
+        assert_eq!(edges[0].start_ns, 3_000);
+        assert_eq!(edges[0].finish_ns, 4_000);
     }
 
     #[test]
@@ -1518,25 +1617,15 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().node_killed(dead, 0),
         ));
         let policy = RetryPolicy::new(3, 1_000, 1 << 40);
-        let outcome = run_compiled_at(
-            &mut plane,
-            &clock,
-            &compiled,
-            Bytes::from_static(b"x"),
-            &mut res,
-            0,
-            Some(&policy),
-            None,
-        )
-        .unwrap();
-        let FaultyOutcome::Failed { failure, retries } = outcome else {
-            panic!("a dead target cannot complete");
-        };
-        assert_eq!((failure.from.as_str(), failure.to.as_str()), ("src", "dst"));
-        assert_eq!(failure.attempts, 3);
-        assert_eq!(retries, 2);
-        // Backoffs 1 µs then 2 µs: the engine gave up at t = 3 µs.
-        assert_eq!(failure.failed_at_ns, 3_000);
+        let (outcome, edges) =
+            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+        // A dead target cannot complete. Backoffs 1 µs then 2 µs: the
+        // engine gave up on src → dst at t = 3 µs.
+        assert_eq!(
+            outcome,
+            RunOutcome::Failed { from: 0, to: 1, attempts: 3, failed_at_ns: 3_000, retries: 2 }
+        );
+        assert!(edges.is_empty());
         // Nothing was reserved: the pre-flight rejected every attempt.
         assert_eq!(res.cpu(0).reserved_ns(), 0);
         assert_eq!(res.cpu(1).reserved_ns(), 0);
@@ -1620,24 +1709,13 @@ mod tests {
             roadrunner_vkernel::OutageSchedule::new().link_down(id0, id1, 500, 4_000),
         ));
         let policy = RetryPolicy::new(2, 4_000, 4_000);
-        let outcome = run_compiled_at(
-            &mut plane,
-            &clock,
-            &compiled,
-            Bytes::from_static(b"x"),
-            &mut res,
-            0,
-            Some(&policy),
-            None,
-        )
-        .unwrap();
-        let FaultyOutcome::Completed { run, retries } = outcome else {
-            panic!("the retry lands after the window");
-        };
-        assert_eq!(retries, 1);
-        // Attempt 2 at t=4_000 runs clean; the wasted prepare from
-        // attempt 1 stays on node 0's CPU (2 × 1_000 prepare total).
-        assert_eq!(run.edges[0].finish_ns, 7_000);
+        let (outcome, edges) =
+            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+        // The retry lands after the window: attempt 2 at t=4_000 runs
+        // clean; the wasted prepare from attempt 1 stays on node 0's CPU
+        // (2 × 1_000 prepare total).
+        assert_eq!(outcome, RunOutcome::Completed { makespan_ns: 7_000, retries: 1 });
+        assert_eq!(edges[0].finish_ns, 7_000);
         assert_eq!(res.cpu(0).reserved_ns(), 2_000);
     }
 }

@@ -94,7 +94,9 @@ impl Timeline {
 
     /// Reserves one lane for `duration` starting no earlier than
     /// `earliest`; returns the granted start time. A zero-duration
-    /// reservation never blocks and never occupies a lane.
+    /// reservation never blocks and never occupies a lane. A reservation
+    /// that would run past the end of virtual time holds its lane until
+    /// `Nanos::MAX` instead of overflowing.
     pub fn reserve(&mut self, earliest: Nanos, duration: Nanos) -> Nanos {
         if duration == 0 {
             return earliest;
@@ -103,10 +105,10 @@ impl Timeline {
         // earliest feasible start (lanes are homogeneous).
         let Reverse(free) = self.lanes.pop().expect("capacity checked at construction");
         let start = free.max(earliest);
-        let until = start + duration;
+        let until = start.saturating_add(duration);
         self.lanes.push(Reverse(until));
         self.latest = self.latest.max(until);
-        self.reserved += duration;
+        self.reserved = self.reserved.saturating_add(duration);
         start
     }
 
@@ -238,6 +240,13 @@ impl<T> EventQueue<T> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Drops every queued event and restarts the insertion order,
+    /// keeping the allocation: a cleared queue behaves like a new one.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
     }
 }
 
@@ -935,6 +944,21 @@ mod tests {
     }
 
     #[test]
+    fn reservations_at_the_end_of_virtual_time_saturate() {
+        // Runs under the CI `overflow-checks` release pass too: neither
+        // the lane's free time nor the busy total may wrap or abort.
+        let mut cpu = Timeline::new("cpu", 1);
+        assert_eq!(cpu.reserve(Nanos::MAX - 1, 10), Nanos::MAX - 1);
+        assert_eq!(cpu.busy_until(), Nanos::MAX);
+        assert_eq!(cpu.reserved_ns(), 10);
+        // The lane is held to the end of time; a later caller is granted
+        // that instant, and the busy total pins instead of wrapping.
+        assert_eq!(cpu.reserve(0, Nanos::MAX), Nanos::MAX);
+        assert_eq!(cpu.free_at(), Nanos::MAX);
+        assert_eq!(cpu.reserved_ns(), Nanos::MAX);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_capacity_panics() {
         Timeline::new("bad", 0);
@@ -962,6 +986,11 @@ mod tests {
         assert_eq!(q.peek_time(), Some(3));
         q.pop();
         assert_eq!(q.peek_time(), Some(7));
+        q.clear();
+        assert!(q.is_empty());
+        // Insertion order restarts with the queue.
+        q.push(5, ());
+        assert_eq!(q.pop(), Some((5, ())));
     }
 
     #[test]

@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# Every figure / bench gate CI enforces, as one script that runs the
+# same locally: `scripts/gates.sh [OUT_DIR]` (default: a fresh temp dir;
+# outputs are kept there for inspection). Runs *every* gate, prints one
+# PASS/FAIL line each — a FAIL names the gate and shows the first
+# differing line (or the tail of the failing binary's stderr) — and
+# exits 1 if any failed.
+#
+# Gates, by name:
+#   run:<output>          the binary exited 0 (each asserts its own
+#                         claims internally: fig11 critical-path bounds,
+#                         fig12 contention ordering, fig13 autoscaled p95,
+#                         fig14 self-healing, fig15 / fig16 pool and
+#                         overload ratios, bench_engine / bench_wasm)
+#   memo:fig1{2,3,4}      memoized output == --no-memo output
+#   sweep:fig1{2,3}:*     default sweep == --serial == --workers 2
+#   serial:fig1{4,5,6}    default sweep == --serial
+#   pass:BENCH_*.json     the committed full-run gate block says pass
+#   reference:fig1{2..6}  --quick output == crates/bench/reference/*.json
+#
+# Known red since before PR 12, unchanged by PR 20, not weakened or
+# skipped here (see crates/platform/src/memo.rs "Soundness contract" and
+# the two ignored tests in tests/memo_properties.rs):
+#   memo:fig12  `spread` roadrunner rows — per-function placement makes
+#               the memo (a) replay the one-off TCP connection
+#               establishment recorded on a shim pair's first network
+#               edge, and (b) re-inject the payload when a miss follows a
+#               hit. Whole-instance placements (every other row) agree.
+#   memo:fig14  `link_flap` / `kill_fixed` rows, same two causes (the
+#               health epoch forces re-recording, instances abort
+#               mid-flight). CI did not diff fig14 before this script;
+#               it is listed so the fix has a gate to turn green.
+#   run:bench_engine  its wall-clock `closed_loop_speedup >= 5x` assert
+#               (≈ 4x on a 2-core VM since PRs 12–15 sped up the
+#               unmemoized side); the virtual-time signature asserts
+#               that run first pass.
+set -u
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=${1:-$(mktemp -d "${TMPDIR:-/tmp}/roadrunner-gates.XXXXXX")}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+cd "$root" || exit 2
+
+cargo build --release --offline -p roadrunner-bench --bins || exit 2
+bin=${CARGO_TARGET_DIR:-$root/target}/release
+
+failed=()
+pass() { echo "PASS  $1"; }
+fail() {
+    echo "FAIL  $1"
+    [ -n "${2:-}" ] && printf '%s\n' "$2" | sed 's/^/      /'
+    failed+=("$1")
+}
+
+# produce OUTPUT BINARY [ARGS..]: stdout to $out/OUTPUT.json, run from
+# $out so bench_engine / bench_wasm write their BENCH_*.json there and
+# not over the committed ones.
+produce() {
+    local name=$1 exe=$2
+    shift 2
+    if (cd "$out" && "$bin/$exe" "$@" > "$name.json" 2> "$name.err"); then
+        pass "run:$name"
+    else
+        fail "run:$name" \
+            "$(grep -m1 -A2 'panicked at' "$out/$name.err" || tail -n 4 "$out/$name.err")"
+    fi
+}
+
+# same GATE A B: byte identity; on failure the first differing line of
+# each side.
+same() {
+    if cmp -s "$2" "$3"; then
+        pass "$1"
+    else
+        fail "$1" "$(diff "$2" "$3" | head -n 4)"
+    fi
+}
+
+produce fig11 fig11_dag --quick
+
+for fig in fig12_load fig13_elastic fig14_failures fig15_coldstart fig16_overload; do
+    n=${fig%%_*}
+    produce "$n" "$fig" --quick
+    produce "$n.serial" "$fig" --quick --serial
+done
+for fig in fig12_load fig13_elastic fig14_failures; do
+    n=${fig%%_*}
+    produce "$n.plain" "$fig" --quick --no-memo
+    same "memo:$n" "$out/$n.json" "$out/$n.plain.json"
+done
+for fig in fig12_load fig13_elastic; do
+    n=${fig%%_*}
+    produce "$n.w2" "$fig" --quick --workers 2
+    same "sweep:$n:serial" "$out/$n.json" "$out/$n.serial.json"
+    same "sweep:$n:workers2" "$out/$n.json" "$out/$n.w2.json"
+done
+for n in fig14 fig15 fig16; do
+    same "serial:$n" "$out/$n.json" "$out/$n.serial.json"
+done
+
+# The committed full-run documents carry their own verdict.
+for doc in BENCH_coldstart.json BENCH_overload.json; do
+    if grep -q '"pass": true' "$doc"; then
+        pass "pass:$doc"
+    else
+        fail "pass:$doc" "$(grep -n '"pass"' "$doc" | head -n 3)"
+    fi
+done
+
+# After every bench above, so nothing they write can slip past it.
+for n in fig12 fig13 fig14 fig15 fig16; do
+    same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
+done
+
+produce bench_engine bench_engine --quick
+produce bench_wasm bench_wasm --quick
+
+echo
+if [ ${#failed[@]} -eq 0 ]; then
+    echo "all gates pass (outputs in $out)"
+else
+    echo "${#failed[@]} gate(s) failed: ${failed[*]} (outputs in $out)"
+    exit 1
+fi

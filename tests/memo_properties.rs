@@ -252,3 +252,96 @@ proptest! {
         prop_assert_eq!(memo.bypasses(), 0);
     }
 }
+
+// ---------------------------------------------------------------------
+// What the memo is *not* sound for: per-function placement.
+//
+// The load engine hands every edge its instance's placement, so one
+// deployed edge is keyed (and recorded) once per distinct (src, dst)
+// pair it ever runs under. Two things the real plane's outcome depends
+// on are not in that key. Both tests below assert memo ≡ plain at the
+// `DataPlane` level on the deployment `cluster_load` and fig12–fig14
+// use, and both are red; `memo.rs`'s soundness contract names them.
+
+/// The warmed src → relay → sink pipeline the load figures drive: all
+/// three functions deployed on node 0 of a four-node cluster, one
+/// discarded warm-up instance (which warms the *deployment's* modes only).
+fn warmed_pipeline() -> (roadrunner::RoadrunnerPlane, VirtualClock, Bytes) {
+    use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
+    use roadrunner_platform::{execute, FunctionBundle};
+
+    let bed = Arc::new(roadrunner_vkernel::ClusterSpec::homogeneous(4, 4, 8 << 30).build());
+    let clock = bed.clock().clone();
+    let mut plane = RoadrunnerPlane::new(bed, ShimConfig::default().with_load_costs(false));
+    for (name, module, handler, acks) in [
+        ("src", guest::producer(), "produce", false),
+        ("relay", guest::relay(), "relay", false),
+        ("sink", guest::consumer(), "consume", true),
+    ] {
+        let bundle = FunctionBundle::wasm(name, roadrunner_wasm::encode::encode(&module))
+            .with_workflow("memo-placed")
+            .with_tenant("t");
+        plane.deploy(0, name, Arc::new(bundle), handler, acks).unwrap();
+    }
+    let payload = Payload::synthetic(PayloadKind::ImageFrame, 1, 256_000).flat().clone();
+    let spec = WorkflowSpec::sequence(
+        "pipeline",
+        "t",
+        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
+    );
+    execute(&mut plane, &clock, &spec, payload.clone()).unwrap();
+    (plane, clock, payload)
+}
+
+/// Runs one pipeline instance per `[src, relay, sink]` placement through
+/// `transfer_placed`, as the load engine does, and returns every edge's
+/// timing in order.
+fn placed_timings(
+    plane: &mut dyn DataPlane,
+    payload: &Bytes,
+    placements: &[[usize; 3]],
+) -> Vec<TransferTiming> {
+    let mut timings = Vec::new();
+    for &[src, relay, sink] in placements {
+        let (relayed, timing) =
+            plane.transfer_placed("src", "relay", payload.clone(), Some(src), Some(relay)).unwrap();
+        timings.push(timing.unwrap());
+        let (_, timing) =
+            plane.transfer_placed("relay", "sink", relayed, Some(relay), Some(sink)).unwrap();
+        timings.push(timing.unwrap());
+    }
+    timings
+}
+
+/// Memo vs plain over the same placement sequence on two identically
+/// warmed deployments.
+fn assert_memo_matches_plain_under(placements: &[[usize; 3]]) {
+    let (mut plane, _, payload) = warmed_pipeline();
+    let plain = placed_timings(&mut plane, &payload, placements);
+    let (mut plane, clock, payload) = warmed_pipeline();
+    let mut memo = MemoizedPlane::new(&mut plane, clock);
+    let memoized = placed_timings(&mut memo, &payload, placements);
+    assert_eq!(memo.bypasses(), 0);
+    assert_eq!(plain, memoized, "edge timings, plain vs memoized, under {placements:?}");
+}
+
+#[test]
+#[ignore = "memo unsound under per-function placement: the entry recorded on a shim pair's first network edge contains the one-off connection establishment and replays it forever"]
+fn memo_matches_plain_when_an_instance_crosses_nodes_twice() {
+    // Two instances under one cross-node placement. Plain: the first
+    // src → relay establishes the TCP connection (1 001 400 ns inside
+    // `transfer_ns`), the second reuses it. Memoized: the second is a
+    // replay of the first, establishment included.
+    assert_memo_matches_plain_under(&[[0, 1, 1], [0, 1, 1]]);
+}
+
+#[test]
+#[ignore = "memo unsound under per-function placement: a miss downstream of a hit finds no pending outbox in the wrapped plane and re-injects the payload"]
+fn memo_matches_plain_when_only_the_second_edge_moves() {
+    // The second instance keeps src → relay where it was (a hit: the
+    // wrapped plane does not run, so `relay` holds no outbox) and moves
+    // `sink` (a miss: the wrapped plane finds nothing to send, delivers
+    // the payload to `relay` and runs its handler first — a `prepare_ns`
+    // the plain run, whose relay really relayed, never pays).
+    assert_memo_matches_plain_under(&[[0, 0, 0], [0, 0, 1]]);
+}
