@@ -21,8 +21,8 @@
 //! [`DataPlane::transfer_placed`](crate::workflow::DataPlane::transfer_placed),
 //! so the plane derives each edge's mode from the *instance's*
 //! placement, not the deployment's static colocation. The engine asks
-//! for no per-edge records ([`NoEdges`]) and lends each lane's
-//! [`RunScratch`], so steady state allocates nothing per edge.
+//! for no per-edge records and lends each lane's [`RunScratch`], so
+//! steady state allocates nothing per edge.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ use super::{Admission, Cluster, Controls, Load};
 use crate::error::PlatformError;
 use crate::overload::{OverloadConfig, OverloadCtl, OverloadState, QueueConfig, ShedPolicy};
 use crate::workflow::{
-    run_compiled_at, CompiledWorkflow, Instance, NoEdges, RunOutcome, RunScratch, WorkflowSpec,
+    run_compiled_at, CompiledWorkflow, Instance, RunOutcome, RunScratch, WorkflowSpec,
 };
 
 /// Engine events: an instance arriving for admission, one completing
@@ -192,12 +192,12 @@ impl<'a> Engine<'a> {
             cpu0: resources.cpu_reserved().0,
             link0: resources.link_reserved().0,
         };
-        let seeded = Self::arm(&admission, controls.failures, cluster.resources);
         // Closed loop: the seeded arrivals count against `instances`.
         let admitted = match admission {
             Admission::Closed { users, instances, .. } => users.min(instances),
             _ => 0,
         };
+        let seeded = Self::arm(&admission, admitted, controls.failures, cluster.resources);
         Ok(Self {
             cluster,
             autoscaler: controls.autoscaler,
@@ -222,9 +222,11 @@ impl<'a> Engine<'a> {
     /// rejecting reservations inside down windows) and lists the events
     /// known before the run starts, in insertion order: kill removals
     /// first, so at equal times the control plane acts before any
-    /// arrival (FIFO among equals), then the arrivals.
+    /// arrival (FIFO among equals), then the arrivals — for a closed
+    /// loop, one per user already counted in `admitted`.
     fn arm(
         admission: &Admission,
+        admitted: usize,
         failures: Option<&FailurePlan>,
         resources: &mut SchedResources,
     ) -> Vec<(Nanos, LoadEvent)> {
@@ -245,8 +247,8 @@ impl<'a> Engine<'a> {
                         .map(|(user, &at)| (at, LoadEvent::Arrival { tenant: 0, user })),
                 );
             }
-            Admission::Closed { users, ramp_ns, instances, .. } => {
-                seeded.extend((0..(*users).min(*instances)).filter_map(|user| {
+            Admission::Closed { ramp_ns, .. } => {
+                seeded.extend((0..admitted).filter_map(|user| {
                     closed_arrival((user as Nanos).saturating_mul(*ramp_ns), user)
                 }));
             }
@@ -546,7 +548,7 @@ impl<'a> Engine<'a> {
             resources,
             instance,
             &mut lane.scratch,
-            &mut NoEdges,
+            None,
         )?;
         let stats = &mut self.stats[tenant];
         let (finish, failed, deadline_exceeded, retries) = match outcome {

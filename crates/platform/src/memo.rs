@@ -25,8 +25,8 @@
 //! fingerprint, epoch), one probe of a map that uses that key as its
 //! hash, a full-key comparison — a colliding entry is bypassed, never
 //! replayed — a clock advance and a reference-count bump. The payload is
-//! fingerprinted once per distinct buffer, and not looked up at all when
-//! it is the buffer seen last.
+//! fingerprinted once per distinct buffer; later uses find the
+//! fingerprint by the buffer's address and length in a word-hashed map.
 //!
 //! # Soundness contract
 //!
@@ -185,9 +185,6 @@ pub struct MemoizedPlane<'a> {
     /// Keyed by [`EdgeKey::mixed`], which is already a finished hash.
     entries: HashMap<u64, MemoEntry, PremixedBuild>,
     fingerprints: HashMap<(usize, usize), u64, WordBuild>,
-    /// The buffer fingerprinted last, with its fingerprint: a load run
-    /// hands the same payload to every edge, so most lookups end here.
-    last_fingerprint: Option<((usize, usize), u64)>,
     pinned: Vec<Bytes>,
     /// Link-health epoch mixed into every key: bumped by the load
     /// engines on each outage transition, so recordings made while a
@@ -219,7 +216,6 @@ impl<'a> MemoizedPlane<'a> {
             clock,
             entries: HashMap::default(),
             fingerprints: HashMap::default(),
-            last_fingerprint: None,
             pinned: Vec::new(),
             health_epoch: 0,
             hits: 0,
@@ -259,7 +255,6 @@ impl<'a> MemoizedPlane<'a> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.fingerprints.clear();
-        self.last_fingerprint = None;
         self.pinned.clear();
     }
 
@@ -271,21 +266,12 @@ impl<'a> MemoizedPlane<'a> {
             return fnv1a(&[]);
         }
         let key = (payload.as_ref().as_ptr() as usize, payload.len());
-        if let Some((last, fp)) = self.last_fingerprint {
-            if last == key {
-                return fp;
-            }
+        if let Some(&fp) = self.fingerprints.get(&key) {
+            return fp;
         }
-        let fp = match self.fingerprints.get(&key) {
-            Some(&fp) => fp,
-            None => {
-                let fp = fnv1a(payload);
-                self.fingerprints.insert(key, fp);
-                self.pinned.push(payload.clone());
-                fp
-            }
-        };
-        self.last_fingerprint = Some((key, fp));
+        let fp = fnv1a(payload);
+        self.fingerprints.insert(key, fp);
+        self.pinned.push(payload.clone());
         fp
     }
 }

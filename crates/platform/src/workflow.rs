@@ -540,7 +540,7 @@ pub fn execute_compiled_at(
         resources,
         instance,
         &mut RunScratch::default(),
-        &mut edges,
+        Some(&mut edges),
     )?;
     let name = |node| compiled.dag().node_name(node);
     match outcome {
@@ -684,50 +684,6 @@ pub(crate) struct RunScratch {
     ready: EventQueue<usize>,
 }
 
-/// One completed edge, as [`run_compiled_at`] hands it to its
-/// [`EdgeSink`]: endpoints by DAG node index, everything else by value
-/// or borrowed, so a consumer that ignores it costs nothing.
-pub(crate) struct EdgeRecord<'a> {
-    pub from: usize,
-    pub to: usize,
-    /// Payload size in bytes.
-    pub bytes: usize,
-    pub timing: TransferTiming,
-    /// Where the edge's first nonzero phase was granted.
-    pub start_ns: Nanos,
-    pub finish_ns: Nanos,
-    /// The payload as the target received it.
-    pub received: &'a Bytes,
-}
-
-/// Who receives the per-edge records of a run, in completion order.
-pub(crate) trait EdgeSink {
-    fn edge(&mut self, dag: &WorkflowDag, record: EdgeRecord<'_>);
-}
-
-/// The consumer for callers that want only the [`RunOutcome`].
-pub(crate) struct NoEdges;
-
-impl EdgeSink for NoEdges {
-    #[inline]
-    fn edge(&mut self, _: &WorkflowDag, _: EdgeRecord<'_>) {}
-}
-
-/// Collects owned [`EdgeResult`]s — what the `execute_*` family returns.
-impl EdgeSink for Vec<EdgeResult> {
-    fn edge(&mut self, dag: &WorkflowDag, record: EdgeRecord<'_>) {
-        self.push(EdgeResult {
-            from: dag.node_name(record.from).to_owned(),
-            to: dag.node_name(record.to).to_owned(),
-            bytes: record.bytes,
-            latency_ns: record.timing.total_ns(),
-            start_ns: record.start_ns,
-            finish_ns: record.finish_ns,
-            received: record.received.clone(),
-        });
-    }
-}
-
 /// One edge attempt's scheduling result.
 enum Attempt {
     Done { received: Bytes, timing: TransferTiming, start: Nanos, finish: Nanos },
@@ -736,20 +692,21 @@ enum Attempt {
 }
 
 /// The one discrete-event engine: [`execute_compiled_at`] runs it by
-/// name with a collecting sink, the load engine by index with
-/// [`NoEdges`] and a per-lane [`RunScratch`]. Every edge really runs on
+/// name and collects every edge, the load engine by index with no
+/// `edges` and a per-lane [`RunScratch`]. Every edge really runs on
 /// `plane`; its prepare / transfer / consume phases are then placed on
 /// `resources`' timelines (see [`execute_concurrent`]), and each
-/// completed edge is handed to `sink`. See [`Instance`] for what the
+/// completed edge is pushed onto `edges` when the caller passed one —
+/// `None` builds no [`EdgeResult`] at all. See [`Instance`] for what the
 /// fault and overload inputs switch on.
-pub(crate) fn run_compiled_at<S: EdgeSink>(
+pub(crate) fn run_compiled_at(
     plane: &mut dyn DataPlane,
     clock: &VirtualClock,
     compiled: &CompiledWorkflow<'_>,
     resources: &mut SchedResources,
     instance: Instance<'_>,
     scratch: &mut RunScratch,
-    sink: &mut S,
+    mut edges: Option<&mut Vec<EdgeResult>>,
 ) -> Result<RunOutcome, PlatformError> {
     let Instance { payload, release_ns, placement, faults, mut overload } = instance;
     let dag = compiled.dag();
@@ -888,18 +845,17 @@ pub(crate) fn run_compiled_at<S: EdgeSink>(
             match attempt {
                 Attempt::Done { received, timing, start, finish } => {
                     makespan = makespan.max(finish);
-                    sink.edge(
-                        dag,
-                        EdgeRecord {
-                            from: u,
-                            to: v,
+                    if let Some(edges) = edges.as_deref_mut() {
+                        edges.push(EdgeResult {
+                            from: from.to_owned(),
+                            to: to.to_owned(),
                             bytes,
-                            timing,
+                            latency_ns: timing.total_ns(),
                             start_ns: start,
                             finish_ns: finish,
-                            received: &received,
-                        },
-                    );
+                            received: received.clone(),
+                        });
+                    }
                     // A node's payload is the first delivery it receives.
                     if node_payload[v].is_none() {
                         node_payload[v] = Some(received);
@@ -1498,7 +1454,7 @@ mod tests {
             resources,
             instance,
             &mut RunScratch::default(),
-            &mut edges,
+            Some(&mut edges),
         )
         .unwrap();
         (outcome, edges)
