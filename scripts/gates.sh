@@ -16,7 +16,7 @@
 #   sweep:fig1{2,3}:*     default sweep == --serial == --workers 2
 #   serial:fig1{4,5,6}    default sweep == --serial
 #   pass:BENCH_*.json     the committed full-run gate block says pass
-#   reference:fig1{2..6}  --quick output == crates/bench/reference/*.json
+#   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
 #
 # Known red since before PR 12, unchanged by PR 20, not weakened or
 # skipped here (see crates/platform/src/memo.rs "Soundness contract" and
@@ -107,7 +107,7 @@ for doc in BENCH_coldstart.json BENCH_overload.json; do
 done
 
 # After every bench above, so nothing they write can slip past it.
-for n in fig12 fig13 fig14 fig15 fig16; do
+for n in fig11 fig12 fig13 fig14 fig15 fig16; do
     same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
 done
 
