@@ -96,14 +96,6 @@ pub fn container_restore_ns(cost: &CostModel, checkpoint_bytes: u64) -> Nanos {
         + 16 * cost.syscall_ns
 }
 
-/// Both tiers for a Wasm function with the given binary size.
-pub fn wasm_tiers(cost: &CostModel, binary_bytes: u64) -> ColdStartTiers {
-    ColdStartTiers {
-        full_ns: wasm_cold_ns(cost, binary_bytes),
-        restore_ns: wasm_snapshot_restore_ns(cost, binary_bytes),
-    }
-}
-
 /// Both tiers for a container with the given image size. The checkpoint
 /// a restore copies is the *resident* state, far smaller than the
 /// on-disk image — modeled as a quarter of it (compressed layers,
@@ -237,13 +229,12 @@ mod tests {
     #[test]
     fn restore_tier_is_far_below_full_build_for_both_systems() {
         let cost = CostModel::paper_testbed();
-        let wasm = wasm_tiers(&cost, PAPER_WASM_HELLO_BYTES);
+        let wasm_full = wasm_cold_ns(&cost, PAPER_WASM_HELLO_BYTES);
+        let wasm_restore = wasm_snapshot_restore_ns(&cost, PAPER_WASM_HELLO_BYTES);
         let cont = container_tiers(&cost, CONTAINER_IMAGE_BYTES);
         assert!(
-            wasm.restore_ns * 100 < wasm.full_ns,
-            "wasm restore {} vs full {}",
-            wasm.restore_ns,
-            wasm.full_ns
+            wasm_restore * 100 < wasm_full,
+            "wasm restore {wasm_restore} vs full {wasm_full}"
         );
         assert!(
             cont.restore_ns * 100 < cont.full_ns,

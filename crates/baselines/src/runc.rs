@@ -170,17 +170,16 @@ impl RuncPair {
 /// Workflow-engine integration: the pair carries any edge of the DAG
 /// (its two containers stand in for whichever functions the edge names),
 /// wrapping the raw bytes as an opaque payload that the HTTP path must
-/// serialize and deserialize like any other value.
+/// serialize and deserialize like any other value. There is one HTTP
+/// path whatever the placement, so the instance's nodes are not read.
 impl DataPlane for RuncPair {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
         _from: &str,
         _to: &str,
         payload: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let outcome = RuncPair::transfer(self, &Payload::opaque(payload))?;
         let timing = outcome.timing();
@@ -279,7 +278,7 @@ mod tests {
         let mut pair = RuncPair::establish(Arc::clone(&bed), 0, 1);
         let payload = Bytes::from(vec![0xABu8; 50_000]);
         let (received, timing) =
-            DataPlane::transfer_detailed(&mut pair, "a", "b", payload.clone()).unwrap();
+            pair.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
         let timing = timing.expect("baselines attribute every edge");
         assert!(timing.prepare_ns > 0, "serialization charged to prepare");

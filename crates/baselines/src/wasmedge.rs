@@ -304,17 +304,16 @@ impl WasmedgePair {
 
 /// Workflow-engine integration: the pair carries any edge of the DAG,
 /// paying the full in-VM serialize → WASI-chunk stream → deserialize
-/// path on the edge's raw bytes.
+/// path on the edge's raw bytes, whatever nodes the instance was placed
+/// on.
 impl DataPlane for WasmedgePair {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
         _from: &str,
         _to: &str,
         payload: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let outcome = WasmedgePair::transfer(self, &Payload::opaque(payload))?;
         let timing = outcome.timing();
@@ -424,7 +423,7 @@ mod tests {
         let mut pair = WasmedgePair::establish(Arc::clone(&bed), 0, 0);
         let payload = Bytes::from(vec![0xCDu8; 40_000]);
         let (received, timing) =
-            DataPlane::transfer_detailed(&mut pair, "a", "b", payload.clone()).unwrap();
+            pair.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
         let timing = timing.expect("baselines attribute every edge");
         // In-VM serialization dominates the prepare phase.

@@ -1,10 +1,10 @@
-//! Engine-throughput benchmark — the wall-clock trajectory gate.
+//! Engine-throughput benchmark — the wall-clock trajectory record.
 //!
 //! Every other binary in this crate measures *virtual* time. This one
 //! measures the **host wall-clock cost of the simulation engine itself**:
 //! how many workflow instances per second of real time the stack pushes
 //! through, and how many nanoseconds each engine event costs. It runs
-//! four scenarios over the Roadrunner plane (three-function pipeline,
+//! five scenarios over the Roadrunner plane (three-function pipeline,
 //! co-located deployment, fig12/fig13-style cluster):
 //!
 //! * `serial` — back-to-back [`execute`] runs (the paper-figure path);
@@ -17,10 +17,9 @@
 //! * `parallel` — a multi-seed grid of independent open-loop jobs run
 //!   serially vs on the `platform::sweep` worker pool (4 workers),
 //!   recording threads, speedup and scaling efficiency. Results are
-//!   asserted identical between the two orders; on a host with ≥ 4
-//!   cores the pool must deliver **≥ 2×** wall-clock speedup — the
-//!   scale-across-cores gate (skipped, but still measured and
-//!   recorded, on smaller hosts).
+//!   asserted identical between the two orders; on a host with fewer
+//!   cores than workers the row measures pool overhead, not scaling
+//!   (`measures_scaling: false`).
 //!
 //! Each scenario is measured twice **in the same run**. For `serial`
 //! and `concurrent` the baseline is the legacy per-call entry points
@@ -32,8 +31,10 @@
 //! transfer memo (the dominant factor; the engine-level rework's effect
 //! shows in the serial/concurrent rows). Virtual-time outputs are
 //! asserted identical between the two — the optimizations may only
-//! change wall-clock — and the closed-loop sweep must show **≥ 5×
-//! instances/sec**, the regression gate future PRs are judged against.
+//! change wall-clock. That is everything the binary asserts: both
+//! wall-clock ratios (`closed_loop_speedup`, `parallel_speedup`) are
+//! reported, not gated — a ratio of two host timings moves whenever
+//! either side is optimized, and with the host.
 //!
 //! Emits `BENCH_engine.json` (written to the working directory) and the
 //! same JSON on stdout.
@@ -305,11 +306,6 @@ fn main() {
 
     let closed = scenarios.last().expect("closed loop measured");
     let closed_speedup = closed.speedup();
-    assert!(
-        closed_speedup >= 5.0,
-        "optimization gate: closed-loop sweep must run >= 5x instances/sec \
-         (measured {closed_speedup:.2}x)"
-    );
 
     let mut rows: Vec<String> = scenarios.iter().map(Scenario::json).collect();
 
@@ -368,21 +364,13 @@ fn main() {
         // Scaling efficiency normalizes by the workers that can actually
         // run concurrently on this host.
         let efficiency = speedup / threads.min(cores) as f64;
-        if cores >= threads {
-            assert!(
-                speedup >= 2.0,
-                "scale-out gate: {threads}-worker sweep must run >= 2x instances/sec \
-                 on a {cores}-core host (measured {speedup:.2}x)"
-            );
-        }
-        // Record whether the >= 2x gate actually applied: on a host
-        // with fewer cores than workers the row measures pool overhead,
-        // not scaling, and a sub-1x "speedup" there is expected.
+        // On a host with fewer cores than workers the row measures pool
+        // overhead, not scaling, and a sub-1x "speedup" is expected.
         let row = format!(
             concat!(
                 "    {{\"scenario\": \"parallel\", \"baseline\": {}, \"optimized\": {}, ",
                 "\"speedup\": {:.2}, \"threads\": {}, \"cores_available\": {}, ",
-                "\"scaling_efficiency\": {:.2}, \"gate_active\": {}, \"note\": \"{}\"}}"
+                "\"scaling_efficiency\": {:.2}, \"measures_scaling\": {}}}"
             ),
             scenario.baseline.json(),
             scenario.optimized.json(),
@@ -391,11 +379,6 @@ fn main() {
             cores,
             efficiency,
             cores >= threads,
-            if cores >= threads {
-                "gate enforced: >= 2x over serial required"
-            } else {
-                "gate skipped: fewer cores than workers, row measures pool overhead only"
-            },
         );
         (speedup, row)
     };

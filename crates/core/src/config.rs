@@ -35,12 +35,6 @@ impl ShimConfig {
         self.charge_load_costs = charge;
         self
     }
-
-    /// Overrides the transfer chunk size.
-    pub fn with_io_chunk(mut self, bytes: usize) -> Self {
-        self.io_chunk_bytes = Some(bytes);
-        self
-    }
 }
 
 impl Default for ShimConfig {
@@ -68,10 +62,8 @@ mod tests {
     fn builder_chains() {
         let c = ShimConfig::new()
             .with_load_costs(false)
-            .with_io_chunk(4096)
             .with_engine_limits(EngineLimits::default().with_fuel(10));
         assert!(!c.charge_load_costs);
-        assert_eq!(c.io_chunk_bytes, Some(4096));
         assert_eq!(c.engine_limits.initial_fuel, Some(10));
     }
 }

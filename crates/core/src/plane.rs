@@ -403,19 +403,6 @@ impl From<EdgeBreakdown> for TransferTiming {
 }
 
 impl DataPlane for RoadrunnerPlane {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_edge(from, to, &payload).map_err(PlatformError::from)
-    }
-
-    fn transfer_detailed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        self.transfer_placed(from, to, payload, None, None)
-    }
-
     fn transfer_placed(
         &mut self,
         from: &str,
@@ -584,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn transfer_detailed_reports_breakdown_and_placement() {
+    fn transfer_placed_reports_breakdown_and_placement() {
         use roadrunner_platform::DataPlane;
         let mut p = plane();
         p.deploy(0, "a", bundle("a", guest::producer()), "produce", false).unwrap();
@@ -593,7 +580,7 @@ mod tests {
         assert_eq!(p.placement("b"), Some(1));
         assert_eq!(p.placement("ghost"), None);
         let payload = Bytes::from(vec![0x42u8; 80_000]);
-        let (received, timing) = p.transfer_detailed("a", "b", payload.clone()).unwrap();
+        let (received, timing) = p.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
         let timing = timing.expect("roadrunner attributes every edge");
         let bd = p.last_breakdown().unwrap();
@@ -601,6 +588,21 @@ mod tests {
         assert_eq!(timing.transfer_ns, bd.transfer_ns);
         assert_eq!(timing.consume_ns, bd.consume_ns);
         assert_eq!(timing.total_ns(), bd.total_ns());
+    }
+
+    #[test]
+    fn a_workflow_naming_an_undeployed_function_is_an_error_not_a_panic() {
+        use roadrunner_platform::{execute_concurrent_at, WorkflowSpec};
+        use roadrunner_vkernel::SchedResources;
+        let mut p = plane();
+        p.deploy(1, "a", bundle("a", guest::producer()), "produce", false).unwrap();
+        let clock = p.testbed.clock().clone();
+        // `ghost` has no placement to resolve; the run still reaches the
+        // plane, which refuses the edge.
+        let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "ghost".to_owned()]);
+        let mut res = SchedResources::new(2, 4);
+        let run = execute_concurrent_at(&mut p, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0);
+        assert!(matches!(run, Err(PlatformError::Transfer(_))), "{run:?}");
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Shim {
         &self.sandbox
     }
 
-    /// Names of loaded modules.
-    pub fn module_names(&self) -> Vec<&str> {
-        self.modules.keys().map(String::as_str).collect()
-    }
-
     /// Effective transfer chunk size.
     pub fn io_chunk(&self) -> usize {
         self.config
@@ -148,11 +143,6 @@ impl Shim {
         self.modules
             .get(name)
             .ok_or_else(|| RoadrunnerError::UnknownModule(name.to_owned()))
-    }
-
-    /// The bundle a module was loaded from.
-    pub fn bundle_of(&self, module: &str) -> Result<&Arc<FunctionBundle>, RoadrunnerError> {
-        Ok(&self.module_ref(module)?.bundle)
     }
 
     /// Current linear-memory size of a module.
@@ -448,7 +438,7 @@ mod tests {
         assert!(matches!(err, RoadrunnerError::TrustViolation(_)));
         // Same workflow + tenant is allowed.
         shim.load_module("b", wasm_bundle("b", guest::consumer())).unwrap();
-        assert_eq!(shim.module_names().len(), 2);
+        assert_eq!(shim.modules.len(), 2);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl Response {
         Self { status: 200, reason: "OK".into(), headers: Vec::new(), body: body.into() }
     }
 
-    /// A response with an arbitrary status.
-    pub fn with_status(status: u16, reason: impl Into<String>, body: impl Into<Bytes>) -> Self {
-        Self { status, reason: reason.into(), headers: Vec::new(), body: body.into() }
-    }
-
     /// Adds a header (chainable).
     pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn response_serialization_shape() {
-        let resp = Response::with_status(404, "Not Found", Bytes::new());
+        let resp = Response { status: 404, reason: "Not Found".into(), ..Response::ok(Bytes::new()) };
         let text = resp.to_bytes();
         let text = std::str::from_utf8(&text).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));

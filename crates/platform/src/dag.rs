@@ -91,19 +91,9 @@ impl WorkflowDag {
         &self.names[i]
     }
 
-    /// Id of the node called `name`, if present.
-    pub fn node_index(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
     /// Successor ids of node `i` in edge-insertion order.
     pub fn successors(&self, i: usize) -> &[usize] {
         &self.succ[i]
-    }
-
-    /// Predecessor ids of node `i` in edge-insertion order.
-    pub fn predecessors(&self, i: usize) -> &[usize] {
-        &self.pred[i]
     }
 
     /// All edges as `(from, to)` id pairs, grouped by source in node
@@ -274,8 +264,7 @@ mod tests {
         assert_eq!(dag.add_node("b"), 1);
         assert_eq!(dag.add_node("a"), 0);
         assert_eq!(dag.node_count(), 2);
-        assert_eq!(dag.node_index("b"), Some(1));
-        assert_eq!(dag.node_index("ghost"), None);
+        assert_eq!(dag.nodes().collect::<Vec<_>>(), ["a", "b"]);
     }
 
     #[test]
@@ -285,7 +274,7 @@ mod tests {
         assert_eq!(dag.roots(), vec![0]);
         assert_eq!(dag.leaves(), vec![3]);
         assert_eq!(dag.successors(0), &[1, 2]);
-        assert_eq!(dag.predecessors(3), &[1, 2]);
+        assert_eq!(dag.in_degrees(), [0, 1, 1, 2]);
         assert_eq!(dag.edge_count(), 4);
     }
 

@@ -6,8 +6,6 @@ use std::fmt;
 /// Errors surfaced by the platform layer and the data planes beneath it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlatformError {
-    /// No bundle registered under this name.
-    UnknownFunction(String),
     /// Function referenced by a workflow is not deployed.
     NotDeployed(String),
     /// A transfer between functions failed (transport/trap details in the
@@ -24,7 +22,6 @@ pub enum PlatformError {
 impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlatformError::UnknownFunction(n) => write!(f, "unknown function `{n}`"),
             PlatformError::NotDeployed(n) => write!(f, "function `{n}` is not deployed"),
             PlatformError::Transfer(msg) => write!(f, "transfer failed: {msg}"),
             PlatformError::InvalidWorkflow(msg) => write!(f, "invalid workflow: {msg}"),
@@ -42,7 +39,7 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(PlatformError::UnknownFunction("f".into()).to_string().contains("`f`"));
+        assert!(PlatformError::NotDeployed("f".into()).to_string().contains("`f`"));
         assert!(PlatformError::Transfer("boom".into()).to_string().contains("boom"));
         assert!(PlatformError::AccessDenied("x".into()).to_string().contains("denied"));
     }

@@ -6,11 +6,8 @@
 //!
 //! * [`bundle`] — OCI-style function bundles (real Wasm binaries or
 //!   container-image descriptors) with workflow/tenant annotations.
-//! * [`registry`] — the control plane's catalog of bundles.
-//! * [`scheduler`] — placement strategies; Roadrunner adapts to whatever
-//!   they decide.
-//! * [`deploy`] — live instances bound to nodes, with co-location
-//!   queries.
+//! * [`scheduler`] — instance placement policies; Roadrunner adapts to
+//!   whatever they decide.
 //! * [`dag`] — first-class workflow DAGs (named nodes, payload-carrying
 //!   edges, cycle/connectivity validation) generalizing the paper's
 //!   sequence/fan-out/fan-in shapes.
@@ -51,35 +48,30 @@
 //!   grid order so parallel output is byte-identical to the serial
 //!   loop.
 //!
+//! Where a function sits is a slice: one node index per function, in the
+//! workflow's DAG node order. A [`scheduler::PlacementPolicy`] produces
+//! it, the engines read each edge's endpoints from it.
+//!
 //! ```
-//! use roadrunner_platform::bundle::FunctionBundle;
-//! use roadrunner_platform::deploy::Deployment;
-//! use roadrunner_platform::registry::FunctionRegistry;
-//! use roadrunner_platform::scheduler::Pinned;
+//! use roadrunner_platform::scheduler::{Pinned, PlacementPolicy};
+//! use roadrunner_platform::WorkflowSpec;
+//! use roadrunner_vkernel::SchedResources;
 //!
-//! # fn main() -> Result<(), roadrunner_platform::PlatformError> {
-//! let registry = FunctionRegistry::new();
-//! registry.register(FunctionBundle::wasm("fn-a", vec![0, 97, 115, 109]));
-//! registry.register(FunctionBundle::wasm("fn-b", vec![0, 97, 115, 109]));
+//! let spec = WorkflowSpec::sequence("wf", "acme", ["fn-a".to_owned(), "fn-b".to_owned()]);
+//! assert_eq!(spec.functions(), ["fn-a", "fn-b"]);
 //!
-//! let scheduler = Pinned::new(0).pin("fn-b", 1);
-//! let mut deployment = Deployment::new(2);
-//! deployment.deploy(&registry, &scheduler, "fn-a")?;
-//! deployment.deploy(&registry, &scheduler, "fn-b")?;
-//! assert!(!deployment.colocated("fn-a", "fn-b"));
-//! # Ok(())
-//! # }
+//! let cluster = SchedResources::new(2, 4);
+//! let placement = Pinned::new(0).pin("fn-b", 1).place(&spec, &cluster.view(0));
+//! assert_eq!(placement, [0, 1]);
 //! ```
 
 pub mod bundle;
 pub mod dag;
-pub mod deploy;
 pub mod error;
 pub mod loadgen;
 pub mod memo;
 pub mod metrics;
 pub mod overload;
-pub mod registry;
 pub mod scheduler;
 pub mod sweep;
 pub mod warmpool;
@@ -88,7 +80,6 @@ pub mod workflow;
 
 pub use bundle::{BundleKind, FunctionBundle, Manifest};
 pub use dag::WorkflowDag;
-pub use deploy::{DeployedFunction, Deployment};
 pub use error::PlatformError;
 pub use loadgen::{
     ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls, FailurePlan,
@@ -104,10 +95,8 @@ pub use overload::{
     BreakerConfig, OverloadConfig, OverloadState, QueueConfig, RetryBudgetConfig, ShedPolicy,
     RETRY_COST_MILLITOKENS,
 };
-pub use registry::FunctionRegistry;
 pub use scheduler::{
-    LocalityFirst, PackThenSpill, Pinned, Placement, PlacementPolicy, RoundRobin, Scheduler,
-    SpreadLoad,
+    LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, RoundRobin, SpreadLoad,
 };
 pub use memo::MemoizedPlane;
 pub use sweep::{

@@ -529,7 +529,7 @@ impl<'a> Engine<'a> {
         let instance = Instance {
             payload: lane.payload,
             release_ns: release,
-            placement: Some(&assignment),
+            placement: &assignment,
             // `None` keeps every `try_reserve_*` on the plain-reservation
             // path; a plan hands the fault-aware engine its retry policy.
             faults: self.failures.map(FailurePlan::retry),

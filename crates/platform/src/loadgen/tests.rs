@@ -25,24 +25,21 @@ impl FixedPlane {
 }
 
 impl DataPlane for FixedPlane {
-    fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-        self.clock.advance(self.prepare_ns + self.transfer_ns + self.consume_ns);
-        Ok(p)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
-        from: &str,
-        to: &str,
+        _from: &str,
+        _to: &str,
         p: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let timing = TransferTiming {
             prepare_ns: self.prepare_ns,
             transfer_ns: self.transfer_ns,
             consume_ns: self.consume_ns,
         };
-        let received = self.transfer(from, to, p)?;
-        Ok((received, Some(timing)))
+        self.clock.advance(timing.total_ns());
+        Ok((p, Some(timing)))
     }
 }
 
@@ -127,9 +124,6 @@ fn the_plane_sees_every_edge_under_the_policys_assignment() {
         seen: Vec<(String, String, Option<usize>, Option<usize>)>,
     }
     impl DataPlane for Recording {
-        fn transfer(&mut self, f: &str, t: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-            self.inner.transfer(f, t, p)
-        }
         fn transfer_placed(
             &mut self,
             from: &str,
@@ -139,7 +133,7 @@ fn the_plane_sees_every_edge_under_the_policys_assignment() {
             dst: Option<usize>,
         ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
             self.seen.push((from.to_owned(), to.to_owned(), src, dst));
-            self.inner.transfer_detailed(from, to, p)
+            self.inner.transfer_placed(from, to, p, src, dst)
         }
         // The deployment says node 7 for everything; the instance's
         // assignment must win.
@@ -267,7 +261,14 @@ fn spread_policy_pays_the_link_locality_avoids() {
 fn transfer_errors_propagate_out_of_the_loop() {
     struct Failing;
     impl DataPlane for Failing {
-        fn transfer(&mut self, _: &str, _: &str, _: Bytes) -> Result<Bytes, PlatformError> {
+        fn transfer_placed(
+            &mut self,
+            _: &str,
+            _: &str,
+            _: Bytes,
+            _: Option<usize>,
+            _: Option<usize>,
+        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
             Err(PlatformError::Transfer("down".into()))
         }
     }

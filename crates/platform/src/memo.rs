@@ -277,19 +277,6 @@ impl<'a> MemoizedPlane<'a> {
 }
 
 impl DataPlane for MemoizedPlane<'_> {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        self.transfer_placed(from, to, payload, None, None)
-    }
-
     fn transfer_placed(
         &mut self,
         from: &str,
@@ -355,7 +342,8 @@ impl DataPlane for MemoizedPlane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::{execute, WorkflowSpec};
+    use crate::workflow::{execute, execute_concurrent_at, WorkflowSpec};
+    use roadrunner_vkernel::sched::SchedResources;
 
     /// A deterministic plane that counts real invocations, advances the
     /// clock, and transforms the payload (so replayed bytes are
@@ -366,23 +354,20 @@ mod tests {
     }
 
     impl DataPlane for CountingPlane {
-        fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-            self.calls += 1;
-            self.clock.advance(1_000 + p.len() as u64);
-            let transformed: Vec<u8> = p.iter().map(|b| b.wrapping_add(1)).collect();
-            Ok(Bytes::from(transformed))
-        }
-
-        fn transfer_detailed(
+        fn transfer_placed(
             &mut self,
-            from: &str,
-            to: &str,
+            _: &str,
+            _: &str,
             p: Bytes,
+            _: Option<usize>,
+            _: Option<usize>,
         ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+            self.calls += 1;
             let transfer_ns = 1_000 + p.len() as u64;
-            let received = self.transfer(from, to, p)?;
+            self.clock.advance(transfer_ns);
+            let transformed: Vec<u8> = p.iter().map(|b| b.wrapping_add(1)).collect();
             Ok((
-                received,
+                Bytes::from(transformed),
                 Some(TransferTiming { prepare_ns: 7, transfer_ns, consume_ns: 3 }),
             ))
         }
@@ -400,13 +385,13 @@ mod tests {
 
         let real = {
             let mut probe = CountingPlane { clock: VirtualClock::new(), calls: 0 };
-            probe.transfer_detailed("a", "b", payload.clone()).unwrap()
+            probe.transfer_placed("a", "b", payload.clone(), None, None).unwrap()
         };
 
         let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
-        let first = memo.transfer_detailed("a", "b", payload.clone()).unwrap();
+        let first = memo.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         let t_after_first = clock.now();
-        let second = memo.transfer_detailed("a", "b", payload.clone()).unwrap();
+        let second = memo.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(first.0, real.0);
         assert_eq!(first.1, real.1);
         assert_eq!(second.0, first.0);
@@ -426,13 +411,13 @@ mod tests {
         let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
         let p1 = Bytes::from(vec![1u8; 100]);
         let p2 = Bytes::from(vec![2u8; 100]);
-        memo.transfer_detailed("a", "b", p1.clone()).unwrap();
-        memo.transfer_detailed("a", "c", p1.clone()).unwrap(); // new edge
-        memo.transfer_detailed("a", "b", p2.clone()).unwrap(); // new bytes
-        memo.transfer_detailed("a", "b", p1.clone()).unwrap(); // hit
+        memo.transfer_placed("a", "b", p1.clone(), None, None).unwrap();
+        memo.transfer_placed("a", "c", p1.clone(), None, None).unwrap(); // new edge
+        memo.transfer_placed("a", "b", p2.clone(), None, None).unwrap(); // new bytes
+        memo.transfer_placed("a", "b", p1.clone(), None, None).unwrap(); // hit
         assert_eq!((memo.hits(), memo.misses()), (1, 3));
         memo.clear();
-        memo.transfer_detailed("a", "b", p1).unwrap();
+        memo.transfer_placed("a", "b", p1, None, None).unwrap();
         assert_eq!(memo.misses(), 4, "clear() forgets recordings");
     }
 
@@ -444,13 +429,13 @@ mod tests {
         let payload = Bytes::from(vec![3u8; 64]);
         // Clones share a buffer: one fingerprint entry, one pin.
         for _ in 0..5 {
-            memo.transfer_detailed("x", "y", payload.clone()).unwrap();
+            memo.transfer_placed("x", "y", payload.clone(), None, None).unwrap();
         }
         assert_eq!(memo.fingerprints.len(), 1);
         assert_eq!(memo.pinned.len(), 1);
         // A byte-equal but distinct buffer still hits (same fingerprint).
         let twin = Bytes::from(vec![3u8; 64]);
-        memo.transfer_detailed("x", "y", twin).unwrap();
+        memo.transfer_placed("x", "y", twin, None, None).unwrap();
         assert_eq!(memo.hits(), 5);
     }
 
@@ -489,12 +474,12 @@ mod tests {
         let mut plane = CountingPlane { clock: clock.clone(), calls: 0 };
         let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
         let p = Bytes::from(vec![5u8; 100]);
-        memo.transfer_detailed("a", "b", p.clone()).unwrap();
-        memo.transfer_detailed("a", "b", p.clone()).unwrap(); // hit
+        memo.transfer_placed("a", "b", p.clone(), None, None).unwrap();
+        memo.transfer_placed("a", "b", p.clone(), None, None).unwrap(); // hit
         memo.set_health_epoch(1);
-        memo.transfer_detailed("a", "b", p.clone()).unwrap(); // new epoch: miss
+        memo.transfer_placed("a", "b", p.clone(), None, None).unwrap(); // new epoch: miss
         memo.set_health_epoch(0);
-        memo.transfer_detailed("a", "b", p).unwrap(); // old epoch: hit again
+        memo.transfer_placed("a", "b", p, None, None).unwrap(); // old epoch: hit again
         assert_eq!((memo.hits(), memo.misses()), (2, 2));
     }
 
@@ -504,7 +489,7 @@ mod tests {
         let mut plane = CountingPlane { clock: clock.clone(), calls: 0 };
         let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
         let p = Bytes::from(vec![6u8; 100]);
-        memo.transfer_detailed("a", "b", p.clone()).unwrap();
+        memo.transfer_placed("a", "b", p.clone(), None, None).unwrap();
         // Overrides matching the deployment placement (both "a" and "b"
         // sit on node 1 under CountingPlane's parity rule) share the
         // entry...
@@ -514,6 +499,23 @@ mod tests {
         memo.transfer_placed("a", "b", p.clone(), Some(1), Some(0)).unwrap();
         memo.transfer_placed("a", "b", p, Some(1), Some(0)).unwrap();
         assert_eq!((memo.hits(), memo.misses()), (2, 2));
+    }
+
+    #[test]
+    fn the_engines_resolved_placement_and_a_bare_transfer_share_one_entry() {
+        let clock = VirtualClock::new();
+        let mut plane = CountingPlane { clock: clock.clone(), calls: 0 };
+        let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
+        let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "bb".to_owned()]);
+        let p = Bytes::from(vec![6u8; 100]);
+        // The engine resolves `a` -> node 1, `bb` -> node 0 once per run
+        // and passes both explicitly...
+        let mut res = SchedResources::new(2, 4);
+        execute_concurrent_at(&mut memo, &clock, &spec, p.clone(), &mut res, 0).unwrap();
+        assert_eq!((memo.hits(), memo.misses()), (0, 1));
+        // ...which is the key a transfer with no placement falls back to.
+        memo.transfer("a", "bb", p).unwrap();
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
     }
 
     fn key<'k>(from: &'k str, to: &'k str) -> EdgeKey<'k> {
@@ -576,7 +578,7 @@ mod tests {
             MemoEntry::record(foreign, Bytes::from_static(b"foreign"), None, 1 << 40),
         );
         for round in 1..=2 {
-            let (received, timing) = memo.transfer_detailed("a", "b", payload.clone()).unwrap();
+            let (received, timing) = memo.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
             // The real edge ran: transformed bytes, real timing, real
             // clock advance — and nothing was recorded over the entry.
             assert_eq!(received[0], 5);
@@ -595,11 +597,18 @@ mod tests {
             fail: bool,
         }
         impl DataPlane for Flaky {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
+            fn transfer_placed(
+                &mut self,
+                _: &str,
+                _: &str,
+                p: Bytes,
+                _: Option<usize>,
+                _: Option<usize>,
+            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
                 if self.fail {
                     Err(PlatformError::Transfer("down".into()))
                 } else {
-                    Ok(p)
+                    Ok((p, None))
                 }
             }
         }

@@ -435,12 +435,6 @@ impl OverloadState {
             }
         }
     }
-
-    /// Millitokens currently spendable by (tenant, function, node) —
-    /// test/diagnostic surface.
-    pub fn budget_level_millitokens(&self, tenant: usize, function: usize, node: usize) -> Option<u64> {
-        self.budgets.get(&(tenant, function, node)).map(|b| b.level_millitokens)
-    }
 }
 
 /// The per-instance control block the load engine threads into the
@@ -521,8 +515,8 @@ mod tests {
             state.record_attempt(0, 0, 0, 100 + t, true);
         }
         assert_eq!(
-            state.budget_level_millitokens(0, 0, 0),
-            Some(cfg.burst_millitokens),
+            state.budgets[&(0, 0, 0)].level_millitokens,
+            cfg.burst_millitokens,
             "credit must cap at burst"
         );
     }

@@ -39,13 +39,6 @@ pub enum SweepMode {
     },
 }
 
-impl SweepMode {
-    /// Parallel mode with one worker per available core.
-    pub fn parallel_auto() -> Self {
-        SweepMode::Parallel { workers: available_workers() }
-    }
-}
-
 /// Number of cores the OS reports as available to this process
 /// (`std::thread::available_parallelism`), falling back to 1.
 pub fn available_workers() -> usize {
@@ -305,7 +298,7 @@ mod tests {
             assert_eq!(g.len(), 0);
             assert!(g.points().is_empty());
             let ran = Mutex::new(0usize);
-            let results = sweep(&g, SweepMode::parallel_auto(), |_| {
+            let results = sweep(&g, SweepMode::Parallel { workers: 4 }, |_| {
                 *ran.lock() += 1;
             });
             assert!(results.is_empty());
@@ -365,10 +358,5 @@ mod tests {
     #[test]
     fn available_workers_is_positive() {
         assert!(available_workers() >= 1);
-        if let SweepMode::Parallel { workers } = SweepMode::parallel_auto() {
-            assert!(workers >= 1);
-        } else {
-            panic!("parallel_auto must be parallel");
-        }
     }
 }

@@ -235,59 +235,57 @@ impl TransferTiming {
 
 /// The transport a workflow runs over: Roadrunner's shim modes or a
 /// baseline's HTTP path.
+///
+/// A plane implements **one** method, [`transfer_placed`]. Where the two
+/// endpoints sit is the only thing that selects a delivery mode, and the
+/// engines that place instances decide it per instance, so the call that
+/// carries the placement is the primitive; [`transfer`] is that call with
+/// no placement given. [`placement`] and [`set_health_epoch`] are
+/// optional observers with do-nothing defaults.
+///
+/// [`transfer_placed`]: Self::transfer_placed
+/// [`transfer`]: Self::transfer
+/// [`placement`]: Self::placement
+/// [`set_health_epoch`]: Self::set_health_epoch
 pub trait DataPlane {
-    /// Delivers `payload` from function `from` to function `to` and
-    /// returns the bytes as the target received them.
+    /// Delivers `payload` from function `from` to function `to` for an
+    /// instance whose endpoints sit on `src_node` / `dst_node` (`None` =
+    /// wherever the plane deployed the function), and returns the bytes
+    /// as the target received them together with the edge's cost split
+    /// into prepare / transfer / consume phases. Planes that derive a
+    /// delivery mode from co-location (`RoadrunnerPlane` in
+    /// `roadrunner-core`) read the nodes; planes with one mode ignore
+    /// them. Planes that cannot attribute return `None` for the timing;
+    /// the concurrent engine then treats the whole measured duration as
+    /// transfer time.
     ///
     /// # Errors
     ///
     /// [`PlatformError::Transfer`] (or any other variant) when delivery
     /// fails.
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError>;
-
-    /// Like [`transfer`](Self::transfer), additionally attributing the
-    /// edge's cost to prepare/transfer/consume phases. Planes that cannot
-    /// attribute return `None`; the engines then treat the whole measured
-    /// duration as transfer time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`transfer`](Self::transfer).
-    fn transfer_detailed(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        self.transfer(from, to, payload).map(|received| (received, None))
-    }
-
-    /// Like [`transfer_detailed`](Self::transfer_detailed), carrying the
-    /// **instance's** effective placement for both endpoints (`None` =
-    /// no override). Planes that derive a delivery mode from co-location
-    /// (`RoadrunnerPlane` in `roadrunner-core`) override this so the
-    /// load engine, which places every instance itself, can flip an edge
-    /// between user-/kernel-space and network delivery per instance; the
-    /// default ignores the overrides and keeps the deployment's static
-    /// modes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`transfer`](Self::transfer).
     fn transfer_placed(
         &mut self,
         from: &str,
         to: &str,
         payload: Bytes,
-        _src_node: Option<usize>,
-        _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        self.transfer_detailed(from, to, payload)
+        src_node: Option<usize>,
+        dst_node: Option<usize>,
+    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError>;
+
+    /// [`transfer_placed`](Self::transfer_placed) under the plane's own
+    /// deployment placement, returning only the received bytes — what
+    /// the serial engine calls.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`transfer_placed`](Self::transfer_placed).
+    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
+        self.transfer_placed(from, to, payload, None, None).map(|(received, _)| received)
     }
 
-    /// Node index `function` is placed on, for resource attribution in
-    /// the concurrent engine. `None` (the default) schedules everything
-    /// on node 0.
+    /// Node index `function` is deployed on. [`execute_compiled_at`]
+    /// asks once per run for every function of the workflow; `None` (the
+    /// default) places the function on node 0.
     fn placement(&self, _function: &str) -> Option<usize> {
         None
     }
@@ -530,8 +528,14 @@ pub fn execute_compiled_at(
     resources: &mut SchedResources,
     release_ns: Nanos,
 ) -> Result<WorkflowRun, PlatformError> {
-    let instance =
-        Instance { payload: &payload, release_ns, placement: None, faults: None, overload: None };
+    let placement = deployed_nodes(plane, compiled.dag());
+    let instance = Instance {
+        payload: &payload,
+        release_ns,
+        placement: &placement,
+        faults: None,
+        overload: None,
+    };
     let mut edges = Vec::with_capacity(compiled.edge_count());
     let outcome = run_compiled_at(
         plane,
@@ -556,6 +560,13 @@ pub fn execute_compiled_at(
             Err(PlatformError::Transfer(format!("deadline passed at {at_ns} ns")))
         }
     }
+}
+
+/// Where `plane` deployed each function of `dag`, indexed by DAG node —
+/// the placement of a run nobody else placed. A function the plane does
+/// not place (or does not know) counts as node 0.
+fn deployed_nodes(plane: &dyn DataPlane, dag: &WorkflowDag) -> Vec<usize> {
+    dag.nodes().map(|function| plane.placement(function).unwrap_or(0)).collect()
 }
 
 /// Bounded retry-with-backoff for transfer failures, in virtual time.
@@ -652,11 +663,9 @@ pub(crate) struct Instance<'a> {
     pub payload: &'a Bytes,
     /// When the roots become ready, on the resources' timescale.
     pub release_ns: Nanos,
-    /// The node of every function, indexed by DAG node: edges go through
-    /// [`DataPlane::transfer_placed`] with both endpoints given. `None`
-    /// asks the plane by name per edge ([`DataPlane::placement`]) and
-    /// transfers without overrides.
-    pub placement: Option<&'a [usize]>,
+    /// The node of every function, indexed by DAG node: every edge goes
+    /// through [`DataPlane::transfer_placed`] with both endpoints given.
+    pub placement: &'a [usize],
     /// `Some`: edge attempts consult the outage schedule attached to the
     /// resources, failed attempts re-run after the policy's backoff, and
     /// an edge that exhausts its budget ends the run as
@@ -691,9 +700,10 @@ enum Attempt {
     DeadlineBlown { at: Nanos },
 }
 
-/// The one discrete-event engine: [`execute_compiled_at`] runs it by
-/// name and collects every edge, the load engine by index with no
-/// `edges` and a per-lane [`RunScratch`]. Every edge really runs on
+/// The one discrete-event engine: [`execute_compiled_at`] runs it under
+/// the plane's deployment placement and collects every edge, the load
+/// engine under its policy's assignment with no `edges` and a per-lane
+/// [`RunScratch`]. Every edge really runs on
 /// `plane`; its prepare / transfer / consume phases are then placed on
 /// `resources`' timelines (see [`execute_concurrent`]), and each
 /// completed edge is pushed onto `edges` when the caller passed one —
@@ -711,7 +721,7 @@ pub(crate) fn run_compiled_at(
     let Instance { payload, release_ns, placement, faults, mut overload } = instance;
     let dag = compiled.dag();
     let n = compiled.node_count();
-    debug_assert!(placement.is_none_or(|nodes| nodes.len() == n), "one node per function");
+    debug_assert_eq!(placement.len(), n, "one node per function");
     let RunScratch { pending, node_payload, node_ready, ready } = scratch;
     pending.clear();
     pending.extend_from_slice(&compiled.in_degrees);
@@ -731,10 +741,7 @@ pub(crate) fn run_compiled_at(
             let sending = node_payload[u].as_ref().expect("events fire after inputs exist");
             let bytes = sending.len();
             let (from, to) = (dag.node_name(u), dag.node_name(v));
-            let (src, dst) = match placement {
-                Some(nodes) => (nodes[u], nodes[v]),
-                None => (plane.placement(from).unwrap_or(0), plane.placement(to).unwrap_or(0)),
-            };
+            let (src, dst) = (placement[u], placement[v]);
 
             let mut attempts: u32 = 0;
             let mut edge_ready = ready_ns;
@@ -768,12 +775,8 @@ pub(crate) fn run_compiled_at(
                     // One logical copy per attempt: the reference-counted
                     // handle given to the plane.
                     let t0 = clock.now();
-                    let (received, timing) = match placement {
-                        Some(_) => {
-                            plane.transfer_placed(from, to, sending.clone(), Some(src), Some(dst))?
-                        }
-                        None => plane.transfer_detailed(from, to, sending.clone())?,
-                    };
+                    let (received, timing) =
+                        plane.transfer_placed(from, to, sending.clone(), Some(src), Some(dst))?;
                     let measured = clock.now() - t0;
                     let timing = timing.unwrap_or(TransferTiming {
                         prepare_ns: 0,
@@ -904,25 +907,56 @@ mod tests {
     }
 
     impl DataPlane for PassThrough {
-        fn transfer(
+        fn transfer_placed(
             &mut self,
             _from: &str,
             _to: &str,
             payload: Bytes,
-        ) -> Result<Bytes, PlatformError> {
-            self.clock.advance(1_000 + payload.len() as u64);
-            Ok(payload)
-        }
-
-        fn transfer_detailed(
-            &mut self,
-            from: &str,
-            to: &str,
-            payload: Bytes,
+            _src_node: Option<usize>,
+            _dst_node: Option<usize>,
         ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
             let transfer_ns = 1_000 + payload.len() as u64;
-            let received = self.transfer(from, to, payload)?;
-            Ok((received, Some(TransferTiming { prepare_ns: 0, transfer_ns, consume_ns: 0 })))
+            self.clock.advance(transfer_ns);
+            Ok((payload, Some(TransferTiming { prepare_ns: 0, transfer_ns, consume_ns: 0 })))
+        }
+    }
+
+    /// A plane whose every edge costs `timing` (the clock advances by its
+    /// total) and whose functions sit where `node_of` says.
+    struct Phased {
+        clock: VirtualClock,
+        timing: TransferTiming,
+        node_of: fn(&str) -> usize,
+    }
+
+    impl Phased {
+        /// 1 µs of transfer per edge, nothing else.
+        fn wire(clock: &VirtualClock, node_of: fn(&str) -> usize) -> Self {
+            let timing = TransferTiming { prepare_ns: 0, transfer_ns: 1_000, consume_ns: 0 };
+            Self { clock: clock.clone(), timing, node_of }
+        }
+
+        /// `src` on node 0, everything else on node 1.
+        fn split(clock: &VirtualClock) -> Self {
+            Self::wire(clock, |function| usize::from(function != "src"))
+        }
+    }
+
+    impl DataPlane for Phased {
+        fn transfer_placed(
+            &mut self,
+            _from: &str,
+            _to: &str,
+            payload: Bytes,
+            _src_node: Option<usize>,
+            _dst_node: Option<usize>,
+        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+            self.clock.advance(self.timing.total_ns());
+            Ok((payload, Some(self.timing)))
+        }
+
+        fn placement(&self, function: &str) -> Option<usize> {
+            Some((self.node_of)(function))
         }
     }
 
@@ -1018,7 +1052,14 @@ mod tests {
     fn transfer_errors_propagate() {
         struct Failing;
         impl DataPlane for Failing {
-            fn transfer(&mut self, _: &str, _: &str, _: Bytes) -> Result<Bytes, PlatformError> {
+            fn transfer_placed(
+                &mut self,
+                _: &str,
+                _: &str,
+                _: Bytes,
+                _: Option<usize>,
+                _: Option<usize>,
+            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
                 Err(PlatformError::Transfer("link down".into()))
             }
         }
@@ -1099,32 +1140,8 @@ mod tests {
     fn concurrent_inter_node_edges_contend_on_the_link() {
         // Planes that place functions on two nodes route transfer time
         // through the capacity-1 link: a 2-branch fan-out can't halve.
-        struct TwoNode {
-            clock: VirtualClock,
-        }
-        impl DataPlane for TwoNode {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-                self.clock.advance(1_000);
-                Ok(p)
-            }
-            fn transfer_detailed(
-                &mut self,
-                f: &str,
-                t: &str,
-                p: Bytes,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-                let received = self.transfer(f, t, p)?;
-                Ok((
-                    received,
-                    Some(TransferTiming { prepare_ns: 0, transfer_ns: 1_000, consume_ns: 0 }),
-                ))
-            }
-            fn placement(&self, function: &str) -> Option<usize> {
-                Some(usize::from(function != "src"))
-            }
-        }
         let clock = VirtualClock::new();
-        let mut plane = TwoNode { clock: clock.clone() };
+        let mut plane = Phased::split(&clock);
         let spec = WorkflowSpec::fanout(
             "wf",
             "t",
@@ -1194,35 +1211,6 @@ mod tests {
     fn mesh_resources_route_disjoint_pairs_onto_distinct_links() {
         // Functions on four nodes; the two cross-node edges use disjoint
         // node pairs, so on a mesh they overlap fully.
-        struct FourNode {
-            clock: VirtualClock,
-        }
-        impl DataPlane for FourNode {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-                self.clock.advance(1_000);
-                Ok(p)
-            }
-            fn transfer_detailed(
-                &mut self,
-                f: &str,
-                t: &str,
-                p: Bytes,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-                let received = self.transfer(f, t, p)?;
-                Ok((
-                    received,
-                    Some(TransferTiming { prepare_ns: 0, transfer_ns: 1_000, consume_ns: 0 }),
-                ))
-            }
-            fn placement(&self, function: &str) -> Option<usize> {
-                Some(match function {
-                    "a" => 0,
-                    "b" => 1,
-                    "c" => 2,
-                    _ => 3,
-                })
-            }
-        }
         // s fans out to a and c (disjoint pairs 3→0 and 3→2), which then
         // forward over two more disjoint pairs 0→1 and 2→3.
         let mut dag = WorkflowDag::new();
@@ -1230,7 +1218,12 @@ mod tests {
         dag.add_edge("s", "a").add_edge("s", "c");
         let spec = WorkflowSpec::from_dag("mesh", "t", dag);
         let clock = VirtualClock::new();
-        let mut plane = FourNode { clock: clock.clone() };
+        let mut plane = Phased::wire(&clock, |function| match function {
+            "a" => 0,
+            "b" => 1,
+            "c" => 2,
+            _ => 3,
+        });
 
         let mut mesh = SchedResources::mesh(&[4, 4, 4, 4]);
         let overlapped =
@@ -1265,29 +1258,12 @@ mod tests {
         // A plane whose whole cost is target-side consumption: the edge's
         // reported start must be where the consume phase was granted, not
         // the (free) ready time.
-        struct ConsumeOnly {
-            clock: VirtualClock,
-        }
-        impl DataPlane for ConsumeOnly {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-                self.clock.advance(1_000);
-                Ok(p)
-            }
-            fn transfer_detailed(
-                &mut self,
-                f: &str,
-                t: &str,
-                p: Bytes,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-                let received = self.transfer(f, t, p)?;
-                Ok((
-                    received,
-                    Some(TransferTiming { prepare_ns: 0, transfer_ns: 0, consume_ns: 1_000 }),
-                ))
-            }
-        }
         let clock = VirtualClock::new();
-        let mut plane = ConsumeOnly { clock: clock.clone() };
+        let mut plane = Phased {
+            clock: clock.clone(),
+            timing: TransferTiming { prepare_ns: 0, transfer_ns: 0, consume_ns: 1_000 },
+            node_of: |_| 0,
+        };
         let spec = WorkflowSpec::fanout(
             "wf",
             "t",
@@ -1374,22 +1350,29 @@ mod tests {
     }
 
     #[test]
-    fn default_transfer_detailed_reports_no_breakdown() {
+    fn an_unattributed_transfer_is_all_transfer_time() {
         struct Plain {
             clock: VirtualClock,
         }
         impl DataPlane for Plain {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
+            fn transfer_placed(
+                &mut self,
+                _: &str,
+                _: &str,
+                p: Bytes,
+                _: Option<usize>,
+                _: Option<usize>,
+            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
                 self.clock.advance(500);
-                Ok(p)
+                Ok((p, None))
             }
         }
         let clock = VirtualClock::new();
         let mut plane = Plain { clock: clock.clone() };
-        let (received, timing) =
-            plane.transfer_detailed("a", "b", Bytes::from_static(b"q")).unwrap();
+        // The provided `transfer` is the same call with no placement.
+        let received = plane.transfer("a", "b", Bytes::from_static(b"q")).unwrap();
         assert_eq!(&received[..], b"q");
-        assert!(timing.is_none());
+        assert_eq!(clock.now(), 500);
         // The concurrent engine falls back to the measured duration.
         let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "b".to_owned()]);
         let mut res = SchedResources::new(1, 4);
@@ -1402,34 +1385,45 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.total_latency_ns, 500);
+        assert_eq!(run.edges[0].latency_ns, 500);
     }
 
-    /// A two-node plane for fault tests: `src` on node 0, everything
-    /// else on node 1, 1 µs per transfer.
-    struct SplitPlane {
-        clock: VirtualClock,
+    #[test]
+    fn a_plane_that_places_nothing_runs_every_edge_on_node_zero() {
+        /// Records the nodes the engine hands `transfer_placed`.
+        struct Recording {
+            clock: VirtualClock,
+            seen: Vec<(Option<usize>, Option<usize>)>,
+        }
+        impl DataPlane for Recording {
+            fn transfer_placed(
+                &mut self,
+                _: &str,
+                _: &str,
+                p: Bytes,
+                src: Option<usize>,
+                dst: Option<usize>,
+            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+                self.seen.push((src, dst));
+                self.clock.advance(1_000);
+                Ok((p, None))
+            }
+        }
+        let clock = VirtualClock::new();
+        let mut plane = Recording { clock: clock.clone(), seen: Vec::new() };
+        let spec = diamond_spec();
+        let mut res = SchedResources::new(2, 4);
+        execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0)
+            .unwrap();
+        // The unanswered placement question resolves to node 0 once per
+        // run, and every edge carries that answer explicitly.
+        assert_eq!(plane.seen, vec![(Some(0), Some(0)); 4]);
+        assert_eq!(res.cpu(0).reserved_ns(), 4_000);
+        assert_eq!(res.cpu(1).reserved_ns(), 0);
     }
 
-    impl DataPlane for SplitPlane {
-        fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-            self.clock.advance(1_000);
-            Ok(p)
-        }
-        fn transfer_detailed(
-            &mut self,
-            f: &str,
-            t: &str,
-            p: Bytes,
-        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-            let received = self.transfer(f, t, p)?;
-            Ok((received, Some(TransferTiming { prepare_ns: 0, transfer_ns: 1_000, consume_ns: 0 })))
-        }
-        fn placement(&self, function: &str) -> Option<usize> {
-            Some(usize::from(function != "src"))
-        }
-    }
-
-    /// Runs the engine by name under `policy`, collecting its edges.
+    /// Runs the engine under the plane's own placement and `policy`,
+    /// collecting its edges.
     fn run_faulty(
         plane: &mut dyn DataPlane,
         clock: &VirtualClock,
@@ -1439,10 +1433,11 @@ mod tests {
         release_ns: Nanos,
         policy: &RetryPolicy,
     ) -> (RunOutcome, Vec<EdgeResult>) {
+        let placement = deployed_nodes(plane, compiled.dag());
         let instance = Instance {
             payload: &payload,
             release_ns,
-            placement: None,
+            placement: &placement,
             faults: Some(policy),
             overload: None,
         };
@@ -1538,7 +1533,7 @@ mod tests {
         use std::sync::Arc;
 
         let clock = VirtualClock::new();
-        let mut plane = SplitPlane { clock: clock.clone() };
+        let mut plane = Phased::split(&clock);
         let spec = WorkflowSpec::sequence("wf", "t", ["src".to_owned(), "dst".to_owned()]);
         let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let mut res = SchedResources::new(2, 4);
@@ -1564,7 +1559,7 @@ mod tests {
         use std::sync::Arc;
 
         let clock = VirtualClock::new();
-        let mut plane = SplitPlane { clock: clock.clone() };
+        let mut plane = Phased::split(&clock);
         let spec = WorkflowSpec::sequence("wf", "t", ["src".to_owned(), "dst".to_owned()]);
         let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let mut res = SchedResources::new(2, 4);
@@ -1603,7 +1598,7 @@ mod tests {
             res.set_outages(Arc::new(
                 roadrunner_vkernel::OutageSchedule::new().node_down(id0, 0, 1_000_000),
             ));
-            (SplitPlane { clock: clock.clone() }, clock, res)
+            (Phased::split(&clock), clock, res)
         };
         let payload = Bytes::from_static(b"x");
         let (mut plane, clock, mut res) = fresh();
@@ -1624,36 +1619,11 @@ mod tests {
         // A plane with all three phases: the window opens after prepare
         // but before the transfer phase's grant, so the attempt fails
         // with the prepare reservation already spent.
-        struct ThreePhase {
-            clock: VirtualClock,
-        }
-        impl DataPlane for ThreePhase {
-            fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-                self.clock.advance(3_000);
-                Ok(p)
-            }
-            fn transfer_detailed(
-                &mut self,
-                f: &str,
-                t: &str,
-                p: Bytes,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-                let received = self.transfer(f, t, p)?;
-                Ok((
-                    received,
-                    Some(TransferTiming {
-                        prepare_ns: 1_000,
-                        transfer_ns: 1_000,
-                        consume_ns: 1_000,
-                    }),
-                ))
-            }
-            fn placement(&self, function: &str) -> Option<usize> {
-                Some(usize::from(function != "src"))
-            }
-        }
         let clock = VirtualClock::new();
-        let mut plane = ThreePhase { clock: clock.clone() };
+        let mut plane = Phased {
+            timing: TransferTiming { prepare_ns: 1_000, transfer_ns: 1_000, consume_ns: 1_000 },
+            ..Phased::split(&clock)
+        };
         let spec = WorkflowSpec::sequence("wf", "t", ["src".to_owned(), "dst".to_owned()]);
         let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let mut res = SchedResources::new(2, 4);

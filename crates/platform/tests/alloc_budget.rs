@@ -54,19 +54,18 @@ struct Plane {
 }
 
 impl DataPlane for Plane {
-    fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-        self.clock.advance(1_500);
-        Ok(Bytes::from(p.iter().map(|b| b.wrapping_add(1)).collect::<Vec<u8>>()))
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
-        from: &str,
-        to: &str,
+        _from: &str,
+        _to: &str,
         p: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let timing = TransferTiming { prepare_ns: 200, transfer_ns: 1_000, consume_ns: 300 };
-        Ok((self.transfer(from, to, p)?, Some(timing)))
+        self.clock.advance(timing.total_ns());
+        let received = Bytes::from(p.iter().map(|b| b.wrapping_add(1)).collect::<Vec<u8>>());
+        Ok((received, Some(timing)))
     }
 }
 

@@ -88,15 +88,13 @@ impl KeyedPlane {
 }
 
 impl DataPlane for KeyedPlane {
-    fn transfer(&mut self, from: &str, to: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, payload).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
         from: &str,
         to: &str,
         payload: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let key = Self::key(from, to, &payload);
         let timing = TransferTiming {

@@ -18,21 +18,18 @@ struct FixedPlane {
 }
 
 impl DataPlane for FixedPlane {
-    fn transfer(&mut self, _: &str, _: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-        self.clock.advance(self.edge_ns);
-        Ok(p)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
-        from: &str,
-        to: &str,
+        _from: &str,
+        _to: &str,
         p: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let timing =
             TransferTiming { prepare_ns: 0, transfer_ns: self.edge_ns, consume_ns: 0 };
-        let received = self.transfer(from, to, p)?;
-        Ok((received, Some(timing)))
+        self.clock.advance(self.edge_ns);
+        Ok((p, Some(timing)))
     }
 }
 

@@ -118,14 +118,6 @@ impl Value {
         }
     }
 
-    /// Returns the entries if `self` is a [`Value::Map`].
-    pub fn as_map(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Map(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
     /// Approximate in-memory size of the value tree in bytes.
     ///
     /// Used by the evaluation harness to size synthetic payloads and by the

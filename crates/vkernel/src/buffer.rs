@@ -36,11 +36,6 @@ impl SegBuf {
         self.len == 0
     }
 
-    /// Number of segments (page runs) currently queued.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Enqueues a copy of `data` (a real `memcpy` into fresh storage).
     pub fn push_copy(&mut self, data: &[u8]) {
         if data.is_empty() {
@@ -176,7 +171,7 @@ mod tests {
         buf.push_copy(b"");
         buf.push_ref(Bytes::new());
         assert!(buf.is_empty());
-        assert_eq!(buf.segment_count(), 0);
+        assert!(buf.segments.is_empty());
         assert_eq!(buf.gather().len(), 0);
     }
 

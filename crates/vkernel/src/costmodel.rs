@@ -202,12 +202,6 @@ impl CostModel {
         self.net_rtt_ns / 2
     }
 
-    /// Wire time for `bytes` over the loopback interface (co-located
-    /// sandboxes talking TCP on one host).
-    pub fn loopback_ns(&self, bytes: usize) -> Nanos {
-        per_byte(bytes, self.loopback_bytes_per_ns)
-    }
-
     /// Number of I/O chunks a transfer of `bytes` is split into.
     pub fn chunks(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.io_chunk_bytes.max(1)).max(1)

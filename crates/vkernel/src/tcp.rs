@@ -27,9 +27,6 @@ use crate::Nanos;
 struct TimedSeg {
     data: Bytes,
     arrives_at: Nanos,
-    /// Whether the segment was placed with splice (no user-space copy on
-    /// the sending side; the receiving side may still choose either lane).
-    spliced: bool,
 }
 
 #[derive(Debug, Default)]
@@ -97,7 +94,6 @@ impl TcpEndpoint {
         shared.dirs[self.tx].queue.extend(data.chunks(chunk).map(|seg| TimedSeg {
             data: Bytes::copy_from_slice(seg),
             arrives_at,
-            spliced: false,
         }));
         Ok(data.len())
     }
@@ -120,7 +116,7 @@ impl TcpEndpoint {
         caller.charge_kernel(cost.syscall_ns + cost.page_map_ns_for(data.len()));
         let arrives_at = shared.link.reserve(caller.clock().now(), data.len());
         let n = data.len();
-        shared.dirs[self.tx].queue.push_back(TimedSeg { data, arrives_at, spliced: true });
+        shared.dirs[self.tx].queue.push_back(TimedSeg { data, arrives_at });
         Ok(n)
     }
 
@@ -166,13 +162,6 @@ impl TcpEndpoint {
                 Ok(Some(Bytes::new()))
             }
         }
-    }
-
-    /// Whether the next pending segment was sent through the splice lane.
-    /// Diagnostic used by tests.
-    pub fn next_is_spliced(&self) -> Option<bool> {
-        let shared = self.shared.lock();
-        shared.dirs[1 - self.tx].queue.front().map(|s| s.spliced)
     }
 
     /// Shuts down this endpoint's sending direction.
@@ -256,7 +245,6 @@ mod tests {
         let data = Bytes::from(vec![7u8; 8192]);
         let ptr = data.as_ptr();
         ea.send_spliced(&sa, data).unwrap();
-        assert_eq!(eb.next_is_spliced(), Some(true));
         let got = eb.recv_spliced(&sb).unwrap().unwrap();
         assert_eq!(got.as_ptr(), ptr);
     }

@@ -11,16 +11,17 @@
 #                         claims internally: fig11 critical-path bounds,
 #                         fig12 contention ordering, fig13 autoscaled p95,
 #                         fig14 self-healing, fig15 / fig16 pool and
-#                         overload ratios, bench_engine / bench_wasm)
+#                         overload ratios, bench_engine's virtual-time
+#                         signatures, bench_wasm's results and counts)
 #   memo:fig1{2,3}        memoized output == --no-memo output
 #   sweep:fig1{2,3}:*     default sweep == --serial == --workers 2
 #   serial:fig1{4,5,6}    default sweep == --serial
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
 #
-# Known red since before PR 12, unchanged by PR 20, not weakened or
-# skipped here (see crates/platform/src/memo.rs "Soundness contract" and
-# the two ignored tests in tests/memo_properties.rs):
+# Known red since before PR 12, the only one, not weakened or skipped
+# here (see crates/platform/src/memo.rs "Soundness contract" and the two
+# ignored tests in tests/memo_properties.rs):
 #   memo:fig12  `spread` roadrunner rows — per-function placement makes
 #               the memo (a) replay the one-off TCP connection
 #               establishment recorded on a shim pair's first network
@@ -31,10 +32,6 @@
 #               forces re-recording, instances abort mid-flight); CI
 #               never diffed fig14 against `--no-memo`, so that gate is
 #               for the PR that fixes the memo to add, green.
-#   run:bench_engine  its wall-clock `closed_loop_speedup >= 5x` assert
-#               (≈ 4x on a 2-core VM since PRs 12–15 sped up the
-#               unmemoized side); the virtual-time signature asserts
-#               that run first pass.
 set -u
 
 root=$(cd "$(dirname "$0")/.." && pwd)

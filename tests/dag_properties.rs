@@ -70,20 +70,17 @@ impl TestPlane {
 }
 
 impl DataPlane for TestPlane {
-    fn transfer(&mut self, _: &str, _: &str, payload: Bytes) -> Result<Bytes, PlatformError> {
-        self.clock.advance(Self::timing(payload.len()).total_ns());
-        Ok(payload)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
-        from: &str,
-        to: &str,
+        _from: &str,
+        _to: &str,
         payload: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let timing = Self::timing(payload.len());
-        let received = self.transfer(from, to, payload)?;
-        Ok((received, Some(timing)))
+        self.clock.advance(timing.total_ns());
+        Ok((payload, Some(timing)))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {

@@ -78,23 +78,21 @@ fn forward_dag(n: usize, extra: usize, seed: u64) -> WorkflowDag {
     dag
 }
 
-/// A deterministic plane charging fixed phase costs (the engine's
-/// placement wrappers route transfers, so the inner plane needs no
-/// placement table).
+/// A deterministic plane charging fixed phase costs (the engine hands
+/// every edge its instance's nodes; a plane with one mode ignores them
+/// and needs no placement table).
 struct FixedPlane {
     clock: VirtualClock,
 }
 
 impl DataPlane for FixedPlane {
-    fn transfer(&mut self, from: &str, to: &str, p: Bytes) -> Result<Bytes, PlatformError> {
-        self.transfer_detailed(from, to, p).map(|(received, _)| received)
-    }
-
-    fn transfer_detailed(
+    fn transfer_placed(
         &mut self,
         _from: &str,
         _to: &str,
         p: Bytes,
+        _src_node: Option<usize>,
+        _dst_node: Option<usize>,
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let timing = TransferTiming {
             prepare_ns: 200,
