@@ -18,6 +18,7 @@ use roadrunner_vkernel::tcp::TcpEndpoint;
 use roadrunner_vkernel::VkError;
 
 use crate::error::RoadrunnerError;
+use crate::kernelspace::recv_header;
 use crate::region::MemoryRegion;
 use crate::shim::Shim;
 
@@ -84,34 +85,22 @@ pub fn recv(
     module: &str,
     tcp: &TcpEndpoint,
 ) -> Result<MemoryRegion, RoadrunnerError> {
-    let sandbox = shim.sandbox().clone();
+    let sandbox = shim.sandbox();
     // Header arrives through the ordinary lane.
-    let mut header = Vec::with_capacity(8);
-    while header.len() < 8 {
-        match tcp.recv(&sandbox)? {
-            None => return Err(VkError::Closed.into()),
-            Some(seg) if seg.is_empty() => {
-                return Err(RoadrunnerError::Config(
-                    "hose recv: no framed message pending".into(),
-                ))
-            }
-            Some(seg) => header.extend_from_slice(&seg),
-        }
-    }
-    let total = u64::from_le_bytes(header[..8].try_into().expect("8 bytes")) as usize;
-    let overshoot = header.split_off(8);
+    let (total, overshoot) = recv_header(sandbox, "hose", |sink| tcp.recv_with(sandbox, sink))?;
 
     // ⑤ allocate the target region, then splice pages from the socket
     // through the target-side pipe and write them into the VM (the one
     // landing copy). On any error the region is released again.
-    shim.fill_inbox(module, total, |shim, region| {
+    shim.fill_inbox(module, total, |inbox| {
+        let sandbox = inbox.sandbox();
         let mut vdh = Pipe::new(HOSE_PIPE_CAPACITY);
         if !overshoot.is_empty() {
-            shim.write_into_inbox(module, region, 0, &overshoot)?;
+            inbox.write(0, &overshoot)?;
         }
         let mut offset = overshoot.len();
         while offset < total {
-            match tcp.recv_spliced(&sandbox)? {
+            match tcp.recv_spliced(sandbox)? {
                 None => return Err(VkError::Closed.into()),
                 Some(seg) if seg.is_empty() => {
                     return Err(RoadrunnerError::Config(format!(
@@ -119,14 +108,14 @@ pub fn recv(
                     )))
                 }
                 Some(seg) => {
-                    vdh.splice_in(&sandbox, seg)?;
-                    while let Some(pages) = vdh.splice_out(&sandbox, usize::MAX)? {
+                    vdh.splice_in(sandbox, seg)?;
+                    while let Some(pages) = vdh.splice_out(sandbox, usize::MAX)? {
                         if pages.is_empty() {
                             break;
                         }
                         // `offset <= total` (a write past it is refused),
                         // and `total` fits the inbox's u32 length.
-                        shim.write_into_inbox(module, region, offset as u32, &pages)?;
+                        inbox.write(offset as u32, &pages)?;
                         offset += pages.len();
                     }
                 }
@@ -265,6 +254,23 @@ mod tests {
             assert!(sb.peek_memory("b", leaked).is_err(), "the inbox is revoked");
             assert_eq!(sb.allocate_inbox("b", 1).unwrap(), probe, "and freed in the guest");
         }
+    }
+
+    #[test]
+    fn a_split_header_and_payload_behind_it_land_whole() {
+        // A peer that does not frame as `send` does: the header arrives in
+        // two pieces, the second carrying the first payload bytes.
+        let bed = Testbed::paper();
+        let (sa, mut sb) = shims(&bed);
+        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+        let payload: Vec<u8> = (0..100u8).collect();
+        let mut framed = (payload.len() as u64).to_le_bytes().to_vec();
+        framed.extend_from_slice(&payload[..40]);
+        ta.send(sa.sandbox(), &framed[..3]).unwrap();
+        ta.send(sa.sandbox(), &framed[3..]).unwrap();
+        ta.send_spliced(sa.sandbox(), bytes::Bytes::copy_from_slice(&payload[40..])).unwrap();
+        let region = recv(&mut sb, "b", &tb).unwrap();
+        assert_eq!(&sb.peek_memory("b", region).unwrap()[..], &payload[..]);
     }
 
     #[test]

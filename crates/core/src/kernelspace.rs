@@ -8,6 +8,7 @@
 //! Framing: an 8-byte little-endian length header, then the payload in
 //! [`Shim::io_chunk`]-sized chunks.
 
+use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::unix::UnixEndpoint;
 use roadrunner_vkernel::VkError;
 
@@ -44,6 +45,34 @@ pub fn send(
     Ok(sent)
 }
 
+/// Reads the 8-byte length header, one `recv` per round, into a buffer on
+/// the stack; `recv` is the endpoint's `recv_with` bound to `sandbox`, the
+/// receiver. Returns the framed length and whatever payload shared the
+/// header's last segment (none when the sender frames as [`send`] does,
+/// and only then is anything allocated).
+pub(crate) fn recv_header(
+    sandbox: &Sandbox,
+    mode: &str,
+    mut recv: impl FnMut(&mut dyn FnMut(&[u8])) -> Result<Option<()>, VkError>,
+) -> Result<(usize, Vec<u8>), RoadrunnerError> {
+    let (mut header, mut filled, mut overshoot) = ([0u8; 8], 0, Vec::new());
+    while filled < header.len() {
+        let before = filled;
+        recv(&mut |seg| {
+            let (head, rest) = seg.split_at(seg.len().min(header.len() - filled));
+            header[filled..filled + head.len()].copy_from_slice(head);
+            filled += head.len();
+            overshoot.extend_from_slice(rest);
+            sandbox.account().count_copy(seg.len());
+        })?
+        .ok_or(VkError::Closed)?;
+        if filled == before {
+            return Err(RoadrunnerError::Config(format!("{mode} recv: no framed message pending")));
+        }
+    }
+    Ok((u64::from_le_bytes(header) as usize, overshoot))
+}
+
 /// Receives one framed payload from `endpoint` into `module`'s memory:
 /// each kernel segment is copied straight into the inbox. Returns the
 /// filled inbox region; on any error the inbox is released again.
@@ -58,29 +87,18 @@ pub fn recv(
     module: &str,
     endpoint: &UnixEndpoint,
 ) -> Result<MemoryRegion, RoadrunnerError> {
-    let sandbox = shim.sandbox().clone();
-    let mut header = Vec::with_capacity(8);
-    while header.len() < 8 {
-        match endpoint.recv(&sandbox)? {
-            None => return Err(VkError::Closed.into()),
-            Some(seg) if seg.is_empty() => {
-                return Err(RoadrunnerError::Config(
-                    "kernel-space recv: no framed message pending".into(),
-                ))
-            }
-            Some(seg) => header.extend_from_slice(&seg),
-        }
-    }
-    let total = u64::from_le_bytes(header[..8].try_into().expect("8 bytes")) as usize;
-    let extra = header.split_off(8);
-    shim.fill_inbox(module, total, |shim, region| {
+    let sandbox = shim.sandbox();
+    let (total, extra) =
+        recv_header(sandbox, "kernel-space", |sink| endpoint.recv_with(sandbox, sink))?;
+    shim.fill_inbox(module, total, |inbox| {
+        let sandbox = inbox.sandbox();
         if !extra.is_empty() {
-            shim.write_into_inbox(module, region, 0, &extra)?;
+            inbox.write(0, &extra)?;
         }
         let mut offset = extra.len();
         while offset < total {
             offset += endpoint
-                .recv_with(&sandbox, |seg| {
+                .recv_with(sandbox, |seg| {
                     if seg.is_empty() {
                         return Err(RoadrunnerError::Config(format!(
                             "kernel-space recv: stream stalled at {offset}/{total} bytes"
@@ -88,7 +106,7 @@ pub fn recv(
                     }
                     // `offset <= total` (a write past it is refused), and
                     // `total` fits the inbox's u32 length.
-                    shim.write_into_inbox(module, region, offset as u32, seg)?;
+                    inbox.write(offset as u32, seg)?;
                     Ok(seg.len())
                 })?
                 .ok_or(VkError::Closed)??;
@@ -221,6 +239,27 @@ mod tests {
             assert!(sb.peek_memory("b", leaked).is_err(), "the inbox is revoked");
             assert_eq!(sb.allocate_inbox("b", 1).unwrap(), probe, "and freed in the guest");
         }
+    }
+
+    #[test]
+    fn a_split_header_and_payload_behind_it_land_whole() {
+        // A peer that does not frame as `send` does: the header arrives in
+        // two pieces, the second carrying the first payload bytes.
+        let bed = Testbed::paper();
+        let (sa, mut sb) = shims(&bed);
+        let (ea, eb) = UnixConn::pair();
+        let payload: Vec<u8> = (0..100u8).collect();
+        let mut framed = (payload.len() as u64).to_le_bytes().to_vec();
+        framed.extend_from_slice(&payload[..40]);
+        ea.send(sa.sandbox(), &framed[..3]).unwrap();
+        ea.send(sa.sandbox(), &framed[3..]).unwrap();
+        ea.send(sa.sandbox(), &payload[40..]).unwrap();
+        let copied = sb.sandbox().account().copied_bytes();
+        let region = recv(&mut sb, "b", &eb).unwrap();
+        assert_eq!(&sb.peek_memory("b", region).unwrap()[..], &payload[..]);
+        // Socket → user for all 108 bytes, then the 40 staged ones again
+        // on their way into the inbox (and the read-back just above).
+        assert_eq!(sb.sandbox().account().copied_bytes() - copied, 108 + 40 + 100);
     }
 
     #[test]

@@ -9,17 +9,24 @@
 use std::sync::Arc;
 
 use roadrunner_platform::FunctionBundle;
-use roadrunner_wasm::Instance;
+use roadrunner_vkernel::node::Sandbox;
+use roadrunner_wasm::types::Value;
+use roadrunner_wasm::{Instance, Trap};
 
 use crate::api::ShimState;
 use crate::error::RoadrunnerError;
+use crate::guest::{ALLOCATE, DEALLOCATE};
 use crate::region::MemoryRegion;
 
 pub(crate) struct LoadedModule {
+    pub(crate) name: String,
     pub(crate) instance: Instance,
     pub(crate) bundle: Arc<FunctionBundle>,
     /// Last observed linear-memory size, for RAM accounting.
-    pub(crate) known_memory_len: usize,
+    known_memory_len: usize,
+    /// The guest allocator's two exports, resolved once at load.
+    allocate: Option<u32>,
+    deallocate: Option<u32>,
 }
 
 fn not_shim_state() -> RoadrunnerError {
@@ -31,6 +38,69 @@ fn no_memory() -> RoadrunnerError {
 }
 
 impl LoadedModule {
+    pub(crate) fn new(name: String, instance: Instance, bundle: Arc<FunctionBundle>) -> Self {
+        let allocate = instance.exported_func(ALLOCATE).ok();
+        let deallocate = instance.exported_func(DEALLOCATE).ok();
+        let known_memory_len = instance.memory().map_or(0, |m| m.len());
+        Self { name, instance, bundle, known_memory_len, allocate, deallocate }
+    }
+
+    /// Calls guest function `func`, charging `sandbox` the interpreted
+    /// instructions as user CPU time and any memory growth as RAM.
+    pub(crate) fn call(
+        &mut self,
+        sandbox: &Sandbox,
+        func: u32,
+        args: &[Value],
+    ) -> Result<Vec<Value>, RoadrunnerError> {
+        self.instance.reset_instr_count();
+        let result = self.instance.call_index(func, args);
+        let executed = self.instance.instr_count();
+        // RAM accounting: linear memory only grows, and only while the
+        // guest runs (a host write cannot grow it).
+        let grown = self.memory_len().saturating_sub(self.known_memory_len);
+        self.known_memory_len += grown;
+        sandbox.charge_user((executed as f64 * sandbox.cost().wasm_instr_ns).round() as u64);
+        if grown > 0 {
+            sandbox.account().alloc(grown as u64);
+        }
+        result.map_err(RoadrunnerError::from)
+    }
+
+    /// Asks the guest allocator for `len` bytes and registers them for
+    /// host access.
+    pub(crate) fn allocate_inbox(
+        &mut self,
+        sandbox: &Sandbox,
+        len: usize,
+    ) -> Result<MemoryRegion, RoadrunnerError> {
+        let len = u32::try_from(len).map_err(|_| {
+            RoadrunnerError::AccessViolation("payload exceeds 32-bit address space".into())
+        })?;
+        let allocate = self
+            .allocate
+            .ok_or_else(|| RoadrunnerError::MissingGuestApi(ALLOCATE.to_owned()))?;
+        let values = self.call(sandbox, allocate, &[Value::I32(len as i32)])?;
+        let addr = values.first().and_then(Value::as_i32).ok_or_else(|| {
+            RoadrunnerError::MissingGuestApi(format!("{ALLOCATE} returned no address"))
+        })? as u32;
+        let region = MemoryRegion::new(addr, len);
+        self.state_mut()?.regions_mut().register(region);
+        Ok(region)
+    }
+
+    /// Revokes host access to `region`, then frees it in the guest
+    /// (access ends even if the guest's free traps or is missing).
+    pub(crate) fn release(
+        &mut self,
+        sandbox: &Sandbox,
+        region: MemoryRegion,
+    ) -> Result<(), RoadrunnerError> {
+        self.state_mut()?.regions_mut().revoke(region);
+        let deallocate = self.deallocate.ok_or_else(|| Trap::BadExport(DEALLOCATE.to_owned()))?;
+        self.call(sandbox, deallocate, &[Value::I32(region.addr as i32)]).map(drop)
+    }
+
     pub(crate) fn state(&self) -> Result<&ShimState, RoadrunnerError> {
         self.instance.data::<ShimState>().ok_or_else(not_shim_state)
     }

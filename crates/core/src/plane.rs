@@ -73,7 +73,8 @@ impl EdgeBreakdown {
 struct FunctionEntry {
     shim_idx: usize,
     node: usize,
-    handler: String,
+    /// Function index of the handler export, resolved at deploy time.
+    handler: u32,
     /// Result arity of the handler export (0 or 1) — consume returns an
     /// ack, produce/relay return nothing.
     handler_returns: bool,
@@ -99,6 +100,63 @@ impl std::fmt::Debug for RoadrunnerPlane {
     }
 }
 
+/// The deployed `function`. Takes the map alone so the caller's `shims`
+/// stay borrowable beside the entry.
+fn entry<'a>(
+    functions: &'a HashMap<String, FunctionEntry>,
+    function: &str,
+) -> Result<&'a FunctionEntry, RoadrunnerError> {
+    functions.get(function).ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))
+}
+
+/// Mode and effective `(source, target)` nodes of an edge from `a` to `b`
+/// under an instance's placement overrides.
+fn route(
+    a: &FunctionEntry,
+    b: &FunctionEntry,
+    src_node: Option<usize>,
+    dst_node: Option<usize>,
+) -> (Mode, usize, usize) {
+    let (src, dst) = (src_node.unwrap_or(a.node), dst_node.unwrap_or(b.node));
+    let mode = if a.shim_idx == b.shim_idx {
+        Mode::UserSpace
+    } else if src == dst {
+        Mode::KernelSpace
+    } else {
+        Mode::Network
+    };
+    (mode, src, dst)
+}
+
+/// Runs `function`'s handler over `region` of its own memory.
+fn run_handler(
+    shim: &mut Shim,
+    function: &str,
+    entry: &FunctionEntry,
+    region: MemoryRegion,
+) -> Result<(), RoadrunnerError> {
+    let out = shim.call(
+        function,
+        entry.handler,
+        &[Value::I32(region.addr as i32), Value::I32(region.len as i32)],
+    )?;
+    if entry.handler_returns {
+        debug_assert_eq!(out.len(), 1, "acking handlers return one value");
+    }
+    Ok(())
+}
+
+/// Delivers `payload` into `function` and runs its handler.
+fn inject(
+    shim: &mut Shim,
+    function: &str,
+    entry: &FunctionEntry,
+    payload: &[u8],
+) -> Result<(), RoadrunnerError> {
+    let region = shim.write_memory_host(function, payload)?;
+    run_handler(shim, function, entry, region)
+}
+
 impl RoadrunnerPlane {
     /// Creates an empty plane over `testbed`.
     pub fn new(testbed: Arc<Testbed>, config: ShimConfig) -> Self {
@@ -113,13 +171,24 @@ impl RoadrunnerPlane {
         }
     }
 
+    fn refuse_duplicate(&self, function: &str) -> Result<(), RoadrunnerError> {
+        if self.functions.contains_key(function) {
+            return Err(RoadrunnerError::Config(format!(
+                "function `{function}` is already deployed"
+            )));
+        }
+        Ok(())
+    }
+
     /// Deploys `function` in its **own** shim/sandbox on `node`.
     /// `handler` is the export invoked when input arrives;
     /// `handler_returns` tells the plane whether it yields an ack value.
     ///
     /// # Errors
     ///
-    /// Shim load errors (bad bundle, trust — not applicable here).
+    /// [`RoadrunnerError::Config`] if `function` is already deployed;
+    /// [`Trap::BadExport`](roadrunner_wasm::Trap::BadExport) if the module
+    /// has no function export `handler`; shim load errors (bad bundle).
     pub fn deploy(
         &mut self,
         node: usize,
@@ -128,18 +197,14 @@ impl RoadrunnerPlane {
         handler: &str,
         handler_returns: bool,
     ) -> Result<(), RoadrunnerError> {
+        self.refuse_duplicate(function)?;
         let mut shim = Shim::new(function, self.testbed.node(node), self.config);
-        shim.load_module(function, bundle)?;
+        let handler = shim.load_function(function, bundle, handler)?;
         let shim_idx = self.shims.len();
         self.shims.push(shim);
         self.functions.insert(
             function.to_owned(),
-            FunctionEntry {
-                shim_idx,
-                node,
-                handler: handler.to_owned(),
-                handler_returns,
-            },
+            FunctionEntry { shim_idx, node, handler, handler_returns },
         );
         Ok(())
     }
@@ -151,7 +216,8 @@ impl RoadrunnerPlane {
     /// # Errors
     ///
     /// [`RoadrunnerError::UnknownModule`] if `colocate_with` is not
-    /// deployed; [`RoadrunnerError::TrustViolation`] on a trust mismatch.
+    /// deployed; [`RoadrunnerError::TrustViolation`] on a trust mismatch;
+    /// otherwise as [`deploy`](Self::deploy).
     pub fn deploy_into_shared_vm(
         &mut self,
         colocate_with: &str,
@@ -160,29 +226,15 @@ impl RoadrunnerPlane {
         handler: &str,
         handler_returns: bool,
     ) -> Result<(), RoadrunnerError> {
-        let host = self
-            .functions
-            .get(colocate_with)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(colocate_with.to_owned()))?;
-        let shim_idx = host.shim_idx;
-        let node = host.node;
-        self.shims[shim_idx].load_module(function, bundle)?;
+        self.refuse_duplicate(function)?;
+        let host = entry(&self.functions, colocate_with)?;
+        let (shim_idx, node) = (host.shim_idx, host.node);
+        let handler = self.shims[shim_idx].load_function(function, bundle, handler)?;
         self.functions.insert(
             function.to_owned(),
-            FunctionEntry {
-                shim_idx,
-                node,
-                handler: handler.to_owned(),
-                handler_returns,
-            },
+            FunctionEntry { shim_idx, node, handler, handler_returns },
         );
         Ok(())
-    }
-
-    fn entry(&self, function: &str) -> Result<&FunctionEntry, RoadrunnerError> {
-        self.functions
-            .get(function)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))
     }
 
     /// The mode an edge between two deployed functions will use.
@@ -211,15 +263,8 @@ impl RoadrunnerPlane {
         src_node: Option<usize>,
         dst_node: Option<usize>,
     ) -> Result<Mode, RoadrunnerError> {
-        let a = self.entry(from)?;
-        let b = self.entry(to)?;
-        Ok(if a.shim_idx == b.shim_idx {
-            Mode::UserSpace
-        } else if src_node.unwrap_or(a.node) == dst_node.unwrap_or(b.node) {
-            Mode::KernelSpace
-        } else {
-            Mode::Network
-        })
+        let (a, b) = (entry(&self.functions, from)?, entry(&self.functions, to)?);
+        Ok(route(a, b, src_node, dst_node).0)
     }
 
     /// Breakdown of the most recent transfer.
@@ -233,7 +278,7 @@ impl RoadrunnerPlane {
     ///
     /// [`RoadrunnerError::UnknownModule`] for undeployed functions.
     pub fn shim_of(&self, function: &str) -> Result<&Shim, RoadrunnerError> {
-        Ok(&self.shims[self.entry(function)?.shim_idx])
+        Ok(&self.shims[entry(&self.functions, function)?.shim_idx])
     }
 
     /// Delivers `payload` into `function` and runs its handler —
@@ -244,41 +289,8 @@ impl RoadrunnerPlane {
     ///
     /// Shim access and trap errors.
     pub fn inject(&mut self, function: &str, payload: &[u8]) -> Result<(), RoadrunnerError> {
-        // Field-disjoint borrows (`functions` read, `shims` written) keep
-        // the handler name borrowed instead of cloning it per delivery —
-        // this runs once per edge of every workflow instance.
-        let entry = self
-            .functions
-            .get(function)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))?;
-        let shim = &mut self.shims[entry.shim_idx];
-        let region = shim.write_memory_host(function, payload)?;
-        shim.invoke(
-            function,
-            &entry.handler,
-            &[Value::I32(region.addr as i32), Value::I32(region.len as i32)],
-        )?;
-        Ok(())
-    }
-
-    fn run_handler(
-        &mut self,
-        function: &str,
-        region: MemoryRegion,
-    ) -> Result<(), RoadrunnerError> {
-        let entry = self
-            .functions
-            .get(function)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))?;
-        let out = self.shims[entry.shim_idx].invoke(
-            function,
-            &entry.handler,
-            &[Value::I32(region.addr as i32), Value::I32(region.len as i32)],
-        )?;
-        if entry.handler_returns {
-            debug_assert_eq!(out.len(), 1, "acking handlers return one value");
-        }
-        Ok(())
+        let target = entry(&self.functions, function)?;
+        inject(&mut self.shims[target.shim_idx], function, target, payload)
     }
 
     /// Executes one edge: ensures the source has pending output, moves it
@@ -313,26 +325,25 @@ impl RoadrunnerPlane {
         src_node: Option<usize>,
         dst_node: Option<usize>,
     ) -> Result<Bytes, RoadrunnerError> {
-        let mode = self.mode_of_placed(from, to, src_node, dst_node)?;
-        let eff_src = src_node.unwrap_or(self.entry(from)?.node);
-        let eff_dst = dst_node.unwrap_or(self.entry(to)?.node);
-        let clock = self.testbed.clock().clone();
+        // Each endpoint is looked up once; mode, effective nodes, shims
+        // and handlers all come from these two entries. Every borrow below
+        // is of one field, so the clock and the entries stay borrowed
+        // while the shims and links are written.
+        let (source, target) = (entry(&self.functions, from)?, entry(&self.functions, to)?);
+        let (mode, eff_src, eff_dst) = route(source, target, src_node, dst_node);
+        let (from_shim, to_shim) = (source.shim_idx, target.shim_idx);
+        let clock = self.testbed.clock();
 
         // Preparation: if the source holds no pending outbox (workflow
         // entry point), deliver the payload and run its handler.
         let t0 = clock.now();
-        let from_shim = self.entry(from)?.shim_idx;
-        // Peek without consuming; `peek_outbox` itself rejects unknown
-        // modules, so no existence pre-check is needed.
-        let has_outbox = self.shims[from_shim].peek_outbox(from)?.is_some();
-        if !has_outbox {
-            self.inject(from, payload)?;
+        if self.shims[from_shim].peek_outbox(from)?.is_none() {
+            inject(&mut self.shims[from_shim], from, source, payload)?;
         }
         let prepare_ns = clock.now() - t0;
 
         // Transfer proper.
         let t1 = clock.now();
-        let to_shim = self.entry(to)?.shim_idx;
         let region_b = match mode {
             Mode::UserSpace => userspace::move_outbox(&mut self.shims[from_shim], from, to)?,
             Mode::KernelSpace => {
@@ -357,7 +368,8 @@ impl RoadrunnerPlane {
 
         // Target handler.
         let t2 = clock.now();
-        self.run_handler(to, region_b)?;
+        let shim = &mut self.shims[to_shim];
+        run_handler(shim, to, target, region_b)?;
         let consume_ns = clock.now() - t2;
 
         self.last_breakdown = Some(EdgeBreakdown { mode, prepare_ns, transfer_ns, consume_ns });
@@ -365,10 +377,10 @@ impl RoadrunnerPlane {
         // Integrity read-back. If the target handler forwarded the data
         // (relay) the region is still registered; if it consumed it we
         // read before releasing.
-        let received = self.shims[to_shim].peek_memory(to, region_b)?;
-        let target_kept = self.shims[to_shim].peek_outbox(to)?.is_some();
+        let received = shim.peek_memory(to, region_b)?;
+        let target_kept = shim.peek_outbox(to)?.is_some();
         if !target_kept {
-            self.shims[to_shim].deallocate(to, region_b)?;
+            shim.deallocate(to, region_b)?;
         }
         Ok(received)
     }
@@ -552,6 +564,27 @@ mod tests {
             p.deploy_into_shared_vm("a", "x", foreign, "consume", true),
             Err(RoadrunnerError::TrustViolation(_))
         ));
+    }
+
+    #[test]
+    fn deploying_under_a_deployed_name_is_refused_and_orphans_nothing() {
+        let mut p = plane();
+        p.deploy(0, "a", bundle("a", guest::producer()), "produce", false).unwrap();
+        p.deploy(1, "b", bundle("b", guest::consumer()), "consume", true).unwrap();
+        let again = p.deploy(1, "a", bundle("a", guest::consumer()), "consume", true);
+        let shared =
+            p.deploy_into_shared_vm("a", "b", bundle("b", guest::consumer()), "consume", true);
+        for err in [again.unwrap_err(), shared.unwrap_err()] {
+            let named = matches!(&err, RoadrunnerError::Config(msg) if msg.contains("already deployed"));
+            assert!(named, "{err}");
+        }
+        // No shim was created or loaded for the refused deployments, and
+        // the first entries still route the edge.
+        assert_eq!(p.shims.len(), 2);
+        assert_eq!((p.placement("a"), p.placement("b")), (Some(0), Some(1)));
+        let payload = Bytes::from_static(b"as deployed first");
+        assert_eq!(p.transfer_edge("a", "b", &payload).unwrap(), payload);
+        assert_eq!(p.last_breakdown().unwrap().mode, Mode::Network);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! runtime interaction" (paper §3.2.2) — and mediates *every* host access
 //! to guest linear memory through registered regions with bounds checks.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -14,12 +13,11 @@ use roadrunner_platform::{BundleKind, FunctionBundle};
 use roadrunner_vkernel::node::{Node, Sandbox};
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::types::Value;
-use roadrunner_wasm::{decode, Instance, Linker, Trap};
+use roadrunner_wasm::{decode, Instance, Linker};
 
 use crate::api::{register_roadrunner_api, ShimState};
 use crate::config::ShimConfig;
 use crate::error::RoadrunnerError;
-use crate::guest::{ALLOCATE, DEALLOCATE};
 use crate::module::LoadedModule;
 use crate::region::MemoryRegion;
 
@@ -30,15 +28,59 @@ pub struct Shim {
     sandbox: Sandbox,
     config: ShimConfig,
     linker: Linker,
-    modules: HashMap<String, LoadedModule>,
+    /// A VM hosts a handful of modules at most, so a name is found by
+    /// scanning them — cheaper than hashing it.
+    modules: Vec<LoadedModule>,
 }
 
 impl std::fmt::Debug for Shim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shim")
             .field("name", &self.name)
-            .field("modules", &self.modules.keys().collect::<Vec<_>>())
+            .field("modules", &self.modules.iter().map(|m| &m.name).collect::<Vec<_>>())
             .finish_non_exhaustive()
+    }
+}
+
+fn unknown(module: &str) -> RoadrunnerError {
+    RoadrunnerError::UnknownModule(module.to_owned())
+}
+
+/// One Wasm VM I/O pass over `bytes` bytes, as user CPU time.
+fn charge_vm_io(sandbox: &Sandbox, bytes: usize) {
+    sandbox.charge_user(sandbox.cost().vm_io_ns(bytes));
+}
+
+/// An inbox while it is being filled: the target module, resolved once
+/// for the whole fill, and the sandbox the writes are charged to.
+pub(crate) struct Inbox<'a> {
+    module: &'a mut LoadedModule,
+    sandbox: &'a Sandbox,
+    region: MemoryRegion,
+}
+
+impl<'a> Inbox<'a> {
+    /// The receiving shim's sandbox (outlives any borrow of the inbox, so
+    /// a socket read can be charged to it while its sink writes here).
+    pub(crate) fn sandbox(&self) -> &'a Sandbox {
+        self.sandbox
+    }
+
+    /// Writes `data` at `offset`; see [`Shim::write_into_inbox`].
+    pub(crate) fn write(&mut self, offset: u32, data: &[u8]) -> Result<(), RoadrunnerError> {
+        let region = self.region;
+        let slice = region.slice(offset, data.len()).ok_or_else(|| {
+            RoadrunnerError::AccessViolation(format!(
+                "write of {} bytes at offset {offset} escapes region [{}, {})",
+                data.len(),
+                region.addr,
+                region.end()
+            ))
+        })?;
+        self.module.bytes_mut(slice)?.copy_from_slice(data);
+        charge_vm_io(self.sandbox, data.len());
+        self.sandbox.account().count_copy(data.len());
+        Ok(())
     }
 }
 
@@ -50,7 +92,7 @@ impl Shim {
         let mut linker = Linker::new();
         roadrunner_wasi::register::<ShimState>(&mut linker);
         register_roadrunner_api(&mut linker);
-        Self { name, sandbox, config, linker, modules: HashMap::new() }
+        Self { name, sandbox, config, linker, modules: Vec::new() }
     }
 
     /// Shim name.
@@ -81,21 +123,58 @@ impl Shim {
     ///
     /// # Errors
     ///
+    /// [`RoadrunnerError::Config`] if `module_name` is already loaded
+    /// (nothing is replaced) or the bundle is not Wasm,
     /// [`RoadrunnerError::TrustViolation`] on a workflow/tenant mismatch,
-    /// [`RoadrunnerError::Config`] for non-Wasm bundles, decode and
-    /// instantiation errors otherwise.
+    /// decode and instantiation errors otherwise.
     pub fn load_module(
         &mut self,
         module_name: impl Into<String>,
         bundle: Arc<FunctionBundle>,
     ) -> Result<(), RoadrunnerError> {
-        let module_name = module_name.into();
-        for (existing_name, existing) in &self.modules {
+        let loaded = self.instantiate(module_name.into(), bundle)?;
+        self.keep(loaded);
+        Ok(())
+    }
+
+    /// [`load_module`](Self::load_module) for a function whose `handler`
+    /// export the caller will [`call`](Self::call) by index: resolves it
+    /// before the module is kept, so a wrong handler name loads nothing.
+    ///
+    /// # Errors
+    ///
+    /// As `load_module`, plus [`Trap::BadExport`](roadrunner_wasm::Trap)
+    /// if the module has no function export `handler`.
+    pub(crate) fn load_function(
+        &mut self,
+        module_name: &str,
+        bundle: Arc<FunctionBundle>,
+        handler: &str,
+    ) -> Result<u32, RoadrunnerError> {
+        let loaded = self.instantiate(module_name.to_owned(), bundle)?;
+        let handler = loaded.instance.exported_func(handler)?;
+        self.keep(loaded);
+        Ok(handler)
+    }
+
+    fn instantiate(
+        &self,
+        module_name: String,
+        bundle: Arc<FunctionBundle>,
+    ) -> Result<LoadedModule, RoadrunnerError> {
+        for existing in &self.modules {
+            if existing.name == module_name {
+                return Err(RoadrunnerError::Config(format!(
+                    "module `{module_name}` is already loaded in shim `{}`",
+                    self.name
+                )));
+            }
             if !existing.bundle.trusts(&bundle) {
                 return Err(RoadrunnerError::TrustViolation(format!(
-                    "module `{module_name}` ({:?}/{:?}) may not share a VM with `{existing_name}` ({:?}/{:?})",
+                    "module `{module_name}` ({:?}/{:?}) may not share a VM with `{}` ({:?}/{:?})",
                     bundle.workflow(),
                     bundle.tenant(),
+                    existing.name,
                     existing.bundle.workflow(),
                     existing.bundle.tenant(),
                 )));
@@ -124,25 +203,27 @@ impl Shim {
         }
         let state = ShimState::new(WasiCtx::new(self.sandbox.clone()));
         let instance = Instance::new(module, &self.linker, limits, Box::new(state))?;
-        let memory_len = instance.memory().map(|m| m.len()).unwrap_or(0);
-        self.sandbox.account().alloc(memory_len as u64);
-        self.modules.insert(
-            module_name,
-            LoadedModule { instance, bundle, known_memory_len: memory_len },
-        );
-        Ok(())
+        Ok(LoadedModule::new(module_name, instance, bundle))
+    }
+
+    fn keep(&mut self, loaded: LoadedModule) {
+        self.sandbox.account().alloc(loaded.memory_len() as u64);
+        self.modules.push(loaded);
+    }
+
+    /// The named module for a guest call or a write, beside the sandbox
+    /// either is charged to.
+    fn parts(&mut self, name: &str) -> Result<(&mut LoadedModule, &Sandbox), RoadrunnerError> {
+        let module = self.modules.iter_mut().find(|m| m.name == name);
+        Ok((module.ok_or_else(|| unknown(name))?, &self.sandbox))
     }
 
     fn module_mut(&mut self, name: &str) -> Result<&mut LoadedModule, RoadrunnerError> {
-        self.modules
-            .get_mut(name)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(name.to_owned()))
+        Ok(self.parts(name)?.0)
     }
 
     fn module_ref(&self, name: &str) -> Result<&LoadedModule, RoadrunnerError> {
-        self.modules
-            .get(name)
-            .ok_or_else(|| RoadrunnerError::UnknownModule(name.to_owned()))
+        self.modules.iter().find(|m| m.name == name).ok_or_else(|| unknown(name))
     }
 
     /// Current linear-memory size of a module.
@@ -155,31 +236,29 @@ impl Shim {
     ///
     /// # Errors
     ///
-    /// [`RoadrunnerError::UnknownModule`] or any guest [`Trap`].
+    /// [`RoadrunnerError::UnknownModule`] or any guest
+    /// [`Trap`](roadrunner_wasm::Trap).
     pub fn invoke(
         &mut self,
         module: &str,
         func: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, RoadrunnerError> {
-        let entry = self.module_mut(module)?;
-        entry.instance.reset_instr_count();
-        let result = entry.instance.invoke(func, args);
-        let executed = entry.instance.instr_count();
-        // RAM accounting: linear memory only grows, and only while the
-        // guest runs (a host write cannot grow it).
-        let grown = entry.memory_len().saturating_sub(entry.known_memory_len);
-        entry.known_memory_len += grown;
-        let wasm_instr_ns = self.sandbox.cost().wasm_instr_ns;
-        self.sandbox.charge_user((executed as f64 * wasm_instr_ns).round() as u64);
-        if grown > 0 {
-            self.sandbox.account().alloc(grown as u64);
-        }
-        result.map_err(RoadrunnerError::from)
+        let (module, sandbox) = self.parts(module)?;
+        let func = module.instance.exported_func(func)?;
+        module.call(sandbox, func, args)
     }
 
-    fn charge_vm_io(&self, bytes: usize) {
-        self.sandbox.charge_user(self.sandbox.cost().vm_io_ns(bytes));
+    /// [`invoke`](Self::invoke) of an export already resolved by
+    /// [`load_function`](Self::load_function).
+    pub(crate) fn call(
+        &mut self,
+        module: &str,
+        func: u32,
+        args: &[Value],
+    ) -> Result<Vec<Value>, RoadrunnerError> {
+        let (module, sandbox) = self.parts(module)?;
+        module.call(sandbox, func, args)
     }
 
     /// The data plane's read of a registered region: checks it, charges
@@ -191,7 +270,7 @@ impl Shim {
         region: MemoryRegion,
     ) -> Result<&[u8], RoadrunnerError> {
         let data = self.module_ref(module)?.bytes(region)?;
-        self.charge_vm_io(data.len());
+        charge_vm_io(&self.sandbox, data.len());
         Ok(data)
     }
 
@@ -227,21 +306,8 @@ impl Shim {
         module: &str,
         len: usize,
     ) -> Result<MemoryRegion, RoadrunnerError> {
-        let len = u32::try_from(len).map_err(|_| {
-            RoadrunnerError::AccessViolation("payload exceeds 32-bit address space".into())
-        })?;
-        let addr = match self.invoke(module, ALLOCATE, &[Value::I32(len as i32)]) {
-            Ok(values) => values[0].as_i32().ok_or_else(|| {
-                RoadrunnerError::MissingGuestApi(format!("{ALLOCATE} returned no address"))
-            })? as u32,
-            Err(RoadrunnerError::Trap(Trap::BadExport(_))) => {
-                return Err(RoadrunnerError::MissingGuestApi(ALLOCATE.to_owned()))
-            }
-            Err(e) => return Err(e),
-        };
-        let region = MemoryRegion::new(addr, len);
-        self.module_mut(module)?.state_mut()?.regions_mut().register(region);
-        Ok(region)
+        let (module, sandbox) = self.parts(module)?;
+        module.allocate_inbox(sandbox, len)
     }
 
     /// [`allocate_inbox`](Self::allocate_inbox), then `fill` lands the
@@ -251,12 +317,14 @@ impl Shim {
         &mut self,
         module: &str,
         len: usize,
-        fill: impl FnOnce(&mut Self, MemoryRegion) -> Result<(), RoadrunnerError>,
+        fill: impl FnOnce(&mut Inbox<'_>) -> Result<(), RoadrunnerError>,
     ) -> Result<MemoryRegion, RoadrunnerError> {
-        let region = self.allocate_inbox(module, len)?;
-        if let Err(e) = fill(self, region) {
+        let (module, sandbox) = self.parts(module)?;
+        let region = module.allocate_inbox(sandbox, len)?;
+        let mut inbox = Inbox { module, sandbox, region };
+        if let Err(e) = fill(&mut inbox) {
             // Best effort: the fill error is the one worth reporting.
-            let _ = self.deallocate(module, region);
+            let _ = inbox.module.release(sandbox, region);
             return Err(e);
         }
         Ok(region)
@@ -276,18 +344,8 @@ impl Shim {
         offset: u32,
         data: &[u8],
     ) -> Result<(), RoadrunnerError> {
-        let slice = region.slice(offset, data.len()).ok_or_else(|| {
-            RoadrunnerError::AccessViolation(format!(
-                "write of {} bytes at offset {offset} escapes region [{}, {})",
-                data.len(),
-                region.addr,
-                region.end()
-            ))
-        })?;
-        self.module_mut(module)?.bytes_mut(slice)?.copy_from_slice(data);
-        self.charge_vm_io(data.len());
-        self.sandbox.account().count_copy(data.len());
-        Ok(())
+        let (module, sandbox) = self.parts(module)?;
+        Inbox { module, sandbox, region }.write(offset, data)
     }
 
     /// Table 1 `write_memory_host`: asks the guest allocator for space
@@ -304,9 +362,7 @@ impl Shim {
         module: &str,
         data: &[u8],
     ) -> Result<MemoryRegion, RoadrunnerError> {
-        self.fill_inbox(module, data.len(), |shim, region| {
-            shim.write_into_inbox(module, region, 0, data)
-        })
+        self.fill_inbox(module, data.len(), |inbox| inbox.write(0, data))
     }
 
     /// The user-space move (paper §4.1): copies region `src` of module
@@ -326,20 +382,26 @@ impl Shim {
         to: &str,
         dst: MemoryRegion,
     ) -> Result<(), RoadrunnerError> {
-        // Refused here, where `get_disjoint_mut` and `copy_from_slice` would panic.
-        if from == to || src.len != dst.len {
-            return Err(RoadrunnerError::Config(format!(
+        // One module twice or unequal lengths are refused here, where
+        // `get_disjoint_mut` and `copy_from_slice` would panic.
+        let refused = || {
+            RoadrunnerError::Config(format!(
                 "cannot move {} bytes of `{from}` into {} bytes of `{to}`",
                 src.len, dst.len
-            )));
+            ))
+        };
+        if from == to || src.len != dst.len {
+            return Err(refused());
         }
-        let [source, target] = self.modules.get_disjoint_mut([from, to]);
-        let source = source.ok_or_else(|| RoadrunnerError::UnknownModule(from.to_owned()))?;
-        let target = target.ok_or_else(|| RoadrunnerError::UnknownModule(to.to_owned()))?;
+        let position = |name: &str| {
+            self.modules.iter().position(|m| m.name == name).ok_or_else(|| unknown(name))
+        };
+        let pair = [position(from)?, position(to)?];
+        let [source, target] = self.modules.get_disjoint_mut(pair).map_err(|_| refused())?;
         target.bytes_mut(dst)?.copy_from_slice(source.bytes(src)?);
         let len = src.len as usize;
-        self.charge_vm_io(len);
-        self.charge_vm_io(len);
+        charge_vm_io(&self.sandbox, len);
+        charge_vm_io(&self.sandbox, len);
         self.sandbox.account().count_copy(len);
         Ok(())
     }
@@ -355,8 +417,8 @@ impl Shim {
         module: &str,
         region: MemoryRegion,
     ) -> Result<(), RoadrunnerError> {
-        self.module_mut(module)?.state_mut()?.regions_mut().revoke(region);
-        self.invoke(module, DEALLOCATE, &[Value::I32(region.addr as i32)]).map(drop)
+        let (module, sandbox) = self.parts(module)?;
+        module.release(sandbox, region)
     }
 
     /// Takes the outbox region the guest last handed over via
@@ -551,7 +613,7 @@ mod tests {
         let probe = shim.allocate_inbox("b", 1).unwrap();
         shim.deallocate("b", probe).unwrap();
         let err = shim
-            .fill_inbox("b", 100, |shim, region| shim.write_into_inbox("b", region, 0, &[0; 101]))
+            .fill_inbox("b", 100, |inbox| inbox.write(0, &[0; 101]))
             .unwrap_err();
         assert!(matches!(err, RoadrunnerError::AccessViolation(_)));
         let leaked = MemoryRegion::new(probe.addr, 100);
@@ -570,6 +632,63 @@ mod tests {
             shim.peek_memory("b", region),
             Err(RoadrunnerError::AccessViolation(_))
         ));
+    }
+
+    #[test]
+    fn a_second_module_under_a_loaded_name_is_refused_and_replaces_nothing() {
+        let bed = Testbed::paper();
+        let mut shim = shim_on(&bed);
+        shim.load_module("a", wasm_bundle("a", guest::producer())).unwrap();
+        let kept = shim.write_memory_host("a", b"still here").unwrap();
+        let ram = shim.sandbox().account().ram_current();
+        let err = shim.load_module("a", wasm_bundle("a", guest::consumer())).unwrap_err();
+        assert!(matches!(&err, RoadrunnerError::Config(msg) if msg.contains("`a`")), "{err}");
+        // The first instance is still the one loaded, its memory intact,
+        // and no second linear memory was booked against the sandbox.
+        assert_eq!(shim.modules.len(), 1);
+        assert_eq!(&shim.peek_memory("a", kept).unwrap()[..], b"still here");
+        assert!(shim.invoke("a", "produce", &[Value::I32(0), Value::I32(0)]).is_ok());
+        assert_eq!(shim.sandbox().account().ram_current(), ram);
+    }
+
+    /// The fill path writes through an [`Inbox`] resolved once;
+    /// `write_into_inbox` resolves the name and writes through the same
+    /// body. Either way a revoked, unregistered or out-of-bounds region
+    /// is refused with the same error, before any byte or charge moves —
+    /// as are `copy_between` and `peek_memory`, which have the one route.
+    #[test]
+    fn revoked_and_out_of_bounds_regions_are_refused_on_every_route() {
+        let bed = Testbed::paper();
+        let mut shim = shim_on(&bed);
+        shim.load_module("a", wasm_bundle("a", guest::producer())).unwrap();
+        shim.load_module("b", wasm_bundle("b", guest::consumer())).unwrap();
+        let live = shim.write_memory_host("a", &[5; 64]).unwrap();
+        let revoked = shim.allocate_inbox("b", 64).unwrap();
+        shim.deallocate("b", revoked).unwrap();
+        let beyond = MemoryRegion::new(shim.memory_len("b").unwrap() as u32 - 8, 64);
+        let never = MemoryRegion::new(revoked.addr + 4096, 64);
+        let spent = |shim: &Shim| {
+            let account = shim.sandbox().account();
+            (account.user_ns(), account.kernel_ns(), account.copied_bytes())
+        };
+        let before = spent(&shim);
+        for bad in [revoked, beyond, never] {
+            let by_name = shim.write_into_inbox("b", bad, 0, &[1; 64]).unwrap_err();
+            let (module, sandbox) = shim.parts("b").unwrap();
+            let resolved = Inbox { module, sandbox, region: bad }.write(0, &[1; 64]).unwrap_err();
+            assert!(matches!(by_name, RoadrunnerError::AccessViolation(_)), "{by_name}");
+            assert_eq!(resolved.to_string(), by_name.to_string());
+            for err in [
+                shim.copy_between("a", live, "b", bad).unwrap_err(),
+                shim.copy_between("b", bad, "a", live).unwrap_err(),
+                shim.peek_memory("b", bad).unwrap_err(),
+                shim.read_memory_host("b", bad).unwrap_err(),
+            ] {
+                assert!(matches!(err, RoadrunnerError::AccessViolation(_)), "{err}");
+            }
+        }
+        assert_eq!(spent(&shim), before, "a refused access charges and copies nothing");
+        assert_eq!(&shim.peek_memory("a", live).unwrap()[..], &[5; 64]);
     }
 
     #[test]

@@ -31,9 +31,12 @@ pub fn move_outbox(
     let region = shim.take_outbox(from)?.ok_or_else(|| {
         RoadrunnerError::Config(format!("module `{from}` has no pending outbox"))
     })?;
-    let target = shim.fill_inbox(to, region.len as usize, |shim, target| {
-        shim.copy_between(from, region, to, target)
-    })?;
+    let target = shim.allocate_inbox(to, region.len as usize)?;
+    if let Err(e) = shim.copy_between(from, region, to, target) {
+        // Best effort: the copy error is the one worth reporting.
+        let _ = shim.deallocate(to, target);
+        return Err(e);
+    }
     shim.deallocate(from, region)?;
     Ok(target)
 }

@@ -52,7 +52,7 @@ impl AdmissionState {
                 for (fi, &node) in assignment.iter().enumerate() {
                     if warm.insert((fi, node)) {
                         let start = resources.cpu(node).reserve(now, cold);
-                        release = release.max(start + cold);
+                        release = release.max(start.saturating_add(cold));
                     }
                 }
                 Admitted { release_ns: release, hits: 0, misses: 0 }

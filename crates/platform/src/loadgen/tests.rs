@@ -7,6 +7,7 @@ use roadrunner_vkernel::OutageSchedule;
 use super::*;
 use crate::overload::{QueueConfig, ShedPolicy};
 use crate::scheduler::{LocalityFirst, Pinned, RoundRobin, SpreadLoad};
+use crate::warmpool::WarmPoolConfig;
 use crate::workflow::{execute_concurrent, RetryPolicy, TransferTiming};
 
 /// A plane charging fixed phase costs, payload-independent, so
@@ -868,5 +869,43 @@ fn degenerate_loads_err_or_report_cleanly() {
             }
             (result, _) => panic!("{case}: unexpected {:?}", result.map(|r| r.outcomes.len())),
         }
+    }
+}
+
+/// ROADMAP 5(a): an instance released one tick before the end of virtual
+/// time. Its cold start (`start + cost` in the pool, and in the warm set)
+/// and its edge's phases (`granted_start + phase_ns` in the workflow run)
+/// all end past `Nanos::MAX`; they saturate there instead of overflowing.
+#[test]
+fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
+    let late = |admission| MultiLoad {
+        tenants: vec![TenantLoad {
+            name: "late".to_owned(),
+            spec: pipeline_spec(),
+            payload: Bytes::new(),
+            releases: vec![Nanos::MAX - 1],
+            weight: 1,
+        }],
+        admission,
+    };
+    for admission in [
+        AdmissionConfig::pooled(50_000, WarmPoolConfig::default()),
+        AdmissionConfig::cold(50_000),
+        AdmissionConfig::warm(),
+    ] {
+        let run = run_fixed(
+            &late(admission.clone()),
+            &mut SchedResources::new(2, 4),
+            &mut LocalityFirst::new(),
+            Controls::default(),
+        )
+        .unwrap_or_else(|e| panic!("{admission:?}: {e}"));
+        assert_eq!(run.arrivals, 1, "{admission:?}");
+        assert_eq!(
+            run.arrivals,
+            run.completed() + run.failed + run.deadline_exceeded + run.shed,
+            "{admission:?}: conservation"
+        );
+        assert!(run.outcomes.iter().all(|o| o.finish_ns == Nanos::MAX), "{admission:?}");
     }
 }

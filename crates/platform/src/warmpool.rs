@@ -327,7 +327,7 @@ impl WarmPool {
                     let cost = self.instantiation_cost(fi, node);
                     if cost > 0 {
                         let start = resources.cpu(node).reserve(now, cost);
-                        release = release.max(start + cost);
+                        release = release.max(start.saturating_add(cost));
                     }
                     self.stats.misses += 1;
                     misses += 1;
@@ -407,7 +407,7 @@ impl WarmPool {
                 let cost = self.instantiation_cost(fi, node);
                 let ready = if cost > 0 {
                     let start = resources.cpu(node).reserve(now, cost);
-                    start + cost
+                    start.saturating_add(cost)
                 } else {
                     now
                 };

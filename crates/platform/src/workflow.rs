@@ -792,18 +792,18 @@ pub(crate) fn run_compiled_at(
                     let placed = (|| {
                         let p_start =
                             resources.try_reserve_cpu(src, edge_ready, timing.prepare_ns)?;
-                        let p_end = p_start + timing.prepare_ns;
+                        let p_end = p_start.saturating_add(timing.prepare_ns);
                         let t_start = if src == dst {
                             resources.try_reserve_cpu(src, p_end, timing.transfer_ns)?
                         } else {
                             resources.try_reserve_link(src, dst, p_end, timing.transfer_ns)?
                         };
-                        let t_end = t_start + timing.transfer_ns;
+                        let t_end = t_start.saturating_add(timing.transfer_ns);
                         let c_start = resources.try_reserve_cpu(dst, t_end, timing.consume_ns)?;
                         Some((p_start, t_start, c_start))
                     })();
                     if let Some((p_start, t_start, c_start)) = placed {
-                        let finish = c_start + timing.consume_ns;
+                        let finish = c_start.saturating_add(timing.consume_ns);
                         // The edge starts where its first nonzero phase
                         // was granted.
                         let start = if timing.prepare_ns > 0 {

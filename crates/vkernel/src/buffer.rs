@@ -84,12 +84,6 @@ impl SegBuf {
         Some(buf.freeze())
     }
 
-    /// Dequeues *all* buffered bytes as their original segments.
-    pub fn drain_segments(&mut self) -> Vec<Bytes> {
-        self.len = 0;
-        self.segments.drain(..).collect()
-    }
-
     /// Concatenates the entire content into one contiguous [`Bytes`]
     /// (no copy if a single segment is buffered), leaving the buffer empty.
     pub fn gather(&mut self) -> Bytes {
@@ -197,16 +191,6 @@ mod tests {
         let ptr = data.as_ptr();
         let mut buf = SegBuf::from(data);
         assert_eq!(buf.gather().as_ptr(), ptr);
-    }
-
-    #[test]
-    fn drain_segments_returns_everything() {
-        let mut buf = SegBuf::new();
-        buf.push_copy(b"ab");
-        buf.push_copy(b"cd");
-        let segs = buf.drain_segments();
-        assert_eq!(segs.len(), 2);
-        assert!(buf.is_empty());
     }
 
     proptest! {

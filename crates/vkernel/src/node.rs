@@ -146,18 +146,6 @@ impl Sandbox {
     pub fn kernel_ns(&self) -> Nanos {
         self.account.kernel_ns()
     }
-
-    /// Convenience passthrough to [`ResourceAccount::charge_user`] without
-    /// advancing the clock — used by the pipeline engine, which computes
-    /// latency itself.
-    pub fn charge_user_off_clock(&self, ns: Nanos) {
-        self.account.charge_user(ns);
-    }
-
-    /// Kernel-time variant of [`Sandbox::charge_user_off_clock`].
-    pub fn charge_kernel_off_clock(&self, ns: Nanos) {
-        self.account.charge_kernel(ns);
-    }
 }
 
 #[cfg(test)]
@@ -177,16 +165,6 @@ mod tests {
         assert_eq!(node.clock().now(), 150);
         assert_eq!(sb.user_ns(), 100);
         assert_eq!(sb.kernel_ns(), 50);
-    }
-
-    #[test]
-    fn off_clock_charges_leave_clock_alone() {
-        let node = test_node();
-        let sb = node.sandbox("fn-a");
-        sb.charge_user_off_clock(100);
-        sb.charge_kernel_off_clock(10);
-        assert_eq!(node.clock().now(), 0);
-        assert_eq!(sb.account().total_cpu_ns(), 110);
     }
 
     #[test]

@@ -657,7 +657,12 @@ impl SchedResources {
                 utilization: if now == 0 {
                     0.0
                 } else {
-                    reserved as f64 / (lanes * now) as f64
+                    // Lane-nanoseconds elapsed; past `u64::MAX` of them the
+                    // product is taken in floats instead of overflowing.
+                    let elapsed = lanes
+                        .checked_mul(now)
+                        .map_or(lanes as f64 * now as f64, |ns| ns as f64);
+                    reserved as f64 / elapsed
                 },
             }
         }));

@@ -121,27 +121,46 @@ impl TcpEndpoint {
     }
 
     /// Receives the next segment, blocking (in virtual time) until it has
-    /// arrived, then paying the kernel→user copy and wakeup switch.
-    /// Returns `Ok(None)` when the peer closed and the stream is drained.
-    pub fn recv(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        let mut shared = self.shared.lock();
-        let dir = &mut shared.dirs[1 - self.tx];
+    /// arrived, and lends it, still in its kernel buffer, to `sink` —
+    /// which performs the kernel→user copy of `recv(2)` straight into
+    /// wherever the bytes are to rest. Charges that copy, the syscall and
+    /// the wakeup switch before `sink` runs. Returns `Ok(None)` when the
+    /// peer closed and the stream is drained; `sink` sees an empty slice
+    /// if no data is ready.
+    pub fn recv_with<R>(
+        &self,
+        caller: &Sandbox,
+        sink: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, VkError> {
+        let seg = {
+            let mut shared = self.shared.lock();
+            let dir = &mut shared.dirs[1 - self.tx];
+            match dir.queue.pop_front() {
+                None if dir.closed => return Ok(None),
+                seg => seg,
+            }
+        };
         let cost = caller.cost();
-        match dir.queue.pop_front() {
-            Some(seg) => {
-                caller.clock().advance_to(seg.arrives_at);
-                caller.charge_kernel(
-                    cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(seg.data.len()),
-                );
-                caller.account().count_copy(seg.data.len());
-                Ok(Some(Bytes::copy_from_slice(&seg.data)))
+        let Some(seg) = seg else {
+            caller.charge_kernel(cost.syscall_ns);
+            return Ok(Some(sink(&[])));
+        };
+        caller.clock().advance_to(seg.arrives_at);
+        caller.charge_kernel(cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(seg.data.len()));
+        Ok(Some(sink(&seg.data)))
+    }
+
+    /// [`recv_with`](Self::recv_with) into a fresh user buffer: returns
+    /// the copied segment, `Ok(None)` when the peer closed and the stream
+    /// is drained, and an empty buffer if no data is ready.
+    pub fn recv(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
+        self.recv_with(caller, |seg| {
+            if seg.is_empty() {
+                return Bytes::new();
             }
-            None if dir.closed => Ok(None),
-            None => {
-                caller.charge_kernel(cost.syscall_ns);
-                Ok(Some(Bytes::new()))
-            }
-        }
+            caller.account().count_copy(seg.len());
+            Bytes::copy_from_slice(seg)
+        })
     }
 
     /// Zero-copy receive: `splice` from the socket towards a pipe. Page

@@ -169,12 +169,6 @@ impl UnixEndpoint {
         }
     }
 
-    /// Bytes currently queued towards this endpoint (i.e. readable).
-    pub fn readable_bytes(&self) -> usize {
-        let shared = self.shared.lock();
-        shared.dirs[1 - self.tx].queue.iter().map(Bytes::len).sum()
-    }
-
     /// Closes this endpoint's sending direction (`shutdown(SHUT_WR)`).
     pub fn close(&self) {
         let mut shared = self.shared.lock();
@@ -312,14 +306,5 @@ mod tests {
         let got = b.recv(&sb).unwrap().unwrap();
         assert!(got.is_empty());
         assert_eq!(sb.kernel_ns(), CostModel::paper_testbed().syscall_ns);
-    }
-
-    #[test]
-    fn readable_bytes_tracks_queue() {
-        let (a, b) = UnixConn::pair();
-        let sa = sandbox("a");
-        a.send(&sa, b"abcd").unwrap();
-        assert_eq!(b.readable_bytes(), 4);
-        assert_eq!(a.readable_bytes(), 0);
     }
 }

@@ -191,14 +191,16 @@ impl Instance {
         Ok(instance)
     }
 
-    /// Invokes the exported function `name` with `args`.
+    /// Invokes the exported function `name` with `args`:
+    /// [`exported_func`](Self::exported_func), then
+    /// [`call_index`](Self::call_index).
     ///
     /// # Errors
     ///
     /// [`Trap::BadExport`] if `name` is missing or not a function, a
     /// host-error trap if argument types mismatch, plus any runtime trap.
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
-        let idx = self.exported_func(name, args)?;
+        let idx = self.exported_func(name)?;
         self.call_index(idx, args)
     }
 
@@ -210,31 +212,55 @@ impl Instance {
         name: &str,
         args: &[Value],
     ) -> Result<Vec<Value>, Trap> {
-        let idx = self.exported_func(name, args)?;
+        let idx = self.exported_func(name)?;
+        self.check_args(idx, args)?;
         self.parts().0.call_function(idx, args, 0)
     }
 
-    /// Resolves the exported function `name` and checks `args` against
+    /// Resolves the exported function `name` to its function index, so an
+    /// embedder that calls one export many times scans the export table
+    /// once and calls by [`call_index`](Self::call_index) afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::BadExport`] if `name` is missing or not a function.
+    pub fn exported_func(&self, name: &str) -> Result<u32, Trap> {
+        match self.module.export(name).map(|export| export.kind) {
+            Some(ExportKind::Func(idx)) => Ok(idx),
+            _ => Err(Trap::BadExport(name.to_owned())),
+        }
+    }
+
+    /// `func_idx` must name a function of this module and `args` match
     /// its signature.
-    fn exported_func(&self, name: &str, args: &[Value]) -> Result<u32, Trap> {
-        let Some(export) = self.module.export(name) else {
-            return Err(Trap::BadExport(name.to_owned()));
+    fn check_args(&self, func_idx: u32, args: &[Value]) -> Result<(), Trap> {
+        let Some(ty) = self.module.func_type(func_idx) else {
+            return Err(Trap::BadExport(format!("function index {func_idx}")));
         };
-        let ExportKind::Func(idx) = export.kind else {
-            return Err(Trap::BadExport(name.to_owned()));
-        };
-        let ty = self.module.func_type(idx).expect("validated export");
         if args.len() != ty.params().len()
             || args.iter().zip(ty.params()).any(|(a, &p)| a.ty() != p)
         {
+            // Off the hot path, name the export the caller most likely used.
+            let kind = ExportKind::Func(func_idx);
+            let name = self.module.exports.iter().find(|e| e.kind == kind);
+            let name = name.map_or_else(|| format!("#{func_idx}"), |e| e.name.clone());
             return Err(Trap::host(format!(
                 "invoke `{name}`: arguments do not match signature {ty}"
             )));
         }
-        Ok(idx)
+        Ok(())
     }
 
-    fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
+    /// Calls the function at `func_idx` (as resolved by
+    /// [`exported_func`](Self::exported_func)) with `args`. The index and
+    /// the argument types are checked on every call.
+    ///
+    /// # Errors
+    ///
+    /// [`Trap::BadExport`] if the module has no such function, a
+    /// host-error trap if argument types mismatch, plus any runtime trap.
+    pub fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
+        self.check_args(func_idx, args)?;
         let (mut exec, machine, code) = self.parts();
         exec.run_flat(machine, code, func_idx, args)
     }
@@ -641,6 +667,37 @@ mod tests {
         assert_eq!(inst.invoke("dispatch", &[Value::I32(0)]).unwrap(), vec![Value::I32(10)]);
         assert_eq!(inst.invoke("dispatch", &[Value::I32(1)]).unwrap(), vec![Value::I32(20)]);
         assert_eq!(inst.invoke("dispatch", &[Value::I32(9)]).unwrap(), vec![Value::I32(20)]);
+    }
+
+    #[test]
+    fn a_resolved_export_is_checked_on_every_call() {
+        let module = ModuleBuilder::new()
+            .memory(1, None)
+            .func(
+                FuncType::new([ValType::I32, ValType::I32], [ValType::I32]),
+                [],
+                [Instr::LocalGet(0), Instr::LocalGet(1), Instr::I32Add],
+            )
+            .export_func("add", 0)
+            .export_memory("memory")
+            .build()
+            .unwrap();
+        let mut inst = instantiate(module);
+        let add = inst.exported_func("add").unwrap();
+        let sum = inst.call_index(add, &[Value::I32(2), Value::I32(40)]).unwrap();
+        assert_eq!(sum, vec![Value::I32(42)]);
+        // Resolution only finds function exports…
+        for name in ["sub", "memory"] {
+            assert_eq!(inst.exported_func(name), Err(Trap::BadExport(name.to_owned())));
+        }
+        // …and a held index buys no unchecked call: arity, types and the
+        // index itself are verified each time, exactly as `invoke` does.
+        let by_index = inst.call_index(add, &[Value::I32(2)]).unwrap_err();
+        assert_eq!(by_index, inst.invoke("add", &[Value::I32(2)]).unwrap_err());
+        assert!(matches!(by_index, Trap::Host(ref msg) if msg.contains("`add`")), "{by_index}");
+        assert!(matches!(inst.call_index(add, &[Value::I32(2), Value::I64(40)]), Err(Trap::Host(_))));
+        assert!(matches!(inst.call_index(add + 1, &[]), Err(Trap::BadExport(_))));
+        assert!(matches!(inst.call_index(u32::MAX, &[]), Err(Trap::BadExport(_))));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 #   serial:fig1{4,5,6}    default sweep == --serial
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
+#   count:panics:core     lines with `unwrap()` / `expect(` / `panic!` /
+#                         `unreachable!` above each file's `#[cfg(test)]`
+#                         under crates/core/src stay at or below the pin
+#                         (ROADMAP 5(e): the pin only ever falls)
 #
 # Known red since before PR 12, the only one, not weakened or skipped
 # here (see crates/platform/src/memo.rs "Soundness contract" and the two
@@ -107,6 +111,33 @@ done
 for n in fig11 fig12 fig13 fig14 fig15 fig16; do
     same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
 done
+
+# panic_sites CRATE: non-test lines of crates/CRATE/src that can panic
+# by construction, one "count file" line per file that has any.
+panic_sites() {
+    find "crates/$1/src" -name '*.rs' | sort | while read -r f; do
+        n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" |
+            grep -c 'unwrap()\|expect(\|panic!\|unreachable!')
+        [ "$n" -gt 0 ] && echo "$n $f"
+    done
+}
+
+# count GATE CRATE PIN: the crate's panic sites number at most PIN.
+count() {
+    local sites total
+    sites=$(panic_sites "$2")
+    total=$(printf '%s\n' "$sites" | awk '{ n += $1 } END { print n + 0 }')
+    if [ "$total" -le "$3" ]; then
+        pass "$1"
+    else
+        fail "$1" "$total panic sites, pinned at <= $3:
+$sites"
+    fi
+}
+
+# guest.rs 7 (module builders over constant input), api.rs 2 (arguments
+# typed by the import's signature).
+count count:panics:core core 9
 
 produce bench_engine bench_engine --quick
 produce bench_wasm bench_wasm --quick
