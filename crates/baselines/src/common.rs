@@ -19,11 +19,16 @@ pub struct BaselineOutcome {
     pub deserialize_ns: Nanos,
     /// The structured value as the target decoded it.
     pub received_value: Value,
-    /// Flat representation of the received value (for checksums).
-    pub received_flat: Bytes,
 }
 
 impl BaselineOutcome {
+    /// Flat representation of the received value (for checksums),
+    /// computed on each call: a copy for a string, a binary encoding for
+    /// a structured value, a shared handle for a blob.
+    pub fn received_flat(&self) -> Bytes {
+        flat_of(&self.received_value)
+    }
+
     /// Total serialization overhead (both directions).
     pub fn serialization_ns(&self) -> Nanos {
         self.serialize_ns + self.deserialize_ns
@@ -90,7 +95,6 @@ mod tests {
             serialize_ns: 30,
             deserialize_ns: 20,
             received_value: Value::Null,
-            received_flat: Bytes::new(),
         };
         assert_eq!(o.serialization_ns(), 50);
         assert_eq!(o.transfer_only_ns(), 50);

@@ -19,7 +19,7 @@ use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::tcp::{TcpConn, TcpEndpoint};
 use roadrunner_vkernel::Testbed;
 
-use crate::common::{flat_of, BaselineOutcome};
+use crate::common::BaselineOutcome;
 
 /// A connected pair of container functions (`a` → `b`) exchanging data
 /// over HTTP.
@@ -156,14 +156,7 @@ impl RuncPair {
         let _ = read_response(&mut self.client, &self.sandbox_a)
             .map_err(|e| PlatformError::Transfer(e.to_string()))?;
 
-        let received_flat = flat_of(&value);
-        Ok(BaselineOutcome {
-            latency_ns,
-            serialize_ns,
-            deserialize_ns,
-            received_value: value,
-            received_flat,
-        })
+        Ok(BaselineOutcome { latency_ns, serialize_ns, deserialize_ns, received_value: value })
     }
 }
 
@@ -183,7 +176,7 @@ impl DataPlane for RuncPair {
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let outcome = RuncPair::transfer(self, &Payload::opaque(payload))?;
         let timing = outcome.timing();
-        Ok((outcome.received_flat, Some(timing)))
+        Ok((outcome.received_flat(), Some(timing)))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {
@@ -228,7 +221,7 @@ mod tests {
         let p = payload(100_000);
         let out = pair.transfer(&p).unwrap();
         assert_eq!(&out.received_value, p.value());
-        assert_eq!(&out.received_flat[..], &p.flat()[..]);
+        assert_eq!(&out.received_flat()[..], &p.flat()[..]);
         assert!(out.latency_ns > 0);
     }
 

@@ -32,7 +32,7 @@ use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::types::Value;
 use roadrunner_wasm::{EngineLimits, Instance, Linker};
 
-use crate::common::{flat_of, BaselineOutcome};
+use crate::common::BaselineOutcome;
 
 /// A connected pair of WasmEdge-style functions (`a` → `b`).
 pub struct WasmedgePair {
@@ -291,14 +291,7 @@ impl WasmedgePair {
             &[Value::I32(out_addr)],
         )?;
 
-        let received_flat = flat_of(&value);
-        Ok(BaselineOutcome {
-            latency_ns,
-            serialize_ns,
-            deserialize_ns,
-            received_value: value,
-            received_flat,
-        })
+        Ok(BaselineOutcome { latency_ns, serialize_ns, deserialize_ns, received_value: value })
     }
 }
 
@@ -317,7 +310,7 @@ impl DataPlane for WasmedgePair {
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
         let outcome = WasmedgePair::transfer(self, &Payload::opaque(payload))?;
         let timing = outcome.timing();
-        Ok((outcome.received_flat, Some(timing)))
+        Ok((outcome.received_flat(), Some(timing)))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {
@@ -363,7 +356,7 @@ mod tests {
         let p = payload(100_000);
         let out = pair.transfer(&p).unwrap();
         assert_eq!(&out.received_value, p.value());
-        assert_eq!(&out.received_flat[..], &p.flat()[..]);
+        assert_eq!(&out.received_flat()[..], &p.flat()[..]);
     }
 
     #[test]

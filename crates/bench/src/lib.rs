@@ -317,7 +317,7 @@ fn measure_baseline_pair(
         user_cpu_ns: user_cpu,
         kernel_cpu_ns: k1 - k0,
         ram_peak: ram,
-        checksum_ok: outcome.received_flat == *payload.flat(),
+        checksum_ok: outcome.received_flat() == *payload.flat(),
     }
 }
 

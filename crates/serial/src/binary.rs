@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 
+use crate::keys::KeyCache;
 use crate::{varint, DecodeError, Value};
 
 const TAG_NULL: u8 = 0x00;
@@ -30,7 +31,7 @@ pub use crate::MAX_DEPTH;
 /// assert_eq!(binary::from_binary(&buf).unwrap(), Value::from(5i64));
 /// ```
 pub fn to_binary(value: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(value.heap_size() + value.node_count() * 2);
+    let mut out = Vec::with_capacity(encoded_len(value));
     write_value(&mut out, value);
     out
 }
@@ -43,11 +44,30 @@ pub fn to_binary(value: &Value) -> Vec<u8> {
 /// string nodes, nesting deeper than [`MAX_DEPTH`], or trailing bytes.
 pub fn from_binary(input: &[u8]) -> Result<Value, DecodeError> {
     let mut pos = 0usize;
-    let value = read_value(input, &mut pos, 0)?;
+    let value = read_value(input, &mut pos, 0, &mut KeyCache::default())?;
     if pos != input.len() {
         return Err(DecodeError::new(pos, "trailing bytes after document"));
     }
     Ok(value)
+}
+
+/// Exactly how many bytes [`write_value`] emits for `value`, so the
+/// output buffer is sized once, in one walk of the tree.
+fn encoded_len(value: &Value) -> usize {
+    let framed = |len: usize| varint::encoded_len(len as u64) + len;
+    1 + match value {
+        Value::Null | Value::Bool(_) => 0,
+        Value::I64(_) | Value::F64(_) => 8,
+        Value::Str(s) => framed(s.len()),
+        Value::Bytes(b) => framed(b.len()),
+        Value::List(items) => {
+            varint::encoded_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
+        }
+        Value::Map(entries) => {
+            varint::encoded_len(entries.len() as u64)
+                + entries.iter().map(|(k, v)| framed(k.len()) + encoded_len(v)).sum::<usize>()
+        }
+    }
 }
 
 fn write_value(out: &mut Vec<u8>, value: &Value) {
@@ -92,7 +112,12 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-fn read_value(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, DecodeError> {
+fn read_value(
+    input: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    keys: &mut KeyCache,
+) -> Result<Value, DecodeError> {
     if depth > MAX_DEPTH {
         return Err(DecodeError::new(*pos, "nesting deeper than MAX_DEPTH"));
     }
@@ -104,14 +129,8 @@ fn read_value(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Deco
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
         TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_I64 => {
-            let raw = take(input, pos, 8)?;
-            Ok(Value::I64(i64::from_le_bytes(raw.try_into().expect("8 bytes"))))
-        }
-        TAG_F64 => {
-            let raw = take(input, pos, 8)?;
-            Ok(Value::F64(f64::from_le_bytes(raw.try_into().expect("8 bytes"))))
-        }
+        TAG_I64 => Ok(Value::I64(i64::from_le_bytes(take_word(input, pos)?))),
+        TAG_F64 => Ok(Value::F64(f64::from_le_bytes(take_word(input, pos)?))),
         TAG_STR => {
             let len = read_len(input, pos)?;
             let raw = take(input, pos, len)?;
@@ -132,7 +151,7 @@ fn read_value(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Deco
             }
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
-                items.push(read_value(input, pos, depth + 1)?);
+                items.push(read_value(input, pos, depth + 1, keys)?);
             }
             Ok(Value::List(items))
         }
@@ -142,13 +161,13 @@ fn read_value(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Deco
                 return Err(DecodeError::new(*pos, "map count exceeds input size"));
             }
             let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
+            for index in 0..count {
                 let klen = read_len(input, pos)?;
                 let kraw = take(input, pos, klen)?;
                 let key = std::str::from_utf8(kraw)
-                    .map_err(|_| DecodeError::new(*pos - klen, "invalid UTF-8 in key"))?
-                    .to_owned();
-                let value = read_value(input, pos, depth + 1)?;
+                    .map_err(|_| DecodeError::new(*pos - klen, "invalid UTF-8 in key"))?;
+                let key = keys.share(depth, index, key);
+                let value = read_value(input, pos, depth + 1, keys)?;
                 entries.push((key, value));
             }
             Ok(Value::Map(entries))
@@ -171,6 +190,16 @@ fn take<'a>(input: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], De
         .ok_or_else(|| DecodeError::new(*pos, "unexpected end of input"))?;
     *pos = end;
     Ok(raw)
+}
+
+/// The eight bytes at `*pos`, as the fixed-width scalars are framed.
+fn take_word(input: &[u8], pos: &mut usize) -> Result<[u8; 8], DecodeError> {
+    let word = input
+        .get(*pos..)
+        .and_then(|rest| rest.first_chunk::<8>())
+        .ok_or_else(|| DecodeError::new(*pos, "unexpected end of input"))?;
+    *pos += 8;
+    Ok(*word)
 }
 
 #[cfg(test)]
@@ -244,6 +273,20 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_in_a_key_is_refused_at_the_key_warm_or_cold() {
+        // `é`, and its first byte followed by `(`.
+        let good = [TAG_MAP, 1, 2, 0xC3, 0xA9, TAG_NULL];
+        let bad = [TAG_MAP, 1, 2, 0xC3, 0x28, TAG_NULL];
+        assert_eq!(from_binary(&bad).unwrap_err().offset(), 3);
+        // Behind a sibling whose key the bad one shares a prefix with.
+        let batch = [&[TAG_LIST, 2][..], &good, &bad].concat();
+        assert_eq!(from_binary(&batch).unwrap_err().offset(), 2 + good.len() + 3);
+        let batch = [&[TAG_LIST, 3][..], &good, &good, &good].concat();
+        let record = Value::map([("é", Value::Null)]);
+        assert_eq!(from_binary(&batch), Ok(Value::list([record.clone(), record.clone(), record])));
+    }
+
+    #[test]
     fn absurd_list_count_rejected_without_oom() {
         let mut buf = vec![TAG_LIST];
         varint::write_u64(&mut buf, u32::MAX as u64);
@@ -283,7 +326,7 @@ mod tests {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..8).prop_map(Value::List),
                 proptest::collection::vec(("[a-z]{1,6}", inner), 0..8)
-                    .prop_map(Value::Map),
+                    .prop_map(Value::map),
             ]
         })
     }
@@ -292,6 +335,7 @@ mod tests {
         #[test]
         fn roundtrip_arbitrary_values(v in arb_value()) {
             let buf = to_binary(&v);
+            prop_assert_eq!(buf.len(), encoded_len(&v));
             prop_assert_eq!(from_binary(&buf).unwrap(), v);
         }
 

@@ -40,6 +40,7 @@
 //! ```
 
 mod error;
+mod keys;
 mod value;
 
 pub mod binary;

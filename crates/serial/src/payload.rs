@@ -16,10 +16,12 @@
 //! without pulling `rand` into the library (a xorshift64* generator is
 //! enough here).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use crate::raw::fnv1a;
-use crate::{RawView, Value};
+use crate::Value;
 
 /// Kind of synthetic payload, mirroring the paper's workload families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +119,9 @@ impl Payload {
         // JSON API would expose.
         const RECORD: usize = 32;
         let count = size.div_ceil(RECORD).max(1);
+        // Every record shares these five strings.
+        let [id_key, ts_key, lane_key, speed_key, flow_key] =
+            ["id", "ts", "lane", "speed", "flow"].map(Arc::<str>::from);
         let mut rng = XorShift64::new(seed);
         let mut flat = Vec::with_capacity(count * RECORD);
         let mut records = Vec::with_capacity(count);
@@ -132,11 +137,11 @@ impl Payload {
             flat.extend_from_slice(&flow.to_le_bytes());
             flat.extend_from_slice(&0u32.to_le_bytes());
             records.push(Value::map([
-                ("id", Value::I64(id as i64)),
-                ("ts", Value::I64(ts as i64)),
-                ("lane", Value::I64(lane as i64)),
-                ("speed", Value::F64(speed as f64)),
-                ("flow", Value::F64(flow as f64)),
+                (Arc::clone(&id_key), Value::I64(id as i64)),
+                (Arc::clone(&ts_key), Value::I64(ts as i64)),
+                (Arc::clone(&lane_key), Value::I64(lane as i64)),
+                (Arc::clone(&speed_key), Value::F64(speed as f64)),
+                (Arc::clone(&flow_key), Value::F64(flow as f64)),
             ]));
         }
         Self::from_parts(PayloadKind::SensorRecords, Value::List(records), Bytes::from(flat))
@@ -189,11 +194,6 @@ impl Payload {
     /// Flat in-memory representation — what Roadrunner ships untouched.
     pub fn flat(&self) -> &Bytes {
         &self.flat
-    }
-
-    /// Zero-copy raw view over the flat representation.
-    pub fn raw_view(&self) -> RawView {
-        RawView::new(self.flat.clone())
     }
 
     /// Integrity checksum of the flat representation.
@@ -283,12 +283,6 @@ mod tests {
     fn text_flat_form_matches_string_value() {
         let p = Payload::synthetic(PayloadKind::Text, 5, 64);
         assert_eq!(p.value().as_str().unwrap().as_bytes(), p.flat().as_ref());
-    }
-
-    #[test]
-    fn raw_view_shares_flat_storage() {
-        let p = Payload::synthetic(PayloadKind::ImageFrame, 5, 128);
-        assert_eq!(p.raw_view().as_slice().as_ptr(), p.flat().as_ref().as_ptr());
     }
 
     #[test]

@@ -16,16 +16,13 @@
 //! test-only `reference` child module keeps the original per-`char`
 //! codec, and `differential` holds this one to it byte for byte.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 
 use bytes::Bytes;
 
+use crate::keys::KeyCache;
 use crate::{DecodeError, Value, MAX_DEPTH};
-
-#[cfg(test)]
-mod differential;
-#[cfg(test)]
-mod reference;
 
 /// Serializes `value` into its text form.
 ///
@@ -48,7 +45,7 @@ pub fn to_text(value: &Value) -> String {
 /// problem: unterminated strings, bad escapes, malformed numbers,
 /// nesting deeper than [`MAX_DEPTH`], or trailing garbage.
 pub fn from_text(input: &str) -> Result<Value, DecodeError> {
-    let mut parser = Parser { input, pos: 0, last_len: 0 };
+    let mut parser = Parser { input, pos: 0, last_len: 0, keys: KeyCache::default() };
     parser.skip_ws();
     let value = parser.value(0)?;
     parser.skip_ws();
@@ -316,6 +313,9 @@ struct Parser<'a> {
     /// starts with. Sibling records have the same shape, so all but the
     /// first are allocated once, at their final size.
     last_len: usize,
+    /// Sibling records also spell the same keys: all but the first share
+    /// the first's key strings.
+    keys: KeyCache,
 }
 
 impl<'a> Parser<'a> {
@@ -347,7 +347,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'i') => self.keyword("inf", Value::F64(f64::INFINITY)),
-            Some(b'"') => self.string().map(Value::Str),
+            Some(b'"') => self.string().map(|s| Value::Str(s.into_owned())),
             Some(b'x') => self.hex_bytes(),
             Some(b'[') => self.list(depth),
             Some(b'{') => self.map(depth),
@@ -366,8 +366,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the quoted string at `pos`. A string without escapes — the
-    /// common case — is one scan and one exact-size copy.
-    fn string(&mut self) -> Result<String, DecodeError> {
+    /// common case — is one scan, and borrowed from the document.
+    fn string(&mut self) -> Result<Cow<'a, str>, DecodeError> {
         let bytes = self.bytes();
         // `input[run..at]` is scanned literal text not yet copied out.
         let mut run = self.pos + 1;
@@ -381,10 +381,10 @@ impl<'a> Parser<'a> {
                     let tail = &self.input[run..at];
                     self.pos = at + 1;
                     if out.is_empty() {
-                        return Ok(tail.to_owned());
+                        return Ok(Cow::Borrowed(tail));
                     }
                     out.push_str(tail);
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     out.push_str(&self.input[run..at]);
@@ -557,6 +557,7 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected string key"));
             }
             let key = self.string()?;
+            let key = self.keys.share(depth, entries.len(), &key);
             self.skip_ws();
             if self.peek() != Some(b':') {
                 return Err(self.error("expected `:` after key"));
@@ -578,6 +579,11 @@ impl<'a> Parser<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

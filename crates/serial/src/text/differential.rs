@@ -9,6 +9,10 @@
 //! property goes past it, without the oracle). A panic in either codec
 //! fails the property it happens in, so the decoder properties are the
 //! text codec's never-panics suite as well.
+//!
+//! The shipping decoders share key strings between sibling maps
+//! ([`crate::keys`]) and the reference does not, so the record-batch
+//! properties at the end are also the proof that sharing is invisible.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -89,6 +93,44 @@ fn value_of(rng: &mut Mix, depth: usize) -> Value {
         6 => Value::list((0..rng.below(6)).map(|_| value_of(rng, depth - 1))),
         _ => Value::map((0..rng.below(6)).map(|_| (string_of(rng, 12), value_of(rng, depth - 1)))),
     }
+}
+
+/// Keys that try to fool a by-position cache: prefixes of one another,
+/// the empty key, multi-byte scalars of every width, and keys whose text
+/// form is escaped — among them the six characters `\u0041`, which is
+/// how a document may spell the key `A`.
+const KEYS: &[&str] = &[
+    "id", "ids", "i", "", "ts", "é", "éé", "☃", "𝕏", "a\"b", "a", "b", "back\\slash", "line\nbreak",
+    "\u{1}", "\\u0041", "A", "lane", "lane ", "speed",
+];
+
+/// A batch of sibling maps, as a record list is: each record starts from
+/// the batch's shape — a few of [`KEYS`], a different few at every depth —
+/// and most keep it; the rest swap two keys, repeat one, drop one or
+/// trade one for another. Some fields hold a batch of their own.
+fn batch_of(rng: &mut Mix, depth: usize) -> Value {
+    let shape: Vec<&str> = (0..rng.below(6)).map(|_| rng.pick(KEYS)).collect();
+    let nested: Vec<bool> = shape.iter().map(|_| depth > 0 && rng.below(4) == 0).collect();
+    Value::list((0..rng.below(7)).map(|_| {
+        let mut keys = shape.clone();
+        if !keys.is_empty() {
+            let (a, b) = (rng.below(keys.len()), rng.below(keys.len()));
+            match rng.below(10) {
+                0 => keys.swap(a, b),
+                1 => keys.insert(a, keys[b]),
+                2 => drop(keys.remove(a)),
+                3 => keys[a] = rng.pick(KEYS),
+                _ => {}
+            }
+        }
+        Value::map(keys.iter().enumerate().map(|(at, &key)| {
+            let field = match nested.get(at) {
+                Some(true) => batch_of(rng, depth - 1),
+                _ => Value::I64(rng.below(100) as i64),
+            };
+            (key, field)
+        }))
+    }))
 }
 
 /// Both decoders on `doc`: the same value — compared through `Debug`,
@@ -182,6 +224,50 @@ proptest! {
             .collect();
         let expected = bytes.iter().position(|&b| is_special(b)).unwrap_or(bytes.len());
         prop_assert_eq!(find_special(&bytes), expected);
+    }
+}
+
+proptest! {
+    #[test]
+    fn record_batches_decode_as_the_reference_decodes_them(seed in any::<u64>()) {
+        let mut rng = Mix(seed);
+        let batch = batch_of(&mut rng, 3);
+        let doc = to_text(&batch);
+        // What `Value::map` built is what comes back, through either
+        // codec, whichever keys the decoder found in its cache.
+        prop_assert_eq!(from_text(&doc), Ok(batch.clone()));
+        prop_assert_eq!(crate::binary::from_binary(&crate::binary::to_binary(&batch)), Ok(batch));
+        assert_same_decode(&doc);
+        // Damage lands after the cache is warm as often as before.
+        let chars: Vec<char> = doc.chars().collect();
+        for _ in 0..16 {
+            assert_same_decode(&mutate(&mut rng, &chars));
+        }
+    }
+}
+
+#[test]
+fn a_cached_key_is_compared_decoded_never_as_document_text() {
+    for doc in [
+        // `a"b` is cached; the second record spells it raw, which ends
+        // the key at `a`.
+        r#"[{"a\"b":1},{"a"b":1}]"#,
+        // The other way round, and the escaped and plain spellings of `A`.
+        r#"[{"a":1},{"a\"b":1},{"a":1}]"#,
+        r#"[{"A":1},{"\u0041":2},{"\\u0041":3}]"#,
+        // Prefixes either way, the empty key, and a key cut short.
+        r#"[{"id":1,"ids":2},{"ids":1,"id":2},{"i":1,"":2},{"":1,"i":2}]"#,
+        r#"[{"id":1},{"id"#,
+        r#"[{"id":1},{"i"#,
+        // Duplicates inside one map, and a map that outgrows its sibling.
+        r#"[{"k":1,"k":2},{"k":3},{"k":4,"k":5,"k":6}]"#,
+        // One depth, two shapes, alternating.
+        r#"{"p":{"x":1,"y":2},"q":{"u":1,"v":2},"r":{"x":1,"y":2}}"#,
+        // The same keys at every depth, and a different set at each.
+        r#"[{"k":{"k":{"k":1}}},{"k":{"k":{"k":2}}},{"a":{"b":{"c":3}}},{"a":{"b":{"d":4}}}]"#,
+        "[{\"é\":1,\"éé\":2},{\"éé\":1,\"é\":2},{\"☃\":1,\"𝕏\":2},{\"é\":1,\"𝕏\":2}]",
+    ] {
+        assert_same_decode(doc);
     }
 }
 

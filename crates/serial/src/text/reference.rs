@@ -338,7 +338,7 @@ fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
         *pos += 1;
         skip_ws(bytes, pos);
         let value = parse_value(bytes, pos)?;
-        entries.push((key, value));
+        entries.push((key.into(), value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,

@@ -1,5 +1,7 @@
 //! Structured, self-describing data model.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 /// A structured value exchanged between serverless functions.
@@ -28,7 +30,14 @@ pub enum Value {
     /// An ordered sequence of values.
     List(Vec<Value>),
     /// An ordered string-keyed map.
-    Map(Vec<(String, Value)>),
+    ///
+    /// A key is a shared immutable string: cloning one bumps a reference
+    /// count, so a batch of records that all carry the same field names
+    /// can hold one allocation per distinct name. The decoders hand out
+    /// such clones when sibling maps repeat their keys; nothing observable
+    /// through this type — equality, [`heap_size`](Self::heap_size), the
+    /// bytes either codec writes — depends on which keys share storage.
+    Map(Vec<(Arc<str>, Value)>),
 }
 
 impl Value {
@@ -45,19 +54,26 @@ impl Value {
 
     /// Builds a [`Value::Map`] from `(key, value)` pairs, preserving order.
     ///
+    /// A `&str` or `String` key is copied into a fresh allocation; pass
+    /// clones of one `Arc<str>` to build many maps over the same names
+    /// without allocating per key.
+    ///
     /// ```
+    /// # use std::sync::Arc;
     /// # use roadrunner_serial::Value;
     /// let v = Value::map([("k", Value::Null)]);
     /// assert!(v.get("k").is_some());
+    /// let name: Arc<str> = Arc::from("k");
+    /// assert_eq!(Value::map([(Arc::clone(&name), Value::Null)]), v);
     /// ```
-    pub fn map<K: Into<String>, I: IntoIterator<Item = (K, Value)>>(entries: I) -> Self {
+    pub fn map<K: Into<Arc<str>>, I: IntoIterator<Item = (K, Value)>>(entries: I) -> Self {
         Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Returns the value under `key` if `self` is a map containing it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Value::Map(entries) => entries.iter().find(|(k, _)| **k == *key).map(|(_, v)| v),
             _ => None,
         }
     }

@@ -5,8 +5,11 @@
 //! (`heap_size` for the per-byte component, `node_count` for the
 //! per-node component).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use proptest::prelude::*;
+use roadrunner_serial::payload::{Payload, PayloadKind};
 use roadrunner_serial::{binary, text, Value};
 
 /// Splitmix-style generator so value shapes derive deterministically
@@ -130,4 +133,48 @@ proptest! {
         prop_assert!(binary_len <= text_len.max(16));
         prop_assert!(binary_len >= len, "framing cannot shrink opaque bytes");
     }
+}
+
+/// The field names of every record of a decoded batch.
+fn record_keys(batch: &Value) -> Vec<Vec<&Arc<str>>> {
+    let records = batch.as_list().expect("a list of records");
+    records
+        .iter()
+        .map(|record| match record {
+            Value::Map(entries) => entries.iter().map(|(key, _)| key).collect(),
+            other => panic!("record is {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn sibling_records_share_their_key_strings() {
+    let sensor = Payload::synthetic(PayloadKind::SensorRecords, 5, 32 * 64);
+    let via_text = text::from_text(&text::to_text(sensor.value())).expect("text round-trip");
+    let via_binary =
+        binary::from_binary(&binary::to_binary(sensor.value())).expect("binary round-trip");
+    for batch in [sensor.value(), &via_text, &via_binary] {
+        let keys = record_keys(batch);
+        assert_eq!(keys.len(), 64);
+        for record in &keys {
+            assert_eq!(record.len(), 5);
+            for (key, first) in record.iter().zip(&keys[0]) {
+                assert!(Arc::ptr_eq(key, first), "{key} is a copy");
+            }
+        }
+    }
+    // Sharing is storage only: a map over fresh copies is the same value.
+    let shared = via_text.at(1).expect("a second record");
+    let keys = &record_keys(&via_text)[1];
+    let copied = Value::map(keys.iter().map(|key| (key.to_string(), shared.get(key).cloned().unwrap())));
+    assert_eq!(&copied, shared);
+    assert_eq!(&via_text, sensor.value());
+}
+
+#[test]
+fn values_and_payloads_are_shared_across_threads() {
+    // The sweep engine hands one payload to all its workers.
+    fn shared<T: Send + Sync>() {}
+    shared::<Value>();
+    shared::<Payload>();
 }

@@ -71,13 +71,13 @@ fn main() {
     let bed = Arc::new(Testbed::paper());
     let mut runc = RuncPair::establish(Arc::clone(&bed), 0, 1);
     let out = runc.transfer(&payload).expect("runc transfer");
-    assert_eq!(&out.received_flat[..], &payload.flat()[..]);
+    assert_eq!(&out.received_flat()[..], &payload.flat()[..]);
     rows.push(("RunC (HTTP)".to_owned(), secs(out.latency_ns)));
 
     let bed = Arc::new(Testbed::paper());
     let mut wedge = WasmedgePair::establish(Arc::clone(&bed), 0, 1);
     let out = wedge.transfer(&payload).expect("wasmedge transfer");
-    assert_eq!(&out.received_flat[..], &payload.flat()[..]);
+    assert_eq!(&out.received_flat()[..], &payload.flat()[..]);
     rows.push(("WasmEdge (WASI HTTP)".to_owned(), secs(out.latency_ns)));
 
     for (label, latency) in &rows {

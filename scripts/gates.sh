@@ -22,6 +22,7 @@
 #                         `unreachable!` above each file's `#[cfg(test)]`
 #                         under crates/core/src stay at or below the pin
 #                         (ROADMAP 5(e): the pin only ever falls)
+#   count:panics:serial   the same count under crates/serial/src
 #
 # Known red since before PR 12, the only one, not weakened or skipped
 # here (see crates/platform/src/memo.rs "Soundness contract" and the two
@@ -138,6 +139,14 @@ $sites"
 # guest.rs 7 (module builders over constant input), api.rs 2 (arguments
 # typed by the import's signature).
 count count:panics:core core 9
+# text.rs 3 (`to_text`'s `String::from_utf8` over bytes the encoder wrote as
+# ASCII and whole `str` runs; two `write!` into a `Vec`, which cannot fail),
+# payload.rs 1 (`from_utf8` over a constant ASCII alphabet),
+# text/reference.rs 1 and text/differential.rs 1 (whole files compiled
+# under `text.rs`'s `#[cfg(test)] mod` lines: the oracle's hex digit of a
+# nibble, the differential suite's own failure report), binary.rs 1 and
+# value.rs 1 (`unwrap()` in a rustdoc example).
+count count:panics:serial serial 8
 
 produce bench_engine bench_engine --quick
 produce bench_wasm bench_wasm --quick
