@@ -51,29 +51,6 @@ impl BaselineOutcome {
     }
 }
 
-/// Clamps a pair's placement map and node attributions onto the first
-/// `active_nodes` nodes — the shared logic behind
-/// [`RuncPair::clamp_placements`](crate::RuncPair::clamp_placements) and
-/// [`WasmedgePair::clamp_placements`](crate::WasmedgePair::clamp_placements).
-///
-/// # Panics
-///
-/// Panics if `active_nodes` is zero.
-pub(crate) fn clamp_placement_map(
-    placements: &mut std::collections::HashMap<String, usize>,
-    endpoints: [&mut usize; 2],
-    active_nodes: usize,
-) {
-    assert!(active_nodes > 0, "a cluster keeps at least one active node");
-    let last = active_nodes - 1;
-    for node in endpoints {
-        *node = (*node).min(last);
-    }
-    for node in placements.values_mut() {
-        *node = (*node).min(last);
-    }
-}
-
 /// Extracts the flat byte representation from a decoded value, mirroring
 /// [`roadrunner_serial::Payload::flat`] for the supported payload shapes.
 pub fn flat_of(value: &Value) -> Bytes {

@@ -8,7 +8,6 @@
 //! is cheap (~15 % of transfer, Fig. 2b) and tokio-style streaming
 //! overlaps stages.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -25,13 +24,10 @@ use crate::common::BaselineOutcome;
 /// over HTTP.
 pub struct RuncPair {
     testbed: Arc<Testbed>,
-    node_a: usize,
-    node_b: usize,
     sandbox_a: Sandbox,
     sandbox_b: Sandbox,
     client: TcpEndpoint,
     server: TcpEndpoint,
-    placements: HashMap<String, usize>,
 }
 
 impl std::fmt::Debug for RuncPair {
@@ -53,13 +49,10 @@ impl RuncPair {
         let (client, server) = TcpConn::establish(&sandbox_a, link);
         Self {
             testbed,
-            node_a,
-            node_b,
             sandbox_a,
             sandbox_b,
             client,
             server,
-            placements: HashMap::new(),
         }
     }
 
@@ -71,38 +64,6 @@ impl RuncPair {
     /// Sandbox of the target container.
     pub fn sandbox_b(&self) -> &Sandbox {
         &self.sandbox_b
-    }
-
-    /// Testbed nodes the pair's containers run on, `(source, target)`.
-    pub fn nodes(&self) -> (usize, usize) {
-        (self.node_a, self.node_b)
-    }
-
-    /// Records that workflow function `function` runs on `node`
-    /// (chainable), so the concurrent engine attributes the function's
-    /// phases to that node's resources via [`DataPlane::placement`].
-    pub fn place(mut self, function: impl Into<String>, node: usize) -> Self {
-        self.placements.insert(function.into(), node);
-        self
-    }
-
-    /// Clamps every recorded placement (and the pair's node attribution)
-    /// onto the first `active_nodes` nodes, so a map written for a larger
-    /// cluster keeps attributing work to live timelines after the active
-    /// set shrank. Note the load generator never consults this map — it
-    /// places every instance itself, by DAG node index — so clamping
-    /// only matters when a pair is driven directly (e.g. handed to
-    /// `execute_concurrent` against downsized `SchedResources`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_nodes` is zero.
-    pub fn clamp_placements(&mut self, active_nodes: usize) {
-        crate::common::clamp_placement_map(
-            &mut self.placements,
-            [&mut self.node_a, &mut self.node_b],
-            active_nodes,
-        );
     }
 
     /// Transfers one payload and returns the timing breakdown.
@@ -178,10 +139,6 @@ impl DataPlane for RuncPair {
         let timing = outcome.timing();
         Ok((outcome.received_flat(), Some(timing)))
     }
-
-    fn placement(&self, function: &str) -> Option<usize> {
-        self.placements.get(function).copied()
-    }
 }
 
 #[cfg(test)]
@@ -191,27 +148,6 @@ mod tests {
 
     fn payload(size: usize) -> Payload {
         Payload::synthetic(PayloadKind::Text, 7, size)
-    }
-
-    #[test]
-    fn placement_map_feeds_the_concurrent_engine() {
-        let bed = Arc::new(Testbed::paper());
-        let pair = RuncPair::establish(Arc::clone(&bed), 0, 1).place("src", 0).place("sink", 1);
-        assert_eq!(pair.nodes(), (0, 1));
-        assert_eq!(DataPlane::placement(&pair, "src"), Some(0));
-        assert_eq!(DataPlane::placement(&pair, "sink"), Some(1));
-        assert_eq!(DataPlane::placement(&pair, "ghost"), None);
-    }
-
-    #[test]
-    fn clamping_rehomes_the_map_onto_the_active_set() {
-        let bed = Arc::new(Testbed::paper());
-        let mut pair =
-            RuncPair::establish(Arc::clone(&bed), 0, 1).place("src", 0).place("sink", 1);
-        pair.clamp_placements(1);
-        assert_eq!(pair.nodes(), (0, 0));
-        assert_eq!(DataPlane::placement(&pair, "sink"), Some(0));
-        assert_eq!(DataPlane::placement(&pair, "src"), Some(0));
     }
 
     #[test]

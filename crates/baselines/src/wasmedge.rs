@@ -17,7 +17,6 @@
 //! writing a full text encoder in raw Wasm instructions would change no
 //! measured quantity.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -37,15 +36,12 @@ use crate::common::BaselineOutcome;
 /// A connected pair of WasmEdge-style functions (`a` → `b`).
 pub struct WasmedgePair {
     testbed: Arc<Testbed>,
-    node_a: usize,
-    node_b: usize,
     sandbox_a: Sandbox,
     sandbox_b: Sandbox,
     sender: Instance,
     receiver: Instance,
     fd_a: u32,
     fd_b: u32,
-    placements: HashMap<String, usize>,
 }
 
 impl std::fmt::Debug for WasmedgePair {
@@ -100,15 +96,12 @@ impl WasmedgePair {
 
         Self {
             testbed,
-            node_a,
-            node_b,
             sandbox_a,
             sandbox_b,
             sender,
             receiver,
             fd_a,
             fd_b,
-            placements: HashMap::new(),
         }
     }
 
@@ -120,38 +113,6 @@ impl WasmedgePair {
     /// Sandbox of the target function.
     pub fn sandbox_b(&self) -> &Sandbox {
         &self.sandbox_b
-    }
-
-    /// Testbed nodes the pair's VMs run on, `(source, target)`.
-    pub fn nodes(&self) -> (usize, usize) {
-        (self.node_a, self.node_b)
-    }
-
-    /// Records that workflow function `function` runs on `node`
-    /// (chainable), so the concurrent engine attributes the function's
-    /// phases to that node's resources via [`DataPlane::placement`].
-    pub fn place(mut self, function: impl Into<String>, node: usize) -> Self {
-        self.placements.insert(function.into(), node);
-        self
-    }
-
-    /// Clamps every recorded placement (and the pair's node attribution)
-    /// onto the first `active_nodes` nodes, so a map written for a larger
-    /// cluster keeps attributing work to live timelines after the active
-    /// set shrank. Note the load generator never consults this map — it
-    /// places every instance itself, by DAG node index — so clamping
-    /// only matters when a pair is driven directly (e.g. handed to
-    /// `execute_concurrent` against downsized `SchedResources`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_nodes` is zero.
-    pub fn clamp_placements(&mut self, active_nodes: usize) {
-        crate::common::clamp_placement_map(
-            &mut self.placements,
-            [&mut self.node_a, &mut self.node_b],
-            active_nodes,
-        );
     }
 
     fn invoke_charged(
@@ -312,10 +273,6 @@ impl DataPlane for WasmedgePair {
         let timing = outcome.timing();
         Ok((outcome.received_flat(), Some(timing)))
     }
-
-    fn placement(&self, function: &str) -> Option<usize> {
-        self.placements.get(function).copied()
-    }
 }
 
 #[cfg(test)]
@@ -325,28 +282,6 @@ mod tests {
 
     fn payload(size: usize) -> Payload {
         Payload::synthetic(PayloadKind::Text, 11, size)
-    }
-
-    #[test]
-    fn placement_map_feeds_the_concurrent_engine() {
-        let bed = Arc::new(Testbed::paper());
-        let pair =
-            WasmedgePair::establish(Arc::clone(&bed), 0, 1).place("src", 0).place("sink", 1);
-        assert_eq!(pair.nodes(), (0, 1));
-        assert_eq!(DataPlane::placement(&pair, "src"), Some(0));
-        assert_eq!(DataPlane::placement(&pair, "sink"), Some(1));
-        assert_eq!(DataPlane::placement(&pair, "ghost"), None);
-    }
-
-    #[test]
-    fn clamping_rehomes_the_map_onto_the_active_set() {
-        let bed = Arc::new(Testbed::paper());
-        let mut pair =
-            WasmedgePair::establish(Arc::clone(&bed), 0, 1).place("src", 0).place("sink", 1);
-        pair.clamp_placements(1);
-        assert_eq!(pair.nodes(), (0, 0));
-        assert_eq!(DataPlane::placement(&pair, "sink"), Some(0));
-        assert_eq!(DataPlane::placement(&pair, "src"), Some(0));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::process::Command;
 use std::time::Instant;
 
-use roadrunner_bench::quick_flag;
+use roadrunner_bench::{fixed, object, Args, Flag, Object};
 use roadrunner_wasm::types::{FuncType, ValType, Value};
 use roadrunner_wasm::{
     BlockType, EngineLimits, Instance, Instr, Linker, MemArg, Module, ModuleBuilder,
@@ -315,24 +315,17 @@ fn measure(kernel: &Kernel, calls: usize) -> Measured {
     measured
 }
 
-fn scenario_json(kernel: &Kernel, m: &Measured) -> String {
-    format!(
-        concat!(
-            "    {{\"scenario\": \"{}\", \"arg\": {}, \"calls\": {}, \"instrs\": {}, ",
-            "\"wall_ms\": {:.3}, \"calls_per_sec\": {:.1}, \"ns_per_instr\": {:.2}}}"
-        ),
-        kernel.name,
-        kernel.arg,
-        m.calls,
-        m.instrs,
-        m.wall_s * 1e3,
-        m.calls_per_sec(),
-        m.ns_per_instr(),
-    )
+fn scenario_row(kernel: &Kernel, m: &Measured) -> Object {
+    object! {
+        "scenario" => kernel.name, "arg" => kernel.arg, "calls" => m.calls,
+        "instrs" => m.instrs, "wall_ms" => fixed(m.wall_s * 1e3, 3),
+        "calls_per_sec" => fixed(m.calls_per_sec(), 1),
+        "ns_per_instr" => fixed(m.ns_per_instr(), 2),
+    }
 }
 
-/// The host a row was measured on, as a JSON object.
-fn host_json() -> String {
+/// The host a row was measured on.
+fn host() -> Object {
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
@@ -348,15 +341,11 @@ fn host_json() -> String {
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
         .unwrap_or_else(|| "unknown".to_owned());
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "{{\"logical_cores\": {cores}, \"cpu_model\": \"{}\", \"rustc\": \"{}\"}}",
-        cpu_model.replace('"', "'"),
-        rustc.replace('"', "'"),
-    )
+    object! { "logical_cores" => cores, "cpu_model" => cpu_model, "rustc" => rustc }
 }
 
 fn main() {
-    let quick = quick_flag();
+    let quick = Args::parse(&[Flag::Quick]).quick;
 
     // Per-call counts: 61n + 9; c(n) = 13 + c(n-1) + c(n-2) from
     // c(0) = c(1) = 5; 20n + 7; 27n + 16.
@@ -396,26 +385,17 @@ fn main() {
         },
     ];
 
-    let rows: Vec<String> = kernels
+    let rows: Vec<Object> = kernels
         .iter()
         .map(|kernel| {
             let calls = if quick { kernel.calls / 10 } else { kernel.calls };
-            scenario_json(kernel, &measure(kernel, calls))
+            scenario_row(kernel, &measure(kernel, calls))
         })
         .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"bench_wasm\",\n",
-            "  \"quick\": {},\n",
-            "  \"host\": {},\n",
-            "  \"scenarios\": [\n{}\n  ]\n",
-            "}}"
-        ),
-        quick,
-        host_json(),
-        rows.join(",\n"),
-    );
+    let doc = object! {
+        "benchmark" => "bench_wasm", "quick" => quick, "host" => host(), "scenarios" => rows,
+    };
+    let json = doc.document();
     std::fs::write("BENCH_wasm.json", format!("{json}\n")).expect("write BENCH_wasm.json");
     println!("{json}");
 }

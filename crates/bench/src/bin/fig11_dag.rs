@@ -13,13 +13,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
-use roadrunner_bench::{quick_flag, MB};
+use roadrunner_bench::{fixed, json_secs, object, rr_bundle, Args, Flag, MB};
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent, FunctionBundle, WorkflowDag, WorkflowRun,
-    WorkflowSpec,
+    critical_path_ns, execute, execute_concurrent_at, WorkflowDag, WorkflowRun, WorkflowSpec,
 };
-use roadrunner_vkernel::{secs, SchedResources, Testbed};
-use roadrunner_wasm::encode;
+use roadrunner_vkernel::{SchedResources, Testbed};
 
 /// What a workflow node does with its input.
 #[derive(Clone, Copy)]
@@ -92,14 +90,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn rr_bundle(name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
-    Arc::new(
-        FunctionBundle::wasm(name, encode::encode(&module))
-            .with_workflow("fig11")
-            .with_tenant("bench"),
-    )
-}
-
 fn deploy(scenario: &Scenario) -> (Arc<Testbed>, RoadrunnerPlane) {
     let bed = Arc::new(Testbed::paper());
     let mut plane =
@@ -111,7 +101,7 @@ fn deploy(scenario: &Scenario) -> (Arc<Testbed>, RoadrunnerPlane) {
             Role::Consume => (guest::consumer(), "consume", true),
         };
         plane
-            .deploy(*node, name, rr_bundle(name, module), handler, returns)
+            .deploy(*node, name, rr_bundle("fig11", name, module), handler, returns)
             .expect("deploy scenario function");
     }
     (bed, plane)
@@ -135,12 +125,13 @@ fn run_concurrent(scenario: &Scenario, payload: &Bytes) -> WorkflowRun {
     let (bed, mut plane) = deploy(scenario);
     let clock = bed.clock().clone();
     let mut resources = SchedResources::for_testbed(&bed);
-    execute_concurrent(&mut plane, &clock, &spec_of(scenario), payload.clone(), &mut resources)
+    let spec = spec_of(scenario);
+    execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut resources, 0)
         .expect("concurrent run")
 }
 
 fn main() {
-    let payload_bytes = if quick_flag() { 2 * MB } else { 8 * MB };
+    let payload_bytes = if Args::parse(&[Flag::Quick]).quick { 2 * MB } else { 8 * MB };
     let payload = Bytes::from(vec![0x5Au8; payload_bytes]);
 
     let mut rows = Vec::new();
@@ -160,27 +151,17 @@ fn main() {
             scenario.name
         );
         let speedup = serial.total_latency_ns as f64 / concurrent.total_latency_ns.max(1) as f64;
-        rows.push(format!(
-            concat!(
-                "    {{\"scenario\": \"{}\", \"functions\": {}, \"edges\": {}, ",
-                "\"serial_s\": {:.6}, \"concurrent_s\": {:.6}, ",
-                "\"critical_path_s\": {:.6}, \"speedup\": {:.3}}}"
-            ),
-            scenario.name,
-            spec.dag.node_count(),
-            spec.dag.edge_count(),
-            secs(serial.total_latency_ns),
-            secs(concurrent.total_latency_ns),
-            secs(critical),
-            speedup,
-        ));
+        rows.push(object! {
+            "scenario" => scenario.name, "functions" => spec.dag.node_count(),
+            "edges" => spec.dag.edge_count(),
+            "serial_s" => json_secs(serial.total_latency_ns),
+            "concurrent_s" => json_secs(concurrent.total_latency_ns),
+            "critical_path_s" => json_secs(critical), "speedup" => fixed(speedup, 3),
+        });
     }
 
-    println!("{{");
-    println!("  \"figure\": \"fig11_dag\",");
-    println!("  \"payload_bytes\": {payload_bytes},");
-    println!("  \"scenarios\": [");
-    println!("{}", rows.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    let doc = object! {
+        "figure" => "fig11_dag", "payload_bytes" => payload_bytes, "scenarios" => rows,
+    };
+    println!("{}", doc.document());
 }

@@ -36,14 +36,15 @@
 //! [--quick] [--serial] [--workers N] [--no-memo]`
 
 use roadrunner_bench::fig13::{fig13_json, Fig13Options};
-use roadrunner_bench::{flag, quick_flag, sweep_mode_flag};
+use roadrunner_bench::{Args, Flag};
 
 fn main() {
+    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo]);
     let opts = Fig13Options {
-        quick: quick_flag(),
+        quick: args.quick,
         golden: false,
-        memo: !flag("--no-memo"),
-        mode: sweep_mode_flag(),
+        memo: !args.no_memo,
+        mode: args.sweep_mode(),
     };
     println!("{}", fig13_json(&opts));
 }

@@ -16,13 +16,14 @@
 //! [--quick] [--serial] [--workers N] [--no-memo]`
 
 use roadrunner_bench::fig14::{fig14_json, Fig14Options};
-use roadrunner_bench::{flag, quick_flag, sweep_mode_flag};
+use roadrunner_bench::{Args, Flag};
 
 fn main() {
+    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo]);
     let opts = Fig14Options {
-        quick: quick_flag(),
-        memo: !flag("--no-memo"),
-        mode: sweep_mode_flag(),
+        quick: args.quick,
+        memo: !args.no_memo,
+        mode: args.sweep_mode(),
     };
     println!("{}", fig14_json(&opts));
 }

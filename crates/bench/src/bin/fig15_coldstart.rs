@@ -24,10 +24,11 @@
 //! [--quick] [--serial] [--workers N]`
 
 use roadrunner_bench::fig15::{fig15_json, Fig15Options};
-use roadrunner_bench::{quick_flag, sweep_mode_flag};
+use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let opts = Fig15Options { quick: quick_flag(), mode: sweep_mode_flag() };
+    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers]);
+    let opts = Fig15Options { quick: args.quick, mode: args.sweep_mode() };
     let json = fig15_json(&opts);
     if !opts.quick {
         std::fs::write("BENCH_coldstart.json", format!("{json}\n"))

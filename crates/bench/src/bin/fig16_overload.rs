@@ -18,10 +18,11 @@
 //! [--quick] [--serial] [--workers N]`
 
 use roadrunner_bench::fig16::{fig16_json, Fig16Options};
-use roadrunner_bench::{quick_flag, sweep_mode_flag};
+use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let opts = Fig16Options { quick: quick_flag(), mode: sweep_mode_flag() };
+    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers]);
+    let opts = Fig16Options { quick: args.quick, mode: args.sweep_mode() };
     let json = fig16_json(&opts);
     if !opts.quick {
         std::fs::write("BENCH_overload.json", format!("{json}\n"))

@@ -7,10 +7,11 @@ use std::sync::Arc;
 
 use roadrunner::guest::ResizeSpec;
 use roadrunner_baselines::coldstart;
-use roadrunner_bench::{fmt_secs, print_panel};
+use roadrunner_bench::{fmt_secs, print_panel, Args};
 use roadrunner_vkernel::Testbed;
 
 fn main() {
+    Args::parse(&[]);
     let bed = Arc::new(Testbed::paper());
     let cost = bed.cost();
     let spec = ResizeSpec { width: 1024, height: 768 };

@@ -3,10 +3,10 @@
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig2b [--quick]`
 
-use roadrunner_bench::{measure_transfer, print_panel, quick_flag, System, MB};
+use roadrunner_bench::{measure_transfer, print_panel, Args, Flag, System, MB};
 
 fn main() {
-    let sizes: Vec<usize> = if quick_flag() {
+    let sizes: Vec<usize> = if Args::parse(&[Flag::Quick]).quick {
         vec![MB, 60 * MB]
     } else {
         vec![MB, 60 * MB, 100 * MB]

@@ -5,9 +5,10 @@
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig6`
 
-use roadrunner_bench::{fmt_secs, measure_transfer, print_panel, System, MB};
+use roadrunner_bench::{fmt_secs, measure_transfer, print_panel, Args, System, MB};
 
 fn main() {
+    Args::parse(&[]);
     let size = 100 * MB;
     println!("# Fig. 6 — inter-node 100 MB transfer breakdown (RR vs RC vs W)");
 

@@ -6,12 +6,11 @@
 //! Run: `cargo run -p roadrunner-bench --release --bin fig7 [--quick]`
 
 use roadrunner_bench::{
-    fmt_secs, measure_transfer_intra, payload_sweep, print_panel, quick_flag, Measurement,
-    System, MB,
+    measure_transfer_intra, payload_sweep, print_transfer_panels, Args, Flag, Measurement, System,
 };
 
 fn main() {
-    let sizes = payload_sweep(quick_flag());
+    let sizes = payload_sweep(Args::parse(&[Flag::Quick]).quick);
     println!("# Fig. 7 — intra-node latency/throughput/CPU/RAM for varying payload sizes");
 
     let mut rows: Vec<Measurement> = Vec::new();
@@ -23,37 +22,5 @@ fn main() {
         }
     }
 
-    let cores = 4;
-    print_panel("(a) total latency (s)", &["series", "size_MB", "latency_s"]);
-    for m in &rows {
-        println!("{}\t{}\t{}", m.system.label(), m.bytes / MB, fmt_secs(m.latency_ns));
-    }
-    print_panel("(b) total throughput (req/s)", &["series", "size_MB", "rps"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.3}", m.system.label(), m.bytes / MB, m.throughput_rps());
-    }
-    print_panel("(c) serialization latency (s)", &["series", "size_MB", "serialization_s"]);
-    for m in &rows {
-        println!("{}\t{}\t{}", m.system.label(), m.bytes / MB, fmt_secs(m.serialization_ns));
-    }
-    print_panel("(d) serialization throughput (req/s)", &["series", "size_MB", "rps"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.3}", m.system.label(), m.bytes / MB, m.serialization_rps());
-    }
-    print_panel("(e) total CPU (% of machine)", &["series", "size_MB", "cpu_pct"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.4}", m.system.label(), m.bytes / MB, m.cpu_total_pct(cores));
-    }
-    print_panel("(f) user-space CPU (%)", &["series", "size_MB", "cpu_pct"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.4}", m.system.label(), m.bytes / MB, m.cpu_user_pct(cores));
-    }
-    print_panel("(g) kernel-space CPU (%)", &["series", "size_MB", "cpu_pct"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.4}", m.system.label(), m.bytes / MB, m.cpu_kernel_pct(cores));
-    }
-    print_panel("(h) RAM (MB)", &["series", "size_MB", "ram_MB"]);
-    for m in &rows {
-        println!("{}\t{}\t{:.2}", m.system.label(), m.bytes / MB, m.ram_peak as f64 / 1e6);
-    }
+    print_transfer_panels(&rows);
 }

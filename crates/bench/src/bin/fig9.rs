@@ -5,12 +5,12 @@
 //! Run: `cargo run -p roadrunner-bench --release --bin fig9 [--quick]`
 
 use roadrunner_bench::{
-    fanout_sweep, fmt_secs, measure_fanout, print_panel, quick_flag, FanoutMeasurement, System,
+    fanout_sweep, measure_fanout, print_fanout_panels, Args, FanoutMeasurement, Flag, System,
     MB,
 };
 
 fn main() {
-    let degrees = fanout_sweep(quick_flag());
+    let degrees = fanout_sweep(Args::parse(&[Flag::Quick]).quick);
     let size = 10 * MB;
     println!("# Fig. 9 — intra-node fan-out (10 MB per branch)");
 
@@ -21,45 +21,5 @@ fn main() {
         }
     }
 
-    print_series(&rows);
-}
-
-fn print_series(rows: &[FanoutMeasurement]) {
-    print_panel("(a) total latency per branch (s)", &["series", "fanout", "latency_s"]);
-    for m in rows {
-        println!("{}\t{}\t{}", m.system.label(), m.degree, fmt_secs(m.branch_ns));
-    }
-    print_panel("(b) total throughput (req/s)", &["series", "fanout", "rps"]);
-    for m in rows {
-        println!("{}\t{}\t{:.3}", m.system.label(), m.degree, m.throughput_rps());
-    }
-    print_panel("(c) serialization latency (s)", &["series", "fanout", "serialization_s"]);
-    for m in rows {
-        println!("{}\t{}\t{}", m.system.label(), m.degree, fmt_secs(m.serialization_ns));
-    }
-    print_panel("(d) serialization throughput (req/s)", &["series", "fanout", "rps"]);
-    for m in rows {
-        println!("{}\t{}\t{:.3}", m.system.label(), m.degree, m.serialization_rps());
-    }
-    print_panel("(e) total CPU (% of machine)", &["series", "fanout", "cpu_pct"]);
-    for m in rows {
-        let pct = (m.user_cpu_ns + m.kernel_cpu_ns) as f64
-            / (m.makespan_ns.max(1) as f64 * 4.0)
-            * 100.0;
-        println!("{}\t{}\t{:.4}", m.system.label(), m.degree, pct);
-    }
-    print_panel("(f) user-space CPU (%)", &["series", "fanout", "cpu_pct"]);
-    for m in rows {
-        let pct = m.user_cpu_ns as f64 / (m.makespan_ns.max(1) as f64 * 4.0) * 100.0;
-        println!("{}\t{}\t{:.4}", m.system.label(), m.degree, pct);
-    }
-    print_panel("(g) kernel-space CPU (%)", &["series", "fanout", "cpu_pct"]);
-    for m in rows {
-        let pct = m.kernel_cpu_ns as f64 / (m.makespan_ns.max(1) as f64 * 4.0) * 100.0;
-        println!("{}\t{}\t{:.4}", m.system.label(), m.degree, pct);
-    }
-    print_panel("(h) RAM (MB)", &["series", "fanout", "ram_MB"]);
-    for m in rows {
-        println!("{}\t{}\t{:.2}", m.system.label(), m.degree, m.ram_peak as f64 / 1e6);
-    }
+    print_fanout_panels(&rows);
 }

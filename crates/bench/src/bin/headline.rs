@@ -5,7 +5,7 @@
 //! Run: `cargo run -p roadrunner-bench --release --bin headline [--quick]`
 
 use roadrunner_bench::{
-    measure_transfer, measure_transfer_intra, payload_sweep, quick_flag, System, MB,
+    measure_transfer, measure_transfer_intra, payload_sweep, Args, Flag, System, MB,
 };
 
 struct Claim {
@@ -16,7 +16,7 @@ struct Claim {
 }
 
 fn main() {
-    let sizes = payload_sweep(quick_flag());
+    let sizes = payload_sweep(Args::parse(&[Flag::Quick]).quick);
     let mut claims: Vec<Claim> = Vec::new();
 
     // ---------------------------------------------------------- intra-node

@@ -35,9 +35,11 @@ use roadrunner_platform::{
     LocalityFirst, MemoizedPlane, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat,
     SpreadLoad, SweepGrid, SweepMode, SweepPoint,
 };
-use roadrunner_vkernel::{secs, Nanos, SchedResources, Testbed};
+use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
-use crate::{cluster, pipeline_spec, roadrunner_pipeline, uncontended, MB};
+use crate::{
+    cluster, fixed, json_secs, object, pipeline_spec, roadrunner_pipeline, uncontended, Object, MB,
+};
 
 const NODES: usize = 4;
 
@@ -197,72 +199,40 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
     PointResult { mean_interval_ns, runs }
 }
 
-/// Formats a nanosecond-valued f64 statistic as seconds.
-fn fsecs(ns: f64) -> String {
-    format!("{:.6}", ns / 1e9)
-}
-
-/// Renders one merged cell row: a system's seed replicas collapsed
-/// into across-seed means and CIs.
-#[allow(clippy::too_many_arguments)]
-fn cell_json(
-    label: &str,
-    policy: &str,
-    payload_bytes: usize,
-    rate_label: &str,
+/// Renders one merged cell row: a system's seed replicas of `cell`
+/// collapsed into across-seed means and CIs.
+fn cell_row(
+    cell: &SweepPoint,
     mean_interval_ns: Nanos,
-    uncontended_ns: Nanos,
     instances: usize,
     replicas: &[&SystemRun],
-) -> String {
+) -> Object {
     let digests: Vec<PercentileSummary> = replicas.iter().map(|r| r.digest).collect();
     let rep = replicate(&digests).expect("at least one seed");
     let stat = |pick: fn(&SystemRun) -> f64| {
         let values: Vec<f64> = replicas.iter().map(|r| pick(r)).collect();
         ReplicatedStat::from_values(&values).expect("at least one seed")
     };
-    let offered = stat(|r| r.offered_rps);
     let achieved = stat(|r| r.achieved_rps);
-    let cpu = stat(|r| r.cpu_utilization);
-    let link = stat(|r| r.link_utilization);
-    format!(
-        concat!(
-            "    {{\"system\": \"{}\", \"policy\": \"{}\", \"payload_mb\": {:.1}, ",
-            "\"rate\": \"{}\", \"mean_interval_s\": {:.6}, \"uncontended_s\": {:.6}, ",
-            "\"seeds\": {}, \"instances_per_seed\": {}, ",
-            "\"offered_rps_mean\": {:.3}, ",
-            "\"achieved_rps_mean\": {:.3}, \"achieved_rps_ci\": [{:.3}, {:.3}], ",
-            "\"p50_s_mean\": {}, \"p50_s_ci\": [{}, {}], ",
-            "\"p95_s_mean\": {}, \"p95_s_ci\": [{}, {}], ",
-            "\"p99_s_mean\": {}, \"p99_s_ci\": [{}, {}], ",
-            "\"max_s_mean\": {}, ",
-            "\"cpu_util_mean\": {:.4}, \"link_util_mean\": {:.4}}}"
-        ),
-        label,
-        policy,
-        payload_bytes as f64 / MB as f64,
-        rate_label,
-        secs(mean_interval_ns),
-        secs(uncontended_ns),
-        replicas.len(),
-        instances,
-        offered.mean,
-        achieved.mean,
-        achieved.ci_lo,
-        achieved.ci_hi,
-        fsecs(rep.p50_ns.mean),
-        fsecs(rep.p50_ns.ci_lo),
-        fsecs(rep.p50_ns.ci_hi),
-        fsecs(rep.p95_ns.mean),
-        fsecs(rep.p95_ns.ci_lo),
-        fsecs(rep.p95_ns.ci_hi),
-        fsecs(rep.p99_ns.mean),
-        fsecs(rep.p99_ns.ci_lo),
-        fsecs(rep.p99_ns.ci_hi),
-        fsecs(rep.max_ns.mean),
-        cpu.mean,
-        link.mean,
-    )
+    let secs_of = |ns: f64| fixed(ns / 1e9, 6);
+    let ci = |s: &ReplicatedStat| vec![secs_of(s.ci_lo), secs_of(s.ci_hi)];
+    object! {
+        "system" => replicas[0].label, "policy" => cell.policy.as_str(),
+        "payload_mb" => fixed(cell.payload_bytes as f64 / MB as f64, 1),
+        "rate" => RATE_FACTORS[cell.rate_index].0,
+        "mean_interval_s" => json_secs(mean_interval_ns),
+        "uncontended_s" => json_secs(replicas[0].uncontended_ns),
+        "seeds" => replicas.len(), "instances_per_seed" => instances,
+        "offered_rps_mean" => fixed(stat(|r| r.offered_rps).mean, 3),
+        "achieved_rps_mean" => fixed(achieved.mean, 3),
+        "achieved_rps_ci" => vec![fixed(achieved.ci_lo, 3), fixed(achieved.ci_hi, 3)],
+        "p50_s_mean" => secs_of(rep.p50_ns.mean), "p50_s_ci" => ci(&rep.p50_ns),
+        "p95_s_mean" => secs_of(rep.p95_ns.mean), "p95_s_ci" => ci(&rep.p95_ns),
+        "p99_s_mean" => secs_of(rep.p99_ns.mean), "p99_s_ci" => ci(&rep.p99_ns),
+        "max_s_mean" => secs_of(rep.max_ns.mean),
+        "cpu_util_mean" => fixed(stat(|r| r.cpu_utilization).mean, 4),
+        "link_util_mean" => fixed(stat(|r| r.link_utilization).mean, 4),
+    }
 }
 
 /// Runs the fig12 sweep under `opts` and returns the complete JSON
@@ -290,7 +260,7 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
     // Merge: consecutive `seeds_per_cell` results form one experimental
     // cell; collapse each system's replicas into across-seed stats.
     let points = grid.points();
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Object> = Vec::new();
     for (chunk_index, chunk) in results.chunks(grid.seeds_per_cell()).enumerate() {
         let cell_point = &points[chunk_index * grid.seeds_per_cell()];
         let rate_label = RATE_FACTORS[cell_point.rate_index].0;
@@ -310,16 +280,7 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
             let p95_mean = replicas.iter().map(|r| r.digest.p95_ns as f64).sum::<f64>()
                 / replicas.len() as f64;
             cell_stats.push((label, achieved_mean, p95_mean));
-            rows.push(cell_json(
-                label,
-                &cell_point.policy,
-                cell_point.payload_bytes,
-                rate_label,
-                mean_interval_ns,
-                uncontended_ns,
-                instances,
-                &replicas,
-            ));
+            rows.push(cell_row(cell_point, mean_interval_ns, instances, &replicas));
         }
         let rr = cell_stats.iter().find(|(l, ..)| *l == "roadrunner").unwrap();
         let we = cell_stats.iter().find(|(l, ..)| *l == "wasmedge").unwrap();
@@ -341,18 +302,12 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
         );
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"figure\": \"fig12_load\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes\": {NODES}, \"cores_per_node\": 4}},\n"
-    ));
-    out.push_str("  \"workflow\": \"src -> relay -> sink\",\n");
-    out.push_str("  \"arrivals\": \"poisson\",\n");
-    out.push_str(&format!("  \"instances_per_cell\": {instances},\n"));
-    out.push_str(&format!("  \"seeds_per_cell\": {},\n", grid.seeds_per_cell()));
-    out.push_str("  \"cells\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}");
-    out
+    let doc = object! {
+        "figure" => "fig12_load",
+        "cluster" => object! { "nodes" => NODES, "cores_per_node" => 4u32 },
+        "workflow" => "src -> relay -> sink", "arrivals" => "poisson",
+        "instances_per_cell" => instances, "seeds_per_cell" => grid.seeds_per_cell(),
+        "cells" => rows,
+    };
+    doc.document()
 }

@@ -22,11 +22,12 @@ use roadrunner_baselines::coldstart::{
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
     loadgen, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls,
-    DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy, SweepMode,
+    DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy, ScaleAction,
+    SweepMode,
 };
-use roadrunner_vkernel::{secs, Nanos, SchedResources, Testbed};
+use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
-use crate::{pipeline_spec, roadrunner_pipeline, uncontended, MB};
+use crate::{fixed, json_secs, object, pipeline_spec, roadrunner_pipeline, uncontended, Object, MB};
 
 /// Fixed-capacity (and autoscaler-minimum) active node count. Shared
 /// with fig14, which drives the same workload through failure
@@ -54,6 +55,11 @@ pub struct Fig13Options {
 /// The fig13–fig16 testbed: every node the autoscaler may ever add.
 pub(crate) fn cluster() -> Arc<Testbed> {
     crate::cluster(MAX_NODES, CORES)
+}
+
+/// The `cluster` header field fig13 and fig14 print.
+pub(crate) fn cluster_row() -> Object {
+    object! { "nodes_fixed" => START_NODES, "nodes_max" => MAX_NODES, "cores_per_node" => CORES }
 }
 
 pub(crate) struct SystemUnderLoad {
@@ -217,54 +223,33 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     CellResult { job: *job, systems }
 }
 
-fn cell_json(system: &str, solo_ns: Nanos, job: &Job, run: &LoadRun) -> String {
+fn cell_row(system: &str, solo_ns: Nanos, job: &Job, run: &LoadRun) -> Object {
     let digest = run.sojourn_percentiles().expect("non-empty run");
-    let events: Vec<String> = run
+    let events: Vec<Object> = run
         .scale_events
         .iter()
         .map(|e| {
-            format!(
-                "{{\"t_s\": {:.6}, \"action\": \"{}\", \"nodes\": {}}}",
-                secs(e.at_ns),
-                match e.action {
-                    roadrunner_platform::ScaleAction::Up => "up",
-                    roadrunner_platform::ScaleAction::Down => "down",
-                    roadrunner_platform::ScaleAction::Replace => "replace",
-                    roadrunner_platform::ScaleAction::Prewarm => "prewarm",
-                },
-                e.nodes_after,
-            )
+            let action = match e.action {
+                ScaleAction::Up => "up",
+                ScaleAction::Down => "down",
+                ScaleAction::Replace => "replace",
+                ScaleAction::Prewarm => "prewarm",
+            };
+            object! { "t_s" => json_secs(e.at_ns), "action" => action, "nodes" => e.nodes_after }
         })
         .collect();
-    format!(
-        concat!(
-            "    {{\"system\": \"{}\", \"policy\": \"{}\", \"users\": {}, ",
-            "\"autoscaled\": {}, \"cold_admission\": {}, \"instances\": {}, ",
-            "\"solo_s\": {:.6}, \"think_s\": {:.6}, ",
-            "\"saturation_rps\": {:.3}, ",
-            "\"p50_s\": {:.6}, \"p95_s\": {:.6}, \"p99_s\": {:.6}, \"max_s\": {:.6}, ",
-            "\"cpu_util\": {:.4}, \"cold_starts\": {}, \"cold_total_s\": {:.6}, ",
-            "\"final_nodes\": {}, \"scale_events\": [{}]}}"
-        ),
-        system,
-        job.policy,
-        job.users,
-        job.autoscaled,
-        job.cold,
-        run.outcomes.len(),
-        secs(solo_ns),
-        secs(solo_ns / 4),
-        run.throughput_rps(),
-        secs(digest.p50_ns),
-        secs(digest.p95_ns),
-        secs(digest.p99_ns),
-        secs(digest.max_ns),
-        run.cpu_utilization,
-        run.cold_starts(),
-        secs(run.cold_start_total_ns()),
-        run.final_nodes,
-        events.join(", "),
-    )
+    object! {
+        "system" => system, "policy" => job.policy, "users" => job.users,
+        "autoscaled" => job.autoscaled, "cold_admission" => job.cold,
+        "instances" => run.outcomes.len(),
+        "solo_s" => json_secs(solo_ns), "think_s" => json_secs(solo_ns / 4),
+        "saturation_rps" => fixed(run.throughput_rps(), 3),
+        "p50_s" => json_secs(digest.p50_ns), "p95_s" => json_secs(digest.p95_ns),
+        "p99_s" => json_secs(digest.p99_ns), "max_s" => json_secs(digest.max_ns),
+        "cpu_util" => fixed(run.cpu_utilization, 4), "cold_starts" => run.cold_starts(),
+        "cold_total_s" => json_secs(run.cold_start_total_ns()),
+        "final_nodes" => run.final_nodes, "scale_events" => events,
+    }
 }
 
 /// Runs the fig13 sweep under `opts` and returns the complete JSON
@@ -385,25 +370,18 @@ pub fn fig13_json(opts: &Fig13Options) -> String {
         }
     }
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Object> = Vec::new();
     for cell in &results {
         for (label, solo_ns, run) in &cell.systems {
-            rows.push(cell_json(label, *solo_ns, &cell.job, run));
+            rows.push(cell_row(label, *solo_ns, &cell.job, run));
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"figure\": \"fig13_elastic\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes_fixed\": {START_NODES}, \"nodes_max\": {MAX_NODES}, \
-         \"cores_per_node\": {CORES}}},\n"
-    ));
-    out.push_str("  \"workflow\": \"src -> relay -> sink\",\n");
-    out.push_str(&format!("  \"payload_mb\": {:.1},\n", payload_bytes as f64 / MB as f64));
-    out.push_str(&format!("  \"rounds_per_user\": {rounds},\n"));
-    out.push_str("  \"cells\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}");
-    out
+    let doc = object! {
+        "figure" => "fig13_elastic", "cluster" => cluster_row(),
+        "workflow" => "src -> relay -> sink",
+        "payload_mb" => fixed(payload_bytes as f64 / MB as f64, 1),
+        "rounds_per_user" => rounds, "cells" => rows,
+    };
+    doc.document()
 }

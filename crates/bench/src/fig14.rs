@@ -44,10 +44,10 @@ use roadrunner_platform::{
     DataPlane, FailurePlan, LoadRun, LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy,
     ScaleAction, SpreadLoad, SweepMode,
 };
-use roadrunner_vkernel::{secs, Nanos, OutageSchedule, SchedResources, Testbed};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, Testbed};
 
-use crate::fig13::{autoscaler, cluster, systems, SystemUnderLoad, CORES, MAX_NODES, START_NODES};
-use crate::{pipeline_spec, MB};
+use crate::fig13::{autoscaler, cluster, cluster_row, systems, SystemUnderLoad, CORES, START_NODES};
+use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
 
 /// Knobs for one fig14 sweep.
 pub struct Fig14Options {
@@ -303,49 +303,30 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     CellResult { job: *job, systems }
 }
 
-fn cell_json(
+fn cell_row(
     system: &str,
     solo_ns: Nanos,
     job: &Job,
     run: &LoadRun,
     metrics: &CellMetrics,
-) -> String {
+) -> Object {
     let digest = run.sojourn_percentiles().expect("every cell completes instances");
     let replacements =
         run.scale_events.iter().filter(|e| e.action == ScaleAction::Replace).count();
     let kill_cell = matches!(job.scenario, Scenario::KillFixed | Scenario::KillElastic);
-    format!(
-        concat!(
-            "    {{\"system\": \"{}\", \"scenario\": \"{}\", \"users\": {}, ",
-            "\"instances\": {}, \"solo_s\": {:.6}, ",
-            "\"completed\": {}, \"retried\": {}, \"failed\": {}, \"retries\": {}, ",
-            "\"p50_s\": {:.6}, \"p95_s\": {:.6}, \"p99_s\": {:.6}, ",
-            "\"throughput_rps\": {:.3}, ",
-            "\"pre_kill_rps\": {}, \"post_kill_rps\": {}, \"time_to_recover_s\": {}, ",
-            "\"final_nodes\": {}, \"replacements\": {}}}"
-        ),
-        system,
-        job.scenario.label(),
-        job.users,
-        run.outcomes.len(),
-        secs(solo_ns),
-        run.completed(),
-        run.retried(),
-        run.failed,
-        run.retries,
-        secs(digest.p50_ns),
-        secs(digest.p95_ns),
-        secs(digest.p99_ns),
-        run.throughput_rps(),
-        if kill_cell { format!("{:.3}", metrics.pre_kill_rps) } else { "null".to_owned() },
-        if kill_cell { format!("{:.3}", metrics.post_kill_rps) } else { "null".to_owned() },
-        metrics
-            .recover_ns
-            .filter(|_| kill_cell)
-            .map_or("null".to_owned(), |ns| format!("{:.6}", secs(ns))),
-        run.final_nodes,
-        replacements,
-    )
+    object! {
+        "system" => system, "scenario" => job.scenario.label(), "users" => job.users,
+        "instances" => run.outcomes.len(), "solo_s" => json_secs(solo_ns),
+        "completed" => run.completed(), "retried" => run.retried(), "failed" => run.failed,
+        "retries" => run.retries,
+        "p50_s" => json_secs(digest.p50_ns), "p95_s" => json_secs(digest.p95_ns),
+        "p99_s" => json_secs(digest.p99_ns),
+        "throughput_rps" => fixed(run.throughput_rps(), 3),
+        "pre_kill_rps" => kill_cell.then(|| fixed(metrics.pre_kill_rps, 3)),
+        "post_kill_rps" => kill_cell.then(|| fixed(metrics.post_kill_rps, 3)),
+        "time_to_recover_s" => metrics.recover_ns.filter(|_| kill_cell).map(json_secs),
+        "final_nodes" => run.final_nodes, "replacements" => replacements,
+    }
 }
 
 /// Runs the fig14 sweep under `opts` and returns the complete JSON
@@ -418,27 +399,19 @@ pub fn fig14_json(opts: &Fig14Options) -> String {
         let _ = recover;
     }
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Object> = Vec::new();
     for cell in &results {
         for (label, solo_ns, run, metrics) in &cell.systems {
-            rows.push(cell_json(label, *solo_ns, &cell.job, run, metrics));
+            rows.push(cell_row(label, *solo_ns, &cell.job, run, metrics));
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"figure\": \"fig14_failures\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes_fixed\": {START_NODES}, \"nodes_max\": {MAX_NODES}, \
-         \"cores_per_node\": {CORES}}},\n"
-    ));
-    out.push_str("  \"workflow\": \"src -> relay -> sink\",\n");
-    out.push_str(&format!("  \"payload_mb\": {:.1},\n", payload_bytes as f64 / MB as f64));
-    out.push_str(&format!("  \"users\": {users},\n"));
-    out.push_str(&format!("  \"rounds_per_user\": {rounds},\n"));
-    out.push_str("  \"recovery_threshold\": 0.8,\n");
-    out.push_str("  \"cells\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}");
-    out
+    let doc = object! {
+        "figure" => "fig14_failures", "cluster" => cluster_row(),
+        "workflow" => "src -> relay -> sink",
+        "payload_mb" => fixed(payload_bytes as f64 / MB as f64, 1),
+        "users" => users, "rounds_per_user" => rounds,
+        "recovery_threshold" => fixed(0.8, 1), "cells" => rows,
+    };
+    doc.document()
 }

@@ -48,10 +48,10 @@ use roadrunner_platform::{
     ClosedLoop, Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, MemoizedPlane,
     PercentileSummary, PrewarmConfig, ScaleAction, SweepMode, WarmPoolConfig,
 };
-use roadrunner_vkernel::{secs, CostModel, Nanos, SchedResources, Testbed};
+use roadrunner_vkernel::{CostModel, Nanos, SchedResources, Testbed};
 
 use crate::fig13::{cluster, systems, SystemUnderLoad, CORES, START_NODES};
-use crate::{pipeline_spec, MB};
+use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
 
 /// The warm-pool p99 at burst peak must beat `no_pool` by at least this
 /// factor (per system, for both the `hybrid` and `hybrid_prewarm`
@@ -211,58 +211,36 @@ fn run_job(policy: &'static str, users: usize, rounds: usize, payload: &Bytes) -
     CellResult { policy, systems }
 }
 
-fn cell_json(
+fn cell_row(
     system: &str,
     solo_ns: Nanos,
     tiers: ColdStartTiers,
     policy: &str,
     users: usize,
     run: &LoadRun,
-) -> String {
+) -> Object {
     let digest = run.sojourn_percentiles().expect("non-empty run");
     let peak = peak_percentiles(run);
     let pool = run.pool.expect("every fig15 cell runs pooled admission");
     let prewarm_events =
         run.scale_events.iter().filter(|e| e.action == ScaleAction::Prewarm).count();
-    format!(
-        concat!(
-            "    {{\"system\": \"{}\", \"policy\": \"{}\", \"users\": {}, ",
-            "\"instances\": {}, \"solo_s\": {:.6}, \"gap_s\": {:.6}, ",
-            "\"full_tier_s\": {:.6}, \"restore_tier_s\": {:.6}, ",
-            "\"p50_s\": {:.6}, \"p95_s\": {:.6}, \"p99_s\": {:.6}, ",
-            "\"p99_peak_s\": {:.6}, \"max_s\": {:.6}, ",
-            "\"cold_starts\": {}, \"cold_total_s\": {:.6}, ",
-            "\"pool\": {{\"hits\": {}, \"misses\": {}, \"restores\": {}, ",
-            "\"returns\": {}, \"evictions\": {}, \"prewarms\": {}, ",
-            "\"prewarm_s\": {:.6}, \"idle_s\": {:.6}, \"warm_at_end\": {}}}, ",
-            "\"prewarm_events\": {}}}"
-        ),
-        system,
-        policy,
-        users,
-        run.outcomes.len(),
-        secs(solo_ns),
-        secs(gap_ns_of(solo_ns, tiers.full_ns)),
-        secs(tiers.full_ns),
-        secs(tiers.restore_ns),
-        secs(digest.p50_ns),
-        secs(digest.p95_ns),
-        secs(digest.p99_ns),
-        secs(peak.p99_ns),
-        secs(digest.max_ns),
-        run.cold_starts(),
-        secs(run.cold_start_total_ns()),
-        pool.hits,
-        pool.misses,
-        pool.restores,
-        pool.returns,
-        pool.evictions,
-        pool.prewarms,
-        secs(pool.prewarm_ns),
-        pool.idle_ns as f64 / 1e9,
-        pool.warm_at_end,
-        prewarm_events,
-    )
+    let pool = object! {
+        "hits" => pool.hits, "misses" => pool.misses, "restores" => pool.restores,
+        "returns" => pool.returns, "evictions" => pool.evictions, "prewarms" => pool.prewarms,
+        "prewarm_s" => json_secs(pool.prewarm_ns),
+        "idle_s" => fixed(pool.idle_ns as f64 / 1e9, 6), "warm_at_end" => pool.warm_at_end,
+    };
+    object! {
+        "system" => system, "policy" => policy, "users" => users,
+        "instances" => run.outcomes.len(), "solo_s" => json_secs(solo_ns),
+        "gap_s" => json_secs(gap_ns_of(solo_ns, tiers.full_ns)),
+        "full_tier_s" => json_secs(tiers.full_ns), "restore_tier_s" => json_secs(tiers.restore_ns),
+        "p50_s" => json_secs(digest.p50_ns), "p95_s" => json_secs(digest.p95_ns),
+        "p99_s" => json_secs(digest.p99_ns), "p99_peak_s" => json_secs(peak.p99_ns),
+        "max_s" => json_secs(digest.max_ns), "cold_starts" => run.cold_starts(),
+        "cold_total_s" => json_secs(run.cold_start_total_ns()),
+        "pool" => pool, "prewarm_events" => prewarm_events,
+    }
 }
 
 /// Runs the fig15 sweep under `opts` and returns the complete JSON
@@ -326,32 +304,26 @@ pub fn fig15_json(opts: &Fig15Options) -> String {
         );
     }
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Object> = Vec::new();
     for result in &results {
         for (label, solo_ns, tiers, run) in &result.systems {
-            rows.push(cell_json(label, *solo_ns, *tiers, result.policy, users, run));
+            rows.push(cell_row(label, *solo_ns, *tiers, result.policy, users, run));
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"figure\": \"fig15_coldstart\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes\": {START_NODES}, \"cores_per_node\": {CORES}}},\n"
-    ));
-    out.push_str("  \"workflow\": \"src -> relay -> sink\",\n");
-    out.push_str(&format!("  \"payload_mb\": {:.2},\n", (MB / 4) as f64 / MB as f64));
-    out.push_str(&format!("  \"users\": {users},\n"));
-    out.push_str(&format!("  \"rounds_per_user\": {rounds},\n"));
-    out.push_str(&format!("  \"gap_makespans\": {GAP_MAKESPANS},\n"));
-    out.push_str(&format!(
-        "  \"gate\": {{\"min_p99_ratio\": {GATE_MIN_P99_RATIO:.1}, \
-         \"worst_p99_ratio\": {worst_ratio:.3}, \"pass\": true}},\n"
-    ));
-    out.push_str("  \"cells\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}");
-    out
+    let gate = object! {
+        "min_p99_ratio" => fixed(GATE_MIN_P99_RATIO, 1),
+        "worst_p99_ratio" => fixed(worst_ratio, 3), "pass" => true,
+    };
+    let doc = object! {
+        "figure" => "fig15_coldstart",
+        "cluster" => object! { "nodes" => START_NODES, "cores_per_node" => CORES },
+        "workflow" => "src -> relay -> sink",
+        "payload_mb" => fixed((MB / 4) as f64 / MB as f64, 2),
+        "users" => users, "rounds_per_user" => rounds, "gap_makespans" => GAP_MAKESPANS,
+        "gate" => gate, "cells" => rows,
+    };
+    doc.document()
 }
 
 #[cfg(test)]
@@ -364,7 +336,6 @@ mod tests {
     #[test]
     fn quick_sweep_passes_every_gate() {
         let json = fig15_json(&Fig15Options { quick: true, mode: SweepMode::Serial });
-        assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"policy\": \"hybrid_prewarm\""));
+        assert_eq!(json.lines().filter(|l| l.contains("hybrid_prewarm")).count(), 3);
     }
 }

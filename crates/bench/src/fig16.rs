@@ -40,10 +40,10 @@ use roadrunner_platform::{
     LoadRun, MemoizedPlane, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig, RetryPolicy,
     ShedPolicy, SpreadLoad, SweepMode, TenantLoad,
 };
-use roadrunner_vkernel::{secs, Nanos, OutageSchedule, SchedResources};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
 use crate::fig13::{cluster, systems, CORES, START_NODES};
-use crate::{pipeline_spec, MB};
+use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
 
 /// The SLO every goodput number is measured against, in multiples of
 /// the measured saturation interval (also the mitigated cell's
@@ -344,48 +344,28 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     CellResult { job: *job, solo_ns: system.solo_ns, interval_ns: i, run, goodput }
 }
 
-fn cell_json(result: &CellResult) -> String {
+fn cell_row(result: &CellResult) -> Object {
     let run = &result.run;
-    let pct = |p: Option<roadrunner_platform::PercentileSummary>, f: fn(&roadrunner_platform::PercentileSummary) -> Nanos| {
-        p.map_or("null".to_owned(), |d| format!("{:.6}", secs(f(&d))))
-    };
+    let digest = run.sojourn_percentiles();
     let tenant_p95 = |name: &str| {
-        run.tenants
-            .iter()
-            .find(|t| t.name == name)
-            .and_then(|t| t.sojourn_percentiles())
-            .map_or("null".to_owned(), |d| format!("{:.6}", secs(d.p95_ns)))
+        let tenant = run.tenants.iter().find(|t| t.name == name);
+        tenant.and_then(|t| t.sojourn_percentiles()).map(|d| json_secs(d.p95_ns))
     };
-    let goodput = |pick: fn(&(f64, f64)) -> f64| {
-        result.goodput.as_ref().map_or("null".to_owned(), |g| format!("{:.3}", pick(g)))
-    };
-    format!(
-        concat!(
-            "    {{\"cell\": \"{}\", \"solo_s\": {:.6}, \"saturation_interval_s\": {:.6}, ",
-            "\"arrivals\": {}, ",
-            "\"completed\": {}, \"failed\": {}, \"deadline_exceeded\": {}, ",
-            "\"shed\": {}, \"retries\": {}, ",
-            "\"p50_s\": {}, \"p95_s\": {}, \"p99_s\": {}, ",
-            "\"goodput_pre_rps\": {}, \"goodput_post_rps\": {}, ",
-            "\"interactive_p95_s\": {}, \"flood_p95_s\": {}}}"
-        ),
-        result.job.cell.label(),
-        secs(result.solo_ns),
-        secs(result.interval_ns),
-        run.arrivals,
-        run.completed(),
-        run.failed,
-        run.deadline_exceeded,
-        run.shed,
-        run.retries,
-        pct(run.sojourn_percentiles(), |d| d.p50_ns),
-        pct(run.sojourn_percentiles(), |d| d.p95_ns),
-        pct(run.sojourn_percentiles(), |d| d.p99_ns),
-        goodput(|g| g.0),
-        goodput(|g| g.1),
-        if result.job.cell.is_fair() { tenant_p95("interactive") } else { "null".to_owned() },
-        if result.job.cell.is_fair() { tenant_p95("flood") } else { "null".to_owned() },
-    )
+    let fair = result.job.cell.is_fair();
+    object! {
+        "cell" => result.job.cell.label(), "solo_s" => json_secs(result.solo_ns),
+        "saturation_interval_s" => json_secs(result.interval_ns),
+        "arrivals" => run.arrivals, "completed" => run.completed(), "failed" => run.failed,
+        "deadline_exceeded" => run.deadline_exceeded, "shed" => run.shed,
+        "retries" => run.retries,
+        "p50_s" => digest.map(|d| json_secs(d.p50_ns)),
+        "p95_s" => digest.map(|d| json_secs(d.p95_ns)),
+        "p99_s" => digest.map(|d| json_secs(d.p99_ns)),
+        "goodput_pre_rps" => result.goodput.map(|g| fixed(g.0, 3)),
+        "goodput_post_rps" => result.goodput.map(|g| fixed(g.1, 3)),
+        "interactive_p95_s" => tenant_p95("interactive").filter(|_| fair),
+        "flood_p95_s" => tenant_p95("flood").filter(|_| fair),
+    }
 }
 
 /// Runs the fig16 sweep under `opts` and returns the complete JSON
@@ -467,28 +447,21 @@ pub fn fig16_json(opts: &Fig16Options) -> String {
         inter.arrivals,
     );
 
-    let rows: Vec<String> = results.iter().map(cell_json).collect();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"figure\": \"fig16_overload\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes\": {START_NODES}, \"cores_per_node\": {CORES}}},\n"
-    ));
-    out.push_str("  \"workflow\": \"src -> relay -> sink\",\n");
-    out.push_str(&format!("  \"payload_mb\": {:.2},\n", (MB / 4) as f64 / MB as f64));
-    out.push_str(&format!("  \"slo_intervals\": {SLO_INTERVALS},\n"));
-    out.push_str(&format!(
-        "  \"gate\": {{\"max_collapse_ratio\": {GATE_COLLAPSE:.1}, \
-         \"collapse_ratio\": {collapse:.3}, \
-         \"min_recovery_ratio\": {GATE_RECOVERY:.1}, \
-         \"recovery_ratio\": {recovery:.3}, \
-         \"min_isolation_ratio\": {GATE_ISOLATION:.1}, \
-         \"isolation_ratio\": {isolation:.3}, \"pass\": true}},\n"
-    ));
-    out.push_str("  \"cells\": [\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}");
-    out
+    let rows: Vec<Object> = results.iter().map(cell_row).collect();
+    let gate = object! {
+        "max_collapse_ratio" => fixed(GATE_COLLAPSE, 1), "collapse_ratio" => fixed(collapse, 3),
+        "min_recovery_ratio" => fixed(GATE_RECOVERY, 1), "recovery_ratio" => fixed(recovery, 3),
+        "min_isolation_ratio" => fixed(GATE_ISOLATION, 1),
+        "isolation_ratio" => fixed(isolation, 3), "pass" => true,
+    };
+    let doc = object! {
+        "figure" => "fig16_overload",
+        "cluster" => object! { "nodes" => START_NODES, "cores_per_node" => CORES },
+        "workflow" => "src -> relay -> sink",
+        "payload_mb" => fixed((MB / 4) as f64 / MB as f64, 2),
+        "slo_intervals" => SLO_INTERVALS, "gate" => gate, "cells" => rows,
+    };
+    doc.document()
 }
 
 #[cfg(test)]
@@ -500,7 +473,6 @@ mod tests {
     #[test]
     fn quick_sweep_passes_every_gate() {
         let json = fig16_json(&Fig16Options { quick: true, mode: SweepMode::Serial });
-        assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"cell\": \"fair_shared\""));
+        assert_eq!(json.lines().filter(|l| l.contains("fair_shared")).count(), 1);
     }
 }

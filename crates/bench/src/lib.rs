@@ -4,8 +4,9 @@
 //! `src/bin/` that drives the *real* systems (Roadrunner plane, RunC-like
 //! and WasmEdge-like pairs) over a fresh virtual testbed and prints the
 //! same series the paper plots. This module holds the common machinery:
-//! system setup, single-edge measurements, the fan-out makespan model and
-//! table printing.
+//! system setup, single-edge measurements, the fan-out makespan model,
+//! table printing, the command-line parser ([`Args`]) and the one JSON
+//! writer ([`Object`]) every machine-readable document goes through.
 //!
 //! Latency definitions match §6.1: measurement starts "from the moment
 //! the source function sends data" (for baselines that includes
@@ -17,14 +18,17 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+mod json;
+
+pub use json::{fixed, Json, Object};
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
-use roadrunner_baselines::{RuncPair, WasmedgePair};
+use roadrunner_baselines::{BaselineOutcome, RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    available_workers, execute, execute_concurrent, DataPlane, FunctionBundle, SweepMode,
+    available_workers, execute, execute_concurrent_at, DataPlane, FunctionBundle, SweepMode,
     WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
@@ -158,7 +162,9 @@ fn pct(cpu: Nanos, window: Nanos, cores: u32) -> f64 {
     cpu as f64 / (window as f64 * cores as f64) * 100.0
 }
 
-fn rr_bundle(workflow: &str, name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
+/// `module` as function `name`'s bundle in `workflow`, owned by tenant
+/// `bench`.
+pub fn rr_bundle(workflow: &str, name: &str, module: roadrunner_wasm::Module) -> Arc<FunctionBundle> {
     Arc::new(
         FunctionBundle::wasm(name, encode::encode(&module))
             .with_workflow(workflow)
@@ -217,7 +223,7 @@ pub fn uncontended(
     let clock = bed.clock().clone();
     let workflow = pipeline_spec("bench");
     execute(plane, &clock, &workflow, payload.clone()).expect("warmup run");
-    execute_concurrent(plane, &clock, &workflow, payload.clone(), fresh)
+    execute_concurrent_at(plane, &clock, &workflow, payload.clone(), fresh, 0)
         .expect("uncontended run")
         .total_latency_ns
 }
@@ -240,60 +246,51 @@ fn telemetry(bed: &Testbed) -> (Nanos, Nanos, u64) {
     (user, kernel, ram)
 }
 
-/// Runs one transfer of `bytes` on `system` and returns the measurement.
-/// Every run uses a fresh testbed, so runs are independent and
-/// deterministic.
+/// Runs one transfer of `bytes` on `system`, the two functions on nodes
+/// 0 and 1, and returns the measurement. Every run uses a fresh testbed,
+/// so runs are independent and deterministic.
 pub fn measure_transfer(system: System, bytes: usize) -> Measurement {
-    let payload = Payload::synthetic(PayloadKind::Text, 42, bytes);
-    let bed = Arc::new(Testbed::paper());
-    match system {
-        System::RoadrunnerUser | System::RoadrunnerKernel | System::RoadrunnerNetwork => {
-            measure_roadrunner(system, bed, &payload)
-        }
-        System::Runc => {
-            let mut pair = RuncPair::establish(Arc::clone(&bed), 0, 1);
-            measure_baseline_pair(system, &bed, &payload, |p| {
-                pair.transfer(p).expect("runc transfer succeeds")
-            })
-        }
-        System::Wasmedge => {
-            let mut pair = WasmedgePair::establish(Arc::clone(&bed), 0, 1);
-            measure_baseline_pair(system, &bed, &payload, |p| {
-                pair.transfer(p).expect("wasmedge transfer succeeds")
-            })
-        }
-    }
+    measure(system, bytes, 1)
 }
 
 /// Intra-node variant: both functions on node 0 (baselines talk over
 /// loopback).
 pub fn measure_transfer_intra(system: System, bytes: usize) -> Measurement {
+    measure(system, bytes, 0)
+}
+
+fn measure(system: System, bytes: usize, peer: usize) -> Measurement {
     let payload = Payload::synthetic(PayloadKind::Text, 42, bytes);
     let bed = Arc::new(Testbed::paper());
     match system {
-        System::RoadrunnerUser | System::RoadrunnerKernel | System::RoadrunnerNetwork => {
-            measure_roadrunner(system, bed, &payload)
+        System::Runc | System::Wasmedge => {
+            let transfer = baseline_pair(system, &bed, peer);
+            measure_baseline_pair(system, &bed, &payload, transfer)
         }
-        System::Runc => {
-            let mut pair = RuncPair::establish(Arc::clone(&bed), 0, 0);
-            measure_baseline_pair(system, &bed, &payload, |p| {
-                pair.transfer(p).expect("runc transfer succeeds")
-            })
-        }
-        System::Wasmedge => {
-            let mut pair = WasmedgePair::establish(Arc::clone(&bed), 0, 0);
-            measure_baseline_pair(system, &bed, &payload, |p| {
-                pair.transfer(p).expect("wasmedge transfer succeeds")
-            })
-        }
+        _ => measure_roadrunner(system, bed, &payload),
     }
 }
+
+/// Establishes `system`'s pair between nodes 0 and `peer` and returns
+/// its one-payload transfer. `system` must be a baseline.
+fn baseline_pair(system: System, bed: &Arc<Testbed>, peer: usize) -> BaselineTransfer {
+    let bed = Arc::clone(bed);
+    if system == System::Runc {
+        let mut pair = RuncPair::establish(bed, 0, peer);
+        Box::new(move |p| pair.transfer(p).expect("runc transfer succeeds"))
+    } else {
+        let mut pair = WasmedgePair::establish(bed, 0, peer);
+        Box::new(move |p| pair.transfer(p).expect("wasmedge transfer succeeds"))
+    }
+}
+
+type BaselineTransfer = Box<dyn FnMut(&Payload) -> BaselineOutcome>;
 
 fn measure_baseline_pair(
     system: System,
     bed: &Testbed,
     payload: &Payload,
-    mut run: impl FnMut(&Payload) -> roadrunner_baselines::BaselineOutcome,
+    mut run: BaselineTransfer,
 ) -> Measurement {
     // Exclude setup (connection establishment) from telemetry.
     bed.reset_telemetry();
@@ -427,22 +424,11 @@ pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) 
     let mut wire_total: Nanos = 0;
 
     match system {
-        System::Runc => {
-            let mut pair =
-                RuncPair::establish(Arc::clone(&bed), 0, if intra { 0 } else { 1 });
+        System::Runc | System::Wasmedge => {
+            let mut transfer = baseline_pair(system, &bed, usize::from(!intra));
             bed.reset_telemetry();
             for _ in 0..degree {
-                let out = pair.transfer(&payload).expect("runc fanout transfer");
-                branch_total += out.latency_ns;
-                serialization_ns = out.serialization_ns();
-            }
-        }
-        System::Wasmedge => {
-            let mut pair =
-                WasmedgePair::establish(Arc::clone(&bed), 0, if intra { 0 } else { 1 });
-            bed.reset_telemetry();
-            for _ in 0..degree {
-                let out = pair.transfer(&payload).expect("wasmedge fanout transfer");
+                let out = transfer(&payload);
                 branch_total += out.latency_ns;
                 serialization_ns = out.serialization_ns();
             }
@@ -528,39 +514,178 @@ pub fn fanout_sweep(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Whether `--quick` was passed on the command line.
-pub fn quick_flag() -> bool {
-    flag("--quick")
+/// A command-line flag a figure binary may accept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick`: the reduced, CI-sized run.
+    Quick,
+    /// `--serial`: the in-order reference sweep loop (the byte-identity
+    /// baseline CI diffs against).
+    Serial,
+    /// `--workers N`: the sweep worker pool's size.
+    Workers,
+    /// `--no-memo`: load sweeps run on the plain plane, without the
+    /// transfer-cost memo (the reference run CI diffs the memoized
+    /// output against).
+    NoMemo,
 }
 
-/// Whether `name` was passed on the command line. Load benches accept
-/// `--no-memo` through this to produce the unmemoized reference run CI
-/// diffs the (default) memoized output against.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// The value following `--workers` on the command line, if any.
-pub fn workers_flag() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--workers" {
-            return args.next().and_then(|v| v.parse().ok());
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Quick => "--quick",
+            Flag::Serial => "--serial",
+            Flag::Workers => "--workers",
+            Flag::NoMemo => "--no-memo",
         }
     }
-    None
 }
 
-/// Sweep execution mode from the command line: `--serial` forces the
-/// in-order reference loop (the byte-identity baseline CI diffs
-/// against), `--workers N` sizes the pool explicitly, and the default
-/// is one worker per available core.
-pub fn sweep_mode_flag() -> SweepMode {
-    if flag("--serial") {
-        SweepMode::Serial
-    } else {
-        SweepMode::Parallel { workers: workers_flag().unwrap_or_else(available_workers) }
+/// The parsed command line of a figure binary.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick` was passed.
+    pub quick: bool,
+    /// `--serial` was passed.
+    pub serial: bool,
+    /// `--no-memo` was passed.
+    pub no_memo: bool,
+    /// The value of `--workers`, if passed.
+    pub workers: Option<usize>,
+}
+
+impl Args {
+    /// Parses the process's arguments against the flags the binary
+    /// `accepts`. An argument it does not accept, or a `--workers`
+    /// without a number, prints the error and a usage line and exits
+    /// with status 2.
+    pub fn parse(accepts: &[Flag]) -> Args {
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        Args::from_args(accepts, &args).unwrap_or_else(|err| {
+            let program = program.rsplit('/').next().unwrap_or_default();
+            let mut usage = program.to_owned();
+            for &flag in accepts {
+                let value = if flag == Flag::Workers { " N" } else { "" };
+                usage.push_str(&format!(" [{}{value}]", flag.name()));
+            }
+            eprintln!("{program}: {err}\nusage: {usage}");
+            std::process::exit(2)
+        })
     }
+
+    /// Parses `args` (the arguments after the program name) against the
+    /// flags in `accepts`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument that is not an accepted flag,
+    /// or a `--workers` whose value is missing or not a number.
+    pub(crate) fn from_args(accepts: &[Flag], args: &[impl AsRef<str>]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(arg) = args.next() {
+            let flag = accepts
+                .iter()
+                .find(|flag| flag.name() == arg)
+                .ok_or_else(|| format!("unknown argument `{arg}`"))?;
+            match flag {
+                Flag::Quick => out.quick = true,
+                Flag::Serial => out.serial = true,
+                Flag::NoMemo => out.no_memo = true,
+                Flag::Workers => {
+                    let value = args.next().ok_or("`--workers` takes a number")?;
+                    let workers = value
+                        .parse()
+                        .map_err(|_| format!("`--workers` takes a number, got `{value}`"))?;
+                    out.workers = Some(workers);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The sweep execution mode: `--serial` forces the in-order
+    /// reference loop, `--workers N` sizes the pool, and the default is
+    /// one worker per available core.
+    pub fn sweep_mode(&self) -> SweepMode {
+        if self.serial {
+            SweepMode::Serial
+        } else {
+            SweepMode::Parallel { workers: self.workers.unwrap_or_else(available_workers) }
+        }
+    }
+}
+
+/// The eight panels Fig. 7–10 share after their latency panel (a):
+/// title and value column.
+const PANELS: [(&str, &str); 7] = [
+    ("(b) total throughput (req/s)", "rps"),
+    ("(c) serialization latency (s)", "serialization_s"),
+    ("(d) serialization throughput (req/s)", "rps"),
+    ("(e) total CPU (% of machine)", "cpu_pct"),
+    ("(f) user-space CPU (%)", "cpu_pct"),
+    ("(g) kernel-space CPU (%)", "cpu_pct"),
+    ("(h) RAM (MB)", "ram_MB"),
+];
+
+/// Prints panel (a) titled `latency_title`, then [`PANELS`]: one line
+/// per row, its system, its swept value (column `x`) and the panel's
+/// formatted value.
+fn print_panels(x: &str, latency_title: &str, rows: &[(System, usize, [String; 8])]) {
+    let panels = std::iter::once((latency_title, "latency_s")).chain(PANELS);
+    for (i, (title, column)) in panels.enumerate() {
+        print_panel(title, &["series", x, column]);
+        for (system, at, values) in rows {
+            println!("{}\t{at}\t{}", system.label(), values[i]);
+        }
+    }
+}
+
+/// Prints Fig. 7/8's eight panels over a payload-size sweep.
+pub fn print_transfer_panels(rows: &[Measurement]) {
+    let cores = 4;
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|m| {
+            let values = [
+                fmt_secs(m.latency_ns),
+                format!("{:.3}", m.throughput_rps()),
+                fmt_secs(m.serialization_ns),
+                format!("{:.3}", m.serialization_rps()),
+                format!("{:.4}", m.cpu_total_pct(cores)),
+                format!("{:.4}", m.cpu_user_pct(cores)),
+                format!("{:.4}", m.cpu_kernel_pct(cores)),
+                format!("{:.2}", m.ram_peak as f64 / 1e6),
+            ];
+            (m.system, m.bytes / MB, values)
+        })
+        .collect();
+    print_panels("size_MB", "(a) total latency (s)", &rows);
+}
+
+/// Prints Fig. 9/10's eight panels over a fan-out sweep, CPU shares over
+/// the makespan.
+pub fn print_fanout_panels(rows: &[FanoutMeasurement]) {
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|m| {
+            let cpu = |ns| format!("{:.4}", pct(ns, m.makespan_ns.max(1), 4));
+            let values = [
+                fmt_secs(m.branch_ns),
+                format!("{:.3}", m.throughput_rps()),
+                fmt_secs(m.serialization_ns),
+                format!("{:.3}", m.serialization_rps()),
+                cpu(m.user_cpu_ns + m.kernel_cpu_ns),
+                cpu(m.user_cpu_ns),
+                cpu(m.kernel_cpu_ns),
+                format!("{:.2}", m.ram_peak as f64 / 1e6),
+            ];
+            (m.system, m.degree, values)
+        })
+        .collect();
+    print_panels("fanout", "(a) total latency per branch (s)", &rows);
 }
 
 /// Prints a figure panel header.
@@ -573,6 +698,12 @@ pub fn print_panel(title: &str, columns: &[&str]) {
 /// Formats seconds with enough precision for log-scale series.
 pub fn fmt_secs(ns: Nanos) -> String {
     format!("{:.6}", secs(ns))
+}
+
+/// `ns` as seconds with six decimals, the way every JSON document here
+/// prints a virtual time.
+pub fn json_secs(ns: Nanos) -> Json {
+    fixed(secs(ns), 6)
 }
 
 #[cfg(test)]
@@ -633,6 +764,31 @@ mod tests {
         let eight = measure_fanout(System::RoadrunnerUser, 8, MB, true);
         assert!(eight.throughput_rps() > one.throughput_rps() * 0.8);
         assert!(eight.makespan_ns >= one.makespan_ns);
+    }
+
+    #[test]
+    fn args_accept_only_the_named_flags() {
+        let load = [Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo];
+        let none: [&str; 0] = [];
+        assert_eq!(Args::from_args(&load, &none), Ok(Args::default()));
+        assert_eq!(
+            Args::from_args(&load, &["--quick", "--no-memo", "--workers", "3"]),
+            Ok(Args { quick: true, serial: false, no_memo: true, workers: Some(3) })
+        );
+        let serial = Args::from_args(&load, &["--serial", "--workers", "2"]).unwrap();
+        assert_eq!(serial.sweep_mode(), SweepMode::Serial);
+        let pooled = Args::from_args(&load, &["--workers", "2"]).unwrap();
+        assert_eq!(pooled.sweep_mode(), SweepMode::Parallel { workers: 2 });
+
+        // A misspelt flag, or one this binary does not take, is an error.
+        assert!(Args::from_args(&load, &["--quick", "--no-memos"]).is_err());
+        assert!(Args::from_args(&[Flag::Quick], &["--serial"]).is_err());
+        assert!(Args::from_args(&[], &["--quick"]).is_err());
+        assert!(Args::from_args(&load, &["quick"]).is_err());
+        // So is a `--workers` without a number.
+        assert!(Args::from_args(&load, &["--workers", "abc"]).is_err());
+        assert!(Args::from_args(&load, &["--workers", "-1"]).is_err());
+        assert!(Args::from_args(&load, &["--workers"]).is_err());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`workflow`] — the execution engines over a pluggable
 //!   [`workflow::DataPlane`]: a serial engine and a discrete-event
 //!   concurrent engine that overlaps independent edges in virtual time,
-//!   both with [`workflow::CompiledWorkflow`] fast paths that hoist
-//!   validation and topological sorting out of the per-execution loop.
+//!   over a [`workflow::CompiledWorkflow`] that hoists validation and
+//!   topological sorting out of the per-execution loop.
 //! * [`memo`] — [`memo::MemoizedPlane`], a deterministic transfer-cost
 //!   memo over any [`workflow::DataPlane`]: identical edges replay their
 //!   recorded outcome (bytes, timing, virtual-clock advance) instead of
@@ -103,7 +103,6 @@ pub use sweep::{
     available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,
 };
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_compiled_at, execute_concurrent,
-    execute_concurrent_at, CompiledWorkflow, DataPlane, EdgeResult, RetryPolicy, TransferTiming,
-    WorkflowRun, WorkflowSpec,
+    critical_path_ns, execute, execute_compiled, execute_concurrent_at, CompiledWorkflow, DataPlane,
+    EdgeResult, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
 };

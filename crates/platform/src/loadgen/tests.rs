@@ -8,7 +8,7 @@ use super::*;
 use crate::overload::{QueueConfig, ShedPolicy};
 use crate::scheduler::{LocalityFirst, Pinned, RoundRobin, SpreadLoad};
 use crate::warmpool::WarmPoolConfig;
-use crate::workflow::{execute_concurrent, RetryPolicy, TransferTiming};
+use crate::workflow::{execute_concurrent_at, RetryPolicy, TransferTiming};
 
 /// A plane charging fixed phase costs, payload-independent, so
 /// schedules are easy to reason about.
@@ -201,7 +201,7 @@ fn contention_never_speeds_an_instance_up() {
     // Uncontended makespan of one instance, both functions on node 0
     // (where locality placement packs them).
     let mut fresh = SchedResources::heterogeneous(&[1, 1]);
-    let solo = execute_concurrent(&mut plane, &clock, &spec, Bytes::new(), &mut fresh)
+    let solo = execute_concurrent_at(&mut plane, &clock, &spec, Bytes::new(), &mut fresh, 0)
         .unwrap()
         .total_latency_ns;
     assert_eq!(solo, 1_500);

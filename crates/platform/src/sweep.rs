@@ -220,37 +220,6 @@ where
     run_jobs(&grid.points(), mode, run)
 }
 
-/// A condvar-based gate used by the tests to force out-of-order job
-/// completion: job 0 blocks until the last job has finished, proving
-/// the merge is positional rather than completion-ordered.
-#[doc(hidden)]
-pub struct CompletionGate {
-    done: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl CompletionGate {
-    #[doc(hidden)]
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        Self { done: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() }
-    }
-
-    #[doc(hidden)]
-    pub fn open(&self) {
-        *self.done.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    #[doc(hidden)]
-    pub fn wait(&self) {
-        let mut done = self.done.lock().unwrap();
-        while !*done {
-            done = self.cv.wait(done).unwrap();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,17 +290,18 @@ mod tests {
 
     #[test]
     fn merge_order_is_positional_even_when_job_zero_finishes_last() {
-        // Two workers: job 0 blocks on a gate the final job opens, so
+        // Two workers: job 0 blocks until the final job signals it, so
         // it *must* complete last; the merged output is grid order
         // regardless.
         let jobs: Vec<usize> = (0..6).collect();
-        let gate = CompletionGate::new();
+        let (done, wait) = std::sync::mpsc::channel();
+        let wait = Mutex::new(wait);
         let out = parallel_map(&jobs, 2, |i, &j| {
             assert_eq!(i, j);
             if i == 0 {
-                gate.wait();
+                wait.lock().recv().unwrap();
             } else if i == jobs.len() - 1 {
-                gate.open();
+                done.send(()).unwrap();
             }
             j * 10
         });

@@ -10,18 +10,18 @@
 //! * [`execute`] — the serial engine: edges run one after another in
 //!   virtual time, each timed from the shared clock. Deterministic and
 //!   exactly what the paper's single-edge figures measure.
-//! * [`execute_concurrent`] — the discrete-event engine: independent
+//! * [`execute_concurrent_at`] — the discrete-event engine: independent
 //!   edges overlap in virtual time while per-resource timelines
 //!   ([`roadrunner_vkernel::sched`]) serialize contended cores and the
 //!   shared link. Its makespan is bounded below by the DAG's critical
 //!   path ([`critical_path_ns`]) and above by the serial total.
 //!
-//! Both engines have compiled fast paths — [`execute_compiled`] /
-//! [`execute_compiled_at`] over a [`CompiledWorkflow`] — that hoist
-//! validation, topological sorting and fan-in derivation out of the per-
-//! execution loop; the plain entry points compile on the fly and
-//! delegate. Load generators admitting thousands of instances of one
-//! spec compile once and reuse.
+//! The serial engine has a compiled fast path — [`execute_compiled`]
+//! over a [`CompiledWorkflow`] — that hoists validation and topological
+//! sorting out of the per-execution loop; [`execute`] compiles on the fly
+//! and delegates. The load generator ([`crate::loadgen`]) compiles each
+//! spec once and drives the discrete-event engine's core with it for
+//! every instance it admits.
 
 use bytes::Bytes;
 use roadrunner_vkernel::sched::{EventQueue, SchedResources};
@@ -138,8 +138,8 @@ impl WorkflowSpec {
 ///   [`leaves`](Self::leaves) seed the concurrent engine's readiness
 ///   tracking without per-run graph walks.
 ///
-/// Compile once per spec, then drive [`execute_compiled`] /
-/// [`execute_compiled_at`] with it as many times as needed.
+/// Compile once per spec, then drive [`execute_compiled`] (or the load
+/// generator) with it as many times as needed.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkflow<'a> {
     spec: &'a WorkflowSpec,
@@ -283,7 +283,7 @@ pub trait DataPlane {
         self.transfer_placed(from, to, payload, None, None).map(|(received, _)| received)
     }
 
-    /// Node index `function` is deployed on. [`execute_compiled_at`]
+    /// Node index `function` is deployed on. [`execute_concurrent_at`]
     /// asks once per run for every function of the workflow; `None` (the
     /// default) places the function on node 0.
     fn placement(&self, _function: &str) -> Option<usize> {
@@ -337,7 +337,7 @@ pub struct WorkflowRun {
     /// Per-edge results in execution order.
     pub edges: Vec<EdgeResult>,
     /// Virtual time from first send to last receive: the serial sum for
-    /// [`execute`], the overlapped makespan for [`execute_concurrent`].
+    /// [`execute`], the overlapped makespan for [`execute_concurrent_at`].
     pub total_latency_ns: Nanos,
 }
 
@@ -388,7 +388,7 @@ pub fn critical_path_ns(spec: &WorkflowSpec, run: &WorkflowRun) -> Result<Nanos,
 /// Edges run one after another in topological order (for the legacy
 /// sequence/fan-out/fan-in shapes this is exactly the old pattern
 /// engine's order, so measured numbers are unchanged). Genuinely
-/// overlapping execution is [`execute_concurrent`]'s job.
+/// overlapping execution is [`execute_concurrent_at`]'s job.
 ///
 /// Each root receives the initial `payload`; every edge forwards its
 /// source's current payload, and a node's payload is the first delivery
@@ -452,52 +452,37 @@ pub fn execute_compiled(
     Ok(WorkflowRun { edges, total_latency_ns: clock.now() - started })
 }
 
-/// Executes `spec` over `plane` with the discrete-event engine:
-/// independent edges overlap in virtual time, contended resources
-/// serialize.
+/// Executes `spec` over `plane` with the discrete-event engine,
+/// releasing the workflow's roots at `release_ns` on `resources`' shared
+/// timescale: independent edges overlap in virtual time, contended
+/// resources serialize.
 ///
 /// Every edge still *really* runs on the plane (payload bytes move, CPU
 /// accounts are charged, the shared clock advances as it measures), in
-/// deterministic event order. The engine then places each edge's
-/// prepare/transfer/consume phases onto `resources`' timelines — prepare
-/// on the source node's cores, the transfer proper on the shared link for
-/// inter-node edges (or the source cores for co-located ones), consume on
-/// the target node's cores — and reports the overlapped makespan as
-/// `total_latency_ns`. An edge becomes ready the instant all of its
-/// target's inputs exist; readiness events drain through a deterministic
-/// [`EventQueue`].
+/// deterministic event order, under the plane's deployment placement
+/// ([`DataPlane::placement`], resolved once per run). The engine then
+/// places each edge's prepare/transfer/consume phases onto `resources`'
+/// timelines — prepare on the source node's cores, the transfer proper on
+/// the shared link for inter-node edges (or the source cores for
+/// co-located ones), consume on the target node's cores. An edge becomes
+/// ready the instant all of its target's inputs exist; readiness events
+/// drain through a deterministic [`EventQueue`].
 ///
-/// The returned makespan satisfies
-/// `critical_path ≤ total_latency_ns ≤ serialized sum`.
-///
-/// # Errors
-///
-/// Propagates validation and transfer errors.
-pub fn execute_concurrent(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    spec: &WorkflowSpec,
-    payload: Bytes,
-    resources: &mut SchedResources,
-) -> Result<WorkflowRun, PlatformError> {
-    execute_concurrent_at(plane, clock, spec, payload, resources, 0)
-}
-
-/// [`execute_concurrent`] with a release time: the workflow's roots
-/// become ready at `release_ns` on `resources`' shared timescale instead
-/// of at 0.
-///
-/// This is the admission primitive of the open-loop load generator
-/// ([`crate::loadgen`]): each arriving workflow instance is executed onto
-/// the *same* `resources`, released at its arrival time, so independent
-/// instances genuinely contend for cores and links in virtual time.
-/// Edge `start_ns`/`finish_ns` are absolute on the resources' timescale;
-/// `total_latency_ns` is the instance's makespan measured **from its
-/// release** (its sojourn time under load).
+/// Released onto fresh resources at 0, this is the uncontended engine and
+/// `total_latency_ns` satisfies
+/// `critical_path ≤ total_latency_ns ≤ serialized sum`. Released onto
+/// resources other instances already hold, independent instances
+/// genuinely contend for cores and links: edge `start_ns`/`finish_ns` are
+/// absolute on the resources' timescale, and `total_latency_ns` is the
+/// instance's makespan measured **from its release** (its sojourn time
+/// under load).
 ///
 /// # Errors
 ///
-/// Propagates validation and transfer errors.
+/// Propagates validation and transfer errors. An edge refused by an
+/// outage schedule attached to `resources` (a failure run leaves its
+/// plan's schedule attached) is a [`PlatformError::Transfer`] too: this
+/// entry point carries no retry policy, so the first refusal is final.
 pub fn execute_concurrent_at(
     plane: &mut dyn DataPlane,
     clock: &VirtualClock,
@@ -506,28 +491,7 @@ pub fn execute_concurrent_at(
     resources: &mut SchedResources,
     release_ns: Nanos,
 ) -> Result<WorkflowRun, PlatformError> {
-    execute_compiled_at(plane, clock, &CompiledWorkflow::compile(spec)?, payload, resources, release_ns)
-}
-
-/// [`execute_concurrent_at`] over a pre-compiled workflow — the admission
-/// primitive the load generators actually drive: one
-/// [`CompiledWorkflow`] serves every arrival of a spec, so per-instance
-/// cost is the edges themselves, not graph validation and sorting.
-///
-/// # Errors
-///
-/// Propagates transfer errors. An edge refused by an outage schedule
-/// attached to `resources` (a failure run leaves its plan's schedule
-/// attached) is a [`PlatformError::Transfer`] too: this entry point
-/// carries no retry policy, so the first refusal is final.
-pub fn execute_compiled_at(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    compiled: &CompiledWorkflow<'_>,
-    payload: Bytes,
-    resources: &mut SchedResources,
-    release_ns: Nanos,
-) -> Result<WorkflowRun, PlatformError> {
+    let compiled = CompiledWorkflow::compile(spec)?;
     let placement = deployed_nodes(plane, compiled.dag());
     let instance = Instance {
         payload: &payload,
@@ -540,7 +504,7 @@ pub fn execute_compiled_at(
     let outcome = run_compiled_at(
         plane,
         clock,
-        compiled,
+        &compiled,
         resources,
         instance,
         &mut RunScratch::default(),
@@ -700,12 +664,12 @@ enum Attempt {
     DeadlineBlown { at: Nanos },
 }
 
-/// The one discrete-event engine: [`execute_compiled_at`] runs it under
+/// The one discrete-event engine: [`execute_concurrent_at`] runs it under
 /// the plane's deployment placement and collects every edge, the load
 /// engine under its policy's assignment with no `edges` and a per-lane
 /// [`RunScratch`]. Every edge really runs on
 /// `plane`; its prepare / transfer / consume phases are then placed on
-/// `resources`' timelines (see [`execute_concurrent`]), and each
+/// `resources`' timelines (see [`execute_concurrent_at`]), and each
 /// completed edge is pushed onto `edges` when the caller passed one —
 /// `None` builds no [`EdgeResult`] at all. See [`Instance`] for what the
 /// fault and overload inputs switch on.
@@ -1072,7 +1036,7 @@ mod tests {
         ));
         let mut res = SchedResources::new(1, 4);
         assert!(matches!(
-            execute_concurrent(&mut Failing, &clock, &spec, Bytes::new(), &mut res),
+            execute_concurrent_at(&mut Failing, &clock, &spec, Bytes::new(), &mut res, 0),
             Err(PlatformError::Transfer(_))
         ));
     }
@@ -1090,7 +1054,7 @@ mod tests {
         let spec = diamond_spec();
         let payload = Bytes::from(vec![1u8; 10_000]);
         let mut res = SchedResources::new(1, 4);
-        let run = execute_concurrent(&mut plane, &clock, &spec, payload, &mut res).unwrap();
+        let run = execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, 0).unwrap();
         assert_eq!(run.edges.len(), 4);
         let per_edge = 1_000 + 10_000;
         // Branches overlap: both a->b and a->c start at 0.
@@ -1111,7 +1075,7 @@ mod tests {
         let spec = diamond_spec();
         let payload = Bytes::from(vec![1u8; 10_000]);
         let mut res = SchedResources::new(1, 1);
-        let run = execute_concurrent(&mut plane, &clock, &spec, payload, &mut res).unwrap();
+        let run = execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, 0).unwrap();
         // One lane: nothing overlaps, makespan equals the serial sum.
         assert_eq!(run.total_latency_ns, run.serialized_ns());
     }
@@ -1126,7 +1090,7 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let conc = execute_concurrent(&mut plane, &clock, &spec, payload, &mut res).unwrap();
+        let conc = execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, 0).unwrap();
         assert_eq!(serial.edges.len(), conc.edges.len());
         for e in &serial.edges {
             let c = conc.edge(&e.from, &e.to).unwrap();
@@ -1150,7 +1114,7 @@ mod tests {
         );
         let mut res = SchedResources::new(2, 4);
         let run =
-            execute_concurrent(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res)
+            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0)
                 .unwrap();
         // All four transfers queue on the single link.
         assert_eq!(run.total_latency_ns, 4_000);
@@ -1166,7 +1130,7 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut fresh = SchedResources::new(1, 2);
-        let base = execute_concurrent(&mut plane, &clock, &spec, payload.clone(), &mut fresh)
+        let base = execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut fresh, 0)
             .unwrap()
             .total_latency_ns;
         assert_eq!(base, 2 * per_edge);
@@ -1198,7 +1162,7 @@ mod tests {
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
         let base =
-            execute_concurrent(&mut plane, &clock, &spec, payload.clone(), &mut res).unwrap();
+            execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 0).unwrap();
         let mut res = SchedResources::new(1, 4);
         let shifted =
             execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, 777_000).unwrap();
@@ -1227,11 +1191,11 @@ mod tests {
 
         let mut mesh = SchedResources::mesh(&[4, 4, 4, 4]);
         let overlapped =
-            execute_concurrent(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut mesh)
+            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut mesh, 0)
                 .unwrap();
         let mut shared = SchedResources::new(4, 4);
         let serialized =
-            execute_concurrent(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut shared)
+            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut shared, 0)
                 .unwrap();
         // Mesh: s→a ∥ s→c then a→b ∥ c→d → 2 levels. Shared WAN: all four
         // cross-node transfers queue on one timeline → 4 slots.
@@ -1274,7 +1238,7 @@ mod tests {
         // first, so its start slides to 1_000.
         let mut res = SchedResources::new(1, 1);
         let run =
-            execute_concurrent(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res)
+            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0)
                 .unwrap();
         assert_eq!(run.edge("s", "t0").unwrap().start_ns, 0);
         assert_eq!(run.edge("s", "t1").unwrap().start_ns, 1_000);
@@ -1323,29 +1287,23 @@ mod tests {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
-        let plain =
+        let first =
             execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 500)
                 .unwrap();
-        let clock = VirtualClock::new();
-        let mut plane = PassThrough { clock: clock.clone() };
-        let mut res = SchedResources::new(1, 4);
-        // The same compiled form serves repeated executions.
+        // Repeated executions on fresh resources reproduce the schedule
+        // edge for edge.
         for _ in 0..2 {
-            let fast = execute_compiled_at(
-                &mut plane,
-                &clock,
-                &compiled,
-                payload.clone(),
-                &mut SchedResources::new(1, 4),
-                500,
-            )
-            .unwrap();
-            assert_eq!(fast.total_latency_ns, plain.total_latency_ns);
-        }
-        let fast =
-            execute_compiled_at(&mut plane, &clock, &compiled, payload, &mut res, 500).unwrap();
-        for (a, b) in plain.edges.iter().zip(&fast.edges) {
-            assert_eq!((a.start_ns, a.finish_ns, a.latency_ns), (b.start_ns, b.finish_ns, b.latency_ns));
+            let mut res = SchedResources::new(1, 4);
+            let again =
+                execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 500)
+                    .unwrap();
+            assert_eq!(again.total_latency_ns, first.total_latency_ns);
+            for (a, b) in first.edges.iter().zip(&again.edges) {
+                assert_eq!(
+                    (a.start_ns, a.finish_ns, a.latency_ns),
+                    (b.start_ns, b.finish_ns, b.latency_ns)
+                );
+            }
         }
     }
 
@@ -1376,12 +1334,13 @@ mod tests {
         // The concurrent engine falls back to the measured duration.
         let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "b".to_owned()]);
         let mut res = SchedResources::new(1, 4);
-        let run = execute_concurrent(
+        let run = execute_concurrent_at(
             &mut plane,
             &clock,
             &spec,
             Bytes::from_static(b"q"),
             &mut res,
+            0,
         )
         .unwrap();
         assert_eq!(run.total_latency_ns, 500);
@@ -1507,7 +1466,7 @@ mod tests {
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
         let plain =
-            execute_compiled_at(&mut plane, &clock, &compiled, payload.clone(), &mut res, 100)
+            execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 100)
                 .unwrap();
 
         let clock = VirtualClock::new();
@@ -1587,10 +1546,10 @@ mod tests {
         use std::sync::Arc;
 
         // A failure run leaves its plan's schedule attached to the
-        // caller's resources; the plain entry points then meet refused
-        // reservations with no policy to retry under.
+        // caller's resources; the plain entry point then meets refused
+        // reservations with no policy to retry under, released inside the
+        // window or at its start.
         let spec = WorkflowSpec::sequence("wf", "t", ["src".to_owned(), "dst".to_owned()]);
-        let compiled = CompiledWorkflow::compile(&spec).unwrap();
         let fresh = || {
             let clock = VirtualClock::new();
             let mut res = SchedResources::mesh(&[2, 2]);
@@ -1600,14 +1559,11 @@ mod tests {
             ));
             (Phased::split(&clock), clock, res)
         };
-        let payload = Bytes::from_static(b"x");
-        let (mut plane, clock, mut res) = fresh();
-        let concurrent = execute_concurrent(&mut plane, &clock, &spec, payload.clone(), &mut res);
-        let (mut plane, clock, mut res) = fresh();
-        let at = execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut res, 10);
-        let (mut plane, clock, mut res) = fresh();
-        let compiled_at = execute_compiled_at(&mut plane, &clock, &compiled, payload, &mut res, 10);
-        for result in [concurrent, at, compiled_at] {
+        for release_ns in [0, 10] {
+            let (mut plane, clock, mut res) = fresh();
+            let payload = Bytes::from_static(b"x");
+            let result =
+                execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut res, release_ns);
             assert!(matches!(result, Err(PlatformError::Transfer(_))), "{result:?}");
         }
     }

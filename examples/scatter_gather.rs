@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent, FunctionBundle, WorkflowDag, WorkflowSpec,
+    critical_path_ns, execute, execute_concurrent_at, FunctionBundle, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
 use roadrunner_vkernel::{secs, SchedResources, Testbed};
@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (bed, mut plane) = deploy();
     let clock = bed.clock().clone();
     let mut resources = SchedResources::for_testbed(&bed);
-    let concurrent =
-        execute_concurrent(&mut plane, &clock, &spec(), batch.flat().clone(), &mut resources)?;
+    let payload = batch.flat().clone();
+    let concurrent = execute_concurrent_at(&mut plane, &clock, &spec(), payload, &mut resources, 0)?;
 
     println!(
         "\n{} edges, {} bytes moved",

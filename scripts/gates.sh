@@ -11,8 +11,8 @@
 #                         claims internally: fig11 critical-path bounds,
 #                         fig12 contention ordering, fig13 autoscaled p95,
 #                         fig14 self-healing, fig15 / fig16 pool and
-#                         overload ratios, bench_engine's virtual-time
-#                         signatures, bench_wasm's results and counts)
+#                         overload ratios, bench_wasm's results and
+#                         counts)
 #   memo:fig1{2,3}        memoized output == --no-memo output
 #   sweep:fig1{2,3}:*     default sweep == --serial == --workers 2
 #   serial:fig1{4,5,6}    default sweep == --serial
@@ -23,6 +23,7 @@
 #                         under crates/core/src stay at or below the pin
 #                         (ROADMAP 5(e): the pin only ever falls)
 #   count:panics:serial   the same count under crates/serial/src
+#   count:panics:baselines  the same count under crates/baselines/src
 #
 # Known red since before PR 12, the only one, not weakened or skipped
 # here (see crates/platform/src/memo.rs "Soundness contract" and the two
@@ -57,8 +58,8 @@ fail() {
 }
 
 # produce OUTPUT BINARY [ARGS..]: stdout to $out/OUTPUT.json, run from
-# $out so bench_engine / bench_wasm write their BENCH_*.json there and
-# not over the committed ones.
+# $out so bench_wasm writes its BENCH_wasm.json there and not over the
+# committed one.
 produce() {
     local name=$1 exe=$2
     shift 2
@@ -147,8 +148,13 @@ count count:panics:core core 9
 # nibble, the differential suite's own failure report), binary.rs 1 and
 # value.rs 1 (`unwrap()` in a rustdoc example).
 count count:panics:serial serial 8
+# coldstart.rs 6 (the fig. 2a metered / hello / resize guests
+# instantiated and run over constant SDK modules), wasmedge.rs 10 (the
+# pair's sender and receiver: 2 instantiations of constant SDK modules,
+# 6 results typed by the export's own signature, 2 memories those
+# modules declare).
+count count:panics:baselines baselines 16
 
-produce bench_engine bench_engine --quick
 produce bench_wasm bench_wasm --quick
 
 echo

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent, DataPlane, PlatformError, TransferTiming,
+    critical_path_ns, execute, execute_concurrent_at, DataPlane, PlatformError, TransferTiming,
     WorkflowDag, WorkflowSpec,
 };
 use roadrunner_vkernel::{SchedResources, VirtualClock};
@@ -178,7 +178,7 @@ proptest! {
         let mut plane = TestPlane { clock: clock.clone() };
         let mut resources = SchedResources::new(2, 4);
         let concurrent =
-            execute_concurrent(&mut plane, &clock, &spec, payload, &mut resources).unwrap();
+            execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut resources, 0).unwrap();
 
         prop_assert_eq!(serial.edges.len(), concurrent.edges.len());
         for edge in &serial.edges {

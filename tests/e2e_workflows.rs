@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use roadrunner::{guest, Mode, RoadrunnerPlane, ShimConfig};
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent, FunctionBundle, WorkflowDag, WorkflowSpec,
+    critical_path_ns, execute, execute_concurrent_at, FunctionBundle, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
 use roadrunner_serial::raw::fnv1a;
@@ -145,7 +145,7 @@ fn diamond_dag_overlaps_branches_within_critical_path_bound() {
     let clock = bed.clock().clone();
     let mut resources = SchedResources::for_testbed(&bed);
     let run =
-        execute_concurrent(&mut p, &clock, &spec, payload.flat().clone(), &mut resources)
+        execute_concurrent_at(&mut p, &clock, &spec, payload.flat().clone(), &mut resources, 0)
             .unwrap();
 
     assert_eq!(run.edges.len(), 4);
@@ -194,7 +194,7 @@ fn mixed_node_diamond_contends_on_the_shared_link() {
     let clock = bed.clock().clone();
     let mut resources = SchedResources::for_testbed(&bed);
     let run =
-        execute_concurrent(&mut p, &clock, &spec, payload.flat().clone(), &mut resources)
+        execute_concurrent_at(&mut p, &clock, &spec, payload.flat().clone(), &mut resources, 0)
             .unwrap();
 
     let critical = critical_path_ns(&spec, &run).unwrap();

@@ -12,7 +12,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute_concurrent, DataPlane, MemoizedPlane, PlatformError, TransferTiming, WorkflowDag,
+    execute_concurrent_at, loadgen, AdmissionConfig, ArrivalProcess, Autoscaler, AutoscalerConfig,
+    ClosedLoop, Cluster, Controls, DataPlane, Load, LoadRun, LocalityFirst, MemoizedPlane,
+    OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, TransferTiming, WorkflowDag,
     WorkflowRun, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
@@ -156,8 +158,8 @@ proptest! {
         let clock = VirtualClock::new();
         let mut plain_plane = KeyedPlane { clock: clock.clone(), placements: placements.clone() };
         let mut resources = SchedResources::new(nodes, 4);
-        let plain = execute_concurrent(
-            &mut plain_plane, &clock, &spec, payload.clone(), &mut resources,
+        let plain = execute_concurrent_at(
+            &mut plain_plane, &clock, &spec, payload.clone(), &mut resources, 0,
         ).unwrap();
 
         let clock = VirtualClock::new();
@@ -165,8 +167,8 @@ proptest! {
         let mut memo = MemoizedPlane::new(&mut inner, clock.clone());
         for round in 0..3 {
             let mut resources = SchedResources::new(nodes, 4);
-            let memoized = execute_concurrent(
-                &mut memo, &clock, &spec, payload.clone(), &mut resources,
+            let memoized = execute_concurrent_at(
+                &mut memo, &clock, &spec, payload.clone(), &mut resources, 0,
             ).unwrap();
             assert_runs_equal(&plain, &memoized)?;
             if round > 0 {
@@ -215,15 +217,15 @@ proptest! {
         let mut plane = build(&bed);
         let clock = bed.clock().clone();
         let mut resources = SchedResources::new(2, 4);
-        execute_concurrent(plane.as_mut(), &clock, &spec, flat.clone(), &mut resources)
+        execute_concurrent_at(plane.as_mut(), &clock, &spec, flat.clone(), &mut resources, 0)
             .unwrap();
         let mut resources = SchedResources::new(2, 4);
-        let plain = execute_concurrent(
-            plane.as_mut(), &clock, &spec, flat.clone(), &mut resources,
+        let plain = execute_concurrent_at(
+            plane.as_mut(), &clock, &spec, flat.clone(), &mut resources, 0,
         ).unwrap();
         let mut resources = SchedResources::new(2, 4);
-        let plain_again = execute_concurrent(
-            plane.as_mut(), &clock, &spec, flat.clone(), &mut resources,
+        let plain_again = execute_concurrent_at(
+            plane.as_mut(), &clock, &spec, flat.clone(), &mut resources, 0,
         ).unwrap();
         // Warmed baselines are instance-cyclic: the property the memo
         // (and fig13's determinism assert) relies on.
@@ -233,22 +235,118 @@ proptest! {
         let mut plane = build(&bed);
         let clock = bed.clock().clone();
         let mut resources = SchedResources::new(2, 4);
-        execute_concurrent(plane.as_mut(), &clock, &spec, flat.clone(), &mut resources)
+        execute_concurrent_at(plane.as_mut(), &clock, &spec, flat.clone(), &mut resources, 0)
             .unwrap();
         let mut memo = MemoizedPlane::new(plane.as_mut(), clock.clone());
         let mut resources = SchedResources::new(2, 4);
-        let first = execute_concurrent(
-            &mut memo, &clock, &spec, flat.clone(), &mut resources,
+        let first = execute_concurrent_at(
+            &mut memo, &clock, &spec, flat.clone(), &mut resources, 0,
         ).unwrap();
         assert_runs_equal(&plain, &first)?;
         let mut resources = SchedResources::new(2, 4);
-        let replayed = execute_concurrent(
-            &mut memo, &clock, &spec, flat.clone(), &mut resources,
+        let replayed = execute_concurrent_at(
+            &mut memo, &clock, &spec, flat.clone(), &mut resources, 0,
         ).unwrap();
         assert_runs_equal(&plain, &replayed)?;
         prop_assert!(memo.hits() >= spec.dag.edge_count() as u64);
         prop_assert_eq!(memo.bypasses(), 0);
     }
+}
+
+/// The load engine over a freshly warmed pipeline, on the plain plane or
+/// through a [`MemoizedPlane`]: the run and the memo's hits.
+fn run_load(
+    load: Load<'_>,
+    policy: &mut dyn PlacementPolicy,
+    autoscaler: Option<AutoscalerConfig>,
+    memo: bool,
+) -> (LoadRun, u64) {
+    let (mut plane, clock, _) = warmed_pipeline(4_096);
+    let mut scaler = autoscaler.map(Autoscaler::new);
+    let drive = |plane: &mut dyn DataPlane| {
+        let mut resources = SchedResources::mesh(&[4; 2]);
+        let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+        let controls = Controls { autoscaler: scaler.as_mut(), ..Controls::default() };
+        loadgen::run(load, cluster, controls).unwrap()
+    };
+    let mut hits = 0;
+    let run = if memo {
+        let mut memo_plane = MemoizedPlane::new(&mut plane, clock.clone());
+        let run = drive(&mut memo_plane);
+        hits = memo_plane.hits();
+        run
+    } else {
+        drive(&mut plane)
+    };
+    (run, hits)
+}
+
+/// What must match instance for instance between a plain and a memoized
+/// load run.
+fn signature(run: &LoadRun) -> Vec<(usize, u64, u64, u64)> {
+    run.outcomes.iter().map(|o| (o.user, o.release_ns, o.finish_ns, o.cold_start_ns)).collect()
+}
+
+/// The memo on the real plane under the load engine: a closed loop with
+/// the backlog autoscaler under `PackThenSpill`, and an open loop under
+/// `LocalityFirst`. Both policies place whole instances, the regime the
+/// memo is sound for, so the memoized run must reproduce the plain one
+/// instance for instance.
+#[test]
+fn memo_matches_plain_under_the_load_engine() {
+    let (mut plane, clock, payload) = warmed_pipeline(4_096);
+    let spec = WorkflowSpec::sequence(
+        "pipeline",
+        "t",
+        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
+    );
+    let mut fresh = SchedResources::mesh(&[4; 4]);
+    let solo_ns = execute_concurrent_at(&mut plane, &clock, &spec, payload.clone(), &mut fresh, 0)
+        .unwrap()
+        .total_latency_ns;
+
+    let closed = ClosedLoop {
+        spec: spec.clone(),
+        payload: payload.clone(),
+        users: 8,
+        think_ns: solo_ns / 4,
+        ramp_ns: solo_ns / 4,
+        instances: 24,
+        admission: AdmissionConfig::warm(),
+    };
+    let scaler = AutoscalerConfig {
+        min_nodes: 2,
+        max_nodes: 4,
+        node_cores: 4,
+        scale_up_backlog_ns: solo_ns / 2,
+        scale_down_backlog_ns: solo_ns / 16,
+        window_ns: (solo_ns / 4).max(1),
+    };
+    let run = |memo| {
+        let policy = &mut PackThenSpill::new(solo_ns);
+        run_load(Load::from(&closed), policy, Some(scaler), memo)
+    };
+    let (plain, _) = run(false);
+    let (memoized, hits) = run(true);
+    assert_eq!(plain.outcomes.len(), 24);
+    assert_eq!(signature(&plain), signature(&memoized), "closed loop + autoscaler");
+    assert_eq!(plain.scale_events, memoized.scale_events);
+    assert!(!plain.scale_events.is_empty(), "the autoscaler must act");
+    assert!(hits > 0, "the memo must serve the closed loop");
+
+    let open = OpenLoop {
+        spec,
+        payload,
+        arrivals: ArrivalProcess::Uniform { interval_ns: (solo_ns / 2).max(1) },
+        instances: 16,
+        admission: AdmissionConfig::warm(),
+    };
+    let run = |memo| run_load(Load::from(&open), &mut LocalityFirst::new(), None, memo);
+    let (plain, _) = run(false);
+    let (memoized, hits) = run(true);
+    assert_eq!(plain.outcomes.len(), 16);
+    assert_eq!(signature(&plain), signature(&memoized), "open loop");
+    assert!(hits > 0, "the memo must serve the open loop");
 }
 
 // ---------------------------------------------------------------------
@@ -263,8 +361,9 @@ proptest! {
 
 /// The warmed src → relay → sink pipeline the load figures drive: all
 /// three functions deployed on node 0 of a four-node cluster, one
-/// discarded warm-up instance (which warms the *deployment's* modes only).
-fn warmed_pipeline() -> (roadrunner::RoadrunnerPlane, VirtualClock, Bytes) {
+/// discarded warm-up instance (which warms the *deployment's* modes only)
+/// with a `payload_len`-byte image frame.
+fn warmed_pipeline(payload_len: usize) -> (roadrunner::RoadrunnerPlane, VirtualClock, Bytes) {
     use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
     use roadrunner_platform::{execute, FunctionBundle};
 
@@ -281,7 +380,7 @@ fn warmed_pipeline() -> (roadrunner::RoadrunnerPlane, VirtualClock, Bytes) {
             .with_tenant("t");
         plane.deploy(0, name, Arc::new(bundle), handler, acks).unwrap();
     }
-    let payload = Payload::synthetic(PayloadKind::ImageFrame, 1, 256_000).flat().clone();
+    let payload = Payload::synthetic(PayloadKind::ImageFrame, 1, payload_len).flat().clone();
     let spec = WorkflowSpec::sequence(
         "pipeline",
         "t",
@@ -314,9 +413,9 @@ fn placed_timings(
 /// Memo vs plain over the same placement sequence on two identically
 /// warmed deployments.
 fn assert_memo_matches_plain_under(placements: &[[usize; 3]]) {
-    let (mut plane, _, payload) = warmed_pipeline();
+    let (mut plane, _, payload) = warmed_pipeline(256_000);
     let plain = placed_timings(&mut plane, &payload, placements);
-    let (mut plane, clock, payload) = warmed_pipeline();
+    let (mut plane, clock, payload) = warmed_pipeline(256_000);
     let mut memo = MemoizedPlane::new(&mut plane, clock);
     let memoized = placed_timings(&mut memo, &payload, placements);
     assert_eq!(memo.bypasses(), 0);
