@@ -21,24 +21,24 @@
 //!   order-statistic confidence intervals;
 //!
 //! for Roadrunner and both baselines. Grid points fan out over the
-//! `platform::sweep` worker pool (`--serial` keeps the in-order
-//! reference loop, `--workers N` sizes the pool); output is
-//! byte-identical either way — the gate CI enforces. The experiment
+//! `platform::sweep` worker pool (`--workers N` sizes it; `--workers 1`
+//! is the in-order serial loop); output is byte-identical at any size,
+//! which `crates/bench/tests/sweep_golden.rs` checks. The experiment
 //! logic lives in `roadrunner_bench::fig12`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig12_load
-//! [--quick] [--serial] [--workers N] [--no-memo]`
+//! [--quick] [--workers N] [--no-memo]`
 
 use roadrunner_bench::fig12::{fig12_json, Fig12Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
     let opts = Fig12Options {
         quick: args.quick,
         golden: false,
         memo: !args.no_memo,
-        mode: args.sweep_mode(),
+        workers: args.sweep_workers(),
     };
     println!("{}", fig12_json(&opts));
 }

@@ -26,25 +26,25 @@
 //! unpack+init for containers), connecting the cold-start figures to
 //! the load figures.
 //!
-//! Cells fan out over the `platform::sweep` worker pool (`--serial`
-//! keeps the in-order reference loop, `--workers N` sizes the pool);
-//! output is byte-identical either way — the gate CI enforces. The
-//! experiment logic and the headline-invariant assertions live in
-//! `roadrunner_bench::fig13`.
+//! Cells fan out over the `platform::sweep` worker pool (`--workers N`
+//! sizes it; `--workers 1` is the in-order serial loop); output is
+//! byte-identical at any size, which `crates/bench/tests/sweep_golden.rs`
+//! checks. The experiment logic and the headline-invariant assertions
+//! live in `roadrunner_bench::fig13`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig13_elastic
-//! [--quick] [--serial] [--workers N] [--no-memo]`
+//! [--quick] [--workers N] [--no-memo]`
 
 use roadrunner_bench::fig13::{fig13_json, Fig13Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
     let opts = Fig13Options {
         quick: args.quick,
         golden: false,
         memo: !args.no_memo,
-        mode: args.sweep_mode(),
+        workers: args.sweep_workers(),
     };
     println!("{}", fig13_json(&opts));
 }

@@ -13,17 +13,17 @@
 //! experiment logic and the assertions live in `roadrunner_bench::fig14`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig14_failures
-//! [--quick] [--serial] [--workers N] [--no-memo]`
+//! [--quick] [--workers N] [--no-memo]`
 
 use roadrunner_bench::fig14::{fig14_json, Fig14Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
     let opts = Fig14Options {
         quick: args.quick,
         memo: !args.no_memo,
-        mode: args.sweep_mode(),
+        workers: args.sweep_workers(),
     };
     println!("{}", fig14_json(&opts));
 }

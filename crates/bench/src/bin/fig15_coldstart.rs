@@ -21,14 +21,14 @@
 //! run re-gates.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig15_coldstart
-//! [--quick] [--serial] [--workers N]`
+//! [--quick] [--workers N]`
 
 use roadrunner_bench::fig15::{fig15_json, Fig15Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers]);
-    let opts = Fig15Options { quick: args.quick, mode: args.sweep_mode() };
+    let args = Args::parse(&[Flag::Quick, Flag::Workers]);
+    let opts = Fig15Options { quick: args.quick, workers: args.sweep_workers() };
     let json = fig15_json(&opts);
     if !opts.quick {
         std::fs::write("BENCH_coldstart.json", format!("{json}\n"))

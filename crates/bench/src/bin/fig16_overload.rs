@@ -15,14 +15,14 @@
 //! reference CI's quick run re-gates.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig16_overload
-//! [--quick] [--serial] [--workers N]`
+//! [--quick] [--workers N]`
 
 use roadrunner_bench::fig16::{fig16_json, Fig16Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Serial, Flag::Workers]);
-    let opts = Fig16Options { quick: args.quick, mode: args.sweep_mode() };
+    let args = Args::parse(&[Flag::Quick, Flag::Workers]);
+    let opts = Fig16Options { quick: args.quick, workers: args.sweep_workers() };
     let json = fig16_json(&opts);
     if !opts.quick {
         std::fs::write("BENCH_overload.json", format!("{json}\n"))

@@ -33,7 +33,7 @@ use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
     loadgen, replicate, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane,
     LocalityFirst, MemoizedPlane, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat,
-    SpreadLoad, SweepGrid, SweepMode, SweepPoint,
+    SpreadLoad, SweepGrid, SweepPoint,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
@@ -59,8 +59,8 @@ pub struct Fig12Options {
     pub golden: bool,
     /// Wrap planes in the transfer-cost memo (`--no-memo` turns off).
     pub memo: bool,
-    /// Serial reference loop or the worker pool.
-    pub mode: SweepMode,
+    /// Sweep worker threads; 1 runs the jobs inline, in order.
+    pub workers: usize,
 }
 
 struct SystemUnderLoad {
@@ -255,7 +255,7 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
         seeds,
     };
 
-    let results = sweep(&grid, opts.mode, |point| run_point(point, instances, opts.memo));
+    let results = sweep(&grid, opts.workers, |point| run_point(point, instances, opts.memo));
 
     // Merge: consecutive `seeds_per_cell` results form one experimental
     // cell; collapse each system's replicas into across-seed stats.

@@ -8,8 +8,8 @@
 //! decomposition: every (policy × users × autoscaled/cold) cell is one
 //! fully independent job — its own [`Testbed`], its own three deployed
 //! systems, its own solo-makespan measurements, its own
-//! [`SchedResources`] — executed by [`run_jobs`] under the chosen
-//! [`SweepMode`] and merged in job order. The closed loop has no
+//! [`SchedResources`] — executed by [`parallel_map`] on the chosen
+//! number of workers and merged in job order. The closed loop has no
 //! stochastic arrival process, so there is no seed axis here; fig12
 //! carries the replication story.
 
@@ -21,9 +21,9 @@ use roadrunner_baselines::coldstart::{
 };
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    loadgen, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls,
-    DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy, ScaleAction,
-    SweepMode,
+    loadgen, parallel_map, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster,
+    Controls, DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy,
+    ScaleAction,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
@@ -48,8 +48,8 @@ pub struct Fig13Options {
     pub golden: bool,
     /// Wrap planes in the transfer-cost memo (`--no-memo` turns off).
     pub memo: bool,
-    /// Serial reference loop or the worker pool.
-    pub mode: SweepMode,
+    /// Sweep worker threads; 1 runs the jobs inline, in order.
+    pub workers: usize,
 }
 
 /// The fig13–fig16 testbed: every node the autoscaler may ever add.
@@ -298,7 +298,7 @@ pub fn fig13_json(opts: &Fig13Options) -> String {
         });
     }
 
-    let results = run_jobs(&jobs, opts.mode, |job| run_job(job, &payload));
+    let results = parallel_map(&jobs, opts.workers, |_, job| run_job(job, &payload));
 
     // Post-merge invariants over the deterministic, job-ordered results.
     let find = |policy: &str, users: usize, autoscaled: bool, cold: bool| {

@@ -33,16 +33,16 @@
 //! reaches 80 % of the pre-kill rate; `null` when no window qualifies.
 //!
 //! Cells fan out over the `platform::sweep` worker pool exactly like
-//! fig12/fig13 (`--serial`, `--workers N`); output is byte-identical
-//! either way.
+//! fig12/fig13 (`--workers N`); output is byte-identical at any worker
+//! count.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    loadgen, run_jobs, AdmissionConfig, Autoscaler, ClosedLoop, Cluster, Controls,
+    loadgen, parallel_map, AdmissionConfig, Autoscaler, ClosedLoop, Cluster, Controls,
     DataPlane, FailurePlan, LoadRun, LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy,
-    ScaleAction, SpreadLoad, SweepMode,
+    ScaleAction, SpreadLoad,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, Testbed};
 
@@ -57,8 +57,8 @@ pub struct Fig14Options {
     /// The memo keys on the link-health epoch, so it stays sound under
     /// outage schedules.
     pub memo: bool,
-    /// Serial reference loop or the worker pool.
-    pub mode: SweepMode,
+    /// Sweep worker threads; 1 runs the jobs inline, in order.
+    pub workers: usize,
 }
 
 /// The injected-failure scenarios, in emission order.
@@ -351,7 +351,7 @@ pub fn fig14_json(opts: &Fig14Options) -> String {
     .map(|scenario| Job { scenario, users, rounds, memo: opts.memo })
     .collect();
 
-    let results = run_jobs(&jobs, opts.mode, |job| run_job(job, &payload));
+    let results = parallel_map(&jobs, opts.workers, |_, job| run_job(job, &payload));
 
     // Post-merge invariants over the deterministic, job-ordered results.
     let find = |scenario: Scenario| {

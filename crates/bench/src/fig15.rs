@@ -44,9 +44,9 @@ use roadrunner_baselines::coldstart::{
     PAPER_WASM_HELLO_BYTES,
 };
 use roadrunner_platform::{
-    loadgen, percentiles_sorted, run_jobs, AdmissionConfig, Autoscaler, AutoscalerConfig,
-    ClosedLoop, Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, MemoizedPlane,
-    PercentileSummary, PrewarmConfig, ScaleAction, SweepMode, WarmPoolConfig,
+    loadgen, parallel_map, percentiles, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop,
+    Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, MemoizedPlane, PercentileSummary,
+    PrewarmConfig, ScaleAction, WarmPoolConfig,
 };
 use roadrunner_vkernel::{CostModel, Nanos, SchedResources, Testbed};
 
@@ -75,8 +75,8 @@ fn gap_ns_of(solo_ns: Nanos, full_ns: Nanos) -> Nanos {
 pub struct Fig15Options {
     /// Reduced user count/rounds for CI.
     pub quick: bool,
-    /// Serial reference loop or the worker pool.
-    pub mode: SweepMode,
+    /// Sweep worker threads; 1 runs the jobs inline, in order.
+    pub workers: usize,
 }
 
 /// The four admission policies, in emission order.
@@ -186,8 +186,7 @@ fn peak_percentiles(run: &LoadRun) -> PercentileSummary {
         }
         *prior += 1;
     }
-    sojourns.sort_unstable();
-    percentiles_sorted(&sojourns).expect("every user ran more than one round")
+    percentiles(&sojourns).expect("every user ran more than one round")
 }
 
 /// One cell's merged result.
@@ -251,8 +250,9 @@ pub fn fig15_json(opts: &Fig15Options) -> String {
     let (users, rounds) = if opts.quick { (6, 4) } else { (8, 6) };
     let payload = Bytes::from(vec![0xC5u8; MB / 4]);
 
-    let results =
-        run_jobs(&POLICIES, opts.mode, |&policy| run_job(policy, users, rounds, &payload));
+    let results = parallel_map(&POLICIES, opts.workers, |_, &policy| {
+        run_job(policy, users, rounds, &payload)
+    });
 
     let cell = |policy: &str, system: &str| {
         results
@@ -330,12 +330,15 @@ pub fn fig15_json(opts: &Fig15Options) -> String {
 mod tests {
     use super::*;
 
-    /// Tier-1 smoke: the quick matrix end to end, asserting every
-    /// headline invariant (the gate assertions live inside
-    /// `fig15_json`), serial for determinism.
+    /// Tier-1 smoke: the quick matrix end to end on one worker,
+    /// asserting every headline invariant (the gate assertions live
+    /// inside `fig15_json`) and that the output is the pinned `--quick`
+    /// reference. `tests/sweep_golden.rs` holds the same reference
+    /// against four workers.
     #[test]
     fn quick_sweep_passes_every_gate() {
-        let json = fig15_json(&Fig15Options { quick: true, mode: SweepMode::Serial });
+        let json = fig15_json(&Fig15Options { quick: true, workers: 1 });
         assert_eq!(json.lines().filter(|l| l.contains("hybrid_prewarm")).count(), 3);
+        assert_eq!(format!("{json}\n"), include_str!("../reference/fig15_quick.json"));
     }
 }

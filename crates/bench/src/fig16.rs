@@ -36,9 +36,9 @@
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    loadgen, run_jobs, AdmissionConfig, BreakerConfig, ClosedLoop, Cluster, Controls, FailurePlan,
-    LoadRun, MemoizedPlane, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig, RetryPolicy,
-    ShedPolicy, SpreadLoad, SweepMode, TenantLoad,
+    loadgen, parallel_map, AdmissionConfig, BreakerConfig, ClosedLoop, Cluster, Controls,
+    FailurePlan, LoadRun, MemoizedPlane, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig,
+    RetryPolicy, ShedPolicy, SpreadLoad, TenantLoad,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
@@ -66,8 +66,8 @@ pub const GATE_ISOLATION: f64 = 2.0;
 pub struct Fig16Options {
     /// Reduced phase lengths for CI.
     pub quick: bool,
-    /// Serial reference loop or the worker pool.
-    pub mode: SweepMode,
+    /// Sweep worker threads; 1 runs the jobs inline, in order.
+    pub workers: usize,
 }
 
 /// The four experiment cells, in emission order.
@@ -348,8 +348,8 @@ fn cell_row(result: &CellResult) -> Object {
     let run = &result.run;
     let digest = run.sojourn_percentiles();
     let tenant_p95 = |name: &str| {
-        let tenant = run.tenants.iter().find(|t| t.name == name);
-        tenant.and_then(|t| t.sojourn_percentiles()).map(|d| json_secs(d.p95_ns))
+        let tenant = run.tenants.iter().position(|t| t.name == name);
+        tenant.and_then(|t| run.tenant_sojourn_percentiles(t)).map(|d| json_secs(d.p95_ns))
     };
     let fair = result.job.cell.is_fair();
     object! {
@@ -379,7 +379,7 @@ pub fn fig16_json(opts: &Fig16Options) -> String {
         .map(|cell| Job { cell, quick: opts.quick })
         .collect();
 
-    let results = run_jobs(&jobs, opts.mode, |job| run_job(job, &payload));
+    let results = parallel_map(&jobs, opts.workers, |_, job| run_job(job, &payload));
     let find = |cell: Cell| results.iter().find(|r| r.job.cell == cell).expect("cell exists");
 
     // Gate 1: the naive cell's post-burst goodput stays collapsed.
@@ -414,12 +414,11 @@ pub fn fig16_json(opts: &Fig16Options) -> String {
 
     // Gate 3: the weighted queue isolates the interactive tenant.
     let inter_p95 = |cell: Cell| {
-        find(cell)
-            .run
-            .tenants
+        let run = &find(cell).run;
+        run.tenants
             .iter()
-            .find(|t| t.name == "interactive")
-            .and_then(|t| t.sojourn_percentiles())
+            .position(|t| t.name == "interactive")
+            .and_then(|t| run.tenant_sojourn_percentiles(t))
             .expect("interactive completions")
             .p95_ns
     };
@@ -468,11 +467,14 @@ pub fn fig16_json(opts: &Fig16Options) -> String {
 mod tests {
     use super::*;
 
-    /// Tier-1 smoke: the quick matrix end to end, serial for
-    /// determinism; every headline gate asserts inside `fig16_json`.
+    /// Tier-1 smoke: the quick matrix end to end on one worker; every
+    /// headline gate asserts inside `fig16_json`, and the output is the
+    /// pinned `--quick` reference. `tests/sweep_golden.rs` holds the
+    /// same reference against four workers.
     #[test]
     fn quick_sweep_passes_every_gate() {
-        let json = fig16_json(&Fig16Options { quick: true, mode: SweepMode::Serial });
+        let json = fig16_json(&Fig16Options { quick: true, workers: 1 });
         assert_eq!(json.lines().filter(|l| l.contains("fair_shared")).count(), 1);
+        assert_eq!(format!("{json}\n"), include_str!("../reference/fig16_quick.json"));
     }
 }

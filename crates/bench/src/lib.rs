@@ -28,8 +28,7 @@ use bytes::Bytes;
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{BaselineOutcome, RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    available_workers, execute, execute_concurrent_at, DataPlane, FunctionBundle, SweepMode,
-    WorkflowSpec,
+    available_workers, execute, execute_concurrent_at, DataPlane, FunctionBundle, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
 use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
@@ -519,10 +518,8 @@ pub fn fanout_sweep(quick: bool) -> Vec<usize> {
 pub enum Flag {
     /// `--quick`: the reduced, CI-sized run.
     Quick,
-    /// `--serial`: the in-order reference sweep loop (the byte-identity
-    /// baseline CI diffs against).
-    Serial,
-    /// `--workers N`: the sweep worker pool's size.
+    /// `--workers N`: the sweep worker pool's size (`--workers 1` is the
+    /// in-order serial loop).
     Workers,
     /// `--no-memo`: load sweeps run on the plain plane, without the
     /// transfer-cost memo (the reference run CI diffs the memoized
@@ -534,7 +531,6 @@ impl Flag {
     fn name(self) -> &'static str {
         match self {
             Flag::Quick => "--quick",
-            Flag::Serial => "--serial",
             Flag::Workers => "--workers",
             Flag::NoMemo => "--no-memo",
         }
@@ -546,8 +542,6 @@ impl Flag {
 pub struct Args {
     /// `--quick` was passed.
     pub quick: bool,
-    /// `--serial` was passed.
-    pub serial: bool,
     /// `--no-memo` was passed.
     pub no_memo: bool,
     /// The value of `--workers`, if passed.
@@ -592,7 +586,6 @@ impl Args {
                 .ok_or_else(|| format!("unknown argument `{arg}`"))?;
             match flag {
                 Flag::Quick => out.quick = true,
-                Flag::Serial => out.serial = true,
                 Flag::NoMemo => out.no_memo = true,
                 Flag::Workers => {
                     let value = args.next().ok_or("`--workers` takes a number")?;
@@ -606,15 +599,10 @@ impl Args {
         Ok(out)
     }
 
-    /// The sweep execution mode: `--serial` forces the in-order
-    /// reference loop, `--workers N` sizes the pool, and the default is
-    /// one worker per available core.
-    pub fn sweep_mode(&self) -> SweepMode {
-        if self.serial {
-            SweepMode::Serial
-        } else {
-            SweepMode::Parallel { workers: self.workers.unwrap_or_else(available_workers) }
-        }
+    /// The sweep pool's size: `--workers N`, or one worker per
+    /// available core.
+    pub fn sweep_workers(&self) -> usize {
+        self.workers.unwrap_or_else(available_workers)
     }
 }
 
@@ -768,21 +756,20 @@ mod tests {
 
     #[test]
     fn args_accept_only_the_named_flags() {
-        let load = [Flag::Quick, Flag::Serial, Flag::Workers, Flag::NoMemo];
+        let load = [Flag::Quick, Flag::Workers, Flag::NoMemo];
         let none: [&str; 0] = [];
         assert_eq!(Args::from_args(&load, &none), Ok(Args::default()));
         assert_eq!(
             Args::from_args(&load, &["--quick", "--no-memo", "--workers", "3"]),
-            Ok(Args { quick: true, serial: false, no_memo: true, workers: Some(3) })
+            Ok(Args { quick: true, no_memo: true, workers: Some(3) })
         );
-        let serial = Args::from_args(&load, &["--serial", "--workers", "2"]).unwrap();
-        assert_eq!(serial.sweep_mode(), SweepMode::Serial);
-        let pooled = Args::from_args(&load, &["--workers", "2"]).unwrap();
-        assert_eq!(pooled.sweep_mode(), SweepMode::Parallel { workers: 2 });
+        let serial = Args::from_args(&load, &["--workers", "1"]).unwrap();
+        assert_eq!(serial.sweep_workers(), 1);
+        assert_eq!(Args::default().sweep_workers(), available_workers());
 
         // A misspelt flag, or one this binary does not take, is an error.
         assert!(Args::from_args(&load, &["--quick", "--no-memos"]).is_err());
-        assert!(Args::from_args(&[Flag::Quick], &["--serial"]).is_err());
+        assert!(Args::from_args(&[Flag::Quick], &["--workers", "2"]).is_err());
         assert!(Args::from_args(&[], &["--quick"]).is_err());
         assert!(Args::from_args(&load, &["quick"]).is_err());
         // So is a `--workers` without a number.

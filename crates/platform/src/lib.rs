@@ -38,10 +38,9 @@
 //!   circuit breakers, and the bounded-queue shedding policies the load
 //!   engine applies at admission. All knobs default off; breakers steer
 //!   placement through the `ResourceView` backlog seam.
-//! * [`metrics`] — sample collection, summaries, latency percentile
-//!   digests (exact nearest-rank and streaming P²) and multi-seed
-//!   [`metrics::Replicated`] summaries with order-statistic confidence
-//!   intervals for the harness.
+//! * [`metrics`] — exact nearest-rank latency percentiles and
+//!   multi-seed [`metrics::Replicated`] summaries with order-statistic
+//!   confidence intervals for the harness.
 //! * [`mod@sweep`] — the parallel sweep engine: a scoped-thread worker pool
 //!   fanning a declarative [`sweep::SweepGrid`] (rates × payloads ×
 //!   policies × seeds) across cores, merging results in deterministic
@@ -88,8 +87,8 @@ pub use loadgen::{
 };
 pub use warmpool::{AdmissionConfig, Admitted, KeepAlive, PoolStats, WarmPool, WarmPoolConfig};
 pub use metrics::{
-    percentiles, percentiles_sorted, replicate, MetricsCollector, P2Quantile, PercentileSummary,
-    Replicated, ReplicatedStat, Sample, StreamingPercentiles, Summary, STREAMING_EXACT_MAX,
+    percentiles, replicate, P2Quantile, PercentileSummary, Replicated, ReplicatedStat,
+    StreamingPercentiles, STREAMING_EXACT_MAX,
 };
 pub use overload::{
     BreakerConfig, OverloadConfig, OverloadState, QueueConfig, RetryBudgetConfig, ShedPolicy,
@@ -99,9 +98,7 @@ pub use scheduler::{
     LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, RoundRobin, SpreadLoad,
 };
 pub use memo::MemoizedPlane;
-pub use sweep::{
-    available_workers, parallel_map, run_jobs, sweep, SweepGrid, SweepMode, SweepPoint,
-};
+pub use sweep::{available_workers, parallel_map, sweep, SweepGrid, SweepPoint};
 pub use workflow::{
     critical_path_ns, execute, execute_compiled, execute_concurrent_at, CompiledWorkflow, DataPlane,
     EdgeResult, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,

@@ -573,7 +573,6 @@ impl<'a> Engine<'a> {
         self.counters.retries += u64::from(retries);
         if !failed && !deadline_exceeded {
             stats.completed += 1;
-            stats.digest.record(finish - arrival_ns);
         }
         let instance = self.outcomes.len();
         self.outcomes.push(InstanceOutcome {
@@ -664,7 +663,6 @@ impl<'a> Engine<'a> {
             pool,
             tenants: self.stats,
             outcomes: self.outcomes,
-            sorted_sojourns: std::sync::OnceLock::new(),
         };
         run.offered_rps = Self::offered_rps(&self.admission, run.throughput_rps());
         debug_assert_eq!(run.arrivals, run.outcomes.len() + run.shed, "arrivals are conserved");

@@ -48,7 +48,7 @@
 //! ([`FailurePlan`]), `admission` (per-lane cold-start state),
 //! `autoscaler` (the elastic controller), `events` (the seeded-list +
 //! heap event merge), `engine` (the event loop, one step per event
-//! kind) and `report` ([`LoadRun`] and its digests).
+//! kind) and `report` ([`LoadRun`] and its percentiles).
 
 mod admission;
 mod arrivals;
@@ -73,7 +73,7 @@ use crate::workflow::{DataPlane, WorkflowSpec};
 pub use arrivals::ArrivalProcess;
 pub use autoscaler::{Autoscaler, AutoscalerConfig, PrewarmConfig, ScaleAction, ScaleEvent};
 pub use failure::{FailurePlan, NodeKill};
-pub use report::{InstanceOutcome, LoadRun, TenantStats, STREAMING_DIGEST_MIN};
+pub use report::{InstanceOutcome, LoadRun, TenantStats};
 
 /// Where a load runs: the four references every run threads together.
 ///

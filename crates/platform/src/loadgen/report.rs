@@ -1,10 +1,11 @@
-//! What a run reports: per-instance outcomes, per-tenant accounting and
-//! the aggregate [`LoadRun`] with its percentile digests.
+//! What a run reports: per-instance outcomes, per-tenant counters and
+//! the aggregate [`LoadRun`], whose percentiles — for the run and for
+//! each tenant — are exact nearest-rank over the completed sojourns.
 
 use roadrunner_vkernel::Nanos;
 
 use super::autoscaler::ScaleEvent;
-use crate::metrics::{percentiles_sorted, PercentileSummary, StreamingPercentiles};
+use crate::metrics::{percentiles, PercentileSummary};
 use crate::warmpool::PoolStats;
 
 /// One admitted workflow instance's outcome.
@@ -102,19 +103,7 @@ pub struct LoadRun {
     /// Warm-pool accounting (hits, misses, restores, evictions,
     /// prewarms, idle residency); `None` without pooled admission.
     pub pool: Option<PoolStats>,
-    /// Lazily sorted sojourn sample, so repeated percentile queries below
-    /// the streaming threshold sort the run once instead of per call.
-    /// Filled on the first [`sojourn_percentiles`](Self::sojourn_percentiles)
-    /// call; callers that mutate `outcomes` afterwards (the engine never
-    /// does) must treat the run as a new value — clone before mutating —
-    /// or the cached digest goes stale.
-    pub(super) sorted_sojourns: std::sync::OnceLock<Vec<Nanos>>,
 }
-
-/// Instance-count threshold above which [`LoadRun::sojourn_percentiles`]
-/// switches from the exact nearest-rank digest (sorts a full copy) to
-/// the constant-space streaming P² digest.
-pub const STREAMING_DIGEST_MIN: usize = 4_096;
 
 impl LoadRun {
     /// Completed instances per second of virtual time over the horizon.
@@ -149,36 +138,33 @@ impl LoadRun {
             .count()
     }
 
-    /// Sojourn-time percentile digest; `None` for an empty run. Uses the
-    /// exact nearest-rank path below [`STREAMING_DIGEST_MIN`] instances
-    /// and the streaming P² estimator at or above it (large runs would
-    /// otherwise sort a full copy per call). The exact path caches its
-    /// sorted sample in the run, so the second and later queries are
-    /// rank lookups, not fresh sorts.
+    /// Sojourn-time percentile digest over the completed instances;
+    /// `None` when nothing completed.
     pub fn sojourn_percentiles(&self) -> Option<PercentileSummary> {
-        // Failed and deadline-exceeded instances never delivered: their
-        // time-in-system is not a sojourn, so the digest covers
-        // completed instances only (everything, in a run without
-        // failures).
-        if self.completed() >= STREAMING_DIGEST_MIN {
-            let mut digest = StreamingPercentiles::new();
-            for o in self.outcomes.iter().filter(|o| !o.failed && !o.deadline_exceeded) {
-                digest.record(o.sojourn_ns);
-            }
-            digest.summary()
-        } else {
-            let sorted = self.sorted_sojourns.get_or_init(|| {
-                let mut sojourns: Vec<Nanos> = self
-                    .outcomes
-                    .iter()
-                    .filter(|o| !o.failed && !o.deadline_exceeded)
-                    .map(|o| o.sojourn_ns)
-                    .collect();
-                sojourns.sort_unstable();
-                sojourns
-            });
-            percentiles_sorted(sorted)
-        }
+        self.completed_sojourn_percentiles(|_| true)
+    }
+
+    /// [`sojourn_percentiles`](Self::sojourn_percentiles) of tenant lane
+    /// `tenant` alone (an index into [`tenants`](Self::tenants)); `None`
+    /// when that tenant completed nothing.
+    pub fn tenant_sojourn_percentiles(&self, tenant: usize) -> Option<PercentileSummary> {
+        self.completed_sojourn_percentiles(|o| o.tenant == tenant)
+    }
+
+    /// Nearest-rank digest of the completed instances `keep` selects.
+    /// Failed and deadline-exceeded instances never delivered: their
+    /// time-in-system is not a sojourn.
+    fn completed_sojourn_percentiles(
+        &self,
+        keep: impl Fn(&InstanceOutcome) -> bool,
+    ) -> Option<PercentileSummary> {
+        let sojourns: Vec<Nanos> = self
+            .outcomes
+            .iter()
+            .filter(|o| !o.failed && !o.deadline_exceeded && keep(o))
+            .map(|o| o.sojourn_ns)
+            .collect();
+        percentiles(&sojourns)
     }
 
     /// The slowest instance's sojourn; `None` for an empty run (so an
@@ -200,10 +186,9 @@ impl LoadRun {
 }
 
 /// Per-tenant accounting of one load run: arrival/outcome conservation
-/// counters plus a streaming sojourn digest of the tenant's completed
-/// instances. Per-tenant digests merge into run-level rollups with
-/// [`StreamingPercentiles::merge`].
-#[derive(Debug, Clone)]
+/// counters. The tenant's sojourn percentiles come from
+/// [`LoadRun::tenant_sojourn_percentiles`].
+#[derive(Debug, Clone, Default)]
 pub struct TenantStats {
     /// Tenant name (from [`TenantLoad::name`](super::TenantLoad::name); the spec's tenant for
     /// single-tenant drivers).
@@ -219,27 +204,10 @@ pub struct TenantStats {
     pub deadline_exceeded: usize,
     /// Arrivals shed at the admission queue.
     pub shed: usize,
-    /// Streaming sojourn digest over the tenant's completed instances
-    /// (queue wait included).
-    pub digest: StreamingPercentiles,
 }
 
 impl TenantStats {
     pub(super) fn new(name: &str) -> Self {
-        Self {
-            name: name.to_owned(),
-            arrivals: 0,
-            completed: 0,
-            failed: 0,
-            deadline_exceeded: 0,
-            shed: 0,
-            digest: StreamingPercentiles::new(),
-        }
-    }
-
-    /// Sojourn-percentile digest of the tenant's completed instances;
-    /// `None` when nothing completed.
-    pub fn sojourn_percentiles(&self) -> Option<PercentileSummary> {
-        self.digest.summary()
+        Self { name: name.to_owned(), ..Self::default() }
     }
 }

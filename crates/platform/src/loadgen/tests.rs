@@ -5,6 +5,7 @@ use roadrunner_vkernel::sched::ResourceView;
 use roadrunner_vkernel::OutageSchedule;
 
 use super::*;
+use crate::metrics::percentiles;
 use crate::overload::{QueueConfig, ShedPolicy};
 use crate::scheduler::{LocalityFirst, Pinned, RoundRobin, SpreadLoad};
 use crate::warmpool::WarmPoolConfig;
@@ -674,7 +675,7 @@ fn an_all_shed_run_reports_zeroes_and_none_never_nan() {
     assert!(!run.cpu_utilization.is_nan() && !run.link_utilization.is_nan());
     let t = &run.tenants[0];
     assert_eq!((t.arrivals, t.shed, t.completed), (5, 5, 0));
-    assert!(t.sojourn_percentiles().is_none());
+    assert!(run.tenant_sojourn_percentiles(0).is_none());
 }
 
 #[test]
@@ -718,6 +719,42 @@ fn multi_tenant_runs_interleave_and_account_per_tenant() {
     let tenant_order: Vec<usize> = run.outcomes.iter().map(|o| o.tenant).collect();
     assert_eq!(tenant_order, vec![0, 1, 0, 1, 0, 0, 1, 0, 1]);
     assert_eq!(run.completed(), run.tenants.iter().map(|t| t.completed).sum::<usize>());
+}
+
+/// One percentile method at any size: past 4 096 completions in the run
+/// and 64 per tenant, the run's and each tenant's digests are still
+/// nearest-rank over exactly the completed sojourns.
+#[test]
+fn run_and_tenant_percentiles_are_exact_past_any_sample_size() {
+    let tenant = |name: &str, mean_interval_ns, seed, instances| {
+        let spec = WorkflowSpec::sequence("pipe3", name, ["a", "b", "c"].map(str::to_owned));
+        let arrivals = ArrivalProcess::Poisson { mean_interval_ns, seed };
+        TenantLoad::from_process(name, spec, Bytes::new(), &arrivals, instances)
+    };
+    let load = MultiLoad {
+        tenants: vec![tenant("steady", 4_000, 1, 3_200), tenant("sparse", 9_000, 2, 1_400)],
+        admission: AdmissionConfig::warm(),
+    };
+    // Queueing spreads the sojourns; the deadline takes the slowest
+    // instances out of every digest.
+    let deadline = OverloadConfig { deadline_ns: Some(30_000), ..OverloadConfig::default() };
+    let mut res = SchedResources::new(2, 2);
+    let run = run_fixed(&load, &mut res, &mut SpreadLoad::new(), overloaded(deadline)).unwrap();
+    assert!(run.completed() > 4_096, "{} completions", run.completed());
+    assert!(run.deadline_exceeded > 0);
+    let completed = |keep: &dyn Fn(&InstanceOutcome) -> bool| -> Vec<Nanos> {
+        let done = run.outcomes.iter().filter(|o| !o.failed && !o.deadline_exceeded && keep(o));
+        done.map(|o| o.sojourn_ns).collect()
+    };
+    assert_eq!(run.sojourn_percentiles(), percentiles(&completed(&|_| true)));
+    for (t, stats) in run.tenants.iter().enumerate() {
+        let mine = completed(&|o| o.tenant == t);
+        assert!(mine.len() > 64, "{}: {} completions", stats.name, mine.len());
+        assert_eq!(mine.len(), stats.completed);
+        assert_eq!(run.tenant_sojourn_percentiles(t), percentiles(&mine), "{}", stats.name);
+    }
+    assert_eq!(run.tenants.iter().map(|t| t.completed).sum::<usize>(), run.completed());
+    assert!(run.tenant_sojourn_percentiles(run.tenants.len()).is_none());
 }
 
 #[test]

@@ -1,47 +1,12 @@
-//! Metrics collection and summarization for experiment runs.
+//! Latency percentiles for load runs: the exact nearest-rank digest
+//! every run and tenant reports, its multi-seed [`Replicated`] rollup
+//! with order-statistic confidence intervals, and the P² streaming
+//! estimator the benchmark package still times.
 
 use roadrunner_vkernel::Nanos;
 
-/// One observation: an operation's latency plus the resource deltas its
-/// sandboxes accumulated — the tuple every figure in the paper plots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Series label (e.g. `roadrunner-user/100MB`).
-    pub label: String,
-    /// End-to-end latency.
-    pub latency_ns: Nanos,
-    /// User-space CPU time consumed.
-    pub user_cpu_ns: Nanos,
-    /// Kernel-space CPU time consumed.
-    pub kernel_cpu_ns: Nanos,
-    /// Peak RAM in bytes.
-    pub ram_peak: u64,
-}
-
-/// Summary statistics over samples sharing a label.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean latency.
-    pub mean_latency_ns: f64,
-    /// Minimum latency.
-    pub min_latency_ns: Nanos,
-    /// Maximum latency.
-    pub max_latency_ns: Nanos,
-    /// Median latency.
-    pub p50_latency_ns: Nanos,
-    /// Mean user CPU.
-    pub mean_user_cpu_ns: f64,
-    /// Mean kernel CPU.
-    pub mean_kernel_cpu_ns: f64,
-    /// Maximum RAM peak.
-    pub max_ram_peak: u64,
-}
-
 /// Latency percentile digest over a set of observations — the
-/// tail-latency view the load experiments report (p50/p95/p99), which
-/// mean-centric summaries like [`Summary`] cannot show.
+/// tail-latency view the load experiments report (p50/p95/p99).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PercentileSummary {
     /// Number of observations.
@@ -63,36 +28,19 @@ pub struct PercentileSummary {
 /// Nearest-rank percentile digest of `latencies`; `None` when empty.
 ///
 /// Nearest-rank means the reported value is always an *observed*
-/// latency: the ⌈q·N/100⌉-th smallest observation. Copies and sorts;
-/// callers that already hold (or cache) a sorted sample should use
-/// [`percentiles_sorted`] and skip the per-query sort.
+/// latency: the ⌈q·N/100⌉-th smallest observation. Copies and sorts.
+/// The mean sums in `u128`, so no sample of `Nanos` can overflow it.
 pub fn percentiles(latencies: &[Nanos]) -> Option<PercentileSummary> {
     if latencies.is_empty() {
         return None;
     }
     let mut sorted = latencies.to_vec();
     sorted.sort_unstable();
-    percentiles_sorted(&sorted)
-}
-
-/// [`percentiles`] over an already **ascending-sorted** sample — pure
-/// rank lookups, no copy, no sort. Produces bit-identical digests to
-/// [`percentiles`] on the same observations.
-///
-/// # Panics
-///
-/// May return nonsensical ranks (debug builds assert) if `sorted` is not
-/// actually sorted.
-pub fn percentiles_sorted(sorted: &[Nanos]) -> Option<PercentileSummary> {
-    if sorted.is_empty() {
-        return None;
-    }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
     let count = sorted.len();
     let rank = |q: usize| sorted[(count * q).div_ceil(100).max(1) - 1];
     Some(PercentileSummary {
         count,
-        mean_ns: sorted.iter().sum::<u64>() as f64 / count as f64,
+        mean_ns: sorted.iter().map(|&ns| u128::from(ns)).sum::<u128>() as f64 / count as f64,
         min_ns: sorted[0],
         p50_ns: rank(50),
         p95_ns: rank(95),
@@ -340,8 +288,12 @@ impl P2Quantile {
 
 /// A constant-space streaming latency digest: exact nearest-rank up to
 /// [`STREAMING_EXACT_MAX`] observations, then P² estimators for
-/// p50/p95/p99 — the scale path for load runs with 10⁶ instances where
-/// [`percentiles`]' sort-a-full-copy would dominate.
+/// p50/p95/p99.
+///
+/// Nothing in the platform records into it: every run and tenant
+/// reports [`percentiles`] over its completed sojourns. It stays only
+/// because the benchmark package times it as its
+/// `platform.metrics.observe_ns` row.
 ///
 /// The reported digest is always internally consistent: `min ≤ p50 ≤
 /// p95 ≤ p99 ≤ max` (estimates are clamped into the observed range and
@@ -406,119 +358,6 @@ impl StreamingPercentiles {
         }
     }
 
-    /// Merges `other` into `self` — the per-tenant → run-level rollup
-    /// seam, combining two digests without re-sorting raw samples.
-    ///
-    /// `count`, `min`, `max` and the mean are always **exact** after a
-    /// merge. Percentiles are exact while both sides still hold their
-    /// raw buffers (the merged digest replays every raw value, so it
-    /// equals a digest fed the concatenated stream); once either side
-    /// has crossed into P² estimation, the merge reconstructs each
-    /// side's piecewise-linear inverse CDF from its marker state and
-    /// feeds fresh estimators a count-proportional synthetic resample —
-    /// approximate, deterministic, and always inside `[min, max]`.
-    pub fn merge(&mut self, other: &StreamingPercentiles) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let count = self.count + other.count;
-        let min_ns = self.min_ns.min(other.min_ns);
-        let max_ns = self.max_ns.max(other.max_ns);
-        let sum = self.sum + other.sum;
-        if !self.small.is_empty() && !other.small.is_empty() {
-            // Both sides still hold every raw value: replaying the
-            // concatenation is exact (and crosses over to estimators
-            // by itself if the union outgrows the exact buffer).
-            let mut fresh = Self::new();
-            for &v in self.small.iter().chain(&other.small) {
-                fresh.record(v);
-            }
-            *self = fresh;
-            return;
-        }
-        // At least one side is estimator-only: build each side's
-        // piecewise-linear CDF from its marker state and invert the
-        // count-weighted mixture at each tracked quantile. Inversion by
-        // bisection over [min, max] is deterministic and always lands
-        // inside the correct population, even for bimodal mixtures
-        // where re-streaming synthetic samples through P² would smear
-        // the gap.
-        let points_a = self.inverse_cdf_points();
-        let points_b = other.inverse_cdf_points();
-        let (weight_a, weight_b) = (self.count as f64, other.count as f64);
-        let mixture_cdf = |v: f64| {
-            (weight_a * forward_cdf(&points_a, v) + weight_b * forward_cdf(&points_b, v))
-                / (weight_a + weight_b)
-        };
-        let invert = |q: f64| {
-            let (mut lo, mut hi) = (min_ns as f64, max_ns as f64);
-            for _ in 0..64 {
-                let mid = 0.5 * (lo + hi);
-                if mixture_cdf(mid) < q {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            hi
-        };
-        let mut fresh = Self::new();
-        // A single recorded value makes each estimator report exactly
-        // that value; `summary()` then clamps and monotonizes as usual.
-        fresh.p50.record(invert(0.50));
-        fresh.p95.record(invert(0.95));
-        fresh.p99.record(invert(0.99));
-        fresh.count = count;
-        fresh.min_ns = min_ns;
-        fresh.max_ns = max_ns;
-        fresh.sum = sum;
-        *self = fresh;
-    }
-
-    /// The digest's inverse CDF as monotone `(fraction, value)` control
-    /// points: the sorted raw buffer while exact, otherwise the three
-    /// P² estimators' 15 markers (each marker's position approximates
-    /// the rank at its fraction) bracketed by the exact min/max.
-    fn inverse_cdf_points(&self) -> Vec<(f64, f64)> {
-        if !self.small.is_empty() {
-            let mut sorted = self.small.clone();
-            sorted.sort_unstable();
-            let n = sorted.len();
-            if n == 1 {
-                let v = sorted[0] as f64;
-                return vec![(0.0, v), (1.0, v)];
-            }
-            return sorted
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (i as f64 / (n - 1) as f64, v as f64))
-                .collect();
-        }
-        let (lo, hi) = (self.min_ns as f64, self.max_ns as f64);
-        let mut points = vec![(0.0, lo)];
-        for est in [&self.p50, &self.p95, &self.p99] {
-            let n = est.count as f64;
-            for i in 0..5 {
-                let f = ((est.positions[i] - 1.0) / (n - 1.0)).clamp(0.0, 1.0);
-                points.push((f, est.heights[i].clamp(lo, hi)));
-            }
-        }
-        points.push((1.0, hi));
-        points.sort_by(|a, b| a.partial_cmp(b).expect("fractions and heights are finite"));
-        // Enforce a monotone value profile (P² markers can be locally
-        // non-monotone against mixed fractions).
-        let mut floor = f64::NEG_INFINITY;
-        for p in &mut points {
-            p.1 = p.1.max(floor);
-            floor = p.1;
-        }
-        points
-    }
-
     /// The digest so far; `None` before the first observation. Equals
     /// [`percentiles`] exactly while at most [`STREAMING_EXACT_MAX`]
     /// observations have been recorded.
@@ -554,141 +393,9 @@ impl Default for StreamingPercentiles {
     }
 }
 
-/// Evaluates a monotone `(fraction, value)` inverse-CDF polyline as a
-/// forward CDF: the fraction of mass at or below `v`.
-fn forward_cdf(points: &[(f64, f64)], v: f64) -> f64 {
-    debug_assert!(!points.is_empty());
-    if v < points[0].1 {
-        return 0.0;
-    }
-    for pair in points.windows(2) {
-        let ((f0, v0), (f1, v1)) = (pair[0], pair[1]);
-        if v <= v1 {
-            if v1 <= v0 {
-                return f1;
-            }
-            return f0 + (f1 - f0) * (v - v0) / (v1 - v0);
-        }
-    }
-    1.0
-}
-
-/// Accumulates samples across experiment repetitions.
-#[derive(Debug, Default)]
-pub struct MetricsCollector {
-    samples: Vec<Sample>,
-}
-
-impl MetricsCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Sample) {
-        self.samples.push(sample);
-    }
-
-    /// All samples recorded so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Distinct labels in first-seen order.
-    pub fn labels(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for s in &self.samples {
-            if !out.contains(&s.label.as_str()) {
-                out.push(&s.label);
-            }
-        }
-        out
-    }
-
-    /// Summary statistics for one label; `None` if no samples carry it.
-    pub fn summary(&self, label: &str) -> Option<Summary> {
-        let subset: Vec<&Sample> = self.samples.iter().filter(|s| s.label == label).collect();
-        if subset.is_empty() {
-            return None;
-        }
-        let mut latencies: Vec<Nanos> = subset.iter().map(|s| s.latency_ns).collect();
-        latencies.sort_unstable();
-        let count = subset.len();
-        Some(Summary {
-            count,
-            mean_latency_ns: latencies.iter().sum::<u64>() as f64 / count as f64,
-            min_latency_ns: latencies[0],
-            max_latency_ns: latencies[count - 1],
-            p50_latency_ns: latencies[count / 2],
-            mean_user_cpu_ns: subset.iter().map(|s| s.user_cpu_ns).sum::<u64>() as f64
-                / count as f64,
-            mean_kernel_cpu_ns: subset.iter().map(|s| s.kernel_cpu_ns).sum::<u64>() as f64
-                / count as f64,
-            max_ram_peak: subset.iter().map(|s| s.ram_peak).max().unwrap_or(0),
-        })
-    }
-
-    /// Percentile digest of the latencies recorded under `label`; `None`
-    /// if no samples carry it.
-    pub fn percentiles(&self, label: &str) -> Option<PercentileSummary> {
-        let latencies: Vec<Nanos> = self
-            .samples
-            .iter()
-            .filter(|s| s.label == label)
-            .map(|s| s.latency_ns)
-            .collect();
-        percentiles(&latencies)
-    }
-
-    /// Clears recorded samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(label: &str, latency: Nanos) -> Sample {
-        Sample {
-            label: label.into(),
-            latency_ns: latency,
-            user_cpu_ns: latency / 2,
-            kernel_cpu_ns: latency / 4,
-            ram_peak: 1024,
-        }
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let mut m = MetricsCollector::new();
-        for latency in [100, 200, 300] {
-            m.record(sample("x", latency));
-        }
-        let s = m.summary("x").unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean_latency_ns, 200.0);
-        assert_eq!(s.min_latency_ns, 100);
-        assert_eq!(s.max_latency_ns, 300);
-        assert_eq!(s.p50_latency_ns, 200);
-        assert_eq!(s.max_ram_peak, 1024);
-    }
-
-    #[test]
-    fn missing_label_is_none() {
-        assert!(MetricsCollector::new().summary("nope").is_none());
-    }
-
-    #[test]
-    fn labels_in_first_seen_order() {
-        let mut m = MetricsCollector::new();
-        m.record(sample("b", 1));
-        m.record(sample("a", 1));
-        m.record(sample("b", 2));
-        assert_eq!(m.labels(), vec!["b", "a"]);
-    }
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -716,16 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn collector_percentiles_filter_by_label() {
-        let mut m = MetricsCollector::new();
-        for latency in [10, 20, 30] {
-            m.record(sample("x", latency));
-        }
-        m.record(sample("y", 1_000_000));
-        let p = m.percentiles("x").unwrap();
-        assert_eq!(p.count, 3);
-        assert_eq!(p.max_ns, 30);
-        assert!(m.percentiles("nope").is_none());
+    fn percentiles_mean_does_not_overflow_at_the_end_of_virtual_time() {
+        let p = percentiles(&[Nanos::MAX, Nanos::MAX]).unwrap();
+        assert_eq!(p.mean_ns, Nanos::MAX as f64);
+        assert_eq!((p.min_ns, p.p99_ns, p.max_ns), (Nanos::MAX, Nanos::MAX, Nanos::MAX));
+        assert_eq!(percentiles(&[Nanos::MAX, 1]).unwrap().mean_ns, (Nanos::MAX as f64 + 1.0) / 2.0);
     }
 
     #[test]
@@ -856,130 +558,5 @@ mod tests {
         assert_eq!(forward.count, 6);
         assert!(forward.p95_ns.ci_lo <= forward.p95_ns.mean);
         assert!(forward.p95_ns.mean <= forward.p95_ns.ci_hi);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = MetricsCollector::new();
-        m.record(sample("x", 1));
-        m.clear();
-        assert!(m.samples().is_empty());
-        assert!(m.summary("x").is_none());
-    }
-
-    #[test]
-    fn merge_with_empty_sides_is_identity_or_clone() {
-        let mut a = StreamingPercentiles::new();
-        let empty = StreamingPercentiles::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 0);
-        let mut b = StreamingPercentiles::new();
-        for v in [10, 20, 30] {
-            b.record(v);
-        }
-        let before = b.summary();
-        b.merge(&empty);
-        assert_eq!(b.summary(), before, "merging an empty digest must be a no-op");
-        let mut c = StreamingPercentiles::new();
-        c.merge(&b);
-        assert_eq!(c.summary(), before, "merging into an empty digest clones the other side");
-    }
-
-    #[test]
-    fn merge_in_the_exact_regime_equals_the_concatenated_stream() {
-        let mut a = StreamingPercentiles::new();
-        let mut b = StreamingPercentiles::new();
-        let mut concat = StreamingPercentiles::new();
-        for i in 0..20u64 {
-            a.record(i * 7 + 3);
-            concat.record(i * 7 + 3);
-        }
-        for i in 0..20u64 {
-            b.record(i * 13 + 1);
-            concat.record(i * 13 + 1);
-        }
-        a.merge(&b);
-        assert_eq!(a.summary(), concat.summary(), "≤ 64 total observations must stay exact");
-    }
-
-    #[test]
-    fn merge_exact_sides_crossing_the_buffer_replays_all_raw_values() {
-        // 40 + 40 raw values: both sides exact, union (80) crosses the
-        // 64-value buffer. The merge must replay the full concatenation,
-        // matching a digest fed the same stream directly.
-        let mut a = StreamingPercentiles::new();
-        let mut b = StreamingPercentiles::new();
-        let mut concat = StreamingPercentiles::new();
-        for i in 0..40u64 {
-            a.record(i * 11 + 5);
-            concat.record(i * 11 + 5);
-        }
-        for i in 0..40u64 {
-            b.record(i * 17 + 2);
-            concat.record(i * 17 + 2);
-        }
-        a.merge(&b);
-        let (merged, direct) = (a.summary().unwrap(), concat.summary().unwrap());
-        assert_eq!(merged, direct, "replaying both raw buffers must equal the direct stream");
-    }
-
-    #[test]
-    fn merge_of_estimator_digests_tracks_exact_percentiles() {
-        // Two disjoint uniform populations, both past the exact buffer.
-        let mut a = StreamingPercentiles::new();
-        let mut b = StreamingPercentiles::new();
-        let mut all: Vec<Nanos> = Vec::new();
-        for i in 0..600u64 {
-            let v = 1_000 + i * 10; // uniform 1k..7k
-            a.record(v);
-            all.push(v);
-        }
-        for i in 0..400u64 {
-            let v = 50_000 + i * 25; // uniform 50k..60k
-            b.record(v);
-            all.push(v);
-        }
-        a.merge(&b);
-        let merged = a.summary().unwrap();
-        all.sort_unstable();
-        let exact = percentiles_sorted(&all).unwrap();
-        assert_eq!(merged.count, exact.count);
-        assert_eq!(merged.min_ns, exact.min_ns);
-        assert_eq!(merged.max_ns, exact.max_ns);
-        assert!((merged.mean_ns - exact.mean_ns).abs() < 1e-6, "mean is exact under merge");
-        // The 60/40 split puts p50 in the low population and p95/p99 in
-        // the high one; the resampled estimate must land in the right
-        // population and within a loose relative band of the exact rank.
-        for (est, want) in [
-            (merged.p50_ns, exact.p50_ns),
-            (merged.p95_ns, exact.p95_ns),
-            (merged.p99_ns, exact.p99_ns),
-        ] {
-            let (lo, hi) = (want as f64 * 0.85, want as f64 * 1.15);
-            assert!(
-                (est as f64) >= lo && (est as f64) <= hi,
-                "estimate {est} strayed from exact {want}"
-            );
-        }
-        // Internal consistency survives the merge.
-        assert!(merged.min_ns <= merged.p50_ns);
-        assert!(merged.p50_ns <= merged.p95_ns);
-        assert!(merged.p95_ns <= merged.p99_ns);
-        assert!(merged.p99_ns <= merged.max_ns);
-    }
-
-    #[test]
-    fn merge_is_deterministic() {
-        let build = || {
-            let mut a = StreamingPercentiles::new();
-            let mut b = StreamingPercentiles::new();
-            for i in 0..300u64 {
-                a.record(i * i % 9_973 + 1);
-                b.record(i * 31 % 7_919 + 1);
-            }
-            a.merge(&b);
-            a.summary().unwrap()
-        };
-        assert_eq!(build(), build());
     }
 }

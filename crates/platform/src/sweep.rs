@@ -14,30 +14,19 @@
 //! (`tests/sweep_determinism.rs`, `crates/bench/tests/sweep_golden.rs`)
 //! proves rather than assumes.
 //!
+//! One worker is the serial loop: the jobs run inline, in order, on the
+//! calling thread.
+//!
 //! ```
-//! use roadrunner_platform::sweep::{run_jobs, SweepMode};
+//! use roadrunner_platform::sweep::parallel_map;
 //!
 //! let jobs: Vec<u64> = (0..8).collect();
-//! let serial = run_jobs(&jobs, SweepMode::Serial, |&j| j * j);
-//! let parallel = run_jobs(&jobs, SweepMode::Parallel { workers: 4 }, |&j| j * j);
+//! let serial = parallel_map(&jobs, 1, |_, &j| j * j);
+//! let parallel = parallel_map(&jobs, 4, |_, &j| j * j);
 //! assert_eq!(serial, parallel);
 //! ```
 
 use parking_lot::Mutex;
-
-/// How a sweep executes its jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepMode {
-    /// One job at a time, in grid order, on the calling thread — the
-    /// byte-identity reference.
-    Serial,
-    /// Up to `workers` scoped threads pulling jobs from a shared
-    /// counter. `workers` is clamped to `max(1, min(workers, jobs))`.
-    Parallel {
-        /// Requested worker-thread count.
-        workers: usize,
-    },
-}
 
 /// Number of cores the OS reports as available to this process
 /// (`std::thread::available_parallelism`), falling back to 1.
@@ -95,24 +84,6 @@ where
         .into_iter()
         .map(|r| r.expect("worker pool completed every job"))
         .collect()
-}
-
-/// Runs every job under `mode` and returns results in job order.
-///
-/// The serial path is a plain in-order loop on the calling thread; the
-/// parallel path is [`parallel_map`]. Both produce the same vector for
-/// any deterministic `f` — the contract the determinism harness checks
-/// byte-for-byte.
-pub fn run_jobs<J, R, F>(jobs: &[J], mode: SweepMode, f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    match mode {
-        SweepMode::Serial => jobs.iter().map(&f).collect(),
-        SweepMode::Parallel { workers } => parallel_map(jobs, workers, |_, j| f(j)),
-    }
 }
 
 /// A declarative sweep grid: the cross product of offered rates,
@@ -209,15 +180,15 @@ impl SweepGrid {
     }
 }
 
-/// Sweeps the grid: runs `run` at every point under `mode`, returning
-/// results in canonical grid order. An empty grid returns an empty
-/// vector without invoking `run`.
-pub fn sweep<R, F>(grid: &SweepGrid, mode: SweepMode, run: F) -> Vec<R>
+/// Sweeps the grid: runs `run` at every point on up to `workers`
+/// threads ([`parallel_map`]), returning results in canonical grid
+/// order. An empty grid returns an empty vector without invoking `run`.
+pub fn sweep<R, F>(grid: &SweepGrid, workers: usize, run: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&SweepPoint) -> R + Sync,
 {
-    run_jobs(&grid.points(), mode, run)
+    parallel_map(&grid.points(), workers, |_, point| run(point))
 }
 
 #[cfg(test)]
@@ -267,7 +238,7 @@ mod tests {
             assert_eq!(g.len(), 0);
             assert!(g.points().is_empty());
             let ran = Mutex::new(0usize);
-            let results = sweep(&g, SweepMode::Parallel { workers: 4 }, |_| {
+            let results = sweep(&g, 4, |_| {
                 *ran.lock() += 1;
             });
             assert!(results.is_empty());
@@ -281,9 +252,9 @@ mod tests {
         let run = |p: &SweepPoint| {
             format!("{}/{}/{}/{}/{}", p.index, p.policy, p.payload_bytes, p.rate, p.seed)
         };
-        let serial = sweep(&g, SweepMode::Serial, run);
-        for workers in [1, 2, 4, 32] {
-            let parallel = sweep(&g, SweepMode::Parallel { workers }, run);
+        let serial = sweep(&g, 1, run);
+        for workers in [2, 4, 32] {
+            let parallel = sweep(&g, workers, run);
             assert_eq!(serial, parallel, "workers={workers}");
         }
     }
@@ -316,12 +287,17 @@ mod tests {
         assert_eq!(parallel_map::<u64, u64, _>(&[], 4, |_, &j| j), Vec::<u64>::new());
     }
 
+    /// One worker runs the jobs inline on the calling thread; four run
+    /// them on the pool; the results agree.
     #[test]
     fn run_jobs_serial_and_parallel_agree() {
         let jobs: Vec<u64> = (0..17).collect();
-        let serial = run_jobs(&jobs, SweepMode::Serial, |&j| j.wrapping_mul(2654435761));
-        let parallel =
-            run_jobs(&jobs, SweepMode::Parallel { workers: 4 }, |&j| j.wrapping_mul(2654435761));
+        let caller = std::thread::current().id();
+        let serial = parallel_map(&jobs, 1, |_, &j| {
+            assert_eq!(std::thread::current().id(), caller, "one worker runs inline");
+            j.wrapping_mul(2654435761)
+        });
+        let parallel = parallel_map(&jobs, 4, |_, &j| j.wrapping_mul(2654435761));
         assert_eq!(serial, parallel);
     }
 

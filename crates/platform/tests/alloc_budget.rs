@@ -1,9 +1,8 @@
 //! The load engine's steady state allocates per *instance*, never per
 //! edge: the placement policy's assignment `Vec` (kept in the
-//! instance's outcome) plus amortised growth of the outcome list, the
-//! event heap and the sojourn digest. Counted with a test-only global
-//! allocator; this file holds one test so nothing else allocates on the
-//! counting thread.
+//! instance's outcome) plus amortised growth of the outcome list and
+//! the event heap. Counted with a test-only global allocator; this file
+//! holds one test so nothing else allocates on the counting thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
