@@ -8,14 +8,17 @@
 #
 # Gates, by name:
 #   run:<output>          the binary exited 0 (each asserts its own
-#                         claims internally: fig11 critical-path bounds,
-#                         fig12 contention ordering, fig13 autoscaled p95,
-#                         fig14 self-healing, fig15 / fig16 pool and
-#                         overload ratios, bench_wasm's results and
-#                         counts)
+#                         claims internally: headline's claim table,
+#                         fig11 critical-path bounds, fig12 contention
+#                         ordering, fig13 autoscaled p95, fig14
+#                         self-healing, fig15 / fig16 pool and overload
+#                         ratios, bench_wasm's results and counts)
 #   memo:fig1{2,3}        memoized output == --no-memo output
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
+#   reference:headline, reference:fig{6,8,9,10}
+#                         the paper's own figures, --quick output (fig6
+#                         takes no flag) == crates/bench/reference/*.txt
 #   count:panics:core     lines with `unwrap()` / `expect(` / `panic!` /
 #                         `unreachable!` above each file's `#[cfg(test)]`
 #                         under crates/core/src stay at or below the pin
@@ -58,13 +61,13 @@ fail() {
     failed+=("$1")
 }
 
-# produce OUTPUT BINARY [ARGS..]: stdout to $out/OUTPUT.json, run from
-# $out so bench_wasm writes its BENCH_wasm.json there and not over the
-# committed one.
+# produce FILE BINARY [ARGS..]: stdout to $out/FILE (gate run:NAME for
+# FILE = NAME.ext), run from $out so bench_wasm writes its BENCH_wasm.json
+# there and not over the committed one.
 produce() {
-    local name=$1 exe=$2
+    local file=$1 exe=$2 name=${1%.*}
     shift 2
-    if (cd "$out" && "$bin/$exe" "$@" > "$name.json" 2> "$name.err"); then
+    if (cd "$out" && "$bin/$exe" "$@" > "$file" 2> "$name.err"); then
         pass "run:$name"
     else
         fail "run:$name" \
@@ -82,14 +85,20 @@ same() {
     fi
 }
 
-produce fig11 fig11_dag --quick
+produce headline.txt headline --quick
+produce fig6.txt fig6
+for n in fig8 fig9 fig10; do
+    produce "$n.txt" "$n" --quick
+done
+
+produce fig11.json fig11_dag --quick
 
 for fig in fig12_load fig13_elastic fig14_failures fig15_coldstart fig16_overload; do
-    produce "${fig%%_*}" "$fig" --quick
+    produce "${fig%%_*}.json" "$fig" --quick
 done
 for fig in fig12_load fig13_elastic; do
     n=${fig%%_*}
-    produce "$n.plain" "$fig" --quick --no-memo
+    produce "$n.plain.json" "$fig" --quick --no-memo
     same "memo:$n" "$out/$n.json" "$out/$n.plain.json"
 done
 
@@ -103,6 +112,9 @@ for doc in BENCH_coldstart.json BENCH_overload.json; do
 done
 
 # After every bench above, so nothing they write can slip past it.
+for n in headline fig6 fig8 fig9 fig10; do
+    same "reference:$n" "$out/$n.txt" "crates/bench/reference/${n}_quick.txt"
+done
 for n in fig11 fig12 fig13 fig14 fig15 fig16; do
     same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
 done
@@ -168,7 +180,7 @@ count count:panics:vkernel vkernel 7
 # `#[cfg(test)] mod tests;` line, which the counter cannot see as gated.
 count count:panics:platform platform 49
 
-produce bench_wasm bench_wasm --quick
+produce bench_wasm.json bench_wasm --quick
 
 echo
 if [ ${#failed[@]} -eq 0 ]; then
