@@ -7,6 +7,10 @@
 //!
 //! Framing: an 8-byte little-endian length header, then the payload in
 //! [`Shim::io_chunk`]-sized chunks.
+//!
+//! [`send`] and [`recv`] are the two halves, each run to completion;
+//! [`move_outbox`], the plane's route, runs them in lockstep so at most
+//! one chunk sits in the socket, as behind a bounded `SO_SNDBUF`.
 
 use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::unix::UnixEndpoint;
@@ -14,11 +18,41 @@ use roadrunner_vkernel::VkError;
 
 use crate::error::RoadrunnerError;
 use crate::region::MemoryRegion;
-use crate::shim::Shim;
+use crate::shim::{Inbox, Shim};
+
+/// The pending outbox of `module`.
+fn take_outbox(shim: &mut Shim, module: &str) -> Result<MemoryRegion, RoadrunnerError> {
+    shim.take_outbox(module)?.ok_or_else(|| {
+        RoadrunnerError::Config(format!("module `{module}` has no pending outbox"))
+    })
+}
+
+/// Sends the header framing `len` payload bytes.
+fn send_header(endpoint: &UnixEndpoint, sandbox: &Sandbox, len: usize) -> Result<(), VkError> {
+    endpoint.send(sandbox, &(len as u64).to_le_bytes()).map(drop)
+}
+
+/// Sends `data` one `chunk` at a time, straight from where it lies: the
+/// user→kernel copy inside [`UnixEndpoint::send`] is the only one. After
+/// each chunk `sent` sees the payload bytes sent so far.
+fn send_chunks(
+    endpoint: &UnixEndpoint,
+    sandbox: &Sandbox,
+    data: &[u8],
+    chunk: usize,
+    mut sent: impl FnMut(usize) -> Result<(), RoadrunnerError>,
+) -> Result<(), RoadrunnerError> {
+    let mut total = 0;
+    for piece in data.chunks(chunk) {
+        endpoint.send(sandbox, piece)?;
+        total += piece.len();
+        sent(total)?;
+    }
+    Ok(())
+}
 
 /// Sends the source module's pending outbox over `endpoint`, streaming
-/// chunks of the region as it lies in linear memory: the user→kernel copy
-/// inside [`UnixEndpoint::send`] is the only one. Returns the number of
+/// chunks of the region as it lies in linear memory. Returns the number of
 /// payload bytes sent.
 ///
 /// # Errors
@@ -30,16 +64,12 @@ pub fn send(
     module: &str,
     endpoint: &UnixEndpoint,
 ) -> Result<usize, RoadrunnerError> {
-    let region = shim.take_outbox(module)?.ok_or_else(|| {
-        RoadrunnerError::Config(format!("module `{module}` has no pending outbox"))
-    })?;
+    let region = take_outbox(shim, module)?;
     // The VM I/O read is charged here, ahead of the first socket call.
     let data = shim.lend_region(module, region)?;
     let sandbox = shim.sandbox();
-    endpoint.send(sandbox, &(data.len() as u64).to_le_bytes())?;
-    for chunk in data.chunks(shim.io_chunk()) {
-        endpoint.send(sandbox, chunk)?;
-    }
+    send_header(endpoint, sandbox, data.len())?;
+    send_chunks(endpoint, sandbox, data, shim.io_chunk(), |_| Ok(()))?;
     let sent = data.len();
     shim.deallocate(module, region)?;
     Ok(sent)
@@ -91,13 +121,90 @@ pub fn recv(
     let (total, extra) =
         recv_header(sandbox, "kernel-space", |sink| endpoint.recv_with(sandbox, sink))?;
     shim.fill_inbox(module, total, |inbox| {
-        let sandbox = inbox.sandbox();
+        Landing::start(inbox, &extra, total)?.until(endpoint, inbox, total)
+    })
+}
+
+/// Moves `from`'s pending outbox in `src` into a fresh inbox of `to` in
+/// `dst` over the connected pair `tx` → `rx`: [`send`] and [`recv`] in
+/// lockstep. Each chunk lands in the inbox before the next is sent, so at
+/// most one chunk is ever queued in the socket and the landing copy reads
+/// a kernel buffer written a moment earlier. Every charge keeps its
+/// amount and sandbox; only the order within the transfer differs, and
+/// no clock read sits between the two halves. The source region is
+/// released whether or not the payload landed. Returns the target region.
+///
+/// # Errors
+///
+/// As [`send`] and [`recv`].
+pub fn move_outbox(
+    src: &mut Shim,
+    from: &str,
+    dst: &mut Shim,
+    to: &str,
+    tx: &UnixEndpoint,
+    rx: &UnixEndpoint,
+) -> Result<MemoryRegion, RoadrunnerError> {
+    let region = take_outbox(src, from)?;
+    let data = src.lend_region(from, region)?;
+    let landed = lockstep(src.sandbox(), data, src.io_chunk(), tx, rx, dst, to);
+    // Best effort on failure: the transfer error is the one worth reporting.
+    let freed = src.deallocate(from, region);
+    let target = landed?;
+    freed?;
+    Ok(target)
+}
+
+/// [`move_outbox`] once the payload is lent: `data` leaves `sender` over
+/// `tx` in `chunk`s, and each lands in `to` of `dst` off `rx` before the
+/// next is sent.
+fn lockstep(
+    sender: &Sandbox,
+    data: &[u8],
+    chunk: usize,
+    tx: &UnixEndpoint,
+    rx: &UnixEndpoint,
+    dst: &mut Shim,
+    to: &str,
+) -> Result<MemoryRegion, RoadrunnerError> {
+    send_header(tx, sender, data.len())?;
+    let receiver = dst.sandbox();
+    let (total, extra) =
+        recv_header(receiver, "kernel-space", |sink| rx.recv_with(receiver, sink))?;
+    dst.fill_inbox(to, total, |inbox| {
+        let mut landing = Landing::start(inbox, &extra, total)?;
+        send_chunks(tx, sender, data, chunk, |sent| landing.until(rx, inbox, sent))?;
+        landing.until(rx, inbox, total)
+    })
+}
+
+/// An inbox being filled from a socket, `offset` of `total` bytes landed.
+struct Landing {
+    offset: usize,
+    total: usize,
+}
+
+impl Landing {
+    /// Lands the payload bytes that shared the header's segment.
+    fn start(inbox: &mut Inbox<'_>, extra: &[u8], total: usize) -> Result<Self, RoadrunnerError> {
         if !extra.is_empty() {
-            inbox.write(0, &extra)?;
+            inbox.write(0, extra)?;
         }
-        let mut offset = extra.len();
-        while offset < total {
-            offset += endpoint
+        Ok(Self { offset: extra.len(), total })
+    }
+
+    /// Copies queued segments straight from their kernel buffers into the
+    /// inbox until `upto` bytes have landed.
+    fn until(
+        &mut self,
+        endpoint: &UnixEndpoint,
+        inbox: &mut Inbox<'_>,
+        upto: usize,
+    ) -> Result<(), RoadrunnerError> {
+        let sandbox = inbox.sandbox();
+        while self.offset < upto {
+            let (offset, total) = (self.offset, self.total);
+            self.offset += endpoint
                 .recv_with(sandbox, |seg| {
                     if seg.is_empty() {
                         return Err(RoadrunnerError::Config(format!(
@@ -112,7 +219,7 @@ pub fn recv(
                 .ok_or(VkError::Closed)??;
         }
         Ok(())
-    })
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +271,56 @@ mod tests {
         assert_eq!(sent, payload.len());
         let region = recv(&mut sb, "b", &eb).unwrap();
         assert_eq!(&sb.peek_memory("b", region).unwrap()[..], &payload[..]);
+    }
+
+    /// The lockstep route against the two halves on a twin deployment:
+    /// the same bytes land and every sandbox is charged, copies and peaks
+    /// exactly as much, around every chunk boundary.
+    #[test]
+    fn lockstep_moves_and_charges_what_send_then_recv_do() {
+        let chunk = Testbed::paper().cost().io_chunk_bytes;
+        for len in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+            let run = |lockstep: bool| {
+                let bed = Testbed::paper();
+                let (mut sa, mut sb) = shims(&bed);
+                let (ea, eb) = UnixConn::pair();
+                produce(&mut sa, "a", &payload);
+                let start = bed.clock().now();
+                let region = if lockstep {
+                    move_outbox(&mut sa, "a", &mut sb, "b", &ea, &eb).unwrap()
+                } else {
+                    send(&mut sa, "a", &ea).unwrap();
+                    recv(&mut sb, "b", &eb).unwrap()
+                };
+                let advance = bed.clock().now() - start;
+                let spent = |shim: &Shim| {
+                    let account = shim.sandbox().account();
+                    let charged = (account.user_ns(), account.kernel_ns());
+                    (charged, account.copied_bytes(), account.ram_peak())
+                };
+                let telemetry = (spent(&sa), spent(&sb), advance);
+                (sb.peek_memory("b", region).unwrap(), telemetry)
+            };
+            let (landed, lockstep) = run(true);
+            assert_eq!(&landed[..], &payload[..], "len {len}");
+            assert_eq!(run(false), (landed, lockstep), "len {len}");
+        }
+    }
+
+    #[test]
+    fn lockstep_releases_the_source_and_reports_a_missing_outbox() {
+        let bed = Testbed::paper();
+        let (mut sa, mut sb) = shims(&bed);
+        let (ea, eb) = UnixConn::pair();
+        let src = sa.write_memory_host("a", &[4u8; 100]).unwrap();
+        sa.invoke("a", "produce", &[Value::I32(src.addr as i32), Value::I32(100)]).unwrap();
+        move_outbox(&mut sa, "a", &mut sb, "b", &ea, &eb).unwrap();
+        assert!(sa.peek_memory("a", src).is_err(), "the source region is released");
+        assert!(matches!(
+            move_outbox(&mut sa, "a", &mut sb, "b", &ea, &eb),
+            Err(RoadrunnerError::Config(_))
+        ));
     }
 
     #[test]

@@ -348,8 +348,14 @@ impl RoadrunnerPlane {
             Mode::UserSpace => userspace::move_outbox(&mut self.shims[from_shim], from, to)?,
             Mode::KernelSpace => {
                 let (tx, rx) = channel(&mut self.unix_links, from_shim, to_shim, UnixConn::pair);
-                kernelspace::send(&mut self.shims[from_shim], from, tx)?;
-                kernelspace::recv(&mut self.shims[to_shim], to, rx)?
+                // Distinct shims by `route`; refused rather than assumed.
+                let [src, dst] =
+                    self.shims.get_disjoint_mut([from_shim, to_shim]).map_err(|_| {
+                        RoadrunnerError::Config(format!(
+                            "kernel-space edge `{from}` → `{to}` needs two shims"
+                        ))
+                    })?;
+                kernelspace::move_outbox(src, from, dst, to, tx, rx)?
             }
             Mode::Network => {
                 // A fresh connection runs over the link joining the

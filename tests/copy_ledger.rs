@@ -79,6 +79,18 @@ fn one_mebibyte_edge_copies_once_twice_twice() {
     assert_eq!(copied(&src) - before.0, LEN + HEADER);
     assert_eq!(copied(&dst) - before.1, LEN + HEADER);
 
+    // The plane's kernel route runs the two halves in lockstep and copies
+    // exactly what they do.
+    let bed = Testbed::paper();
+    let mut src = shim(&bed, 0, &[("a", guest::producer())]);
+    let mut dst = shim(&bed, 0, &[("b", guest::consumer())]);
+    let (tx, rx) = UnixConn::pair();
+    produce(&mut src, &payload);
+    let before = (copied(&src), copied(&dst));
+    kernelspace::move_outbox(&mut src, "a", &mut dst, "b", &tx, &rx).unwrap();
+    assert_eq!(copied(&src) - before.0, LEN + HEADER);
+    assert_eq!(copied(&dst) - before.1, LEN + HEADER);
+
     // Network: both copies sit at the VM boundary (the staging read the
     // gifted pages need, the landing write); pipe and spliced TCP add 0.
     let bed = Testbed::paper();

@@ -1,9 +1,11 @@
 //! Virtual-identity golden for the Roadrunner data path.
 //!
 //! Host-side changes to how payload bytes move (fewer staging buffers,
-//! borrowed slices instead of owned ones) must not move a single virtual
-//! nanosecond or accounted byte: every charge keeps its amount *and* its
-//! order. This pins, for each mode and for payload lengths around every
+//! borrowed slices instead of owned ones, two halves run in lockstep)
+//! must not move a single virtual nanosecond or accounted byte: every
+//! charge keeps its amount, its sandbox and its phase, and its order
+//! wherever a clock read can see it (the hose's link reservations and
+//! arrivals; the Unix path has none). This pins, for each mode and for payload lengths around every
 //! chunking boundary, the edge breakdown and both sandboxes' telemetry of
 //! a cold edge (connection set-up, heap growth) and of the warm edge that
 //! follows it on the same plane.
