@@ -216,14 +216,15 @@ impl WasmedgePair {
             .as_i32()
             .expect("last_len returns length");
         self.sandbox_b.charge_user(cost.http_head_ns);
+        // Decoded where it lies in the receiver's memory; the borrow ends
+        // with the decode, before the guest frees the buffer below.
         let body = self
             .receiver
             .memory()
             .expect("receiver has memory")
             .read(out_addr as u32, out_len as u32)
-            .map_err(|t| PlatformError::Transfer(t.to_string()))?
-            .to_vec();
-        let body = std::str::from_utf8(&body)
+            .map_err(|t| PlatformError::Transfer(t.to_string()))?;
+        let body = std::str::from_utf8(body)
             .map_err(|e| PlatformError::Transfer(format!("body not UTF-8: {e}")))?;
         let value = text::from_text(body)
             .map_err(|e| PlatformError::Transfer(format!("deserialize failed: {e}")))?;

@@ -126,52 +126,6 @@ impl ResourceAccount {
         let current = self.ram_current.load(Ordering::Relaxed);
         self.ram_peak.store(current, Ordering::Relaxed);
     }
-
-    /// CPU utilisation (0.0–1.0 per core) over a window of `window_ns`,
-    /// as the paper's "% CPU usage" panels report it.
-    pub fn cpu_utilisation(&self, window_ns: Nanos) -> f64 {
-        if window_ns == 0 {
-            return 0.0;
-        }
-        self.total_cpu_ns() as f64 / window_ns as f64
-    }
-}
-
-/// A snapshot of an account's counters, convenient for diffing before and
-/// after an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AccountSnapshot {
-    /// User-space CPU nanoseconds at snapshot time.
-    pub user_ns: Nanos,
-    /// Kernel-space CPU nanoseconds at snapshot time.
-    pub kernel_ns: Nanos,
-    /// Current RAM in bytes at snapshot time.
-    pub ram_current: u64,
-    /// Peak RAM in bytes at snapshot time.
-    pub ram_peak: u64,
-}
-
-impl AccountSnapshot {
-    /// Takes a snapshot of `account`.
-    pub fn of(account: &ResourceAccount) -> Self {
-        Self {
-            user_ns: account.user_ns(),
-            kernel_ns: account.kernel_ns(),
-            ram_current: account.ram_current(),
-            ram_peak: account.ram_peak(),
-        }
-    }
-
-    /// Counter deltas from `earlier` to `self` (peak is reported as the
-    /// later absolute peak, since peaks do not subtract meaningfully).
-    pub fn since(&self, earlier: &AccountSnapshot) -> AccountSnapshot {
-        AccountSnapshot {
-            user_ns: self.user_ns.saturating_sub(earlier.user_ns),
-            kernel_ns: self.kernel_ns.saturating_sub(earlier.kernel_ns),
-            ram_current: self.ram_current,
-            ram_peak: self.ram_peak,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,28 +174,6 @@ mod tests {
         assert_eq!(a.copied_bytes(), 0);
         assert_eq!(a.ram_current(), 64);
         assert_eq!(a.ram_peak(), 64);
-    }
-
-    #[test]
-    fn utilisation_is_cpu_over_window() {
-        let a = ResourceAccount::new("x");
-        a.charge_user(500);
-        a.charge_kernel(500);
-        assert!((a.cpu_utilisation(10_000) - 0.1).abs() < 1e-9);
-        assert_eq!(a.cpu_utilisation(0), 0.0);
-    }
-
-    #[test]
-    fn snapshot_diff() {
-        let a = ResourceAccount::new("x");
-        a.charge_user(100);
-        let before = AccountSnapshot::of(&a);
-        a.charge_user(50);
-        a.charge_kernel(25);
-        let after = AccountSnapshot::of(&a);
-        let delta = after.since(&before);
-        assert_eq!(delta.user_ns, 50);
-        assert_eq!(delta.kernel_ns, 25);
     }
 
     #[test]
