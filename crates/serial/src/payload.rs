@@ -101,8 +101,12 @@ impl Payload {
                 buf.push(ALPHABET[idx]);
             }
         }
-        let s = String::from_utf8(buf).expect("alphabet is ASCII");
-        let flat = Bytes::from(s.clone().into_bytes());
+        // The flat form keeps the generated buffer and the value gets the
+        // copy, allocated after it. A caller that keeps only the flat bytes
+        // then frees the later allocation, which the heap can hand out
+        // whole again, rather than leaving a payload-sized hole below them.
+        let s = String::from_utf8(buf.clone()).expect("alphabet is ASCII");
+        let flat = Bytes::from(buf);
         Self::from_parts(PayloadKind::Text, Value::Str(s), flat)
     }
 
