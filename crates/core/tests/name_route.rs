@@ -182,6 +182,18 @@ fn an_unknown_name_comes_back_as_unknown_module_carrying_it() {
         kernelspace::recv(&mut shim, "ghost", &ub),
         "ghost",
     );
+    let mut peer = shim_on(&bed, 0);
+    assert_unknown(
+        "kernelspace::move_outbox (from)",
+        kernelspace::move_outbox(&mut shim, "ghost", &mut peer, "b", &ua, &ub),
+        "ghost",
+    );
+    produce(&mut shim, &[2; 8]);
+    assert_unknown(
+        "kernelspace::move_outbox (to)",
+        kernelspace::move_outbox(&mut shim, "a", &mut peer, "ghost", &ua, &ub),
+        "ghost",
+    );
     let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.wan()));
     assert_unknown("hose::send", hose::send(&mut shim, "ghost", &ta), "ghost");
     ta.send(&sandbox, &8u64.to_le_bytes()).unwrap();
@@ -271,6 +283,12 @@ fn a_guest_without_the_allocator_is_still_reported_as_missing_it() {
     assert_no_allocator(
         "kernelspace::recv",
         kernelspace::recv(&mut shim, "plain", &ub),
+    );
+    let mut peer = shim_on(&bed, 0);
+    produce(&mut shim, &[2; 8]);
+    assert_no_allocator(
+        "kernelspace::move_outbox",
+        kernelspace::move_outbox(&mut shim, "a", &mut peer, "plain", &ua, &ub),
     );
     let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.wan()));
     ta.send(&sandbox, &8u64.to_le_bytes()).unwrap();
