@@ -174,6 +174,8 @@ fn lockstep(
     dst.fill_inbox(to, total, |inbox| {
         let mut landing = Landing::start(inbox, &extra, total)?;
         send_chunks(tx, sender, data, chunk, |sent| landing.until(rx, inbox, sent))?;
+        // Nothing left unless the header disagreed with `data` (bytes left
+        // in the socket by an earlier peer): the inbox is only returned full.
         landing.until(rx, inbox, total)
     })
 }
