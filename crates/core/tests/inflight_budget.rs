@@ -1,6 +1,6 @@
 //! A kernel-space edge through the plane's route holds one chunk in the
 //! socket at a time: the host heap grows by at most about one
-//! `io_chunk` while a 4 MiB payload crosses, where `send` run to
+//! `io_chunk` while a 4 MiB payload crosses. Running `send` to
 //! completion before `recv` parks the whole payload in kernel buffers.
 //! Live heap bytes are tracked with a test-only global allocator; this
 //! file holds one test so nothing else allocates on the counting thread.
