@@ -27,17 +27,16 @@
 //! logic lives in `roadrunner_bench::fig12`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig12_load
-//! [--quick] [--workers N] [--no-memo]`
+//! [--quick] [--workers N]`
 
 use roadrunner_bench::fig12::{fig12_json, Fig12Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers]);
     let opts = Fig12Options {
         quick: args.quick,
         golden: false,
-        memo: !args.no_memo,
         workers: args.sweep_workers(),
     };
     println!("{}", fig12_json(&opts));

@@ -33,17 +33,16 @@
 //! live in `roadrunner_bench::fig13`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig13_elastic
-//! [--quick] [--workers N] [--no-memo]`
+//! [--quick] [--workers N]`
 
 use roadrunner_bench::fig13::{fig13_json, Fig13Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers]);
     let opts = Fig13Options {
         quick: args.quick,
         golden: false,
-        memo: !args.no_memo,
         workers: args.sweep_workers(),
     };
     println!("{}", fig13_json(&opts));

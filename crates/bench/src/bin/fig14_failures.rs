@@ -13,16 +13,15 @@
 //! experiment logic and the assertions live in `roadrunner_bench::fig14`.
 //!
 //! Run: `cargo run -p roadrunner-bench --release --bin fig14_failures
-//! [--quick] [--workers N] [--no-memo]`
+//! [--quick] [--workers N]`
 
 use roadrunner_bench::fig14::{fig14_json, Fig14Options};
 use roadrunner_bench::{Args, Flag};
 
 fn main() {
-    let args = Args::parse(&[Flag::Quick, Flag::Workers, Flag::NoMemo]);
+    let args = Args::parse(&[Flag::Quick, Flag::Workers]);
     let opts = Fig14Options {
         quick: args.quick,
-        memo: !args.no_memo,
         workers: args.sweep_workers(),
     };
     println!("{}", fig14_json(&opts));

@@ -8,12 +8,12 @@
 //! The sweep is a [`SweepGrid`]: policies (`locality`, `spread`) ×
 //! payload sizes × arrival-rate factors × Poisson arrival seeds. Every
 //! grid point is one fully independent job — it builds its own
-//! [`Testbed`], deploys its own three systems (Roadrunner, RunC-like,
-//! WasmEdge-like), measures its own uncontended makespans and runs its
-//! own open-loop sweep against fresh [`SchedResources`] — so the
-//! worker pool can execute points in any order and on any thread while
-//! the merged output (in canonical grid order) stays byte-identical to
-//! the serial loop's. Seeds replicate each experimental cell under
+//! [`Testbed`](roadrunner_vkernel::Testbed), deploys its own three
+//! systems (Roadrunner, RunC-like, WasmEdge-like), measures its own
+//! uncontended makespans and runs its own open-loop sweep against fresh
+//! [`SchedResources`] — so the worker pool can execute points in any
+//! order and on any thread while the merged output (in canonical grid
+//! order) stays byte-identical to the serial loop's. Seeds replicate each experimental cell under
 //! distinct Poisson arrival sequences; the emitted rows collapse the
 //! replicas into [`replicate`] summaries with across-seed means and
 //! order-statistic confidence intervals.
@@ -26,19 +26,16 @@
 //!   higher mean throughput and lower mean p95 than WasmEdge across
 //!   seeds.
 
-use std::sync::Arc;
-
 use bytes::Bytes;
-use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    loadgen, replicate, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane,
-    LocalityFirst, MemoizedPlane, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat,
-    SpreadLoad, SweepGrid, SweepPoint,
+    loadgen, replicate, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, LocalityFirst,
+    OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad, SweepGrid,
+    SweepPoint,
 };
-use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
+use roadrunner_vkernel::{Nanos, SchedResources};
 
 use crate::{
-    cluster, fixed, json_secs, object, pipeline_spec, roadrunner_pipeline, uncontended, Object, MB,
+    cluster, fixed, json_secs, load_planes, object, pipeline_spec, uncontended, Object, MB,
 };
 
 const NODES: usize = 4;
@@ -57,38 +54,8 @@ pub struct Fig12Options {
     /// builds while still exercising the full sweep path. CI diffs the
     /// full `--quick` binary output on top.
     pub golden: bool,
-    /// Wrap planes in the transfer-cost memo (`--no-memo` turns off).
-    pub memo: bool,
     /// Sweep worker threads; 1 runs the jobs inline, in order.
     pub workers: usize,
-}
-
-struct SystemUnderLoad {
-    label: &'static str,
-    plane: Box<dyn DataPlane>,
-}
-
-/// The three systems, each deployed for one co-location regime: the
-/// Roadrunner pipeline colocated on node 0 (`locality`: kernel-space
-/// edges) or spread over nodes 0/1/2 (`spread`: network edges). Pairs
-/// carry every edge of the pipeline over their established connection.
-fn systems(bed: &Arc<Testbed>, colocated: bool) -> Vec<SystemUnderLoad> {
-    let peer = usize::from(!colocated);
-    let nodes = if colocated { [0, 0, 0] } else { [0, 1, 2] };
-    vec![
-        SystemUnderLoad {
-            label: "roadrunner",
-            plane: Box::new(roadrunner_pipeline(bed, "fig12", nodes)),
-        },
-        SystemUnderLoad {
-            label: "runc",
-            plane: Box::new(RuncPair::establish(Arc::clone(bed), 0, peer)),
-        },
-        SystemUnderLoad {
-            label: "wasmedge",
-            plane: Box::new(WasmedgePair::establish(Arc::clone(bed), 0, peer)),
-        },
-    ]
 }
 
 fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
@@ -120,22 +87,22 @@ struct PointResult {
 /// deployments, fresh scheduler state — nothing shared with any other
 /// point, which is what makes the parallel sweep byte-identical to the
 /// serial one.
-fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
+fn run_point(point: &SweepPoint, instances: usize) -> PointResult {
     let colocated = point.policy == "locality";
     let payload = Bytes::from(vec![0xA7u8; point.payload_bytes]);
     let bed = cluster(NODES, 4);
-    let mut under_load = systems(&bed, colocated);
+    let mut under_load = load_planes(&bed, "fig12", colocated);
     let solos: Vec<Nanos> = under_load
         .iter_mut()
-        .map(|s| {
+        .map(|(_, plane)| {
             let mut fresh = SchedResources::for_testbed(&bed);
-            uncontended(s.plane.as_mut(), &bed, &payload, &mut fresh)
+            uncontended(plane.bare(), &bed, &payload, &mut fresh)
         })
         .collect();
     let wasmedge_solo = under_load
         .iter()
         .zip(&solos)
-        .find(|(s, _)| s.label == "wasmedge")
+        .find(|((label, _), _)| *label == "wasmedge")
         .map(|(_, &ns)| ns)
         .expect("wasmedge is part of the line-up");
     // Identical offered process for every system in the cell: Poisson
@@ -146,7 +113,7 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
         ArrivalProcess::Poisson { mean_interval_ns, seed: 0 }.with_seed(point.seed);
 
     let mut runs = Vec::with_capacity(under_load.len());
-    for (system, &solo) in under_load.iter_mut().zip(&solos) {
+    for ((label, plane), &solo) in under_load.iter_mut().zip(&solos) {
         let mut policy = policy_of(&point.policy);
         let mut resources = SchedResources::for_testbed(&bed);
         let load = OpenLoop {
@@ -156,27 +123,19 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
             instances,
             admission: AdmissionConfig::warm(),
         };
-        // The load sweep admits identical instances: the transfer-cost
-        // memo computes each distinct edge once and replays it.
-        // Virtual-time results are byte-identical; `--no-memo` produces
-        // the unmemoized reference run the CI gate diffs this JSON
-        // against.
         let clock = bed.clock().clone();
-        let mut memo_plane;
-        let plane: &mut dyn DataPlane = if memo {
-            memo_plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-            &mut memo_plane
-        } else {
-            system.plane.as_mut()
-        };
-        let cluster =
-            Cluster { plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
-        let run = loadgen::run(&load, cluster, Controls::default()).expect("load run");
+        let run = plane
+            .drive(&clock, |plane| {
+                let policy = policy.as_mut();
+                let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+                loadgen::run(&load, cluster, Controls::default())
+            })
+            .expect("load run");
         for outcome in &run.outcomes {
             assert!(
                 outcome.sojourn_ns >= solo,
                 "{} {} {}B seed {}: instance {} took {} < uncontended {}",
-                system.label,
+                label,
                 point.policy,
                 point.payload_bytes,
                 point.seed,
@@ -187,7 +146,7 @@ fn run_point(point: &SweepPoint, instances: usize, memo: bool) -> PointResult {
         }
         let digest = run.sojourn_percentiles().expect("non-empty run");
         runs.push(SystemRun {
-            label: system.label,
+            label,
             uncontended_ns: solo,
             offered_rps: run.offered_rps,
             achieved_rps: run.throughput_rps(),
@@ -255,7 +214,7 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
         seeds,
     };
 
-    let results = sweep(&grid, opts.workers, |point| run_point(point, instances, opts.memo));
+    let results = sweep(&grid, opts.workers, |point| run_point(point, instances));
 
     // Merge: consecutive `seeds_per_cell` results form one experimental
     // cell; collapse each system's replicas into across-seed stats.

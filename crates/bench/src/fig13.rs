@@ -19,15 +19,15 @@ use bytes::Bytes;
 use roadrunner_baselines::coldstart::{
     container_cold_ns, wasm_cold_ns, CONTAINER_IMAGE_BYTES, PAPER_WASM_HELLO_BYTES,
 };
-use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
     loadgen, parallel_map, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster,
-    Controls, DataPlane, LoadRun, LocalityFirst, MemoizedPlane, PackThenSpill, PlacementPolicy,
-    ScaleAction,
+    Controls, LoadRun, LocalityFirst, PackThenSpill, PlacementPolicy, ScaleAction,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
-use crate::{fixed, json_secs, object, pipeline_spec, roadrunner_pipeline, uncontended, Object, MB};
+use crate::{
+    fixed, json_secs, load_planes, object, pipeline_spec, uncontended, LoadPlane, Object, MB,
+};
 
 /// Fixed-capacity (and autoscaler-minimum) active node count. Shared
 /// with fig14, which drives the same workload through failure
@@ -46,8 +46,6 @@ pub struct Fig13Options {
     /// fast in debug builds while still exercising the full sweep path.
     /// CI diffs the full `--quick` binary output on top.
     pub golden: bool,
-    /// Wrap planes in the transfer-cost memo (`--no-memo` turns off).
-    pub memo: bool,
     /// Sweep worker threads; 1 runs the jobs inline, in order.
     pub workers: usize,
 }
@@ -64,7 +62,7 @@ pub(crate) fn cluster_row() -> Object {
 
 pub(crate) struct SystemUnderLoad {
     pub(crate) label: &'static str,
-    pub(crate) plane: Box<dyn DataPlane>,
+    pub(crate) plane: LoadPlane,
     /// Uncontended concurrent makespan of one instance (own think-time
     /// and threshold base).
     pub(crate) solo_ns: Nanos,
@@ -77,33 +75,18 @@ pub(crate) struct SystemUnderLoad {
 /// their solo makespans measured on a fresh two-node mesh.
 pub(crate) fn systems(bed: &Arc<Testbed>, payload: &Bytes) -> Vec<SystemUnderLoad> {
     let cost = bed.cost();
-    let wasm_cold = wasm_cold_ns(cost, PAPER_WASM_HELLO_BYTES);
-    let runc_cold = container_cold_ns(cost, CONTAINER_IMAGE_BYTES);
-    let mut out = vec![
-        SystemUnderLoad {
-            label: "roadrunner",
-            plane: Box::new(roadrunner_pipeline(bed, "fig13", [0, 0, 0])),
-            solo_ns: 0,
-            cold_ns: wasm_cold,
-        },
-        SystemUnderLoad {
-            label: "runc",
-            plane: Box::new(RuncPair::establish(Arc::clone(bed), 0, 0)),
-            solo_ns: 0,
-            cold_ns: runc_cold,
-        },
-        SystemUnderLoad {
-            label: "wasmedge",
-            plane: Box::new(WasmedgePair::establish(Arc::clone(bed), 0, 0)),
-            solo_ns: 0,
-            cold_ns: wasm_cold,
-        },
-    ];
-    for system in &mut out {
-        let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
-        system.solo_ns = uncontended(system.plane.as_mut(), bed, payload, &mut fresh);
-    }
-    out
+    load_planes(bed, "fig13", true)
+        .into_iter()
+        .map(|(label, mut plane)| {
+            let cold_ns = match label {
+                "runc" => container_cold_ns(cost, CONTAINER_IMAGE_BYTES),
+                _ => wasm_cold_ns(cost, PAPER_WASM_HELLO_BYTES),
+            };
+            let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
+            let solo_ns = uncontended(plane.bare(), bed, payload, &mut fresh);
+            SystemUnderLoad { label, plane, solo_ns, cold_ns }
+        })
+        .collect()
 }
 
 /// The backlog autoscaler of the elastic cells (fig14's self-healing
@@ -135,7 +118,6 @@ struct Job {
     rounds: usize,
     autoscaled: bool,
     cold: bool,
-    memo: bool,
     /// Re-run the Roadrunner cell and assert identical placements —
     /// done inside the first cell of each policy.
     check_determinism: bool,
@@ -144,7 +126,7 @@ struct Job {
 /// One closed-loop run of `users`×`rounds` instances, optionally
 /// autoscaled and optionally charging cold starts.
 fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, job: Job) -> LoadRun {
-    let Job { policy: policy_name, users, rounds, autoscaled, cold, memo, .. } = job;
+    let Job { policy: policy_name, users, rounds, autoscaled, cold, .. } = job;
     let solo = system.solo_ns;
     // Think a quarter-makespan between requests and ramp users in a
     // quarter-makespan apart: at the top user counts demand concurrency
@@ -163,22 +145,17 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     let mut policy = policy_of(policy_name, solo);
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let clock = bed.clock().clone();
-    // Identical instances hit the transfer-cost memo after the first;
-    // virtual-time results are byte-identical. The `--no-memo` reference
-    // run is what the CI gate diffs this JSON against.
-    let mut memo_plane;
-    let plane: &mut dyn DataPlane = if memo {
-        memo_plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-        &mut memo_plane
-    } else {
-        system.plane.as_mut()
-    };
     let mut scaler = autoscaler(solo);
-    let cluster =
-        Cluster { plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
-    let controls =
-        Controls { autoscaler: autoscaled.then_some(&mut scaler), ..Controls::default() };
-    let run = loadgen::run(&load, cluster, controls).expect("closed-loop run");
+    let run = system
+        .plane
+        .drive(&clock, |plane| {
+            let policy = policy.as_mut();
+            let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+            let controls =
+                Controls { autoscaler: autoscaled.then_some(&mut scaler), ..Controls::default() };
+            loadgen::run(&load, cluster, controls)
+        })
+        .expect("closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run
 }
@@ -282,7 +259,6 @@ pub fn fig13_json(opts: &Fig13Options) -> String {
                     rounds,
                     autoscaled,
                     cold: false,
-                    memo: opts.memo,
                     check_determinism: i == 0 && !autoscaled,
                 });
             }
@@ -293,7 +269,6 @@ pub fn fig13_json(opts: &Fig13Options) -> String {
             rounds,
             autoscaled: false,
             cold: true,
-            memo: opts.memo,
             check_determinism: false,
         });
     }

@@ -41,8 +41,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use roadrunner_platform::{
     loadgen, parallel_map, AdmissionConfig, Autoscaler, ClosedLoop, Cluster, Controls,
-    DataPlane, FailurePlan, LoadRun, LocalityFirst, MemoizedPlane, PlacementPolicy, RetryPolicy,
-    ScaleAction, SpreadLoad,
+    FailurePlan, LoadRun, LocalityFirst, PlacementPolicy, RetryPolicy, ScaleAction, SpreadLoad,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, Testbed};
 
@@ -53,10 +52,6 @@ use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
 pub struct Fig14Options {
     /// Reduced rounds/payload for CI.
     pub quick: bool,
-    /// Wrap planes in the transfer-cost memo (`--no-memo` turns off).
-    /// The memo keys on the link-health epoch, so it stays sound under
-    /// outage schedules.
-    pub memo: bool,
     /// Sweep worker threads; 1 runs the jobs inline, in order.
     pub workers: usize,
 }
@@ -97,7 +92,6 @@ struct Job {
     scenario: Scenario,
     users: usize,
     rounds: usize,
-    memo: bool,
 }
 
 /// Everything one scenario derives from a system's uncontended solo
@@ -215,50 +209,45 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
     let plan = plan_for(job.scenario, &shape, ids);
     let mut policy = job.scenario.policy();
     let clock = bed.clock().clone();
-    let mut memo_plane;
-    let plane: &mut dyn DataPlane = if job.memo {
-        memo_plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-        &mut memo_plane
-    } else {
-        system.plane.as_mut()
-    };
-    let mut run_on = |resources: &mut SchedResources,
-                      policy: &mut dyn PlacementPolicy,
-                      autoscaler: Option<&mut Autoscaler>,
-                      failures: Option<&FailurePlan>| {
-        let cluster = Cluster { plane: &mut *plane, clock: &clock, resources, policy };
-        loadgen::run(&shape.load, cluster, Controls { autoscaler, failures, ..Controls::default() })
-            .expect("closed-loop run")
-    };
-    match job.scenario {
-        Scenario::KillElastic => {
-            let mut scaler = autoscaler(system.solo_ns);
-            run_on(&mut resources, policy.as_mut(), Some(&mut scaler), plan.as_ref())
-        }
-        Scenario::Baseline => {
-            // The in-process identity check: a run without a plan and a
-            // run under an empty plan must be the same run, outcome for
-            // outcome.
-            let plain = run_on(&mut resources, policy.as_mut(), None, None);
-            let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
-            let mut fresh_policy = job.scenario.policy();
-            let empty = plan.as_ref().expect("baseline plan is Some(empty)");
-            assert!(empty.is_empty(), "the baseline plan must inject nothing");
-            let faulty = run_on(&mut fresh, fresh_policy.as_mut(), None, Some(empty));
-            assert_eq!(plain.outcomes.len(), faulty.outcomes.len());
-            for (a, b) in plain.outcomes.iter().zip(&faulty.outcomes) {
-                assert_eq!(
-                    (a.release_ns, a.finish_ns, a.sojourn_ns, &a.assignment),
-                    (b.release_ns, b.finish_ns, b.sojourn_ns, &b.assignment),
-                    "{}: an empty failure plan must be invisible",
-                    system.label,
-                );
+    let (label, solo_ns) = (system.label, system.solo_ns);
+    system.plane.drive(&clock, |plane| {
+        let mut run_on = |resources: &mut SchedResources,
+                          policy: &mut dyn PlacementPolicy,
+                          autoscaler: Option<&mut Autoscaler>,
+                          failures: Option<&FailurePlan>| {
+            let cluster = Cluster { plane: &mut *plane, clock: &clock, resources, policy };
+            let controls = Controls { autoscaler, failures, ..Controls::default() };
+            loadgen::run(&shape.load, cluster, controls).expect("closed-loop run")
+        };
+        match job.scenario {
+            Scenario::KillElastic => {
+                let mut scaler = autoscaler(solo_ns);
+                run_on(&mut resources, policy.as_mut(), Some(&mut scaler), plan.as_ref())
             }
-            assert_eq!((faulty.failed, faulty.retries), (0, 0));
-            plain
+            Scenario::Baseline => {
+                // The in-process identity check: a run without a plan and
+                // a run under an empty plan must be the same run, outcome
+                // for outcome.
+                let plain = run_on(&mut resources, policy.as_mut(), None, None);
+                let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
+                let mut fresh_policy = job.scenario.policy();
+                let empty = plan.as_ref().expect("baseline plan is Some(empty)");
+                assert!(empty.is_empty(), "the baseline plan must inject nothing");
+                let faulty = run_on(&mut fresh, fresh_policy.as_mut(), None, Some(empty));
+                assert_eq!(plain.outcomes.len(), faulty.outcomes.len());
+                for (a, b) in plain.outcomes.iter().zip(&faulty.outcomes) {
+                    assert_eq!(
+                        (a.release_ns, a.finish_ns, a.sojourn_ns, &a.assignment),
+                        (b.release_ns, b.finish_ns, b.sojourn_ns, &b.assignment),
+                        "{label}: an empty failure plan must be invisible",
+                    );
+                }
+                assert_eq!((faulty.failed, faulty.retries), (0, 0));
+                plain
+            }
+            _ => run_on(&mut resources, policy.as_mut(), None, plan.as_ref()),
         }
-        _ => run_on(&mut resources, policy.as_mut(), None, plan.as_ref()),
-    }
+    })
 }
 
 /// One cell's merged result: the three systems' runs plus derived
@@ -348,7 +337,7 @@ pub fn fig14_json(opts: &Fig14Options) -> String {
         Scenario::KillElastic,
     ]
     .into_iter()
-    .map(|scenario| Job { scenario, users, rounds, memo: opts.memo })
+    .map(|scenario| Job { scenario, users, rounds })
     .collect();
 
     let results = parallel_map(&jobs, opts.workers, |_, job| run_job(job, &payload));

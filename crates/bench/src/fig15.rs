@@ -45,8 +45,8 @@ use roadrunner_baselines::coldstart::{
 };
 use roadrunner_platform::{
     loadgen, parallel_map, percentiles, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop,
-    Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, MemoizedPlane, PercentileSummary,
-    PrewarmConfig, ScaleAction, WarmPoolConfig,
+    Cluster, Controls, KeepAlive, LoadRun, LocalityFirst, PercentileSummary, PrewarmConfig,
+    ScaleAction, WarmPoolConfig,
 };
 use roadrunner_vkernel::{CostModel, Nanos, SchedResources, Testbed};
 
@@ -142,7 +142,6 @@ fn run_cell(
     let mut placement = LocalityFirst::new();
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let clock = bed.clock().clone();
-    let mut plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
     // The node controller is pinned (min = max): only the prewarm side
     // of the autoscaler acts, staffing the pool predictively.
     let mut scaler = Autoscaler::new(AutoscalerConfig {
@@ -160,14 +159,14 @@ fn run_cell(
         lead_ns: solo.max(1),
         window_ns: solo.max(1),
     });
-    let cluster = Cluster {
-        plane: &mut plane,
-        clock: &clock,
-        resources: &mut resources,
-        policy: &mut placement,
-    };
     let autoscaler = (policy == "hybrid_prewarm").then_some(&mut scaler);
-    let run = loadgen::run(&load, cluster, Controls { autoscaler, ..Controls::default() })
+    let run = system
+        .plane
+        .drive(&clock, |plane| {
+            let policy = &mut placement;
+            let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+            loadgen::run(&load, cluster, Controls { autoscaler, ..Controls::default() })
+        })
         .expect("bursty closed-loop run");
     assert_eq!(run.outcomes.len(), users * rounds, "every instance must complete");
     run

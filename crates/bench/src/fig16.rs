@@ -37,10 +37,10 @@
 use bytes::Bytes;
 use roadrunner_platform::{
     loadgen, parallel_map, AdmissionConfig, BreakerConfig, ClosedLoop, Cluster, Controls,
-    FailurePlan, LoadRun, MemoizedPlane, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig,
+    DataPlane, FailurePlan, LoadRun, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig,
     RetryPolicy, ShedPolicy, SpreadLoad, TenantLoad,
 };
-use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
 
 use crate::fig13::{cluster, systems, CORES, START_NODES};
 use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
@@ -235,11 +235,7 @@ struct CellResult {
 /// horizon over the completions. Every cell runs the same probe on
 /// fresh resources, so the calibration is deterministic and identical
 /// across cells.
-fn saturation_interval(
-    plane: &mut MemoizedPlane<'_>,
-    clock: &roadrunner_vkernel::VirtualClock,
-    payload: &Bytes,
-) -> Nanos {
+fn saturation_interval(plane: &mut dyn DataPlane, clock: &VirtualClock, payload: &Bytes) -> Nanos {
     let users = START_NODES * CORES as usize;
     let probe = ClosedLoop {
         spec: pipeline_spec("bench"),
@@ -269,8 +265,9 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let ids = (resources.node_id(0), resources.node_id(1));
     let mut policy = SpreadLoad::new();
-    let mut plane = MemoizedPlane::new(system.plane.as_mut(), clock.clone());
-    let i = saturation_interval(&mut plane, &clock, payload);
+    // Roadrunner's plane runs every edge for real (see `load_planes`).
+    let plane = system.plane.bare();
+    let i = saturation_interval(plane, &clock, payload);
 
     let (load, plan, overload, windows) = if job.cell.is_fair() {
         let (_, _, _, n_inter, n_flood) = counts(job.quick);
@@ -324,8 +321,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         )
     };
 
-    let cluster =
-        Cluster { plane: &mut plane, clock: &clock, resources: &mut resources, policy: &mut policy };
+    let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy: &mut policy };
     let controls = Controls { failures: plan.as_ref(), overload, ..Controls::default() };
     let run = loadgen::run(&load, cluster, controls).expect("fig16 cell run");
 

@@ -28,10 +28,11 @@ use bytes::Bytes;
 use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_baselines::{BaselineOutcome, RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    available_workers, execute, execute_concurrent_at, DataPlane, FunctionBundle, WorkflowSpec,
+    available_workers, execute, execute_concurrent_at, DataPlane, FunctionBundle, MemoizedPlane,
+    WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
-use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed};
+use roadrunner_vkernel::{secs, ClusterSpec, Nanos, SchedResources, Testbed, VirtualClock};
 use roadrunner_wasm::encode;
 
 /// One megabyte.
@@ -207,6 +208,64 @@ pub fn roadrunner_pipeline(
         .deploy(nodes[2], "sink", bundle("sink", guest::consumer()), "consume", true)
         .expect("deploy sink");
     plane
+}
+
+/// One system's plane in a load figure, and whether its load runs go
+/// through the transfer-cost memo ([`load_planes`] decides).
+pub(crate) struct LoadPlane {
+    plane: Box<dyn DataPlane>,
+    memoized: bool,
+}
+
+impl LoadPlane {
+    /// The plane itself, never memoized (warm-up and uncontended runs).
+    pub(crate) fn bare(&mut self) -> &mut dyn DataPlane {
+        self.plane.as_mut()
+    }
+
+    /// Calls `run` with the plane one load run drives: a fresh
+    /// [`MemoizedPlane`] over the plane if it is memoized, the plane
+    /// itself otherwise.
+    pub(crate) fn drive<R>(
+        &mut self,
+        clock: &VirtualClock,
+        run: impl FnOnce(&mut dyn DataPlane) -> R,
+    ) -> R {
+        if self.memoized {
+            run(&mut MemoizedPlane::new(self.plane.as_mut(), clock.clone()))
+        } else {
+            run(self.plane.as_mut())
+        }
+    }
+}
+
+/// The three systems every load figure compares, labelled, with
+/// Roadrunner's pipeline deployed on `bed` under `workflow`: colocated on
+/// node 0 (kernel-space edges) or spread over nodes 0/1/2 (network
+/// edges). The pairs carry every edge of the pipeline over one
+/// connection, between nodes 0 and 0 or 0 and 1.
+pub(crate) fn load_planes(
+    bed: &Arc<Testbed>,
+    workflow: &str,
+    colocated: bool,
+) -> [(&'static str, LoadPlane); 3] {
+    let peer = usize::from(!colocated);
+    let nodes = if colocated { [0, 0, 0] } else { [0, 1, 2] };
+    // The memo replays only the pairs. A pair's edge does not depend on
+    // earlier edges — its connection is established before the first, and
+    // every edge serializes, frames and parses afresh — so its replay is
+    // exact in every regime, and it skips the codec and HTTP work that is
+    // most of a load figure's wall time. The Roadrunner plane's relay
+    // outbox and lazily established TCP connections carry state from one
+    // edge to the next, so its replay is exact only under whole-instance
+    // placement without aborts: it always runs for real.
+    let roadrunner = roadrunner_pipeline(bed, workflow, nodes);
+    let pair = |plane: Box<dyn DataPlane>| LoadPlane { plane, memoized: true };
+    [
+        ("roadrunner", LoadPlane { plane: Box::new(roadrunner), memoized: false }),
+        ("runc", pair(Box::new(RuncPair::establish(Arc::clone(bed), 0, peer)))),
+        ("wasmedge", pair(Box::new(WasmedgePair::establish(Arc::clone(bed), 0, peer)))),
+    ]
 }
 
 /// Uncontended concurrent makespan of one pipeline instance on `fresh`,
@@ -412,8 +471,7 @@ impl FanoutMeasurement {
 /// CPU over the node's cores, and by aggregate wire time on the shared
 /// link:
 /// `makespan = max(branch, Σcpu / cores, Σwire)` — the standard
-/// saturation bound, the same shape `vkernel::pipeline::run_fanout`
-/// produces.
+/// saturation bound.
 pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) -> FanoutMeasurement {
     let payload = Payload::synthetic(PayloadKind::Text, 42, bytes);
     let bed = Arc::new(Testbed::paper());
@@ -521,10 +579,6 @@ pub enum Flag {
     /// `--workers N`: the sweep worker pool's size (`--workers 1` is the
     /// in-order serial loop).
     Workers,
-    /// `--no-memo`: load sweeps run on the plain plane, without the
-    /// transfer-cost memo (the reference run CI diffs the memoized
-    /// output against).
-    NoMemo,
 }
 
 impl Flag {
@@ -532,7 +586,6 @@ impl Flag {
         match self {
             Flag::Quick => "--quick",
             Flag::Workers => "--workers",
-            Flag::NoMemo => "--no-memo",
         }
     }
 }
@@ -542,8 +595,6 @@ impl Flag {
 pub struct Args {
     /// `--quick` was passed.
     pub quick: bool,
-    /// `--no-memo` was passed.
-    pub no_memo: bool,
     /// The value of `--workers`, if passed.
     pub workers: Option<usize>,
 }
@@ -586,7 +637,6 @@ impl Args {
                 .ok_or_else(|| format!("unknown argument `{arg}`"))?;
             match flag {
                 Flag::Quick => out.quick = true,
-                Flag::NoMemo => out.no_memo = true,
                 Flag::Workers => {
                     let value = args.next().ok_or("`--workers` takes a number")?;
                     let workers = value
@@ -756,19 +806,22 @@ mod tests {
 
     #[test]
     fn args_accept_only_the_named_flags() {
-        let load = [Flag::Quick, Flag::Workers, Flag::NoMemo];
+        let load = [Flag::Quick, Flag::Workers];
         let none: [&str; 0] = [];
         assert_eq!(Args::from_args(&load, &none), Ok(Args::default()));
         assert_eq!(
-            Args::from_args(&load, &["--quick", "--no-memo", "--workers", "3"]),
-            Ok(Args { quick: true, no_memo: true, workers: Some(3) })
+            Args::from_args(&load, &["--quick", "--workers", "3"]),
+            Ok(Args { quick: true, workers: Some(3) })
         );
         let serial = Args::from_args(&load, &["--workers", "1"]).unwrap();
         assert_eq!(serial.sweep_workers(), 1);
         assert_eq!(Args::default().sweep_workers(), available_workers());
 
         // A misspelt flag, or one this binary does not take, is an error.
-        assert!(Args::from_args(&load, &["--quick", "--no-memos"]).is_err());
+        assert!(Args::from_args(&load, &["--quick", "--quik"]).is_err());
+        // The load figures have one way to run: `--no-memo` is refused
+        // like any unknown flag.
+        assert!(Args::from_args(&load, &["--quick", "--no-memo"]).is_err());
         assert!(Args::from_args(&[Flag::Quick], &["--workers", "2"]).is_err());
         assert!(Args::from_args(&[], &["--quick"]).is_err());
         assert!(Args::from_args(&load, &["quick"]).is_err());

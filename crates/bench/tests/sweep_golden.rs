@@ -36,7 +36,6 @@ fn fig12_parallel_output_is_byte_identical_to_serial() {
         fig12_json(&Fig12Options {
             quick: true,
             golden: true,
-            memo: true,
             workers,
         })
     };
@@ -49,7 +48,6 @@ fn fig13_parallel_output_is_byte_identical_to_serial() {
         fig13_json(&Fig13Options {
             quick: true,
             golden: true,
-            memo: true,
             workers,
         })
     };
@@ -61,7 +59,6 @@ fn fig14_parallel_output_is_byte_identical_to_serial() {
     let json = |workers| {
         fig14_json(&Fig14Options {
             quick: true,
-            memo: true,
             workers,
         })
     };

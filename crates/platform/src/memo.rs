@@ -17,8 +17,7 @@
 //! including advancing the shared [`VirtualClock`] by the recorded
 //! amount — so, inside the contract below, virtual-time results are
 //! byte-identical with and without the memo (property-tested in
-//! `tests/memo_properties.rs`; `scripts/gates.sh` diffs the fig12–fig14
-//! JSON output against `--no-memo`).
+//! `tests/memo_properties.rs`).
 //!
 //! A hit costs one composite key (one multiply per word: names folded
 //! eight bytes at a time and length-terminated, then both nodes, length,
@@ -62,15 +61,22 @@
 //! aborted between its edges (a failure run). Red test:
 //! `memo_matches_plain_when_only_the_second_edge_moves`.
 //!
-//! So: sound for [`RoadrunnerPlane`], `RuncPair` and `WasmedgePair`
-//! under **whole-instance placement** (`LocalityFirst`, `PackThenSpill`,
-//! `RoundRobin`, `Pinned` to one node) — every `benchmark/` workload,
-//! fig13, fig15, fig16 and all but the rows named next. **Unsound
-//! today**, by the last two conditions: fig12's `spread` rows
-//! (`SpreadLoad`) and fig14's `link_flap` / `kill_fixed` rows (health
-//! epochs force re-recording while instances abort mid-flight); their
-//! memoized figures differ from `--no-memo` and the plain ones are the
-//! model's.
+//! So: sound for `RuncPair` and `WasmedgePair` in **every** regime. A
+//! pair's edge does not depend on earlier edges — its connection is
+//! established before the first, and every edge serializes, frames and
+//! parses afresh — so neither condition above can fail;
+//! `tests/memo_properties.rs` checks them under link flaps and a node
+//! kill. Sound for [`RoadrunnerPlane`] only under **whole-instance
+//! placement** (`LocalityFirst`, `PackThenSpill`, `RoundRobin`, `Pinned`
+//! to one node) with no instance aborted between its edges: its relay
+//! outbox and lazily established TCP connections carry state from one
+//! edge to the next. The load figures (fig12–fig16) therefore wrap only
+//! the pairs and run the Roadrunner plane for real. While they wrapped it
+//! too, fig12's `spread` rows, fig14's `link_flap` / `kill_fixed` rows and
+//! every fig16 cell (link flaps and deadlines abort instances between
+//! edges) printed replayed values that were not the model's; fig16 was
+//! never exact. A memo over the Roadrunner plane remains only in
+//! `benchmark/`'s `cluster_load`.
 //!
 //! Side effects the memo does **not** replay: sandbox CPU/RAM telemetry
 //! accounts. Do not memoize runs whose *measured output* includes

@@ -256,18 +256,6 @@ impl<T> std::fmt::Debug for EventQueue<T> {
     }
 }
 
-/// The schedulable resources of a testbed: one CPU timeline per node
-/// (capacity = core count) and the inter-node links (capacity 1 each —
-/// concurrent transfers share a link's bandwidth by queueing behind each
-/// other, matching [`run_fanout`](crate::pipeline::run_fanout)'s
-/// single-capacity wire).
-///
-/// Two link layouts exist. The classic layout (the paper's two-VM pair)
-/// has **one shared WAN timeline** that every inter-node edge reserves.
-/// Cluster-built resources ([`SchedResources::mesh`] /
-/// [`SchedResources::for_testbed`] over a cluster testbed) carry **one
-/// timeline per node pair**, so traffic between nodes 0↔1 no longer
-/// queues behind traffic between 2↔3.
 /// One node's slice of a [`ResourceView`] snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeView {
@@ -373,8 +361,17 @@ impl ResourceView {
     }
 }
 
-/// The cluster's schedulable capacity: per-node CPU [`Timeline`]s plus
-/// either one shared WAN link or a per-pair mesh.
+/// The cluster's schedulable capacity: one CPU [`Timeline`] per node
+/// (capacity = core count) and the inter-node links (capacity 1 each —
+/// concurrent transfers share a link's bandwidth by queueing behind each
+/// other).
+///
+/// Two link layouts exist. The classic layout (the paper's two-VM pair)
+/// has **one shared WAN timeline** that every inter-node edge reserves.
+/// Cluster-built resources ([`SchedResources::mesh`] /
+/// [`SchedResources::for_testbed`] over a cluster testbed) carry **one
+/// timeline per node pair**, so traffic between nodes 0↔1 no longer
+/// queues behind traffic between 2↔3.
 ///
 /// `SchedResources` is `Send` (asserted at compile time below), and a
 /// sweep worker that wants an isolated simulation should *construct its

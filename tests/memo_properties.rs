@@ -12,13 +12,13 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_baselines::{RuncPair, WasmedgePair};
 use roadrunner_platform::{
-    execute_concurrent_at, loadgen, AdmissionConfig, ArrivalProcess, Autoscaler, AutoscalerConfig,
-    ClosedLoop, Cluster, Controls, DataPlane, Load, LoadRun, LocalityFirst, MemoizedPlane,
-    OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, TransferTiming, WorkflowDag,
-    WorkflowRun, WorkflowSpec,
+    execute, execute_concurrent_at, loadgen, AdmissionConfig, ArrivalProcess, Autoscaler,
+    AutoscalerConfig, ClosedLoop, Cluster, Controls, DataPlane, FailurePlan, Load, LoadRun,
+    LocalityFirst, MemoizedPlane, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError,
+    RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag, WorkflowRun, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
-use roadrunner_vkernel::{SchedResources, Testbed, VirtualClock};
+use roadrunner_vkernel::{ClusterSpec, OutageSchedule, SchedResources, Testbed, VirtualClock};
 
 /// Splitmix-style generator so graph shapes derive deterministically from
 /// the proptest-provided seed.
@@ -349,15 +349,106 @@ fn memo_matches_plain_under_the_load_engine() {
     assert!(hits > 0, "the memo must serve the open loop");
 }
 
+/// A closed loop of twelve users over a warmed RunC-like or WasmEdge-like
+/// pair (a 64 KB payload, two four-core nodes) through fig14's failure
+/// geometry: four link flaps and an 8-attempt retry policy under
+/// `SpreadLoad`, or a node kill under `LocalityFirst`. Plain or through a
+/// [`MemoizedPlane`].
+fn pair_under_faults(runc: bool, kill: bool, memo: bool) -> LoadRun {
+    let bed = Arc::new(ClusterSpec::homogeneous(2, 4, 8 << 30).build());
+    let clock = bed.clock().clone();
+    let mut plane: Box<dyn DataPlane> = if runc {
+        Box::new(RuncPair::establish(Arc::clone(&bed), 0, 0))
+    } else {
+        Box::new(WasmedgePair::establish(Arc::clone(&bed), 0, 0))
+    };
+    let spec = WorkflowSpec::sequence(
+        "pipeline",
+        "t",
+        ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
+    );
+    let payload = Bytes::from(vec![0xE4u8; 64_000]);
+    execute(plane.as_mut(), &clock, &spec, payload.clone()).unwrap();
+    let mut fresh = SchedResources::mesh(&[4; 2]);
+    let solo = execute_concurrent_at(plane.as_mut(), &clock, &spec, payload.clone(), &mut fresh, 0)
+        .unwrap()
+        .total_latency_ns;
+    let cycle = solo + solo / 4;
+    let load = ClosedLoop {
+        spec,
+        payload,
+        users: 12,
+        think_ns: solo / 4,
+        ramp_ns: solo / 8,
+        instances: 48,
+        admission: AdmissionConfig::warm(),
+    };
+    let mut resources = SchedResources::mesh(&[4; 2]);
+    let ids = (resources.node_id(0), resources.node_id(1));
+    let (plan, mut policy): (FailurePlan, Box<dyn PlacementPolicy>) = if kill {
+        let retry = RetryPolicy::new(3, cycle / 16, cycle / 2);
+        let plan = FailurePlan::new(retry).kill_node(ids.1, 4 * cycle, cycle / 2);
+        (plan, Box::new(LocalityFirst::new()))
+    } else {
+        let mut outages = OutageSchedule::new();
+        for flap in 0..4 {
+            let from = 2 * cycle + flap * 2 * cycle + cycle / 7;
+            outages = outages.link_down(ids.0, ids.1, from, from + cycle / 3);
+        }
+        let retry = RetryPolicy::new(8, cycle / 16, cycle / 2);
+        (FailurePlan::new(retry).with_outages(outages), Box::new(SpreadLoad::new()))
+    };
+    let mut drive = |plane: &mut dyn DataPlane| {
+        let policy = policy.as_mut();
+        let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+        loadgen::run(&load, cluster, Controls { failures: Some(&plan), ..Controls::default() })
+            .unwrap()
+    };
+    if memo {
+        drive(&mut MemoizedPlane::new(plane.as_mut(), clock.clone()))
+    } else {
+        drive(plane.as_mut())
+    }
+}
+
+/// Why the load figures memoize the pairs and nothing else: a pair's edge
+/// does not depend on earlier edges, so its replay is exact even where
+/// instances retry and abort between their edges — the regimes in which a
+/// memoized `RoadrunnerPlane` departs from the plain one.
+#[test]
+fn memoized_pairs_match_plain_under_flaps_and_kills() {
+    for runc in [true, false] {
+        for kill in [false, true] {
+            let what = format!(
+                "{} under {}",
+                if runc { "runc" } else { "wasmedge" },
+                if kill { "a node kill" } else { "link flaps" },
+            );
+            let outcomes = |run: &LoadRun| -> Vec<(u64, u64, bool)> {
+                run.outcomes.iter().map(|o| (o.release_ns, o.finish_ns, o.failed)).collect()
+            };
+            let plain = pair_under_faults(runc, kill, false);
+            let memoized = pair_under_faults(runc, kill, true);
+            assert_eq!(outcomes(&plain), outcomes(&memoized), "{what}");
+            assert!(plain.retries > 0, "{what}: the faults must hit traffic");
+            if kill {
+                assert!(plain.failed > 0, "{what}: placements on the dead node must fail");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
-// What the memo is *not* sound for: per-function placement.
+// What the memo is *not* sound for: the Roadrunner plane under
+// per-function placement.
 //
 // The load engine hands every edge its instance's placement, so one
 // deployed edge is keyed (and recorded) once per distinct (src, dst)
 // pair it ever runs under. Two things the real plane's outcome depends
 // on are not in that key. Both tests below assert memo ≡ plain at the
-// `DataPlane` level on the deployment `cluster_load` and fig12–fig14
-// use, and both are red; `memo.rs`'s soundness contract names them.
+// `DataPlane` level on the deployment `benchmark/`'s `cluster_load`
+// memoizes, and both are red; `memo.rs`'s soundness contract names them.
+// The load figures run this plane unmemoized for that reason.
 
 /// The warmed src → relay → sink pipeline the load figures drive: all
 /// three functions deployed on node 0 of a four-node cluster, one
@@ -365,9 +456,9 @@ fn memo_matches_plain_under_the_load_engine() {
 /// with a `payload_len`-byte image frame.
 fn warmed_pipeline(payload_len: usize) -> (roadrunner::RoadrunnerPlane, VirtualClock, Bytes) {
     use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
-    use roadrunner_platform::{execute, FunctionBundle};
+    use roadrunner_platform::FunctionBundle;
 
-    let bed = Arc::new(roadrunner_vkernel::ClusterSpec::homogeneous(4, 4, 8 << 30).build());
+    let bed = Arc::new(ClusterSpec::homogeneous(4, 4, 8 << 30).build());
     let clock = bed.clock().clone();
     let mut plane = RoadrunnerPlane::new(bed, ShimConfig::default().with_load_costs(false));
     for (name, module, handler, acks) in [
