@@ -21,7 +21,8 @@ use roadrunner_baselines::coldstart::{
 };
 use roadrunner_platform::{
     loadgen, parallel_map, AdmissionConfig, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster,
-    Controls, LoadRun, LocalityFirst, PackThenSpill, PlacementPolicy, ScaleAction,
+    Controls, KeepAlive, LoadRun, LocalityFirst, PackThenSpill, PlacementPolicy, ScaleAction,
+    WarmPoolConfig,
 };
 use roadrunner_vkernel::{Nanos, SchedResources, Testbed};
 
@@ -123,6 +124,21 @@ struct Job {
     check_determinism: bool,
 }
 
+/// The cold-admission cell's pool: every miss pays the full fig. 2a cold
+/// start, and an instance once built stays warm for the run. A pooled
+/// instance serves one request at a time, so each concurrent request
+/// builds its own.
+fn keep_forever(cold_ns: Nanos) -> AdmissionConfig {
+    AdmissionConfig::pooled(
+        cold_ns,
+        WarmPoolConfig {
+            restore_ns: None,
+            keep_alive: KeepAlive::FixedTtl { ttl_ns: Nanos::MAX },
+            max_idle_per_slot: usize::MAX,
+        },
+    )
+}
+
 /// One closed-loop run of `users`×`rounds` instances, optionally
 /// autoscaled and optionally charging cold starts.
 fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, job: Job) -> LoadRun {
@@ -140,7 +156,7 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
         think_ns: solo / 4,
         ramp_ns: solo / 4,
         instances: users * rounds,
-        admission: if cold { AdmissionConfig::cold(system.cold_ns) } else { AdmissionConfig::warm() },
+        admission: if cold { keep_forever(system.cold_ns) } else { AdmissionConfig::warm() },
     };
     let mut policy = policy_of(policy_name, solo);
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);

@@ -1,15 +1,15 @@
 //! Fig. 15 (beyond the paper) — warm-pool admission under bursty load.
 //!
-//! Fig. 13's cold-admission section charges the fig. 2a cold start once
-//! per (function, node) and keeps the pair warm forever — the regime
-//! where cold starts *hurt*, bursty ramps separated by idle gaps, never
-//! shows up. This experiment drives exactly that regime: N virtual
-//! users fire a burst, think for a long inter-burst gap (40 uncontended
-//! makespans), and fire again, across four admission policies:
+//! Fig. 13's cold-admission section keeps every instance it builds warm
+//! forever — the regime where cold starts *hurt*, bursty ramps separated
+//! by idle gaps, never shows up. This experiment drives exactly that
+//! regime: N virtual users fire a burst, think for a long inter-burst gap
+//! (40 uncontended makespans), and fire again, across four admission
+//! policies:
 //!
-//! * **`no_pool`** — pooled admission with `KeepAlive::None`: every
-//!   admission misses and instantiates (the pessimistic per-invocation
-//!   cold-start baseline);
+//! * **`no_pool`** — pooled admission with a zero TTL (the
+//!   [`WarmPoolConfig`] default): every admission misses and instantiates
+//!   (the pessimistic per-invocation cold-start baseline);
 //! * **`ttl`** — a fixed keep-alive of half the inter-burst gap: warm
 //!   instances die between bursts, so every burst re-pays the
 //!   snapshot-restore tier (reactive keep-alive, mis-tuned);
@@ -267,7 +267,7 @@ pub fn fig15_json(opts: &Fig15Options) -> String {
         let pool = |policy: &str| cell(policy, system).3.pool.expect("pooled run");
 
         // The no-pool baseline never serves warm; the keep-alive cells do.
-        assert_eq!(pool("no_pool").hits, 0, "{system}: KeepAlive::None must never hit");
+        assert_eq!(pool("no_pool").hits, 0, "{system}: a zero TTL must never hit");
         for warm in ["ttl", "hybrid", "hybrid_prewarm"] {
             assert!(pool(warm).hits > 0, "{system}/{warm}: keep-alive must serve warm");
         }

@@ -197,12 +197,9 @@ impl Shim {
             self.sandbox.charge_user(load_ns);
         }
 
-        let mut limits = self.config.engine_limits;
-        if let Some(pages) = bundle.manifest().memory_limit_pages {
-            limits.max_memory_pages = pages;
-        }
         let state = ShimState::new(WasiCtx::new(self.sandbox.clone()));
-        let instance = Instance::new(module, &self.linker, limits, Box::new(state))?;
+        let instance =
+            Instance::new(module, &self.linker, self.config.engine_limits, Box::new(state))?;
         Ok(LoadedModule::new(module_name, instance, bundle))
     }
 

@@ -34,10 +34,6 @@ pub enum BundleKind {
 /// Manifest metadata carried alongside the payload.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Manifest {
-    /// Linear-memory cap for Wasm functions, in 64 KiB pages.
-    pub memory_limit_pages: Option<u32>,
-    /// Environment variables.
-    pub env: Vec<(String, String)>,
     /// Free-form annotations (workflow, tenant, …), sorted for
     /// deterministic encoding.
     pub annotations: BTreeMap<String, String>,
@@ -85,11 +81,6 @@ impl FunctionBundle {
         &self.manifest
     }
 
-    /// Mutable manifest access.
-    pub fn manifest_mut(&mut self) -> &mut Manifest {
-        &mut self.manifest
-    }
-
     /// Sets the workflow annotation (chainable).
     pub fn with_workflow(mut self, workflow: impl Into<String>) -> Self {
         self.manifest
@@ -101,12 +92,6 @@ impl FunctionBundle {
     /// Sets the tenant annotation (chainable).
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
         self.manifest.annotations.insert(ANNOTATION_TENANT.to_owned(), tenant.into());
-        self
-    }
-
-    /// Sets the memory cap (chainable).
-    pub fn with_memory_limit_pages(mut self, pages: u32) -> Self {
-        self.manifest.memory_limit_pages = Some(pages);
         self
     }
 
@@ -175,13 +160,5 @@ mod tests {
         assert!(!plain.trusts(&annotated));
         assert!(!annotated.trusts(&plain));
         assert!(!plain.trusts(&plain));
-    }
-
-    #[test]
-    fn manifest_mutation() {
-        let mut b = FunctionBundle::wasm("f", vec![]).with_memory_limit_pages(64);
-        assert_eq!(b.manifest().memory_limit_pages, Some(64));
-        b.manifest_mut().env.push(("K".into(), "V".into()));
-        assert_eq!(b.manifest().env.len(), 1);
     }
 }

@@ -94,9 +94,7 @@ pub use overload::{
     BreakerConfig, OverloadConfig, OverloadState, QueueConfig, RetryBudgetConfig, ShedPolicy,
     RETRY_COST_MILLITOKENS,
 };
-pub use scheduler::{
-    LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, RoundRobin, SpreadLoad,
-};
+pub use scheduler::{LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, SpreadLoad};
 pub use memo::MemoizedPlane;
 pub use sweep::{available_workers, parallel_map, sweep, SweepGrid, SweepPoint};
 pub use workflow::{

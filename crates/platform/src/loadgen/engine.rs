@@ -31,7 +31,6 @@ use bytes::Bytes;
 use roadrunner_vkernel::sched::{ResourceView, SchedResources};
 use roadrunner_vkernel::Nanos;
 
-use super::admission::{merge_pool_stats, AdmissionState};
 use super::autoscaler::Autoscaler;
 use super::events::MergedEvents;
 use super::failure::FailurePlan;
@@ -39,6 +38,7 @@ use super::report::{InstanceOutcome, LoadRun, TenantStats};
 use super::{Admission, Cluster, Controls, Load};
 use crate::error::PlatformError;
 use crate::overload::{OverloadConfig, OverloadCtl, OverloadState, QueueConfig, ShedPolicy};
+use crate::warmpool::{AdmissionConfig, Admitted, PoolStats, WarmPool};
 use crate::workflow::{
     run_compiled_at, CompiledWorkflow, Instance, RunOutcome, RunScratch, WorkflowSpec,
 };
@@ -60,17 +60,18 @@ fn closed_arrival(at: Nanos, user: usize) -> Option<(Nanos, LoadEvent)> {
 }
 
 /// One tenant's per-run lane: the compiled spec, the workflow engine's
-/// working vectors (reused by every instance of the lane), its own
-/// admission state (per-tenant warmth never aliases — the paper's
-/// per-tenant trust boundary), and its slice of the bounded admission
-/// queue.
+/// working vectors (reused by every instance of the lane), its own warm
+/// pool under pooled admission (per-tenant warmth never aliases — the
+/// paper's per-tenant trust boundary), and its slice of the bounded
+/// admission queue.
 struct Lane<'a> {
     spec: &'a WorkflowSpec,
     payload: &'a Bytes,
     compiled: CompiledWorkflow<'a>,
     scratch: RunScratch,
     weight: u64,
-    admission_state: AdmissionState,
+    /// `None` admits every instance warm.
+    pool: Option<Box<WarmPool>>,
     /// Queued-but-not-admitted arrivals: `(user, arrival_ns)` in FIFO
     /// order (only populated under an overload queue config).
     queued: VecDeque<(usize, Nanos)>,
@@ -135,7 +136,7 @@ pub(super) struct Engine<'a> {
     admitted: usize,
     lanes: Vec<Lane<'a>>,
     stats: Vec<TenantStats>,
-    /// Whether admission is pooled (the pre-warming precondition).
+    /// Whether the lanes have pools (the pre-warming precondition).
     pooled: bool,
     events: MergedEvents<LoadEvent>,
     /// Scratch snapshot refreshed in place at every observation point:
@@ -163,8 +164,8 @@ impl<'a> Engine<'a> {
                 "a closed loop needs at least one user".into(),
             ));
         }
-        // Each lane owns its admission state, so one tenant's warmth is
-        // invisible to another's.
+        // Each lane owns its pool, so one tenant's warmth is invisible to
+        // another's.
         let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(tenants.len());
         let mut stats: Vec<TenantStats> = Vec::with_capacity(tenants.len());
         for t in &tenants {
@@ -172,7 +173,12 @@ impl<'a> Engine<'a> {
             lanes.push(Lane {
                 spec: t.spec,
                 payload: t.payload,
-                admission_state: AdmissionState::new(admission_cfg, compiled.node_count()),
+                pool: match admission_cfg {
+                    AdmissionConfig::Warm => None,
+                    AdmissionConfig::Pooled { cold_start_ns, pool } => Some(Box::new(
+                        WarmPool::new(*cold_start_ns, pool.clone(), compiled.node_count()),
+                    )),
+                },
                 compiled,
                 scratch: RunScratch::default(),
                 weight: t.weight.max(1),
@@ -206,7 +212,7 @@ impl<'a> Engine<'a> {
             overload_state: OverloadState::new(&controls.overload),
             admission,
             admitted,
-            pooled: lanes.iter().any(|l| matches!(l.admission_state, AdmissionState::Pool(_))),
+            pooled: matches!(admission_cfg, AdmissionConfig::Pooled { .. }),
             lanes,
             stats,
             events: MergedEvents::new(seeded),
@@ -315,8 +321,8 @@ impl<'a> Engine<'a> {
             // removed node must re-pay its cold start if the index is
             // later re-added (a re-added index is a brand-new machine).
             if nodes_now < self.capacity.known_nodes {
-                for lane in &mut self.lanes {
-                    lane.admission_state.shrink_to(nodes_now, now);
+                for pool in self.lanes.iter_mut().filter_map(|l| l.pool.as_deref_mut()) {
+                    pool.shrink_to(nodes_now, now);
                 }
             }
             self.capacity.refresh(self.cluster.resources);
@@ -329,7 +335,7 @@ impl<'a> Engine<'a> {
         if self.pooled {
             let in_flight = self.counters.in_flight;
             if let Some(target) = scaler.prewarm_target(now, in_flight, nodes_now) {
-                for pool in self.lanes.iter_mut().filter_map(|l| l.admission_state.pool_mut()) {
+                for pool in self.lanes.iter_mut().filter_map(|l| l.pool.as_deref_mut()) {
                     pool.ensure_target(now, target, in_flight, self.cluster.resources);
                 }
             }
@@ -411,8 +417,10 @@ impl<'a> Engine<'a> {
         // A completed instance hands its functions back to the pool; a
         // failed or deadline-blown one is torn down where it died, so
         // it returns nothing.
-        if !done.failed && !done.deadline_exceeded {
-            self.lanes[tenant].admission_state.complete(now, &done.assignment);
+        if let Some(pool) = self.lanes[tenant].pool.as_deref_mut() {
+            if !done.failed && !done.deadline_exceeded {
+                pool.complete(now, &done.assignment, self.cluster.resources.node_count());
+            }
         }
         // Closed loop: the freed user thinks, then re-arrives — the
         // arrival is gated on this completion by construction.
@@ -480,8 +488,8 @@ impl<'a> Engine<'a> {
         let Some(victim) = resources.node_index_of(node_id) else { return };
         if resources.node_count() > 1 {
             resources.remove_node(victim, now);
-            for lane in &mut self.lanes {
-                lane.admission_state.remove_node(victim, now);
+            for pool in self.lanes.iter_mut().filter_map(|l| l.pool.as_deref_mut()) {
+                pool.remove_node(victim, now);
             }
             self.capacity.refresh(self.cluster.resources);
         }
@@ -520,11 +528,14 @@ impl<'a> Engine<'a> {
                 lane.compiled.node_count(),
             )));
         }
-        // Charge instantiation: warm-set misses reserve the fig2a-style
-        // full cost on the node's CPU; pool misses pay their tier (full
-        // build or snapshot restore) while hits admit warm. Either way a
-        // charged instance's release is delayed past the work.
-        let admitted = lane.admission_state.admit(start_ns, &assignment, resources);
+        // Charge instantiation: pool misses pay their tier (full build
+        // or snapshot restore) on the node's CPU, delaying the release
+        // past the work, while hits — and every instance of an all-warm
+        // lane — admit at once.
+        let admitted = match lane.pool.as_deref_mut() {
+            Some(pool) => pool.admit(start_ns, &assignment, resources),
+            None => Admitted { release_ns: start_ns, hits: 0, misses: 0 },
+        };
         let release = admitted.release_ns;
         let instance = Instance {
             payload: lane.payload,
@@ -634,11 +645,10 @@ impl<'a> Engine<'a> {
         // instances whose TTL would expire by then count as evictions,
         // the rest stay warm at end (so the idle-residency integral is
         // complete).
-        let pool = self
-            .lanes
-            .into_iter()
-            .filter_map(|lane| lane.admission_state.finalize(last))
-            .reduce(merge_pool_stats);
+        let mut pool: Option<PoolStats> = None;
+        for lane_pool in self.lanes.into_iter().filter_map(|lane| lane.pool) {
+            *pool.get_or_insert_default() += lane_pool.finalize(last);
+        }
         let util = |used: Nanos, lane_ns: u128| {
             if lane_ns == 0 {
                 0.0

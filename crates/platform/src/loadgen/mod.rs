@@ -45,12 +45,10 @@
 //! a work-conserving platform queue.
 //!
 //! Module map: `arrivals` (release-time generators), `failure`
-//! ([`FailurePlan`]), `admission` (per-lane cold-start state),
-//! `autoscaler` (the elastic controller), `events` (the seeded-list +
+//! ([`FailurePlan`]), `autoscaler` (the elastic controller), `events` (the seeded-list +
 //! heap event merge), `engine` (the event loop, one step per event
 //! kind) and `report` ([`LoadRun`] and its percentiles).
 
-mod admission;
 mod arrivals;
 mod autoscaler;
 mod engine;
@@ -262,9 +260,8 @@ pub struct OpenLoop {
     pub arrivals: ArrivalProcess,
     /// Number of instances to admit.
     pub instances: usize,
-    /// How instances are admitted: all-warm, the legacy fig. 2a
-    /// warm-set model, or a warm pool with keep-alive eviction (see
-    /// [`AdmissionConfig`]).
+    /// How instances are admitted: all-warm, or a warm pool with
+    /// keep-alive eviction (see [`AdmissionConfig`]).
     pub admission: AdmissionConfig,
 }
 
@@ -304,9 +301,8 @@ pub struct ClosedLoop {
     pub ramp_ns: Nanos,
     /// Total instances to admit across all users.
     pub instances: usize,
-    /// How instances are admitted: all-warm, the legacy fig. 2a
-    /// warm-set model, or a warm pool with keep-alive eviction (see
-    /// [`AdmissionConfig`]).
+    /// How instances are admitted: all-warm, or a warm pool with
+    /// keep-alive eviction (see [`AdmissionConfig`]).
     pub admission: AdmissionConfig,
 }
 

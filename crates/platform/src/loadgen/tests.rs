@@ -7,8 +7,8 @@ use roadrunner_vkernel::OutageSchedule;
 use super::*;
 use crate::metrics::percentiles;
 use crate::overload::{QueueConfig, ShedPolicy};
-use crate::scheduler::{LocalityFirst, Pinned, RoundRobin, SpreadLoad};
-use crate::warmpool::WarmPoolConfig;
+use crate::scheduler::{LocalityFirst, Pinned, SpreadLoad};
+use crate::warmpool::{KeepAlive, WarmPoolConfig};
 use crate::workflow::{execute_concurrent_at, RetryPolicy, TransferTiming};
 
 /// A plane charging fixed phase costs, payload-independent, so
@@ -112,10 +112,19 @@ impl PlacementPolicy for Rotating {
         self.next += 1;
         (0..self.len).map(|i| (self.next + i) % view.node_count()).collect()
     }
+}
 
-    fn reset(&mut self) {
-        self.next = 0;
-    }
+/// Pooled admission whose idle instances never expire and never
+/// overflow their slot: each instance built stays warm for the run.
+fn keep_forever(cold_ns: Nanos) -> AdmissionConfig {
+    AdmissionConfig::pooled(
+        cold_ns,
+        WarmPoolConfig {
+            restore_ns: None,
+            keep_alive: KeepAlive::FixedTtl { ttl_ns: Nanos::MAX },
+            max_idle_per_slot: usize::MAX,
+        },
+    )
 }
 
 #[test]
@@ -368,7 +377,7 @@ fn closed_loop_with_fewer_instances_than_users() {
 #[test]
 fn cold_start_charged_once_per_function_and_node() {
     let mut load = open(pipeline_spec(), 1_000_000, 3);
-    load.admission = AdmissionConfig::cold(50_000);
+    load.admission = keep_forever(50_000);
     let mut res = SchedResources::new(2, 4);
     let mut policy = LocalityFirst::new();
     let run = run_fixed(&load, &mut res, &mut policy, Controls::default()).unwrap();
@@ -386,11 +395,12 @@ fn cold_start_charged_once_per_function_and_node() {
 #[test]
 fn cold_start_repaid_on_every_new_node() {
     let mut load = closed(1, 0, 4);
-    load.admission = AdmissionConfig::cold(10_000);
+    load.admission = keep_forever(10_000);
     let mut res = SchedResources::new(4, 4);
-    let mut policy = RoundRobin::new();
+    let mut policy = Rotating { len: 2, next: 0 };
     let run = run_fixed(&load, &mut res, &mut policy, Controls::default()).unwrap();
-    // Round-robin moves every instance to a fresh node: each pays.
+    // Each instance moves every function to a node it never ran on:
+    // each pays.
     assert_eq!(run.cold_starts(), 4);
     assert!(run.outcomes.iter().all(|o| o.cold_start_ns == 10_000));
 }
@@ -438,9 +448,10 @@ fn cold_start_repaid_when_a_scaled_in_node_returns() {
     // starts), the cluster drains and the controller scales in to
     // one node, then the next burst scales back out — the re-added
     // node is a brand-new machine and must charge its cold starts
-    // again, not inherit the removed node's warm set.
+    // again, not inherit the removed node's idle instances — even the
+    // ones an instance completing at the scale-in instant hands back.
     let mut load = closed(2, 6_000, 4);
-    load.admission = AdmissionConfig::cold(1_000);
+    load.admission = keep_forever(1_000);
     let mut res = SchedResources::heterogeneous(&[1, 1]);
     let mut policy = LocalityFirst::new();
     let mut scaler = Autoscaler::new(AutoscalerConfig {
@@ -469,6 +480,32 @@ fn cold_start_repaid_when_a_scaled_in_node_returns() {
         run.outcomes[3].cold_start_ns, 2_000,
         "a re-added node is a fresh machine and must re-pay cold starts"
     );
+}
+
+/// A keep-forever pool caps every slot at `usize::MAX`, so pre-warming's
+/// room left across two nodes must saturate instead of overflowing.
+#[test]
+fn prewarming_a_keep_forever_pool_on_two_nodes_is_conserved() {
+    let mut load = closed(4, 0, 16);
+    load.admission = keep_forever(1_000);
+    let mut res = SchedResources::new(2, 4);
+    let mut policy = LocalityFirst::new();
+    let mut scaler = Autoscaler::new(AutoscalerConfig {
+        min_nodes: 2,
+        max_nodes: 2,
+        node_cores: 4,
+        scale_up_backlog_ns: Nanos::MAX,
+        scale_down_backlog_ns: 0,
+        window_ns: 1_000,
+    })
+    .with_prewarm(PrewarmConfig { headroom: 2.0, lead_ns: 1_500, window_ns: 1_500 });
+    let run = run_fixed(&load, &mut res, &mut policy, scaled(&mut scaler)).unwrap();
+    assert_eq!(run.completed(), 16);
+    assert_eq!(run.arrivals, run.completed() + run.failed + run.deadline_exceeded + run.shed);
+    let pool = run.pool.expect("pooled run");
+    assert!(pool.prewarms > 0, "the prewarm path ran");
+    assert_eq!(pool.hits + pool.misses, 2 * 16, "every function admission is a hit or a miss");
+    assert_eq!(pool.returns + pool.prewarms, pool.hits + pool.evictions + pool.warm_at_end);
 }
 
 #[test]
@@ -910,9 +947,9 @@ fn degenerate_loads_err_or_report_cleanly() {
 }
 
 /// ROADMAP 5(a): an instance released one tick before the end of virtual
-/// time. Its cold start (`start + cost` in the pool, and in the warm set)
-/// and its edge's phases (`granted_start + phase_ns` in the workflow run)
-/// all end past `Nanos::MAX`; they saturate there instead of overflowing.
+/// time. Its cold start (`start + cost` in the pool) and its edge's
+/// phases (`granted_start + phase_ns` in the workflow run) all end past
+/// `Nanos::MAX`; they saturate there instead of overflowing.
 #[test]
 fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
     let late = |admission| MultiLoad {
@@ -925,11 +962,9 @@ fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
         }],
         admission,
     };
-    for admission in [
-        AdmissionConfig::pooled(50_000, WarmPoolConfig::default()),
-        AdmissionConfig::cold(50_000),
-        AdmissionConfig::warm(),
-    ] {
+    for admission in
+        [AdmissionConfig::pooled(50_000, WarmPoolConfig::default()), AdmissionConfig::warm()]
+    {
         let run = run_fixed(
             &late(admission.clone()),
             &mut SchedResources::new(2, 4),

@@ -67,10 +67,10 @@
 //! parses afresh — so neither condition above can fail;
 //! `tests/memo_properties.rs` checks them under link flaps and a node
 //! kill. Sound for [`RoadrunnerPlane`] only under **whole-instance
-//! placement** (`LocalityFirst`, `PackThenSpill`, `RoundRobin`, `Pinned`
-//! to one node) with no instance aborted between its edges: its relay
-//! outbox and lazily established TCP connections carry state from one
-//! edge to the next. The load figures (fig12–fig16) therefore wrap only
+//! placement** (`LocalityFirst`, `PackThenSpill`, `Pinned` to one node)
+//! with no instance aborted between its edges: its relay outbox and
+//! lazily established TCP connections carry state from one edge to the
+//! next. The load figures (fig12–fig16) therefore wrap only
 //! the pairs and run the Roadrunner plane for real. While they wrapped it
 //! too, fig12's `spread` rows, fig14's `link_flap` / `kill_fixed` rows and
 //! every fig16 cell (link flaps and deadlines abort instances between

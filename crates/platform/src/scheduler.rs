@@ -20,7 +20,6 @@
 //! * [`PackThenSpill`] packs onto one node until its backlog exceeds a
 //!   threshold, then spills to the next — the locality/spread hybrid the
 //!   elastic experiments sweep;
-//! * [`RoundRobin`] rotates whole instances over the nodes, load-blind;
 //! * [`Pinned`] puts each function where a fixed map says.
 //!
 //! **The overload-steering seam.** The `ResourceView` snapshot is also
@@ -42,37 +41,6 @@ use std::collections::HashMap;
 use roadrunner_vkernel::sched::ResourceView;
 
 use crate::workflow::WorkflowSpec;
-
-/// Packs the whole k-th instance onto node `k mod n` — load-blind by
-/// design, the control baseline the backlog-aware policies are measured
-/// against.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl RoundRobin {
-    /// Creates a policy starting at node 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
-        let idx = self.next;
-        self.next = idx.wrapping_add(1);
-        vec![idx % view.node_count(); spec.dag.node_count()]
-    }
-
-    fn reset(&mut self) {
-        self.next = 0;
-    }
-}
 
 /// Explicit placements with a default node for unlisted functions —
 /// what the experiments use to pin function `a` to the edge node and
@@ -114,8 +82,6 @@ impl PlacementPolicy for Pinned {
             .map(|f| self.map.get(f).copied().unwrap_or(self.default).min(last))
             .collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Assigns every function of a workflow instance to a cluster node,
@@ -143,9 +109,6 @@ pub trait PlacementPolicy: Send {
     /// Chooses a node for every function of `spec`, observing the live
     /// cluster state in `view`.
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize>;
-
-    /// Forgets any internal cursor state (between benchmark cells).
-    fn reset(&mut self);
 }
 
 /// Orders nodes `a` and `b` by core-normalized backlog (`backlog/cores`
@@ -188,8 +151,6 @@ impl PlacementPolicy for LocalityFirst {
     fn place(&mut self, spec: &WorkflowSpec, view: &ResourceView) -> Vec<usize> {
         vec![least_backlogged(view); spec.dag.node_count()]
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Spreads the functions of every instance across the cluster: nodes are
@@ -217,8 +178,6 @@ impl PlacementPolicy for SpreadLoad {
         order.sort_by(|&a, &b| backlog_order(view, a, b).then(a.cmp(&b)));
         (0..spec.dag.node_count()).map(|i| order[i % order.len()]).collect()
     }
-
-    fn reset(&mut self) {}
 }
 
 /// The paper-style locality/spread hybrid: keep **packing** the busiest
@@ -265,8 +224,6 @@ impl PlacementPolicy for PackThenSpill {
             .unwrap_or_else(|| least_backlogged(view));
         vec![node; spec.dag.node_count()]
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -358,35 +315,6 @@ mod tests {
         // Ties under the threshold break to the lowest index.
         assert_eq!(policy.place(&chain("d"), &view_of(&[300, 300, 0])), vec![0, 0, 0]);
         assert_eq!(policy.spill_backlog_ns(), 1_000);
-    }
-
-    #[test]
-    fn round_robin_instances_rotate_over_the_active_set() {
-        let mut policy = RoundRobin::new();
-        let view = view_of(&[0, 0, 0]);
-        assert_eq!(policy.place(&chain("a"), &view), vec![0; 3]);
-        assert_eq!(policy.place(&chain("b"), &view), vec![1; 3]);
-        assert_eq!(policy.place(&chain("c"), &view), vec![2; 3]);
-        assert_eq!(policy.place(&chain("d"), &view), vec![0; 3]);
-        policy.reset();
-        assert_eq!(policy.place(&chain("e"), &view), vec![0; 3]);
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        // Wraps at the view's node count, whatever the workflow's width.
-        let mut policy = RoundRobin::new();
-        let view = view_of(&[0, 0]);
-        let firsts: Vec<usize> = (0..3).map(|_| policy.place(&chain("a"), &view)[0]).collect();
-        assert_eq!(firsts, [0, 1, 0]);
-    }
-
-    #[test]
-    fn round_robin_survives_single_node() {
-        let mut policy = RoundRobin::new();
-        let view = view_of(&[0]);
-        assert_eq!(policy.place(&chain("a"), &view), vec![0; 3]);
-        assert_eq!(policy.place(&chain("b"), &view), vec![0; 3]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Deterministic per-(function, node) warm-instance pools.
 //!
-//! The fig. 2a cold-start model charges a flat instantiation cost the
-//! first time a function lands on a node and keeps the pair warm forever
-//! — optimistic in steady state and silent about the regime where cold
-//! starts actually hurt: bursty ramps, where every arrival in the burst
-//! front pays full instantiation exactly when p99 matters. This module
-//! is the warm-instance management layer the FaaS keep-alive literature
-//! builds (FunLess' warm/cold scheduling, Shahrad et al.'s hybrid
-//! histogram policy, Faasta's snapshot restore):
+//! A platform admits work per instance: an instance serves one request at
+//! a time, and a burst needs as many instances as it has concurrent
+//! requests. Cold starts therefore hurt in bursty ramps, where every
+//! arrival in the burst front pays full instantiation exactly when p99
+//! matters. This module is the warm-instance management layer the FaaS
+//! keep-alive literature builds (FunLess' warm/cold scheduling, Shahrad
+//! et al.'s hybrid histogram policy, Faasta's snapshot restore):
 //!
 //! * a [`WarmPool`] holds idle instances per (function, node) slot in
 //!   **virtual time**; admission takes the most-recently-idle usable
@@ -34,62 +33,46 @@
 //! same hit/miss/eviction sequence.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::AddAssign;
 
 use roadrunner_vkernel::sched::SchedResources;
 use roadrunner_vkernel::Nanos;
 
-/// How the load engine admits instances: the optional fig. 2a cold-start
-/// cost and the optional warm pool managing it.
-///
-/// This is the one admission knob [`OpenLoop`](crate::OpenLoop) and
-/// [`ClosedLoop`](crate::ClosedLoop) share (it used to be a
-/// `cold_start_ns` field copy-pasted across both):
+/// How the load engine admits instances, shared by
+/// [`OpenLoop`](crate::OpenLoop), [`ClosedLoop`](crate::ClosedLoop) and
+/// [`MultiLoad`](crate::MultiLoad):
 ///
 /// * [`AdmissionConfig::warm`] — every instance admits warm (no cold
 ///   starts at all);
-/// * [`AdmissionConfig::cold`] — the legacy warm-*set* model: each
-///   (function, node) pair pays the flat cost on its first landing and
-///   stays warm for the rest of the run;
-/// * [`AdmissionConfig::pooled`] — the full warm-pool model of this
-///   module: per-instance hits and misses, cost tiers, keep-alive
-///   eviction and (with a prewarm-configured autoscaler) predictive
-///   pre-warming.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionConfig {
-    /// Full cold-start (decode + instantiate) cost charged on the
-    /// node's CPU timeline when an instance must be built; `None`
-    /// admits everything warm (and disables the pool — a pool of
-    /// zero-cost instances would be indistinguishable from warm
-    /// admission).
-    pub cold_start_ns: Option<Nanos>,
-    /// Warm-pool configuration; `None` keeps the legacy warm-set model.
-    pub pool: Option<WarmPoolConfig>,
+/// * [`AdmissionConfig::pooled`] — the warm-pool model of this module:
+///   per-instance hits and misses, cost tiers, keep-alive eviction and
+///   (with a prewarm-configured autoscaler) predictive pre-warming.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum AdmissionConfig {
+    /// Every instance admits at its arrival instant.
+    #[default]
+    Warm,
+    /// Each lane owns a [`WarmPool`] over these parameters.
+    Pooled {
+        /// Full cold-start (decode + instantiate) cost charged on the
+        /// node's CPU timeline when an instance must be built.
+        cold_start_ns: Nanos,
+        /// The pool's restore tier, keep-alive and slot cap.
+        pool: WarmPoolConfig,
+    },
 }
 
 impl AdmissionConfig {
     /// Every instance admits warm — no cold-start accounting at all.
     pub fn warm() -> Self {
-        Self { cold_start_ns: None, pool: None }
-    }
-
-    /// The legacy fig. 2a warm-set model: each (function, node) pair
-    /// pays `cold_start_ns` once, on its first landing, and stays warm
-    /// for the rest of the run.
-    pub fn cold(cold_start_ns: Nanos) -> Self {
-        Self { cold_start_ns: Some(cold_start_ns), pool: None }
+        Self::Warm
     }
 
     /// Warm-pool admission: misses pay `cold_start_ns` (or the pool's
     /// snapshot-restore tier once a snapshot exists), hits admit free,
     /// and `pool`'s keep-alive policy evicts idle instances.
     pub fn pooled(cold_start_ns: Nanos, pool: WarmPoolConfig) -> Self {
-        Self { cold_start_ns: Some(cold_start_ns), pool: Some(pool) }
-    }
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self::warm()
+        Self::Pooled { cold_start_ns, pool }
     }
 }
 
@@ -112,7 +95,11 @@ pub struct WarmPoolConfig {
 
 impl Default for WarmPoolConfig {
     fn default() -> Self {
-        Self { restore_ns: None, keep_alive: KeepAlive::None, max_idle_per_slot: 8 }
+        Self {
+            restore_ns: None,
+            keep_alive: KeepAlive::FixedTtl { ttl_ns: 0 },
+            max_idle_per_slot: 8,
+        }
     }
 }
 
@@ -123,11 +110,9 @@ impl Default for WarmPoolConfig {
 /// slot, with idle time credited up to the virtual deadline `s + ttl`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepAlive {
-    /// TTL 0: nothing is ever kept warm — every admission is a miss.
-    /// This is the "no pool" baseline expressed inside the pool model
-    /// (and must behave field-for-field like `FixedTtl { ttl_ns: 0 }`).
-    None,
-    /// Every function's idle instances live exactly `ttl_ns`.
+    /// Every function's idle instances live exactly `ttl_ns`. TTL 0 (the
+    /// [`WarmPoolConfig::default`]) keeps nothing warm — every admission
+    /// misses, the "no pool" baseline expressed inside the pool model.
     FixedTtl {
         /// The fixed idle lifetime.
         ttl_ns: Nanos,
@@ -172,6 +157,21 @@ pub struct PoolStats {
     pub idle_ns: u128,
     /// Instances still warm when the run ended.
     pub warm_at_end: u64,
+}
+
+/// Lane pools merge into the run-level total by summation.
+impl AddAssign for PoolStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.restores += other.restores;
+        self.returns += other.returns;
+        self.evictions += other.evictions;
+        self.prewarms += other.prewarms;
+        self.prewarm_ns += other.prewarm_ns;
+        self.idle_ns += other.idle_ns;
+        self.warm_at_end += other.warm_at_end;
+    }
 }
 
 /// What one admission cost: the instance's release time and its
@@ -271,7 +271,6 @@ impl WarmPool {
     /// The current TTL of `function`'s idle instances.
     pub fn ttl_ns(&self, function: usize) -> Nanos {
         match self.cfg.keep_alive {
-            KeepAlive::None => 0,
             KeepAlive::FixedTtl { ttl_ns } => ttl_ns,
             KeepAlive::Hybrid { min_ttl_ns, max_ttl_ns } => {
                 self.hists[function].ttl(min_ttl_ns, max_ttl_ns)
@@ -338,10 +337,12 @@ impl WarmPool {
     }
 
     /// Returns a completed instance's functions to their slots at
-    /// `finish`, evicting past the per-slot idle cap.
-    pub fn complete(&mut self, finish: Nanos, assignment: &[usize]) {
+    /// `finish`, evicting past the per-slot idle cap. A function placed
+    /// at or above `nodes`, the live node count, ran on a machine scaled
+    /// in since: it dies with it.
+    pub fn complete(&mut self, finish: Nanos, assignment: &[usize], nodes: usize) {
         let cap = self.cfg.max_idle_per_slot.max(1);
-        for (fi, &node) in assignment.iter().enumerate() {
+        for (fi, &node) in assignment.iter().enumerate().filter(|&(_, &node)| node < nodes) {
             let ttl = self.ttl_ns(fi);
             let slot = self.slots.entry((fi, node)).or_default();
             expire_slot(slot, finish, ttl, &mut self.stats);
@@ -389,12 +390,11 @@ impl WarmPool {
             // `max_idle_per_slot` bounds staffing the same way it bounds
             // returns: an over-eager target cannot flood the cluster with
             // more background instantiation than the pool could retain.
-            let capacity: usize = (0..nodes)
-                .map(|node| {
-                    let held = self.slots.get(&(fi, node)).map_or(0, Vec::len);
-                    self.cfg.max_idle_per_slot.saturating_sub(held)
-                })
-                .sum();
+            // Saturating: a keep-forever pool caps slots at `usize::MAX`.
+            let capacity = (0..nodes).fold(0usize, |total, node| {
+                let held = self.slots.get(&(fi, node)).map_or(0, Vec::len);
+                total.saturating_add(self.cfg.max_idle_per_slot.saturating_sub(held))
+            });
             for _ in 0..target.saturating_sub(have).min(capacity) {
                 let mut node = self.prewarm_cursor % nodes;
                 self.prewarm_cursor += 1;
@@ -535,18 +535,14 @@ mod tests {
 
     #[test]
     fn first_miss_pays_full_then_restores_from_snapshot() {
-        let cfg = WarmPoolConfig {
-            restore_ns: Some(50),
-            keep_alive: KeepAlive::None,
-            ..WarmPoolConfig::default()
-        };
+        let cfg = WarmPoolConfig { restore_ns: Some(50), ..WarmPoolConfig::default() };
         let mut pool = WarmPool::new(1_000, cfg, 1);
         let mut r = res(1);
         let a = pool.admit(0, &[0], &mut r);
         assert_eq!((a.hits, a.misses), (0, 1));
         assert_eq!(a.release_ns, 1_000, "first build pays the full tier");
-        // KeepAlive::None: nothing returns usable, but the snapshot
-        // persists — the second miss restores.
+        // TTL 0: nothing returns usable, but the snapshot persists —
+        // the second miss restores.
         let b = pool.admit(10_000, &[0], &mut r);
         assert_eq!(b.misses, 1);
         assert_eq!(b.release_ns, 10_050, "second build restores from snapshot");
@@ -555,23 +551,23 @@ mod tests {
 
     #[test]
     fn ttl_zero_never_hits_and_none_matches_fixed_ttl_zero() {
-        for keep in [KeepAlive::None, KeepAlive::FixedTtl { ttl_ns: 0 }] {
-            let cfg = WarmPoolConfig { keep_alive: keep, ..WarmPoolConfig::default() };
-            let mut pool = WarmPool::new(100, cfg, 1);
-            let mut r = res(1);
-            for k in 0..4u64 {
-                let at = k * 10_000;
-                let adm = pool.admit(at, &[0], &mut r);
-                assert_eq!(adm.hits, 0, "{keep:?}: ttl 0 never serves warm");
-                pool.complete(at + 500, &[0]);
-            }
-            let stats = pool.finalize(100_000);
-            assert_eq!(stats.misses, 4);
-            assert_eq!(stats.returns, 4);
-            assert_eq!(stats.evictions, 4, "every returned instance dies");
-            assert_eq!(stats.warm_at_end, 0);
-            assert_eq!(stats.idle_ns, 0, "ttl 0 accrues no idle residency");
+        // The default ("no pool") keep-alive is a fixed TTL of zero.
+        let cfg = WarmPoolConfig::default();
+        assert_eq!(cfg.keep_alive, KeepAlive::FixedTtl { ttl_ns: 0 });
+        let mut pool = WarmPool::new(100, cfg, 1);
+        let mut r = res(1);
+        for k in 0..4u64 {
+            let at = k * 10_000;
+            let adm = pool.admit(at, &[0], &mut r);
+            assert_eq!(adm.hits, 0, "ttl 0 never serves warm");
+            pool.complete(at + 500, &[0], 3);
         }
+        let stats = pool.finalize(100_000);
+        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.returns, 4);
+        assert_eq!(stats.evictions, 4, "every returned instance dies");
+        assert_eq!(stats.warm_at_end, 0);
+        assert_eq!(stats.idle_ns, 0, "ttl 0 accrues no idle residency");
     }
 
     #[test]
@@ -583,12 +579,12 @@ mod tests {
         let mut pool = WarmPool::new(100, cfg, 1);
         let mut r = res(1);
         pool.admit(0, &[0], &mut r);
-        pool.complete(200, &[0]);
+        pool.complete(200, &[0], 3);
         // 600 ns idle < ttl: hit, free, instant release.
         let hit = pool.admit(800, &[0], &mut r);
         assert_eq!((hit.hits, hit.misses), (1, 0));
         assert_eq!(hit.release_ns, 800);
-        pool.complete(900, &[0]);
+        pool.complete(900, &[0], 3);
         // 1 900 ns later: expired — miss, eviction recorded.
         let miss = pool.admit(2_800, &[0], &mut r);
         assert_eq!((miss.hits, miss.misses), (0, 1));
@@ -607,7 +603,7 @@ mod tests {
         let mut at = 0;
         for _ in 0..20 {
             pool.admit(at, &[0], &mut r);
-            pool.complete(at + 100, &[0]);
+            pool.complete(at + 100, &[0], 3);
             at += 1_100; // reuse gap: 1 000 ns
         }
         let ttl = pool.ttl_ns(0);
@@ -625,9 +621,9 @@ mod tests {
         };
         let mut pool = WarmPool::new(100, cfg, 1);
         // Three returns into a cap-2 slot: the first (oldest) goes.
-        pool.complete(10, &[0]);
-        pool.complete(20, &[0]);
-        pool.complete(30, &[0]);
+        pool.complete(10, &[0], 3);
+        pool.complete(20, &[0], 3);
+        pool.complete(30, &[0], 3);
         let stats = pool.stats();
         assert_eq!(stats.returns, 3);
         assert_eq!(stats.evictions, 1);
@@ -663,7 +659,7 @@ mod tests {
         };
         let mut pool = WarmPool::new(100, cfg, 1);
         let mut r = res(1);
-        pool.complete(0, &[0]); // one idle instance
+        pool.complete(0, &[0], 3); // one idle instance
         pool.ensure_target(10, 4, 2, &mut r); // 1 idle + 2 busy: need 1
         assert_eq!(pool.stats().prewarms, 1);
         pool.ensure_target(11, 4, 2, &mut r); // satisfied: no-op
@@ -681,9 +677,9 @@ mod tests {
         let mut r = res(3);
         // Warm one instance on each of nodes 1 and 2.
         pool.admit(0, &[1], &mut r);
-        pool.complete(10, &[1]);
+        pool.complete(10, &[1], 3);
         pool.admit(0, &[2], &mut r);
-        pool.complete(10, &[2]);
+        pool.complete(10, &[2], 3);
         pool.remove_node(1, 20);
         let stats = pool.stats();
         assert_eq!(stats.evictions, 1, "node 1's idle instance died with it");
@@ -713,7 +709,7 @@ mod tests {
             let assignment = [(k % 2) as usize, ((k + 1) % 2) as usize];
             pool.admit(at, &assignment, &mut r);
             admissions += 2;
-            pool.complete(at + 100, &assignment);
+            pool.complete(at + 100, &assignment, 3);
         }
         let stats = pool.finalize(60_000);
         assert_eq!(stats.hits + stats.misses, admissions);

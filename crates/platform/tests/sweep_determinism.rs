@@ -19,8 +19,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
     loadgen, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, LoadRun,
-    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, RoundRobin, SpreadLoad,
-    SweepGrid, SweepPoint, TransferTiming, WorkflowDag, WorkflowSpec,
+    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, SpreadLoad, SweepGrid,
+    SweepPoint, TransferTiming, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_vkernel::{SchedResources, VirtualClock};
 
@@ -107,13 +107,12 @@ impl DataPlane for KeyedPlane {
     }
 }
 
-const POLICIES: [&str; 4] = ["locality", "spread", "round_robin", "pack_spill"];
+const POLICIES: [&str; 3] = ["locality", "spread", "pack_spill"];
 
 fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
     match name {
         "locality" => Box::new(LocalityFirst::new()),
         "spread" => Box::new(SpreadLoad::new()),
-        "round_robin" => Box::new(RoundRobin::new()),
         _ => Box::new(PackThenSpill::new(5_000)),
     }
 }

@@ -1,7 +1,5 @@
 //! Property-based tests for warm-pool admission: instance-lifecycle
-//! conservation, run determinism, and the policy identities the pool
-//! model promises (`KeepAlive::None` ≡ `FixedTtl { ttl_ns: 0 }`;
-//! all-warm admission ignores any attached pool config).
+//! conservation and run determinism.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -74,7 +72,8 @@ proptest! {
     /// Every function admission is either a hit or a miss, the run's
     /// aggregate pool counters agree with the per-instance tallies, and
     /// idle instances are conserved: everything returned or pre-warmed
-    /// is eventually reused, evicted, or still warm at the end.
+    /// is eventually reused, evicted, or still warm at the end. TTL 0
+    /// never serves warm.
     #[test]
     fn pool_lifecycle_is_conserved(
         users in 1usize..5,
@@ -112,6 +111,9 @@ proptest! {
             pool.hits + pool.evictions + pool.warm_at_end,
             "idle instances are conserved: created = reused + evicted + remaining"
         );
+        if ttl_ns == 0 {
+            prop_assert_eq!(pool.hits, 0, "TTL 0 never serves warm");
+        }
         // A hit admits for free; only misses can charge cold-start time.
         for o in &run.outcomes {
             if o.pool_misses == 0 {
@@ -142,66 +144,5 @@ proptest! {
         prop_assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
         prop_assert_eq!(a.pool, b.pool);
         prop_assert_eq!(a.horizon_ns, b.horizon_ns);
-    }
-
-    /// `KeepAlive::None` is the no-pool baseline *expressed inside the
-    /// pool model*: it must behave field-for-field like a fixed TTL of
-    /// zero — same outcomes, same pool counters.
-    #[test]
-    fn keepalive_none_is_zero_ttl_field_for_field(
-        users in 1usize..5,
-        rounds in 1usize..4,
-        think_ns in 0u64..30_000,
-        edge_ns in 1u64..4_000,
-        cold_ns in 1u64..80_000,
-        restore in (any::<bool>(), 1u64..8_000).prop_map(|(s, v)| s.then_some(v)),
-        nodes in 1usize..4,
-    ) {
-        let pool_of = |keep_alive| WarmPoolConfig {
-            restore_ns: restore,
-            keep_alive,
-            ..WarmPoolConfig::default()
-        };
-        let none = run_closed(
-            AdmissionConfig::pooled(cold_ns, pool_of(KeepAlive::None)),
-            users, rounds, think_ns, edge_ns, nodes, 2,
-        );
-        let zero = run_closed(
-            AdmissionConfig::pooled(cold_ns, pool_of(KeepAlive::FixedTtl { ttl_ns: 0 })),
-            users, rounds, think_ns, edge_ns, nodes, 2,
-        );
-        prop_assert_eq!(format!("{:?}", none.outcomes), format!("{:?}", zero.outcomes));
-        prop_assert_eq!(none.pool, zero.pool);
-        let stats = none.pool.expect("pooled run");
-        prop_assert_eq!(stats.hits, 0, "TTL 0 never serves warm");
-    }
-
-    /// All-warm admission ignores any attached pool config: with no
-    /// cold-start cost there is nothing to pool, and the run must be
-    /// identical to the plain `AdmissionConfig::warm()` run.
-    #[test]
-    fn warm_admission_ignores_pool_config(
-        users in 1usize..5,
-        rounds in 1usize..4,
-        think_ns in 0u64..30_000,
-        edge_ns in 1u64..4_000,
-    ) {
-        let plain = run_closed(
-            AdmissionConfig::warm(), users, rounds, think_ns, edge_ns, 2, 2,
-        );
-        let with_pool = run_closed(
-            AdmissionConfig { cold_start_ns: None, pool: Some(WarmPoolConfig::default()) },
-            users, rounds, think_ns, edge_ns, 2, 2,
-        );
-        prop_assert_eq!(
-            format!("{:?}", plain.outcomes),
-            format!("{:?}", with_pool.outcomes)
-        );
-        prop_assert!(with_pool.pool.is_none(), "all-warm runs report no pool stats");
-        for o in &plain.outcomes {
-            prop_assert_eq!(o.cold_start_ns, 0);
-            prop_assert_eq!(o.pool_hits, 0);
-            prop_assert_eq!(o.pool_misses, 0);
-        }
     }
 }

@@ -129,28 +129,6 @@ impl ClusterSpec {
         spec
     }
 
-    /// An edge–cloud continuum: `edge` paper-shaped edge VMs plus `cloud`
-    /// larger cloud nodes (8 cores, 16 GB). Links within a tier are
-    /// [`LinkSpec::lan`]; links crossing the tiers keep the default WAN.
-    pub fn edge_cloud(edge: usize, cloud: usize) -> Self {
-        let mut spec = Self::new();
-        for _ in 0..edge {
-            spec.nodes.push(NodeSpec::paper_vm());
-        }
-        for _ in 0..cloud {
-            spec.nodes.push(NodeSpec::new(8, 16 << 30));
-        }
-        let n = edge + cloud;
-        for a in 0..n {
-            for b in a + 1..n {
-                if (a < edge) == (b < edge) {
-                    spec.overrides.insert((a, b), LinkSpec::lan());
-                }
-            }
-        }
-        spec
-    }
-
     /// Appends a node (chainable).
     pub fn node(mut self, node: NodeSpec) -> Self {
         self.nodes.push(node);
@@ -301,20 +279,6 @@ mod tests {
     fn same_node_resolves_to_loopback() {
         let bed = ClusterSpec::homogeneous(2, 4, 1 << 30).build();
         assert_eq!(bed.link_between(1, 1).name(), "lo-1");
-    }
-
-    #[test]
-    fn edge_cloud_uses_lan_within_tiers_and_wan_across() {
-        let bed = ClusterSpec::edge_cloud(2, 2).build();
-        assert_eq!(bed.nodes().len(), 4);
-        assert_eq!(bed.node(0).cores(), 4);
-        assert_eq!(bed.node(2).cores(), 8);
-        let lan = LinkSpec::lan().bandwidth_bps;
-        let wan = CostModel::paper_testbed().net_bandwidth_bps;
-        assert_eq!(bed.link_between(0, 1).bandwidth_bps(), lan); // edge-edge
-        assert_eq!(bed.link_between(2, 3).bandwidth_bps(), lan); // cloud-cloud
-        assert_eq!(bed.link_between(0, 2).bandwidth_bps(), wan); // cross-tier
-        assert_eq!(bed.link_between(1, 3).bandwidth_bps(), wan);
     }
 
     #[test]

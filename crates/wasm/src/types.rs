@@ -117,11 +117,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The `i32` payload interpreted as an unsigned linear-memory address.
-    pub fn as_addr(&self) -> Option<u32> {
-        self.as_i32().map(|v| v as u32)
-    }
 }
 
 impl fmt::Display for Value {
@@ -235,11 +230,6 @@ impl Limits {
     pub fn new(min: u32, max: Option<u32>) -> Self {
         Self { min, max }
     }
-
-    /// Whether `pages` satisfies these limits.
-    pub fn allows(&self, pages: u32) -> bool {
-        pages >= self.min && self.max.is_none_or(|m| pages <= m)
-    }
 }
 
 #[cfg(test)]
@@ -265,11 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn address_interpretation_is_unsigned() {
-        assert_eq!(Value::I32(-1).as_addr(), Some(u32::MAX));
-    }
-
-    #[test]
     fn zero_values() {
         assert_eq!(Value::zero(ValType::I32), Value::I32(0));
         assert_eq!(Value::zero(ValType::F64), Value::F64(0.0));
@@ -279,16 +264,5 @@ mod tests {
     fn functype_display() {
         let sig = FuncType::new([ValType::I32, ValType::I64], [ValType::F64]);
         assert_eq!(sig.to_string(), "(i32, i64) -> (f64)");
-    }
-
-    #[test]
-    fn limits_allow() {
-        let l = Limits::new(1, Some(4));
-        assert!(!l.allows(0));
-        assert!(l.allows(1));
-        assert!(l.allows(4));
-        assert!(!l.allows(5));
-        let unbounded = Limits::new(2, None);
-        assert!(unbounded.allows(1_000_000));
     }
 }

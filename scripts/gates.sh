@@ -18,12 +18,13 @@
 #   reference:headline, reference:fig{6,8,9,10}
 #                         the paper's own figures, --quick output (fig6
 #                         takes no flag) == crates/bench/reference/*.txt
-#   count:panics:core     lines with `unwrap()` / `expect(` / `panic!` /
-#                         `unreachable!` above each file's `#[cfg(test)]`
-#                         under crates/core/src stay at or below the pin
-#                         (ROADMAP 5(e): the pin only ever falls)
+#   count:panics:core     lines with `unwrap()` / `.expect(` / `panic!` /
+#                         `unreachable!` above each file's first test item
+#                         under crates/core/src, test-only child modules
+#                         excluded, stay at or below the pin (ROADMAP 5(e):
+#                         the pin only ever falls)
 #   count:panics:*        the same count under crates/{serial,baselines,
-#                         http,wasi,vkernel,platform}/src
+#                         http,wasi,vkernel,platform,wasm}/src
 #
 # Worker-count independence (one worker == four) is not a gate here:
 # crates/bench/tests/sweep_golden.rs checks it for fig12-fig16 in tier-1.
@@ -102,11 +103,36 @@ for n in fig11 fig12 fig13 fig14 fig15 fig16; do
 done
 
 # panic_sites CRATE: non-test lines of crates/CRATE/src that can panic
-# by construction, one "count file" line per file that has any.
+# by construction, one "count file" line per file that has any. A file
+# counts up to its first `#[cfg(test)]` item, except one gating a
+# `mod x;` line: that line is skipped, and the child it names (`x.rs`, or
+# anything under `x/`, beside a `mod.rs` / `lib.rs` or in the declaring
+# file's own directory) is test-only, so it and its children never count.
 panic_sites() {
-    find "crates/$1/src" -name '*.rs' | sort | while read -r f; do
-        n=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" |
-            grep -c 'unwrap()\|expect(\|panic!\|unreachable!')
+    local files skip f p n
+    files=$(find "crates/$1/src" -name '*.rs' | sort)
+    skip=$(for f in $files; do
+        awk -v f="$f" '
+            gated && /^(pub(\([^)]*\))? )?mod [A-Za-z0-9_]+;/ {
+                name = $0; sub(/^.*mod /, "", name); sub(/;.*$/, "", name)
+                dir = f; sub(/[^\/]*$/, "", dir)
+                base = f; sub(/^.*\//, "", base); sub(/\.rs$/, "", base)
+                if (base != "mod" && base != "lib" && base != "main") dir = dir base "/"
+                print dir name ".rs"; print dir name "/"
+            }
+            { gated = /^#\[cfg\(test\)\]/ }' "$f"
+    done)
+    for f in $files; do
+        for p in $skip; do
+            case $f in "$p"*) continue 2 ;; esac
+        done
+        n=$(awk '
+            /^#\[cfg\(test\)\]/ {
+                if ((getline) > 0 && /^(pub(\([^)]*\))? )?mod [A-Za-z0-9_]+;/) next
+                exit
+            }
+            { print }' "$f" |
+            grep -c 'unwrap()\|\.expect(\|panic!\|unreachable!')
         [ "$n" -gt 0 ] && echo "$n $f"
     done
 }
@@ -129,12 +155,9 @@ $sites"
 count count:panics:core core 9
 # text.rs 3 (`to_text`'s `String::from_utf8` over bytes the encoder wrote as
 # ASCII and whole `str` runs; two `write!` into a `Vec`, which cannot fail),
-# payload.rs 1 (`from_utf8` over a constant ASCII alphabet),
-# text/reference.rs 1 and text/differential.rs 1 (whole files compiled
-# under `text.rs`'s `#[cfg(test)] mod` lines: the oracle's hex digit of a
-# nibble, the differential suite's own failure report), binary.rs 1 and
+# payload.rs 1 (`from_utf8` over a constant ASCII alphabet), binary.rs 1 and
 # value.rs 1 (`unwrap()` in a rustdoc example).
-count count:panics:serial serial 8
+count count:panics:serial serial 6
 # coldstart.rs 6 (the fig. 2a metered / hello / resize guests
 # instantiated and run over constant SDK modules), wasmedge.rs 10 (the
 # pair's sender and receiver: 2 instantiations of constant SDK modules,
@@ -151,16 +174,24 @@ count count:panics:wasi wasi 3
 # construction; a node removal that keeps at least one survivor; two mesh
 # rebuilds that take each old pair exactly once).
 count count:panics:vkernel vkernel 7
-# 9 in library code: engine.rs 1 (a queue-drain pick only names lanes with
-# queued arrivals), metrics.rs 2 (`replicate` over non-empty runs; the P²
-# marker search, whose first marker bounds the observation), scheduler.rs 1
-# (a placement over a non-empty resource view), sweep.rs 1 (the pool
-# filled every slot before the scope joined), warmpool.rs 1 (an eviction
-# from a slot over its cap), wordhash.rs 1 (the hasher is only fed u64
-# keys), workflow.rs 2 (a node's input exists before it runs, in both
-# engines). loadgen/tests.rs 40: a whole file compiled under mod.rs's
-# `#[cfg(test)] mod tests;` line, which the counter cannot see as gated.
-count count:panics:platform platform 49
+# loadgen/engine.rs 1 (a queue-drain pick only names lanes with queued
+# arrivals), metrics.rs 2 (`replicate` over non-empty runs; the P² marker
+# search, whose first marker bounds the observation), scheduler.rs 1 (a
+# placement over a non-empty resource view), sweep.rs 1 (the pool filled
+# every slot before the scope joined), warmpool.rs 1 (an eviction from a
+# slot over its cap), wordhash.rs 1 (the hasher is only fed u64 keys),
+# workflow.rs 2 (a node's input exists before it runs, in both engines).
+count count:panics:platform platform 9
+# compile.rs 10 (six control-frame pops and peeks and one call target,
+# over a body validation already accepted; three `unreachable!` arms for
+# ops only the callers' other arms produce: a non-numeric instruction, a
+# non-branch patch, a structured instruction), decode.rs 4 (a float
+# immediate's `try_into` over a slice read at exactly 4 or 8 bytes),
+# encode.rs 2 (an opcode-table arm the match covers; `unwrap()` in a
+# rustdoc example), interp.rs 2 (a return pops the frame it runs in; an op
+# dispatched before the counted match), validate.rs 4 (control-frame pops
+# and peeks: the function's own frame stays pushed until its body ends).
+count count:panics:wasm wasm 22
 
 produce bench_wasm.json bench_wasm --quick
 

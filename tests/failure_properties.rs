@@ -20,8 +20,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_platform::{
     loadgen, AdmissionConfig, ArrivalProcess, ClosedLoop, Cluster, Controls, DataPlane, FailurePlan,
-    Load, LoadRun, OpenLoop, PlatformError, RetryPolicy, SpreadLoad, TransferTiming, WorkflowDag,
-    WorkflowSpec,
+    KeepAlive, Load, LoadRun, OpenLoop, PlatformError, RetryPolicy, SpreadLoad, TransferTiming,
+    WarmPoolConfig, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
 
@@ -244,7 +244,14 @@ proptest! {
                 payload: payload.clone(),
                 arrivals: ArrivalProcess::Poisson { mean_interval_ns: 3_000, seed },
                 instances,
-                admission: AdmissionConfig::cold(10_000),
+                admission: AdmissionConfig::pooled(
+                    10_000,
+                    WarmPoolConfig {
+                        restore_ns: None,
+                        keep_alive: KeepAlive::FixedTtl { ttl_ns: Nanos::MAX },
+                        max_idle_per_slot: usize::MAX,
+                    },
+                ),
             };
             run_on(&load, nodes, Controls { failures: plan, ..Controls::default() })
         };
