@@ -15,9 +15,10 @@
 #                         ratios, bench_wasm's results and counts)
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
-#   reference:headline, reference:fig{6,8,9,10}
-#                         the paper's own figures, --quick output (fig6
-#                         takes no flag) == crates/bench/reference/*.txt
+#   reference:headline, reference:fig{2a,2b,6,8,9,10}
+#                         the paper's own figures, --quick output (fig2a
+#                         and fig6 take no flag) ==
+#                         crates/bench/reference/*.txt
 #   count:panics:core     lines with `unwrap()` / `.expect(` / `panic!` /
 #                         `unreachable!` above each file's first test item
 #                         under crates/core/src, test-only child modules
@@ -74,8 +75,9 @@ same() {
 }
 
 produce headline.txt headline --quick
+produce fig2a.txt fig2a
 produce fig6.txt fig6
-for n in fig8 fig9 fig10; do
+for n in fig2b fig8 fig9 fig10; do
     produce "$n.txt" "$n" --quick
 done
 
@@ -95,7 +97,7 @@ for doc in BENCH_coldstart.json BENCH_overload.json; do
 done
 
 # After every bench above, so nothing they write can slip past it.
-for n in headline fig6 fig8 fig9 fig10; do
+for n in headline fig2a fig2b fig6 fig8 fig9 fig10; do
     same "reference:$n" "$out/$n.txt" "crates/bench/reference/${n}_quick.txt"
 done
 for n in fig11 fig12 fig13 fig14 fig15 fig16; do
