@@ -18,6 +18,7 @@
 
 use std::borrow::Cow;
 use std::io::Write as _;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -164,8 +165,7 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
                 if i > 0 {
                     out.push(b',');
                 }
-                write_escaped(out, k);
-                out.push(b':');
+                write_key(out, k);
                 write_value(out, v);
             }
             out.push(b'}');
@@ -279,6 +279,20 @@ fn write_escaped(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
+/// Writes `key` and the `:` after it; a key with nothing to escape as one
+/// `"key":` run.
+fn write_key(out: &mut Vec<u8>, key: &str) {
+    if find_special(key.as_bytes()) == key.len() {
+        out.reserve(key.len() + 3);
+        out.push(b'"');
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\":");
+    } else {
+        write_escaped(out, key);
+        out.push(b':');
+    }
+}
+
 fn write_hex(out: &mut Vec<u8>, blob: &[u8]) {
     out.reserve(2 * blob.len() + 3);
     out.extend_from_slice(b"x'");
@@ -314,7 +328,8 @@ struct Parser<'a> {
     /// first are allocated once, at their final size.
     last_len: usize,
     /// Sibling records also spell the same keys: all but the first share
-    /// the first's key strings.
+    /// the first's key strings, and are matched against them byte for
+    /// byte before anything is decoded (`same_shape`).
     keys: KeyCache,
 }
 
@@ -548,9 +563,19 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.keys.complete(depth, 0);
             return Ok(Value::Map(Vec::new()));
         }
         let mut entries = Vec::with_capacity(self.last_len);
+        let open = self.pos;
+        if self.same_shape(depth, &mut entries) {
+            self.last_len = entries.len();
+            return Ok(Value::Map(entries));
+        }
+        // What the loop below decodes or refuses, it decodes or refuses
+        // from the start of the map, as if no shape were cached.
+        entries.clear();
+        self.pos = open;
         loop {
             self.skip_ws();
             if self.peek() != Some(b'"') {
@@ -572,11 +597,54 @@ impl<'a> Parser<'a> {
                 Some(b'}') => {
                     self.pos += 1;
                     self.last_len = entries.len();
+                    self.keys.complete(depth, entries.len());
                     return Ok(Value::Map(entries));
                 }
                 _ => return Err(self.error("expected `,` or `}` in map")),
             }
         }
+    }
+
+    /// Reads the rest of a map, from `pos` past its `{` and any whitespace
+    /// after it, into `entries` if it is spelt `"k0":v0,"k1":v1,…}` with
+    /// no whitespace,
+    /// where `k0`, `k1`, … are [`KeyCache::row`] — the keys of the map
+    /// completed last at `depth`, none with a `"` or `\`, so each is
+    /// spelt exactly as it reads — and every value is a number. The loop
+    /// in [`Self::map`] decodes such a map to those keys and what
+    /// [`Self::number`] reads, so the cached keys are shared as they are.
+    /// At the first difference it returns `false`, leaving `pos` and
+    /// `entries` wherever it stopped.
+    ///
+    /// A row is non-empty only once a map at `depth` has completed, which
+    /// read values at `depth + 1`: the depth limit holds for these too.
+    fn same_shape(&mut self, depth: usize, entries: &mut Vec<(Arc<str>, Value)>) -> bool {
+        let bytes = self.bytes();
+        while let Some(key) = self.keys.row(depth).get(entries.len()) {
+            if !entries.is_empty() {
+                if bytes.get(self.pos) != Some(&b',') {
+                    return false;
+                }
+                self.pos += 1;
+            }
+            let close = self.pos + 1 + key.len();
+            if bytes.get(self.pos) != Some(&b'"')
+                || bytes.get(self.pos + 1..close) != Some(key.as_bytes())
+                || bytes.get(close..close + 2) != Some(b"\":")
+                || !matches!(bytes.get(close + 2), Some(b'-' | b'0'..=b'9'))
+            {
+                return false;
+            }
+            let key = Arc::clone(key);
+            self.pos = close + 2;
+            let Ok(value) = self.number() else { return false };
+            entries.push((key, value));
+        }
+        if bytes.get(self.pos) != Some(&b'}') {
+            return false;
+        }
+        self.pos += 1;
+        true
     }
 }
 

@@ -11,8 +11,12 @@
 //! text codec's never-panics suite as well.
 //!
 //! The shipping decoders share key strings between sibling maps
-//! ([`crate::keys`]) and the reference does not, so the record-batch
-//! properties at the end are also the proof that sharing is invisible.
+//! ([`crate::keys`]), and the text decoder reads a record spelt exactly
+//! like its predecessor by a path of its own (`Parser::same_shape`); the
+//! reference does neither, so the record-batch properties and tables at
+//! the end are also the proof that both are invisible.
+
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -104,6 +108,24 @@ const KEYS: &[&str] = &[
     "\u{1}", "\\u0041", "A", "lane", "lane ", "speed",
 ];
 
+/// A field of a record: mostly a number of either sign, integer or float
+/// (from [`float_corpus`], NaN aside), sometimes a string or `null` — so
+/// a record that leaves the batch's shape by its values is common too.
+fn leaf_of(rng: &mut Mix) -> Value {
+    static FLOATS: OnceLock<Vec<f64>> = OnceLock::new();
+    match rng.below(8) {
+        0 | 1 => Value::I64(rng.below(100) as i64),
+        2 => Value::I64(rng.next() as i64 >> rng.below(64)),
+        3 | 4 => {
+            let x = rng.pick(FLOATS.get_or_init(float_corpus));
+            Value::F64(if x.is_nan() { 0.5 } else { x })
+        }
+        5 => Value::F64(float_of(rng)),
+        6 => Value::Str(string_of(rng, 8)),
+        _ => Value::Null,
+    }
+}
+
 /// A batch of sibling maps, as a record list is: each record starts from
 /// the batch's shape — a few of [`KEYS`], a different few at every depth —
 /// and most keep it; the rest swap two keys, repeat one, drop one or
@@ -126,7 +148,7 @@ fn batch_of(rng: &mut Mix, depth: usize) -> Value {
         Value::map(keys.iter().enumerate().map(|(at, &key)| {
             let field = match nested.get(at) {
                 Some(true) => batch_of(rng, depth - 1),
-                _ => Value::I64(rng.below(100) as i64),
+                _ => leaf_of(rng),
             };
             (key, field)
         }))
@@ -272,9 +294,102 @@ fn a_cached_key_is_compared_decoded_never_as_document_text() {
 }
 
 #[test]
+fn records_that_leave_the_cached_shape_decode_as_the_reference_does() {
+    // Two records leave `id`, `ts` cached at depth 1; the third differs
+    // from them in one way, and a fourth, shaped, may follow it.
+    let shaped = r#"[{"id":1,"ts":-2.5},{"id":3,"ts":4.0},"#;
+    let thirds = [
+        // Whitespace inside a record, at every gap.
+        r#"{ "id":5,"ts":6}"#,
+        r#"{"id" :5,"ts":6}"#,
+        r#"{"id": 5,"ts":6}"#,
+        r#"{"id":5 ,"ts":6}"#,
+        r#"{"id":5, "ts":6}"#,
+        r#"{"id":5,"ts":6 }"#,
+        "{\"id\":5,\n\t\"ts\":6}",
+        // A key spelt with an escape.
+        r#"{"\u0069d":5,"ts":6}"#,
+        r#"{"id":5,"t\u0073":6}"#,
+        // Something other than a number where a number was.
+        r#"{"id":"5","ts":6}"#,
+        r#"{"id":null,"ts":6}"#,
+        r#"{"id":[5],"ts":6}"#,
+        r#"{"id":{"id":5,"ts":6},"ts":6}"#,
+        r#"{"id":5,"ts":inf}"#,
+        r#"{"id":5,"ts":x'06'}"#,
+        r#"{"id":true,"ts":6}"#,
+        // Number characters a number cannot start with.
+        r#"{"id":.5,"ts":6}"#,
+        r#"{"id":+5,"ts":6}"#,
+        r#"{"id":e5,"ts":6}"#,
+        // A missing field, an extra field, a trailing comma, a stray one,
+        // and something else in a comma's place.
+        r#"{"id":5}"#,
+        r#"{"ts":6}"#,
+        r#"{"id":5,"ts":6,"lane":7}"#,
+        r#"{"id":5,"ts":6,}"#,
+        r#"{"id":5,,"ts":6}"#,
+        r#"{"id":5;"ts":6}"#,
+        r#"{"id":5}"ts":6}"#,
+        // Keys that are prefixes of the cached ones, or extend them.
+        r#"{"i":5,"ts":6}"#,
+        r#"{"idx":5,"ts":6}"#,
+        r#"{"id":5,"t":6}"#,
+        // Cut off mid-number, mid-key and after a separator.
+        r#"{"id":5,"ts":6"#,
+        r#"{"id":5,"ts":6.2"#,
+        r#"{"id":5,"ts":-"#,
+        r#"{"id":12"#,
+        r#"{"i"#,
+        r#"{"id":5,"#,
+        // Numbers past the one-pass shapes: what only `parse` reads, or
+        // refuses.
+        r#"{"id":9223372036854775808,"ts":6}"#,
+        r#"{"id":5,"ts":1e400}"#,
+        r#"{"id":-inf,"ts":6}"#,
+        r#"{"id":-9223372036854775808,"ts":-0.0}"#,
+        r#"{"id":5,"ts":-}"#,
+        r#"{"id":5,"ts":1.2.3}"#,
+        r#"{"id":5,"ts":6x}"#,
+    ];
+    for third in thirds {
+        for tail in ["", "]", r#",{"id":7,"ts":8}]"#] {
+            assert_same_decode(&format!("{shaped}{third}{tail}"));
+        }
+    }
+    for doc in [
+        // Cached keys that hold `"` or `\`: spelt raw, they read as
+        // something else, or as nothing.
+        r#"[{"a\"b":1},{"a\"b":2},{"a"b":3}]"#,
+        r#"[{"a\\b":1},{"a\\b":2},{"a\b":3}]"#,
+        r#"[{"a\\":1},{"a\\":2},{"a\":3}]"#,
+        r#"[{"id":1,"q\"":2},{"id":3,"q\"":4},{"id":5,"q"":6}]"#,
+        // A key the cache holds from an escaped spelling, then spelt
+        // plain, and a raw control byte where the encoder writes `\u0001`.
+        r#"[{"\u0069d":1},{"id":2},{"\u0069d":3},{"id":4}]"#,
+        "[{\"\\u0001\":1},{\"\u{1}\":2},{\"\u{1}\":3}]",
+    ] {
+        assert_same_decode(doc);
+    }
+}
+
+#[test]
 fn encoder_matches_reference_on_synthetic_payloads() {
+    // `(1, 128_000)` and `(1, 500_000)` are the SensorRecords and Text
+    // documents `benchmark/`'s `serial.text.*` rows time at seed 1;
+    // `baseline_codec` ships them at sizes within 1/800 of these.
     for kind in [PayloadKind::Text, PayloadKind::SensorRecords, PayloadKind::ImageFrame] {
-        for (seed, size) in [(1, 0), (2, 1), (3, 31), (1, 32), (2, 33), (3, 1_000), (1, 40_000)] {
+        for (seed, size) in [
+            (1, 0),
+            (2, 1),
+            (3, 31),
+            (1, 32),
+            (2, 33),
+            (3, 1_000),
+            (1, 40_000),
+            (1, 128_000),
+            (1, 500_000),
+        ] {
             let payload = Payload::synthetic(kind, seed, size);
             let encoded = to_text(payload.value());
             assert_eq!(encoded, reference::to_text(payload.value()), "{kind} seed {seed} size {size}");
