@@ -19,6 +19,9 @@ pub enum HttpError {
     Parse(String),
     /// The stream ended before a full message arrived.
     Incomplete,
+    /// [`MAX_HEAD_BYTES`] arrived without the blank line that ends a
+    /// message head.
+    HeadTooLarge,
     /// The underlying transport failed.
     Transport(String),
 }
@@ -28,12 +31,21 @@ impl fmt::Display for HttpError {
         match self {
             HttpError::Parse(msg) => write!(f, "http parse error: {msg}"),
             HttpError::Incomplete => write!(f, "incomplete http message"),
+            HttpError::HeadTooLarge => {
+                write!(f, "http head longer than {MAX_HEAD_BYTES} bytes")
+            }
             HttpError::Transport(msg) => write!(f, "transport error: {msg}"),
         }
     }
 }
 
 impl Error for HttpError {}
+
+/// The longest message head a [`MessageReader`] accepts, start line to
+/// blank line inclusive. A peer that sends more without ending its head
+/// is refused with [`HttpError::HeadTooLarge`], so a reader buffers and
+/// searches at most this much for a head.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// A parsed start line + headers, before the body is attached.
 #[derive(Debug, Clone)]
@@ -50,10 +62,11 @@ enum BodyLen {
     Chunked,
 }
 
-fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
-    let Some(head_end) = find_double_crlf(buf) else {
-        return Ok(None);
-    };
+/// Parses the head that ends at `buf[head_end..head_end + 4]`, the first
+/// blank line. A body length the head states twice over — two different
+/// `content-length` values, or one beside `transfer-encoding: chunked` —
+/// is refused rather than picked from (RFC 9112 §6.3).
+fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, HttpError> {
     let head_text = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Parse("head is not UTF-8".into()))?;
     let mut lines = head_text.split("\r\n");
@@ -63,7 +76,8 @@ fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
         .ok_or_else(|| HttpError::Parse("empty start line".into()))?
         .to_owned();
     let mut headers = Vec::new();
-    let mut body_len = BodyLen::Fixed(0);
+    let mut content_length = None;
+    let mut chunked = false;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -77,15 +91,25 @@ fn parse_head(buf: &[u8]) -> Result<Option<Head>, HttpError> {
             let n: usize = value
                 .parse()
                 .map_err(|_| HttpError::Parse(format!("bad content-length `{value}`")))?;
-            body_len = BodyLen::Fixed(n);
+            if content_length.is_some_and(|earlier| earlier != n) {
+                return Err(HttpError::Parse("conflicting content-length values".into()));
+            }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("transfer-encoding")
             && value.eq_ignore_ascii_case("chunked")
         {
-            body_len = BodyLen::Chunked;
+            chunked = true;
         }
         headers.push((name, value));
     }
-    Ok(Some(Head { start_line, headers, body_len, head_bytes: head_end + 4 }))
+    let body_len = match (content_length, chunked) {
+        (Some(_), true) => {
+            return Err(HttpError::Parse("content-length with chunked transfer-encoding".into()))
+        }
+        (None, true) => BodyLen::Chunked,
+        (n, false) => BodyLen::Fixed(n.unwrap_or(0)),
+    };
+    Ok(Head { start_line, headers, body_len, head_bytes: head_end + 4 })
 }
 
 fn find_double_crlf(buf: &[u8]) -> Option<usize> {
@@ -135,6 +159,9 @@ fn decode_chunked(buf: &[u8]) -> Result<Option<DecodedBody>, HttpError> {
 #[derive(Debug, Default)]
 pub struct MessageReader {
     buf: BytesMut,
+    /// How much of `buf` earlier polls searched for the end of the head
+    /// without finding it, so a poll searches only what arrived since.
+    searched: usize,
 }
 
 impl MessageReader {
@@ -153,10 +180,27 @@ impl MessageReader {
         self.buf.len()
     }
 
-    fn try_head(&self) -> Result<Option<(Head, Option<DecodedBody>)>, HttpError> {
-        let Some(head) = parse_head(&self.buf)? else {
+    /// Where the head's terminating blank line starts, once it has
+    /// arrived within [`MAX_HEAD_BYTES`].
+    fn head_end(&mut self) -> Result<Option<usize>, HttpError> {
+        let window = &self.buf[..self.buf.len().min(MAX_HEAD_BYTES)];
+        // A terminator may straddle the end of what was searched.
+        let from = self.searched.saturating_sub(3);
+        if let Some(at) = find_double_crlf(&window[from..]) {
+            return Ok(Some(from + at));
+        }
+        self.searched = window.len();
+        if window.len() == MAX_HEAD_BYTES {
+            return Err(HttpError::HeadTooLarge);
+        }
+        Ok(None)
+    }
+
+    fn try_head(&mut self) -> Result<Option<(Head, Option<DecodedBody>)>, HttpError> {
+        let Some(head_end) = self.head_end()? else {
             return Ok(None);
         };
+        let head = parse_head(&self.buf, head_end)?;
         let rest = &self.buf[head.head_bytes..];
         let body = match head.body_len {
             BodyLen::Fixed(n) => {
@@ -173,14 +217,16 @@ impl MessageReader {
 
     fn consume(&mut self, head_bytes: usize, body_bytes: usize) {
         let _ = self.buf.split_to(head_bytes + body_bytes);
+        self.searched = 0;
     }
 
     /// Attempts to parse a complete request from the buffered bytes.
     ///
     /// # Errors
     ///
-    /// [`HttpError::Parse`] on malformed input. `Ok(None)` simply means
-    /// more bytes are needed.
+    /// [`HttpError::Parse`] on malformed input, [`HttpError::HeadTooLarge`]
+    /// past [`MAX_HEAD_BYTES`] of head. `Ok(None)` simply means more bytes
+    /// are needed.
     pub fn try_request(&mut self) -> Result<Option<Request>, HttpError> {
         let Some((head, body)) = self.try_head()? else {
             return Ok(None);
@@ -209,8 +255,7 @@ impl MessageReader {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Parse`] on malformed input. `Ok(None)` simply means
-    /// more bytes are needed.
+    /// As [`try_request`](Self::try_request).
     pub fn try_response(&mut self) -> Result<Option<Response>, HttpError> {
         let Some((head, body)) = self.try_head()? else {
             return Ok(None);
@@ -342,6 +387,87 @@ mod tests {
             reader.feed(b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
             reader.feed(format!("{size}\r\nab\r\n").as_bytes());
             assert!(matches!(reader.try_request(), Err(HttpError::Parse(_))), "size {size}");
+        }
+    }
+
+    /// A request whose head, blank line included, is exactly `len` bytes.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let mut head = b"POST /h HTTP/1.1\r\nx-pad: ".to_vec();
+        head.resize(len - 4, b'p');
+        head.extend_from_slice(b"\r\n\r\n");
+        head
+    }
+
+    #[test]
+    fn a_head_is_accepted_up_to_the_limit_and_refused_past_it() {
+        let mut reader = MessageReader::new();
+        reader.feed(&head_of_len(MAX_HEAD_BYTES));
+        assert_eq!(reader.try_request().unwrap().unwrap().path, "/h");
+        // Its blank line ends one byte past the limit: refused whole, or
+        // once the limit's worth has arrived.
+        for split in [None, Some(MAX_HEAD_BYTES - 2), Some(MAX_HEAD_BYTES - 1)] {
+            let long = head_of_len(MAX_HEAD_BYTES + 1);
+            let mut reader = MessageReader::new();
+            if let Some(at) = split {
+                reader.feed(&long[..at]);
+                assert_eq!(reader.try_request(), Ok(None), "split at {at}");
+                reader.feed(&long[at..]);
+            } else {
+                reader.feed(&long);
+            }
+            assert_eq!(reader.try_request(), Err(HttpError::HeadTooLarge), "split {split:?}");
+        }
+    }
+
+    #[test]
+    fn a_head_that_never_ends_is_refused_once_it_reaches_the_limit() {
+        let mut reader = MessageReader::new();
+        reader.feed(b"POST /h HTTP/1.1\r\n");
+        while reader.buffered() + 1000 < MAX_HEAD_BYTES {
+            reader.feed(&[b'x'; 1000]);
+            assert_eq!(reader.try_request(), Ok(None));
+        }
+        reader.feed(&[b'x'; 1000]);
+        assert_eq!(reader.try_request(), Err(HttpError::HeadTooLarge));
+        assert_eq!(reader.try_response(), Err(HttpError::HeadTooLarge));
+    }
+
+    #[test]
+    fn a_terminator_split_across_polls_is_found() {
+        let raw = Request::post("/s", b"ok".as_slice()).to_bytes();
+        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        for at in head_end..head_end + 4 {
+            let mut reader = MessageReader::new();
+            reader.feed(&raw[..at]);
+            assert_eq!(reader.try_request(), Ok(None));
+            reader.feed(&raw[at..]);
+            assert_eq!(&reader.try_request().unwrap().unwrap().body[..], b"ok", "split at {at}");
+        }
+    }
+
+    #[test]
+    fn two_different_content_lengths_are_refused() {
+        let mut reader = MessageReader::new();
+        reader.feed(b"POST /f HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 3\r\n\r\nabc");
+        let err = reader.try_request().unwrap_err();
+        assert!(matches!(&err, HttpError::Parse(m) if m.contains("conflicting")), "{err}");
+        // The same length twice says one thing.
+        let mut reader = MessageReader::new();
+        reader.feed(b"POST /f HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 3\r\n\r\nabc");
+        assert_eq!(&reader.try_request().unwrap().unwrap().body[..], b"abc");
+    }
+
+    #[test]
+    fn content_length_beside_chunked_is_refused() {
+        for head in [
+            "POST /c HTTP/1.1\r\ncontent-length: 4\r\ntransfer-encoding: chunked\r\n\r\n",
+            "POST /c HTTP/1.1\r\nTransfer-Encoding: Chunked\r\ncontent-length: 4\r\n\r\n",
+        ] {
+            let mut reader = MessageReader::new();
+            reader.feed(head.as_bytes());
+            reader.feed(b"4\r\nwiki\r\n0\r\n\r\n");
+            let err = reader.try_request().unwrap_err();
+            assert!(matches!(&err, HttpError::Parse(m) if m.contains("chunked")), "{err}");
         }
     }
 

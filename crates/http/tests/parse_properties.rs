@@ -7,14 +7,16 @@
 //! delivers HTTP heads and bodies at whatever chunk boundaries the link
 //! model produces, and the reassembled message must not depend on them.
 //!
-//! The last two properties feed it what a peer is free to send instead —
-//! noise, and real messages with bytes flipped, cut out or spliced in —
-//! and ask only that every poll answers `Ok` or `Err`: no panic, no
-//! arithmetic overflow (CI runs them in release with overflow checks on
-//! as well as in debug).
+//! The last three properties feed it what a peer is free to send instead.
+//! A head that never ends must be refused once [`MAX_HEAD_BYTES`] of it
+//! is buffered. Noise, and real messages with bytes flipped, cut out or
+//! spliced in, need only have every poll answer `Ok` or `Err`: no panic,
+//! no arithmetic overflow (CI runs them in release with overflow checks
+//! on as well as in debug).
 
 use proptest::prelude::*;
-use roadrunner_http::{MessageReader, Request, Response};
+use roadrunner_http::parse::MAX_HEAD_BYTES;
+use roadrunner_http::{HttpError, MessageReader, Request, Response};
 
 /// Splitmix-style generator so chunk boundaries derive deterministically
 /// from the proptest-provided seed.
@@ -197,6 +199,46 @@ proptest! {
         for prefix in prefixes {
             let wire = [prefix, &noise].concat();
             poll_through(&wire, seed, max_chunk);
+        }
+    }
+
+    #[test]
+    fn a_head_that_never_ends_is_refused_with_bounded_buffering(
+        start in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        // Header-like noise — line ends, colons, bytes that are not UTF-8 —
+        // with every blank line broken up, so no head ever ends.
+        const PIECE: usize = 4 * 1024;
+        let starts: [&[u8]; 3] = [b"", b"POST /f HTTP/1.1\r\n", b"HTTP/1.1 200 OK\r\n"];
+        let alphabet = b"ab:- \r\n\r\n\xff0";
+        let mut rng = Mix(seed);
+        let mut wire = starts[start].to_vec();
+        while wire.len() < MAX_HEAD_BYTES + 2 * PIECE {
+            wire.push(alphabet[rng.below(alphabet.len() as u64) as usize]);
+            if wire.ends_with(b"\r\n\r\n") {
+                *wire.last_mut().expect("just pushed") = b'x';
+            }
+        }
+        for poll in [
+            |r: &mut MessageReader| r.try_request().map(|m| m.is_some()),
+            |r: &mut MessageReader| r.try_response().map(|m| m.is_some()),
+        ] {
+            let mut reader = MessageReader::new();
+            let mut refused = false;
+            for piece in wire.chunks(PIECE) {
+                reader.feed(piece);
+                match poll(&mut reader) {
+                    Ok(false) => prop_assert!(reader.buffered() < MAX_HEAD_BYTES),
+                    Err(HttpError::HeadTooLarge) => {
+                        prop_assert!(reader.buffered() < MAX_HEAD_BYTES + PIECE);
+                        refused = true;
+                        break;
+                    }
+                    other => prop_assert!(false, "{other:?} at {} bytes", reader.buffered()),
+                }
+            }
+            prop_assert!(refused);
         }
     }
 
