@@ -151,26 +151,62 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
         Value::Bytes(b) => write_hex(out, b),
         Value::List(items) => {
             out.push(b'[');
+            // The last map among the items so far, and which of its keys
+            // were plain.
+            let mut sibling: Sibling<'_> = (&[], 0);
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(b',');
                 }
-                write_value(out, item);
+                match item {
+                    Value::Map(entries) => sibling = (entries, write_map(out, entries, sibling)),
+                    _ => write_value(out, item),
+                }
             }
             out.push(b']');
         }
         Value::Map(entries) => {
-            out.push(b'{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                write_key(out, k);
-                write_value(out, v);
-            }
-            out.push(b'}');
+            write_map(out, entries, (&[], 0));
         }
     }
+}
+
+/// A map's entries, and a mask of which of its first 64 keys have
+/// nothing to escape.
+type Sibling<'v> = (&'v [(Arc<str>, Value)], u64);
+
+/// Writes a map and returns the mask of its plain keys, each written as
+/// one `"key":` run. A key that is the very string (`Arc::ptr_eq`) the
+/// sibling map had at its position, and plain there, is not scanned
+/// again: records built or decoded together share their key strings.
+fn write_map(
+    out: &mut Vec<u8>,
+    entries: &[(Arc<str>, Value)],
+    (sibling, plain_there): Sibling<'_>,
+) -> u64 {
+    out.push(b'{');
+    let mut plain = 0;
+    for (i, (key, value)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        let bit = if i < 64 { 1 << i } else { 0 };
+        let known =
+            plain_there & bit != 0 && sibling.get(i).is_some_and(|(was, _)| Arc::ptr_eq(was, key));
+        if known || find_special(key.as_bytes()) == key.len() {
+            plain |= bit;
+            out.reserve(key.len() + 3);
+            out.push(b'"');
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+        } else {
+            write_escaped(out, key);
+            out.push(b':');
+        }
+        write_value(out, value);
+    }
+    out.push(b'}');
+    plain
 }
 
 fn write_u64(out: &mut Vec<u8>, mut n: u64) {
@@ -277,20 +313,6 @@ fn write_escaped(out: &mut Vec<u8>, s: &str) {
         rest = &rest[run + 1..];
     }
     out.push(b'"');
-}
-
-/// Writes `key` and the `:` after it; a key with nothing to escape as one
-/// `"key":` run.
-fn write_key(out: &mut Vec<u8>, key: &str) {
-    if find_special(key.as_bytes()) == key.len() {
-        out.reserve(key.len() + 3);
-        out.push(b'"');
-        out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(b"\":");
-    } else {
-        write_escaped(out, key);
-        out.push(b':');
-    }
 }
 
 fn write_hex(out: &mut Vec<u8>, blob: &[u8]) {

@@ -16,7 +16,7 @@
 //! reference does neither, so the record-batch properties and tables at
 //! the end are also the proof that both are invisible.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -129,9 +129,11 @@ fn leaf_of(rng: &mut Mix) -> Value {
 /// A batch of sibling maps, as a record list is: each record starts from
 /// the batch's shape — a few of [`KEYS`], a different few at every depth —
 /// and most keep it; the rest swap two keys, repeat one, drop one or
-/// trade one for another. Some fields hold a batch of their own.
+/// trade one for another. The records share the shape's key strings, as
+/// records built or decoded together do, and a traded key is a string of
+/// its own. Some fields hold a batch of their own.
 fn batch_of(rng: &mut Mix, depth: usize) -> Value {
-    let shape: Vec<&str> = (0..rng.below(6)).map(|_| rng.pick(KEYS)).collect();
+    let shape: Vec<Arc<str>> = (0..rng.below(6)).map(|_| Arc::from(rng.pick(KEYS))).collect();
     let nested: Vec<bool> = shape.iter().map(|_| depth > 0 && rng.below(4) == 0).collect();
     Value::list((0..rng.below(7)).map(|_| {
         let mut keys = shape.clone();
@@ -139,13 +141,13 @@ fn batch_of(rng: &mut Mix, depth: usize) -> Value {
             let (a, b) = (rng.below(keys.len()), rng.below(keys.len()));
             match rng.below(10) {
                 0 => keys.swap(a, b),
-                1 => keys.insert(a, keys[b]),
+                1 => keys.insert(a, Arc::clone(&keys[b])),
                 2 => drop(keys.remove(a)),
-                3 => keys[a] = rng.pick(KEYS),
+                3 => keys[a] = Arc::from(rng.pick(KEYS)),
                 _ => {}
             }
         }
-        Value::map(keys.iter().enumerate().map(|(at, &key)| {
+        Value::map(keys.into_iter().enumerate().map(|(at, key)| {
             let field = match nested.get(at) {
                 Some(true) => batch_of(rng, depth - 1),
                 _ => leaf_of(rng),
@@ -255,6 +257,8 @@ proptest! {
         let mut rng = Mix(seed);
         let batch = batch_of(&mut rng, 3);
         let doc = to_text(&batch);
+        // Records sharing key strings take the encoder's sibling path.
+        prop_assert_eq!(&doc, &reference::to_text(&batch));
         // What `Value::map` built is what comes back, through either
         // codec, whichever keys the decoder found in its cache.
         prop_assert_eq!(from_text(&doc), Ok(batch.clone()));
