@@ -629,14 +629,13 @@ impl<'a> Parser<'a> {
 
     /// Reads the rest of a map, from `pos` past its `{` and any whitespace
     /// after it, into `entries` if it is spelt `"k0":v0,"k1":v1,…}` with
-    /// no whitespace,
-    /// where `k0`, `k1`, … are [`KeyCache::row`] — the keys of the map
-    /// completed last at `depth`, none with a `"` or `\`, so each is
-    /// spelt exactly as it reads — and every value is a number. The loop
-    /// in [`Self::map`] decodes such a map to those keys and what
-    /// [`Self::number`] reads, so the cached keys are shared as they are.
-    /// At the first difference it returns `false`, leaving `pos` and
-    /// `entries` wherever it stopped.
+    /// no whitespace, where `k0`, `k1`, … are [`KeyCache::row`] — the
+    /// keys of the map completed last at `depth`, none with a `"` or `\`,
+    /// so each is spelt exactly as it reads — and every value is a
+    /// number. The loop in [`Self::map`] decodes such a map to those keys
+    /// and what [`Self::number`] reads, so the cached keys are shared as
+    /// they are. At the first difference it returns `false`, leaving
+    /// `pos` and `entries` wherever it stopped.
     ///
     /// A row is non-empty only once a map at `depth` has completed, which
     /// read values at `depth + 1`: the depth limit holds for these too.
