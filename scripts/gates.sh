@@ -15,10 +15,14 @@
 #                         ratios, bench_wasm's results and counts)
 #   pass:BENCH_*.json     the committed full-run gate block says pass
 #   reference:fig1{1..6}  --quick output == crates/bench/reference/*.json
-#   reference:headline, reference:fig{2a,2b,6,8,9,10}
+#   reference:headline, reference:fig{2a,2b,6,7,8,9,10}
 #                         the paper's own figures, --quick output (fig2a
 #                         and fig6 take no flag) ==
-#                         crates/bench/reference/*.txt
+#                         crates/bench/reference/*_quick.txt
+#   reference:<example>   stdout of each example (quickstart,
+#                         image_pipeline, traffic_analytics,
+#                         mode_comparison, scatter_gather) ==
+#                         crates/bench/reference/example_<example>.txt
 #   count:panics:core     lines with `unwrap()` / `.expect(` / `panic!` /
 #                         `unreachable!` above each file's first test item
 #                         under crates/core/src, test-only child modules
@@ -40,6 +44,7 @@ out=$(cd "$out" && pwd)
 cd "$root" || exit 2
 
 cargo build --release --offline -p roadrunner-bench --bins || exit 2
+cargo build --release --offline --examples || exit 2
 bin=${CARGO_TARGET_DIR:-$root/target}/release
 
 failed=()
@@ -77,8 +82,13 @@ same() {
 produce headline.txt headline --quick
 produce fig2a.txt fig2a
 produce fig6.txt fig6
-for n in fig2b fig8 fig9 fig10; do
+for n in fig2b fig7 fig8 fig9 fig10; do
     produce "$n.txt" "$n" --quick
+done
+
+examples="quickstart image_pipeline traffic_analytics mode_comparison scatter_gather"
+for n in $examples; do
+    produce "$n.txt" "examples/$n"
 done
 
 produce fig11.json fig11_dag --quick
@@ -97,8 +107,11 @@ for doc in BENCH_coldstart.json BENCH_overload.json; do
 done
 
 # After every bench above, so nothing they write can slip past it.
-for n in headline fig2a fig2b fig6 fig8 fig9 fig10; do
+for n in headline fig2a fig2b fig6 fig7 fig8 fig9 fig10; do
     same "reference:$n" "$out/$n.txt" "crates/bench/reference/${n}_quick.txt"
+done
+for n in $examples; do
+    same "reference:$n" "$out/$n.txt" "crates/bench/reference/example_$n.txt"
 done
 for n in fig11 fig12 fig13 fig14 fig15 fig16; do
     same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
