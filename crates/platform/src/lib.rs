@@ -98,6 +98,7 @@ pub use scheduler::{LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, Sprea
 pub use memo::MemoizedPlane;
 pub use sweep::{available_workers, parallel_map, sweep, SweepGrid, SweepPoint};
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_concurrent_at, CompiledWorkflow, DataPlane,
+    critical_path_ns, execute, execute_compiled, execute_concurrent_at, execute_serial_loop,
+    CompiledWorkflow, DataPlane,
     EdgeResult, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
 };

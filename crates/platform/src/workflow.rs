@@ -383,12 +383,15 @@ pub fn critical_path_ns(spec: &WorkflowSpec, run: &WorkflowRun) -> Result<Nanos,
     })
 }
 
-/// Executes `spec` serially over `plane`, timing each edge on `clock`.
+/// Executes `spec` serially over `plane`: every edge runs after the one
+/// before it, so the run costs the sum of its edges.
 ///
-/// Edges run one after another in topological order (for the legacy
-/// sequence/fan-out/fan-in shapes this is exactly the old pattern
-/// engine's order, so measured numbers are unchanged). Genuinely
-/// overlapping execution is [`execute_concurrent_at`]'s job.
+/// The edges run through the discrete-event engine under the plane's
+/// deployment placement, released at 0 onto resources nobody else holds,
+/// and are then laid end to end in the engine's event order: each edge
+/// starts where the previous one finished, and `total_latency_ns` is the
+/// sum of the edges' `latency_ns`. Genuinely overlapping execution is
+/// [`execute_concurrent_at`]'s job.
 ///
 /// Each root receives the initial `payload`; every edge forwards its
 /// source's current payload, and a node's payload is the first delivery
@@ -407,9 +410,9 @@ pub fn execute(
     execute_compiled(plane, clock, &CompiledWorkflow::compile(spec)?, payload)
 }
 
-/// [`execute`] over a pre-compiled workflow: validation and topological
-/// sorting were paid once at [`CompiledWorkflow::compile`] time, so
-/// repeated executions of the same spec skip all per-run graph work.
+/// [`execute`] over a pre-compiled workflow: validation was paid once at
+/// [`CompiledWorkflow::compile`] time, so repeated executions of the same
+/// spec skip all per-run graph checks.
 ///
 /// # Errors
 ///
@@ -420,6 +423,31 @@ pub fn execute_compiled(
     compiled: &CompiledWorkflow<'_>,
     payload: Bytes,
 ) -> Result<WorkflowRun, PlatformError> {
+    let placement = deployed_nodes(plane, compiled.dag());
+    let nodes = placement.iter().max().map_or(1, |&node| node + 1);
+    let mut resources = SchedResources::new(nodes, 1);
+    let mut run = run_placed(plane, clock, compiled, &payload, &placement, &mut resources, 0)?;
+    let mut elapsed: Nanos = 0;
+    for edge in &mut run.edges {
+        edge.start_ns = elapsed;
+        elapsed = elapsed.saturating_add(edge.latency_ns);
+        edge.finish_ns = elapsed;
+    }
+    run.total_latency_ns = elapsed;
+    Ok(run)
+}
+
+/// The retired serial loop: each edge in topological order, timed by the
+/// clock's advance. Kept only as the differential tests' oracle for
+/// [`execute_compiled`].
+#[doc(hidden)]
+pub fn execute_serial_loop(
+    plane: &mut dyn DataPlane,
+    clock: &VirtualClock,
+    spec: &WorkflowSpec,
+    payload: Bytes,
+) -> Result<WorkflowRun, PlatformError> {
+    let compiled = CompiledWorkflow::compile(spec)?;
     let dag = compiled.dag();
     let started = clock.now();
     let mut node_payload: Vec<Option<Bytes>> = vec![None; compiled.node_count()];
@@ -428,8 +456,6 @@ pub fn execute_compiled(
     }
     let mut edges = Vec::with_capacity(compiled.edge_count());
     for &(u, v) in compiled.topo_edges() {
-        // One logical copy per transfer: the handle passed to the plane
-        // IS the copy (Bytes handoff), sized before the move.
         let current = node_payload[u].as_ref().expect("topo order delivers inputs first").clone();
         let bytes = current.len();
         let (from, to) = (dag.node_name(u), dag.node_name(v));
@@ -493,18 +519,28 @@ pub fn execute_concurrent_at(
 ) -> Result<WorkflowRun, PlatformError> {
     let compiled = CompiledWorkflow::compile(spec)?;
     let placement = deployed_nodes(plane, compiled.dag());
-    let instance = Instance {
-        payload: &payload,
-        release_ns,
-        placement: &placement,
-        faults: None,
-        overload: None,
-    };
+    run_placed(plane, clock, &compiled, &payload, &placement, resources, release_ns)
+}
+
+/// One fault-free run of `compiled` under `placement`, released at
+/// `release_ns` onto `resources`, with every edge collected. A refusal
+/// (only an outage schedule attached to `resources` can refuse) is a
+/// [`PlatformError::Transfer`].
+fn run_placed(
+    plane: &mut dyn DataPlane,
+    clock: &VirtualClock,
+    compiled: &CompiledWorkflow<'_>,
+    payload: &Bytes,
+    placement: &[usize],
+    resources: &mut SchedResources,
+    release_ns: Nanos,
+) -> Result<WorkflowRun, PlatformError> {
+    let instance = Instance { payload, release_ns, placement, faults: None, overload: None };
     let mut edges = Vec::with_capacity(compiled.edge_count());
     let outcome = run_compiled_at(
         plane,
         clock,
-        &compiled,
+        compiled,
         resources,
         instance,
         &mut RunScratch::default(),
