@@ -1,7 +1,7 @@
 //! Fig. 11 (beyond the paper) — DAG workflows the original evaluation
 //! never measured: a diamond, a WAN-crossing diamond and a scatter-gather,
-//! each run through the serial engine and the discrete-event concurrent
-//! engine over the real Roadrunner plane.
+//! each run over the real Roadrunner plane by the discrete-event engine,
+//! serially (edges laid end to end) and concurrently.
 //!
 //! Unlike the paper-figure binaries (tab-separated panels), this one
 //! emits a single machine-readable JSON document so future PRs can track

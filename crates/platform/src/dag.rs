@@ -5,8 +5,8 @@
 //! arbitrary DAGs: diamonds, scatter-gather, multi-stage pipelines.
 //! [`WorkflowDag`] is the general form: named function nodes joined by
 //! payload-carrying edges, with validation (cycle detection, duplicate
-//! edges, connectivity) and a deterministic topological order the
-//! executors in [`workflow`](crate::workflow) drive.
+//! edges, connectivity), a deterministic topological order and the
+//! critical path of the engine in [`workflow`](crate::workflow).
 
 use std::collections::HashMap;
 
@@ -115,11 +115,6 @@ impl WorkflowDag {
         (0..self.node_count()).filter(|&i| self.pred[i].is_empty()).collect()
     }
 
-    /// Nodes with no outgoing edges (the workflow's results).
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.node_count()).filter(|&i| self.succ[i].is_empty()).collect()
-    }
-
     /// Checks structural validity: at least one edge, no duplicate edges,
     /// no cycles (Kahn's algorithm), and weak connectivity (no orphaned
     /// sub-workflows).
@@ -204,24 +199,6 @@ impl WorkflowDag {
         Ok(order)
     }
 
-    /// Edges in execution order: sources in topological order, each
-    /// source's out-edges in insertion order. For the legacy shapes this
-    /// reproduces exactly the order the old pattern engine used.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::InvalidWorkflow`] if the graph contains a cycle.
-    pub fn topo_edges(&self) -> Result<Vec<(usize, usize)>, PlatformError> {
-        let order = self.topo_order()?;
-        let mut edges = Vec::with_capacity(self.edge_count);
-        for u in order {
-            for &v in &self.succ[u] {
-                edges.push((u, v));
-            }
-        }
-        Ok(edges)
-    }
-
     /// Length of the longest path where each edge `(u, v)` weighs
     /// `weight(u, v)` — the DAG's critical path, the lower bound no
     /// concurrent schedule can beat.
@@ -272,7 +249,6 @@ mod tests {
         let dag = diamond();
         assert!(dag.validate().is_ok());
         assert_eq!(dag.roots(), vec![0]);
-        assert_eq!(dag.leaves(), vec![3]);
         assert_eq!(dag.successors(0), &[1, 2]);
         assert_eq!(dag.in_degrees(), [0, 1, 1, 2]);
         assert_eq!(dag.edge_count(), 4);
@@ -329,18 +305,6 @@ mod tests {
         for (u, v) in dag.edges() {
             assert!(pos[u] < pos[v], "edge {u}->{v} violates topo order");
         }
-    }
-
-    #[test]
-    fn topo_edges_match_legacy_pattern_order() {
-        // fan-out: source's edges in insertion order.
-        let mut fanout = WorkflowDag::new();
-        fanout.add_edge("s", "t0").add_edge("s", "t1").add_edge("s", "t2");
-        assert_eq!(fanout.topo_edges().unwrap(), vec![(0, 1), (0, 2), (0, 3)]);
-        // fan-in: one edge per source, sources in insertion order.
-        let mut fanin = WorkflowDag::new();
-        fanin.add_edge("s0", "sink").add_edge("s1", "sink");
-        assert_eq!(fanin.topo_edges().unwrap(), vec![(0, 1), (2, 1)]);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! * [`dag`] — first-class workflow DAGs (named nodes, payload-carrying
 //!   edges, cycle/connectivity validation) generalizing the paper's
 //!   sequence/fan-out/fan-in shapes.
-//! * [`workflow`] — the execution engines over a pluggable
-//!   [`workflow::DataPlane`]: a serial engine and a discrete-event
-//!   concurrent engine that overlaps independent edges in virtual time,
-//!   over a [`workflow::CompiledWorkflow`] that hoists validation and
-//!   topological sorting out of the per-execution loop.
+//! * [`workflow`] — the execution engine over a pluggable
+//!   [`workflow::DataPlane`]: one discrete-event engine that overlaps
+//!   independent edges in virtual time (or, for a serial run, lays them
+//!   end to end), over a [`workflow::CompiledWorkflow`] that hoists
+//!   validation out of repeated executions.
 //! * [`memo`] — [`memo::MemoizedPlane`], a deterministic transfer-cost
 //!   memo over any [`workflow::DataPlane`]: identical edges replay their
 //!   recorded outcome (bytes, timing, virtual-clock advance) instead of
@@ -98,7 +98,6 @@ pub use scheduler::{LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, Sprea
 pub use memo::MemoizedPlane;
 pub use sweep::{available_workers, parallel_map, sweep, SweepGrid, SweepPoint};
 pub use workflow::{
-    critical_path_ns, execute, execute_compiled, execute_concurrent_at, execute_serial_loop,
-    CompiledWorkflow, DataPlane,
+    critical_path_ns, execute, execute_compiled, execute_concurrent_at, CompiledWorkflow, DataPlane,
     EdgeResult, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,
 };

@@ -898,7 +898,7 @@ fn codel_sheds_entries_that_outstayed_the_target_at_dequeue() {
     assert_eq!(run.arrivals, run.completed() + run.failed + run.deadline_exceeded + run.shed);
 }
 
-/// ROADMAP 4(d), the load engine's share: degenerate loads come back as
+/// ROADMAP 5(d), the load engine's share: degenerate loads come back as
 /// `Err` or as a conserved, NaN-free [`LoadRun`] — never a panic, also
 /// under the release `overflow-checks=on` pass.
 #[test]

@@ -1,27 +1,26 @@
-//! Workflow specifications and the execution engines.
+//! Workflow specifications and the execution engine.
 //!
 //! The paper evaluates the "most common invocation patterns" —
 //! sequential chains, fan-out and fan-in (§6.1, citing the Berkeley
 //! view). This module generalizes those shapes into arbitrary DAGs
-//! ([`WorkflowDag`]): a [`WorkflowSpec`] names the graph, and two engines
-//! drive the transfers through whatever [`DataPlane`] the embedder
-//! provides (Roadrunner's shim modes, or a baseline's HTTP path):
+//! ([`WorkflowDag`]): a [`WorkflowSpec`] names the graph, and one
+//! discrete-event engine drives the transfers through whatever
+//! [`DataPlane`] the embedder provides (Roadrunner's shim modes, or a
+//! baseline's HTTP path). Independent edges overlap in virtual time while
+//! per-resource timelines ([`roadrunner_vkernel::sched`]) serialize
+//! contended cores and links. Every entry point is that engine:
 //!
-//! * [`execute`] — the serial engine: edges run one after another in
-//!   virtual time, each timed from the shared clock. Deterministic and
-//!   exactly what the paper's single-edge figures measure.
-//! * [`execute_concurrent_at`] — the discrete-event engine: independent
-//!   edges overlap in virtual time while per-resource timelines
-//!   ([`roadrunner_vkernel::sched`]) serialize contended cores and the
-//!   shared link. Its makespan is bounded below by the DAG's critical
-//!   path ([`critical_path_ns`]) and above by the serial total.
-//!
-//! The serial engine has a compiled fast path — [`execute_compiled`]
-//! over a [`CompiledWorkflow`] — that hoists validation and topological
-//! sorting out of the per-execution loop; [`execute`] compiles on the fly
-//! and delegates. The load generator ([`crate::loadgen`]) compiles each
-//! spec once and drives the discrete-event engine's core with it for
-//! every instance it admits.
+//! * [`execute_concurrent_at`] releases one instance onto the caller's
+//!   resources. Its makespan is bounded below by the DAG's critical path
+//!   ([`critical_path_ns`]) and above by the serial total.
+//! * [`execute`] (and [`execute_compiled`], over a [`CompiledWorkflow`]
+//!   that hoists validation out of repeated runs) runs the engine on
+//!   resources of its own and lays the edges end to end: each starts
+//!   when the previous one finishes, which is what the paper's
+//!   one-edge-at-a-time measurements assume.
+//! * The load generator ([`crate::loadgen`]) compiles each spec once and
+//!   runs the engine for every instance it admits, under its placement
+//!   policy, failures and overload control.
 
 use bytes::Bytes;
 use roadrunner_vkernel::sched::{EventQueue, SchedResources};
@@ -123,30 +122,25 @@ impl WorkflowSpec {
     }
 }
 
-/// A workflow spec with every derived structure the engines need,
+/// A workflow spec with every derived structure the engine needs,
 /// computed **once** and reused across executions.
 ///
 /// The load generators admit thousands of instances of the *same* spec;
-/// re-validating the graph, re-running Kahn's algorithm and re-deriving
-/// fan-in counts per arrival was pure rework. Compiling hoists all of it:
+/// re-validating the graph and re-deriving fan-in counts per arrival was
+/// pure rework. Compiling hoists all of it:
 ///
 /// * structural validation ([`WorkflowSpec::validate`]) has already
 ///   passed — a `CompiledWorkflow` is valid by construction;
-/// * [`topo_edges`](Self::topo_edges) is the serial engine's execution
-///   order;
-/// * [`fan_in`](Self::fan_in) (in-degrees), [`roots`](Self::roots) and
-///   [`leaves`](Self::leaves) seed the concurrent engine's readiness
-///   tracking without per-run graph walks.
+/// * the in-degrees and [`roots`](Self::roots) seed the engine's
+///   readiness tracking without per-run graph walks.
 ///
 /// Compile once per spec, then drive [`execute_compiled`] (or the load
 /// generator) with it as many times as needed.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkflow<'a> {
     spec: &'a WorkflowSpec,
-    topo_edges: Vec<(usize, usize)>,
     in_degrees: Vec<usize>,
     roots: Vec<usize>,
-    leaves: Vec<usize>,
 }
 
 impl<'a> CompiledWorkflow<'a> {
@@ -159,13 +153,7 @@ impl<'a> CompiledWorkflow<'a> {
     pub fn compile(spec: &'a WorkflowSpec) -> Result<Self, PlatformError> {
         spec.validate()?;
         let dag = &spec.dag;
-        Ok(Self {
-            spec,
-            topo_edges: dag.topo_edges()?,
-            in_degrees: dag.in_degrees(),
-            roots: dag.roots(),
-            leaves: dag.leaves(),
-        })
+        Ok(Self { spec, in_degrees: dag.in_degrees(), roots: dag.roots() })
     }
 
     /// The underlying spec.
@@ -185,28 +173,12 @@ impl<'a> CompiledWorkflow<'a> {
 
     /// Number of edges in the graph.
     pub fn edge_count(&self) -> usize {
-        self.topo_edges.len()
-    }
-
-    /// Edges in deterministic execution order (sources topologically,
-    /// each source's out-edges in insertion order).
-    pub fn topo_edges(&self) -> &[(usize, usize)] {
-        &self.topo_edges
-    }
-
-    /// Fan-in (in-degree) of node `i` — how many deliveries it waits for.
-    pub fn fan_in(&self, i: usize) -> usize {
-        self.in_degrees[i]
+        self.spec.dag.edge_count()
     }
 
     /// Entry nodes (no incoming edges).
     pub fn roots(&self) -> &[usize] {
         &self.roots
-    }
-
-    /// Result nodes (no outgoing edges).
-    pub fn leaves(&self) -> &[usize] {
-        &self.leaves
     }
 }
 
@@ -255,8 +227,11 @@ pub trait DataPlane {
     /// into prepare / transfer / consume phases. Planes that derive a
     /// delivery mode from co-location (`RoadrunnerPlane` in
     /// `roadrunner-core`) read the nodes; planes with one mode ignore
-    /// them. Planes that cannot attribute return `None` for the timing;
-    /// the concurrent engine then treats the whole measured duration as
+    /// them. The engine charges the edge exactly the reported
+    /// [`TransferTiming`], not the clock's advance across the call, so
+    /// work the plane does after its breakdown (an ack, a release) costs
+    /// the edge nothing. Planes that cannot attribute return `None` for
+    /// the timing; the engine then treats the whole measured duration as
     /// transfer time.
     ///
     /// # Errors
@@ -273,8 +248,7 @@ pub trait DataPlane {
     ) -> Result<(Bytes, Option<TransferTiming>), PlatformError>;
 
     /// [`transfer_placed`](Self::transfer_placed) under the plane's own
-    /// deployment placement, returning only the received bytes — what
-    /// the serial engine calls.
+    /// deployment placement, returning only the received bytes.
     ///
     /// # Errors
     ///
@@ -283,9 +257,9 @@ pub trait DataPlane {
         self.transfer_placed(from, to, payload, None, None).map(|(received, _)| received)
     }
 
-    /// Node index `function` is deployed on. [`execute_concurrent_at`]
-    /// asks once per run for every function of the workflow; `None` (the
-    /// default) places the function on node 0.
+    /// Node index `function` is deployed on. [`execute`] and
+    /// [`execute_concurrent_at`] ask once per run for every function of
+    /// the workflow; `None` (the default) places the function on node 0.
     fn placement(&self, _function: &str) -> Option<usize> {
         None
     }
@@ -307,8 +281,8 @@ pub struct EdgeResult {
     pub to: String,
     /// Payload size in bytes.
     pub bytes: usize,
-    /// Busy virtual time the transfer itself took (excludes any
-    /// contention wait in the concurrent engine).
+    /// Busy virtual time the transfer itself took: the plane's
+    /// [`TransferTiming`] total, excluding any contention wait.
     pub latency_ns: Nanos,
     /// When the edge started, relative to the run's start (for
     /// [`execute_concurrent_at`] this is absolute on the shared
@@ -316,9 +290,9 @@ pub struct EdgeResult {
     pub start_ns: Nanos,
     /// When the edge completed, on the same timescale as `start_ns`
     /// (relative to the run's start; absolute on the shared resources'
-    /// timescale for [`execute_concurrent_at`]). In the concurrent
-    /// engine `finish_ns - start_ns` can exceed `latency_ns` when the
-    /// edge waited for a contended resource mid-flight.
+    /// timescale for [`execute_concurrent_at`]). There `finish_ns -
+    /// start_ns` can exceed `latency_ns` when the edge waited for a
+    /// contended resource mid-flight.
     pub finish_ns: Nanos,
     /// The payload as received (reference-counted; cheap to hold).
     pub received: Bytes,
@@ -334,10 +308,11 @@ impl EdgeResult {
 /// Result of a workflow execution.
 #[derive(Debug, Clone)]
 pub struct WorkflowRun {
-    /// Per-edge results in execution order.
+    /// Per-edge results in the engine's event order.
     pub edges: Vec<EdgeResult>,
-    /// Virtual time from first send to last receive: the serial sum for
-    /// [`execute`], the overlapped makespan for [`execute_concurrent_at`].
+    /// Virtual time from first send to last receive: the sum of the
+    /// edges' `latency_ns` for [`execute`], the overlapped makespan for
+    /// [`execute_concurrent_at`].
     pub total_latency_ns: Nanos,
 }
 
@@ -435,47 +410,6 @@ pub fn execute_compiled(
     }
     run.total_latency_ns = elapsed;
     Ok(run)
-}
-
-/// The retired serial loop: each edge in topological order, timed by the
-/// clock's advance. Kept only as the differential tests' oracle for
-/// [`execute_compiled`].
-#[doc(hidden)]
-pub fn execute_serial_loop(
-    plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
-    spec: &WorkflowSpec,
-    payload: Bytes,
-) -> Result<WorkflowRun, PlatformError> {
-    let compiled = CompiledWorkflow::compile(spec)?;
-    let dag = compiled.dag();
-    let started = clock.now();
-    let mut node_payload: Vec<Option<Bytes>> = vec![None; compiled.node_count()];
-    for &root in compiled.roots() {
-        node_payload[root] = Some(payload.clone());
-    }
-    let mut edges = Vec::with_capacity(compiled.edge_count());
-    for &(u, v) in compiled.topo_edges() {
-        let current = node_payload[u].as_ref().expect("topo order delivers inputs first").clone();
-        let bytes = current.len();
-        let (from, to) = (dag.node_name(u), dag.node_name(v));
-        let t0 = clock.now();
-        let received = plane.transfer(from, to, current)?;
-        let t1 = clock.now();
-        if node_payload[v].is_none() {
-            node_payload[v] = Some(received.clone());
-        }
-        edges.push(EdgeResult {
-            from: from.to_owned(),
-            to: to.to_owned(),
-            bytes,
-            latency_ns: t1 - t0,
-            start_ns: t0 - started,
-            finish_ns: t1 - started,
-            received,
-        });
-    }
-    Ok(WorkflowRun { edges, total_latency_ns: clock.now() - started })
 }
 
 /// Executes `spec` over `plane` with the discrete-event engine,
@@ -1011,11 +945,28 @@ mod tests {
     fn invalid_specs_rejected() {
         let clock = VirtualClock::new();
         let mut plane = PassThrough { clock: clock.clone() };
-        let spec = WorkflowSpec::sequence("wf", "t", ["only".to_owned()]);
-        assert!(matches!(
-            execute(&mut plane, &clock, &spec, Bytes::new()),
-            Err(PlatformError::InvalidWorkflow(_))
-        ));
+        // Degenerate graphs: every entry point refuses them as invalid,
+        // before any edge reaches the plane.
+        let mut lone = WorkflowDag::new();
+        lone.add_node("only");
+        let mut disconnected = WorkflowDag::new();
+        disconnected.add_edge("a", "b").add_edge("x", "y");
+        let mut cycle = WorkflowDag::new();
+        cycle.add_edge("a", "b").add_edge("b", "c").add_edge("c", "a");
+        for dag in [WorkflowDag::new(), lone, disconnected, cycle] {
+            let spec = WorkflowSpec::from_dag("wf", "t", dag);
+            let mut res = SchedResources::new(1, 1);
+            let errors = [
+                execute(&mut plane, &clock, &spec, Bytes::new()).err(),
+                CompiledWorkflow::compile(&spec).err(),
+                execute_concurrent_at(&mut plane, &clock, &spec, Bytes::new(), &mut res, 0).err(),
+            ];
+            for err in errors {
+                let invalid = matches!(err, Some(PlatformError::InvalidWorkflow(_)));
+                assert!(invalid, "{spec:?}: {err:?}");
+            }
+        }
+        assert_eq!(clock.now(), 0);
         let spec = WorkflowSpec::fanout("wf", "t", "src", Vec::<String>::new());
         assert!(spec.validate().is_err());
         let spec = WorkflowSpec::fan_in("wf", "t", Vec::<String>::new(), "sink");
@@ -1288,10 +1239,6 @@ mod tests {
         assert_eq!(compiled.node_count(), 4);
         assert_eq!(compiled.edge_count(), 4);
         assert_eq!(compiled.roots(), &[0]);
-        assert_eq!(compiled.leaves(), &[3]);
-        assert_eq!(compiled.fan_in(0), 0);
-        assert_eq!(compiled.fan_in(3), 2);
-        assert_eq!(compiled.topo_edges(), spec.dag.topo_edges().unwrap().as_slice());
         assert_eq!(compiled.spec(), &spec);
         // Invalid specs fail at compile time, same error the engines gave.
         let bad = WorkflowSpec::sequence("wf", "t", ["only".to_owned()]);
@@ -1367,7 +1314,7 @@ mod tests {
         let received = plane.transfer("a", "b", Bytes::from_static(b"q")).unwrap();
         assert_eq!(&received[..], b"q");
         assert_eq!(clock.now(), 500);
-        // The concurrent engine falls back to the measured duration.
+        // The engine falls back to the measured duration.
         let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "b".to_owned()]);
         let mut res = SchedResources::new(1, 4);
         let run = execute_concurrent_at(

@@ -64,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.checksum()
     );
 
-    // Serial engine: every edge back to back (the paper's measurement
+    // Serial run: every edge back to back (the paper's measurement
     // discipline).
     let (bed, mut plane) = deploy();
     let clock = bed.clock().clone();
     let serial = execute(&mut plane, &clock, &spec(), batch.flat().clone())?;
 
-    // Concurrent engine: independent edges overlap, contended resources
+    // Concurrent run: independent edges overlap, contended resources
     // (each node's 4 cores, the shared 700 Mbit/s link) serialize.
     let (bed, mut plane) = deploy();
     let clock = bed.clock().clone();

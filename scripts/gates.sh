@@ -195,8 +195,8 @@ count count:panics:vkernel vkernel 7
 # placement over a non-empty resource view), sweep.rs 1 (the pool filled
 # every slot before the scope joined), warmpool.rs 1 (an eviction from a
 # slot over its cap), wordhash.rs 1 (the hasher is only fed u64 keys),
-# workflow.rs 2 (a node's input exists before it runs, in both engines).
-count count:panics:platform platform 9
+# workflow.rs 1 (a node's input exists before it runs).
+count count:panics:platform platform 8
 # compile.rs 10 (six control-frame pops and peeks and one call target,
 # over a body validation already accepted; three `unreachable!` arms for
 # ops only the callers' other arms produce: a non-numeric instruction, a

@@ -3,17 +3,14 @@
 //! serial and concurrent executors must agree on what moved.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use roadrunner::{guest, RoadrunnerPlane, ShimConfig};
 use roadrunner_platform::{
-    critical_path_ns, execute, execute_concurrent_at, execute_serial_loop, DataPlane,
-    FunctionBundle, PlatformError, TransferTiming, WorkflowDag, WorkflowRun, WorkflowSpec,
+    critical_path_ns, execute, execute_concurrent_at, DataPlane, PlatformError, TransferTiming,
+    WorkflowDag, WorkflowSpec,
 };
-use roadrunner_vkernel::{SchedResources, Testbed, VirtualClock};
-use roadrunner_wasm::encode;
+use roadrunner_vkernel::{SchedResources, VirtualClock};
 
 /// Splitmix-style generator so graph shapes derive deterministically from
 /// the proptest-provided seed.
@@ -183,138 +180,24 @@ proptest! {
         let concurrent =
             execute_concurrent_at(&mut plane, &clock, &spec, payload, &mut resources, 0).unwrap();
 
+        // Both runs are the one engine: every edge, matched by name,
+        // moved the same bytes for the same busy time, and the serial
+        // run lays those busy times end to end.
         prop_assert_eq!(serial.edges.len(), concurrent.edges.len());
         for edge in &serial.edges {
             let twin = concurrent
                 .edge(&edge.from, &edge.to)
                 .expect("every serial edge ran concurrently too");
-            prop_assert_eq!(edge.bytes, twin.bytes);
-            prop_assert_eq!(edge.checksum(), twin.checksum());
+            prop_assert_eq!(
+                (edge.bytes, edge.latency_ns, edge.checksum()),
+                (twin.bytes, twin.latency_ns, twin.checksum())
+            );
         }
+        prop_assert_eq!(serial.total_latency_ns, concurrent.serialized_ns());
         // The overlapped schedule is bounded by the critical path below
         // and the fully serialized schedule above.
         let critical = critical_path_ns(&spec, &concurrent).unwrap();
         prop_assert!(concurrent.total_latency_ns >= critical);
         prop_assert!(concurrent.total_latency_ns <= serial.total_latency_ns);
-    }
-}
-
-/// The engine-backed serial run reports what the retired loop reported:
-/// per edge (matched by name) the same bytes, busy time and checksum, and
-/// the same total.
-fn assert_same_serial_run(old: &WorkflowRun, new: &WorkflowRun) {
-    assert_eq!(old.edges.len(), new.edges.len());
-    for edge in &old.edges {
-        let twin = new.edge(&edge.from, &edge.to).expect("every edge ran under both");
-        assert_eq!(
-            (edge.bytes, edge.latency_ns, edge.checksum()),
-            (twin.bytes, twin.latency_ns, twin.checksum()),
-            "{} -> {}",
-            edge.from,
-            edge.to
-        );
-    }
-    assert_eq!(old.total_latency_ns, new.total_latency_ns);
-    assert_eq!(new.total_latency_ns, new.serialized_ns());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn the_serial_loop_and_the_engine_agree_on_random_dags(
-        n in 2usize..10,
-        extra in 0usize..8,
-        seed in any::<u64>(),
-        payload_len in 1usize..5_000,
-    ) {
-        let spec = WorkflowSpec::from_dag("prop", "t", forward_dag(n, extra, seed));
-        let payload = Bytes::from(vec![0x3Cu8; payload_len]);
-        let clock = VirtualClock::new();
-        let old = execute_serial_loop(&mut TestPlane { clock: clock.clone() }, &clock, &spec, payload.clone())
-            .unwrap();
-        let clock = VirtualClock::new();
-        let new = execute(&mut TestPlane { clock: clock.clone() }, &clock, &spec, payload).unwrap();
-        assert_same_serial_run(&old, &new);
-    }
-}
-
-/// What the consumer guest's `deallocate_memory` costs in virtual time.
-const GUEST_FREE_NS: u64 = 33;
-
-/// `(function, node, role)`: 0 produces, 1 relays, 2 consumes.
-type Deployment = Vec<(String, usize, u8)>;
-
-fn roadrunner(deployment: &Deployment, load_costs: bool) -> (Arc<Testbed>, RoadrunnerPlane) {
-    let bed = Arc::new(Testbed::paper());
-    let mut plane =
-        RoadrunnerPlane::new(Arc::clone(&bed), ShimConfig::default().with_load_costs(load_costs));
-    for (name, node, role) in deployment {
-        let (module, handler, acks) = match role {
-            0 => (guest::producer(), "produce", false),
-            1 => (guest::relay(), "relay", false),
-            _ => (guest::consumer(), "consume", true),
-        };
-        let bundle = FunctionBundle::wasm(name, encode::encode(&module)).with_workflow("diff");
-        plane.deploy(*node, name, Arc::new(bundle.with_tenant("t")), handler, acks).unwrap();
-    }
-    (bed, plane)
-}
-
-#[test]
-fn the_serial_loop_and_the_engine_agree_over_roadrunner() {
-    let f = |name: &str, node, role| (name.to_owned(), node, role);
-    let diamond = |sink_node| {
-        let deployment = vec![f("a", 0, 0), f("b", 0, 1), f("c", 0, 1), f("d", sink_node, 2)];
-        let mut dag = WorkflowDag::new();
-        dag.add_edge("a", "b").add_edge("a", "c").add_edge("b", "d").add_edge("c", "d");
-        (deployment, dag, false)
-    };
-    let scatter = |workers: &[&str], sink: &str, sink_node, spread| {
-        let mut deployment = vec![f("src", 0, 0)];
-        let mut dag = WorkflowDag::new();
-        for (i, worker) in workers.iter().enumerate() {
-            deployment.push(f(worker, if spread { i % 2 } else { 0 }, 1));
-            dag.add_edge("src", worker);
-            dag.add_edge(worker, sink);
-        }
-        deployment.push(f(sink, sink_node, 2));
-        (deployment, dag)
-    };
-    let (sg, sg_dag) = scatter(&["w0", "w1", "w2", "w3"], "sink", 1, true);
-    let (ex, ex_dag) = scatter(&["worker-0", "worker-1", "worker-2", "worker-3"], "gather", 1, true);
-    let mut fanout = vec![f("ingest", 0, 0)];
-    let mut fanout_dag = WorkflowDag::new();
-    for i in 0..4 {
-        let worker = format!("analytics-{i}");
-        fanout.push(f(&worker, 0, 2));
-        fanout_dag.add_edge("ingest", &worker);
-    }
-    let cases = [
-        diamond(0),
-        diamond(1),
-        (sg, sg_dag, false),
-        (ex, ex_dag, true),
-        (fanout, fanout_dag, true),
-    ];
-    let payload = Bytes::from(vec![0x5Au8; 96 * 1024]);
-    for (deployment, dag, load_costs) in cases {
-        let spec = WorkflowSpec::from_dag("diff", "t", dag);
-        let (bed, mut plane) = roadrunner(&deployment, load_costs);
-        let old = execute_serial_loop(&mut plane, bed.clock(), &spec, payload.clone()).unwrap();
-        let (bed, mut plane) = roadrunner(&deployment, load_costs);
-        let new = execute(&mut plane, bed.clock(), &spec, payload.clone()).unwrap();
-        // The plane's breakdown ends before a consumer's region is
-        // released, and the guest's `deallocate_memory` advances the
-        // clock past it: the loop timed that free into the edge, the
-        // engine charges the breakdown alone.
-        let mut old = old;
-        for edge in &mut old.edges {
-            if deployment.iter().any(|(name, _, role)| *name == edge.to && *role == 2) {
-                edge.latency_ns -= GUEST_FREE_NS;
-                old.total_latency_ns -= GUEST_FREE_NS;
-            }
-        }
-        assert_same_serial_run(&old, &new);
     }
 }
