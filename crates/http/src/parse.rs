@@ -116,42 +116,60 @@ fn find_double_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Decodes a chunked body if complete; returns `(body, consumed)`.
 /// A decoded message body: the bytes plus how much of the input buffer
 /// they consumed (chunked framing included).
 type DecodedBody = (Bytes, usize);
 
-fn decode_chunked(buf: &[u8]) -> Result<Option<DecodedBody>, HttpError> {
-    let mut body = BytesMut::new();
-    let mut pos = 0usize;
-    loop {
-        let Some(line_end) = buf[pos..].windows(2).position(|w| w == b"\r\n") else {
-            return Ok(None);
-        };
-        let size_line = std::str::from_utf8(&buf[pos..pos + line_end])
-            .map_err(|_| HttpError::Parse("chunk size is not UTF-8".into()))?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| HttpError::Parse(format!("bad chunk size `{size_line}`")))?;
-        let data_start = pos + line_end + 2;
-        // `size` is the peer's claim, not a length this buffer has: a
-        // chunk that would end past `usize::MAX` is malformed, not
-        // merely incomplete.
-        let chunk_end = data_start
-            .checked_add(size)
-            .and_then(|data_end| data_end.checked_add(2))
-            .ok_or_else(|| HttpError::Parse(format!("chunk size `{size_line}` overflows")))?;
-        let data_end = chunk_end - 2;
-        if buf.len() < chunk_end {
-            return Ok(None);
+/// A chunked body decoded as far as the bytes received so far allow, so
+/// the next poll resumes where this one stopped: a body that arrives in
+/// N pieces is decoded once, not N times over.
+#[derive(Debug, Default)]
+struct ChunkedProgress {
+    /// Where the next chunk-size line starts, counted from the body's
+    /// first byte.
+    next: usize,
+    /// The data of every chunk before `next`.
+    body: BytesMut,
+}
+
+impl ChunkedProgress {
+    /// Decodes the chunks of `buf`, the bytes after the head, from
+    /// `next` on; the body and the bytes it consumed once the last chunk
+    /// is in.
+    fn resume(&mut self, buf: &[u8]) -> Result<Option<DecodedBody>, HttpError> {
+        loop {
+            let pos = self.next;
+            let line_end = buf[pos..].windows(2).position(|w| w == b"\r\n");
+            #[cfg(test)]
+            tests::scanned(line_end.map_or(buf.len() - pos, |end| end + 2));
+            let Some(line_end) = line_end else {
+                return Ok(None);
+            };
+            let size_line = std::str::from_utf8(&buf[pos..pos + line_end])
+                .map_err(|_| HttpError::Parse("chunk size is not UTF-8".into()))?;
+            let size = usize::from_str_radix(size_line.trim(), 16)
+                .map_err(|_| HttpError::Parse(format!("bad chunk size `{size_line}`")))?;
+            let data_start = pos + line_end + 2;
+            // `size` is the peer's claim, not a length this buffer has: a
+            // chunk that would end past `usize::MAX` is malformed, not
+            // merely incomplete.
+            let chunk_end = data_start
+                .checked_add(size)
+                .and_then(|data_end| data_end.checked_add(2))
+                .ok_or_else(|| HttpError::Parse(format!("chunk size `{size_line}` overflows")))?;
+            let data_end = chunk_end - 2;
+            if buf.len() < chunk_end {
+                return Ok(None);
+            }
+            if &buf[data_end..chunk_end] != b"\r\n" {
+                return Err(HttpError::Parse("chunk not terminated by CRLF".into()));
+            }
+            if size == 0 {
+                return Ok(Some((std::mem::take(&mut self.body).freeze(), chunk_end)));
+            }
+            self.body.extend_from_slice(&buf[data_start..data_end]);
+            self.next = chunk_end;
         }
-        if &buf[data_end..chunk_end] != b"\r\n" {
-            return Err(HttpError::Parse("chunk not terminated by CRLF".into()));
-        }
-        if size == 0 {
-            return Ok(Some((body.freeze(), chunk_end)));
-        }
-        body.extend_from_slice(&buf[data_start..data_end]);
-        pos = chunk_end;
     }
 }
 
@@ -162,6 +180,8 @@ pub struct MessageReader {
     /// How much of `buf` earlier polls searched for the end of the head
     /// without finding it, so a poll searches only what arrived since.
     searched: usize,
+    /// How far earlier polls decoded a chunked body.
+    chunked: ChunkedProgress,
 }
 
 impl MessageReader {
@@ -210,7 +230,7 @@ impl MessageReader {
                     Some((Bytes::copy_from_slice(&rest[..n]), n))
                 }
             }
-            BodyLen::Chunked => decode_chunked(rest)?,
+            BodyLen::Chunked => self.chunked.resume(rest)?,
         };
         Ok(Some((head, body)))
     }
@@ -218,6 +238,7 @@ impl MessageReader {
     fn consume(&mut self, head_bytes: usize, body_bytes: usize) {
         let _ = self.buf.split_to(head_bytes + body_bytes);
         self.searched = 0;
+        self.chunked = ChunkedProgress::default();
     }
 
     /// Attempts to parse a complete request from the buffered bytes.
@@ -281,7 +302,18 @@ impl MessageReader {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// Bytes this thread's chunk decoders searched for size lines.
+        static SCANNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn scanned(bytes: usize) {
+        SCANNED.with(|total| total.set(total.get() + bytes));
+    }
 
     #[test]
     fn request_round_trip() {
@@ -367,6 +399,34 @@ mod tests {
         let mut reader = MessageReader::new();
         reader.feed(b"HTTP/1.1 abc OK\r\ncontent-length: 0\r\n\r\n");
         assert!(reader.try_response().is_err());
+    }
+
+    #[test]
+    fn a_chunked_body_fed_in_pieces_is_decoded_once() {
+        let mut raw = b"POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
+        let head = raw.len();
+        for i in 0..10_000u32 {
+            raw.extend_from_slice(format!("1\r\n{}\r\n", char::from(b'a' + (i % 26) as u8)).as_bytes());
+        }
+        raw.extend_from_slice(b"0\r\n\r\n");
+        let body_bytes = raw.len() - head;
+        let mut reader = MessageReader::new();
+        reader.feed(&raw[..head]);
+        SCANNED.with(|total| total.set(0));
+        // 20 000 pieces of 3 bytes, a poll after each.
+        let mut parsed = None;
+        for piece in raw[head..].chunks(3) {
+            reader.feed(piece);
+            parsed = reader.try_request().unwrap();
+        }
+        let body = parsed.expect("the last piece completes the body").body;
+        assert_eq!(body.len(), 10_000);
+        assert_eq!(&body[..3], b"abc");
+        assert_eq!(reader.buffered(), 0);
+        // Re-decoding from the first chunk on every poll would search
+        // ~3 * 10 000 / 2 bytes per poll, 3 * 10^8 in all.
+        let scanned = SCANNED.with(Cell::get);
+        assert!(scanned <= 2 * body_bytes, "{scanned} bytes searched for a {body_bytes}-byte body");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! to its virtual deadline, so re-running a workload replays the exact
 //! same hit/miss/eviction sequence.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::AddAssign;
 
 use roadrunner_vkernel::sched::SchedResources;
@@ -228,6 +227,17 @@ impl IdleHistogram {
     }
 }
 
+/// One (function, node) pair's pool.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// Idle-since timestamps. An entry with a *future* timestamp is a
+    /// prewarm still instantiating — not yet usable, not yet aging.
+    idle: Vec<Nanos>,
+    /// Whether the pair has paid the full build at least once — later
+    /// misses restore from the snapshot (when the tier is configured).
+    built: bool,
+}
+
 /// A deterministic warm-instance pool over the cluster's (function,
 /// node) slots. See the module docs for the model; the load engine owns
 /// one per pooled run and drives it at every admission, completion and
@@ -237,14 +247,11 @@ pub struct WarmPool {
     cold_ns: Nanos,
     cfg: WarmPoolConfig,
     functions: usize,
-    /// Idle-since timestamps per (function index, node index). An entry
-    /// with a *future* timestamp is a prewarm still instantiating — not
-    /// yet usable, not yet aging.
-    slots: HashMap<(usize, usize), Vec<Nanos>>,
-    /// (function, node) pairs that have paid the full build at least
-    /// once — later misses restore from the snapshot (when the tier is
-    /// configured).
-    snapshots: HashSet<(usize, usize)>,
+    /// `nodes[node][function]`, indexed like the resource mesh: grown
+    /// when an index is first touched, shifted down by
+    /// [`remove_node`](Self::remove_node), cut by
+    /// [`shrink_to`](Self::shrink_to).
+    nodes: Vec<Vec<Slot>>,
     /// Per-function reuse-gap histograms (hybrid keep-alive only).
     hists: Vec<IdleHistogram>,
     /// Round-robin node cursor spreading prewarm instantiations.
@@ -260,8 +267,7 @@ impl WarmPool {
             cold_ns,
             cfg,
             functions,
-            slots: HashMap::new(),
-            snapshots: HashSet::new(),
+            nodes: Vec::new(),
             hists: vec![IdleHistogram::default(); functions],
             prewarm_cursor: 0,
             stats: PoolStats::default(),
@@ -284,6 +290,18 @@ impl WarmPool {
         self.stats
     }
 
+    /// Grows the pool so that `node` indexes a row of slots.
+    fn reach(&mut self, node: usize) {
+        if node >= self.nodes.len() {
+            self.nodes.resize(node + 1, vec![Slot::default(); self.functions]);
+        }
+    }
+
+    /// How many instances `function`'s slot on `node` holds.
+    fn held(&self, function: usize, node: usize) -> usize {
+        self.nodes.get(node).map_or(0, |slots| slots[function].idle.len())
+    }
+
     /// Admits one instance placed per `assignment` at `now`: each
     /// function takes the most-recently-idle usable instance from its
     /// slot or instantiates on the node's CPU timeline, delaying the
@@ -299,7 +317,8 @@ impl WarmPool {
         let mut misses = 0u32;
         for (fi, &node) in assignment.iter().enumerate() {
             let ttl = self.ttl_ns(fi);
-            let slot = self.slots.entry((fi, node)).or_default();
+            self.reach(node);
+            let slot = &mut self.nodes[node][fi].idle;
             expire_slot(slot, now, ttl, &mut self.stats);
             // Most-recently-idle first (LIFO): the entry with the best
             // chance of staying warm for the *next* arrival is the one
@@ -344,7 +363,8 @@ impl WarmPool {
         let cap = self.cfg.max_idle_per_slot.max(1);
         for (fi, &node) in assignment.iter().enumerate().filter(|&(_, &node)| node < nodes) {
             let ttl = self.ttl_ns(fi);
-            let slot = self.slots.entry((fi, node)).or_default();
+            self.reach(node);
+            let slot = &mut self.nodes[node][fi].idle;
             expire_slot(slot, finish, ttl, &mut self.stats);
             slot.push(finish);
             self.stats.returns += 1;
@@ -381,26 +401,22 @@ impl WarmPool {
         for fi in 0..self.functions {
             let ttl = self.ttl_ns(fi);
             let mut have = in_flight;
-            for node in 0..nodes {
-                if let Some(slot) = self.slots.get_mut(&(fi, node)) {
-                    expire_slot(slot, now, ttl, &mut self.stats);
-                    have += slot.len();
-                }
+            for slots in self.nodes.iter_mut().take(nodes) {
+                let slot = &mut slots[fi].idle;
+                expire_slot(slot, now, ttl, &mut self.stats);
+                have += slot.len();
             }
             // `max_idle_per_slot` bounds staffing the same way it bounds
             // returns: an over-eager target cannot flood the cluster with
             // more background instantiation than the pool could retain.
             // Saturating: a keep-forever pool caps slots at `usize::MAX`.
             let capacity = (0..nodes).fold(0usize, |total, node| {
-                let held = self.slots.get(&(fi, node)).map_or(0, Vec::len);
-                total.saturating_add(self.cfg.max_idle_per_slot.saturating_sub(held))
+                total.saturating_add(self.cfg.max_idle_per_slot.saturating_sub(self.held(fi, node)))
             });
             for _ in 0..target.saturating_sub(have).min(capacity) {
                 let mut node = self.prewarm_cursor % nodes;
                 self.prewarm_cursor += 1;
-                while self.slots.get(&(fi, node)).map_or(0, Vec::len)
-                    >= self.cfg.max_idle_per_slot
-                {
+                while self.held(fi, node) >= self.cfg.max_idle_per_slot {
                     node = self.prewarm_cursor % nodes;
                     self.prewarm_cursor += 1;
                 }
@@ -411,7 +427,7 @@ impl WarmPool {
                 } else {
                     now
                 };
-                self.slots.entry((fi, node)).or_default().push(ready);
+                self.nodes[node][fi].idle.push(ready);
                 self.stats.prewarms += 1;
                 self.stats.prewarm_ns += cost;
             }
@@ -423,7 +439,8 @@ impl WarmPool {
     /// tier afterwards (when configured). Records the snapshot and the
     /// restore count as a side effect.
     fn instantiation_cost(&mut self, function: usize, node: usize) -> Nanos {
-        let first_build = self.snapshots.insert((function, node));
+        self.reach(node);
+        let first_build = !std::mem::replace(&mut self.nodes[node][function].built, true);
         if first_build {
             self.cold_ns
         } else {
@@ -440,52 +457,19 @@ impl WarmPool {
     /// Scale-in to `nodes`: pools (and snapshots) on removed nodes die
     /// with them — a re-added index is a brand-new machine.
     pub fn shrink_to(&mut self, nodes: usize, now: Nanos) {
-        let stats = &mut self.stats;
-        self.slots.retain(|&(_, node), slot| {
-            if node >= nodes {
-                for &s in slot.iter() {
-                    stats.idle_ns += u128::from(now.saturating_sub(s));
-                    stats.evictions += 1;
-                }
-                false
-            } else {
-                true
-            }
-        });
-        self.snapshots.retain(|&(_, node)| node < nodes);
+        for slots in self.nodes.iter().skip(nodes) {
+            evict_node(slots, now, &mut self.stats);
+        }
+        self.nodes.truncate(nodes);
     }
 
     /// A killed node `victim` leaves the cluster: its pool dies, and
     /// slots above it shift down one index (mirroring the resource
     /// mesh's reindexing).
     pub fn remove_node(&mut self, victim: usize, now: Nanos) {
-        let mut slots = HashMap::with_capacity(self.slots.len());
-        for ((fi, node), slot) in self.slots.drain() {
-            match node.cmp(&victim) {
-                std::cmp::Ordering::Less => {
-                    slots.insert((fi, node), slot);
-                }
-                std::cmp::Ordering::Equal => {
-                    for &s in &slot {
-                        self.stats.idle_ns += u128::from(now.saturating_sub(s));
-                        self.stats.evictions += 1;
-                    }
-                }
-                std::cmp::Ordering::Greater => {
-                    slots.insert((fi, node - 1), slot);
-                }
-            }
+        if victim < self.nodes.len() {
+            evict_node(&self.nodes.remove(victim), now, &mut self.stats);
         }
-        self.slots = slots;
-        self.snapshots = self
-            .snapshots
-            .iter()
-            .filter_map(|&(fi, node)| match node.cmp(&victim) {
-                std::cmp::Ordering::Less => Some((fi, node)),
-                std::cmp::Ordering::Equal => None,
-                std::cmp::Ordering::Greater => Some((fi, node - 1)),
-            })
-            .collect();
     }
 
     /// End-of-run flush at horizon `end`: entries whose TTL deadline
@@ -493,9 +477,9 @@ impl WarmPool {
     /// rest as still-warm (idle credited to the horizon). Consumes the
     /// pool and returns the final accounting.
     pub fn finalize(mut self, end: Nanos) -> PoolStats {
-        for (&(fi, _), slot) in &self.slots {
+        for (fi, slot) in self.nodes.iter().flat_map(|slots| slots.iter().enumerate()) {
             let ttl = self.ttl_ns(fi);
-            for &s in slot {
+            for &s in &slot.idle {
                 if s.saturating_add(ttl) <= end {
                     self.stats.evictions += 1;
                     self.stats.idle_ns += u128::from(ttl);
@@ -506,6 +490,14 @@ impl WarmPool {
             }
         }
         self.stats
+    }
+}
+
+/// A node leaving the cluster takes its idle instances down at `now`.
+fn evict_node(slots: &[Slot], now: Nanos, stats: &mut PoolStats) {
+    for &s in slots.iter().flat_map(|slot| &slot.idle) {
+        stats.idle_ns += u128::from(now.saturating_sub(s));
+        stats.evictions += 1;
     }
 }
 
@@ -692,6 +684,54 @@ mod tests {
         let miss = pool.admit(30, &[2], &mut r);
         assert_eq!(miss.misses, 1);
         assert_eq!(pool.stats().restores, restores_before, "fresh machine: full build");
+    }
+
+    #[test]
+    fn shrink_to_evicts_removed_nodes_and_keeps_survivors() {
+        let cfg = WarmPoolConfig {
+            keep_alive: KeepAlive::FixedTtl { ttl_ns: Nanos::MAX },
+            restore_ns: Some(10),
+            ..WarmPoolConfig::default()
+        };
+        let mut pool = WarmPool::new(100, cfg, 2);
+        let mut r = res(3);
+        // Both functions built on every node, then idle from t = 10.
+        for node in 0..3 {
+            pool.admit(0, &[node, node], &mut r);
+            pool.complete(10, &[node, node], 3);
+        }
+        pool.shrink_to(1, 50);
+        let stats = pool.stats();
+        assert_eq!(stats.evictions, 4, "nodes 1 and 2 took two idle instances each");
+        assert_eq!(stats.idle_ns, 4 * 40, "each credited from t = 10 up to now = 50");
+        // Node 0 keeps its instances...
+        let hit = pool.admit(60, &[0, 0], &mut r);
+        assert_eq!((hit.hits, hit.misses), (2, 0));
+        // ...and its snapshots: with the slots now empty, it restores.
+        let restored = pool.admit(60, &[0, 0], &mut res(3));
+        assert_eq!(restored.misses, 2);
+        assert_eq!(restored.release_ns, 70);
+        assert_eq!(pool.stats().restores, 2);
+        // A re-added index is a brand-new machine: the full build.
+        let rebuilt = pool.admit(60, &[2, 2], &mut res(3));
+        assert_eq!(rebuilt.misses, 2);
+        assert_eq!(rebuilt.release_ns, 160);
+        assert_eq!(pool.stats().restores, 2);
+    }
+
+    #[test]
+    fn complete_past_the_known_nodes_grows_the_pool() {
+        let cfg = WarmPoolConfig {
+            keep_alive: KeepAlive::FixedTtl { ttl_ns: Nanos::MAX },
+            ..WarmPoolConfig::default()
+        };
+        let mut pool = WarmPool::new(100, cfg, 2);
+        // Nothing admitted yet: node 5 lies past every row the pool has.
+        pool.complete(10, &[5, 3], 6);
+        assert_eq!(pool.nodes.len(), 6);
+        assert_eq!(pool.stats().returns, 2);
+        let hit = pool.admit(20, &[5, 3], &mut res(6));
+        assert_eq!((hit.hits, hit.misses), (2, 0));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Word-at-a-time hashing for the load engine's hot maps.
+//! Word-at-a-time hashing for the load engine's hot maps and the
+//! memo's payload fingerprints.
 //!
 //! `std`'s default SipHash defends a map against keys an attacker
 //! chose; the maps on the per-edge path are keyed by values this
@@ -8,6 +9,12 @@
 //! [`PremixedHasher`] passes through a `u64` that [`mix`] / [`finish`]
 //! already spread. Neither may key a map on bytes that arrive from
 //! outside the program.
+//!
+//! [`fingerprint`] runs the same [`mix`] over whole payloads — the
+//! memo's 256 KB received buffers — four independent lanes at a time,
+//! so the multiplies overlap instead of waiting on one another. It is
+//! as far from collision-resistant as the rest of this module: it
+//! tells apart payloads the program generated, not ones a peer chose.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -32,6 +39,24 @@ fn mix_bytes(hash: u64, bytes: &[u8]) -> u64 {
         word[..chunk.len()].copy_from_slice(chunk);
         mix(h, u64::from_le_bytes(word))
     })
+}
+
+/// A payload's fingerprint. Each 32-byte step feeds one word to each of
+/// four lanes; the lanes are then folded in order, followed by the
+/// zero-padded tail and the length — so `[1]` and `[1, 0]` differ. Every
+/// step is a bijection of the state for a fixed input and of the input
+/// for a fixed state, so two payloads of one length that differ in a
+/// single word never share a fingerprint.
+pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = [SEED; 4];
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let h = lanes.into_iter().fold(SEED, mix);
+    finish(mix(mix_bytes(h, tail), bytes.len() as u64))
 }
 
 /// Folds a string in, then its length — so `("ab", "c")` and

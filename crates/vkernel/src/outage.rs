@@ -23,7 +23,7 @@
 //! the transfer memo mixes into its keys so entries recorded under one
 //! health regime never replay under another.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::Nanos;
 
@@ -47,11 +47,15 @@ impl OutageWindow {
 ///
 /// Keys are **stable node ids** (see the module docs); link windows are
 /// stored under the normalized `(min, max)` id pair, so
-/// `link_down(3, 1, ..)` and queries for `(1, 3)` agree.
+/// `link_down(3, 1, ..)` and queries for `(1, 3)` agree. Both maps are
+/// ordered: the load engine asks them on every edge, and a lookup among
+/// a handful of ids is a few integer compares where SipHash would hash
+/// the key first. Iteration — `Debug` output included — follows id
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct OutageSchedule {
-    node_windows: HashMap<u64, Vec<OutageWindow>>,
-    link_windows: HashMap<(u64, u64), Vec<OutageWindow>>,
+    node_windows: BTreeMap<u64, Vec<OutageWindow>>,
+    link_windows: BTreeMap<(u64, u64), Vec<OutageWindow>>,
 }
 
 fn pair(a: u64, b: u64) -> (u64, u64) {
@@ -246,7 +250,7 @@ mod tests {
         let ids = [0u64, 1, 2, 3];
         let a = OutageSchedule::seeded_link_flaps(42, &ids, 1_000_000, 8, 5_000);
         let b = OutageSchedule::seeded_link_flaps(42, &ids, 1_000_000, 8, 5_000);
-        assert_eq!(format!("{a:?}").len(), format!("{b:?}").len());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert!(!a.is_empty());
         // Different seed, different schedule (with overwhelming odds).
         let c = OutageSchedule::seeded_link_flaps(43, &ids, 1_000_000, 8, 5_000);

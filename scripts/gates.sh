@@ -29,7 +29,7 @@
 #                         excluded, stay at or below the pin (ROADMAP 5(e):
 #                         the pin only ever falls)
 #   count:panics:*        the same count under crates/{serial,baselines,
-#                         http,wasi,vkernel,platform,wasm}/src
+#                         http,wasi,vkernel,platform,wasm,bench}/src
 #
 # Worker-count independence (one worker == four) is not a gate here:
 # crates/bench/tests/sweep_golden.rs checks it for fig12-fig16 in tier-1.
@@ -207,6 +207,20 @@ count count:panics:platform platform 8
 # dispatched before the counted match), validate.rs 4 (control-frame pops
 # and peeks: the function's own frame stays pushed until its body ends).
 count count:panics:wasm wasm 22
+# bench is the figure harness, where a panic is the failing gate itself:
+# lib.rs 23 (deploys of the SDK's constant guests, their warm-up, serial
+# and pair transfers, a breakdown the transfer just recorded, two
+# `unreachable!` arms for baselines another branch measures), fig13.rs 10,
+# fig12.rs 7, fig16.rs 7, fig14.rs 6, fig15.rs 6 (load runs over each
+# figure's own configs, percentiles, pools and goodput of runs that
+# completed instances, cells the sweep itself built, and fig14's
+# self-healing claim), bin/bench_wasm.rs 8 (constant kernel guests
+# validated, instantiated and invoked; the `BENCH_wasm.json` write),
+# bin/fig11_dag.rs 4 (the three constant scenarios deployed and run; an
+# acyclic DAG's critical path), bin/fig15_coldstart.rs 1 and
+# bin/fig16_overload.rs 1 (the `BENCH_*.json` write), bin/fig2b.rs 1 (an
+# `unreachable!` arm for the systems the loop does not visit).
+count count:panics:bench bench 74
 
 produce bench_wasm.json bench_wasm --quick
 
