@@ -241,6 +241,59 @@ mod tests {
         }
     }
 
+    /// FNV-1a of the flat text bytes, one row per seed, one column per
+    /// size. Every text payload in the figures, examples and benchmark
+    /// is generated here, so a generator rewrite must keep these.
+    #[test]
+    fn text_payload_bytes_are_pinned() {
+        const SIZES: [usize; 7] = [0, 1, 7, 8, 9, 4096, 65_537];
+        const DIGESTS: [(u64, [u64; 7]); 3] = [
+            (
+                0,
+                [
+                    0xcbf2_9ce4_8422_2325,
+                    0xaf63_ed4c_8602_096f,
+                    0x44a7_095f_b7fd_29ef,
+                    0xa4fe_a6a5_a32d_e55b,
+                    0x8a9a_4c74_46fc_5713,
+                    0xfbeb_30f0_f102_fdd2,
+                    0x74d6_0ebb_dc91_081f,
+                ],
+            ),
+            (
+                1,
+                [
+                    0xcbf2_9ce4_8422_2325,
+                    0xaf64_154c_8602_4d67,
+                    0x97b2_68f8_3e11_dd98,
+                    0xd606_4fd1_785c_2236,
+                    0x08dc_10ef_848e_8450,
+                    0xc23c_a3ce_c39b_66ca,
+                    0xc7b0_5a2d_8420_546d,
+                ],
+            ),
+            (
+                7,
+                [
+                    0xcbf2_9ce4_8422_2325,
+                    0xaf63_db4c_8601_ead9,
+                    0x6b5b_3285_db9d_757c,
+                    0x096b_f474_2c8d_fce1,
+                    0x906d_0e67_b544_59f7,
+                    0xdf36_19ad_07e6_aa9c,
+                    0x4cd2_1aaa_7cdf_4879,
+                ],
+            ),
+        ];
+        for (seed, digests) in DIGESTS {
+            for (size, digest) in SIZES.into_iter().zip(digests) {
+                let p = Payload::synthetic(PayloadKind::Text, seed, size);
+                assert_eq!(p.flat().len(), size);
+                assert_eq!(fnv1a(p.flat()), digest, "seed {seed}, size {size}");
+            }
+        }
+    }
+
     #[test]
     fn image_payload_has_exact_size() {
         for size in [0usize, 1, 9, 4096] {
