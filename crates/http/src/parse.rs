@@ -22,6 +22,8 @@ pub enum HttpError {
     /// [`MAX_HEAD_BYTES`] arrived without the blank line that ends a
     /// message head.
     HeadTooLarge,
+    /// A message head carried more than [`MAX_HEADERS`] header lines.
+    TooManyHeaders,
     /// The underlying transport failed.
     Transport(String),
 }
@@ -33,6 +35,9 @@ impl fmt::Display for HttpError {
             HttpError::Incomplete => write!(f, "incomplete http message"),
             HttpError::HeadTooLarge => {
                 write!(f, "http head longer than {MAX_HEAD_BYTES} bytes")
+            }
+            HttpError::TooManyHeaders => {
+                write!(f, "http head with more than {MAX_HEADERS} headers")
             }
             HttpError::Transport(msg) => write!(f, "transport error: {msg}"),
         }
@@ -46,6 +51,12 @@ impl Error for HttpError {}
 /// is refused with [`HttpError::HeadTooLarge`], so a reader buffers and
 /// searches at most this much for a head.
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+
+/// The most header lines a message head may carry (hyper's default). A
+/// head with more is refused with [`HttpError::TooManyHeaders`], so the
+/// header list a parsed message owns stays bounded however short its
+/// lines are.
+pub const MAX_HEADERS: usize = 100;
 
 /// A parsed start line + headers, before the body is attached.
 #[derive(Debug, Clone)]
@@ -65,7 +76,8 @@ enum BodyLen {
 /// Parses the head that ends at `buf[head_end..head_end + 4]`, the first
 /// blank line. A body length the head states twice over — two different
 /// `content-length` values, or one beside `transfer-encoding: chunked` —
-/// is refused rather than picked from (RFC 9112 §6.3).
+/// is refused rather than picked from (RFC 9112 §6.3), and so is a head
+/// with more than [`MAX_HEADERS`] headers.
 fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, HttpError> {
     let head_text = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Parse("head is not UTF-8".into()))?;
@@ -81,6 +93,9 @@ fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, HttpError> {
     for line in lines {
         if line.is_empty() {
             continue;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HttpError::TooManyHeaders);
         }
         let (name, value) = line
             .split_once(':')
@@ -246,8 +261,9 @@ impl MessageReader {
     /// # Errors
     ///
     /// [`HttpError::Parse`] on malformed input, [`HttpError::HeadTooLarge`]
-    /// past [`MAX_HEAD_BYTES`] of head. `Ok(None)` simply means more bytes
-    /// are needed.
+    /// past [`MAX_HEAD_BYTES`] of head, [`HttpError::TooManyHeaders`] past
+    /// [`MAX_HEADERS`] headers. `Ok(None)` simply means more bytes are
+    /// needed.
     pub fn try_request(&mut self) -> Result<Option<Request>, HttpError> {
         let Some((head, body)) = self.try_head()? else {
             return Ok(None);
@@ -490,6 +506,48 @@ mod tests {
         reader.feed(&[b'x'; 1000]);
         assert_eq!(reader.try_request(), Err(HttpError::HeadTooLarge));
         assert_eq!(reader.try_response(), Err(HttpError::HeadTooLarge));
+    }
+
+    /// A head after `start_line` carrying `count` headers.
+    fn head_with_headers(start_line: &str, count: usize) -> Vec<u8> {
+        let mut head = format!("{start_line}\r\n").into_bytes();
+        for i in 0..count {
+            head.extend_from_slice(format!("x-h{i}: {i}\r\n").as_bytes());
+        }
+        head.extend_from_slice(b"\r\n");
+        head
+    }
+
+    #[test]
+    fn a_head_is_accepted_up_to_the_header_limit_and_refused_past_it() {
+        for (count, ok) in [(MAX_HEADERS, true), (MAX_HEADERS + 1, false)] {
+            let raw = head_with_headers("POST /n HTTP/1.1", count);
+            // Whole, and split-fed: inside the first header, in the last
+            // one, and one byte before the blank line ends.
+            for split in [None, Some(20), Some(raw.len() - 6), Some(raw.len() - 1)] {
+                let mut reader = MessageReader::new();
+                if let Some(at) = split {
+                    reader.feed(&raw[..at]);
+                    assert_eq!(reader.try_request(), Ok(None), "{count} headers, split at {at}");
+                    reader.feed(&raw[at..]);
+                } else {
+                    reader.feed(&raw);
+                }
+                let parsed = reader.try_request();
+                if ok {
+                    let req = parsed.unwrap().unwrap();
+                    assert_eq!(req.headers.len(), count);
+                    assert_eq!(req.header("x-h99"), Some("99"));
+                } else {
+                    assert_eq!(parsed, Err(HttpError::TooManyHeaders), "split {split:?}");
+                }
+            }
+        }
+        let mut reader = MessageReader::new();
+        reader.feed(&head_with_headers("HTTP/1.1 200 OK", MAX_HEADERS));
+        assert_eq!(reader.try_response().unwrap().unwrap().headers.len(), MAX_HEADERS);
+        reader.feed(&head_with_headers("HTTP/1.1 200 OK", MAX_HEADERS + 1));
+        assert_eq!(reader.try_response(), Err(HttpError::TooManyHeaders));
     }
 
     #[test]

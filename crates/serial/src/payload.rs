@@ -89,16 +89,25 @@ impl Payload {
         // counts stay predictable; real payloads are JSON-ish strings.
         const ALPHABET: &[u8] =
             b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,.;:-_";
+        // `ALPHABET[b % ALPHABET.len()]` for every byte value `b`, so each
+        // byte of a draw becomes a character without a division.
+        const CHARS: [u8; 256] = {
+            let mut chars = [0; 256];
+            let mut b = 0;
+            while b < 256 {
+                chars[b] = ALPHABET[b % ALPHABET.len()];
+                b += 1;
+            }
+            chars
+        };
+        // Each draw fills eight bytes, low byte first; a short tail takes
+        // the low bytes of one more draw.
         let mut rng = XorShift64::new(seed);
-        let mut buf = Vec::with_capacity(size);
-        while buf.len() < size {
-            let word = rng.next();
-            for i in 0..8 {
-                if buf.len() == size {
-                    break;
-                }
-                let idx = ((word >> (i * 8)) & 0xFF) as usize % ALPHABET.len();
-                buf.push(ALPHABET[idx]);
+        let mut buf = vec![0; size];
+        for chunk in buf.chunks_mut(8) {
+            let word = rng.next().to_le_bytes();
+            for (out, b) in chunk.iter_mut().zip(word) {
+                *out = CHARS[usize::from(b)];
             }
         }
         // The flat form keeps the generated buffer and the value gets the

@@ -61,6 +61,16 @@ impl Memory {
     /// Grows by `delta` pages. Returns the previous size in pages, or
     /// `None` if growth would exceed the declared or engine maximum
     /// (mirroring `memory.grow`'s `-1` result).
+    ///
+    /// The new pages read as zeros either way; what differs is what the
+    /// host pays for them. A growth that at least doubles the memory adds
+    /// more zero bytes than it keeps, so it takes a fresh zeroed
+    /// allocation, which the allocator backs with pages the OS commits on
+    /// first touch, and copies the old bytes in. A smaller growth
+    /// zero-fills the new pages in place rather than copy the larger old
+    /// part. Either way the host writes whichever side is smaller: the
+    /// SDK allocator's 1 → 257-page step copies 64 KiB instead of
+    /// zero-filling 16 MiB the guest may never touch.
     pub fn grow(&mut self, delta: u32) -> Option<u32> {
         let old = self.size_pages();
         let new = old.checked_add(delta)?;
@@ -72,7 +82,15 @@ impl Memory {
         if new > self.engine_max_pages {
             return None;
         }
-        self.data.resize(new as usize * PAGE, 0);
+        let len = new as usize * PAGE;
+        let kept = self.data.len();
+        if len - kept >= kept {
+            let mut grown = vec![0; len];
+            grown[..kept].copy_from_slice(&self.data);
+            self.data = grown;
+        } else {
+            self.data.resize(len, 0);
+        }
         Some(old)
     }
 
@@ -252,6 +270,146 @@ mod tests {
         m.grow(1).unwrap();
         assert_eq!(m.read(0, 4).unwrap(), b"keep");
         assert!(m.read(PAGE as u32, 16).unwrap().iter().all(|&b| b == 0));
+    }
+
+    /// Fills every byte with a pattern that is never zero.
+    fn scribble(m: &mut Memory) {
+        for (i, b) in m.data.iter_mut().enumerate() {
+            *b = (i % 251) as u8 + 1;
+        }
+    }
+
+    fn assert_scribbled_then_zero(m: &Memory, kept: usize) {
+        let bytes = m.read(0, m.len() as u32).unwrap();
+        assert!(bytes[..kept].iter().enumerate().all(|(i, &b)| b == (i % 251) as u8 + 1));
+        assert!(bytes[kept..].iter().all(|&b| b == 0), "grown range reads zeros");
+    }
+
+    #[test]
+    fn doubling_growth_keeps_old_bytes_and_zeroes_the_rest() {
+        // 1 -> 2 pages (exactly double), 2 -> 5, and the SDK allocator's
+        // 1 -> 257-page step.
+        for (initial, delta) in [(1, 1), (2, 3), (1, 256)] {
+            let mut m = Memory::new(Limits::new(initial, None), 1024);
+            scribble(&mut m);
+            assert_eq!(m.grow(delta), Some(initial));
+            assert_eq!(m.size_pages(), initial + delta);
+            assert_scribbled_then_zero(&m, initial as usize * PAGE);
+            // The fresh allocation is exactly the memory, nothing spare.
+            assert_eq!(m.data.capacity(), m.len());
+        }
+        // From zero pages nothing is kept.
+        let mut m = Memory::new(Limits::new(0, None), 1024);
+        assert_eq!(m.grow(3), Some(0));
+        assert_scribbled_then_zero(&m, 0);
+    }
+
+    #[test]
+    fn smaller_growth_keeps_old_bytes_and_zeroes_the_rest() {
+        // 4 -> 5 pages and 3 -> 5: each adds less than it keeps.
+        for (initial, delta) in [(4, 1), (3, 2)] {
+            let mut m = Memory::new(Limits::new(initial, None), 1024);
+            scribble(&mut m);
+            assert_eq!(m.grow(delta), Some(initial));
+            assert_eq!(m.size_pages(), initial + delta);
+            assert_scribbled_then_zero(&m, initial as usize * PAGE);
+        }
+        // A zero-page growth changes nothing.
+        let mut m = mem(2);
+        scribble(&mut m);
+        assert_eq!(m.grow(0), Some(2));
+        assert_scribbled_then_zero(&m, 2 * PAGE);
+    }
+
+    #[test]
+    fn both_growth_paths_refuse_past_the_declared_max_and_the_engine_cap() {
+        // (declared max, engine cap, initial pages, refused delta): a
+        // doubling and a smaller growth past each limit.
+        for (max, cap, initial, delta) in [
+            (Some(16), 1024, 4, 13),
+            (Some(16), 1024, 12, 5),
+            (None, 16, 4, 13),
+            (None, 16, 12, 5),
+            (None, 16, 1, u32::MAX),
+        ] {
+            let mut m = Memory::new(Limits::new(initial, max), cap);
+            scribble(&mut m);
+            assert_eq!(m.grow(delta), None, "max {max:?}, cap {cap}, {initial} + {delta}");
+            assert_eq!(m.size_pages(), initial);
+            assert_scribbled_then_zero(&m, initial as usize * PAGE);
+            // Up to the limit both paths still grow.
+            assert_eq!(m.grow(16 - initial), Some(initial));
+            assert_eq!(m.grow(1), None);
+        }
+    }
+
+    /// Random `grow` / `store` / `fill` / `copy_within` sequences against
+    /// a plain `Vec<u8>` grown with `resize`: the same bytes, size and
+    /// refusals after every step, whichever growth path ran.
+    #[test]
+    fn growth_matches_a_resized_vec_model() {
+        const CAP: u32 = 24;
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let initial = draw(3) as u32;
+            let max = (seed % 2 == 0).then_some(CAP - 4);
+            let limit = max.unwrap_or(CAP);
+            let mut m = Memory::new(Limits::new(initial, max), CAP);
+            let mut model = vec![0u8; initial as usize * PAGE];
+            for step in 0..120 {
+                // Addresses reach a page past the end, so traps are compared too.
+                let span = (model.len() + PAGE + 1) as u64;
+                let (at, src) = (draw(span) as usize, draw(span) as usize);
+                let n = draw(3 * PAGE as u64) as usize;
+                let fits = at.max(src) + n <= model.len();
+                match draw(4) {
+                    0 => {
+                        let pages = (model.len() / PAGE) as u32;
+                        let delta = match draw(4) {
+                            0 => draw(2) as u32,
+                            1 => pages.max(1),
+                            2 => draw(u64::from(CAP) + 4) as u32,
+                            _ => 1,
+                        };
+                        let expected = (pages + delta <= limit).then_some(pages);
+                        if expected.is_some() {
+                            model.resize((pages + delta) as usize * PAGE, 0);
+                        }
+                        assert_eq!(m.grow(delta), expected, "seed {seed} step {step}");
+                    }
+                    1 => {
+                        let value = draw(u64::MAX).to_le_bytes();
+                        let fits = at + 8 <= model.len();
+                        if fits {
+                            model[at..at + 8].copy_from_slice(&value);
+                        }
+                        assert_eq!(m.store::<8>(at as u32, 0, value).is_ok(), fits);
+                    }
+                    2 => {
+                        let byte = draw(255) as u8 + 1;
+                        let fits = at + n <= model.len();
+                        if fits {
+                            model[at..at + n].fill(byte);
+                        }
+                        assert_eq!(m.fill(at as u32, byte, n as u32).is_ok(), fits);
+                    }
+                    _ => {
+                        if fits {
+                            model.copy_within(src..src + n, at);
+                        }
+                        assert_eq!(m.copy_within(at as u32, src as u32, n as u32).is_ok(), fits);
+                    }
+                }
+                assert_eq!(m.size_pages() as usize, model.len() / PAGE, "seed {seed} step {step}");
+                assert!(m.read(0, m.len() as u32).unwrap() == model, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 # Every figure / bench gate CI enforces, as one script that runs the
 # same locally: `scripts/gates.sh [OUT_DIR]` (default: a fresh temp dir;
 # outputs are kept there for inspection). Runs *every* gate, prints one
-# PASS/FAIL line each — a FAIL names the gate and shows the first
-# differing line (or the tail of the failing binary's stderr) — and
-# exits 1 if any failed.
+# PASS/FAIL line each with the gate's wall-clock seconds — a FAIL names
+# the gate and shows the first differing line (or the tail of the
+# failing binary's stderr) — ends with the build's and the whole run's
+# seconds, and exits 1 if any failed.
 #
 # Gates, by name:
 #   run:<output>          the binary exited 0 (each asserts its own
@@ -43,14 +44,23 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 cd "$root" || exit 2
 
+# seconds SINCE: wall-clock seconds from the $EPOCHREALTIME stamp SINCE
+# to now.
+seconds() { awk -v since="$1" -v now="$EPOCHREALTIME" 'BEGIN { printf "%.2f", now - since }'; }
+
+run_start=$EPOCHREALTIME
 cargo build --release --offline -p roadrunner-bench --bins || exit 2
 cargo build --release --offline --examples || exit 2
+echo "built in $(seconds "$run_start") s"
 bin=${CARGO_TARGET_DIR:-$root/target}/release
 
+# Each gate stamps gate_start as it begins; pass / fail print the
+# seconds since beside the verdict.
 failed=()
-pass() { echo "PASS  $1"; }
+verdict() { printf '%s  %-28s %8s s\n' "$1" "$2" "$(seconds "$gate_start")"; }
+pass() { verdict PASS "$1"; }
 fail() {
-    echo "FAIL  $1"
+    verdict FAIL "$1"
     [ -n "${2:-}" ] && printf '%s\n' "$2" | sed 's/^/      /'
     failed+=("$1")
 }
@@ -61,6 +71,7 @@ fail() {
 produce() {
     local file=$1 exe=$2 name=${1%.*}
     shift 2
+    gate_start=$EPOCHREALTIME
     if (cd "$out" && "$bin/$exe" "$@" > "$file" 2> "$name.err"); then
         pass "run:$name"
     else
@@ -72,6 +83,7 @@ produce() {
 # same GATE A B: byte identity; on failure the first differing line of
 # each side.
 same() {
+    gate_start=$EPOCHREALTIME
     if cmp -s "$2" "$3"; then
         pass "$1"
     else
@@ -99,6 +111,7 @@ done
 
 # The committed full-run documents carry their own verdict.
 for doc in BENCH_coldstart.json BENCH_overload.json; do
+    gate_start=$EPOCHREALTIME
     if grep -q '"pass": true' "$doc"; then
         pass "pass:$doc"
     else
@@ -155,6 +168,7 @@ panic_sites() {
 # count GATE CRATE PIN: the crate's panic sites number at most PIN.
 count() {
     local sites total
+    gate_start=$EPOCHREALTIME
     sites=$(panic_sites "$2")
     total=$(printf '%s\n' "$sites" | awk '{ n += $1 } END { print n + 0 }')
     if [ "$total" -le "$3" ]; then
@@ -225,9 +239,10 @@ count count:panics:bench bench 74
 produce bench_wasm.json bench_wasm --quick
 
 echo
+total=$(seconds "$run_start")
 if [ ${#failed[@]} -eq 0 ]; then
-    echo "all gates pass (outputs in $out)"
+    echo "all gates pass in $total s (outputs in $out)"
 else
-    echo "${#failed[@]} gate(s) failed: ${failed[*]} (outputs in $out)"
+    echo "${#failed[@]} gate(s) failed in $total s: ${failed[*]} (outputs in $out)"
     exit 1
 fi
