@@ -90,12 +90,12 @@ impl RuncPair {
 
         // HTTP POST to the target.
         let request = Request::post("/invoke", Bytes::from(encoded));
-        send_request(&mut self.client, &self.sandbox_a, &request)
+        send_request(&self.client, &self.sandbox_a, &request)
             .map_err(|e| PlatformError::Transfer(e.to_string()))?;
 
         // Target: read, parse, deserialize at host speed. The received
         // document and the decoded value coexist briefly.
-        let received = read_request(&mut self.server, &self.sandbox_b)
+        let received = read_request(&self.server, &self.sandbox_b)
             .map_err(|e| PlatformError::Transfer(e.to_string()))?;
         self.sandbox_b.account().alloc(received.body.len() as u64);
         let body = std::str::from_utf8(&received.body)
@@ -112,9 +112,9 @@ impl RuncPair {
 
         // Ack (tiny; outside the measured window like the paper's
         // "until the target function receives it").
-        send_response(&mut self.server, &self.sandbox_b, &Response::ok(Bytes::from_static(b"ok")))
+        send_response(&self.server, &self.sandbox_b, &Response::ok(Bytes::from_static(b"ok")))
             .map_err(|e| PlatformError::Transfer(e.to_string()))?;
-        let _ = read_response(&mut self.client, &self.sandbox_a)
+        let _ = read_response(&self.client, &self.sandbox_a)
             .map_err(|e| PlatformError::Transfer(e.to_string()))?;
 
         Ok(BaselineOutcome { latency_ns, serialize_ns, deserialize_ns, received_value: value })
@@ -159,6 +159,16 @@ mod tests {
         assert_eq!(&out.received_value, p.value());
         assert_eq!(&out.received_flat()[..], &p.flat()[..]);
         assert!(out.latency_ns > 0);
+    }
+
+    #[test]
+    fn the_largest_figure_body_fits_the_http_body_limit() {
+        // A Text document is the payload's characters in quotes, so the
+        // largest body any figure posts is fig. 7/8's 500 MB plus two.
+        let document = text::to_text(payload(1_000).value());
+        let largest = 500_000_000 + document.len() - 1_000;
+        assert_eq!(largest, 500_000_002);
+        assert!(largest <= roadrunner_http::parse::MAX_BODY_BYTES);
     }
 
     #[test]

@@ -783,7 +783,7 @@ mod tests {
         use roadrunner_vkernel::node::Sandbox;
         use roadrunner_vkernel::unix::UnixConn;
         use roadrunner_vkernel::{CostModel, VirtualClock};
-        use roadrunner_wasi::sock::UnixSocket;
+        use roadrunner_wasi::sock::EndpointSocket;
         use roadrunner_wasi::WasiCtx;
         use std::sync::Arc;
 
@@ -796,7 +796,7 @@ mod tests {
         // Sender instance.
         let sa = Sandbox::detached("tx", clock.clone(), Arc::clone(&cost));
         let mut ctx_a = WasiCtx::new(sa.clone());
-        let fd_a = ctx_a.add_socket(Box::new(UnixSocket::new(ea)));
+        let fd_a = ctx_a.add_socket(Box::new(EndpointSocket::new(ea)));
         let mut tx = Instance::new(
             wasi_sender(),
             &wasi_linker,
@@ -808,7 +808,7 @@ mod tests {
         // Receiver instance.
         let sb = Sandbox::detached("rx", clock, cost);
         let mut ctx_b = WasiCtx::new(sb.clone());
-        let fd_b = ctx_b.add_socket(Box::new(UnixSocket::new(eb)));
+        let fd_b = ctx_b.add_socket(Box::new(EndpointSocket::new(eb)));
         let mut rx = Instance::new(
             wasi_receiver(),
             &wasi_linker,

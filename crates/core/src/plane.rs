@@ -15,8 +15,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use roadrunner_platform::{DataPlane, FunctionBundle, PlatformError, TransferTiming};
-use roadrunner_vkernel::tcp::{TcpConn, TcpEndpoint};
-use roadrunner_vkernel::unix::{UnixConn, UnixEndpoint};
+use roadrunner_vkernel::socket::Endpoint;
+use roadrunner_vkernel::tcp::TcpConn;
+use roadrunner_vkernel::unix::UnixConn;
 use roadrunner_vkernel::{Nanos, Testbed};
 use roadrunner_wasm::types::Value;
 
@@ -80,13 +81,18 @@ struct FunctionEntry {
     handler_returns: bool,
 }
 
+/// Connected socket pairs by `(lower, higher)` shim index.
+type Links = HashMap<(usize, usize), (Endpoint, Endpoint)>;
+
 /// The live Roadrunner deployment: shims, placements and cached channels.
 pub struct RoadrunnerPlane {
     testbed: Arc<Testbed>,
     shims: Vec<Shim>,
     functions: HashMap<String, FunctionEntry>,
-    unix_links: HashMap<(usize, usize), (UnixEndpoint, UnixEndpoint)>,
-    tcp_links: HashMap<(usize, usize), (TcpEndpoint, TcpEndpoint)>,
+    // Kept apart: one shim pair can need a Unix pair under one placement
+    // and a TCP connection under another.
+    unix_links: Links,
+    tcp_links: Links,
     last_breakdown: Option<EdgeBreakdown>,
     config: ShimConfig,
 }
@@ -396,12 +402,12 @@ impl RoadrunnerPlane {
 /// use and reused in both directions, as `(sender's end, receiver's end)`;
 /// the pair's first endpoint belongs to the lower-indexed shim. Takes the
 /// link map alone so the caller's `shims` stay borrowable beside it.
-fn channel<E>(
-    links: &mut HashMap<(usize, usize), (E, E)>,
+fn channel(
+    links: &mut Links,
     from: usize,
     to: usize,
-    connect: impl FnOnce() -> (E, E),
-) -> (&E, &E) {
+    connect: impl FnOnce() -> (Endpoint, Endpoint),
+) -> (&Endpoint, &Endpoint) {
     let (low, high) = links.entry((from.min(to), from.max(to))).or_insert_with(connect);
     if from < to {
         (low, high)

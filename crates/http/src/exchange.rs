@@ -1,47 +1,17 @@
 //! Request/response exchange over virtual-kernel streams.
 //!
-//! Provides the client/server halves the baselines use: a [`Stream`]
-//! abstraction over TCP and Unix endpoints, plus helpers that pay the
-//! realistic costs — head build/parse time and the copy assembling head
-//! and body into one send buffer.
+//! Provides the client/server halves the baselines use: helpers over a
+//! kernel stream socket ([`Endpoint`], TCP or Unix) that pay the realistic
+//! costs — head build/parse time and the copy assembling head and body
+//! into one send buffer.
 
 use bytes::Bytes;
 use roadrunner_vkernel::node::Sandbox;
-use roadrunner_vkernel::tcp::TcpEndpoint;
-use roadrunner_vkernel::unix::UnixEndpoint;
+use roadrunner_vkernel::socket::Endpoint;
 use roadrunner_vkernel::VkError;
 
 use crate::message::{Request, Response};
 use crate::parse::{HttpError, MessageReader};
-
-/// A bidirectional byte stream (TCP or Unix endpoint).
-pub trait Stream {
-    /// Sends bytes, charging `caller` for the transfer.
-    fn send(&mut self, caller: &Sandbox, data: &[u8]) -> Result<usize, VkError>;
-    /// Receives the next segment (empty when nothing is ready, `None`
-    /// when the peer closed).
-    fn recv(&mut self, caller: &Sandbox) -> Result<Option<Bytes>, VkError>;
-}
-
-impl Stream for TcpEndpoint {
-    fn send(&mut self, caller: &Sandbox, data: &[u8]) -> Result<usize, VkError> {
-        TcpEndpoint::send(self, caller, data)
-    }
-
-    fn recv(&mut self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        TcpEndpoint::recv(self, caller)
-    }
-}
-
-impl Stream for UnixEndpoint {
-    fn send(&mut self, caller: &Sandbox, data: &[u8]) -> Result<usize, VkError> {
-        UnixEndpoint::send(self, caller, data)
-    }
-
-    fn recv(&mut self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        UnixEndpoint::recv(self, caller)
-    }
-}
 
 fn transport_err(e: VkError) -> HttpError {
     HttpError::Transport(e.to_string())
@@ -54,7 +24,7 @@ fn transport_err(e: VkError) -> HttpError {
 ///
 /// [`HttpError::Transport`] if the stream rejects the send.
 pub fn send_request(
-    stream: &mut impl Stream,
+    stream: &Endpoint,
     caller: &Sandbox,
     request: &Request,
 ) -> Result<(), HttpError> {
@@ -71,7 +41,7 @@ pub fn send_request(
 ///
 /// [`HttpError::Transport`] if the stream rejects the send.
 pub fn send_response(
-    stream: &mut impl Stream,
+    stream: &Endpoint,
     caller: &Sandbox,
     response: &Response,
 ) -> Result<(), HttpError> {
@@ -88,7 +58,7 @@ pub fn send_response(
 const MAX_IDLE_READS: u32 = 3;
 
 fn read_message<M>(
-    stream: &mut impl Stream,
+    stream: &Endpoint,
     caller: &Sandbox,
     mut poll: impl FnMut(&mut MessageReader) -> Result<Option<M>, HttpError>,
 ) -> Result<M, HttpError> {
@@ -122,7 +92,7 @@ fn read_message<M>(
 ///
 /// [`HttpError::Incomplete`] if the peer closed or stalled mid-message,
 /// [`HttpError::Parse`] on malformed bytes.
-pub fn read_request(stream: &mut impl Stream, caller: &Sandbox) -> Result<Request, HttpError> {
+pub fn read_request(stream: &Endpoint, caller: &Sandbox) -> Result<Request, HttpError> {
     read_message(stream, caller, MessageReader::try_request)
 }
 
@@ -131,7 +101,7 @@ pub fn read_request(stream: &mut impl Stream, caller: &Sandbox) -> Result<Reques
 /// # Errors
 ///
 /// Same failure modes as [`read_request`].
-pub fn read_response(stream: &mut impl Stream, caller: &Sandbox) -> Result<Response, HttpError> {
+pub fn read_response(stream: &Endpoint, caller: &Sandbox) -> Result<Response, HttpError> {
     read_message(stream, caller, MessageReader::try_response)
 }
 
@@ -141,7 +111,7 @@ pub fn read_response(stream: &mut impl Stream, caller: &Sandbox) -> Result<Respo
 ///
 /// Any [`HttpError`] from sending or reading.
 pub fn post(
-    stream: &mut impl Stream,
+    stream: &Endpoint,
     caller: &Sandbox,
     path: &str,
     body: Bytes,
@@ -171,13 +141,13 @@ mod tests {
     #[test]
     fn full_exchange_over_tcp() {
         let (ca, sb) = sandboxes();
-        let (mut client, mut server) = TcpConn::establish(&ca, Link::loopback("lo"));
-        send_request(&mut client, &ca, &Request::post("/invoke", b"data".as_slice())).unwrap();
-        let req = read_request(&mut server, &sb).unwrap();
+        let (client, server) = TcpConn::establish(&ca, Link::loopback("lo"));
+        send_request(&client, &ca, &Request::post("/invoke", b"data".as_slice())).unwrap();
+        let req = read_request(&server, &sb).unwrap();
         assert_eq!(req.path, "/invoke");
         assert_eq!(&req.body[..], b"data");
-        send_response(&mut server, &sb, &Response::ok(b"done".as_slice())).unwrap();
-        let resp = read_response(&mut client, &ca).unwrap();
+        send_response(&server, &sb, &Response::ok(b"done".as_slice())).unwrap();
+        let resp = read_response(&client, &ca).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(&resp.body[..], b"done");
     }
@@ -185,13 +155,13 @@ mod tests {
     #[test]
     fn full_exchange_over_unix() {
         let (ca, sb) = sandboxes();
-        let (mut client, mut server) = UnixConn::pair();
+        let (client, server) = UnixConn::pair();
         let resp_body = {
-            send_request(&mut client, &ca, &Request::post("/f", vec![9u8; 200_000])).unwrap();
-            let req = read_request(&mut server, &sb).unwrap();
+            send_request(&client, &ca, &Request::post("/f", vec![9u8; 200_000])).unwrap();
+            let req = read_request(&server, &sb).unwrap();
             assert_eq!(req.body.len(), 200_000);
-            send_response(&mut server, &sb, &Response::ok(req.body.clone())).unwrap();
-            read_response(&mut client, &ca).unwrap().body
+            send_response(&server, &sb, &Response::ok(req.body.clone())).unwrap();
+            read_response(&client, &ca).unwrap().body
         };
         assert_eq!(resp_body.len(), 200_000);
         assert!(resp_body.iter().all(|&b| b == 9));
@@ -200,40 +170,40 @@ mod tests {
     #[test]
     fn post_helper() {
         let (ca, sb) = sandboxes();
-        let (mut client, mut server) = UnixConn::pair();
+        let (client, server) = UnixConn::pair();
         // Server responds after the client's send; run client send first.
-        send_request(&mut client, &ca, &Request::post("/x", b"ping".as_slice())).unwrap();
-        let req = read_request(&mut server, &sb).unwrap();
-        send_response(&mut server, &sb, &Response::ok(req.body)).unwrap();
-        let resp = read_response(&mut client, &ca).unwrap();
+        send_request(&client, &ca, &Request::post("/x", b"ping".as_slice())).unwrap();
+        let req = read_request(&server, &sb).unwrap();
+        send_response(&server, &sb, &Response::ok(req.body)).unwrap();
+        let resp = read_response(&client, &ca).unwrap();
         assert_eq!(&resp.body[..], b"ping");
     }
 
     #[test]
     fn stalled_stream_reports_incomplete() {
         let (ca, sb) = sandboxes();
-        let (mut client, mut server) = UnixConn::pair();
+        let (client, server) = UnixConn::pair();
         // Send only half a message.
         let raw = Request::post("/x", vec![0u8; 64]).to_bytes();
-        Stream::send(&mut client, &ca, &raw[..raw.len() / 2]).unwrap();
-        assert_eq!(read_request(&mut server, &sb).unwrap_err(), HttpError::Incomplete);
+        client.send(&ca, &raw[..raw.len() / 2]).unwrap();
+        assert_eq!(read_request(&server, &sb).unwrap_err(), HttpError::Incomplete);
     }
 
     #[test]
     fn closed_stream_reports_incomplete() {
         let (ca, sb) = sandboxes();
-        let (client, mut server) = UnixConn::pair();
+        let (client, server) = UnixConn::pair();
         let _ = ca;
         client.close();
-        assert_eq!(read_request(&mut server, &sb).unwrap_err(), HttpError::Incomplete);
+        assert_eq!(read_request(&server, &sb).unwrap_err(), HttpError::Incomplete);
     }
 
     #[test]
     fn exchange_charges_cpu_time() {
         let (ca, sb) = sandboxes();
-        let (mut client, mut server) = UnixConn::pair();
-        send_request(&mut client, &ca, &Request::post("/f", vec![1u8; 1 << 20])).unwrap();
-        let _ = read_request(&mut server, &sb).unwrap();
+        let (client, server) = UnixConn::pair();
+        send_request(&client, &ca, &Request::post("/f", vec![1u8; 1 << 20])).unwrap();
+        let _ = read_request(&server, &sb).unwrap();
         assert!(ca.account().user_ns() > 0, "client pays head build + body copy");
         assert!(ca.account().kernel_ns() > 0, "client pays socket copies");
         assert!(sb.account().kernel_ns() > 0, "server pays receive copies");

@@ -4,7 +4,7 @@
 //! such as HTTP" (paper §1) — this crate is that protocol layer for the
 //! reproduction's baselines: message framing with content-length and
 //! chunked bodies, an incremental parser, and client/server exchange
-//! helpers over the virtual kernel's TCP and Unix streams.
+//! helpers over the virtual kernel's stream socket, TCP or Unix.
 //!
 //! Costs modelled: building/parsing a message head
 //! ([`roadrunner_vkernel::CostModel::http_head_ns`]) and the copy that
@@ -26,6 +26,6 @@ pub mod exchange;
 pub mod message;
 pub mod parse;
 
-pub use exchange::{post, read_request, read_response, send_request, send_response, Stream};
+pub use exchange::{post, read_request, read_response, send_request, send_response};
 pub use message::{Request, Response};
 pub use parse::{HttpError, MessageReader};

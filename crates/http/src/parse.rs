@@ -24,6 +24,9 @@ pub enum HttpError {
     HeadTooLarge,
     /// A message head carried more than [`MAX_HEADERS`] header lines.
     TooManyHeaders,
+    /// A message body would grow past [`MAX_BODY_BYTES`]: a larger
+    /// `content-length`, or chunks that add up to more.
+    BodyTooLarge,
     /// The underlying transport failed.
     Transport(String),
 }
@@ -38,6 +41,9 @@ impl fmt::Display for HttpError {
             }
             HttpError::TooManyHeaders => {
                 write!(f, "http head with more than {MAX_HEADERS} headers")
+            }
+            HttpError::BodyTooLarge => {
+                write!(f, "http body longer than {MAX_BODY_BYTES} bytes")
             }
             HttpError::Transport(msg) => write!(f, "transport error: {msg}"),
         }
@@ -58,6 +64,14 @@ pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// lines are.
 pub const MAX_HEADERS: usize = 100;
 
+/// The longest message body a [`MessageReader`] accepts, 1 GiB (the
+/// largest file the WASI layer holds). A `content-length` above it is
+/// refused with [`HttpError::BodyTooLarge`] as soon as the head arrives,
+/// and a chunked body as soon as a chunk-size line would take it past,
+/// so a reader never buffers towards a body it will refuse. The largest
+/// body any figure sends, the text document of a 500 MB payload, fits.
+pub const MAX_BODY_BYTES: usize = 1 << 30;
+
 /// A parsed start line + headers, before the body is attached.
 #[derive(Debug, Clone)]
 struct Head {
@@ -77,7 +91,8 @@ enum BodyLen {
 /// blank line. A body length the head states twice over — two different
 /// `content-length` values, or one beside `transfer-encoding: chunked` —
 /// is refused rather than picked from (RFC 9112 §6.3), and so is a head
-/// with more than [`MAX_HEADERS`] headers.
+/// with more than [`MAX_HEADERS`] headers or a `content-length` above
+/// [`MAX_BODY_BYTES`].
 fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, HttpError> {
     let head_text = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Parse("head is not UTF-8".into()))?;
@@ -108,6 +123,9 @@ fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, HttpError> {
                 .map_err(|_| HttpError::Parse(format!("bad content-length `{value}`")))?;
             if content_length.is_some_and(|earlier| earlier != n) {
                 return Err(HttpError::Parse("conflicting content-length values".into()));
+            }
+            if n > MAX_BODY_BYTES {
+                return Err(HttpError::BodyTooLarge);
             }
             content_length = Some(n);
         } else if name.eq_ignore_ascii_case("transfer-encoding")
@@ -172,6 +190,9 @@ impl ChunkedProgress {
                 .checked_add(size)
                 .and_then(|data_end| data_end.checked_add(2))
                 .ok_or_else(|| HttpError::Parse(format!("chunk size `{size_line}` overflows")))?;
+            if size > MAX_BODY_BYTES - self.body.len() {
+                return Err(HttpError::BodyTooLarge);
+            }
             let data_end = chunk_end - 2;
             if buf.len() < chunk_end {
                 return Ok(None);
@@ -262,7 +283,8 @@ impl MessageReader {
     ///
     /// [`HttpError::Parse`] on malformed input, [`HttpError::HeadTooLarge`]
     /// past [`MAX_HEAD_BYTES`] of head, [`HttpError::TooManyHeaders`] past
-    /// [`MAX_HEADERS`] headers. `Ok(None)` simply means more bytes are
+    /// [`MAX_HEADERS`] headers, [`HttpError::BodyTooLarge`] past
+    /// [`MAX_BODY_BYTES`] of body. `Ok(None)` simply means more bytes are
     /// needed.
     pub fn try_request(&mut self) -> Result<Option<Request>, HttpError> {
         let Some((head, body)) = self.try_head()? else {
@@ -548,6 +570,54 @@ mod tests {
         assert_eq!(reader.try_response().unwrap().unwrap().headers.len(), MAX_HEADERS);
         reader.feed(&head_with_headers("HTTP/1.1 200 OK", MAX_HEADERS + 1));
         assert_eq!(reader.try_response(), Err(HttpError::TooManyHeaders));
+    }
+
+    /// Feeds `raw` to a fresh reader whole, or split at `at` with a poll
+    /// in between that must ask for more, and returns the last poll.
+    fn poll_request(raw: &[u8], split: Option<usize>) -> Result<Option<Request>, HttpError> {
+        let mut reader = MessageReader::new();
+        if let Some(at) = split {
+            reader.feed(&raw[..at]);
+            assert_eq!(reader.try_request(), Ok(None), "split at {at}");
+            reader.feed(&raw[at..]);
+        } else {
+            reader.feed(raw);
+        }
+        reader.try_request()
+    }
+
+    #[test]
+    fn a_content_length_is_accepted_up_to_the_body_limit_and_refused_past_it() {
+        for (len, refused) in [(MAX_BODY_BYTES, false), (MAX_BODY_BYTES + 1, true)] {
+            let raw = format!("POST /b HTTP/1.1\r\ncontent-length: {len}\r\n\r\n").into_bytes();
+            // At the limit the head alone waits for its body; past it the
+            // head alone is refused.
+            let expected = if refused { Err(HttpError::BodyTooLarge) } else { Ok(None) };
+            for split in [None, Some(30), Some(raw.len() - 1)] {
+                assert_eq!(poll_request(&raw, split), expected, "{len} bytes, split {split:?}");
+            }
+        }
+        let mut reader = MessageReader::new();
+        let too_long = MAX_BODY_BYTES + 1;
+        reader.feed(format!("HTTP/1.1 200 OK\r\ncontent-length: {too_long}\r\n\r\n").as_bytes());
+        assert_eq!(reader.try_response(), Err(HttpError::BodyTooLarge));
+    }
+
+    #[test]
+    fn a_chunked_body_is_accepted_up_to_the_body_limit_and_refused_past_it() {
+        let head = "POST /c HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+        // One chunk-size line claiming the whole body, and one that takes
+        // a body already 4 bytes long to the limit.
+        for (before, room) in [("", MAX_BODY_BYTES), ("4\r\nwiki\r\n", MAX_BODY_BYTES - 4)] {
+            for (size, refused) in [(room, false), (room + 1, true)] {
+                let raw = format!("{head}{before}{size:x}\r\n").into_bytes();
+                let expected = if refused { Err(HttpError::BodyTooLarge) } else { Ok(None) };
+                let size_line = raw.len() - 4;
+                for split in [None, Some(head.len()), Some(size_line), Some(raw.len() - 1)] {
+                    assert_eq!(poll_request(&raw, split), expected, "{size:x} after {before:?}");
+                }
+            }
+        }
     }
 
     #[test]

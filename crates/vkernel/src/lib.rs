@@ -22,10 +22,12 @@
 //!   memory) and `splice` (page moves between pipe and socket) — the
 //!   building blocks of Roadrunner's virtual data hose (paper §4.3,
 //!   Algorithm 1).
-//! * [`unix`] — Unix-domain stream sockets, the kernel-space transfer
-//!   mechanism (paper §4.2).
-//! * [`tcp`] — a TCP-like byte stream between nodes with bandwidth and RTT
-//!   from the link model.
+//! * [`socket`] — the kernel stream socket both transports share: copying
+//!   and `splice` lanes, and, over a link, the wait for wire time.
+//! * [`unix`] — Unix-domain socket pairs, the kernel-space transfer
+//!   mechanism (paper §4.2): a socket without a link.
+//! * [`tcp`] — TCP-like connections between nodes: a socket over a link
+//!   with bandwidth and RTT from the link model.
 //! * [`sched`] — discrete-event scheduling primitives (per-resource
 //!   timelines, a deterministic event queue) that let the platform's DAG
 //!   executor overlap independent workflow edges in virtual time while
@@ -62,6 +64,7 @@ pub mod node;
 pub mod outage;
 pub mod pipe;
 pub mod sched;
+pub mod socket;
 pub mod tcp;
 pub mod testbed;
 pub mod unix;

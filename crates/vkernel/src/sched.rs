@@ -602,11 +602,6 @@ impl SchedResources {
         &mut self.cpus[node % n]
     }
 
-    /// The link timeline between two distinct nodes.
-    pub fn link(&mut self) -> &mut Timeline {
-        &mut self.wan
-    }
-
     /// The link timeline carrying traffic between nodes `a` and `b`
     /// (indexes wrap onto the known nodes): the pair's own timeline on a
     /// mesh, the shared WAN otherwise. Equal indexes fall back to the
@@ -858,9 +853,9 @@ impl SchedResources {
 
     /// Total link busy time reserved across every inter-node link, and
     /// the number of link lanes. On a mesh, only the per-pair links
-    /// count — the vestigial shared-WAN timeline (reachable only through
-    /// the legacy [`link`](Self::link) accessor, never routed to by
-    /// [`link_between`](Self::link_between)) is excluded from both the
+    /// count — the shared-WAN timeline, which on a mesh
+    /// [`link_between`](Self::link_between) hands out only for a node and
+    /// itself, a pair callers never schedule, is excluded from both the
     /// numerator and the lane count so utilization stays consistent.
     pub fn link_reserved(&self) -> (Nanos, usize) {
         match &self.mesh {
@@ -1001,14 +996,14 @@ mod tests {
         let mut res = SchedResources::for_testbed(&bed);
         assert_eq!(res.cpu(0).capacity(), 4);
         assert_eq!(res.cpu(1).capacity(), 4);
-        assert_eq!(res.link().capacity(), 1);
+        assert_eq!(res.link_between(0, 1).capacity(), 1);
     }
 
     #[test]
     fn resources_busy_until_spans_everything() {
         let mut res = SchedResources::new(2, 4);
         res.cpu(0).reserve(0, 100);
-        res.link().reserve(0, 5_000);
+        res.link_between(0, 1).reserve(0, 5_000);
         res.cpu(1).reserve(0, 300);
         assert_eq!(res.busy_until(), 5_000);
         res.reset();
@@ -1143,7 +1138,7 @@ mod tests {
     #[test]
     fn view_of_shared_wan_reports_one_link() {
         let mut res = SchedResources::new(3, 2);
-        res.link().reserve(0, 800);
+        res.link_between(0, 1).reserve(0, 800);
         let view = res.view(300);
         assert_eq!(view.link_backlog_between(0, 1), 500);
         assert_eq!(view.link_backlog_between(1, 2), 500);
@@ -1363,8 +1358,8 @@ mod tests {
         // capacity-2 CPU they take 8 s — the contention asymmetry behind
         // the paper's Fig. 9 vs Fig. 10 shapes.
         let mut res = SchedResources::new(2, 2);
-        let a = res.link().reserve(0, 8_000);
-        let b = res.link().reserve(0, 8_000);
+        let a = res.link_between(0, 1).reserve(0, 8_000);
+        let b = res.link_between(0, 1).reserve(0, 8_000);
         assert_eq!((a, b), (0, 8_000));
         let c = res.cpu(0).reserve(0, 8_000);
         let d = res.cpu(0).reserve(0, 8_000);

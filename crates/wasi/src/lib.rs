@@ -13,8 +13,8 @@
 //!   sockets, args/env, deterministic randomness, exit code.
 //! * [`mod@register`] — installs `fd_read`/`fd_write`/`sock_send`/… into a
 //!   [`roadrunner_wasm::Linker`].
-//! * [`sock`] — socket adapters over the virtual kernel's TCP and Unix
-//!   endpoints.
+//! * [`sock`] — the socket adapter over the virtual kernel's stream
+//!   socket (TCP or Unix), and an in-process loopback for tests.
 //!
 //! The host-state type is generic via [`HasWasi`], so the Roadrunner shim
 //! can embed a `WasiCtx` inside its own state: unmodified modules keep

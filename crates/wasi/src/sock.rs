@@ -1,8 +1,7 @@
-//! Socket adapters bridging WASI descriptors to virtual-kernel endpoints.
+//! Socket adapters bridging WASI descriptors to virtual-kernel sockets.
 
 use roadrunner_vkernel::node::Sandbox;
-use roadrunner_vkernel::tcp::TcpEndpoint;
-use roadrunner_vkernel::unix::UnixEndpoint;
+use roadrunner_vkernel::socket::Endpoint;
 use roadrunner_vkernel::VkError;
 
 use crate::ctx::{errno, WasiSocket};
@@ -14,48 +13,25 @@ fn map_err(e: VkError) -> i32 {
     }
 }
 
-/// A WASI socket over a virtual TCP connection (the baselines' network
-/// path).
+/// A WASI socket over a virtual-kernel stream socket: a TCP connection
+/// (the baselines' network path) or one end of a Unix pair (co-located
+/// functions).
 #[derive(Debug)]
-pub struct TcpSocket {
-    endpoint: TcpEndpoint,
+pub struct EndpointSocket {
+    endpoint: Endpoint,
 }
 
-impl TcpSocket {
-    /// Wraps an established endpoint.
-    pub fn new(endpoint: TcpEndpoint) -> Self {
+/// The name the baselines' network path knows the adapter by.
+pub type TcpSocket = EndpointSocket;
+
+impl EndpointSocket {
+    /// Wraps a connected endpoint.
+    pub fn new(endpoint: Endpoint) -> Self {
         Self { endpoint }
     }
 }
 
-impl WasiSocket for TcpSocket {
-    fn send(&mut self, sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32> {
-        self.endpoint.send(sandbox, data).map_err(map_err)
-    }
-
-    fn recv(&mut self, sandbox: &Sandbox) -> Result<Option<Vec<u8>>, i32> {
-        match self.endpoint.recv(sandbox) {
-            Ok(Some(seg)) => Ok(Some(seg.to_vec())),
-            Ok(None) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        }
-    }
-}
-
-/// A WASI socket over a Unix-domain endpoint (co-located functions).
-#[derive(Debug)]
-pub struct UnixSocket {
-    endpoint: UnixEndpoint,
-}
-
-impl UnixSocket {
-    /// Wraps one end of a socket pair.
-    pub fn new(endpoint: UnixEndpoint) -> Self {
-        Self { endpoint }
-    }
-}
-
-impl WasiSocket for UnixSocket {
+impl WasiSocket for EndpointSocket {
     fn send(&mut self, sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32> {
         self.endpoint.send(sandbox, data).map_err(map_err)
     }
@@ -138,8 +114,8 @@ mod tests {
         let sa = sandbox("a");
         let sb = sandbox("b");
         let (ea, eb) = UnixConn::pair();
-        let mut tx = UnixSocket::new(ea);
-        let mut rx = UnixSocket::new(eb);
+        let mut tx = EndpointSocket::new(ea);
+        let mut rx = EndpointSocket::new(eb);
         tx.send(&sa, b"ipc").unwrap();
         assert_eq!(rx.recv(&sb).unwrap().unwrap(), b"ipc");
     }
