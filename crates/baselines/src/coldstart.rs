@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use roadrunner::guest::{self, ResizeSpec, RESIZE_INPUT_PATH};
-use roadrunner_vkernel::{CostModel, Nanos, Testbed};
+use roadrunner_vkernel::{ClusterSpec, CostModel, Nanos, Testbed};
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::{encode, EngineLimits, Instance, Linker};
 
@@ -112,7 +112,7 @@ pub fn container_tiers(cost: &CostModel, image_bytes: u64) -> ColdStartTiers {
 fn measure_instr_count(module: roadrunner_wasm::Module, export: &str) -> u64 {
     let mut linker = Linker::new();
     roadrunner_wasi::register::<WasiCtx>(&mut linker);
-    let bed = Testbed::new(1, 4, 8 << 30, CostModel::paper_testbed());
+    let bed = ClusterSpec::homogeneous(1, 4, 8 << 30).build();
     let sandbox = bed.node(0).sandbox("meter");
     let mut ctx = WasiCtx::new(sandbox);
     if module.imports.iter().any(|i| i.name == "path_open") {

@@ -177,7 +177,7 @@ mod tests {
         let mut pair = RuncPair::establish(Arc::clone(&bed), 0, 1);
         let p = payload(1_000_000);
         let out = pair.transfer(&p).unwrap();
-        let wire = bed.wan().wire_ns(1_000_000);
+        let wire = bed.link_between(0, 1).wire_ns(1_000_000);
         assert!(out.latency_ns >= wire, "{} < {wire}", out.latency_ns);
     }
 
@@ -222,6 +222,6 @@ mod tests {
         let timing = timing.expect("baselines attribute every edge");
         assert!(timing.prepare_ns > 0, "serialization charged to prepare");
         assert!(timing.consume_ns > 0, "deserialization charged to consume");
-        assert!(timing.transfer_ns >= bed.wan().wire_ns(50_000));
+        assert!(timing.transfer_ns >= bed.link_between(0, 1).wire_ns(50_000));
     }
 }

@@ -334,7 +334,7 @@ mod tests {
         let bed = Arc::new(Testbed::paper());
         let mut pair = WasmedgePair::establish(Arc::clone(&bed), 0, 1);
         let out = pair.transfer(&payload(1_000_000)).unwrap();
-        assert!(out.latency_ns >= bed.wan().wire_ns(1_000_000));
+        assert!(out.latency_ns >= bed.link_between(0, 1).wire_ns(1_000_000));
     }
 
     #[test]

@@ -535,7 +535,7 @@ pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) 
     }
 
     if !intra {
-        wire_total = bed.wan().wire_ns(bytes) * degree as Nanos;
+        wire_total = bed.link_between(0, 1).wire_ns(bytes) * degree as Nanos;
     }
     let (user_cpu_ns, kernel_cpu_ns, ram_peak) = telemetry(&bed);
     let branch_ns = branch_total / degree.max(1) as Nanos;

@@ -167,7 +167,7 @@ mod tests {
     fn payload_crosses_nodes_intact() {
         let bed = Testbed::paper();
         let (mut sa, mut sb) = shims(&bed);
-        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.link_between(0, 1)));
         let payload: Vec<u8> = (0..500_000u32).map(|i| (i % 253) as u8).collect();
         produce(&mut sa, "a", &payload);
         assert_eq!(send(&mut sa, "a", &ta).unwrap(), payload.len());
@@ -179,14 +179,14 @@ mod tests {
     fn wire_time_dominates_on_the_paper_wan() {
         let bed = Testbed::paper();
         let (mut sa, mut sb) = shims(&bed);
-        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.link_between(0, 1)));
         let payload = vec![1u8; 10 << 20];
         produce(&mut sa, "a", &payload);
         let t0 = bed.clock().now();
         send(&mut sa, "a", &ta).unwrap();
         recv(&mut sb, "b", &tb).unwrap();
         let elapsed = bed.clock().now() - t0;
-        let wire = bed.wan().wire_ns(10 << 20);
+        let wire = bed.link_between(0, 1).wire_ns(10 << 20);
         assert!(elapsed >= wire, "elapsed {elapsed} < wire {wire}");
         // The hose adds less than 40% on top of raw wire time for 10 MB.
         assert!(elapsed < wire * 14 / 10, "elapsed {elapsed} vs wire {wire}");
@@ -221,7 +221,7 @@ mod tests {
         let bed = Testbed::paper();
         let (_sa, mut sb) = shims(&bed);
         let sandbox = sb.sandbox().clone();
-        let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.wan()));
+        let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.link_between(0, 1)));
         ta.close();
         assert!(matches!(
             recv(&mut sb, "b", &tb),
@@ -242,7 +242,7 @@ mod tests {
         ];
         for (framed, sent, expected) in cases {
             let (sa, mut sb) = shims(&bed);
-            let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+            let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.link_between(0, 1)));
             let probe = sb.allocate_inbox("b", 1).unwrap();
             sb.deallocate("b", probe).unwrap();
             ta.send(sa.sandbox(), &framed.to_le_bytes()).unwrap();
@@ -262,7 +262,7 @@ mod tests {
         // two pieces, the second carrying the first payload bytes.
         let bed = Testbed::paper();
         let (sa, mut sb) = shims(&bed);
-        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.link_between(0, 1)));
         let payload: Vec<u8> = (0..100u8).collect();
         let mut framed = (payload.len() as u64).to_le_bytes().to_vec();
         framed.extend_from_slice(&payload[..40]);
@@ -277,7 +277,7 @@ mod tests {
     fn empty_payload_round_trips() {
         let bed = Testbed::paper();
         let (mut sa, mut sb) = shims(&bed);
-        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.wan()));
+        let (ta, tb) = TcpConn::establish(sa.sandbox(), Arc::clone(bed.link_between(0, 1)));
         produce(&mut sa, "a", &[]);
         assert_eq!(send(&mut sa, "a", &ta).unwrap(), 0);
         assert_eq!(recv(&mut sb, "b", &tb).unwrap().len, 0);

@@ -186,13 +186,25 @@ impl RoadrunnerPlane {
         Ok(())
     }
 
+    /// Refuses a node index outside the testbed.
+    fn refuse_missing_node(&self, node: usize) -> Result<(), RoadrunnerError> {
+        let nodes = self.testbed.nodes().len();
+        if node >= nodes {
+            return Err(RoadrunnerError::Config(format!(
+                "node {node} is outside the {nodes}-node testbed"
+            )));
+        }
+        Ok(())
+    }
+
     /// Deploys `function` in its **own** shim/sandbox on `node`.
     /// `handler` is the export invoked when input arrives;
     /// `handler_returns` tells the plane whether it yields an ack value.
     ///
     /// # Errors
     ///
-    /// [`RoadrunnerError::Config`] if `function` is already deployed;
+    /// [`RoadrunnerError::Config`] if `function` is already deployed or
+    /// `node` is outside the testbed;
     /// [`Trap::BadExport`](roadrunner_wasm::Trap::BadExport) if the module
     /// has no function export `handler`; shim load errors (bad bundle).
     pub fn deploy(
@@ -204,6 +216,7 @@ impl RoadrunnerPlane {
         handler_returns: bool,
     ) -> Result<(), RoadrunnerError> {
         self.refuse_duplicate(function)?;
+        self.refuse_missing_node(node)?;
         let mut shim = Shim::new(function, self.testbed.node(node), self.config);
         let handler = shim.load_function(function, bundle, handler)?;
         let shim_idx = self.shims.len();
@@ -322,7 +335,9 @@ impl RoadrunnerPlane {
     ///
     /// # Errors
     ///
-    /// Any shim/kernel error from the underlying mode.
+    /// [`RoadrunnerError::Config`], before anything moves, if an
+    /// effective node is outside the testbed; any shim/kernel error from
+    /// the underlying mode.
     pub fn transfer_edge_placed(
         &mut self,
         from: &str,
@@ -337,6 +352,8 @@ impl RoadrunnerPlane {
         // while the shims and links are written.
         let (source, target) = (entry(&self.functions, from)?, entry(&self.functions, to)?);
         let (mode, eff_src, eff_dst) = route(source, target, src_node, dst_node);
+        self.refuse_missing_node(eff_src)?;
+        self.refuse_missing_node(eff_dst)?;
         let (from_shim, to_shim) = (source.shim_idx, target.shim_idx);
         let clock = self.testbed.clock();
 
@@ -515,7 +532,7 @@ mod tests {
         let bd = p.last_breakdown().unwrap();
         assert_eq!(bd.mode, Mode::Network);
         // Wire time must appear in the transfer phase.
-        assert!(bd.transfer_ns >= p.testbed.wan().wire_ns(300_000));
+        assert!(bd.transfer_ns >= p.testbed.link_between(0, 1).wire_ns(300_000));
     }
 
     #[test]
@@ -547,7 +564,7 @@ mod tests {
         let bd = p.last_breakdown().unwrap();
         assert_eq!(bd.mode, Mode::Network);
         // Wire time over the 0–1 link shows up in the transfer phase.
-        assert!(bd.transfer_ns >= p.testbed.wan().wire_ns(120_000));
+        assert!(bd.transfer_ns >= p.testbed.link_between(0, 1).wire_ns(120_000));
     }
 
     #[test]
@@ -597,6 +614,32 @@ mod tests {
         let payload = Bytes::from_static(b"as deployed first");
         assert_eq!(p.transfer_edge("a", "b", &payload).unwrap(), payload);
         assert_eq!(p.last_breakdown().unwrap().mode, Mode::Network);
+    }
+
+    #[test]
+    fn deploying_outside_the_testbed_is_refused() {
+        let mut p = plane();
+        let err = p.deploy(2, "a", bundle("a", guest::producer()), "produce", false).unwrap_err();
+        assert!(matches!(&err, RoadrunnerError::Config(msg) if msg.contains("outside")), "{err}");
+        // Nothing was deployed: the name is still free.
+        assert_eq!((p.shims.len(), p.placement("a")), (0, None));
+        p.deploy(1, "a", bundle("a", guest::producer()), "produce", false).unwrap();
+    }
+
+    #[test]
+    fn a_transfer_placed_outside_the_testbed_is_refused_before_anything_moves() {
+        let bed = roadrunner_vkernel::ClusterSpec::homogeneous(3, 4, 8 << 30).build();
+        let config = ShimConfig::default().with_load_costs(false);
+        let mut p = RoadrunnerPlane::new(Arc::new(bed), config);
+        p.deploy(0, "a", bundle("a", guest::producer()), "produce", false).unwrap();
+        p.deploy(1, "b", bundle("b", guest::consumer()), "consume", true).unwrap();
+        let payload = Bytes::from(vec![0x3Cu8; 10_000]);
+        let err = p.transfer_edge_placed("a", "b", &payload, Some(0), Some(7)).unwrap_err();
+        assert!(matches!(&err, RoadrunnerError::Config(msg) if msg.contains("outside")), "{err}");
+        // The source was not run and no connection was made.
+        assert_eq!(p.shim_of("a").unwrap().peek_outbox("a").unwrap(), None);
+        assert!(p.tcp_links.is_empty() && p.last_breakdown().is_none());
+        assert_eq!(p.transfer_edge("a", "b", &payload).unwrap(), payload);
     }
 
     #[test]

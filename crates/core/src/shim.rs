@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use roadrunner_platform::{BundleKind, FunctionBundle};
+use roadrunner_platform::FunctionBundle;
 use roadrunner_vkernel::node::{Node, Sandbox};
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::types::Value;
@@ -180,12 +180,7 @@ impl Shim {
                 )));
             }
         }
-        let BundleKind::WasmModule { binary } = bundle.kind() else {
-            return Err(RoadrunnerError::Config(format!(
-                "bundle `{}` is not a Wasm module",
-                bundle.name()
-            )));
-        };
+        let binary = bundle.binary();
         let module = decode::decode(binary).map_err(|e| {
             RoadrunnerError::Config(format!("bundle `{}`: {e}", bundle.name()))
         })?;
@@ -710,21 +705,6 @@ mod tests {
             .unwrap();
         let err = shim.write_memory_host("plain", b"x").unwrap_err();
         assert!(matches!(err, RoadrunnerError::MissingGuestApi(_)));
-    }
-
-    #[test]
-    fn container_bundle_rejected() {
-        let bed = Testbed::paper();
-        let mut shim = shim_on(&bed);
-        let bundle = Arc::new(
-            FunctionBundle::container("c", 1024)
-                .with_workflow("wf")
-                .with_tenant("acme"),
-        );
-        assert!(matches!(
-            shim.load_module("c", bundle),
-            Err(RoadrunnerError::Config(_))
-        ));
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn an_unknown_name_comes_back_as_unknown_module_carrying_it() {
         kernelspace::move_outbox(&mut shim, "a", &mut peer, "ghost", &ua, &ub),
         "ghost",
     );
-    let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.wan()));
+    let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.link_between(0, 1)));
     assert_unknown("hose::send", hose::send(&mut shim, "ghost", &ta), "ghost");
     ta.send(&sandbox, &8u64.to_le_bytes()).unwrap();
     assert_unknown("hose::recv", hose::recv(&mut shim, "ghost", &tb), "ghost");
@@ -290,7 +290,7 @@ fn a_guest_without_the_allocator_is_still_reported_as_missing_it() {
         "kernelspace::move_outbox",
         kernelspace::move_outbox(&mut shim, "a", &mut peer, "plain", &ua, &ub),
     );
-    let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.wan()));
+    let (ta, tb) = TcpConn::establish(&sandbox, Arc::clone(bed.link_between(0, 1)));
     ta.send(&sandbox, &8u64.to_le_bytes()).unwrap();
     assert_no_allocator("hose::recv", hose::recv(&mut shim, "plain", &tb));
 

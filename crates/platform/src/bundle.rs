@@ -2,11 +2,11 @@
 //!
 //! The shim "packages the Wasm VM as an OCI-compliant bundle … executed
 //! as a container by high-level container managers such as containerd"
-//! (paper §3.2.5). A [`FunctionBundle`] is that artifact: the runnable
-//! payload (a real encoded Wasm binary, or a container image descriptor)
-//! plus the manifest metadata orchestrators read — including the
-//! workflow/tenant annotations Roadrunner's trust validation checks
-//! before enabling user-space mode.
+//! (paper §3.2.5). A [`FunctionBundle`] is that artifact: a real encoded
+//! Wasm binary plus the manifest metadata orchestrators read — including
+//! the workflow/tenant annotations Roadrunner's trust validation checks
+//! before enabling user-space mode. The container baselines deploy no
+//! bundle: their image sizes are `baselines::coldstart` constants.
 
 use std::collections::BTreeMap;
 
@@ -14,22 +14,6 @@ use std::collections::BTreeMap;
 pub const ANNOTATION_WORKFLOW: &str = "dev.roadrunner.workflow";
 /// Annotation key naming the tenant that owns a function.
 pub const ANNOTATION_TENANT: &str = "dev.roadrunner.tenant";
-
-/// What a bundle actually contains.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BundleKind {
-    /// A WebAssembly module in (real) binary encoding.
-    WasmModule {
-        /// Encoded `\0asm` bytes.
-        binary: Vec<u8>,
-    },
-    /// A container image (the baseline path); only its size matters for
-    /// cold-start modelling.
-    ContainerImage {
-        /// Compressed image size in bytes (the paper measured ~76.9 MB).
-        image_size: u64,
-    },
-}
 
 /// Manifest metadata carried alongside the payload.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -39,31 +23,19 @@ pub struct Manifest {
     pub annotations: BTreeMap<String, String>,
 }
 
-/// A deployable function artifact.
+/// A deployable function artifact: a named Wasm binary and its manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionBundle {
     name: String,
-    kind: BundleKind,
+    /// Encoded `\0asm` bytes.
+    binary: Vec<u8>,
     manifest: Manifest,
 }
 
 impl FunctionBundle {
     /// Creates a Wasm bundle from real module bytes.
     pub fn wasm(name: impl Into<String>, binary: Vec<u8>) -> Self {
-        Self {
-            name: name.into(),
-            kind: BundleKind::WasmModule { binary },
-            manifest: Manifest::default(),
-        }
-    }
-
-    /// Creates a container-image bundle of the given size.
-    pub fn container(name: impl Into<String>, image_size: u64) -> Self {
-        Self {
-            name: name.into(),
-            kind: BundleKind::ContainerImage { image_size },
-            manifest: Manifest::default(),
-        }
+        Self { name: name.into(), binary, manifest: Manifest::default() }
     }
 
     /// Function name.
@@ -71,9 +43,9 @@ impl FunctionBundle {
         &self.name
     }
 
-    /// Bundle payload.
-    pub fn kind(&self) -> &BundleKind {
-        &self.kind
+    /// The encoded Wasm module.
+    pub fn binary(&self) -> &[u8] {
+        &self.binary
     }
 
     /// Manifest metadata.
@@ -105,15 +77,6 @@ impl FunctionBundle {
         self.manifest.annotations.get(ANNOTATION_TENANT).map(String::as_str)
     }
 
-    /// Artifact size in bytes (Wasm binary length or image size) — the
-    /// quantity Fig. 2a compares (3.19 MB Wasm vs 76.9 MB image).
-    pub fn size_bytes(&self) -> u64 {
-        match &self.kind {
-            BundleKind::WasmModule { binary } => binary.len() as u64,
-            BundleKind::ContainerImage { image_size } => *image_size,
-        }
-    }
-
     /// Whether two bundles may share a Wasm VM under Roadrunner's trust
     /// rule: same workflow *and* same tenant (paper §3.1, "Only functions
     /// of the same workflow and tenant are instantiated in the same Wasm
@@ -133,14 +96,8 @@ mod tests {
     #[test]
     fn wasm_bundle_size_is_binary_length() {
         let b = FunctionBundle::wasm("f", vec![0; 3_190_000]);
-        assert_eq!(b.size_bytes(), 3_190_000);
+        assert_eq!(b.binary().len(), 3_190_000);
         assert_eq!(b.name(), "f");
-    }
-
-    #[test]
-    fn container_bundle_size_is_image_size() {
-        let b = FunctionBundle::container("f", 76_900_000);
-        assert_eq!(b.size_bytes(), 76_900_000);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! functions, allowing the container orchestration tool to manage
 //! scalability" (paper §3.2.4). This crate is that surrounding platform:
 //!
-//! * [`bundle`] — OCI-style function bundles (real Wasm binaries or
-//!   container-image descriptors) with workflow/tenant annotations.
+//! * [`bundle`] — OCI-style function bundles: real Wasm binaries with
+//!   workflow/tenant annotations.
 //! * [`scheduler`] — instance placement policies; Roadrunner adapts to
 //!   whatever they decide.
 //! * [`dag`] — first-class workflow DAGs (named nodes, payload-carrying
@@ -77,7 +77,7 @@ pub mod warmpool;
 mod wordhash;
 pub mod workflow;
 
-pub use bundle::{BundleKind, FunctionBundle, Manifest};
+pub use bundle::{FunctionBundle, Manifest};
 pub use dag::WorkflowDag;
 pub use error::PlatformError;
 pub use loadgen::{

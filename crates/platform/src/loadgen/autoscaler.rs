@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn autoscaler_scales_down_after_the_surge_drains() {
-        let mut res = SchedResources::heterogeneous(&[1, 1, 1]);
+        let mut res = SchedResources::mesh(&[1, 1, 1]);
         let mut scaler = Autoscaler::new(AutoscalerConfig {
             min_nodes: 1,
             max_nodes: 3,
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn autoscaler_does_not_remove_a_backlogged_node() {
-        let mut res = SchedResources::heterogeneous(&[1, 1]);
+        let mut res = SchedResources::mesh(&[1, 1]);
         // Last node still draining: mean backlog is low, node backlog not.
         res.cpu(1).reserve(0, 2_000);
         let mut scaler = Autoscaler::new(AutoscalerConfig {

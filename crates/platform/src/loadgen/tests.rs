@@ -210,7 +210,7 @@ fn contention_never_speeds_an_instance_up() {
 
     // Uncontended makespan of one instance, both functions on node 0
     // (where locality placement packs them).
-    let mut fresh = SchedResources::heterogeneous(&[1, 1]);
+    let mut fresh = SchedResources::mesh(&[1, 1]);
     let solo = execute_concurrent_at(&mut plane, &clock, &spec, Bytes::new(), &mut fresh, 0)
         .unwrap()
         .total_latency_ns;
@@ -218,7 +218,7 @@ fn contention_never_speeds_an_instance_up() {
 
     // Heavy load: arrivals far faster than the 1-core nodes drain.
     let load = open(spec.clone(), 100, 12);
-    let mut shared = SchedResources::heterogeneous(&[1, 1]);
+    let mut shared = SchedResources::mesh(&[1, 1]);
     let mut policy = LocalityFirst::new();
     let run = run_fixed(&load, &mut shared, &mut policy, Controls::default()).unwrap();
     assert_eq!(run.outcomes.len(), 12);
@@ -406,11 +406,25 @@ fn cold_start_repaid_on_every_new_node() {
 }
 
 #[test]
+fn a_single_node_run_reports_zero_link_utilization_not_nan() {
+    // One node has no links: every edge is co-located, and the link
+    // utilization's zero lanes read as 0, not 0 / 0.
+    let mut res = SchedResources::new(1, 2);
+    assert_eq!(res.link_lanes(), 0);
+    let mut policy = LocalityFirst::new();
+    let run = run_fixed(&open(pipeline_spec(), 1_000, 5), &mut res, &mut policy, Controls::default())
+        .unwrap();
+    assert_eq!(run.completed(), 5);
+    assert!(run.cpu_utilization > 0.0);
+    assert_eq!(run.link_utilization, 0.0);
+}
+
+#[test]
 fn autoscaler_grows_under_pressure_and_shrinks_when_idle() {
     // 40 instances arriving every 500 ns onto a single 1-core node
     // (service 1500 ns): heavy overload.
     let load = open(pipeline_spec(), 500, 40);
-    let mut res = SchedResources::heterogeneous(&[1]);
+    let mut res = SchedResources::mesh(&[1]);
     let mut policy = LocalityFirst::new();
     let mut scaler = Autoscaler::new(AutoscalerConfig {
         min_nodes: 1,
@@ -429,7 +443,7 @@ fn autoscaler_grows_under_pressure_and_shrinks_when_idle() {
     assert!(run.final_nodes > 1);
     // And the elastic run beats the fixed-capacity run's tail.
     let load2 = open(pipeline_spec(), 500, 40);
-    let mut fixed = SchedResources::heterogeneous(&[1]);
+    let mut fixed = SchedResources::mesh(&[1]);
     let mut policy2 = LocalityFirst::new();
     let fixed_run = run_fixed(&load2, &mut fixed, &mut policy2, Controls::default()).unwrap();
     let p_el = run.sojourn_percentiles().unwrap();
@@ -452,7 +466,7 @@ fn cold_start_repaid_when_a_scaled_in_node_returns() {
     // ones an instance completing at the scale-in instant hands back.
     let mut load = closed(2, 6_000, 4);
     load.admission = keep_forever(1_000);
-    let mut res = SchedResources::heterogeneous(&[1, 1]);
+    let mut res = SchedResources::mesh(&[1, 1]);
     let mut policy = LocalityFirst::new();
     let mut scaler = Autoscaler::new(AutoscalerConfig {
         min_nodes: 1,

@@ -288,7 +288,7 @@ mod tests {
     fn policies_weight_backlog_by_core_count() {
         // Same absolute backlog: the 8-core node drains it twice as fast,
         // so it is the less-loaded choice.
-        let mut res = SchedResources::heterogeneous(&[4, 8]);
+        let mut res = SchedResources::mesh(&[4, 8]);
         for i in 0..2 {
             for _ in 0..res.cpu(i).capacity() {
                 res.cpu(i).reserve(0, 1_000);

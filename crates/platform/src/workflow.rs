@@ -423,8 +423,9 @@ pub fn execute_compiled(
 /// ([`DataPlane::placement`], resolved once per run). The engine then
 /// places each edge's prepare/transfer/consume phases onto `resources`'
 /// timelines — prepare on the source node's cores, the transfer proper on
-/// the shared link for inter-node edges (or the source cores for
-/// co-located ones), consume on the target node's cores. An edge becomes
+/// the link joining the two nodes (or the source cores when both ends
+/// wrap onto one node: [`SchedResources::try_reserve_transfer`]), consume
+/// on the target node's cores. An edge becomes
 /// ready the instant all of its target's inputs exist; readiness events
 /// drain through a deterministic [`EventQueue`].
 ///
@@ -703,8 +704,7 @@ pub(crate) fn run_compiled_at(
                     || (faults.is_some()
                         && (resources.node_down_at(src, edge_ready)
                             || resources.node_down_at(dst, edge_ready)
-                            || (src != dst
-                                && resources.link_down_between_at(src, dst, edge_ready))));
+                            || resources.link_down_between_at(src, dst, edge_ready)));
                 if !blocked {
                     // One logical copy per attempt: the reference-counted
                     // handle given to the plane.
@@ -727,11 +727,8 @@ pub(crate) fn run_compiled_at(
                         let p_start =
                             resources.try_reserve_cpu(src, edge_ready, timing.prepare_ns)?;
                         let p_end = p_start.saturating_add(timing.prepare_ns);
-                        let t_start = if src == dst {
-                            resources.try_reserve_cpu(src, p_end, timing.transfer_ns)?
-                        } else {
-                            resources.try_reserve_link(src, dst, p_end, timing.transfer_ns)?
-                        };
+                        let t_start =
+                            resources.try_reserve_transfer(src, dst, p_end, timing.transfer_ns)?;
                         let t_end = t_start.saturating_add(timing.transfer_ns);
                         let c_start = resources.try_reserve_cpu(dst, t_end, timing.consume_ns)?;
                         Some((p_start, t_start, c_start))
@@ -1160,8 +1157,8 @@ mod tests {
 
     #[test]
     fn mesh_resources_route_disjoint_pairs_onto_distinct_links() {
-        // Functions on four nodes; the two cross-node edges use disjoint
-        // node pairs, so on a mesh they overlap fully.
+        // Functions on four nodes; the cross-node edges use disjoint node
+        // pairs, so they overlap fully.
         // s fans out to a and c (disjoint pairs 3→0 and 3→2), which then
         // forward over two more disjoint pairs 0→1 and 2→3.
         let mut dag = WorkflowDag::new();
@@ -1180,14 +1177,24 @@ mod tests {
         let overlapped =
             execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut mesh, 0)
                 .unwrap();
-        let mut shared = SchedResources::new(4, 4);
-        let serialized =
-            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut shared, 0)
-                .unwrap();
-        // Mesh: s→a ∥ s→c then a→b ∥ c→d → 2 levels. Shared WAN: all four
-        // cross-node transfers queue on one timeline → 4 slots.
+        // s→a ∥ s→c then a→b ∥ c→d → 2 levels.
         assert_eq!(overlapped.total_latency_ns, 2_000);
-        assert_eq!(serialized.total_latency_ns, 4_000);
+    }
+
+    #[test]
+    fn placements_that_wrap_onto_one_node_transfer_on_its_cpu() {
+        // `b` sits on node 2 of two: it wraps onto node 0 beside `a`, so
+        // the edge is co-located and its transfer holds node 0's core.
+        let spec = WorkflowSpec::sequence("wrap", "t", ["a".to_owned(), "b".to_owned()]);
+        let clock = VirtualClock::new();
+        let mut plane = Phased::wire(&clock, |function| if function == "a" { 0 } else { 2 });
+        let mut res = SchedResources::new(2, 1);
+        let run =
+            execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0)
+                .unwrap();
+        assert_eq!(run.total_latency_ns, 1_000);
+        assert_eq!(res.cpu(0).reserved_ns(), 1_000);
+        assert_eq!(res.link_reserved(), (0, 1));
     }
 
     #[test]

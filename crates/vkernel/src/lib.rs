@@ -32,11 +32,11 @@
 //!   timelines, a deterministic event queue) that let the platform's DAG
 //!   executor overlap independent workflow edges in virtual time while
 //!   contended cores and links serialize.
-//! * [`node`] / [`testbed`] — hosts, sandboxes and links wired into the
-//!   paper's topology.
-//! * [`cluster`] — N-node topologies beyond the paper's two-VM pair:
-//!   heterogeneous nodes joined by a per-pair link mesh, built into the
-//!   same [`Testbed`] everything else already runs on.
+//! * [`node`] / [`testbed`] — hosts, sandboxes and links wired into one
+//!   topology: nodes joined by one link per pair.
+//! * [`cluster`] — the builder of every [`Testbed`]: heterogeneous nodes
+//!   joined by a per-pair link mesh, the paper's two-VM pair
+//!   ([`Testbed::paper`]) being its two-node case.
 //! * [`outage`] — deterministic link/node up–down schedules that make
 //!   the cluster fallible: timelines reject reservations during a down
 //!   window so the platform's engines see transfer failures and retry.

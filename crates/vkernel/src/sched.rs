@@ -2,18 +2,18 @@
 //!
 //! The workflow engine above (`roadrunner-platform`) executes arbitrary
 //! DAGs: independent edges genuinely overlap in virtual time while
-//! contended resources — a node's cores, the shared WAN link — serialize
-//! the work placed on them. This module provides the three pieces that
-//! schedule needs:
+//! contended resources — a node's cores, the link joining two nodes —
+//! serialize the work placed on them. This module provides the pieces
+//! that schedule needs:
 //!
 //! * [`Timeline`] — one resource of integral capacity `c` (a 4-core CPU
-//!   is a capacity-4 timeline, the WAN link capacity 1). Reservations are
+//!   is a capacity-4 timeline, a link capacity 1). Reservations are
 //!   placed greedily on the earliest-free lane, the classic list-scheduler
 //!   discipline.
 //! * [`EventQueue`] — a deterministic min-heap of timed events. Ties are
 //!   broken by insertion order, so identical runs replay identically.
 //! * [`SchedResources`] — the timelines of a whole testbed (per-node CPU
-//!   plus the shared inter-node link), ready for the executor to reserve
+//!   plus one link per node pair), ready for the executor to reserve
 //!   against. Capacity is **elastic**: [`SchedResources::add_node`] /
 //!   [`SchedResources::remove_last_node`] grow and shrink the active node
 //!   set mid-stream, preserving every surviving timeline.
@@ -51,7 +51,7 @@ use crate::Nanos;
 ///
 /// ```
 /// # use roadrunner_vkernel::sched::Timeline;
-/// let mut link = Timeline::new("wan", 1);
+/// let mut link = Timeline::new("link-0-1", 1);
 /// assert_eq!(link.reserve(0, 100), 0);   // link free: starts at once
 /// assert_eq!(link.reserve(0, 100), 100); // second transfer queues
 /// ```
@@ -289,13 +289,8 @@ pub struct NodeView {
 pub struct ResourceView {
     now: Nanos,
     nodes: Vec<NodeView>,
-    /// Per-pair link backlogs (flattened upper-triangular); empty for
-    /// the classic shared-WAN layout.
+    /// Per-pair link backlogs (flattened upper-triangular).
     link_backlogs: Vec<Nanos>,
-    /// The shared WAN timeline's backlog (what same-node queries and
-    /// every pair on the non-mesh layout report).
-    wan_backlog: Nanos,
-    meshed: bool,
 }
 
 impl ResourceView {
@@ -320,17 +315,13 @@ impl ResourceView {
     }
 
     /// Backlog of the link carrying traffic between nodes `a` and `b`
-    /// (the pair's own link on a mesh, the shared WAN otherwise; equal
-    /// indexes report the shared link, mirroring
-    /// [`SchedResources::link_between`]).
+    /// (indexes wrap like [`SchedResources::link_between`]). A node and
+    /// itself are joined by no link: their backlog is 0.
     pub fn link_backlog_between(&self, a: usize, b: usize) -> Nanos {
         let n = self.nodes.len();
-        let (a, b) = (a % n, b % n);
-        if self.meshed && a != b {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            self.link_backlogs[pair_index(n, lo, hi)]
-        } else {
-            self.wan_backlog
+        match pair_of(n, a, b) {
+            Some(pair) => self.link_backlogs[pair],
+            None => 0,
         }
     }
 
@@ -362,16 +353,16 @@ impl ResourceView {
 }
 
 /// The cluster's schedulable capacity: one CPU [`Timeline`] per node
-/// (capacity = core count) and the inter-node links (capacity 1 each —
-/// concurrent transfers share a link's bandwidth by queueing behind each
-/// other).
+/// (capacity = core count) and **one link timeline per node pair**
+/// (capacity 1 unless built with more lanes — concurrent transfers share
+/// a link's bandwidth by queueing behind each other), so traffic between
+/// nodes 0↔1 never queues behind traffic between 2↔3. On the paper's two
+/// nodes the mesh is its one shaped link.
 ///
-/// Two link layouts exist. The classic layout (the paper's two-VM pair)
-/// has **one shared WAN timeline** that every inter-node edge reserves.
-/// Cluster-built resources ([`SchedResources::mesh`] /
-/// [`SchedResources::for_testbed`] over a cluster testbed) carry **one
-/// timeline per node pair**, so traffic between nodes 0↔1 no longer
-/// queues behind traffic between 2↔3.
+/// Node indexes wrap onto the known nodes everywhere, so a plane that
+/// places functions past the node count still schedules. Two indexes that
+/// wrap onto one node are co-located: their transfer crosses no link and
+/// runs on that node's cores ([`try_reserve_transfer`](Self::try_reserve_transfer)).
 ///
 /// `SchedResources` is `Send` (asserted at compile time below), and a
 /// sweep worker that wants an isolated simulation should *construct its
@@ -384,16 +375,16 @@ impl ResourceView {
 #[derive(Debug, Clone)]
 pub struct SchedResources {
     cpus: Vec<Timeline>,
-    wan: Timeline,
-    mesh: Option<Vec<Timeline>>,
+    /// One timeline per node pair, flattened upper-triangular.
+    links: Vec<Timeline>,
     /// Stable per-node ids, parallel to `cpus`. Indices shift as the
     /// autoscaler adds and removes nodes; ids never do, so outage
     /// schedules written before a run keep naming the same machine.
     ids: Vec<u64>,
     /// Next fresh id handed to [`add_node`](Self::add_node).
     next_id: u64,
-    /// Lane count for mesh pair links, applied to the initial mesh and
-    /// to every fresh link scale-out creates.
+    /// Lane count for pair links, applied to the initial mesh and to
+    /// every fresh link scale-out creates.
     link_capacity: usize,
     /// Attached outage schedule; `None` (the default) means nothing
     /// ever fails and the `try_reserve_*` paths degrade to plain
@@ -402,7 +393,7 @@ pub struct SchedResources {
     /// Busy time reserved on since-removed node CPU timelines, kept so
     /// utilization totals stay monotone across scale-in.
     retired_cpu_ns: Nanos,
-    /// Busy time reserved on since-removed mesh links.
+    /// Busy time reserved on since-removed pair links.
     retired_link_ns: Nanos,
 }
 
@@ -413,60 +404,28 @@ pub(crate) fn pair_index(n: usize, a: usize, b: usize) -> usize {
     a * (2 * n - a - 1) / 2 + (b - a - 1)
 }
 
+/// The pair index of nodes `a` and `b` wrapped onto `n` nodes, or `None`
+/// when they wrap onto one node (co-located: no link joins them).
+fn pair_of(n: usize, a: usize, b: usize) -> Option<usize> {
+    let (a, b) = (a % n, b % n);
+    (a != b).then(|| pair_index(n, a.min(b), a.max(b)))
+}
+
 impl SchedResources {
-    /// Resources for `node_count` nodes of `cores` cores each, joined by
-    /// one shared link.
+    /// Resources for `node_count` nodes of `cores` cores each: shorthand
+    /// for [`mesh`](Self::mesh) over `node_count` equal entries.
     ///
     /// # Panics
     ///
     /// Panics if `node_count` or `cores` is zero.
     pub fn new(node_count: usize, cores: u32) -> Self {
-        assert!(node_count > 0, "a schedule needs at least one node");
-        let cpus = (0..node_count)
-            .map(|i| Timeline::new(format!("cpu-{i}"), cores as usize))
-            .collect();
-        Self {
-            cpus,
-            wan: Timeline::new("wan", 1),
-            mesh: None,
-            ids: (0..node_count as u64).collect(),
-            next_id: node_count as u64,
-            link_capacity: 1,
-            outages: None,
-            retired_cpu_ns: 0,
-            retired_link_ns: 0,
-        }
+        Self::mesh(&vec![cores; node_count])
     }
 
-    /// Resources for heterogeneous nodes (per-node core counts), joined
-    /// by one shared link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is empty or any entry is zero.
-    pub fn heterogeneous(cores: &[u32]) -> Self {
-        assert!(!cores.is_empty(), "a schedule needs at least one node");
-        let cpus = cores
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| Timeline::new(format!("cpu-{i}"), c as usize))
-            .collect();
-        Self {
-            cpus,
-            wan: Timeline::new("wan", 1),
-            mesh: None,
-            ids: (0..cores.len() as u64).collect(),
-            next_id: cores.len() as u64,
-            link_capacity: 1,
-            outages: None,
-            retired_cpu_ns: 0,
-            retired_link_ns: 0,
-        }
-    }
-
-    /// Resources for heterogeneous nodes joined by a **full mesh** of
-    /// point-to-point links: each node pair gets its own capacity-1
-    /// timeline, so transfers between disjoint pairs never contend.
+    /// Resources for nodes of the given per-node core counts, joined by a
+    /// **full mesh** of point-to-point links: each node pair gets its own
+    /// capacity-1 timeline, so transfers between disjoint pairs never
+    /// contend.
     ///
     /// # Panics
     ///
@@ -485,31 +444,30 @@ impl SchedResources {
     /// Panics if `cores` is empty, any entry is zero, or
     /// `link_capacity` is zero.
     pub fn mesh_with_link_capacity(cores: &[u32], link_capacity: usize) -> Self {
+        assert!(!cores.is_empty(), "a schedule needs at least one node");
         assert!(link_capacity > 0, "a link needs at least one lane");
-        let mut this = Self::heterogeneous(cores);
-        this.link_capacity = link_capacity;
-        let n = this.cpus.len();
-        let mut links = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for a in 0..n {
-            for b in a + 1..n {
-                links.push(Timeline::new(format!("link-{a}-{b}"), link_capacity));
-            }
+        let n = cores.len();
+        Self {
+            cpus: cores
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| Timeline::new(format!("cpu-{i}"), c as usize))
+                .collect(),
+            links: Self::reindex_mesh(Vec::new(), 0, n, link_capacity),
+            ids: (0..n as u64).collect(),
+            next_id: n as u64,
+            link_capacity,
+            outages: None,
+            retired_cpu_ns: 0,
+            retired_link_ns: 0,
         }
-        this.mesh = Some(links);
-        this
     }
 
-    /// Resources mirroring `testbed`'s topology: per-node core counts,
-    /// and a per-pair link mesh when the testbed was built from a
-    /// [`ClusterSpec`](crate::cluster::ClusterSpec) with per-pair links
-    /// (the classic shared-WAN layout otherwise).
+    /// Resources mirroring `testbed`'s topology: per-node core counts
+    /// and its per-pair link mesh, at the testbed's lanes per link.
     pub fn for_testbed(testbed: &Testbed) -> Self {
         let cores: Vec<u32> = testbed.nodes().iter().map(|n| n.cores()).collect();
-        if testbed.has_pair_links() {
-            Self::mesh_with_link_capacity(&cores, testbed.link_lanes())
-        } else {
-            Self::heterogeneous(&cores)
-        }
+        Self::mesh_with_link_capacity(&cores, testbed.link_lanes())
     }
 
     /// Stable id of node `idx` (indexes wrap like [`cpu`](Self::cpu)).
@@ -548,9 +506,9 @@ impl SchedResources {
     }
 
     /// Whether the link carrying traffic between `a` and `b` is down at
-    /// `at` — a pair window, or either endpoint node down. Equal
-    /// indexes reduce to the node query (co-located transfers never
-    /// cross a link).
+    /// `at` — a pair window, or either endpoint node down. Indexes that
+    /// wrap onto one node reduce to the node query (co-located transfers
+    /// never cross a link).
     pub fn link_down_between_at(&self, a: usize, b: usize, at: Nanos) -> bool {
         let n = self.cpus.len();
         let (a, b) = (a % n, b % n);
@@ -573,11 +531,12 @@ impl SchedResources {
         Some(self.cpu(idx).reserve(earliest, duration))
     }
 
-    /// Reserves `duration` on the link between `a` and `b` starting no
-    /// earlier than `earliest`, unless that link (or either endpoint
-    /// node) is down at `earliest` — then `None`, and nothing is
-    /// reserved.
-    pub fn try_reserve_link(
+    /// Reserves `duration` for a transfer from `a` to `b` starting no
+    /// earlier than `earliest`: on the pair's link, or on the node's CPU
+    /// when the indexes wrap onto one node (a co-located transfer crosses
+    /// no link). `None`, with nothing reserved, if that link or either
+    /// endpoint node is down at `earliest`.
+    pub fn try_reserve_transfer(
         &mut self,
         a: usize,
         b: usize,
@@ -587,7 +546,11 @@ impl SchedResources {
         if self.link_down_between_at(a, b, earliest) {
             return None;
         }
-        Some(self.link_between(a, b).reserve(earliest, duration))
+        let timeline = match pair_of(self.cpus.len(), a, b) {
+            Some(pair) => &mut self.links[pair],
+            None => self.cpu(a),
+        };
+        Some(timeline.reserve(earliest, duration))
     }
 
     /// Number of nodes the resources model.
@@ -603,20 +566,17 @@ impl SchedResources {
     }
 
     /// The link timeline carrying traffic between nodes `a` and `b`
-    /// (indexes wrap onto the known nodes): the pair's own timeline on a
-    /// mesh, the shared WAN otherwise. Equal indexes fall back to the
-    /// shared link — callers schedule co-located transfers on the CPU and
-    /// never ask for them.
+    /// (indexes wrap onto the known nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` wrap onto one node: no link joins a node and
+    /// itself (a single-node schedule has no links at all).
     pub fn link_between(&mut self, a: usize, b: usize) -> &mut Timeline {
-        let n = self.cpus.len();
-        let (a, b) = (a % n, b % n);
-        match &mut self.mesh {
-            Some(links) if a != b => {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                &mut links[pair_index(n, lo, hi)]
-            }
-            _ => &mut self.wan,
-        }
+        let Some(pair) = pair_of(self.cpus.len(), a, b) else {
+            panic!("nodes {a} and {b} are co-located: no link joins a node and itself");
+        };
+        &mut self.links[pair]
     }
 
     /// Snapshots the live state of every node and link at instant `now` —
@@ -659,16 +619,7 @@ impl SchedResources {
             }
         }));
         out.link_backlogs.clear();
-        match &self.mesh {
-            Some(links) => {
-                out.link_backlogs.extend(links.iter().map(|l| l.backlog_at(now)));
-                out.meshed = true;
-            }
-            None => {
-                out.meshed = false;
-            }
-        }
-        out.wan_backlog = self.wan.backlog_at(now);
+        out.link_backlogs.extend(self.links.iter().map(|l| l.backlog_at(now)));
     }
 
     /// Total active core lanes (Σ per-node capacities) — the cheap
@@ -678,18 +629,14 @@ impl SchedResources {
         self.cpus.iter().map(Timeline::capacity).sum()
     }
 
-    /// Number of active link lanes: the per-pair links on a mesh, the
-    /// single shared WAN otherwise.
+    /// Number of active pair links (0 on a single node).
     pub fn link_lanes(&self) -> usize {
-        match &self.mesh {
-            Some(links) => links.len(),
-            None => 1,
-        }
+        self.links.len()
     }
 
     /// Grows the cluster by one node of `cores` cores **mid-stream**:
     /// every existing timeline (and its reservations) is preserved, and
-    /// on a mesh the new node gets a fresh link to every existing node.
+    /// the new node gets a fresh link to every existing node.
     /// Returns the new node's index.
     ///
     /// # Panics
@@ -700,15 +647,14 @@ impl SchedResources {
         self.cpus.push(Timeline::new(format!("cpu-{idx}"), cores as usize));
         self.ids.push(self.next_id);
         self.next_id += 1;
-        if let Some(links) = self.mesh.take() {
-            self.mesh = Some(Self::reindex_mesh(links, idx, idx + 1, self.link_capacity, &mut 0));
-        }
+        let links = std::mem::take(&mut self.links);
+        self.links = Self::reindex_mesh(links, idx, idx + 1, self.link_capacity);
         idx
     }
 
     /// Shrinks the cluster by removing the **last** node mid-stream,
     /// preserving every remaining timeline. Reservations already placed
-    /// on the removed node (and its mesh links) move into the retired
+    /// on the removed node (and its pair links) move into the retired
     /// totals so [`cpu_reserved`](Self::cpu_reserved) /
     /// [`link_reserved`](Self::link_reserved) stay monotone.
     ///
@@ -731,7 +677,7 @@ impl SchedResources {
     /// lane's un-started remainder) migrates onto the least-loaded
     /// survivors as fresh reservations at `now`; busy time already spent
     /// stays in the retired totals so utilization accounting remains
-    /// monotone. Surviving timelines (and surviving mesh pairs) keep
+    /// monotone. Surviving timelines (and surviving pairs) keep
     /// their reservations; the victim's pair links retire with it.
     ///
     /// # Panics
@@ -758,85 +704,59 @@ impl SchedResources {
             migrated += remainder;
         }
         self.retired_cpu_ns += removed.reserved_ns().saturating_sub(migrated);
+        let links = std::mem::take(&mut self.links);
         let old_n = self.cpus.len() + 1;
-        if let Some(links) = self.mesh.take() {
-            let mut retired = 0;
-            self.mesh = Some(Self::reindex_mesh_removing(links, old_n, victim, &mut retired));
-            self.retired_link_ns += retired;
-        }
+        self.links =
+            Self::reindex_mesh_removing(links, old_n, victim, &mut self.retired_link_ns);
     }
 
-    /// Rebuilds a flattened upper-triangular link mesh from `old_n` to
-    /// `new_n` nodes: surviving pairs keep their timelines (reservations
-    /// intact), new pairs get fresh `link_capacity`-lane links, and
-    /// dropped pairs' reserved time accumulates into `retired_ns`.
+    /// Grows a flattened upper-triangular link mesh from `old_n` to
+    /// `new_n` nodes: the old pairs keep their timelines (reservations
+    /// intact) in their old order, and new pairs get fresh
+    /// `link_capacity`-lane links.
     fn reindex_mesh(
         links: Vec<Timeline>,
         old_n: usize,
         new_n: usize,
         link_capacity: usize,
-        retired_ns: &mut Nanos,
     ) -> Vec<Timeline> {
-        let mut old: Vec<Option<Timeline>> = links.into_iter().map(Some).collect();
+        let mut old = links.into_iter();
         let mut out = Vec::with_capacity(new_n * new_n.saturating_sub(1) / 2);
         for a in 0..new_n {
             for b in a + 1..new_n {
-                if b < old_n {
-                    out.push(
-                        old[pair_index(old_n, a, b)].take().expect("each pair taken once"),
-                    );
-                } else {
-                    out.push(Timeline::new(format!("link-{a}-{b}"), link_capacity));
-                }
+                let kept = if b < old_n { old.next() } else { None };
+                out.push(kept.unwrap_or_else(|| {
+                    Timeline::new(format!("link-{a}-{b}"), link_capacity)
+                }));
             }
         }
-        *retired_ns += old
-            .iter()
-            .flatten()
-            .map(Timeline::reserved_ns)
-            .sum::<Nanos>();
         out
     }
 
-    /// Rebuilds the mesh after removing node `victim` from an `old_n`
-    /// cluster: each surviving pair maps back to its old timeline
-    /// (indices at or past the victim shift down by one), and every
-    /// pair touching the victim retires into `retired_ns`.
+    /// Shrinks the mesh of an `old_n` cluster by node `victim`: every
+    /// other pair keeps its timeline in order, and each pair touching the
+    /// victim retires into `retired_ns`.
     fn reindex_mesh_removing(
         links: Vec<Timeline>,
         old_n: usize,
         victim: usize,
         retired_ns: &mut Nanos,
     ) -> Vec<Timeline> {
-        let mut old: Vec<Option<Timeline>> = links.into_iter().map(Some).collect();
-        let new_n = old_n - 1;
-        let mut out = Vec::with_capacity(new_n * new_n.saturating_sub(1) / 2);
-        for a in 0..new_n {
-            for b in a + 1..new_n {
-                let oa = a + usize::from(a >= victim);
-                let ob = b + usize::from(b >= victim);
-                out.push(
-                    old[pair_index(old_n, oa, ob)].take().expect("each pair taken once"),
-                );
+        let pairs = (0..old_n).flat_map(|a| (a + 1..old_n).map(move |b| (a, b)));
+        let mut out = Vec::with_capacity(links.len().saturating_sub(old_n - 1));
+        for ((a, b), link) in pairs.zip(links) {
+            if a == victim || b == victim {
+                *retired_ns += link.reserved_ns();
+            } else {
+                out.push(link);
             }
         }
-        *retired_ns += old
-            .iter()
-            .flatten()
-            .map(Timeline::reserved_ns)
-            .sum::<Nanos>();
         out
     }
 
     /// Time the last reservation across all resources drains.
     pub fn busy_until(&self) -> Nanos {
-        self.cpus
-            .iter()
-            .chain(self.mesh.iter().flatten())
-            .map(Timeline::busy_until)
-            .chain(std::iter::once(self.wan.busy_until()))
-            .max()
-            .unwrap_or(0)
+        self.cpus.iter().chain(&self.links).map(Timeline::busy_until).max().unwrap_or(0)
     }
 
     /// Total CPU busy time reserved across every node (including nodes
@@ -851,31 +771,19 @@ impl SchedResources {
         (reserved, lanes)
     }
 
-    /// Total link busy time reserved across every inter-node link, and
-    /// the number of link lanes. On a mesh, only the per-pair links
-    /// count — the shared-WAN timeline, which on a mesh
-    /// [`link_between`](Self::link_between) hands out only for a node and
-    /// itself, a pair callers never schedule, is excluded from both the
-    /// numerator and the lane count so utilization stays consistent.
+    /// Total link busy time reserved across every pair link (including
+    /// links since retired by scale-in), and the number of active pair
+    /// links.
     pub fn link_reserved(&self) -> (Nanos, usize) {
-        match &self.mesh {
-            Some(links) => (
-                links.iter().map(Timeline::reserved_ns).sum::<Nanos>() + self.retired_link_ns,
-                links.len(),
-            ),
-            None => (self.wan.reserved_ns(), 1),
-        }
+        let reserved = self.links.iter().map(Timeline::reserved_ns).sum::<Nanos>();
+        (reserved + self.retired_link_ns, self.links.len())
     }
 
     /// Clears all reservations (including retired totals), keeping the
     /// topology.
     pub fn reset(&mut self) {
-        for cpu in &mut self.cpus {
-            cpu.reset();
-        }
-        self.wan.reset();
-        for link in self.mesh.iter_mut().flatten() {
-            link.reset();
+        for timeline in self.cpus.iter_mut().chain(&mut self.links) {
+            timeline.reset();
         }
         self.retired_cpu_ns = 0;
         self.retired_link_ns = 0;
@@ -916,7 +824,7 @@ mod tests {
 
     #[test]
     fn timeline_respects_ready_time() {
-        let mut link = Timeline::new("wan", 1);
+        let mut link = Timeline::new("link", 1);
         assert_eq!(link.reserve(500, 100), 500);
         // Free again at 600; an earlier-ready caller still waits.
         assert_eq!(link.reserve(0, 100), 600);
@@ -925,7 +833,7 @@ mod tests {
 
     #[test]
     fn zero_duration_reservation_never_blocks() {
-        let mut link = Timeline::new("wan", 1);
+        let mut link = Timeline::new("link", 1);
         link.reserve(0, 1_000);
         assert_eq!(link.reserve(200, 0), 200);
         assert_eq!(link.busy_until(), 1_000);
@@ -1030,7 +938,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_capacities_follow_core_counts() {
-        let mut res = SchedResources::heterogeneous(&[2, 8, 4]);
+        let mut res = SchedResources::mesh(&[2, 8, 4]);
         assert_eq!(res.node_count(), 3);
         assert_eq!(res.cpu(0).capacity(), 2);
         assert_eq!(res.cpu(1).capacity(), 8);
@@ -1060,14 +968,6 @@ mod tests {
         // Same pair (either direction) queues.
         let c = res.link_between(1, 0).reserve(0, 8_000);
         assert_eq!(c, 8_000);
-    }
-
-    #[test]
-    fn shared_wan_resources_route_every_pair_onto_one_link() {
-        let mut res = SchedResources::new(3, 4);
-        let a = res.link_between(0, 1).reserve(0, 5_000);
-        let b = res.link_between(1, 2).reserve(0, 5_000);
-        assert_eq!((a, b), (0, 5_000));
     }
 
     #[test]
@@ -1105,10 +1005,9 @@ mod tests {
         assert_eq!(view.node(1).backlog_ns, 0);
         assert_eq!(view.node(1).utilization, 0.0);
         assert_eq!(view.link_backlog_between(0, 1), 400);
-        // Same-node queries report the (idle) shared WAN, never a
-        // pair's backlog — mirroring link_between's routing.
+        // No link joins a node and itself, wrapped indexes included.
         assert_eq!(view.link_backlog_between(0, 0), 0);
-        assert_eq!(view.link_backlog_between(1, 1), 0);
+        assert_eq!(view.link_backlog_between(1, 3), 0);
         assert_eq!(view.total_backlog_ns(), 500);
         assert_eq!(view.mean_backlog_ns(), 250);
         // A snapshot at time 0 reports zero utilization, not NaN.
@@ -1136,16 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn view_of_shared_wan_reports_one_link() {
-        let mut res = SchedResources::new(3, 2);
-        res.link_between(0, 1).reserve(0, 800);
-        let view = res.view(300);
-        assert_eq!(view.link_backlog_between(0, 1), 500);
-        assert_eq!(view.link_backlog_between(1, 2), 500);
-        assert_eq!(view.link_backlog_between(2, 2), 500);
-    }
-
-    #[test]
     fn lane_counts_track_resizing() {
         let mut res = SchedResources::mesh(&[2, 4]);
         assert_eq!(res.cpu_lanes(), 6);
@@ -1159,8 +1048,34 @@ mod tests {
     }
 
     #[test]
+    fn a_single_node_has_no_links() {
+        let res = SchedResources::new(1, 2);
+        assert_eq!(res.link_lanes(), 0);
+        assert_eq!(res.link_reserved(), (0, 0));
+        assert_eq!(res.view(0).link_backlog_between(0, 1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "co-located")]
+    fn link_between_a_node_and_itself_panics() {
+        SchedResources::new(2, 2).link_between(1, 3);
+    }
+
+    #[test]
+    fn a_co_located_transfer_runs_on_the_node_cpu() {
+        let mut res = SchedResources::new(2, 1);
+        // 0 and 2 wrap onto node 0: its CPU, not a link, carries the bytes.
+        assert_eq!(res.try_reserve_transfer(0, 2, 0, 700), Some(0));
+        assert_eq!(res.cpu(0).busy_until(), 700);
+        assert_eq!(res.link_reserved().0, 0);
+        // A distinct pair uses its link.
+        assert_eq!(res.try_reserve_transfer(1, 2, 0, 300), Some(0));
+        assert_eq!(res.link_between(0, 1).busy_until(), 300);
+    }
+
+    #[test]
     fn add_node_preserves_existing_timelines() {
-        let mut res = SchedResources::heterogeneous(&[2, 2]);
+        let mut res = SchedResources::mesh(&[2, 2]);
         res.cpu(1).reserve(0, 5_000);
         let idx = res.add_node(8);
         assert_eq!(idx, 2);
@@ -1321,9 +1236,9 @@ mod tests {
         assert_eq!(res.try_reserve_cpu(0, 1_500, 100), Some(1_500));
         assert_eq!(res.try_reserve_cpu(1, 2_000, 100), Some(2_000));
         // The link is down in its own window and while an endpoint is.
-        assert_eq!(res.try_reserve_link(0, 1, 5_500, 100), None);
-        assert_eq!(res.try_reserve_link(0, 1, 1_500, 100), None);
-        let granted = res.try_reserve_link(0, 1, 6_000, 100);
+        assert_eq!(res.try_reserve_transfer(0, 1, 5_500, 100), None);
+        assert_eq!(res.try_reserve_transfer(0, 1, 1_500, 100), None);
+        let granted = res.try_reserve_transfer(0, 1, 6_000, 100);
         assert_eq!(granted, Some(6_000));
         // Rejected attempts reserved nothing.
         assert_eq!(res.cpu(1).reserved_ns(), 100);

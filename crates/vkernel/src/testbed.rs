@@ -3,18 +3,19 @@
 use std::sync::Arc;
 
 use crate::clock::VirtualClock;
+use crate::cluster::ClusterSpec;
 use crate::costmodel::CostModel;
 use crate::net::Link;
 use crate::node::Node;
 
 /// A complete simulated deployment: nodes sharing one virtual clock and
-/// cost model, inter-node links, and a loopback link per node.
+/// cost model, one link per node pair, and a loopback link per node.
 ///
-/// [`Testbed::paper`] reproduces §6.2: two 4-core/8 GB VMs connected by a
-/// 100 Mbit/s link with 1 ms RTT. Beyond the paper,
-/// [`ClusterSpec`](crate::cluster::ClusterSpec) builds N-node testbeds
-/// with heterogeneous nodes and a per-pair link mesh; everything below
-/// the testbed (shims, baselines, engines) is topology-agnostic.
+/// [`Testbed::paper`] reproduces §6.2: two 4-core/8 GB VMs joined by one
+/// shaped link (1 ms RTT). [`ClusterSpec`] builds every testbed — the
+/// paper's pair is its two-node case — with heterogeneous nodes and
+/// per-pair links; everything below the testbed (shims, baselines,
+/// engines) is topology-agnostic.
 ///
 /// ```
 /// # use roadrunner_vkernel::Testbed;
@@ -27,10 +28,8 @@ pub struct Testbed {
     clock: VirtualClock,
     cost: Arc<CostModel>,
     nodes: Vec<Arc<Node>>,
-    wan: Arc<Link>,
-    /// Per-pair links (upper-triangular order) for cluster-built
-    /// testbeds; `None` means every inter-node pair shares `wan`.
-    pair_links: Option<Vec<Arc<Link>>>,
+    /// One link per node pair, flattened upper-triangular.
+    pair_links: Vec<Arc<Link>>,
     /// Scheduling lanes per pair link — how many transfers a pair
     /// carries concurrently before they queue. Mirrored into
     /// [`SchedResources::for_testbed`](crate::sched::SchedResources::for_testbed).
@@ -39,28 +38,8 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Builds a testbed of `node_count` nodes with the given cost model.
-    pub fn new(node_count: usize, cores: u32, ram_bytes: u64, cost: CostModel) -> Self {
-        assert!(node_count >= 1, "a testbed needs at least one node");
-        let clock = VirtualClock::new();
-        let cost = Arc::new(cost);
-        let nodes: Vec<_> = (0..node_count)
-            .map(|i| {
-                Node::new(format!("node-{i}"), cores, ram_bytes, clock.clone(), Arc::clone(&cost))
-            })
-            .collect();
-        let wan = Link::new(
-            "wan",
-            cost.net_bandwidth_bps,
-            cost.net_rtt_ns,
-            cost.mtu_bytes,
-        );
-        let loopbacks = (0..node_count).map(|i| Link::loopback(format!("lo-{i}"))).collect();
-        Self { clock, cost, nodes, wan, pair_links: None, link_lanes: 1, loopbacks }
-    }
-
-    /// Assembles a cluster testbed: heterogeneous nodes plus one link per
-    /// node pair (flattened upper-triangular order). Used by
+    /// Assembles a testbed: heterogeneous nodes plus one link per node
+    /// pair (flattened upper-triangular order). Used by
     /// [`ClusterSpec::build`](crate::cluster::ClusterSpec::build).
     pub(crate) fn from_cluster(
         specs: Vec<crate::cluster::NodeSpec>,
@@ -68,7 +47,6 @@ impl Testbed {
         pair_links: Vec<Arc<Link>>,
         link_lanes: usize,
     ) -> Self {
-        assert!(!specs.is_empty(), "a testbed needs at least one node");
         debug_assert_eq!(pair_links.len(), specs.len() * specs.len().saturating_sub(1) / 2);
         let clock = VirtualClock::new();
         let cost = Arc::new(cost);
@@ -85,20 +63,8 @@ impl Testbed {
                 )
             })
             .collect();
-        // `wan()` keeps meaning "the first inter-node link" so existing
-        // telemetry helpers stay usable on clusters; single-node clusters
-        // get a default-shaped placeholder that nothing routes over.
-        let wan = pair_links.first().cloned().unwrap_or_else(|| {
-            Link::new("wan", cost.net_bandwidth_bps, cost.net_rtt_ns, cost.mtu_bytes)
-        });
         let loopbacks = (0..specs.len()).map(|i| Link::loopback(format!("lo-{i}"))).collect();
-        Self { clock, cost, nodes, wan, pair_links: Some(pair_links), link_lanes, loopbacks }
-    }
-
-    /// Whether this testbed carries one link per node pair (cluster
-    /// layout) rather than a single shared WAN.
-    pub fn has_pair_links(&self) -> bool {
-        self.pair_links.is_some()
+        Self { clock, cost, nodes, pair_links, link_lanes, loopbacks }
     }
 
     /// Scheduling lanes per pair link (1 unless the cluster spec raised
@@ -107,9 +73,10 @@ impl Testbed {
         self.link_lanes
     }
 
-    /// The paper's two-node edge–cloud testbed (§6.2).
+    /// The paper's two-node edge–cloud testbed (§6.2): two 4-core/8 GB
+    /// nodes joined by the cost model's link.
     pub fn paper() -> Self {
-        Self::new(2, 4, 8 << 30, CostModel::paper_testbed())
+        ClusterSpec::homogeneous(2, 4, 8 << 30).build()
     }
 
     /// The shared virtual clock.
@@ -136,11 +103,6 @@ impl Testbed {
         &self.nodes[i]
     }
 
-    /// The shared WAN link between any two distinct nodes.
-    pub fn wan(&self) -> &Arc<Link> {
-        &self.wan
-    }
-
     /// The loopback link of node `i`.
     ///
     /// # Panics
@@ -150,32 +112,26 @@ impl Testbed {
         &self.loopbacks[i]
     }
 
-    /// Link to use between node `a` and node `b` (loopback when equal;
-    /// the pair's own link on cluster testbeds, the shared WAN
-    /// otherwise).
+    /// Link to use between node `a` and node `b`: the node's loopback
+    /// when equal, the pair's own link otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
     pub fn link_between(&self, a: usize, b: usize) -> &Arc<Link> {
         if a == b {
             return self.loopback(a);
         }
-        match &self.pair_links {
-            Some(links) => {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                assert!(hi < self.nodes.len(), "link_between({a}, {b}) is out of range");
-                &links[crate::sched::pair_index(self.nodes.len(), lo, hi)]
-            }
-            None => self.wan(),
-        }
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        assert!(hi < self.nodes.len(), "link_between({a}, {b}) is out of range");
+        &self.pair_links[crate::sched::pair_index(self.nodes.len(), lo, hi)]
     }
 
     /// Resets link reservations and every sandbox account — called between
     /// benchmark repetitions.
     pub fn reset_telemetry(&self) {
-        self.wan.reset();
-        for link in self.pair_links.iter().flatten() {
+        for link in self.pair_links.iter().chain(&self.loopbacks) {
             link.reset();
-        }
-        for lo in &self.loopbacks {
-            lo.reset();
         }
         for node in &self.nodes {
             for account in node.accounts() {
@@ -203,16 +159,16 @@ mod tests {
         assert_eq!(bed.node(0).ram_bytes(), 8 << 30);
         // Effective bandwidth implied by the paper's own Fig. 8a series
         // (see CostModel::net_bandwidth_bps docs).
-        assert_eq!(bed.wan().bandwidth_bps(), 700_000_000);
-        assert_eq!(bed.wan().rtt_ns(), 1_000_000);
+        assert_eq!(bed.link_between(0, 1).bandwidth_bps(), 700_000_000);
+        assert_eq!(bed.link_between(0, 1).rtt_ns(), 1_000_000);
     }
 
     #[test]
     fn link_between_picks_loopback_for_same_node() {
         let bed = Testbed::paper();
         assert_eq!(bed.link_between(0, 0).name(), "lo-0");
-        assert_eq!(bed.link_between(0, 1).name(), "wan");
-        assert_eq!(bed.link_between(1, 0).name(), "wan");
+        assert_eq!(bed.link_between(0, 1).name(), "link-0-1");
+        assert_eq!(bed.link_between(1, 0).name(), "link-0-1");
     }
 
     #[test]
@@ -227,16 +183,10 @@ mod tests {
         let bed = Testbed::paper();
         let sb = bed.node(0).sandbox("fn");
         sb.charge_user(100);
-        bed.wan().reserve(0, 1 << 20);
+        let link = bed.link_between(0, 1);
+        link.reserve(0, 1 << 20);
         bed.reset_telemetry();
         assert_eq!(sb.account().total_cpu_ns(), 0);
-        let done = bed.wan().reserve(0, 0);
-        assert_eq!(done, bed.wan().propagation_ns());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_testbed_panics() {
-        Testbed::new(0, 4, 1, CostModel::paper_testbed());
+        assert_eq!(link.reserve(0, 0), link.propagation_ns());
     }
 }

@@ -2,8 +2,8 @@
 //! never measured: one ingestion function scatters a batch to four
 //! workers spread across both testbed nodes, and a gather function
 //! collects every worker's result. The discrete-event engine overlaps
-//! the independent edges in virtual time while the shared link and each
-//! node's cores serialize contended work.
+//! the independent edges in virtual time while the link joining the two
+//! nodes and each node's cores serialize contended work.
 //!
 //! Run: `cargo run --example scatter_gather`
 

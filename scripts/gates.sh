@@ -5,7 +5,7 @@
 # PASS/FAIL line each with the gate's wall-clock seconds — a FAIL names
 # the gate and shows the first differing line (or the tail of the
 # failing binary's stderr) — ends with the build's and the whole run's
-# seconds, and exits 1 if any failed.
+# seconds beside crates/'s Rust line count, and exits 1 if any failed.
 #
 # Gates, by name:
 #   run:<output>          the binary exited 0 (each asserts its own
@@ -198,10 +198,10 @@ count count:panics:http http 1
 # register.rs 3 (an 8-byte `chunks_exact` chunk split into two 4-byte
 # words; two host-call arguments typed by the import's signature).
 count count:panics:wasi wasi 3
-# buffer.rs 3 (segment pops behind a length or emptiness check), sched.rs 4
+# buffer.rs 3 (segment pops behind a length or emptiness check), sched.rs 3
 # (a timeline's lane heap, never empty: capacity >= 1 is checked at
-# construction; a node removal that keeps at least one survivor; two mesh
-# rebuilds that take each old pair exactly once).
+# construction; a node removal that keeps at least one survivor;
+# `link_between` asked for a node and itself, a documented panic).
 count count:panics:vkernel vkernel 7
 # loadgen/engine.rs 1 (a queue-drain pick only names lanes with queued
 # arrivals), metrics.rs 2 (`replicate` over non-empty runs; the P² marker
@@ -240,9 +240,11 @@ produce bench_wasm.json bench_wasm --quick
 
 echo
 total=$(seconds "$run_start")
+# The size ROADMAP aim 2 tracks: every line of Rust under crates/.
+lines=$(find crates -name '*.rs' | xargs cat | wc -l)
 if [ ${#failed[@]} -eq 0 ]; then
-    echo "all gates pass in $total s (outputs in $out)"
+    echo "all gates pass in $total s, crates/ at $lines lines of Rust (outputs in $out)"
 else
-    echo "${#failed[@]} gate(s) failed in $total s: ${failed[*]} (outputs in $out)"
+    echo "${#failed[@]} gate(s) failed in $total s: ${failed[*]}; crates/ at $lines lines of Rust (outputs in $out)"
     exit 1
 fi

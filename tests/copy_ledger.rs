@@ -96,7 +96,7 @@ fn one_mebibyte_edge_copies_once_twice_twice() {
     let bed = Testbed::paper();
     let mut src = shim(&bed, 0, &[("a", guest::producer())]);
     let mut dst = shim(&bed, 1, &[("b", guest::consumer())]);
-    let (tx, rx) = TcpConn::establish(src.sandbox(), Arc::clone(bed.wan()));
+    let (tx, rx) = TcpConn::establish(src.sandbox(), Arc::clone(bed.link_between(0, 1)));
     produce(&mut src, &payload);
     let before = (copied(&src), copied(&dst));
     hose::send(&mut src, "a", &tx).unwrap();

@@ -205,7 +205,7 @@ fn mixed_node_diamond_contends_on_the_shared_link() {
         run.total_latency_ns
     );
     // The two wire transfers cannot overlap on one link.
-    let wire = bed.wan().wire_ns(payload.flat().len());
+    let wire = bed.link_between(0, 1).wire_ns(payload.flat().len());
     assert!(run.total_latency_ns >= 2 * wire);
 }
 
