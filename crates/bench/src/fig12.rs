@@ -5,20 +5,20 @@
 //! determinism test can run the serial and parallel sweeps in-process
 //! and diff the JSON strings byte for byte.
 //!
-//! The sweep is a [`SweepGrid`]: policies (`locality`, `spread`) ×
-//! payload sizes × arrival-rate factors × Poisson arrival seeds. Every
-//! grid point is one fully independent job — it builds its own
+//! The sweep is a job list: policies (`locality`, `spread`) × payload
+//! sizes × arrival-rate factors × Poisson arrival seeds, seeds innermost.
+//! Every job is fully independent — it builds its own
 //! [`Testbed`](roadrunner_vkernel::Testbed), deploys its own three
 //! systems (Roadrunner, RunC-like, WasmEdge-like), measures its own
 //! uncontended makespans and runs its own open-loop sweep against fresh
-//! [`SchedResources`] — so the worker pool can execute points in any
-//! order and on any thread while the merged output (in canonical grid
-//! order) stays byte-identical to the serial loop's. Seeds replicate each experimental cell under
+//! [`SchedResources`] — so [`parallel_map`] can execute jobs in any
+//! order and on any thread while the merged output (in job order) stays
+//! byte-identical to the serial loop's. Seeds replicate each experimental cell under
 //! distinct Poisson arrival sequences; the emitted rows collapse the
 //! replicas into [`replicate`] summaries with across-seed means and
 //! order-statistic confidence intervals.
 //!
-//! Invariants asserted per point and post-merge:
+//! Invariants asserted per job and post-merge:
 //!
 //! * contention never speeds an instance up: every sojourn ≥ the
 //!   system's uncontended concurrent makespan;
@@ -28,9 +28,8 @@
 
 use bytes::Bytes;
 use roadrunner_platform::{
-    loadgen, replicate, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, LocalityFirst,
-    OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad, SweepGrid,
-    SweepPoint,
+    loadgen, parallel_map, replicate, AdmissionConfig, ArrivalProcess, Cluster, Controls,
+    LocalityFirst, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad,
 };
 use roadrunner_vkernel::{Nanos, SchedResources};
 
@@ -49,7 +48,7 @@ pub struct Fig12Options {
     /// Reduced payloads/instances/seeds for CI.
     pub quick: bool,
     /// Tier-1 profile for the in-process golden determinism test: the
-    /// same grid structure (both policies, all rate regimes, multiple
+    /// same cell structure (both policies, all rate regimes, multiple
     /// seeds) over a small payload, so `cargo test` stays fast in debug
     /// builds while still exercising the full sweep path. CI diffs the
     /// full `--quick` binary output on top.
@@ -65,7 +64,17 @@ fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
     }
 }
 
-/// One system's digest for one grid point (a single seed replica).
+/// One (policy, payload, rate, seed) cell — the parallel job
+/// description.
+struct Job {
+    policy: &'static str,
+    payload_bytes: usize,
+    /// Index into [`RATE_FACTORS`].
+    rate_index: usize,
+    seed: u64,
+}
+
+/// One system's digest for one job (a single seed replica).
 struct SystemRun {
     label: &'static str,
     uncontended_ns: Nanos,
@@ -76,20 +85,20 @@ struct SystemRun {
     link_utilization: f64,
 }
 
-/// One grid point's result: the three systems under one (policy,
-/// payload, rate, seed) combination.
-struct PointResult {
+/// One job's result: the three systems under one (policy, payload,
+/// rate, seed) combination.
+struct JobResult {
     mean_interval_ns: Nanos,
     runs: Vec<SystemRun>,
 }
 
-/// Runs one grid point, fully self-contained: fresh testbed, fresh
+/// Runs one job, fully self-contained: fresh testbed, fresh
 /// deployments, fresh scheduler state — nothing shared with any other
-/// point, which is what makes the parallel sweep byte-identical to the
+/// job, which is what makes the parallel sweep byte-identical to the
 /// serial one.
-fn run_point(point: &SweepPoint, instances: usize) -> PointResult {
-    let colocated = point.policy == "locality";
-    let payload = Bytes::from(vec![0xA7u8; point.payload_bytes]);
+fn run_job(job: &Job, instances: usize) -> JobResult {
+    let colocated = job.policy == "locality";
+    let payload = Bytes::from(vec![0xA7u8; job.payload_bytes]);
     let bed = cluster(NODES, 4);
     let mut under_load = load_planes(&bed, "fig12", colocated);
     let solos: Vec<Nanos> = under_load
@@ -108,13 +117,12 @@ fn run_point(point: &SweepPoint, instances: usize) -> PointResult {
     // Identical offered process for every system in the cell: Poisson
     // arrivals with mean = factor × the WasmEdge uncontended makespan,
     // re-seeded per replica.
-    let mean_interval_ns = (wasmedge_solo as f64 * point.rate).round() as Nanos;
-    let arrivals =
-        ArrivalProcess::Poisson { mean_interval_ns, seed: 0 }.with_seed(point.seed);
+    let mean_interval_ns = (wasmedge_solo as f64 * RATE_FACTORS[job.rate_index].1).round() as Nanos;
+    let arrivals = ArrivalProcess::Poisson { mean_interval_ns, seed: 0 }.with_seed(job.seed);
 
     let mut runs = Vec::with_capacity(under_load.len());
     for ((label, plane), &solo) in under_load.iter_mut().zip(&solos) {
-        let mut policy = policy_of(&point.policy);
+        let mut policy = policy_of(job.policy);
         let mut resources = SchedResources::for_testbed(&bed);
         let load = OpenLoop {
             spec: pipeline_spec("bench"),
@@ -136,9 +144,9 @@ fn run_point(point: &SweepPoint, instances: usize) -> PointResult {
                 outcome.sojourn_ns >= solo,
                 "{} {} {}B seed {}: instance {} took {} < uncontended {}",
                 label,
-                point.policy,
-                point.payload_bytes,
-                point.seed,
+                job.policy,
+                job.payload_bytes,
+                job.seed,
                 outcome.instance,
                 outcome.sojourn_ns,
                 solo,
@@ -155,13 +163,13 @@ fn run_point(point: &SweepPoint, instances: usize) -> PointResult {
             link_utilization: run.link_utilization,
         });
     }
-    PointResult { mean_interval_ns, runs }
+    JobResult { mean_interval_ns, runs }
 }
 
 /// Renders one merged cell row: a system's seed replicas of `cell`
 /// collapsed into across-seed means and CIs.
 fn cell_row(
-    cell: &SweepPoint,
+    cell: &Job,
     mean_interval_ns: Nanos,
     instances: usize,
     replicas: &[&SystemRun],
@@ -176,7 +184,7 @@ fn cell_row(
     let secs_of = |ns: f64| fixed(ns / 1e9, 6);
     let ci = |s: &ReplicatedStat| vec![secs_of(s.ci_lo), secs_of(s.ci_hi)];
     object! {
-        "system" => replicas[0].label, "policy" => cell.policy.as_str(),
+        "system" => replicas[0].label, "policy" => cell.policy,
         "payload_mb" => fixed(cell.payload_bytes as f64 / MB as f64, 1),
         "rate" => RATE_FACTORS[cell.rate_index].0,
         "mean_interval_s" => json_secs(mean_interval_ns),
@@ -207,22 +215,26 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
     };
     let instances = if opts.golden || opts.quick { 8 } else { 16 };
     let seeds: Vec<u64> = if opts.golden || opts.quick { vec![1, 2] } else { vec![1, 2, 3] };
-    let grid = SweepGrid {
-        rates: RATE_FACTORS.iter().map(|&(_, f)| f).collect(),
-        payload_bytes: payloads,
-        policies: vec!["locality".to_owned(), "spread".to_owned()],
-        seeds,
-    };
+    // The job list: policy → payload → rate → seed, seeds innermost, so
+    // the replicas of one experimental cell are consecutive.
+    let mut jobs = Vec::new();
+    for policy in ["locality", "spread"] {
+        for &payload_bytes in &payloads {
+            for rate_index in 0..RATE_FACTORS.len() {
+                for &seed in &seeds {
+                    jobs.push(Job { policy, payload_bytes, rate_index, seed });
+                }
+            }
+        }
+    }
 
-    let results = sweep(&grid, opts.workers, |point| run_point(point, instances));
+    let results = parallel_map(&jobs, opts.workers, |_, job| run_job(job, instances));
 
-    // Merge: consecutive `seeds_per_cell` results form one experimental
+    // Merge: consecutive `seeds.len()` results form one experimental
     // cell; collapse each system's replicas into across-seed stats.
-    let points = grid.points();
     let mut rows: Vec<Object> = Vec::new();
-    for (chunk_index, chunk) in results.chunks(grid.seeds_per_cell()).enumerate() {
-        let cell_point = &points[chunk_index * grid.seeds_per_cell()];
-        let rate_label = RATE_FACTORS[cell_point.rate_index].0;
+    for (cell, chunk) in jobs.iter().step_by(seeds.len()).zip(results.chunks(seeds.len())) {
+        let rate_label = RATE_FACTORS[cell.rate_index].0;
         // The interval derives from the (deterministic) WasmEdge solo
         // makespan, so every replica of a cell must agree on it.
         let mean_interval_ns = chunk[0].mean_interval_ns;
@@ -239,23 +251,23 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
             let p95_mean = replicas.iter().map(|r| r.digest.p95_ns as f64).sum::<f64>()
                 / replicas.len() as f64;
             cell_stats.push((label, achieved_mean, p95_mean));
-            rows.push(cell_row(cell_point, mean_interval_ns, instances, &replicas));
+            rows.push(cell_row(cell, mean_interval_ns, instances, &replicas));
         }
         let rr = cell_stats.iter().find(|(l, ..)| *l == "roadrunner").unwrap();
         let we = cell_stats.iter().find(|(l, ..)| *l == "wasmedge").unwrap();
         assert!(
             rr.1 > we.1,
             "{} {}B {rate_label}: roadrunner {} rps !> wasmedge {} rps",
-            cell_point.policy,
-            cell_point.payload_bytes,
+            cell.policy,
+            cell.payload_bytes,
             rr.1,
             we.1,
         );
         assert!(
             rr.2 < we.2,
             "{} {}B {rate_label}: roadrunner p95 {} !< wasmedge p95 {}",
-            cell_point.policy,
-            cell_point.payload_bytes,
+            cell.policy,
+            cell.payload_bytes,
             rr.2,
             we.2,
         );
@@ -265,7 +277,7 @@ pub fn fig12_json(opts: &Fig12Options) -> String {
         "figure" => "fig12_load",
         "cluster" => object! { "nodes" => NODES, "cores_per_node" => 4u32 },
         "workflow" => "src -> relay -> sink", "arrivals" => "poisson",
-        "instances_per_cell" => instances, "seeds_per_cell" => grid.seeds_per_cell(),
+        "instances_per_cell" => instances, "seeds_per_cell" => seeds.len(),
         "cells" => rows,
     };
     doc.document()

@@ -42,10 +42,9 @@
 //!   multi-seed [`metrics::Replicated`] summaries with order-statistic
 //!   confidence intervals for the harness.
 //! * [`mod@sweep`] — the parallel sweep engine: a scoped-thread worker pool
-//!   fanning a declarative [`sweep::SweepGrid`] (rates × payloads ×
-//!   policies × seeds) across cores, merging results in deterministic
-//!   grid order so parallel output is byte-identical to the serial
-//!   loop.
+//!   fanning a figure's job list (rates × payloads × policies × seeds, or
+//!   any other cells) across cores, merging results in job order so
+//!   parallel output is byte-identical to the serial loop.
 //!
 //! Where a function sits is a slice: one node index per function, in the
 //! workflow's DAG node order. A [`scheduler::PlacementPolicy`] produces
@@ -96,7 +95,7 @@ pub use overload::{
 };
 pub use scheduler::{LocalityFirst, PackThenSpill, Pinned, PlacementPolicy, SpreadLoad};
 pub use memo::MemoizedPlane;
-pub use sweep::{available_workers, parallel_map, sweep, SweepGrid, SweepPoint};
+pub use sweep::{available_workers, parallel_map};
 pub use workflow::{
     critical_path_ns, execute, execute_compiled, execute_concurrent_at, CompiledWorkflow, DataPlane,
     EdgeResult, RetryPolicy, TransferTiming, WorkflowRun, WorkflowSpec,

@@ -1,10 +1,10 @@
 //! The archetype test of the parallel sweep engine: for arbitrary small
-//! grids — random forward-DAG workflow shapes, payload sizes and fills,
-//! placement policies, 1–4 arrival seeds — the parallel sweep's merged,
-//! serialized results must be **byte-identical** to the serial loop's
-//! (one worker), at 2 and 4 workers.
+//! job lists — random forward-DAG workflow shapes, payload sizes and
+//! fills, placement policies, 1–4 arrival seeds — the parallel sweep's
+//! merged, serialized results must be **byte-identical** to the serial
+//! loop's (one worker), at 2 and 4 workers.
 //!
-//! Each grid point runs a real `loadgen` open-loop simulation against
+//! Each job runs a real `loadgen` open-loop simulation against
 //! its own deterministic data plane, clock, scheduler resources and
 //! placement policy, all constructed inside the job — the same
 //! isolation discipline the fig12/fig13 sweeps follow. Serialization
@@ -18,9 +18,9 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
-    loadgen, sweep, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, LoadRun,
-    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, SpreadLoad, SweepGrid,
-    SweepPoint, TransferTiming, WorkflowDag, WorkflowSpec,
+    loadgen, parallel_map, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, LoadRun,
+    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, SpreadLoad,
+    TransferTiming, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_vkernel::{SchedResources, VirtualClock};
 
@@ -65,7 +65,7 @@ fn forward_dag(n: usize, extra: usize, seed: u64) -> WorkflowDag {
 }
 
 /// A deterministic plane whose per-edge costs depend on the endpoints
-/// and the payload content, so distinct grid points produce distinct
+/// and the payload content, so distinct jobs produce distinct
 /// virtual-time trajectories.
 struct KeyedPlane {
     clock: VirtualClock,
@@ -117,9 +117,33 @@ fn policy_of(name: &str) -> Box<dyn PlacementPolicy> {
     }
 }
 
+/// One job of the sweep: a (policy, payload, rate, seed) cell.
+struct Job {
+    policy: &'static str,
+    payload_bytes: usize,
+    rate: f64,
+    seed: u64,
+}
+
+/// The jobs in the figures' order: policy → payload → rate → seed,
+/// seeds innermost.
+fn jobs(policies: &[&'static str], payloads: &[usize], rates: &[f64], seeds: &[u64]) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for &policy in policies {
+        for &payload_bytes in payloads {
+            for &rate in rates {
+                for &seed in seeds {
+                    jobs.push(Job { policy, payload_bytes, rate, seed });
+                }
+            }
+        }
+    }
+    jobs
+}
+
 /// Serializes a run with exact bit patterns: any divergence between
 /// serial and parallel execution flips bytes here.
-fn serialize_run(point: &SweepPoint, run: &LoadRun) -> String {
+fn serialize_run(index: usize, job: &Job, run: &LoadRun) -> String {
     let outcomes: Vec<String> = run
         .outcomes
         .iter()
@@ -133,11 +157,11 @@ fn serialize_run(point: &SweepPoint, run: &LoadRun) -> String {
         .collect();
     format!(
         "[{} {} {} {} seed={}] horizon={} offered={:016x} cpu={:016x} link={:016x} {}",
-        point.index,
-        point.policy,
-        point.payload_bytes,
-        point.rate,
-        point.seed,
+        index,
+        job.policy,
+        job.payload_bytes,
+        job.rate,
+        job.seed,
         run.horizon_ns,
         run.offered_rps.to_bits(),
         run.cpu_utilization.to_bits(),
@@ -146,8 +170,8 @@ fn serialize_run(point: &SweepPoint, run: &LoadRun) -> String {
     )
 }
 
-/// One grid point's simulation, fully self-contained.
-fn run_point(point: &SweepPoint, dag_seed: u64, fill: u8) -> String {
+/// One job's simulation, fully self-contained.
+fn run_job(index: usize, job: &Job, dag_seed: u64, fill: u8) -> String {
     let nodes = 3 + (dag_seed % 3) as usize;
     let extra = (dag_seed % 4) as usize;
     let dag = forward_dag(nodes, extra, dag_seed);
@@ -155,13 +179,13 @@ fn run_point(point: &SweepPoint, dag_seed: u64, fill: u8) -> String {
     let clock = VirtualClock::new();
     let mut plane = KeyedPlane { clock: clock.clone() };
     let mut resources = SchedResources::new(3, 2);
-    let mut policy = policy_of(&point.policy);
+    let mut policy = policy_of(job.policy);
     let load = OpenLoop {
         spec,
-        payload: Bytes::from(vec![fill; point.payload_bytes]),
+        payload: Bytes::from(vec![fill; job.payload_bytes]),
         arrivals: ArrivalProcess::Poisson {
-            mean_interval_ns: (2_000.0 * point.rate).round() as u64,
-            seed: point.seed,
+            mean_interval_ns: (2_000.0 * job.rate).round() as u64,
+            seed: job.seed,
         },
         instances: 5,
         admission: AdmissionConfig::warm(),
@@ -169,14 +193,14 @@ fn run_point(point: &SweepPoint, dag_seed: u64, fill: u8) -> String {
     let cluster =
         Cluster { plane: &mut plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
     let run = loadgen::run(&load, cluster, Controls::default()).expect("run");
-    serialize_run(point, &run)
+    serialize_run(index, job, &run)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Parallel ≡ serial, byte for byte, for arbitrary small grids at
-    /// 2 and 4 workers against 1.
+    /// Parallel ≡ serial, byte for byte, for arbitrary small job lists
+    /// at 2 and 4 workers against 1.
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial(
         dag_seed in any::<u64>(),
@@ -186,19 +210,18 @@ proptest! {
         policy_picks in proptest::collection::vec(0usize..POLICIES.len(), 1..=2),
         seeds in proptest::collection::vec(any::<u64>(), 1..=4),
     ) {
-        let grid = SweepGrid {
-            rates: rate_picks.iter().map(|&r| r as f64 / 2.0).collect(),
-            payload_bytes: payload_picks.iter().map(|&p| 1usize << p).collect(),
-            policies: policy_picks.iter().map(|&i| POLICIES[i].to_owned()).collect(),
-            seeds,
-        };
-        let serial = sweep(&grid, 1, |p| run_point(p, dag_seed, fill));
-        prop_assert_eq!(serial.len(), grid.len());
+        let policies: Vec<&str> = policy_picks.iter().map(|&i| POLICIES[i]).collect();
+        let payloads: Vec<usize> = payload_picks.iter().map(|&p| 1usize << p).collect();
+        let rates: Vec<f64> = rate_picks.iter().map(|&r| r as f64 / 2.0).collect();
+        let jobs = jobs(&policies, &payloads, &rates, &seeds);
+        let run = |i: usize, job: &Job| run_job(i, job, dag_seed, fill);
+        let serial = parallel_map(&jobs, 1, run);
+        prop_assert_eq!(serial.len(), jobs.len());
         for workers in [2usize, 4] {
-            let parallel = sweep(&grid, workers, |p| run_point(p, dag_seed, fill));
+            let parallel = parallel_map(&jobs, workers, run);
             prop_assert_eq!(&serial, &parallel, "workers={}", workers);
         }
-        // The merged strings carry their grid index: verify order.
+        // The merged strings carry their job index: verify order.
         for (i, s) in serial.iter().enumerate() {
             prop_assert!(s.starts_with(&format!("[{i} ")), "slot {} holds {}", i, s);
         }
@@ -208,12 +231,8 @@ proptest! {
 #[test]
 fn empty_axes_yield_empty_results_under_every_mode() {
     for workers in [1, 4] {
-        let grid = SweepGrid {
-            rates: vec![1.0],
-            payload_bytes: vec![64],
-            policies: vec!["locality".to_owned()],
-            seeds: Vec::new(),
-        };
-        assert!(sweep(&grid, workers, |p| run_point(p, 7, 0xAB)).is_empty());
+        let jobs = jobs(&["locality"], &[64], &[1.0], &[]);
+        assert!(jobs.is_empty());
+        assert!(parallel_map(&jobs, workers, |i, job| run_job(i, job, 7, 0xAB)).is_empty());
     }
 }

@@ -15,9 +15,6 @@
 //!   HTTP-based baselines pay for.
 //! * [`binary`] — a compact tag-length-value binary codec, used where the
 //!   baselines opt into binary framing.
-//! * [`raw`] — zero-copy raw views over [`bytes::Bytes`], the
-//!   serialization-free representation Roadrunner ships between linear
-//!   memories.
 //! * [`payload`] — synthetic workload payload generators used by the
 //!   evaluation harness (structured records of a requested size, mirroring
 //!   the "serialized strings" exchanged by functions `a` and `b` in §6.1).
@@ -45,7 +42,6 @@ mod value;
 
 pub mod binary;
 pub mod payload;
-pub mod raw;
 pub mod text;
 pub mod varint;
 
@@ -57,5 +53,4 @@ pub const MAX_DEPTH: usize = 128;
 
 pub use error::DecodeError;
 pub use payload::Payload;
-pub use raw::RawView;
 pub use value::Value;

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::raw::fnv1a;
 use crate::Value;
 
 /// Kind of synthetic payload, mirroring the paper's workload families.
@@ -213,6 +212,16 @@ impl Payload {
     pub fn checksum(&self) -> u64 {
         fnv1a(&self.flat)
     }
+}
+
+/// FNV-1a hash over a byte slice, used for payload integrity checks.
+pub fn fnv1a(data: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in data {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// xorshift64* PRNG — deterministic, dependency-free.

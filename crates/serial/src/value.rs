@@ -8,7 +8,8 @@ use bytes::Bytes;
 ///
 /// This is the in-memory representation that HTTP-based baselines must
 /// serialize before transfer and deserialize after receipt. Roadrunner
-/// instead ships the flat [`crate::raw`] representation untouched.
+/// instead ships the flat representation
+/// ([`Payload::flat`](crate::Payload::flat)) untouched.
 ///
 /// Maps preserve insertion order so encoding is deterministic, which keeps
 /// the benchmark harness reproducible run-to-run.

@@ -75,16 +75,15 @@ pub struct CostModel {
     /// contradict it: Fig. 8a reports ≈ 5.5 s for a 480 MB transfer
     /// (≈ 700 Mbit/s effective) where 100 Mbit/s would need ≈ 38 s.
     /// The default uses the effective 700 Mbit/s implied by the measured
-    /// figures so latency shapes match;
-    /// [`Link::paper_wan`](crate::net::Link::paper_wan) keeps the literal
-    /// 100 Mbit/s configuration for sensitivity runs.
+    /// figures so latency shapes match. Every pair link of a
+    /// [`ClusterSpec`](crate::cluster::ClusterSpec) testbed carries this
+    /// bandwidth; [`Link::paper_wan`](crate::net::Link::paper_wan) keeps
+    /// the literal 100 Mbit/s shape for the link and socket tests.
     pub net_bandwidth_bps: u64,
     /// Round-trip time between nodes (paper: stable 1 ms).
     pub net_rtt_ns: Nanos,
-    /// Loopback "wire" throughput for co-located HTTP (kernel-internal
-    /// move; the copies themselves are charged separately).
-    pub loopback_bytes_per_ns: f64,
-    /// MTU used to estimate per-packet framing overhead.
+    /// MTU of every pair link: the packet size
+    /// [`Link::wire_ns`](crate::net::Link::wire_ns) frames a transfer in.
     pub mtu_bytes: usize,
 
     // --------------------------------------------------------------- HTTP
@@ -123,7 +122,6 @@ impl CostModel {
             io_chunk_bytes: 64 * 1024,
             net_bandwidth_bps: 700_000_000,
             net_rtt_ns: 1_000_000,
-            loopback_bytes_per_ns: 10.0,
             mtu_bytes: 1500,
             http_head_ns: 10_000,
             image_unpack_bytes_per_ns: 0.2,
@@ -183,29 +181,6 @@ impl CostModel {
     pub fn page_map_ns_for(&self, bytes: usize) -> Nanos {
         self.pages(bytes) as Nanos * self.page_map_ns
     }
-
-    /// Pure wire time for `bytes` on the inter-node link (excluding
-    /// propagation), including per-MTU framing overhead (Ethernet + IP +
-    /// TCP headers ≈ 66 bytes per packet).
-    pub fn wire_ns(&self, bytes: usize) -> Nanos {
-        if bytes == 0 {
-            return 0;
-        }
-        let packets = bytes.div_ceil(self.mtu_bytes.max(1)) as u64;
-        let framed = bytes as u64 + packets * 66;
-        // bits / (bits/sec) = sec → ns
-        framed.saturating_mul(8).saturating_mul(1_000_000_000) / self.net_bandwidth_bps
-    }
-
-    /// One-way propagation delay on the inter-node link.
-    pub fn propagation_ns(&self) -> Nanos {
-        self.net_rtt_ns / 2
-    }
-
-    /// Number of I/O chunks a transfer of `bytes` is split into.
-    pub fn chunks(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.io_chunk_bytes.max(1)).max(1)
-    }
 }
 
 impl Default for CostModel {
@@ -242,16 +217,10 @@ mod tests {
 
     #[test]
     fn wire_time_matches_bandwidth() {
-        let m = CostModel::paper_testbed();
         // 100 MB at the effective 700 Mbit/s ≈ 1.15 s + framing.
-        let t = m.wire_ns(100_000_000);
+        let t = crate::Testbed::paper().link_between(0, 1).wire_ns(100_000_000);
         assert!(t > 1_100_000_000, "{t}");
         assert!(t < 1_350_000_000, "{t}");
-    }
-
-    #[test]
-    fn wire_time_zero_for_empty() {
-        assert_eq!(CostModel::paper_testbed().wire_ns(0), 0);
     }
 
     #[test]
@@ -268,15 +237,6 @@ mod tests {
             m.serialize_host_ns(0, 10),
             10 * m.serialize_node_ns
         );
-    }
-
-    #[test]
-    fn chunks_rounds_up() {
-        let m = CostModel::paper_testbed();
-        assert_eq!(m.chunks(0), 1);
-        assert_eq!(m.chunks(1), 1);
-        assert_eq!(m.chunks(m.io_chunk_bytes), 1);
-        assert_eq!(m.chunks(m.io_chunk_bytes + 1), 2);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   contended cores and links serialize.
 //! * [`node`] / [`testbed`] — hosts, sandboxes and links wired into one
 //!   topology: nodes joined by one link per pair.
-//! * [`cluster`] — the builder of every [`Testbed`]: heterogeneous nodes
-//!   joined by a per-pair link mesh, the paper's two-VM pair
-//!   ([`Testbed::paper`]) being its two-node case.
+//! * [`cluster`] — what builds every [`Testbed`]: `n` identical nodes,
+//!   every pair joined by its own link built from the cost model, the
+//!   paper's two-VM pair ([`Testbed::paper`]) being its two-node case.
 //! * [`outage`] — deterministic link/node up–down schedules that make
 //!   the cluster fallible: timelines reject reservations during a down
 //!   window so the platform's engines see transfer failures and retry.
@@ -71,7 +71,7 @@ pub mod unix;
 
 pub use account::ResourceAccount;
 pub use clock::VirtualClock;
-pub use cluster::{ClusterSpec, LinkSpec, NodeSpec};
+pub use cluster::ClusterSpec;
 pub use costmodel::CostModel;
 pub use error::VkError;
 pub use net::Link;

@@ -46,9 +46,11 @@ impl Link {
         Self::new(name, 100_000_000, 1_000_000, 1500)
     }
 
-    /// A host-local loopback: effectively memory-speed with a tiny RTT.
+    /// A host-local loopback, fixed here rather than in
+    /// [`CostModel`](crate::CostModel): the kernel-internal move of
+    /// co-located HTTP at 80 Gbit/s (≈ 10 GB/s) and 60 µs RTT. The copies
+    /// themselves are charged separately.
     pub fn loopback(name: impl Into<String>) -> Arc<Self> {
-        // 80 Gbit/s ≈ 10 GB/s kernel-internal move; 60 µs RTT.
         Self::new(name, 80_000_000_000, 60_000, 65536)
     }
 
@@ -67,19 +69,24 @@ impl Link {
         self.rtt_ns
     }
 
+    /// MTU in bytes: the packet size [`wire_ns`](Self::wire_ns) frames
+    /// a transfer in.
+    pub fn mtu_bytes(&self) -> usize {
+        self.mtu_bytes
+    }
+
     /// One-way propagation delay.
     pub fn propagation_ns(&self) -> Nanos {
         self.rtt_ns / 2
     }
 
-    /// Pure transmission time of `bytes` including per-MTU framing.
+    /// Pure transmission time of `bytes` including per-MTU framing,
+    /// computed in `u128` and saturated only at the `Nanos` range.
     pub fn wire_ns(&self, bytes: usize) -> Nanos {
-        if bytes == 0 {
-            return 0;
-        }
-        let packets = bytes.div_ceil(self.mtu_bytes) as u64;
-        let framed = bytes as u64 + packets * FRAMING_BYTES;
-        framed.saturating_mul(8).saturating_mul(1_000_000_000) / self.bandwidth_bps
+        let packets = bytes.div_ceil(self.mtu_bytes) as u128;
+        let framed = bytes as u128 + packets * u128::from(FRAMING_BYTES);
+        let ns = framed * 8 * 1_000_000_000 / u128::from(self.bandwidth_bps);
+        Nanos::try_from(ns).unwrap_or(Nanos::MAX)
     }
 
     /// Reserves the link for `bytes` starting no earlier than `now`.
@@ -90,14 +97,14 @@ impl Link {
         let mut observed = self.busy_until.load(Ordering::Relaxed);
         loop {
             let start = observed.max(now);
-            let done = start + tx;
+            let done = start.saturating_add(tx);
             match self.busy_until.compare_exchange_weak(
                 observed,
                 done,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return done + self.propagation_ns(),
+                Ok(_) => return done.saturating_add(self.propagation_ns()),
                 Err(v) => observed = v,
             }
         }
@@ -118,6 +125,25 @@ mod tests {
         let link = Link::paper_wan("wan");
         assert!(link.wire_ns(2_000_000) > 2 * link.wire_ns(999_000));
         assert_eq!(link.wire_ns(0), 0);
+    }
+
+    /// Regression: the product saturated `u64` past ≈ 2.3 GB of framed
+    /// bytes, so 3 GB reported ×0.74 of its wire time and 4 GB ×0.55.
+    #[test]
+    fn wire_time_stays_linear_past_two_gigabytes() {
+        let link = Arc::clone(crate::Testbed::paper().link_between(0, 1));
+        let two = link.wire_ns(2_000_000_000) as f64;
+        for gb in [3, 4] {
+            let t = link.wire_ns(gb * 1_000_000_000) as f64;
+            let ratio = t / (two * gb as f64 / 2.0);
+            assert!((ratio - 1.0).abs() < 1e-6, "{gb} GB: {t} ns, ×{ratio} of linear");
+        }
+    }
+
+    #[test]
+    fn reserve_saturates_at_the_end_of_virtual_time() {
+        let link = Link::paper_wan("wan");
+        assert_eq!(link.reserve(Nanos::MAX - 1, 1_000_000), Nanos::MAX);
     }
 
     #[test]

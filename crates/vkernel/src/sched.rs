@@ -383,9 +383,6 @@ pub struct SchedResources {
     ids: Vec<u64>,
     /// Next fresh id handed to [`add_node`](Self::add_node).
     next_id: u64,
-    /// Lane count for pair links, applied to the initial mesh and to
-    /// every fresh link scale-out creates.
-    link_capacity: usize,
     /// Attached outage schedule; `None` (the default) means nothing
     /// ever fails and the `try_reserve_*` paths degrade to plain
     /// reservations.
@@ -431,21 +428,7 @@ impl SchedResources {
     ///
     /// Panics if `cores` is empty or any entry is zero.
     pub fn mesh(cores: &[u32]) -> Self {
-        Self::mesh_with_link_capacity(cores, 1)
-    }
-
-    /// [`mesh`](Self::mesh) with `link_capacity` lanes per pair link.
-    /// The capacity is remembered: every fresh link a later
-    /// [`add_node`](Self::add_node) creates gets the same lane count, so
-    /// scale-out on a capacity-2 mesh yields capacity-2 links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is empty, any entry is zero, or
-    /// `link_capacity` is zero.
-    pub fn mesh_with_link_capacity(cores: &[u32], link_capacity: usize) -> Self {
         assert!(!cores.is_empty(), "a schedule needs at least one node");
-        assert!(link_capacity > 0, "a link needs at least one lane");
         let n = cores.len();
         Self {
             cpus: cores
@@ -453,10 +436,9 @@ impl SchedResources {
                 .enumerate()
                 .map(|(i, &c)| Timeline::new(format!("cpu-{i}"), c as usize))
                 .collect(),
-            links: Self::reindex_mesh(Vec::new(), 0, n, link_capacity),
+            links: Self::reindex_mesh(Vec::new(), 0, n),
             ids: (0..n as u64).collect(),
             next_id: n as u64,
-            link_capacity,
             outages: None,
             retired_cpu_ns: 0,
             retired_link_ns: 0,
@@ -464,10 +446,9 @@ impl SchedResources {
     }
 
     /// Resources mirroring `testbed`'s topology: per-node core counts
-    /// and its per-pair link mesh, at the testbed's lanes per link.
+    /// and its per-pair link mesh.
     pub fn for_testbed(testbed: &Testbed) -> Self {
-        let cores: Vec<u32> = testbed.nodes().iter().map(|n| n.cores()).collect();
-        Self::mesh_with_link_capacity(&cores, testbed.link_lanes())
+        Self::mesh(&testbed.nodes().iter().map(|n| n.cores()).collect::<Vec<_>>())
     }
 
     /// Stable id of node `idx` (indexes wrap like [`cpu`](Self::cpu)).
@@ -648,7 +629,7 @@ impl SchedResources {
         self.ids.push(self.next_id);
         self.next_id += 1;
         let links = std::mem::take(&mut self.links);
-        self.links = Self::reindex_mesh(links, idx, idx + 1, self.link_capacity);
+        self.links = Self::reindex_mesh(links, idx, idx + 1);
         idx
     }
 
@@ -712,22 +693,15 @@ impl SchedResources {
 
     /// Grows a flattened upper-triangular link mesh from `old_n` to
     /// `new_n` nodes: the old pairs keep their timelines (reservations
-    /// intact) in their old order, and new pairs get fresh
-    /// `link_capacity`-lane links.
-    fn reindex_mesh(
-        links: Vec<Timeline>,
-        old_n: usize,
-        new_n: usize,
-        link_capacity: usize,
-    ) -> Vec<Timeline> {
+    /// intact) in their old order, and new pairs get fresh capacity-1
+    /// links.
+    fn reindex_mesh(links: Vec<Timeline>, old_n: usize, new_n: usize) -> Vec<Timeline> {
         let mut old = links.into_iter();
         let mut out = Vec::with_capacity(new_n * new_n.saturating_sub(1) / 2);
         for a in 0..new_n {
             for b in a + 1..new_n {
                 let kept = if b < old_n { old.next() } else { None };
-                out.push(kept.unwrap_or_else(|| {
-                    Timeline::new(format!("link-{a}-{b}"), link_capacity)
-                }));
+                out.push(kept.unwrap_or_else(|| Timeline::new(format!("link-{a}-{b}"), 1)));
             }
         }
         out
@@ -1142,35 +1116,6 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn removing_the_only_node_panics() {
         SchedResources::new(1, 2).remove_last_node();
-    }
-
-    #[test]
-    fn scale_out_on_a_capacity_2_mesh_yields_capacity_2_links() {
-        // Regression: reindex_mesh used to hardcode capacity 1 for
-        // fresh pair links, silently halving a wide mesh on scale-out.
-        let mut res = SchedResources::mesh_with_link_capacity(&[4, 4], 2);
-        assert_eq!(res.link_between(0, 1).capacity(), 2);
-        res.add_node(4);
-        for other in 0..2 {
-            assert_eq!(res.link_between(other, 2).capacity(), 2);
-            // Two transfers overlap; the third queues.
-            let a = res.link_between(other, 2).reserve(0, 1_000);
-            let b = res.link_between(other, 2).reserve(0, 1_000);
-            let c = res.link_between(other, 2).reserve(0, 1_000);
-            assert_eq!((a, b, c), (0, 0, 1_000));
-        }
-        // The surviving pair kept its lanes too.
-        assert_eq!(res.link_between(0, 1).capacity(), 2);
-    }
-
-    #[test]
-    fn cluster_link_lanes_reach_for_testbed() {
-        use crate::cluster::ClusterSpec;
-        let bed = ClusterSpec::homogeneous(3, 4, 1 << 30).link_lanes(2).build();
-        let mut res = SchedResources::for_testbed(&bed);
-        assert_eq!(res.link_between(0, 1).capacity(), 2);
-        res.add_node(4);
-        assert_eq!(res.link_between(0, 3).capacity(), 2);
     }
 
     #[test]

@@ -8,14 +8,14 @@ use crate::costmodel::CostModel;
 use crate::net::Link;
 use crate::node::Node;
 
-/// A complete simulated deployment: nodes sharing one virtual clock and
-/// cost model, one link per node pair, and a loopback link per node.
+/// A complete simulated deployment: identical nodes sharing one virtual
+/// clock and cost model, one link per node pair, and a loopback link per
+/// node.
 ///
 /// [`Testbed::paper`] reproduces §6.2: two 4-core/8 GB VMs joined by one
 /// shaped link (1 ms RTT). [`ClusterSpec`] builds every testbed — the
-/// paper's pair is its two-node case — with heterogeneous nodes and
-/// per-pair links; everything below the testbed (shims, baselines,
-/// engines) is topology-agnostic.
+/// paper's pair is its two-node case — and everything below the testbed
+/// (shims, baselines, engines) is topology-agnostic.
 ///
 /// ```
 /// # use roadrunner_vkernel::Testbed;
@@ -30,47 +30,24 @@ pub struct Testbed {
     nodes: Vec<Arc<Node>>,
     /// One link per node pair, flattened upper-triangular.
     pair_links: Vec<Arc<Link>>,
-    /// Scheduling lanes per pair link — how many transfers a pair
-    /// carries concurrently before they queue. Mirrored into
-    /// [`SchedResources::for_testbed`](crate::sched::SchedResources::for_testbed).
-    link_lanes: usize,
     loopbacks: Vec<Arc<Link>>,
 }
 
 impl Testbed {
-    /// Assembles a testbed: heterogeneous nodes plus one link per node
-    /// pair (flattened upper-triangular order). Used by
-    /// [`ClusterSpec::build`](crate::cluster::ClusterSpec::build).
-    pub(crate) fn from_cluster(
-        specs: Vec<crate::cluster::NodeSpec>,
-        cost: CostModel,
-        pair_links: Vec<Arc<Link>>,
-        link_lanes: usize,
-    ) -> Self {
-        debug_assert_eq!(pair_links.len(), specs.len() * specs.len().saturating_sub(1) / 2);
+    /// [`ClusterSpec::build`]'s body: `count` identical nodes over the
+    /// paper's cost model, one link per pair (flattened upper-triangular)
+    /// built from that model, and a loopback per node.
+    pub(crate) fn from_cluster(count: usize, cores: u32, ram_bytes: u64) -> Self {
         let clock = VirtualClock::new();
-        let cost = Arc::new(cost);
-        let nodes: Vec<_> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Node::new(
-                    format!("node-{i}"),
-                    s.cores,
-                    s.ram_bytes,
-                    clock.clone(),
-                    Arc::clone(&cost),
-                )
-            })
+        let cost = Arc::new(CostModel::paper_testbed());
+        let nodes = (0..count)
+            .map(|i| Node::new(format!("node-{i}"), cores, ram_bytes, clock.clone(), cost.clone()))
             .collect();
-        let loopbacks = (0..specs.len()).map(|i| Link::loopback(format!("lo-{i}"))).collect();
-        Self { clock, cost, nodes, pair_links, link_lanes, loopbacks }
-    }
-
-    /// Scheduling lanes per pair link (1 unless the cluster spec raised
-    /// it with [`ClusterSpec::link_lanes`](crate::cluster::ClusterSpec::link_lanes)).
-    pub fn link_lanes(&self) -> usize {
-        self.link_lanes
+        let (bps, rtt, mtu) = (cost.net_bandwidth_bps, cost.net_rtt_ns, cost.mtu_bytes);
+        let link = move |a, b| Link::new(format!("link-{a}-{b}"), bps, rtt, mtu);
+        let pair_links = (0..count).flat_map(|a| (a + 1..count).map(move |b| link(a, b))).collect();
+        let loopbacks = (0..count).map(|i| Link::loopback(format!("lo-{i}"))).collect();
+        Self { clock, cost, nodes, pair_links, loopbacks }
     }
 
     /// The paper's two-node edge–cloud testbed (§6.2): two 4-core/8 GB
@@ -138,12 +115,6 @@ impl Testbed {
                 account.reset();
             }
         }
-    }
-}
-
-impl Default for Testbed {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 

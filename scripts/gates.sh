@@ -240,8 +240,14 @@ produce bench_wasm.json bench_wasm --quick
 
 echo
 total=$(seconds "$run_start")
-# The size ROADMAP aim 2 tracks: every line of Rust under crates/.
+# The size ROADMAP aim 2 tracks: every line of Rust under crates/, and
+# each crate's share of it, counted the same way.
 lines=$(find crates -name '*.rs' | xargs cat | wc -l)
+for crate in crates/*/; do
+    crate=${crate%/}
+    printf '  %-20s %6d lines\n' "$crate" "$(find "$crate" -name '*.rs' | xargs cat | wc -l)"
+done
+printf '  %-20s %6d lines\n' "crates/" "$lines"
 if [ ${#failed[@]} -eq 0 ]; then
     echo "all gates pass in $total s, crates/ at $lines lines of Rust (outputs in $out)"
 else

@@ -9,7 +9,7 @@ use roadrunner_platform::{
     critical_path_ns, execute, execute_concurrent_at, FunctionBundle, WorkflowDag, WorkflowSpec,
 };
 use roadrunner_serial::payload::{Payload, PayloadKind};
-use roadrunner_serial::raw::fnv1a;
+use roadrunner_serial::payload::fnv1a;
 use roadrunner_vkernel::{SchedResources, Testbed};
 use roadrunner_wasm::encode;
 
