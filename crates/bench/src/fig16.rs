@@ -164,7 +164,6 @@ fn mitigations(i: Nanos) -> OverloadConfig {
     OverloadConfig {
         deadline_ns: Some(SLO_INTERVALS * i),
         retry_budget: Some(RetryBudgetConfig {
-            refill_millitokens_per_s: 0,
             burst_millitokens: 4_000,
             per_success_millitokens: 200,
         }),

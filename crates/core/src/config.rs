@@ -13,9 +13,6 @@ pub struct ShimConfig {
     /// VM init) to the sandbox. Benchmarks measuring only steady-state
     /// transfers disable this.
     pub charge_load_costs: bool,
-    /// Chunk size for kernel-space and network transfers; defaults to the
-    /// cost model's I/O chunk when `None`.
-    pub io_chunk_bytes: Option<usize>,
 }
 
 impl ShimConfig {
@@ -42,7 +39,6 @@ impl Default for ShimConfig {
         Self {
             engine_limits: EngineLimits::default(),
             charge_load_costs: true,
-            io_chunk_bytes: None,
         }
     }
 }
@@ -55,7 +51,6 @@ mod tests {
     fn defaults() {
         let c = ShimConfig::default();
         assert!(c.charge_load_costs);
-        assert!(c.io_chunk_bytes.is_none());
     }
 
     #[test]

@@ -855,6 +855,35 @@ mod tests {
     }
 
     #[test]
+    fn the_wasi_host_defines_exactly_the_calls_the_guests_import() {
+        use roadrunner_wasi::{WasiCtx, MODULE};
+        use std::collections::BTreeSet;
+
+        let mut linker = Linker::new();
+        roadrunner_wasi::register::<WasiCtx>(&mut linker);
+        let guests = [
+            producer(),
+            consumer(),
+            relay(),
+            hello_world(),
+            wasi_sender(),
+            wasi_receiver(),
+            resize_image(ResizeSpec { width: 8, height: 4 }),
+        ];
+        let mut imported = BTreeSet::new();
+        for module in &guests {
+            for import in module.imports.iter().filter(|i| i.module == MODULE) {
+                let Some((ty, _)) = linker.resolve(MODULE, &import.name) else {
+                    panic!("{} is imported but not defined", import.name);
+                };
+                assert_eq!(ty, &module.types[import.type_idx as usize], "{}", import.name);
+                imported.insert(import.name.as_str());
+            }
+        }
+        assert_eq!(linker.len(), imported.len(), "defined beyond the imports {imported:?}");
+    }
+
+    #[test]
     fn resize_spec_sizes() {
         let spec = ResizeSpec { width: 640, height: 480 };
         assert_eq!(spec.input_len(), 307_200);

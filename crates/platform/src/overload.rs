@@ -20,10 +20,10 @@
 //! * **Retry budgets** — a deterministic token bucket per
 //!   (tenant, function, node) layered *under* the
 //!   [`RetryPolicy`](crate::workflow::RetryPolicy): a retry spends
-//!   [`RETRY_COST_MILLITOKENS`], buckets refill along virtual time at a
-//!   configured rate plus a per-success credit, so retry traffic is
-//!   capped at a fraction of success traffic (the anti-retry-storm
-//!   rule) instead of multiplying under failure.
+//!   [`RETRY_COST_MILLITOKENS`], a bucket holds its burst plus a
+//!   per-success credit, so retry traffic is capped at a fraction of
+//!   success traffic (the anti-retry-storm rule) instead of multiplying
+//!   under failure.
 //! * **Circuit breakers** — per-(tenant, function, node) closed → open
 //!   → half-open state driven by a windowed failure rate over rotating
 //!   buckets. Open circuits fail attempts fast (no phases placed) and
@@ -38,8 +38,8 @@
 //!   tenant cannot starve the rest.
 //!
 //! **Determinism.** Every mechanism runs on integral virtual-time
-//! arithmetic: bucket refill uses u128 multiply-divide with an explicit
-//! remainder carry, breaker windows are aligned to absolute
+//! arithmetic: buckets move only by whole millitokens on a retry or a
+//! success, breaker windows are aligned to absolute
 //! `now / window_ns` indices, and weighted round-robin breaks ties by
 //! tenant index. Two runs with the same inputs take identical
 //! decisions, which is what lets the fig16 bench pin serial and
@@ -64,13 +64,10 @@ pub const RETRY_COST_MILLITOKENS: u64 = 1_000;
 
 /// Retry-budget configuration: a token bucket per (tenant, function,
 /// node). A retry spends [`RETRY_COST_MILLITOKENS`]; the bucket starts
-/// at `burst_millitokens` and refills deterministically along virtual
-/// time plus a credit per successful attempt.
+/// at `burst_millitokens` and gains a credit per successful attempt —
+/// the burst and the successes are its only supply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryBudgetConfig {
-    /// Virtual-time refill rate, in millitokens per second of virtual
-    /// time. 0 makes successes (and the initial burst) the only supply.
-    pub refill_millitokens_per_s: u64,
     /// Bucket capacity and initial level.
     pub burst_millitokens: u64,
     /// Credit added per successful edge attempt — the "fraction of
@@ -80,11 +77,10 @@ pub struct RetryBudgetConfig {
 }
 
 impl RetryBudgetConfig {
-    /// A success-coupled budget with no time refill: `burst` retries up
-    /// front, then `percent` retries per 100 successes.
+    /// A success-coupled budget: `burst` retries up front, then
+    /// `percent` retries per 100 successes.
     pub fn fraction_of_success(burst_retries: u64, percent: u64) -> Self {
         Self {
-            refill_millitokens_per_s: 0,
             burst_millitokens: burst_retries * RETRY_COST_MILLITOKENS,
             per_success_millitokens: percent * RETRY_COST_MILLITOKENS / 100,
         }
@@ -95,36 +91,11 @@ impl RetryBudgetConfig {
 #[derive(Debug, Clone)]
 struct TokenBucket {
     level_millitokens: u64,
-    last_refill_ns: Nanos,
-    /// Sub-millitoken refill remainder (numerator of `rate × dt / 1e9`),
-    /// carried so refill is exact over any event spacing.
-    carry: u64,
 }
 
 impl TokenBucket {
     fn new(cfg: &RetryBudgetConfig) -> Self {
-        Self { level_millitokens: cfg.burst_millitokens, last_refill_ns: 0, carry: 0 }
-    }
-
-    /// Advances the bucket to `now`, crediting `rate × dt` with an
-    /// exact remainder carry. Virtual time never runs backwards within
-    /// a run; a stale `now` (same event instant) is a no-op.
-    fn refill(&mut self, now: Nanos, cfg: &RetryBudgetConfig) {
-        let dt = now.saturating_sub(self.last_refill_ns);
-        if dt == 0 {
-            return;
-        }
-        self.last_refill_ns = now;
-        if cfg.refill_millitokens_per_s == 0 {
-            return;
-        }
-        let numer = u128::from(dt) * u128::from(cfg.refill_millitokens_per_s)
-            + u128::from(self.carry);
-        let added = numer / 1_000_000_000;
-        self.carry = (numer % 1_000_000_000) as u64;
-        let added = u64::try_from(added).unwrap_or(u64::MAX);
-        self.level_millitokens =
-            self.level_millitokens.saturating_add(added).min(cfg.burst_millitokens);
+        Self { level_millitokens: cfg.burst_millitokens }
     }
 
     fn try_spend(&mut self, cost: u64) -> bool {
@@ -379,8 +350,7 @@ impl OverloadState {
     }
 
     /// Records one real attempt outcome on the circuit and (on
-    /// success) credits the retry budget with the success-coupled
-    /// refill.
+    /// success) credits the retry budget with its per-success credit.
     pub fn record_attempt(&mut self, tenant: usize, function: usize, node: usize, now: Nanos, ok: bool) {
         if let Some(cfg) = self.breaker_cfg {
             self.breakers
@@ -395,7 +365,6 @@ impl OverloadState {
                         .budgets
                         .entry((tenant, function, node))
                         .or_insert_with(|| TokenBucket::new(&cfg));
-                    bucket.refill(now, &cfg);
                     bucket.credit(cfg.per_success_millitokens, cfg.burst_millitokens);
                 }
             }
@@ -403,14 +372,13 @@ impl OverloadState {
     }
 
     /// Attempts to spend one retry ([`RETRY_COST_MILLITOKENS`]) from
-    /// the (tenant, function, node) bucket at `now`. Always true
+    /// the (tenant, function, node) bucket. Always true
     /// without a budget config; false means the edge must give up
     /// instead of retrying.
-    pub fn try_spend_retry(&mut self, tenant: usize, function: usize, node: usize, now: Nanos) -> bool {
+    pub fn try_spend_retry(&mut self, tenant: usize, function: usize, node: usize) -> bool {
         let Some(cfg) = self.budget_cfg else { return true };
         let bucket =
             self.budgets.entry((tenant, function, node)).or_insert_with(|| TokenBucket::new(&cfg));
-        bucket.refill(now, &cfg);
         bucket.try_spend(RETRY_COST_MILLITOKENS)
     }
 
@@ -455,9 +423,8 @@ pub struct OverloadCtl<'a> {
 mod tests {
     use super::*;
 
-    fn budget(rate: u64, burst: u64, per_success: u64) -> RetryBudgetConfig {
+    fn budget(burst: u64, per_success: u64) -> RetryBudgetConfig {
         RetryBudgetConfig {
-            refill_millitokens_per_s: rate,
             burst_millitokens: burst,
             per_success_millitokens: per_success,
         }
@@ -465,51 +432,32 @@ mod tests {
 
     #[test]
     fn bucket_spends_burst_then_refuses() {
-        let cfg = budget(0, 2 * RETRY_COST_MILLITOKENS, 0);
+        let cfg = budget(2 * RETRY_COST_MILLITOKENS, 0);
         let mut state = OverloadState::new(&OverloadConfig {
             retry_budget: Some(cfg),
             ..OverloadConfig::default()
         });
-        assert!(state.try_spend_retry(0, 1, 0, 100));
-        assert!(state.try_spend_retry(0, 1, 0, 200));
-        assert!(!state.try_spend_retry(0, 1, 0, 300), "burst exhausted");
+        assert!(state.try_spend_retry(0, 1, 0));
+        assert!(state.try_spend_retry(0, 1, 0));
+        assert!(!state.try_spend_retry(0, 1, 0), "burst exhausted");
         // A different (function, node) key has its own bucket.
-        assert!(state.try_spend_retry(0, 2, 0, 300));
-    }
-
-    #[test]
-    fn bucket_refills_along_virtual_time_with_exact_carry() {
-        // 1 token/s = 1000 millitokens/s: after 1 ms, exactly 1
-        // millitoken; fractional remainders must carry, not truncate.
-        let cfg = budget(1_000, 10 * RETRY_COST_MILLITOKENS, 0);
-        let mut bucket = TokenBucket::new(&cfg);
-        bucket.level_millitokens = 0;
-        // 999 separate 1 µs steps then one more: exactly 1 millitoken
-        // per ms in total, no drift from the step pattern.
-        for i in 1..=1_000u64 {
-            bucket.refill(i * 1_000, &cfg);
-        }
-        assert_eq!(bucket.level_millitokens, 1);
-        let mut one_shot = TokenBucket::new(&cfg);
-        one_shot.level_millitokens = 0;
-        one_shot.refill(1_000_000, &cfg);
-        assert_eq!(one_shot.level_millitokens, 1, "one jump equals many small steps");
+        assert!(state.try_spend_retry(0, 2, 0));
     }
 
     #[test]
     fn success_credit_caps_at_burst() {
-        let cfg = budget(0, RETRY_COST_MILLITOKENS, 500);
+        let cfg = budget(RETRY_COST_MILLITOKENS, 500);
         let mut state = OverloadState::new(&OverloadConfig {
             retry_budget: Some(cfg),
             ..OverloadConfig::default()
         });
-        assert!(state.try_spend_retry(0, 0, 0, 10));
-        assert!(!state.try_spend_retry(0, 0, 0, 20));
+        assert!(state.try_spend_retry(0, 0, 0));
+        assert!(!state.try_spend_retry(0, 0, 0));
         // Two successes credit one retry (500 + 500 millitokens).
         state.record_attempt(0, 0, 0, 30, true);
-        assert!(!state.try_spend_retry(0, 0, 0, 40));
+        assert!(!state.try_spend_retry(0, 0, 0));
         state.record_attempt(0, 0, 0, 50, true);
-        assert!(state.try_spend_retry(0, 0, 0, 60));
+        assert!(state.try_spend_retry(0, 0, 0));
         // Credits never exceed the burst cap.
         for t in 0..100 {
             state.record_attempt(0, 0, 0, 100 + t, true);

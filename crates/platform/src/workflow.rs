@@ -768,7 +768,7 @@ pub(crate) fn run_compiled_at(
                 // empty (tenant, function, node) bucket means give up
                 // now — the anti-retry-storm cap.
                 if let Some(ctl) = overload.as_mut() {
-                    if !ctl.state.try_spend_retry(ctl.tenant, v, dst, edge_ready) {
+                    if !ctl.state.try_spend_retry(ctl.tenant, v, dst) {
                         break Attempt::GaveUp { at: edge_ready };
                     }
                 }

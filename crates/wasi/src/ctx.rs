@@ -18,12 +18,6 @@ pub mod errno {
     pub const NOENT: i32 = 44;
 }
 
-/// Largest size a guest's writes may grow an in-memory file to: the
-/// engine's default linear-memory cap. A guest can seek anywhere, but a
-/// write that would stretch the file past this is refused (`INVAL`)
-/// rather than served by zero-filling whatever the host has.
-const MAX_FILE_LEN: usize = 1 << 30;
-
 /// A socket backend a WASI `sock_send`/`sock_recv` pair talks to.
 ///
 /// The baselines install adapters over the virtual kernel's TCP or Unix
@@ -36,16 +30,17 @@ pub trait WasiSocket: Send {
     fn recv(&mut self, sandbox: &Sandbox) -> Result<Option<Vec<u8>>, i32>;
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenFile {
     path: String,
     cursor: usize,
-    writable: bool,
 }
 
-/// Host-side state for one WASI instance: stdio, an in-memory filesystem,
-/// sockets, args/env, and the sandbox whose account is charged for every
-/// boundary crossing.
+/// Host-side state for one WASI instance: captured stdout, the files the
+/// host seeded with [`put_file`](Self::put_file) (read-only to the
+/// guest), sockets, and the sandbox whose account is charged for every
+/// boundary crossing. Descriptors other than fd 1, an open file or an
+/// installed socket answer `BADF`.
 ///
 /// The paper's Fig. 2a shows WASI-mediated host access dominating Wasm
 /// execution time for I/O workloads — the per-call boundary cost plus the
@@ -54,20 +49,10 @@ pub struct WasiCtx {
     sandbox: Sandbox,
     /// Bytes written to fd 1.
     pub stdout: Vec<u8>,
-    /// Bytes written to fd 2.
-    pub stderr: Vec<u8>,
-    /// Bytes readable from fd 0.
-    pub stdin: Vec<u8>,
-    stdin_cursor: usize,
-    args: Vec<String>,
-    env: Vec<(String, String)>,
     files: HashMap<String, Vec<u8>>,
     open_files: HashMap<u32, OpenFile>,
     sockets: HashMap<u32, Box<dyn WasiSocket>>,
     next_fd: u32,
-    rng_state: u64,
-    /// Exit code recorded by `proc_exit`.
-    pub exit_code: Option<u32>,
     /// Number of WASI calls made (diagnostic; each one paid the boundary
     /// cost).
     pub call_count: u64,
@@ -90,17 +75,10 @@ impl WasiCtx {
         Self {
             sandbox,
             stdout: Vec::new(),
-            stderr: Vec::new(),
-            stdin: Vec::new(),
-            stdin_cursor: 0,
-            args: Vec::new(),
-            env: Vec::new(),
             files: HashMap::new(),
             open_files: HashMap::new(),
             sockets: HashMap::new(),
-            next_fd: 4, // 0-2 stdio, 3 reserved for the preopened root
-            rng_state: 0x853c_49e6_748f_ea9b,
-            exit_code: None,
+            next_fd: 4, // 0-2 are the stdio numbers, 3 the preopened root
             call_count: 0,
         }
     }
@@ -110,48 +88,10 @@ impl WasiCtx {
         &self.sandbox
     }
 
-    /// Sets command-line arguments.
-    pub fn set_args<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, args: I) {
-        self.args = args.into_iter().map(Into::into).collect();
-    }
-
-    /// Arguments visible to the guest.
-    pub fn args(&self) -> &[String] {
-        &self.args
-    }
-
-    /// Adds an environment variable.
-    pub fn push_env(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.env.push((key.into(), value.into()));
-    }
-
-    /// Environment visible to the guest.
-    pub fn env(&self) -> &[(String, String)] {
-        &self.env
-    }
-
-    /// Seeds the deterministic `random_get` stream.
-    pub fn seed_rng(&mut self, seed: u64) {
-        self.rng_state = seed.max(1);
-    }
-
-    pub(crate) fn next_random(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
-    /// Places a file in the in-memory filesystem.
+    /// Seeds a file the guest can open and read (replacing any file at
+    /// `path`).
     pub fn put_file(&mut self, path: impl Into<String>, contents: Vec<u8>) {
         self.files.insert(path.into(), contents);
-    }
-
-    /// Reads a file back out of the in-memory filesystem.
-    pub fn file(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(Vec::as_slice)
     }
 
     /// Installs a socket backend; returns its fd.
@@ -166,96 +106,33 @@ impl WasiCtx {
         self.sockets.get_mut(&fd)
     }
 
-    pub(crate) fn open_path(&mut self, path: &str, create: bool) -> Result<u32, i32> {
+    pub(crate) fn open_path(&mut self, path: &str) -> Result<u32, i32> {
         if !self.files.contains_key(path) {
-            if create {
-                self.files.insert(path.to_owned(), Vec::new());
-            } else {
-                return Err(errno::NOENT);
-            }
+            return Err(errno::NOENT);
         }
         let fd = self.next_fd;
         self.next_fd += 1;
-        self.open_files
-            .insert(fd, OpenFile { path: path.to_owned(), cursor: 0, writable: true });
+        self.open_files.insert(fd, OpenFile { path: path.to_owned(), cursor: 0 });
         Ok(fd)
     }
 
-    pub(crate) fn close_fd(&mut self, fd: u32) -> Result<(), i32> {
-        if self.open_files.remove(&fd).is_some() || self.sockets.remove(&fd).is_some() {
-            Ok(())
-        } else {
-            Err(errno::BADF)
-        }
-    }
-
     pub(crate) fn write_fd(&mut self, fd: u32, data: &[u8]) -> Result<usize, i32> {
-        match fd {
-            1 => {
-                self.stdout.extend_from_slice(data);
-                Ok(data.len())
-            }
-            2 => {
-                self.stderr.extend_from_slice(data);
-                Ok(data.len())
-            }
-            _ => {
-                let open = self.open_files.get_mut(&fd).ok_or(errno::BADF)?;
-                if !open.writable {
-                    return Err(errno::INVAL);
-                }
-                let file = self.files.get_mut(&open.path).ok_or(errno::NOENT)?;
-                let end = open.cursor.saturating_add(data.len());
-                if end > MAX_FILE_LEN.max(file.len()) {
-                    return Err(errno::INVAL);
-                }
-                if file.len() < end {
-                    file.resize(end, 0);
-                }
-                file[open.cursor..end].copy_from_slice(data);
-                open.cursor = end;
-                Ok(data.len())
-            }
+        if fd != 1 {
+            return Err(errno::BADF);
         }
+        self.stdout.extend_from_slice(data);
+        Ok(data.len())
     }
 
     pub(crate) fn read_fd(&mut self, fd: u32, max: usize) -> Result<Vec<u8>, i32> {
-        match fd {
-            0 => {
-                let end = self.stdin_cursor.saturating_add(max).min(self.stdin.len());
-                let out = self.stdin[self.stdin_cursor..end].to_vec();
-                self.stdin_cursor = end;
-                Ok(out)
-            }
-            _ => {
-                let open = self.open_files.get_mut(&fd).ok_or(errno::BADF)?;
-                let file = self.files.get(&open.path).ok_or(errno::NOENT)?;
-                // A cursor seeked past the end reads nothing and stays put.
-                let Some(rest) = file.get(open.cursor..) else {
-                    return Ok(Vec::new());
-                };
-                let out = rest[..max.min(rest.len())].to_vec();
-                open.cursor += out.len();
-                Ok(out)
-            }
-        }
-    }
-
-    pub(crate) fn seek_fd(&mut self, fd: u32, offset: i64, whence: u8) -> Result<u64, i32> {
         let open = self.open_files.get_mut(&fd).ok_or(errno::BADF)?;
-        let len = self.files.get(&open.path).map(Vec::len).unwrap_or(0) as i64;
-        let base = match whence {
-            0 => 0,                    // SET
-            1 => open.cursor as i64,   // CUR
-            2 => len,                  // END
-            _ => return Err(errno::INVAL),
-        };
-        let target = base
-            .checked_add(offset)
-            .and_then(|t| usize::try_from(t).ok())
-            .ok_or(errno::INVAL)?;
-        open.cursor = target;
-        Ok(target as u64)
+        let file = self.files.get(&open.path).ok_or(errno::NOENT)?;
+        // Empty once the cursor is past the end (the host may have
+        // re-seeded the file shorter while it was open).
+        let rest = file.get(open.cursor..).unwrap_or_default();
+        let out = rest[..max.min(rest.len())].to_vec();
+        open.cursor += out.len();
+        Ok(out)
     }
 
     /// Charges one guest↔host boundary crossing plus `bytes` of VM I/O to
@@ -283,67 +160,37 @@ mod tests {
     }
 
     #[test]
-    fn stdout_and_stderr_capture() {
+    fn only_stdout_is_writable() {
         let mut c = ctx();
+        c.put_file("/in.bin", vec![1]);
+        let fd = c.open_path("/in.bin").unwrap();
         assert_eq!(c.write_fd(1, b"out").unwrap(), 3);
-        assert_eq!(c.write_fd(2, b"err").unwrap(), 3);
+        for other in [0, 2, fd] {
+            assert_eq!(c.write_fd(other, b"x").unwrap_err(), errno::BADF);
+        }
         assert_eq!(c.stdout, b"out");
-        assert_eq!(c.stderr, b"err");
-    }
-
-    #[test]
-    fn stdin_reads_advance_cursor() {
-        let mut c = ctx();
-        c.stdin = b"abcdef".to_vec();
-        assert_eq!(c.read_fd(0, 4).unwrap(), b"abcd");
-        assert_eq!(c.read_fd(0, 4).unwrap(), b"ef");
-        assert_eq!(c.read_fd(0, 4).unwrap(), b"");
     }
 
     #[test]
     fn file_open_read_write() {
         let mut c = ctx();
         c.put_file("/in.bin", vec![1, 2, 3, 4]);
-        let fd = c.open_path("/in.bin", false).unwrap();
+        let fd = c.open_path("/in.bin").unwrap();
         assert_eq!(c.read_fd(fd, 2).unwrap(), vec![1, 2]);
         assert_eq!(c.read_fd(fd, 10).unwrap(), vec![3, 4]);
-        c.seek_fd(fd, 0, 0).unwrap();
-        c.write_fd(fd, &[9, 9]).unwrap();
-        assert_eq!(c.file("/in.bin").unwrap(), &[9, 9, 3, 4]);
-        c.close_fd(fd).unwrap();
-        assert_eq!(c.read_fd(fd, 1).unwrap_err(), errno::BADF);
+        assert_eq!(c.read_fd(fd, 10).unwrap(), b"");
+        assert_eq!(c.write_fd(fd, &[9, 9]).unwrap_err(), errno::BADF, "files are read-only");
+        // A second open reads from the start; the host's re-seed is seen.
+        c.put_file("/in.bin", vec![7]);
+        let again = c.open_path("/in.bin").unwrap();
+        assert_eq!(c.read_fd(again, 10).unwrap(), vec![7]);
+        assert_eq!(c.read_fd(fd, 10).unwrap(), b"", "cursor past the shorter file");
     }
 
     #[test]
     fn missing_file_is_noent() {
         let mut c = ctx();
-        assert_eq!(c.open_path("/missing", false).unwrap_err(), errno::NOENT);
-        let fd = c.open_path("/created", true).unwrap();
-        c.write_fd(fd, b"x").unwrap();
-        assert_eq!(c.file("/created").unwrap(), b"x");
-    }
-
-    #[test]
-    fn seek_whence_variants() {
-        let mut c = ctx();
-        c.put_file("/f", vec![0; 10]);
-        let fd = c.open_path("/f", false).unwrap();
-        assert_eq!(c.seek_fd(fd, 4, 0).unwrap(), 4);
-        assert_eq!(c.seek_fd(fd, 2, 1).unwrap(), 6);
-        assert_eq!(c.seek_fd(fd, -1, 2).unwrap(), 9);
-        assert_eq!(c.seek_fd(fd, -100, 1).unwrap_err(), errno::INVAL);
-        assert_eq!(c.seek_fd(fd, 0, 9).unwrap_err(), errno::INVAL);
-    }
-
-    #[test]
-    fn rng_is_deterministic_per_seed() {
-        let mut a = ctx();
-        let mut b = ctx();
-        a.seed_rng(7);
-        b.seed_rng(7);
-        assert_eq!(a.next_random(), b.next_random());
-        b.seed_rng(8);
-        assert_ne!(a.next_random(), b.next_random());
+        assert_eq!(c.open_path("/missing").unwrap_err(), errno::NOENT);
     }
 
     #[test]
@@ -360,6 +207,6 @@ mod tests {
         let mut c = ctx();
         assert_eq!(c.write_fd(99, b"x").unwrap_err(), errno::BADF);
         assert_eq!(c.read_fd(99, 1).unwrap_err(), errno::BADF);
-        assert_eq!(c.close_fd(99).unwrap_err(), errno::BADF);
+        assert_eq!(c.read_fd(0, 1).unwrap_err(), errno::BADF, "no stdin");
     }
 }

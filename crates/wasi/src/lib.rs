@@ -4,14 +4,16 @@
 //! world only through imported host functions. The standard set of those
 //! is WASI, and the paper's baselines route *all* their I/O through it —
 //! paying a boundary crossing plus a copy in or out of linear memory on
-//! every call. This crate reproduces that interface (preview-1 ABI:
-//! iovec arrays, errno returns) and charges those costs to the calling
-//! sandbox's account, making the "WASI overhead" of the paper's Fig. 2a
-//! a measurable quantity.
+//! every call. This crate reproduces the five calls the in-tree guests
+//! make — `fd_read`, `fd_write`, `path_open`, `sock_send`, `sock_recv`
+//! (preview-1 ABI: iovec arrays, errno returns) — and charges those
+//! costs to the calling sandbox's account, making the "WASI overhead" of
+//! the paper's Fig. 2a a measurable quantity. Any other preview-1 import
+//! is left undefined, so a module that needs one fails to instantiate.
 //!
-//! * [`WasiCtx`] — per-instance state: stdio, an in-memory filesystem,
-//!   sockets, args/env, deterministic randomness, exit code.
-//! * [`mod@register`] — installs `fd_read`/`fd_write`/`sock_send`/… into a
+//! * [`WasiCtx`] — per-instance state: captured stdout, read-only files
+//!   the host seeds, sockets.
+//! * [`mod@register`] — installs the five calls into a
 //!   [`roadrunner_wasm::Linker`].
 //! * [`sock`] — the socket adapter over the virtual kernel's stream
 //!   socket (TCP or Unix), and an in-process loopback for tests.
@@ -26,4 +28,4 @@ pub mod register;
 pub mod sock;
 
 pub use ctx::{errno, WasiCtx, WasiSocket};
-pub use register::{register, HasWasi, MODULE, PROC_EXIT};
+pub use register::{register, HasWasi, MODULE};

@@ -195,9 +195,9 @@ count count:panics:serial serial 6
 count count:panics:baselines baselines 16
 # lib.rs 1 (`unwrap()` in a rustdoc example).
 count count:panics:http http 1
-# register.rs 3 (an 8-byte `chunks_exact` chunk split into two 4-byte
-# words; two host-call arguments typed by the import's signature).
-count count:panics:wasi wasi 3
+# register.rs 2 (an 8-byte `chunks_exact` chunk split into two 4-byte
+# words; a host-call argument typed by the import's signature).
+count count:panics:wasi wasi 2
 # buffer.rs 3 (segment pops behind a length or emptiness check), sched.rs 3
 # (a timeline's lane heap, never empty: capacity >= 1 is checked at
 # construction; a node removal that keeps at least one survivor;

@@ -6,8 +6,8 @@
 //!    `arrivals == completed + failed + deadline_exceeded + shed`,
 //!    globally and per tenant, whatever combination of deadlines,
 //!    budgets, breakers, and bounded queues is active.
-//! 2. **Budget cap** — with a burst-only retry budget (no refill, no
-//!    success credit) the run can never absorb more retries than the
+//! 2. **Budget cap** — with a burst-only retry budget (no success
+//!    credit) the run can never absorb more retries than the
 //!    buckets it could possibly have opened.
 //! 3. **Determinism** — breaker state machines and budget buckets run
 //!    on virtual time only: replaying the same (dag, schedule, config)
@@ -142,7 +142,6 @@ fn arbitrary_overload(seed: u64) -> OverloadConfig {
     let mut rng = Mix(seed ^ 0x0DDB_A110);
     let deadline_ns = rng.chance(2).then(|| 1_000 + rng.below(60_000));
     let retry_budget = rng.chance(2).then(|| RetryBudgetConfig {
-        refill_millitokens_per_s: rng.below(3) * 400_000,
         burst_millitokens: rng.below(6) * RETRY_COST_MILLITOKENS,
         per_success_millitokens: rng.below(500),
     });
@@ -327,7 +326,7 @@ proptest! {
         assert_runs_identical(&run, &run_once())?;
     }
 
-    /// A burst-only retry budget (no time refill, no success credit) is
+    /// A burst-only retry budget (no success credit) is
     /// a hard cap: the run can never absorb more retries than the
     /// buckets it could possibly have opened — one per
     /// (tenant, function, node) triple, `burst` retries each.
@@ -346,7 +345,6 @@ proptest! {
         let plan = FailurePlan::new(RetryPolicy::new(6, 500, 6_000)).with_outages(schedule);
         let overload = OverloadConfig {
             retry_budget: Some(RetryBudgetConfig {
-                refill_millitokens_per_s: 0,
                 burst_millitokens: burst_retries * RETRY_COST_MILLITOKENS,
                 per_success_millitokens: 0,
             }),
@@ -365,7 +363,7 @@ proptest! {
 
         assert_overload_conserved(&run, instances)?;
         // One bucket per (tenant=1, function, node) triple, each opened
-        // at `burst_retries` tokens and never refilled.
+        // at `burst_retries` tokens and never credited.
         let cap = (n * nodes) as u64 * burst_retries;
         prop_assert!(
             run.retries <= cap,
