@@ -23,10 +23,11 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The first `count` arrival times (non-decreasing, starting at 0).
+    /// A time past the end of virtual time saturates at [`Nanos::MAX`].
     pub fn times(&self, count: usize) -> Vec<Nanos> {
         match *self {
             ArrivalProcess::Uniform { interval_ns } => {
-                (0..count as u64).map(|i| i * interval_ns).collect()
+                (0..count as u64).map(|i| i.saturating_mul(interval_ns)).collect()
             }
             ArrivalProcess::Poisson { mean_interval_ns, seed } => {
                 let mut state = seed;
@@ -38,7 +39,7 @@ impl ArrivalProcess {
                         // splitmix64 uniform draw.
                         let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
                         let gap = -(1.0 - u).ln() * mean_interval_ns as f64;
-                        at += gap.round() as Nanos;
+                        at = at.saturating_add(gap.round() as Nanos);
                         release
                     })
                     .collect()
@@ -100,5 +101,21 @@ mod tests {
         );
         let other = ArrivalProcess::Poisson { mean_interval_ns: 1_000_000, seed: 8 }.times(400);
         assert_ne!(a, other, "different seeds must differ");
+    }
+
+    #[test]
+    fn extreme_intervals_saturate_at_the_end_of_virtual_time() {
+        for interval in [Nanos::MAX / 2, Nanos::MAX] {
+            let processes = [
+                ArrivalProcess::Uniform { interval_ns: interval },
+                ArrivalProcess::Poisson { mean_interval_ns: interval, seed: 7 },
+            ];
+            for process in processes {
+                let times = process.times(64);
+                assert_eq!(times[0], 0, "{process:?}");
+                assert!(times.windows(2).all(|w| w[0] <= w[1]), "{process:?}: {times:?}");
+                assert_eq!(times[63], Nanos::MAX, "{process:?}");
+            }
+        }
     }
 }

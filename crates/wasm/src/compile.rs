@@ -182,22 +182,12 @@ macro_rules! for_each_numeric_op {
         $m! {
             I32Eqz, I32Eq, I32Ne, I32LtS, I32LtU, I32GtS, I32GtU, I32LeS, I32LeU,
             I32GeS, I32GeU, I64Eqz, I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU,
-            I64LeS, I64LeU, I64GeS, I64GeU, F32Eq, F32Ne, F32Lt, F32Gt, F32Le,
-            F32Ge, F64Eq, F64Ne, F64Lt, F64Gt, F64Le, F64Ge, I32Clz, I32Ctz,
-            I32Popcnt, I32Add, I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU,
-            I32And, I32Or, I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr,
-            I64Clz, I64Ctz, I64Popcnt, I64Add, I64Sub, I64Mul, I64DivS, I64DivU,
-            I64RemS, I64RemU, I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU,
-            I64Rotl, I64Rotr, F32Abs, F32Neg, F32Ceil, F32Floor, F32Trunc,
-            F32Nearest, F32Sqrt, F32Add, F32Sub, F32Mul, F32Div, F32Min, F32Max,
-            F32Copysign, F64Abs, F64Neg, F64Ceil, F64Floor, F64Trunc, F64Nearest,
-            F64Sqrt, F64Add, F64Sub, F64Mul, F64Div, F64Min, F64Max, F64Copysign,
-            I32WrapI64, I32TruncF32S, I32TruncF32U, I32TruncF64S, I32TruncF64U,
-            I64ExtendI32S, I64ExtendI32U, I64TruncF32S, I64TruncF32U, I64TruncF64S,
-            I64TruncF64U, F32ConvertI32S, F32ConvertI32U, F32ConvertI64S,
-            F32ConvertI64U, F32DemoteF64, F64ConvertI32S, F64ConvertI32U,
-            F64ConvertI64S, F64ConvertI64U, F64PromoteF32, I32ReinterpretF32,
-            I64ReinterpretF64, F32ReinterpretI32, F64ReinterpretI64,
+            I64LeS, I64LeU, I64GeS, I64GeU, I32Clz, I32Ctz, I32Popcnt, I32Add,
+            I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU, I32And, I32Or,
+            I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr, I64Clz, I64Ctz,
+            I64Popcnt, I64Add, I64Sub, I64Mul, I64DivS, I64DivU, I64RemS, I64RemU,
+            I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU, I64Rotl, I64Rotr,
+            I32WrapI64, I64ExtendI32S, I64ExtendI32U,
         }
     };
 }
@@ -243,8 +233,6 @@ macro_rules! define_op {
             // Memory (immediate = static offset; align is a hint, dropped).
             I32Load(u32),
             I64Load(u32),
-            F32Load(u32),
-            F64Load(u32),
             I32Load8S(u32),
             I32Load8U(u32),
             I32Load16S(u32),
@@ -257,8 +245,6 @@ macro_rules! define_op {
             I64Load32U(u32),
             I32Store(u32),
             I64Store(u32),
-            F32Store(u32),
-            F64Store(u32),
             I32Store8(u32),
             I32Store16(u32),
             I64Store8(u32),
@@ -270,8 +256,6 @@ macro_rules! define_op {
             MemoryFill,
             I32Const(i32),
             I64Const(i64),
-            F32Const(f32),
-            F64Const(f64),
             // Fused superinstructions — produced only by the [`fuse`]
             // peephole pass, never by direct lowering. The trailing
             // comment gives the replaced pattern; each counts as that
@@ -411,18 +395,18 @@ fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
         (ty.params().len(), ty.results().len())
     };
     match op {
-        Op::I32Const(_) | Op::I64Const(_) | Op::F32Const(_) | Op::F64Const(_) => (0, 1),
+        Op::I32Const(_) | Op::I64Const(_) => (0, 1),
         Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize => (0, 1),
         Op::I32BinLL { .. } | Op::I32BinLC { .. } => (0, 1),
         Op::I32BinTL { .. } | Op::I32BinTC { .. } | Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
-        Op::I32Load(_) | Op::I64Load(_) | Op::F32Load(_) | Op::F64Load(_) => (1, 1),
+        Op::I32Load(_) | Op::I64Load(_) => (1, 1),
         Op::I32Load8S(_) | Op::I32Load8U(_) | Op::I32Load16S(_) | Op::I32Load16U(_) => (1, 1),
         Op::I64Load8S(_) | Op::I64Load8U(_) | Op::I64Load16S(_) | Op::I64Load16U(_) => (1, 1),
         Op::I64Load32S(_) | Op::I64Load32U(_) => (1, 1),
         Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
         Op::IfElse(_) | Op::BrIf(_) | Op::BrTable(_) => (1, 0),
         Op::I32BinTLSet { .. } | Op::I32BinTCSet { .. } => (1, 0),
-        Op::I32Store(_) | Op::I64Store(_) | Op::F32Store(_) | Op::F64Store(_) => (2, 0),
+        Op::I32Store(_) | Op::I64Store(_) => (2, 0),
         Op::I32Store8(_) | Op::I32Store16(_) => (2, 0),
         Op::I64Store8(_) | Op::I64Store16(_) | Op::I64Store32(_) => (2, 0),
         Op::Select => (3, 1),
@@ -905,8 +889,6 @@ impl FnCompiler<'_> {
             I::GlobalSet(i) => self.emit(Op::GlobalSet(*i), 1, 0),
             I::I32Load(m) => self.emit(Op::I32Load(m.offset), 1, 1),
             I::I64Load(m) => self.emit(Op::I64Load(m.offset), 1, 1),
-            I::F32Load(m) => self.emit(Op::F32Load(m.offset), 1, 1),
-            I::F64Load(m) => self.emit(Op::F64Load(m.offset), 1, 1),
             I::I32Load8S(m) => self.emit(Op::I32Load8S(m.offset), 1, 1),
             I::I32Load8U(m) => self.emit(Op::I32Load8U(m.offset), 1, 1),
             I::I32Load16S(m) => self.emit(Op::I32Load16S(m.offset), 1, 1),
@@ -919,8 +901,6 @@ impl FnCompiler<'_> {
             I::I64Load32U(m) => self.emit(Op::I64Load32U(m.offset), 1, 1),
             I::I32Store(m) => self.emit(Op::I32Store(m.offset), 2, 0),
             I::I64Store(m) => self.emit(Op::I64Store(m.offset), 2, 0),
-            I::F32Store(m) => self.emit(Op::F32Store(m.offset), 2, 0),
-            I::F64Store(m) => self.emit(Op::F64Store(m.offset), 2, 0),
             I::I32Store8(m) => self.emit(Op::I32Store8(m.offset), 2, 0),
             I::I32Store16(m) => self.emit(Op::I32Store16(m.offset), 2, 0),
             I::I64Store8(m) => self.emit(Op::I64Store8(m.offset), 2, 0),
@@ -932,8 +912,6 @@ impl FnCompiler<'_> {
             I::MemoryFill => self.emit(Op::MemoryFill, 3, 0),
             I::I32Const(v) => self.emit(Op::I32Const(*v), 0, 1),
             I::I64Const(v) => self.emit(Op::I64Const(*v), 0, 1),
-            I::F32Const(v) => self.emit(Op::F32Const(*v), 0, 1),
-            I::F64Const(v) => self.emit(Op::F64Const(*v), 0, 1),
             other => unreachable!("structured or numeric instruction fell through: {other:?}"),
         }
     }

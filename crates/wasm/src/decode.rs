@@ -3,8 +3,8 @@
 //! Accepts artifacts produced by [`crate::encode`] (and any standard
 //! binary that stays within the reproduced subset). Structured control
 //! flow is rebuilt from the flat opcode stream; anything outside the
-//! subset (tables, element segments, SIMD, reference types) is rejected
-//! with a positioned error.
+//! subset (float types and opcodes, tables, element segments, SIMD,
+//! reference types) is rejected with an error at the offending byte.
 
 use std::error::Error;
 use std::fmt;
@@ -282,15 +282,12 @@ impl<'a> Parser<'a> {
         let value = match self.byte()? {
             OP_I32_CONST => Value::I32(self.i32()?),
             OP_I64_CONST => Value::I64(self.i64()?),
-            OP_F32_CONST => {
-                let raw = self.take(4)?;
-                Value::F32(f32::from_le_bytes(raw.try_into().expect("4 bytes")))
+            other => {
+                return Err(WasmDecodeError::new(
+                    self.pos - 1,
+                    format!("unsupported const expr opcode 0x{other:02x}"),
+                ))
             }
-            OP_F64_CONST => {
-                let raw = self.take(8)?;
-                Value::F64(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
-            }
-            other => return self.err(format!("unsupported const expr opcode 0x{other:02x}")),
         };
         if self.byte()? != OP_END {
             return self.err("const expr must end with `end`");
@@ -430,16 +427,16 @@ impl<'a> Parser<'a> {
         Ok(instr)
     }
 
-    /// Parses one instruction that contains no others.
+    /// Parses one instruction that contains no others; `op` is the byte
+    /// just read.
     fn plain(&mut self, op: u8) -> PResult<Instr> {
         if let Some(i) = simple_from_opcode(op) {
             return Ok(i);
         }
-        if (0x28..=0x3E).contains(&op) {
+        if let Some(make) = memop_from_opcode(op) {
             let align = self.u32()?;
             let offset = self.u32()?;
-            return memop_from_opcode(op, MemArg { align, offset })
-                .ok_or_else(|| WasmDecodeError::new(self.pos, "bad memory opcode"));
+            return Ok(make(MemArg { align, offset }));
         }
         match op {
             OP_BR => Ok(Instr::Br(self.u32()?)),
@@ -472,14 +469,6 @@ impl<'a> Parser<'a> {
             }
             OP_I32_CONST => Ok(Instr::I32Const(self.i32()?)),
             OP_I64_CONST => Ok(Instr::I64Const(self.i64()?)),
-            OP_F32_CONST => {
-                let raw = self.take(4)?;
-                Ok(Instr::F32Const(f32::from_le_bytes(raw.try_into().expect("4 bytes"))))
-            }
-            OP_F64_CONST => {
-                let raw = self.take(8)?;
-                Ok(Instr::F64Const(f64::from_le_bytes(raw.try_into().expect("8 bytes"))))
-            }
             OP_PREFIX_FC => {
                 let sub = self.u32()?;
                 match sub {
@@ -495,7 +484,10 @@ impl<'a> Parser<'a> {
                     other => self.err(format!("unsupported 0xFC sub-opcode {other}")),
                 }
             }
-            other => self.err(format!("unsupported opcode 0x{other:02x}")),
+            other => Err(WasmDecodeError::new(
+                self.pos - 1,
+                format!("unsupported opcode 0x{other:02x}"),
+            )),
         }
     }
 
@@ -702,6 +694,41 @@ pub(crate) mod tests {
         let one_huge_run = [&[1][..], &MAX, &[0x7F]].concat();
         let err = decode(&module_with_func(&one_huge_run, &[OP_END])).unwrap_err();
         assert!(err.reason().contains("too many locals"), "{err}");
+    }
+
+    #[test]
+    fn float_types_and_opcodes_are_refused_at_their_byte() {
+        // Each module's offending byte sits `back` bytes from its end.
+        let body = |op: u8, imm: &[u8]| [&[op][..], imm, &[OP_END]].concat();
+        let mut cases = vec![
+            ("f32 param", one_section(1, &[1, 0x60, 1, 0x7D, 0]), 2),
+            ("f64 result", one_section(1, &[1, 0x60, 0, 1, 0x7C]), 1),
+            ("f32 local", module_with_func(&[1, 1, 0x7D], &[OP_END]), 2),
+            ("f64 global", one_section(6, &[1, 0x7C, 0, OP_I64_CONST, 0, OP_END]), 5),
+            ("f32.const global init", one_section(6, &[1, 0x7F, 0, 0x43, 0, 0, 0, 0, OP_END]), 6),
+        ];
+        let opcodes: [(u8, &[u8]); 10] = [
+            (0x2A, &[2, 0]), // f32.load
+            (0x2B, &[3, 0]), // f64.load
+            (0x38, &[2, 0]), // f32.store
+            (0x39, &[3, 0]), // f64.store
+            (0x43, &[0; 4]), // f32.const
+            (0x44, &[0; 8]), // f64.const
+            (0x5B, &[]),     // f32.eq
+            (0x92, &[]),     // f32.add
+            (0xA8, &[]),     // i32.trunc_f32_s
+            (0xBC, &[]),     // i32.reinterpret_f32
+        ];
+        for (op, imm) in opcodes {
+            let code = body(op, imm);
+            cases.push(("opcode", module_with_func(&[0], &code), code.len()));
+        }
+        for (what, bytes, back) in cases {
+            let at = bytes.len() - back;
+            let err = decode(&bytes).unwrap_err();
+            assert_eq!(err.offset(), at, "{what} 0x{:02x}: {err}", bytes[at]);
+            assert!(err.reason().contains(&format!("0x{:02x}", bytes[at])), "{what}: {err}");
+        }
     }
 
     #[test]

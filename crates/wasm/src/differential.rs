@@ -796,17 +796,15 @@ fn bench_kernels_match_metered_and_unmetered() {
 //
 // The loop's operand stack holds raw 64-bit slots where the walker holds
 // tagged [`Value`]s, so everything a tag used to guarantee is checked
-// here against the walker: float bits survive every move, an i32 never
+// here against the walker: integer bits survive every move, an i32 never
 // drags stale high bits into a wider reader, and nothing a previous
 // frame or a trapped invocation left on the stack is ever read.
 
-/// A value as its type and bit pattern: NaNs compare equal to themselves.
+/// A value as its type and bit pattern.
 fn bits(v: Value) -> (ValType, u64) {
     let raw = match v {
         Value::I32(v) => v as u32 as u64,
         Value::I64(v) => v as u64,
-        Value::F32(v) => v.to_bits() as u64,
-        Value::F64(v) => v.to_bits(),
     };
     (v.ty(), raw)
 }
@@ -828,7 +826,7 @@ struct Step {
 /// argument into the instance's `Vec<u64>` and hand it straight back.
 fn echo_linker() -> Linker {
     let mut linker = Linker::new();
-    for (name, ty) in [("echo32", ValType::F32), ("echo64", ValType::F64)] {
+    for (name, ty) in [("echo32", ValType::I32), ("echo64", ValType::I64)] {
         linker.define("env", name, FuncType::new([ty], [ty]), |mut caller, args| {
             caller.data::<Vec<u64>>()?.push(bits(args[0]).1);
             Ok(vec![args[0]])
@@ -887,21 +885,17 @@ fn agreed_session(module: &Module, limits: EngineLimits, calls: &[(&str, Vec<Val
     flat
 }
 
-/// A module that carries a float through every kind of move the engine
-/// has: `tour32(bits: i32) -> i32` and `tour64(bits: i64) -> i64`
-/// reinterpret their argument as a float, pass it through
-/// `local.set/get/tee`, `select` (both arms), `global.set/get`, a
-/// wasm→wasm call's parameter and result, and a host call's argument
-/// and result, and return its bits.
-fn float_tour_module() -> Module {
-    use ValType::{F32, F64, I32, I64};
-    // (float type, carrier int type, echo import, global, pass helper,
-    // int→float, float→int, a zero of the float type)
-    let tour = |f, echo: u32, global: u32, pass: u32, to_float: Instr, to_bits: Instr, zero: Instr| {
-        let _: ValType = f;
+/// A module that carries an integer through every kind of move the
+/// engine has: `tour32(x: i32) -> i32` and `tour64(x: i64) -> i64` pass
+/// their argument through `local.set/get/tee`, `select` (both arms) on
+/// the operand stack, `global.set/get`, a wasm→wasm call's parameter and
+/// result, and a host call's argument and result, and return it.
+fn int_tour_module() -> Module {
+    use ValType::{I32, I64};
+    // (echo import, global, pass helper, a zero of the tour's type)
+    let tour = |echo: u32, global: u32, pass: u32, zero: Instr| {
         vec![
             Instr::LocalGet(0),
-            to_float,
             Instr::LocalSet(1),
             Instr::LocalGet(1),
             Instr::LocalTee(2),
@@ -922,88 +916,49 @@ fn float_tour_module() -> Module {
             Instr::Drop,
             Instr::LocalGet(2),
             Instr::Call(echo),
-            to_bits,
         ]
     };
     // A helper that moves its parameter through a declared local.
-    let pass = |_f: ValType| {
-        vec![Instr::LocalGet(0), Instr::LocalSet(1), Instr::LocalGet(1)]
-    };
+    let pass = vec![Instr::LocalGet(0), Instr::LocalSet(1), Instr::LocalGet(1)];
     ModuleBuilder::new()
-        .import_func("env", "echo32", FuncType::new([F32], [F32]))
-        .import_func("env", "echo64", FuncType::new([F64], [F64]))
-        .global(F32, true, Value::F32(0.0))
-        .global(F64, true, Value::F64(0.0))
-        .func(FuncType::new([F32], [F32]), [F32], pass(F32))
-        .func(FuncType::new([F64], [F64]), [F64], pass(F64))
-        .func(
-            FuncType::new([I32], [I32]),
-            [F32, F32],
-            tour(
-                F32,
-                0,
-                0,
-                2,
-                Instr::F32ReinterpretI32,
-                Instr::I32ReinterpretF32,
-                Instr::F32Const(0.0),
-            ),
-        )
-        .func(
-            FuncType::new([I64], [I64]),
-            [F64, F64],
-            tour(
-                F64,
-                1,
-                1,
-                3,
-                Instr::F64ReinterpretI64,
-                Instr::I64ReinterpretF64,
-                Instr::F64Const(0.0),
-            ),
-        )
+        .import_func("env", "echo32", FuncType::new([I32], [I32]))
+        .import_func("env", "echo64", FuncType::new([I64], [I64]))
+        .global(I32, true, Value::I32(0))
+        .global(I64, true, Value::I64(0))
+        .func(FuncType::new([I32], [I32]), [I32], pass.clone())
+        .func(FuncType::new([I64], [I64]), [I64], pass)
+        .func(FuncType::new([I32], [I32]), [I32, I32], tour(0, 0, 2, Instr::I32Const(0)))
+        .func(FuncType::new([I64], [I64]), [I64, I64], tour(1, 1, 3, Instr::I64Const(0)))
         .export_func("tour32", 4)
         .export_func("tour64", 5)
         .export_global("g32", 0)
         .export_global("g64", 1)
         .build()
-        .expect("float tour validates")
+        .expect("integer tour validates")
 }
 
 #[test]
-fn float_bits_survive_every_move() {
-    // Quiet and signalling NaNs, with payloads and either sign, next to
-    // the ordinary values whose sign or exponent a sloppy move would lose.
-    let f32_patterns: [u32; 10] = [
-        0x7FC0_0000, // canonical quiet NaN
-        0xFFC0_0000, // its negative
-        0x7FC0_0001, // quiet, payload 1
-        0xFFFF_FFFF, // quiet, negative, all payload bits
-        0x7F80_0001, // signalling, payload 1
-        0xFF80_0001, // its negative
-        0x7FBF_FFFF, // signalling, all payload bits
-        0x8000_0000, // -0.0
-        0x7F80_0000, // +inf
-        0x0000_0001, // smallest subnormal
-    ];
-    let f64_patterns: [u64; 10] = [
-        0x7FF8_0000_0000_0000,
-        0xFFF8_0000_0000_0000,
-        0x7FF8_0000_0000_0001,
-        0xFFFF_FFFF_FFFF_FFFF,
-        0x7FF0_0000_0000_0001,
-        0xFFF0_0000_0000_0001,
-        0x7FF7_FFFF_FFFF_FFFF,
+fn integer_bits_survive_every_move() {
+    // The sign bit with and without company, each half of the slot on
+    // its own, and every bit at once: a move that sign-extends, truncates
+    // or drops a half changes one of them.
+    let i32_patterns: [u32; 6] = [u32::MAX, 0x8000_0001, 0x8000_0000, 0x7FFF_FFFF, 1, 0];
+    let i64_patterns: [u64; 8] = [
+        u64::MAX,
+        0x8000_0000_0000_0001,
         0x8000_0000_0000_0000,
-        0x7FF0_0000_0000_0000,
-        0x0000_0000_0000_0001,
+        0xFFFF_FFFF_0000_0000,
+        0x0000_0000_FFFF_FFFF,
+        0x0000_0001_0000_0000,
+        0x7FFF_FFFF_FFFF_FFFF,
+        1,
     ];
-    let module = float_tour_module();
+    let module = int_tour_module();
     let mut calls: Vec<(&str, Vec<Value>)> = Vec::new();
-    for p in f32_patterns {
+    for p in i32_patterns {
         calls.push(("tour32", vec![Value::I32(p as i32)]));
     }
-    for p in f64_patterns {
+    for p in i64_patterns {
         calls.push(("tour64", vec![Value::I64(p as i64)]));
     }
     let steps = agreed_session(&module, EngineLimits::default(), &calls);
@@ -1125,16 +1080,16 @@ fn i32_slots_carry_no_stale_high_bits() {
 /// Exports for the stale-slot and after-trap cases:
 ///
 /// * `junk(depth)` — fills a deep operand stack and four locals with
-///   all-ones patterns of every type, recursing `depth` levels so the
+///   all-ones patterns of both types, recursing `depth` levels so the
 ///   junk reaches well up the slot stack, and returns normally;
-/// * `zeros()` — declares a local of each type and returns all four
-///   (their bits) plus a nested call's, untouched: every one must read
+/// * `zeros()` — declares two locals of each type and returns all four
+///   plus a nested call's, untouched: every one must read
 ///   zero however dirty the slots they land on;
 /// * `div_deep(depth)`, `store_deep(depth)`, `spin_deep(depth)` — leave
 ///   the same junk, then trap `depth` frames down: division by zero, an
 ///   out-of-bounds store, an endless loop that runs out of fuel.
 fn stale_slot_module() -> Module {
-    use ValType::{F32, F64, I32, I64};
+    use ValType::{I32, I64};
     const JUNK: u32 = 0;
     const ZEROS: u32 = 1;
     const FRESH: u32 = 2;
@@ -1144,17 +1099,17 @@ fn stale_slot_module() -> Module {
             Instr::LocalSet(1),
             Instr::I64Const(-1),
             Instr::LocalSet(2),
-            Instr::F32Const(f32::from_bits(0xFFFF_FFFF)),
+            Instr::I32Const(-1),
             Instr::LocalSet(3),
-            Instr::F64Const(f64::from_bits(u64::MAX)),
+            Instr::I64Const(-1),
             Instr::LocalSet(4),
             // Six operands deep, then gone.
             Instr::I64Const(-1),
             Instr::I64Const(-1),
-            Instr::F64Const(f64::from_bits(u64::MAX)),
+            Instr::I64Const(-1),
             Instr::I32Const(-1),
             Instr::I64Const(-1),
-            Instr::F32Const(f32::from_bits(0xFFFF_FFFF)),
+            Instr::I32Const(-1),
             Instr::Drop,
             Instr::Drop,
             Instr::Drop,
@@ -1182,7 +1137,7 @@ fn stale_slot_module() -> Module {
         ]);
         body
     };
-    let locals = [I32, I64, F32, F64];
+    let locals = [I32, I64, I32, I64];
     ModuleBuilder::new()
         .func(FuncType::new([I32], []), locals, descend(JUNK, vec![]))
         .func(
@@ -1192,9 +1147,7 @@ fn stale_slot_module() -> Module {
                 Instr::LocalGet(0),
                 Instr::LocalGet(1),
                 Instr::LocalGet(2),
-                Instr::I32ReinterpretF32,
                 Instr::LocalGet(3),
-                Instr::I64ReinterpretF64,
                 // A callee frame opened above these operands.
                 Instr::I64Const(5),
                 Instr::Call(FRESH),
@@ -1212,11 +1165,9 @@ fn stale_slot_module() -> Module {
                 Instr::LocalGet(2),
                 Instr::I64Add,
                 Instr::LocalGet(3),
-                Instr::I32ReinterpretF32,
                 Instr::I64ExtendI32U,
                 Instr::I64Add,
                 Instr::LocalGet(4),
-                Instr::I64ReinterpretF64,
                 Instr::I64Add,
             ],
         )

@@ -191,14 +191,6 @@ fn encode_const_expr(out: &mut Vec<u8>, value: Value) {
             out.push(OP_I64_CONST);
             leb::write_i64(out, v);
         }
-        Value::F32(v) => {
-            out.push(OP_F32_CONST);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::F64(v) => {
-            out.push(OP_F64_CONST);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
     }
     out.push(OP_END);
 }
@@ -336,14 +328,6 @@ pub(crate) fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
         Instr::I64Const(v) => {
             out.push(OP_I64_CONST);
             leb::write_i64(out, *v);
-        }
-        Instr::F32Const(v) => {
-            out.push(OP_F32_CONST);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Instr::F64Const(v) => {
-            out.push(OP_F64_CONST);
-            out.extend_from_slice(&v.to_le_bytes());
         }
         other => unreachable!("instruction {other:?} not covered by opcode tables"),
     }

@@ -1,4 +1,4 @@
-//! The instruction set: a structured AST over the MVP numeric subset plus
+//! The instruction set: a structured AST over the MVP integer subset plus
 //! the bulk-memory operations (`memory.copy`, `memory.fill`) that guests
 //! use for efficient data movement.
 //!
@@ -103,10 +103,6 @@ pub enum Instr {
     I32Load(MemArg),
     /// Load 8 bytes as `i64`.
     I64Load(MemArg),
-    /// Load 4 bytes as `f32`.
-    F32Load(MemArg),
-    /// Load 8 bytes as `f64`.
-    F64Load(MemArg),
     /// Load 1 byte, sign-extend to `i32`.
     I32Load8S(MemArg),
     /// Load 1 byte, zero-extend to `i32`.
@@ -131,10 +127,6 @@ pub enum Instr {
     I32Store(MemArg),
     /// Store 8 bytes from `i64`.
     I64Store(MemArg),
-    /// Store 4 bytes from `f32`.
-    F32Store(MemArg),
-    /// Store 8 bytes from `f64`.
-    F64Store(MemArg),
     /// Store the low byte of `i32`.
     I32Store8(MemArg),
     /// Store the low 2 bytes of `i32`.
@@ -159,10 +151,6 @@ pub enum Instr {
     I32Const(i32),
     /// Push a constant `i64`.
     I64Const(i64),
-    /// Push a constant `f32`.
-    F32Const(f32),
-    /// Push a constant `f64`.
-    F64Const(f64),
 
     // -------------------------------------------------- i32 comparisons
     /// `i32` equals zero.
@@ -211,34 +199,6 @@ pub enum Instr {
     I64GeS,
     /// `i64` unsigned ≥.
     I64GeU,
-
-    // -------------------------------------------------- f32 comparisons
-    /// `f32` equality.
-    F32Eq,
-    /// `f32` inequality.
-    F32Ne,
-    /// `f32` less-than.
-    F32Lt,
-    /// `f32` greater-than.
-    F32Gt,
-    /// `f32` ≤.
-    F32Le,
-    /// `f32` ≥.
-    F32Ge,
-
-    // -------------------------------------------------- f64 comparisons
-    /// `f64` equality.
-    F64Eq,
-    /// `f64` inequality.
-    F64Ne,
-    /// `f64` less-than.
-    F64Lt,
-    /// `f64` greater-than.
-    F64Gt,
-    /// `f64` ≤.
-    F64Le,
-    /// `f64` ≥.
-    F64Ge,
 
     // ---------------------------------------------------- i32 arithmetic
     /// Count leading zeros.
@@ -316,117 +276,13 @@ pub enum Instr {
     /// Rotate right.
     I64Rotr,
 
-    // ---------------------------------------------------- f32 arithmetic
-    /// Absolute value.
-    F32Abs,
-    /// Negation.
-    F32Neg,
-    /// Round up.
-    F32Ceil,
-    /// Round down.
-    F32Floor,
-    /// Round toward zero.
-    F32Trunc,
-    /// Round to nearest even.
-    F32Nearest,
-    /// Square root.
-    F32Sqrt,
-    /// Addition.
-    F32Add,
-    /// Subtraction.
-    F32Sub,
-    /// Multiplication.
-    F32Mul,
-    /// Division.
-    F32Div,
-    /// Minimum (NaN-propagating).
-    F32Min,
-    /// Maximum (NaN-propagating).
-    F32Max,
-    /// Copy sign.
-    F32Copysign,
-
-    // ---------------------------------------------------- f64 arithmetic
-    /// Absolute value.
-    F64Abs,
-    /// Negation.
-    F64Neg,
-    /// Round up.
-    F64Ceil,
-    /// Round down.
-    F64Floor,
-    /// Round toward zero.
-    F64Trunc,
-    /// Round to nearest even.
-    F64Nearest,
-    /// Square root.
-    F64Sqrt,
-    /// Addition.
-    F64Add,
-    /// Subtraction.
-    F64Sub,
-    /// Multiplication.
-    F64Mul,
-    /// Division.
-    F64Div,
-    /// Minimum (NaN-propagating).
-    F64Min,
-    /// Maximum (NaN-propagating).
-    F64Max,
-    /// Copy sign.
-    F64Copysign,
-
     // --------------------------------------------------------- conversions
     /// Truncate `i64` to `i32`.
     I32WrapI64,
-    /// `f32` → `i32` signed (traps on NaN/overflow).
-    I32TruncF32S,
-    /// `f32` → `i32` unsigned (traps on NaN/overflow).
-    I32TruncF32U,
-    /// `f64` → `i32` signed (traps on NaN/overflow).
-    I32TruncF64S,
-    /// `f64` → `i32` unsigned (traps on NaN/overflow).
-    I32TruncF64U,
     /// Sign-extend `i32` to `i64`.
     I64ExtendI32S,
     /// Zero-extend `i32` to `i64`.
     I64ExtendI32U,
-    /// `f32` → `i64` signed (traps on NaN/overflow).
-    I64TruncF32S,
-    /// `f32` → `i64` unsigned (traps on NaN/overflow).
-    I64TruncF32U,
-    /// `f64` → `i64` signed (traps on NaN/overflow).
-    I64TruncF64S,
-    /// `f64` → `i64` unsigned (traps on NaN/overflow).
-    I64TruncF64U,
-    /// `i32` signed → `f32`.
-    F32ConvertI32S,
-    /// `i32` unsigned → `f32`.
-    F32ConvertI32U,
-    /// `i64` signed → `f32`.
-    F32ConvertI64S,
-    /// `i64` unsigned → `f32`.
-    F32ConvertI64U,
-    /// `f64` → `f32`.
-    F32DemoteF64,
-    /// `i32` signed → `f64`.
-    F64ConvertI32S,
-    /// `i32` unsigned → `f64`.
-    F64ConvertI32U,
-    /// `i64` signed → `f64`.
-    F64ConvertI64S,
-    /// `i64` unsigned → `f64`.
-    F64ConvertI64U,
-    /// `f32` → `f64`.
-    F64PromoteF32,
-    /// Bit-cast `f32` → `i32`.
-    I32ReinterpretF32,
-    /// Bit-cast `f64` → `i64`.
-    I64ReinterpretF64,
-    /// Bit-cast `i32` → `f32`.
-    F32ReinterpretI32,
-    /// Bit-cast `i64` → `f64`.
-    F64ReinterpretI64,
 }
 
 impl Instr {

@@ -11,8 +11,9 @@
 //! The stack holds untyped 64-bit slots. Validation has proven the type
 //! of every operand at every instruction, so the loop never asks: an
 //! `i32` lives zero-extended in its slot and is read back from the low
-//! half, an `i64` fills it, floats are stored as their bit patterns
-//! (NaN payloads and signs survive every move). [`Value`] exists only
+//! half, an `i64` fills it. Those are the only two types: the engine
+//! computes in integers, and a float type or opcode never gets past the
+//! decoder. [`Value`] exists only
 //! where typed data crosses the engine's edge — `invoke` arguments and
 //! results, globals, host-call arguments and results — and is converted
 //! there by the signature. Each frame is
@@ -96,8 +97,6 @@ fn slot_of(v: Value) -> u64 {
     match v {
         Value::I32(v) => v as u32 as u64,
         Value::I64(v) => v as u64,
-        Value::F32(v) => v.to_bits() as u64,
-        Value::F64(v) => v.to_bits(),
     }
 }
 
@@ -107,8 +106,6 @@ fn value_of(ty: ValType, slot: u64) -> Value {
     match ty {
         ValType::I32 => Value::I32(slot as u32 as i32),
         ValType::I64 => Value::I64(slot as i64),
-        ValType::F32 => Value::F32(f32::from_bits(slot as u32)),
-        ValType::F64 => Value::F64(f64::from_bits(slot)),
     }
 }
 
@@ -461,16 +458,6 @@ impl<'a> Exec<'a> {
                             let raw = tri!(mem!().load::<8>(a, *off));
                             s.push_i64(i64::from_le_bytes(raw));
                         }
-                        Op::F32Load(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<4>(a, *off));
-                            s.push_f32(f32::from_le_bytes(raw));
-                        }
-                        Op::F64Load(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<8>(a, *off));
-                            s.push_f64(f64::from_le_bytes(raw));
-                        }
                         Op::I32Load8S(off) => {
                             let a = s.pop_addr();
                             let raw = tri!(mem!().load::<1>(a, *off));
@@ -531,16 +518,6 @@ impl<'a> Exec<'a> {
                             let a = s.pop_addr();
                             tri!(mem!().store::<8>(a, *off, v.to_le_bytes()));
                         }
-                        Op::F32Store(off) => {
-                            let v = s.pop_f32();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<4>(a, *off, v.to_le_bytes()));
-                        }
-                        Op::F64Store(off) => {
-                            let v = s.pop_f64();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<8>(a, *off, v.to_le_bytes()));
-                        }
                         Op::I32Store8(off) => {
                             let v = s.pop_i32();
                             let a = s.pop_addr();
@@ -594,8 +571,6 @@ impl<'a> Exec<'a> {
                         // --------------------------------------------- consts
                         Op::I32Const(v) => s.push_i32(*v),
                         Op::I64Const(v) => s.push_i64(*v),
-                        Op::F32Const(v) => s.push_f32(*v),
-                        Op::F64Const(v) => s.push_f64(*v),
 
                         // ----------------------------------- i32 test/compare
                         Op::I32Eqz => s.un_i32(|a| (a == 0) as i32),
@@ -625,22 +600,6 @@ impl<'a> Exec<'a> {
                         Op::I64LeU => s.cmp_u64(|a, b| a <= b),
                         Op::I64GeS => s.cmp_i64(|a, b| a >= b),
                         Op::I64GeU => s.cmp_u64(|a, b| a >= b),
-
-                        // --------------------------------------- f32 compares
-                        Op::F32Eq => s.cmp_f32(|a, b| a == b),
-                        Op::F32Ne => s.cmp_f32(|a, b| a != b),
-                        Op::F32Lt => s.cmp_f32(|a, b| a < b),
-                        Op::F32Gt => s.cmp_f32(|a, b| a > b),
-                        Op::F32Le => s.cmp_f32(|a, b| a <= b),
-                        Op::F32Ge => s.cmp_f32(|a, b| a >= b),
-
-                        // --------------------------------------- f64 compares
-                        Op::F64Eq => s.cmp_f64(|a, b| a == b),
-                        Op::F64Ne => s.cmp_f64(|a, b| a != b),
-                        Op::F64Lt => s.cmp_f64(|a, b| a < b),
-                        Op::F64Gt => s.cmp_f64(|a, b| a > b),
-                        Op::F64Le => s.cmp_f64(|a, b| a <= b),
-                        Op::F64Ge => s.cmp_f64(|a, b| a >= b),
 
                         // ----------------------------------------- i32 arith
                         Op::I32Clz => s.un_i32(|a| a.leading_zeros() as i32),
@@ -750,58 +709,10 @@ impl<'a> Exec<'a> {
                         Op::I64Rotl => s.bin_i64(|a, b| a.rotate_left(b as u32 & 63)),
                         Op::I64Rotr => s.bin_i64(|a, b| a.rotate_right(b as u32 & 63)),
 
-                        // ----------------------------------------- f32 arith
-                        Op::F32Abs => s.un_f32(f32::abs),
-                        Op::F32Neg => s.un_f32(|a| -a),
-                        Op::F32Ceil => s.un_f32(f32::ceil),
-                        Op::F32Floor => s.un_f32(f32::floor),
-                        Op::F32Trunc => s.un_f32(f32::trunc),
-                        Op::F32Nearest => s.un_f32(nearest_f32),
-                        Op::F32Sqrt => s.un_f32(f32::sqrt),
-                        Op::F32Add => s.bin_f32(|a, b| a + b),
-                        Op::F32Sub => s.bin_f32(|a, b| a - b),
-                        Op::F32Mul => s.bin_f32(|a, b| a * b),
-                        Op::F32Div => s.bin_f32(|a, b| a / b),
-                        Op::F32Min => s.bin_f32(wasm_min_f32),
-                        Op::F32Max => s.bin_f32(wasm_max_f32),
-                        Op::F32Copysign => s.bin_f32(f32::copysign),
-
-                        // ----------------------------------------- f64 arith
-                        Op::F64Abs => s.un_f64(f64::abs),
-                        Op::F64Neg => s.un_f64(|a| -a),
-                        Op::F64Ceil => s.un_f64(f64::ceil),
-                        Op::F64Floor => s.un_f64(f64::floor),
-                        Op::F64Trunc => s.un_f64(f64::trunc),
-                        Op::F64Nearest => s.un_f64(nearest_f64),
-                        Op::F64Sqrt => s.un_f64(f64::sqrt),
-                        Op::F64Add => s.bin_f64(|a, b| a + b),
-                        Op::F64Sub => s.bin_f64(|a, b| a - b),
-                        Op::F64Mul => s.bin_f64(|a, b| a * b),
-                        Op::F64Div => s.bin_f64(|a, b| a / b),
-                        Op::F64Min => s.bin_f64(wasm_min_f64),
-                        Op::F64Max => s.bin_f64(wasm_max_f64),
-                        Op::F64Copysign => s.bin_f64(f64::copysign),
-
                         // ---------------------------------------- conversions
                         Op::I32WrapI64 => {
                             let a = s.pop_i64();
                             s.push_i32(a as i32);
-                        }
-                        Op::I32TruncF32S => {
-                            let a = s.pop_f32();
-                            s.push_i32(tri!(trunc_to_i32(a as f64)));
-                        }
-                        Op::I32TruncF32U => {
-                            let a = s.pop_f32();
-                            s.push_i32(tri!(trunc_to_u32(a as f64)) as i32);
-                        }
-                        Op::I32TruncF64S => {
-                            let a = s.pop_f64();
-                            s.push_i32(tri!(trunc_to_i32(a)));
-                        }
-                        Op::I32TruncF64U => {
-                            let a = s.pop_f64();
-                            s.push_i32(tri!(trunc_to_u32(a)) as i32);
                         }
                         Op::I64ExtendI32S => {
                             let a = s.pop_i32();
@@ -810,78 +721,6 @@ impl<'a> Exec<'a> {
                         Op::I64ExtendI32U => {
                             let a = s.pop_i32();
                             s.push_i64(a as u32 as i64);
-                        }
-                        Op::I64TruncF32S => {
-                            let a = s.pop_f32();
-                            s.push_i64(tri!(trunc_to_i64(a as f64)));
-                        }
-                        Op::I64TruncF32U => {
-                            let a = s.pop_f32();
-                            s.push_i64(tri!(trunc_to_u64(a as f64)) as i64);
-                        }
-                        Op::I64TruncF64S => {
-                            let a = s.pop_f64();
-                            s.push_i64(tri!(trunc_to_i64(a)));
-                        }
-                        Op::I64TruncF64U => {
-                            let a = s.pop_f64();
-                            s.push_i64(tri!(trunc_to_u64(a)) as i64);
-                        }
-                        Op::F32ConvertI32S => {
-                            let a = s.pop_i32();
-                            s.push_f32(a as f32);
-                        }
-                        Op::F32ConvertI32U => {
-                            let a = s.pop_i32();
-                            s.push_f32(a as u32 as f32);
-                        }
-                        Op::F32ConvertI64S => {
-                            let a = s.pop_i64();
-                            s.push_f32(a as f32);
-                        }
-                        Op::F32ConvertI64U => {
-                            let a = s.pop_i64();
-                            s.push_f32(a as u64 as f32);
-                        }
-                        Op::F32DemoteF64 => {
-                            let a = s.pop_f64();
-                            s.push_f32(a as f32);
-                        }
-                        Op::F64ConvertI32S => {
-                            let a = s.pop_i32();
-                            s.push_f64(a as f64);
-                        }
-                        Op::F64ConvertI32U => {
-                            let a = s.pop_i32();
-                            s.push_f64(a as u32 as f64);
-                        }
-                        Op::F64ConvertI64S => {
-                            let a = s.pop_i64();
-                            s.push_f64(a as f64);
-                        }
-                        Op::F64ConvertI64U => {
-                            let a = s.pop_i64();
-                            s.push_f64(a as u64 as f64);
-                        }
-                        Op::F64PromoteF32 => {
-                            let a = s.pop_f32();
-                            s.push_f64(a as f64);
-                        }
-                        Op::I32ReinterpretF32 => {
-                            let a = s.pop_f32();
-                            s.push_i32(a.to_bits() as i32);
-                        }
-                        Op::I64ReinterpretF64 => {
-                            let a = s.pop_f64();
-                            s.push_i64(a.to_bits() as i64);
-                        }
-                        Op::F32ReinterpretI32 => {
-                            let a = s.pop_i32();
-                            s.push_f32(f32::from_bits(a as u32));
-                        }
-                        Op::F64ReinterpretI64 => {
-                            let a = s.pop_i64();
-                            s.push_f64(f64::from_bits(a as u64));
                         }
                     }
                 }
@@ -965,16 +804,6 @@ impl Operands<'_> {
     }
 
     #[inline(always)]
-    fn push_f32(&mut self, v: f32) {
-        self.push(v.to_bits() as u64);
-    }
-
-    #[inline(always)]
-    fn push_f64(&mut self, v: f64) {
-        self.push(v.to_bits());
-    }
-
-    #[inline(always)]
     fn pop_i32(&mut self) -> i32 {
         self.pop() as u32 as i32
     }
@@ -987,16 +816,6 @@ impl Operands<'_> {
     #[inline(always)]
     fn pop_i64(&mut self) -> i64 {
         self.pop() as i64
-    }
-
-    #[inline(always)]
-    fn pop_f32(&mut self) -> f32 {
-        f32::from_bits(self.pop() as u32)
-    }
-
-    #[inline(always)]
-    fn pop_f64(&mut self) -> f64 {
-        f64::from_bits(self.pop())
     }
 
     #[inline(always)]
@@ -1046,46 +865,6 @@ impl Operands<'_> {
     fn cmp_u64(&mut self, f: impl FnOnce(u64, u64) -> bool) {
         self.cmp_i64(|a, b| f(a as u64, b as u64));
     }
-
-    #[inline(always)]
-    fn un_f32(&mut self, f: impl FnOnce(f32) -> f32) {
-        let a = self.pop_f32();
-        self.push_f32(f(a));
-    }
-
-    #[inline(always)]
-    fn bin_f32(&mut self, f: impl FnOnce(f32, f32) -> f32) {
-        let b = self.pop_f32();
-        let a = self.pop_f32();
-        self.push_f32(f(a, b));
-    }
-
-    #[inline(always)]
-    fn cmp_f32(&mut self, f: impl FnOnce(f32, f32) -> bool) {
-        let b = self.pop_f32();
-        let a = self.pop_f32();
-        self.push_i32(f(a, b) as i32);
-    }
-
-    #[inline(always)]
-    fn un_f64(&mut self, f: impl FnOnce(f64) -> f64) {
-        let a = self.pop_f64();
-        self.push_f64(f(a));
-    }
-
-    #[inline(always)]
-    fn bin_f64(&mut self, f: impl FnOnce(f64, f64) -> f64) {
-        let b = self.pop_f64();
-        let a = self.pop_f64();
-        self.push_f64(f(a, b));
-    }
-
-    #[inline(always)]
-    fn cmp_f64(&mut self, f: impl FnOnce(f64, f64) -> bool) {
-        let b = self.pop_f64();
-        let a = self.pop_f64();
-        self.push_i32(f(a, b) as i32);
-    }
 }
 
 /// Evaluates a fused i32 binary op. Each arm must mirror the plain
@@ -1116,115 +895,4 @@ fn i32_bin_eval(op: I32Bin, a: i32, b: i32) -> i32 {
         I32Bin::GeS => (a >= b) as i32,
         I32Bin::GeU => ((a as u32) >= (b as u32)) as i32,
     }
-}
-
-// ------------------------------------------------ float semantics helpers
-
-fn wasm_min_f32(a: f32, b: f32) -> f32 {
-    if a.is_nan() || b.is_nan() {
-        f32::NAN
-    } else if a == b {
-        // min(-0, +0) = -0.
-        if a.is_sign_negative() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.min(b)
-    }
-}
-
-fn wasm_max_f32(a: f32, b: f32) -> f32 {
-    if a.is_nan() || b.is_nan() {
-        f32::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.max(b)
-    }
-}
-
-fn wasm_min_f64(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if a == b {
-        if a.is_sign_negative() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.min(b)
-    }
-}
-
-fn wasm_max_f64(a: f64, b: f64) -> f64 {
-    if a.is_nan() || b.is_nan() {
-        f64::NAN
-    } else if a == b {
-        if a.is_sign_positive() {
-            a
-        } else {
-            b
-        }
-    } else {
-        a.max(b)
-    }
-}
-
-fn nearest_f32(a: f32) -> f32 {
-    a.round_ties_even()
-}
-
-fn nearest_f64(a: f64) -> f64 {
-    a.round_ties_even()
-}
-
-fn trunc_to_i32(a: f64) -> Result<i32, Trap> {
-    if a.is_nan() {
-        return Err(Trap::InvalidConversionToInteger);
-    }
-    let t = a.trunc();
-    if !(-2147483648.0..2147483648.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as i32)
-}
-
-fn trunc_to_u32(a: f64) -> Result<u32, Trap> {
-    if a.is_nan() {
-        return Err(Trap::InvalidConversionToInteger);
-    }
-    let t = a.trunc();
-    if !(0.0..4294967296.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as u32)
-}
-
-fn trunc_to_i64(a: f64) -> Result<i64, Trap> {
-    if a.is_nan() {
-        return Err(Trap::InvalidConversionToInteger);
-    }
-    let t = a.trunc();
-    if !(-9223372036854775808.0..9223372036854775808.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as i64)
-}
-
-fn trunc_to_u64(a: f64) -> Result<u64, Trap> {
-    if a.is_nan() {
-        return Err(Trap::InvalidConversionToInteger);
-    }
-    let t = a.trunc();
-    if !(0.0..18446744073709551616.0).contains(&t) {
-        return Err(Trap::IntegerOverflow);
-    }
-    Ok(t as u64)
 }

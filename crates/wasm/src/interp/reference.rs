@@ -14,11 +14,11 @@
 //!
 //! It keeps its operands as typed [`Value`]s — the `pop_*`/`un_*`/
 //! `bin_*`/`cmp_*` helpers at the bottom of this file check every tag —
-//! where the dispatch loop runs on untyped slots, and it shares only the
-//! float and truncation semantics (`wasm_min_*`, `nearest_*`,
-//! `trunc_to_*`) with the loop. A divergence can therefore come from
-//! control flow, frame handling, metering or the slot representation —
-//! everything the two strategies do differently.
+//! where the dispatch loop runs on untyped slots, and it spells out
+//! every operator itself rather than sharing the loop's. A divergence can
+//! therefore come from control flow, frame handling, metering, the slot
+//! representation or an operator — everything the two strategies do
+//! differently.
 
 use super::*;
 use crate::instr::Instr;
@@ -203,16 +203,6 @@ impl Exec<'_> {
                     let raw = self.mem()?.load::<8>(a, m.offset)?;
                     stack.push(Value::I64(i64::from_le_bytes(raw)));
                 }
-                F32Load(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<4>(a, m.offset)?;
-                    stack.push(Value::F32(f32::from_le_bytes(raw)));
-                }
-                F64Load(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<8>(a, m.offset)?;
-                    stack.push(Value::F64(f64::from_le_bytes(raw)));
-                }
                 I32Load8S(m) => {
                     let a = pop_addr(stack);
                     let raw = self.mem()?.load::<1>(a, m.offset)?;
@@ -273,16 +263,6 @@ impl Exec<'_> {
                     let a = pop_addr(stack);
                     self.mem()?.store::<8>(a, m.offset, v.to_le_bytes())?;
                 }
-                F32Store(m) => {
-                    let v = pop_f32(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<4>(a, m.offset, v.to_le_bytes())?;
-                }
-                F64Store(m) => {
-                    let v = pop_f64(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<8>(a, m.offset, v.to_le_bytes())?;
-                }
                 I32Store8(m) => {
                     let v = pop_i32(stack);
                     let a = pop_addr(stack);
@@ -336,8 +316,6 @@ impl Exec<'_> {
                 // -------------------------------------------------- consts
                 I32Const(v) => stack.push(Value::I32(*v)),
                 I64Const(v) => stack.push(Value::I64(*v)),
-                F32Const(v) => stack.push(Value::F32(*v)),
-                F64Const(v) => stack.push(Value::F64(*v)),
 
                 // --------------------------------------- i32 test/compare
                 I32Eqz => un_i32(stack, |a| (a == 0) as i32),
@@ -367,22 +345,6 @@ impl Exec<'_> {
                 I64LeU => cmp_u64(stack, |a, b| a <= b),
                 I64GeS => cmp_i64(stack, |a, b| a >= b),
                 I64GeU => cmp_u64(stack, |a, b| a >= b),
-
-                // ------------------------------------------- f32 compares
-                F32Eq => cmp_f32(stack, |a, b| a == b),
-                F32Ne => cmp_f32(stack, |a, b| a != b),
-                F32Lt => cmp_f32(stack, |a, b| a < b),
-                F32Gt => cmp_f32(stack, |a, b| a > b),
-                F32Le => cmp_f32(stack, |a, b| a <= b),
-                F32Ge => cmp_f32(stack, |a, b| a >= b),
-
-                // ------------------------------------------- f64 compares
-                F64Eq => cmp_f64(stack, |a, b| a == b),
-                F64Ne => cmp_f64(stack, |a, b| a != b),
-                F64Lt => cmp_f64(stack, |a, b| a < b),
-                F64Gt => cmp_f64(stack, |a, b| a > b),
-                F64Le => cmp_f64(stack, |a, b| a <= b),
-                F64Ge => cmp_f64(stack, |a, b| a >= b),
 
                 // --------------------------------------------- i32 arith
                 I32Clz => un_i32(stack, |a| a.leading_zeros() as i32),
@@ -488,58 +450,10 @@ impl Exec<'_> {
                 I64Rotl => bin_i64(stack, |a, b| a.rotate_left(b as u32 & 63)),
                 I64Rotr => bin_i64(stack, |a, b| a.rotate_right(b as u32 & 63)),
 
-                // --------------------------------------------- f32 arith
-                F32Abs => un_f32(stack, f32::abs),
-                F32Neg => un_f32(stack, |a| -a),
-                F32Ceil => un_f32(stack, f32::ceil),
-                F32Floor => un_f32(stack, f32::floor),
-                F32Trunc => un_f32(stack, f32::trunc),
-                F32Nearest => un_f32(stack, nearest_f32),
-                F32Sqrt => un_f32(stack, f32::sqrt),
-                F32Add => bin_f32(stack, |a, b| a + b),
-                F32Sub => bin_f32(stack, |a, b| a - b),
-                F32Mul => bin_f32(stack, |a, b| a * b),
-                F32Div => bin_f32(stack, |a, b| a / b),
-                F32Min => bin_f32(stack, wasm_min_f32),
-                F32Max => bin_f32(stack, wasm_max_f32),
-                F32Copysign => bin_f32(stack, f32::copysign),
-
-                // --------------------------------------------- f64 arith
-                F64Abs => un_f64(stack, f64::abs),
-                F64Neg => un_f64(stack, |a| -a),
-                F64Ceil => un_f64(stack, f64::ceil),
-                F64Floor => un_f64(stack, f64::floor),
-                F64Trunc => un_f64(stack, f64::trunc),
-                F64Nearest => un_f64(stack, nearest_f64),
-                F64Sqrt => un_f64(stack, f64::sqrt),
-                F64Add => bin_f64(stack, |a, b| a + b),
-                F64Sub => bin_f64(stack, |a, b| a - b),
-                F64Mul => bin_f64(stack, |a, b| a * b),
-                F64Div => bin_f64(stack, |a, b| a / b),
-                F64Min => bin_f64(stack, wasm_min_f64),
-                F64Max => bin_f64(stack, wasm_max_f64),
-                F64Copysign => bin_f64(stack, f64::copysign),
-
                 // -------------------------------------------- conversions
                 I32WrapI64 => {
                     let a = pop_i64(stack);
                     stack.push(Value::I32(a as i32));
-                }
-                I32TruncF32S => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::I32(trunc_to_i32(a as f64)?));
-                }
-                I32TruncF32U => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::I32(trunc_to_u32(a as f64)? as i32));
-                }
-                I32TruncF64S => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::I32(trunc_to_i32(a)?));
-                }
-                I32TruncF64U => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::I32(trunc_to_u32(a)? as i32));
                 }
                 I64ExtendI32S => {
                     let a = pop_i32(stack);
@@ -548,78 +462,6 @@ impl Exec<'_> {
                 I64ExtendI32U => {
                     let a = pop_i32(stack);
                     stack.push(Value::I64(a as u32 as i64));
-                }
-                I64TruncF32S => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::I64(trunc_to_i64(a as f64)?));
-                }
-                I64TruncF32U => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::I64(trunc_to_u64(a as f64)? as i64));
-                }
-                I64TruncF64S => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::I64(trunc_to_i64(a)?));
-                }
-                I64TruncF64U => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::I64(trunc_to_u64(a)? as i64));
-                }
-                F32ConvertI32S => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::F32(a as f32));
-                }
-                F32ConvertI32U => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::F32(a as u32 as f32));
-                }
-                F32ConvertI64S => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::F32(a as f32));
-                }
-                F32ConvertI64U => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::F32(a as u64 as f32));
-                }
-                F32DemoteF64 => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::F32(a as f32));
-                }
-                F64ConvertI32S => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::F64(a as f64));
-                }
-                F64ConvertI32U => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::F64(a as u32 as f64));
-                }
-                F64ConvertI64S => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::F64(a as f64));
-                }
-                F64ConvertI64U => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::F64(a as u64 as f64));
-                }
-                F64PromoteF32 => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::F64(a as f64));
-                }
-                I32ReinterpretF32 => {
-                    let a = pop_f32(stack);
-                    stack.push(Value::I32(a.to_bits() as i32));
-                }
-                I64ReinterpretF64 => {
-                    let a = pop_f64(stack);
-                    stack.push(Value::I64(a.to_bits() as i64));
-                }
-                F32ReinterpretI32 => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::F32(f32::from_bits(a as u32)));
-                }
-                F64ReinterpretI64 => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::F64(f64::from_bits(a as u64)));
                 }
             }
         }
@@ -646,16 +488,6 @@ fn pop_addr(stack: &mut Vec<Value>) -> u32 {
 #[inline]
 fn pop_i64(stack: &mut Vec<Value>) -> i64 {
     stack.pop().expect("validated stack").as_i64().expect("validated i64")
-}
-
-#[inline]
-fn pop_f32(stack: &mut Vec<Value>) -> f32 {
-    stack.pop().expect("validated stack").as_f32().expect("validated f32")
-}
-
-#[inline]
-fn pop_f64(stack: &mut Vec<Value>) -> f64 {
-    stack.pop().expect("validated stack").as_f64().expect("validated f64")
 }
 
 #[inline]
@@ -709,45 +541,5 @@ fn cmp_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> bool) {
 fn cmp_u64(stack: &mut Vec<Value>, f: impl FnOnce(u64, u64) -> bool) {
     let b = pop_i64(stack) as u64;
     let a = pop_i64(stack) as u64;
-    stack.push(Value::I32(f(a, b) as i32));
-}
-
-#[inline]
-fn un_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32) -> f32) {
-    let a = pop_f32(stack);
-    stack.push(Value::F32(f(a)));
-}
-
-#[inline]
-fn bin_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32, f32) -> f32) {
-    let b = pop_f32(stack);
-    let a = pop_f32(stack);
-    stack.push(Value::F32(f(a, b)));
-}
-
-#[inline]
-fn cmp_f32(stack: &mut Vec<Value>, f: impl FnOnce(f32, f32) -> bool) {
-    let b = pop_f32(stack);
-    let a = pop_f32(stack);
-    stack.push(Value::I32(f(a, b) as i32));
-}
-
-#[inline]
-fn un_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64) -> f64) {
-    let a = pop_f64(stack);
-    stack.push(Value::F64(f(a)));
-}
-
-#[inline]
-fn bin_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64, f64) -> f64) {
-    let b = pop_f64(stack);
-    let a = pop_f64(stack);
-    stack.push(Value::F64(f(a, b)));
-}
-
-#[inline]
-fn cmp_f64(stack: &mut Vec<Value>, f: impl FnOnce(f64, f64) -> bool) {
-    let b = pop_f64(stack);
-    let a = pop_f64(stack);
     stack.push(Value::I32(f(a, b) as i32));
 }

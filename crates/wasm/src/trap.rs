@@ -27,8 +27,6 @@ pub enum Trap {
     DivisionByZero,
     /// `i32.div_s`/`i64.div_s` overflow (MIN / -1).
     IntegerOverflow,
-    /// Float-to-int conversion of NaN or out-of-range value.
-    InvalidConversionToInteger,
     /// Call stack exceeded the engine limit.
     StackOverflow,
     /// The instance ran out of execution fuel (used for CPU metering).
@@ -60,7 +58,6 @@ impl fmt::Display for Trap {
             ),
             Trap::DivisionByZero => write!(f, "integer division by zero"),
             Trap::IntegerOverflow => write!(f, "integer overflow"),
-            Trap::InvalidConversionToInteger => write!(f, "invalid conversion to integer"),
             Trap::StackOverflow => write!(f, "call stack exhausted"),
             Trap::FuelExhausted => write!(f, "execution fuel exhausted"),
             Trap::Host(msg) => write!(f, "host error: {msg}"),

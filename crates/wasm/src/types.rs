@@ -3,18 +3,16 @@
 
 use std::fmt;
 
-/// A WebAssembly value type. The engine implements the MVP numeric types;
-/// reference types are outside the reproduced subset.
+/// A WebAssembly value type: the MVP's two integer types, the only ones
+/// the engine's guests compute in. `f32`, `f64` and the reference types
+/// are outside the reproduced subset; a module that declares one is a
+/// decode error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValType {
     /// 32-bit integer (also used for pointers into linear memory).
     I32,
     /// 64-bit integer.
     I64,
-    /// 32-bit IEEE-754 float.
-    F32,
-    /// 64-bit IEEE-754 float.
-    F64,
 }
 
 impl ValType {
@@ -23,8 +21,6 @@ impl ValType {
         match self {
             ValType::I32 => 0x7F,
             ValType::I64 => 0x7E,
-            ValType::F32 => 0x7D,
-            ValType::F64 => 0x7C,
         }
     }
 
@@ -33,8 +29,6 @@ impl ValType {
         match b {
             0x7F => Some(ValType::I32),
             0x7E => Some(ValType::I64),
-            0x7D => Some(ValType::F32),
-            0x7C => Some(ValType::F64),
             _ => None,
         }
     }
@@ -45,8 +39,6 @@ impl fmt::Display for ValType {
         let s = match self {
             ValType::I32 => "i32",
             ValType::I64 => "i64",
-            ValType::F32 => "f32",
-            ValType::F64 => "f64",
         };
         f.write_str(s)
     }
@@ -59,10 +51,6 @@ pub enum Value {
     I32(i32),
     /// An `i64` value.
     I64(i64),
-    /// An `f32` value.
-    F32(f32),
-    /// An `f64` value.
-    F64(f64),
 }
 
 impl Value {
@@ -71,8 +59,6 @@ impl Value {
         match self {
             Value::I32(_) => ValType::I32,
             Value::I64(_) => ValType::I64,
-            Value::F32(_) => ValType::F32,
-            Value::F64(_) => ValType::F64,
         }
     }
 
@@ -81,8 +67,6 @@ impl Value {
         match ty {
             ValType::I32 => Value::I32(0),
             ValType::I64 => Value::I64(0),
-            ValType::F32 => Value::F32(0.0),
-            ValType::F64 => Value::F64(0.0),
         }
     }
 
@@ -101,22 +85,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Returns the `f32` payload, if this is an [`Value::F32`].
-    pub fn as_f32(&self) -> Option<f32> {
-        match self {
-            Value::F32(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the `f64` payload, if this is an [`Value::F64`].
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -124,8 +92,6 @@ impl fmt::Display for Value {
         match self {
             Value::I32(v) => write!(f, "i32:{v}"),
             Value::I64(v) => write!(f, "i64:{v}"),
-            Value::F32(v) => write!(f, "f32:{v}"),
-            Value::F64(v) => write!(f, "f64:{v}"),
         }
     }
 }
@@ -145,18 +111,6 @@ impl From<u32> for Value {
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::I64(v)
-    }
-}
-
-impl From<f32> for Value {
-    fn from(v: f32) -> Self {
-        Value::F32(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
     }
 }
 
@@ -238,10 +192,13 @@ mod tests {
 
     #[test]
     fn valtype_byte_round_trip() {
-        for ty in [ValType::I32, ValType::I64, ValType::F32, ValType::F64] {
+        for ty in [ValType::I32, ValType::I64] {
             assert_eq!(ValType::from_byte(ty.to_byte()), Some(ty));
         }
-        assert_eq!(ValType::from_byte(0x00), None);
+        // f32, f64 and a byte that is no type at all.
+        for b in [0x7D, 0x7C, 0x00] {
+            assert_eq!(ValType::from_byte(b), None);
+        }
     }
 
     #[test]
@@ -250,19 +207,18 @@ mod tests {
         assert_eq!(Value::I32(5).as_i32(), Some(5));
         assert_eq!(Value::I32(5).as_i64(), None);
         assert_eq!(Value::I64(-1).as_i64(), Some(-1));
-        assert_eq!(Value::F32(1.5).as_f32(), Some(1.5));
-        assert_eq!(Value::F64(2.5).as_f64(), Some(2.5));
+        assert_eq!(Value::I64(-1).ty(), ValType::I64);
     }
 
     #[test]
     fn zero_values() {
         assert_eq!(Value::zero(ValType::I32), Value::I32(0));
-        assert_eq!(Value::zero(ValType::F64), Value::F64(0.0));
+        assert_eq!(Value::zero(ValType::I64), Value::I64(0));
     }
 
     #[test]
     fn functype_display() {
-        let sig = FuncType::new([ValType::I32, ValType::I64], [ValType::F64]);
-        assert_eq!(sig.to_string(), "(i32, i64) -> (f64)");
+        let sig = FuncType::new([ValType::I32, ValType::I64], [ValType::I64]);
+        assert_eq!(sig.to_string(), "(i32, i64) -> (i64)");
     }
 }

@@ -456,16 +456,12 @@ impl<'m> FuncValidator<'m> {
             Instr::I64Load(_) | Instr::I64Load8S(_) | Instr::I64Load8U(_)
             | Instr::I64Load16S(_) | Instr::I64Load16U(_) | Instr::I64Load32S(_)
             | Instr::I64Load32U(_) => self.mem_load(I64)?,
-            Instr::F32Load(_) => self.mem_load(F32)?,
-            Instr::F64Load(_) => self.mem_load(F64)?,
             // Stores.
             Instr::I32Store(_) | Instr::I32Store8(_) | Instr::I32Store16(_) => {
                 self.mem_store(I32)?
             }
             Instr::I64Store(_) | Instr::I64Store8(_) | Instr::I64Store16(_)
             | Instr::I64Store32(_) => self.mem_store(I64)?,
-            Instr::F32Store(_) => self.mem_store(F32)?,
-            Instr::F64Store(_) => self.mem_store(F64)?,
             Instr::MemorySize => {
                 self.require_memory()?;
                 self.push_val(I32);
@@ -483,8 +479,6 @@ impl<'m> FuncValidator<'m> {
             }
             Instr::I32Const(_) => self.push_val(I32),
             Instr::I64Const(_) => self.push_val(I64),
-            Instr::F32Const(_) => self.push_val(F32),
-            Instr::F64Const(_) => self.push_val(F64),
             other => {
                 return self.fail(format!("instruction not covered by validator: {other:?}"))
             }
@@ -516,8 +510,6 @@ impl<'m> FuncValidator<'m> {
 
 const I32_: ValType = ValType::I32;
 const I64_: ValType = ValType::I64;
-const F32_: ValType = ValType::F32;
-const F64_: ValType = ValType::F64;
 
 /// Signature of pure numeric instructions (no immediates, no memory).
 /// Shared with [`crate::compile`], whose static height tracking must agree
@@ -541,35 +533,9 @@ pub(crate) fn numeric_sig(i: &Instr) -> Option<(&'static [ValType], &'static [Va
         I64Eq | I64Ne | I64LtS | I64LtU | I64GtS | I64GtU | I64LeS | I64LeU | I64GeS | I64GeU => {
             (&[I64_, I64_], &[I32_])
         }
-        // f32.
-        F32Abs | F32Neg | F32Ceil | F32Floor | F32Trunc | F32Nearest | F32Sqrt => {
-            (&[F32_], &[F32_])
-        }
-        F32Add | F32Sub | F32Mul | F32Div | F32Min | F32Max | F32Copysign => {
-            (&[F32_, F32_], &[F32_])
-        }
-        F32Eq | F32Ne | F32Lt | F32Gt | F32Le | F32Ge => (&[F32_, F32_], &[I32_]),
-        // f64.
-        F64Abs | F64Neg | F64Ceil | F64Floor | F64Trunc | F64Nearest | F64Sqrt => {
-            (&[F64_], &[F64_])
-        }
-        F64Add | F64Sub | F64Mul | F64Div | F64Min | F64Max | F64Copysign => {
-            (&[F64_, F64_], &[F64_])
-        }
-        F64Eq | F64Ne | F64Lt | F64Gt | F64Le | F64Ge => (&[F64_, F64_], &[I32_]),
         // Conversions.
         I32WrapI64 => (&[I64_], &[I32_]),
-        I32TruncF32S | I32TruncF32U | I32ReinterpretF32 => (&[F32_], &[I32_]),
-        I32TruncF64S | I32TruncF64U => (&[F64_], &[I32_]),
         I64ExtendI32S | I64ExtendI32U => (&[I32_], &[I64_]),
-        I64TruncF32S | I64TruncF32U => (&[F32_], &[I64_]),
-        I64TruncF64S | I64TruncF64U | I64ReinterpretF64 => (&[F64_], &[I64_]),
-        F32ConvertI32S | F32ConvertI32U | F32ReinterpretI32 => (&[I32_], &[F32_]),
-        F32ConvertI64S | F32ConvertI64U => (&[I64_], &[F32_]),
-        F32DemoteF64 => (&[F64_], &[F32_]),
-        F64ConvertI32S | F64ConvertI32U => (&[I32_], &[F64_]),
-        F64ConvertI64S | F64ConvertI64U | F64ReinterpretI64 => (&[I64_], &[F64_]),
-        F64PromoteF32 => (&[F32_], &[F64_]),
         _ => return None,
     })
 }

@@ -214,13 +214,12 @@ count count:panics:platform platform 8
 # compile.rs 10 (six control-frame pops and peeks and one call target,
 # over a body validation already accepted; three `unreachable!` arms for
 # ops only the callers' other arms produce: a non-numeric instruction, a
-# non-branch patch, a structured instruction), decode.rs 4 (a float
-# immediate's `try_into` over a slice read at exactly 4 or 8 bytes),
-# encode.rs 2 (an opcode-table arm the match covers; `unwrap()` in a
-# rustdoc example), interp.rs 2 (a return pops the frame it runs in; an op
-# dispatched before the counted match), validate.rs 4 (control-frame pops
-# and peeks: the function's own frame stays pushed until its body ends).
-count count:panics:wasm wasm 22
+# non-branch patch, a structured instruction), encode.rs 2 (an
+# opcode-table arm the match covers; `unwrap()` in a rustdoc example),
+# interp.rs 2 (a return pops the frame it runs in; an op dispatched before
+# the counted match), validate.rs 4 (control-frame pops and peeks: the
+# function's own frame stays pushed until its body ends).
+count count:panics:wasm wasm 18
 # bench is the figure harness, where a panic is the failing gate itself:
 # lib.rs 23 (deploys of the SDK's constant guests, their warm-up, serial
 # and pair transfers, a breakdown the transfer just recorded, two
