@@ -5,7 +5,6 @@
 //! costs — head build/parse time and the copy assembling head and body
 //! into one send buffer.
 
-use bytes::Bytes;
 use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::socket::Endpoint;
 use roadrunner_vkernel::VkError;
@@ -105,21 +104,6 @@ pub fn read_response(stream: &Endpoint, caller: &Sandbox) -> Result<Response, Ht
     read_message(stream, caller, MessageReader::try_response)
 }
 
-/// Client convenience: POST `body` to `path` and await the response.
-///
-/// # Errors
-///
-/// Any [`HttpError`] from sending or reading.
-pub fn post(
-    stream: &Endpoint,
-    caller: &Sandbox,
-    path: &str,
-    body: Bytes,
-) -> Result<Response, HttpError> {
-    send_request(stream, caller, &Request::post(path, body))?;
-    read_response(stream, caller)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,18 +149,6 @@ mod tests {
         };
         assert_eq!(resp_body.len(), 200_000);
         assert!(resp_body.iter().all(|&b| b == 9));
-    }
-
-    #[test]
-    fn post_helper() {
-        let (ca, sb) = sandboxes();
-        let (client, server) = UnixConn::pair();
-        // Server responds after the client's send; run client send first.
-        send_request(&client, &ca, &Request::post("/x", b"ping".as_slice())).unwrap();
-        let req = read_request(&server, &sb).unwrap();
-        send_response(&server, &sb, &Response::ok(req.body)).unwrap();
-        let resp = read_response(&client, &ca).unwrap();
-        assert_eq!(&resp.body[..], b"ping");
     }
 
     #[test]

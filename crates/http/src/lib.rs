@@ -2,9 +2,10 @@
 //!
 //! "Serverless functions typically exchange data via network protocols
 //! such as HTTP" (paper §1) — this crate is that protocol layer for the
-//! reproduction's baselines: message framing with content-length and
-//! chunked bodies, an incremental parser, and client/server exchange
-//! helpers over the virtual kernel's stream socket, TCP or Unix.
+//! reproduction's baselines: messages that carry a start line and a body
+//! framed by `content-length` (the one shape the baselines send), an
+//! incremental parser that refuses any other framing, and client/server
+//! exchange helpers over the virtual kernel's stream socket, TCP or Unix.
 //!
 //! Costs modelled: building/parsing a message head
 //! ([`roadrunner_vkernel::CostModel::http_head_ns`]) and the copy that
@@ -26,6 +27,6 @@ pub mod exchange;
 pub mod message;
 pub mod parse;
 
-pub use exchange::{post, read_request, read_response, send_request, send_response};
+pub use exchange::{read_request, read_response, send_request, send_response};
 pub use message::{Request, Response};
 pub use parse::{HttpError, MessageReader};

@@ -2,22 +2,21 @@
 
 use bytes::{Bytes, BytesMut};
 
-/// An HTTP request.
+/// An HTTP request: its start line and body. A serialized request carries
+/// one header, the body's `content-length`.
 ///
 /// ```
 /// # use roadrunner_http::Request;
-/// let req = Request::post("/invoke", b"payload".as_slice())
-///     .with_header("x-function", "fn-b");
-/// assert_eq!(req.header("X-FUNCTION"), Some("fn-b"));
+/// let req = Request::post("/invoke", b"payload".as_slice());
+/// assert_eq!(req.method, "POST");
+/// assert_eq!(&req.to_bytes()[..], b"POST /invoke HTTP/1.1\r\ncontent-length: 7\r\n\r\npayload");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Request method (`GET`, `POST`, …).
+    /// Request method (`POST`, …).
     pub method: String,
     /// Request target path.
     pub path: String,
-    /// Header list in insertion order.
-    pub headers: Vec<(String, String)>,
     /// Message body.
     pub body: Bytes,
 }
@@ -25,66 +24,24 @@ pub struct Request {
 impl Request {
     /// Builds a POST request carrying `body`.
     pub fn post(path: impl Into<String>, body: impl Into<Bytes>) -> Self {
-        Self {
-            method: "POST".into(),
-            path: path.into(),
-            headers: Vec::new(),
-            body: body.into(),
-        }
-    }
-
-    /// Builds a bodyless GET request.
-    pub fn get(path: impl Into<String>) -> Self {
-        Self { method: "GET".into(), path: path.into(), headers: Vec::new(), body: Bytes::new() }
-    }
-
-    /// Adds a header (chainable).
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
-        self
-    }
-
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
+        Self { method: "POST".into(), path: path.into(), body: body.into() }
     }
 
     /// Serializes head + body into one buffer — the copy HTTP-based
     /// transports pay to assemble a message.
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.body.len() + 128);
-        out.extend_from_slice(self.method.as_bytes());
-        out.extend_from_slice(b" ");
-        out.extend_from_slice(self.path.as_bytes());
-        out.extend_from_slice(b" HTTP/1.1\r\n");
-        let mut has_len = false;
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        if !has_len {
-            out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out.freeze()
+        frame(&[&self.method, " ", &self.path, " HTTP/1.1"], &self.body)
     }
 }
 
-/// An HTTP response.
+/// An HTTP response: its status line and body, serialized like a
+/// [`Request`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Status code (200, 404, …).
     pub status: u16,
     /// Reason phrase.
     pub reason: String,
-    /// Header list in insertion order.
-    pub headers: Vec<(String, String)>,
     /// Message body.
     pub body: Bytes,
 }
@@ -92,52 +49,25 @@ pub struct Response {
 impl Response {
     /// A `200 OK` response carrying `body`.
     pub fn ok(body: impl Into<Bytes>) -> Self {
-        Self { status: 200, reason: "OK".into(), headers: Vec::new(), body: body.into() }
-    }
-
-    /// Adds a header (chainable).
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
-        self
-    }
-
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_lookup(&self.headers, name)
+        Self { status: 200, reason: "OK".into(), body: body.into() }
     }
 
     /// Serializes head + body into one buffer.
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.body.len() + 128);
-        out.extend_from_slice(b"HTTP/1.1 ");
-        out.extend_from_slice(self.status.to_string().as_bytes());
-        out.extend_from_slice(b" ");
-        out.extend_from_slice(self.reason.as_bytes());
-        out.extend_from_slice(b"\r\n");
-        let mut has_len = false;
-        for (name, value) in &self.headers {
-            if name.eq_ignore_ascii_case("content-length") {
-                has_len = true;
-            }
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        if !has_len {
-            out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        out.freeze()
+        frame(&["HTTP/1.1 ", &self.status.to_string(), " ", &self.reason], &self.body)
     }
 }
 
-fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
+/// The start line spelled by `start`, exactly one `content-length`
+/// header, the blank line and `body`, in one buffer.
+fn frame(start: &[&str], body: &Bytes) -> Bytes {
+    let mut out = BytesMut::with_capacity(body.len() + 128);
+    for part in start {
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.extend_from_slice(format!("\r\ncontent-length: {}\r\n\r\n", body.len()).as_bytes());
+    out.extend_from_slice(body);
+    out.freeze()
 }
 
 #[cfg(test)]
@@ -146,41 +76,14 @@ mod tests {
 
     #[test]
     fn request_serialization_shape() {
-        let req = Request::post("/f", b"body".as_slice()).with_header("Host", "edge-0");
-        let raw = req.to_bytes();
-        let text = std::str::from_utf8(&raw).unwrap();
-        assert!(text.starts_with("POST /f HTTP/1.1\r\n"));
-        assert!(text.contains("Host: edge-0\r\n"));
-        assert!(text.contains("content-length: 4\r\n"));
-        assert!(text.ends_with("\r\n\r\nbody"));
-    }
-
-    #[test]
-    fn explicit_content_length_not_duplicated() {
-        let req = Request::post("/f", b"xy".as_slice()).with_header("Content-Length", "2");
-        let raw = req.to_bytes();
-        let text = std::str::from_utf8(&raw).unwrap();
-        assert_eq!(text.matches("ontent-").count(), 1);
+        let raw = Request::post("/f", b"body".as_slice()).to_bytes();
+        assert_eq!(&raw[..], b"POST /f HTTP/1.1\r\ncontent-length: 4\r\n\r\nbody");
     }
 
     #[test]
     fn response_serialization_shape() {
         let resp = Response { status: 404, reason: "Not Found".into(), ..Response::ok(Bytes::new()) };
-        let text = resp.to_bytes();
-        let text = std::str::from_utf8(&text).unwrap();
-        assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
-        assert!(text.contains("content-length: 0\r\n"));
-    }
-
-    #[test]
-    fn header_lookup_is_case_insensitive() {
-        let resp = Response::ok(Bytes::new()).with_header("X-Trace", "abc");
-        assert_eq!(resp.header("x-trace"), Some("abc"));
-        assert_eq!(resp.header("missing"), None);
-    }
-
-    #[test]
-    fn get_has_empty_body() {
-        assert!(Request::get("/health").body.is_empty());
+        let raw = resp.to_bytes();
+        assert_eq!(&raw[..], b"HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n");
     }
 }

@@ -31,6 +31,9 @@
 #                         the pin only ever falls)
 #   count:panics:*        the same count under crates/{serial,baselines,
 #                         http,wasi,vkernel,platform,wasm,bench}/src
+#   check:benchmark       benchmark/ (its own workspace, which imports the
+#                         crates' public API) type-checks with every
+#                         target, against its committed Cargo.lock
 #
 # Worker-count independence (one worker == four) is not a gate here:
 # crates/bench/tests/sweep_golden.rs checks it for fig12-fig16 in tier-1.
@@ -236,6 +239,16 @@ count count:panics:wasm wasm 18
 count count:panics:bench bench 74
 
 produce bench_wasm.json bench_wasm --quick
+
+# `--locked` fails the gate rather than rewrite benchmark/Cargo.lock.
+gate_start=$EPOCHREALTIME
+if cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml --all-targets \
+    > "$out/check_benchmark.err" 2>&1; then
+    pass check:benchmark
+else
+    fail check:benchmark \
+        "$(grep -m1 -A4 '^error' "$out/check_benchmark.err" || tail -n 4 "$out/check_benchmark.err")"
+fi
 
 echo
 total=$(seconds "$run_start")
