@@ -56,6 +56,9 @@ pub fn send_response(
 /// visible immediately, so emptiness means nothing more is coming).
 const MAX_IDLE_READS: u32 = 3;
 
+/// Polls a fresh reader with `poll` until a message comes out, landing
+/// each segment the stream delivers straight in the reader's buffer: the
+/// kernel→user copy of `recv(2)`, and the only copy a body makes.
 fn read_message<M>(
     stream: &Endpoint,
     caller: &Sandbox,
@@ -69,18 +72,20 @@ fn read_message<M>(
             caller.charge_user(cost.http_head_ns);
             return Ok(msg);
         }
-        match stream.recv(caller).map_err(transport_err)? {
+        let landed = stream.recv_with(caller, |seg| {
+            caller.account().count_copy(seg.len());
+            reader.feed(seg);
+            seg.len()
+        });
+        match landed.map_err(transport_err)? {
             None => return Err(HttpError::Incomplete),
-            Some(seg) if seg.is_empty() => {
+            Some(0) => {
                 idle += 1;
                 if idle >= MAX_IDLE_READS {
                     return Err(HttpError::Incomplete);
                 }
             }
-            Some(seg) => {
-                idle = 0;
-                reader.feed(&seg);
-            }
+            Some(_) => idle = 0,
         }
     }
 }

@@ -10,7 +10,9 @@
 //! Costs modelled: building/parsing a message head
 //! ([`roadrunner_vkernel::CostModel::http_head_ns`]) and the copy that
 //! assembles head + body into one send buffer. The per-chunk socket
-//! costs come from the underlying stream.
+//! costs come from the underlying stream. A receive makes the one copy
+//! the stream charges: each segment lands straight in the reader, whose
+//! buffer the body is then handed out of.
 //!
 //! ```
 //! use bytes::Bytes;

@@ -8,8 +8,8 @@
 //! transfer coding it does not implement, and this reader implements
 //! none — chunked included, which §7.1 asks every recipient to decode,
 //! because both ends of every exchange here are this crate's. Parsing
-//! walks and copies every byte — the deserialization-side cost of HTTP
-//! transports.
+//! walks every head byte; a body is handed out as a slice of the buffer
+//! it was fed into, not copied again.
 
 use std::error::Error;
 use std::fmt;
@@ -22,8 +22,9 @@ use crate::message::{Request, Response};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
     /// Malformed message: a bad start line, status code or header line,
-    /// a number that is not all digits, conflicting `content-length`s, or
-    /// any `transfer-encoding`.
+    /// a CR, LF or NUL that does not end a head line, a number that is
+    /// not all digits, conflicting `content-length`s, or any
+    /// `transfer-encoding`.
     Parse(String),
     /// The stream ended before a full message arrived.
     Incomplete,
@@ -87,15 +88,21 @@ fn digits<T: std::str::FromStr>(text: &str) -> Option<T> {
 }
 
 /// Parses `head`, the bytes before the first blank line, into its start
-/// line and body length. A field name must be non-empty and free of
-/// whitespace (RFC 9112 §5.1), so an obs-fold line is refused too. A body
-/// length the head states twice over — two different `content-length`
-/// values — is refused rather than picked from (RFC 9112 §6.3), and so is
-/// any `transfer-encoding`, a head with more than [`MAX_HEADERS`] headers
-/// and a `content-length` above [`MAX_BODY_BYTES`].
+/// line and body length. Lines end at CRLF, and a CR, LF or NUL anywhere
+/// else in the head is refused (RFC 9110 §5.5): a peer that ends a line
+/// at a bare LF would otherwise frame a body this reader does not see.
+/// A field name must be non-empty and free of whitespace (RFC 9112
+/// §5.1), so an obs-fold line is refused too. A body length the head
+/// states twice over — two different `content-length` values — is refused
+/// rather than picked from (RFC 9112 §6.3), and so is any
+/// `transfer-encoding`, a head with more than [`MAX_HEADERS`] headers and
+/// a `content-length` above [`MAX_BODY_BYTES`].
 fn parse_head(head: &[u8]) -> Result<(&str, usize), HttpError> {
     let head = std::str::from_utf8(head).map_err(|_| HttpError::Parse("head is not UTF-8".into()))?;
     let mut lines = head.split("\r\n");
+    if let Some(line) = lines.clone().find(|line| line.contains(['\r', '\n', '\0'])) {
+        return Err(HttpError::Parse(format!("bare CR, LF or NUL in head line `{line}`")));
+    }
     let start_line = lines
         .next()
         .filter(|l| !l.is_empty())
@@ -128,13 +135,20 @@ fn parse_head(head: &[u8]) -> Result<(&str, usize), HttpError> {
     Ok((start_line, content_length.unwrap_or(0)))
 }
 
-/// Refuses a start line's protocol version unless it is HTTP/1.x.
+/// Refuses a start line's protocol version unless it is exactly
+/// `HTTP/1.0` or `HTTP/1.1`.
 fn check_version(version: &str) -> Result<(), HttpError> {
-    if version.starts_with("HTTP/1.") {
+    if matches!(version, "HTTP/1.0" | "HTTP/1.1") {
         Ok(())
     } else {
         Err(HttpError::Parse(format!("unsupported version `{version}`")))
     }
+}
+
+/// Whether `text` is a `token` (RFC 9110 §5.6.2), as a method is.
+fn is_token(text: &str) -> bool {
+    !text.is_empty()
+        && text.bytes().all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
 /// Incremental reader: feed chunks, poll for complete messages.
@@ -152,7 +166,9 @@ impl MessageReader {
         Self::default()
     }
 
-    /// Appends a chunk received from the transport.
+    /// Appends a chunk received from the transport. The buffer grows
+    /// with what arrives, never ahead of it on a head's word, so a
+    /// `content-length` alone allocates nothing.
     pub fn feed(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
     }
@@ -178,13 +194,14 @@ impl MessageReader {
         Ok(None)
     }
 
-    /// Once the next message has arrived whole, `build` makes it from
-    /// its start line and body; the message's bytes are consumed only if
-    /// that succeeds.
-    fn next_message<M>(
+    /// Once the next message has arrived whole, `start` parses its start
+    /// line; if that succeeds, the message's bytes are consumed and its
+    /// body is handed out beside what `start` made — a slice of the
+    /// reader's buffer, not a copy.
+    fn next_message<S>(
         &mut self,
-        build: impl FnOnce(&str, Bytes) -> Result<M, HttpError>,
-    ) -> Result<Option<M>, HttpError> {
+        start: impl FnOnce(&str) -> Result<S, HttpError>,
+    ) -> Result<Option<(S, Bytes)>, HttpError> {
         let Some(head_end) = self.head_end()? else {
             return Ok(None);
         };
@@ -194,10 +211,10 @@ impl MessageReader {
         if self.buf.len() < end {
             return Ok(None);
         }
-        let message = build(start_line, Bytes::copy_from_slice(&self.buf[body_start..end]))?;
-        let _ = self.buf.split_to(end);
+        let parsed = start(start_line)?;
+        let body = self.buf.split_to(end).freeze().slice(body_start..);
         self.searched = 0;
-        Ok(Some(message))
+        Ok(Some((parsed, body)))
     }
 
     /// Attempts to parse a complete request from the buffered bytes.
@@ -210,19 +227,22 @@ impl MessageReader {
     /// [`MAX_BODY_BYTES`] of body. `Ok(None)` simply means more bytes are
     /// needed.
     pub fn try_request(&mut self) -> Result<Option<Request>, HttpError> {
-        self.next_message(|start_line, body| {
-            let mut parts = start_line.split_whitespace();
-            let method = parts
-                .next()
-                .ok_or_else(|| HttpError::Parse("missing method".into()))?
-                .to_owned();
-            let path = parts
-                .next()
-                .ok_or_else(|| HttpError::Parse("missing path".into()))?
-                .to_owned();
-            check_version(parts.next().unwrap_or_default())?;
-            Ok(Request { method, path, body })
-        })
+        let message = self.next_message(|start_line| {
+            // `method SP request-target SP HTTP-version`, nothing more.
+            let mut parts = start_line.split(' ');
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(method), Some(path), Some(version), None)
+                    if is_token(method)
+                        && !path.is_empty()
+                        && path.bytes().all(|b| b.is_ascii_graphic()) =>
+                {
+                    check_version(version)?;
+                    Ok((method.to_owned(), path.to_owned()))
+                }
+                _ => Err(HttpError::Parse(format!("bad request line `{start_line}`"))),
+            }
+        })?;
+        Ok(message.map(|((method, path), body)| Request { method, path, body }))
     }
 
     /// Attempts to parse a complete response from the buffered bytes.
@@ -231,7 +251,7 @@ impl MessageReader {
     ///
     /// As [`try_request`](Self::try_request).
     pub fn try_response(&mut self) -> Result<Option<Response>, HttpError> {
-        self.next_message(|start_line, body| {
+        let message = self.next_message(|start_line| {
             let mut parts = start_line.splitn(3, ' ');
             check_version(parts.next().unwrap_or_default())?;
             let status = parts
@@ -242,8 +262,9 @@ impl MessageReader {
                 .filter(|_| status.len() == 3)
                 .ok_or_else(|| HttpError::Parse("bad status code".into()))?;
             let reason = parts.next().unwrap_or_default().to_owned();
-            Ok(Response { status, reason, body })
-        })
+            Ok((status, reason))
+        })?;
+        Ok(message.map(|((status, reason), body)| Response { status, reason, body }))
     }
 }
 
@@ -299,7 +320,7 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error() {
-        let requests: [&[u8]; 10] = [
+        let requests: [&[u8]; 24] = [
             b"NOT-HTTP\r\n\r\n",
             b"POST /f HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
             b"POST /f FTP/9\r\ncontent-length: 0\r\n\r\n",
@@ -313,6 +334,25 @@ mod tests {
             b"POST /f HTTP/1.1\r\n content-length: 5\r\n\r\nhello",
             b"POST /f HTTP/1.1\r\nx-a: b\r\n\tcontent-length: 5\r\n\r\nhello",
             b"POST /f HTTP/1.1\r\n: 5\r\n\r\n",
+            // Lines end at CRLF only: a bare LF would frame a 5-byte body
+            // here and leave it buffered as the next message. A bare CR
+            // or a NUL, in a field or in the start line, is refused too.
+            b"POST /f HTTP/1.1\r\nx: a\ncontent-length: 5\r\n\r\nhello",
+            b"POST /f HTTP/1.1\r\nx: a\rcontent-length: 5\r\n\r\nhello",
+            b"POST /f HTTP/1.1\r\nx: a\r\r\n\r\n",
+            b"POST /f HTTP/1.1\r\nx: a\0b\r\n\r\n",
+            b"POST /f\r HTTP/1.1\r\n\r\n",
+            // `method SP request-target SP HTTP-version`, single spaces,
+            // and only the versions this reader speaks.
+            b"POST\t/f\tHTTP/1.1\r\n\r\n",
+            b"POST /f HTTP/1.1 junk\r\n\r\n",
+            b"POST /f HTTP/1.1x\r\n\r\n",
+            b"POST  /f HTTP/1.1\r\n\r\n",
+            b"POST /f  HTTP/1.1\r\n\r\n",
+            b"POST /f HTTP/1.1 \r\n\r\n",
+            b" POST /f HTTP/1.1\r\n\r\n",
+            b"POST /f HTTP/1.2\r\n\r\n",
+            b"P(ST /f HTTP/1.1\r\n\r\n",
         ];
         for raw in requests {
             let mut reader = MessageReader::new();
@@ -321,13 +361,46 @@ mod tests {
             let text = String::from_utf8_lossy(raw);
             assert!(matches!(result, Err(HttpError::Parse(_))), "{result:?} for {text:?}");
         }
-        // `status-code = 3DIGIT`.
-        for status in ["abc", "+200", "+20", "20", "2000", "-200", ""] {
+        // `status-code = 3DIGIT`, after an exact version.
+        for status_line in [
+            "HTTP/1.1 abc OK",
+            "HTTP/1.1 +200 OK",
+            "HTTP/1.1 +20 OK",
+            "HTTP/1.1 20 OK",
+            "HTTP/1.1 2000 OK",
+            "HTTP/1.1 -200 OK",
+            "HTTP/1.1  OK",
+            "HTTP/1.1x 200 OK",
+            "HTTP/2 200 OK",
+            "HTTP/1.1\t200 OK",
+            "HTTP/1.1 200 O\rK",
+        ] {
             let mut reader = MessageReader::new();
-            reader.feed(format!("HTTP/1.1 {status} OK\r\ncontent-length: 0\r\n\r\n").as_bytes());
+            reader.feed(format!("{status_line}\r\ncontent-length: 0\r\n\r\n").as_bytes());
             let result = reader.try_response();
-            assert!(matches!(result, Err(HttpError::Parse(_))), "{result:?} for status {status:?}");
+            assert!(matches!(result, Err(HttpError::Parse(_))), "{result:?} for {status_line:?}");
         }
+    }
+
+    #[test]
+    fn both_versions_and_any_token_method_parse() {
+        for (start_line, method, path) in [
+            ("GET /f HTTP/1.0", "GET", "/f"),
+            ("PUT /a/b?c=d HTTP/1.1", "PUT", "/a/b?c=d"),
+            ("X-M!#$%&'*+.^_`|~9 * HTTP/1.1", "X-M!#$%&'*+.^_`|~9", "*"),
+        ] {
+            let mut reader = MessageReader::new();
+            reader.feed(format!("{start_line}\r\ncontent-length: 2\r\n\r\nok").as_bytes());
+            let parsed = reader.try_request().unwrap().unwrap();
+            assert_eq!(
+                (&parsed.method[..], &parsed.path[..], &parsed.body[..]),
+                (method, path, &b"ok"[..])
+            );
+        }
+        // A status line may end after its code.
+        let mut reader = MessageReader::new();
+        reader.feed(b"HTTP/1.0 200\r\n\r\n");
+        assert_eq!(reader.try_response().unwrap().unwrap().status, 200);
     }
 
     /// A request whose head, blank line included, is exactly `len` bytes.

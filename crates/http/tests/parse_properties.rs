@@ -13,7 +13,8 @@
 //! spliced in, must have every poll answer `Ok` or `Err` — no panic, no
 //! arithmetic overflow (CI runs them in release with overflow checks on
 //! as well as in debug) — and must never yield a message whose head
-//! carries a `transfer-encoding` or a field name with whitespace in it.
+//! carries a `transfer-encoding`, a field name with whitespace in it, a
+//! bare CR, LF or NUL, or a start line looser than RFC 9112 allows.
 
 use proptest::prelude::*;
 use roadrunner_http::parse::MAX_HEAD_BYTES;
@@ -240,8 +241,9 @@ proptest! {
 
 /// Header and chunk-framing fragments that steer a mutant down the
 /// parser's less travelled paths: absurd or signed lengths, a second body
-/// framing, folded and padded field names, stray line ends, bytes that
-/// are not UTF-8.
+/// framing, folded and padded field names, stray line ends, bare CR, LF
+/// and NUL, tabs and trailing junk for the start line, bytes that are
+/// not UTF-8.
 const SPLICES: &[&[u8]] = &[
     b"\r\n",
     b"\r\n\r\n",
@@ -259,6 +261,11 @@ const SPLICES: &[&[u8]] = &[
     b"+7\r\n",
     b"\xff\xfe",
     b" ",
+    b"\n",
+    b"\r",
+    b"\0",
+    b"\t",
+    b"x",
 ];
 
 /// One random edit of `wire` — flip a byte, cut a range out, cut the tail
@@ -299,8 +306,9 @@ fn poll_through(wire: &[u8], seed: u64, max_chunk: usize) {
 /// What a connection does with its reader: poll after every piece, keep
 /// polling while messages come out, hang up on the first error. Each
 /// message that comes out starts where the reader's unconsumed bytes did,
-/// and its head must carry no field that frames a body another way or
-/// names it with whitespace.
+/// and its head must carry no line [`refused_field`] names: no bare CR,
+/// LF or NUL, no loose start line, no field that frames a body another
+/// way or names it with whitespace.
 fn connection_loop<E>(
     wire: &[u8],
     chunks: &[Vec<u8>],
@@ -326,17 +334,29 @@ fn connection_loop<E>(
     }
 }
 
-/// The first header line of the head at the start of `message` that a
-/// reader must refuse: a `transfer-encoding` field, or a field name that
-/// is empty or holds whitespace.
+/// The first line of the head at the start of `message` that a reader
+/// must refuse: one holding a CR, LF or NUL that does not end it; a start
+/// line that is neither `method SP target SP version` nor a status line,
+/// or whose version is not exactly `HTTP/1.0` or `HTTP/1.1`; a
+/// `transfer-encoding` field, or a field name that is empty or holds
+/// whitespace.
 fn refused_field(message: &[u8]) -> Option<String> {
     let head_end = message.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(message.len());
     let head = String::from_utf8_lossy(&message[..head_end]);
-    head.split("\r\n").skip(1).find_map(|line| {
+    let mut lines = head.split("\r\n");
+    let start_line = lines.next().unwrap_or_default();
+    let version = |v: &str| v == "HTTP/1.0" || v == "HTTP/1.1";
+    let parts: Vec<&str> = start_line.split(' ').collect();
+    let request_line = parts.len() == 3 && parts.iter().all(|p| !p.is_empty()) && version(parts[2]);
+    if !request_line && !version(parts[0]) || start_line.contains(['\r', '\n', '\0']) {
+        return Some(start_line.to_owned());
+    }
+    lines.find_map(|line| {
         let name = line.split(':').next().unwrap_or_default();
         let refused = name.is_empty()
             || name.contains(char::is_whitespace)
-            || name.eq_ignore_ascii_case("transfer-encoding");
+            || name.eq_ignore_ascii_case("transfer-encoding")
+            || line.contains(['\r', '\n', '\0']);
         refused.then(|| line.to_owned())
     })
 }

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 
-use crate::keys::KeyCache;
+use crate::keys::{KeyCache, KeyRun};
 use crate::{varint, DecodeError, Value};
 
 const TAG_NULL: u8 = 0x00;
@@ -63,9 +63,9 @@ fn encoded_len(value: &Value) -> usize {
         Value::List(items) => {
             varint::encoded_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
         }
-        Value::Map(entries) => {
-            varint::encoded_len(entries.len() as u64)
-                + entries.iter().map(|(k, v)| framed(k.len()) + encoded_len(v)).sum::<usize>()
+        Value::Map(record) => {
+            varint::encoded_len(record.len() as u64)
+                + record.iter().map(|(k, v)| framed(k.len()) + encoded_len(v)).sum::<usize>()
         }
     }
 }
@@ -100,10 +100,10 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
                 write_value(out, item);
             }
         }
-        Value::Map(entries) => {
+        Value::Map(record) => {
             out.push(TAG_MAP);
-            varint::write_u64(out, entries.len() as u64);
-            for (k, v) in entries {
+            varint::write_u64(out, record.len() as u64);
+            for (k, v) in record.iter() {
                 varint::write_u64(out, k.len() as u64);
                 out.extend_from_slice(k.as_bytes());
                 write_value(out, v);
@@ -160,17 +160,17 @@ fn read_value(
             if count > input.len() - *pos + 1 {
                 return Err(DecodeError::new(*pos, "map count exceeds input size"));
             }
-            let mut entries = Vec::with_capacity(count);
-            for index in 0..count {
+            let mut run = KeyRun::default();
+            let mut values = Vec::with_capacity(count);
+            for _ in 0..count {
                 let klen = read_len(input, pos)?;
                 let kraw = take(input, pos, klen)?;
                 let key = std::str::from_utf8(kraw)
                     .map_err(|_| DecodeError::new(*pos - klen, "invalid UTF-8 in key"))?;
-                let key = keys.share(depth, index, key);
-                let value = read_value(input, pos, depth + 1, keys)?;
-                entries.push((key, value));
+                keys.push(depth, &mut run, key);
+                values.push(read_value(input, pos, depth + 1, keys)?);
             }
-            Ok(Value::Map(entries))
+            Ok(Value::Map(keys.finish(depth, run, values)))
         }
         other => Err(DecodeError::new(*pos - 1, format!("unknown tag 0x{other:02x}"))),
     }

@@ -53,4 +53,4 @@ pub const MAX_DEPTH: usize = 128;
 
 pub use error::DecodeError;
 pub use payload::Payload;
-pub use value::Value;
+pub use value::{Record, Value};

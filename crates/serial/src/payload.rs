@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::Value;
+use crate::{Record, Value};
 
 /// Kind of synthetic payload, mirroring the paper's workload families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,9 +131,8 @@ impl Payload {
         // JSON API would expose.
         const RECORD: usize = 32;
         let count = size.div_ceil(RECORD).max(1);
-        // Every record shares these five strings.
-        let [id_key, ts_key, lane_key, speed_key, flow_key] =
-            ["id", "ts", "lane", "speed", "flow"].map(Arc::<str>::from);
+        // Every record shares this one key list.
+        let keys: Arc<[Arc<str>]> = ["id", "ts", "lane", "speed", "flow"].map(Arc::from).into();
         let mut rng = XorShift64::new(seed);
         let mut flat = Vec::with_capacity(count * RECORD);
         let mut records = Vec::with_capacity(count);
@@ -148,13 +147,14 @@ impl Payload {
             flat.extend_from_slice(&speed.to_le_bytes());
             flat.extend_from_slice(&flow.to_le_bytes());
             flat.extend_from_slice(&0u32.to_le_bytes());
-            records.push(Value::map([
-                (Arc::clone(&id_key), Value::I64(id as i64)),
-                (Arc::clone(&ts_key), Value::I64(ts as i64)),
-                (Arc::clone(&lane_key), Value::I64(lane as i64)),
-                (Arc::clone(&speed_key), Value::F64(speed as f64)),
-                (Arc::clone(&flow_key), Value::F64(flow as f64)),
-            ]));
+            let values = vec![
+                Value::I64(id as i64),
+                Value::I64(ts as i64),
+                Value::I64(lane as i64),
+                Value::F64(speed as f64),
+                Value::F64(flow as f64),
+            ];
+            records.push(Value::Map(Record::from_parts(Arc::clone(&keys), values)));
         }
         Self::from_parts(PayloadKind::SensorRecords, Value::List(records), Bytes::from(flat))
     }
@@ -309,6 +309,35 @@ mod tests {
                 assert_eq!(p.flat().len(), size);
                 assert_eq!(fnv1a(p.flat()), digest, "seed {seed}, size {size}");
             }
+        }
+    }
+
+    /// What the cost model and the wire see of each synthetic kind at
+    /// seed 1: the cached node count, `heap_size`, and the length and
+    /// FNV-1a of the text and binary encodings. However a value stores
+    /// its maps' keys, these stay.
+    #[test]
+    fn value_shape_and_encodings_are_pinned() {
+        type Pin = (PayloadKind, usize, usize, usize, usize, u64, usize, u64);
+        #[rustfmt::skip]
+        const PINS: [Pin; 6] = [
+            (PayloadKind::Text, 4_096, 1, 4_104, 4_098, 0xd1e1_adec_af61_2178, 4_099, 0x9e93_21dd_6515_1b57),
+            (PayloadKind::Text, 128_000, 1, 128_008, 128_002, 0xb0ee_cb89_e96a_164a, 128_004, 0xbca3_4092_12e8_43d4),
+            (PayloadKind::SensorRecords, 4_096, 769, 14_480, 8_287, 0xe915_c5cd_3b94_aeda, 8_835, 0x8a9d_9061_03a9_c9ee),
+            (PayloadKind::SensorRecords, 128_000, 24_001, 452_016, 265_193, 0x83d7_4873_e39f_f1d0, 276_003, 0xfee4_10c6_f83d_b068),
+            (PayloadKind::ImageFrame, 4_096, 1, 4_104, 8_195, 0x2116_995c_8ac5_6d7f, 4_099, 0xc651_74cd_864a_4782),
+            (PayloadKind::ImageFrame, 128_000, 1, 128_008, 256_003, 0x1cd7_432e_c7ee_fa79, 128_004, 0x2be4_d9e2_f4e6_30a0),
+        ];
+        for (kind, size, nodes, heap, text_len, text_fnv, binary_len, binary_fnv) in PINS {
+            let p = Payload::synthetic(kind, 1, size);
+            let (doc, packed) = (text::to_text(p.value()), binary::to_binary(p.value()));
+            assert_eq!(
+                (p.value_nodes(), p.value().node_count(), p.value().heap_size()),
+                (nodes, nodes, heap),
+                "{kind} {size}"
+            );
+            assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (text_len, text_fnv), "{kind} {size}");
+            assert_eq!((packed.len(), fnv1a(&packed)), (binary_len, binary_fnv), "{kind} {size}");
         }
     }
 

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::keys::KeyCache;
-use crate::{DecodeError, Value, MAX_DEPTH};
+use crate::keys::{KeyCache, KeyRun};
+use crate::{DecodeError, Record, Value, MAX_DEPTH};
 
 /// Serializes `value` into its text form.
 ///
@@ -129,8 +129,8 @@ fn encoded_len_hint(value: &Value) -> usize {
         Value::Str(s) => s.len() + 2,
         Value::Bytes(b) => 2 * b.len() + 3,
         Value::List(items) => 2 + items.iter().map(|v| encoded_len_hint(v) + 1).sum::<usize>(),
-        Value::Map(entries) => {
-            2 + entries.iter().map(|(k, v)| k.len() + 4 + encoded_len_hint(v)).sum::<usize>()
+        Value::Map(record) => {
+            2 + record.iter().map(|(k, v)| k.len() + 4 + encoded_len_hint(v)).sum::<usize>()
         }
     }
 }
@@ -151,62 +151,60 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
         Value::Bytes(b) => write_hex(out, b),
         Value::List(items) => {
             out.push(b'[');
-            // The last map among the items so far, and which of its keys
-            // were plain.
-            let mut sibling: Sibling<'_> = (&[], 0);
+            let mut runs = KeyRuns::default();
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(b',');
                 }
                 match item {
-                    Value::Map(entries) => sibling = (entries, write_map(out, entries, sibling)),
+                    Value::Map(record) => runs.write(out, record),
                     _ => write_value(out, item),
                 }
             }
             out.push(b']');
         }
-        Value::Map(entries) => {
-            write_map(out, entries, (&[], 0));
-        }
+        Value::Map(record) => KeyRuns::default().write(out, record),
     }
 }
 
-/// A map's entries, and a mask of which of its first 64 keys have
-/// nothing to escape.
-type Sibling<'v> = (&'v [(Arc<str>, Value)], u64);
+/// How maps spell their keys: `{"k0":` before the first value and
+/// `,"ki":` before each later one, for the key list of the map written
+/// last. A list keeps one for all its items: the records of a batch share
+/// one key list, so their keys are escaped once and then copied as runs.
+#[derive(Default)]
+struct KeyRuns<'v> {
+    keys: Option<&'v Arc<[Arc<str>]>>,
+    spelled: Vec<u8>,
+    /// Where each key's run ends in `spelled`.
+    ends: Vec<usize>,
+}
 
-/// Writes a map and returns the mask of its plain keys, each written as
-/// one `"key":` run. A key that is the very string (`Arc::ptr_eq`) the
-/// sibling map had at its position, and plain there, is not scanned
-/// again: records built or decoded together share their key strings.
-fn write_map(
-    out: &mut Vec<u8>,
-    entries: &[(Arc<str>, Value)],
-    (sibling, plain_there): Sibling<'_>,
-) -> u64 {
-    out.push(b'{');
-    let mut plain = 0;
-    for (i, (key, value)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
+impl<'v> KeyRuns<'v> {
+    /// Writes `record` as [`write_value`] writes a map, spelling its keys
+    /// anew unless its list is the very one (`Arc::ptr_eq`) spelt last.
+    fn write(&mut self, out: &mut Vec<u8>, record: &'v Record) {
+        if !self.keys.is_some_and(|keys| Arc::ptr_eq(keys, record.keys())) {
+            self.keys = Some(record.keys());
+            self.spelled.clear();
+            self.ends.clear();
+            for (i, key) in record.keys().iter().enumerate() {
+                self.spelled.push(if i == 0 { b'{' } else { b',' });
+                write_escaped(&mut self.spelled, key);
+                self.spelled.push(b':');
+                self.ends.push(self.spelled.len());
+            }
         }
-        let bit = if i < 64 { 1 << i } else { 0 };
-        let known =
-            plain_there & bit != 0 && sibling.get(i).is_some_and(|(was, _)| Arc::ptr_eq(was, key));
-        if known || find_special(key.as_bytes()) == key.len() {
-            plain |= bit;
-            out.reserve(key.len() + 3);
-            out.push(b'"');
-            out.extend_from_slice(key.as_bytes());
-            out.extend_from_slice(b"\":");
-        } else {
-            write_escaped(out, key);
-            out.push(b':');
+        if record.is_empty() {
+            out.push(b'{');
         }
-        write_value(out, value);
+        let mut start = 0;
+        for (&end, value) in self.ends.iter().zip(record.values()) {
+            out.extend_from_slice(&self.spelled[start..end]);
+            write_value(out, value);
+            start = end;
+        }
+        out.push(b'}');
     }
-    out.push(b'}');
-    plain
 }
 
 fn write_u64(out: &mut Vec<u8>, mut n: u64) {
@@ -350,8 +348,8 @@ struct Parser<'a> {
     /// first are allocated once, at their final size.
     last_len: usize,
     /// Sibling records also spell the same keys: all but the first share
-    /// the first's key strings, and are matched against them byte for
-    /// byte before anything is decoded (`same_shape`).
+    /// the first's key list, and are matched against it byte for byte
+    /// before anything is decoded (`same_shape`).
     keys: KeyCache,
 }
 
@@ -583,20 +581,20 @@ impl<'a> Parser<'a> {
     fn map(&mut self, depth: usize) -> Result<Value, DecodeError> {
         self.pos += 1;
         self.skip_ws();
+        let mut keys = KeyRun::default();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            self.keys.complete(depth, 0);
-            return Ok(Value::Map(Vec::new()));
+            return Ok(Value::Map(self.keys.finish(depth, keys, Vec::new())));
         }
-        let mut entries = Vec::with_capacity(self.last_len);
+        let mut values = Vec::with_capacity(self.last_len);
         let open = self.pos;
-        if self.same_shape(depth, &mut entries) {
-            self.last_len = entries.len();
-            return Ok(Value::Map(entries));
+        if self.same_shape(depth, &mut values) {
+            self.last_len = values.len();
+            return Ok(Value::Map(self.keys.reuse(depth, values)));
         }
         // What the loop below decodes or refuses, it decodes or refuses
-        // from the start of the map, as if no shape were cached.
-        entries.clear();
+        // from the start of the map, as if no key list were cached.
+        values.clear();
         self.pos = open;
         loop {
             self.skip_ws();
@@ -604,23 +602,21 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected string key"));
             }
             let key = self.string()?;
-            let key = self.keys.share(depth, entries.len(), &key);
+            self.keys.push(depth, &mut keys, &key);
             self.skip_ws();
             if self.peek() != Some(b':') {
                 return Err(self.error("expected `:` after key"));
             }
             self.pos += 1;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            entries.push((key, value));
+            values.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    self.last_len = entries.len();
-                    self.keys.complete(depth, entries.len());
-                    return Ok(Value::Map(entries));
+                    self.last_len = values.len();
+                    return Ok(Value::Map(self.keys.finish(depth, keys, values)));
                 }
                 _ => return Err(self.error("expected `,` or `}` in map")),
             }
@@ -628,21 +624,21 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads the rest of a map, from `pos` past its `{` and any whitespace
-    /// after it, into `entries` if it is spelt `"k0":v0,"k1":v1,…}` with
+    /// after it, into `values` if it is spelt `"k0":v0,"k1":v1,…}` with
     /// no whitespace, where `k0`, `k1`, … are [`KeyCache::row`] — the
-    /// keys of the map completed last at `depth`, none with a `"` or `\`,
-    /// so each is spelt exactly as it reads — and every value is a
+    /// key list of the map completed last at `depth`, no key with a `"`
+    /// or `\`, so each is spelt exactly as it reads — and every value is a
     /// number. The loop in [`Self::map`] decodes such a map to those keys
-    /// and what [`Self::number`] reads, so the cached keys are shared as
-    /// they are. At the first difference it returns `false`, leaving
-    /// `pos` and `entries` wherever it stopped.
+    /// and what [`Self::number`] reads, so the cached list is shared as
+    /// it is. At the first difference it returns `false`, leaving `pos`
+    /// and `values` wherever it stopped.
     ///
     /// A row is non-empty only once a map at `depth` has completed, which
     /// read values at `depth + 1`: the depth limit holds for these too.
-    fn same_shape(&mut self, depth: usize, entries: &mut Vec<(Arc<str>, Value)>) -> bool {
+    fn same_shape(&mut self, depth: usize, values: &mut Vec<Value>) -> bool {
         let bytes = self.bytes();
-        while let Some(key) = self.keys.row(depth).get(entries.len()) {
-            if !entries.is_empty() {
+        while let Some(key) = self.keys.row(depth).get(values.len()) {
+            if !values.is_empty() {
                 if bytes.get(self.pos) != Some(&b',') {
                     return false;
                 }
@@ -656,10 +652,9 @@ impl<'a> Parser<'a> {
             {
                 return false;
             }
-            let key = Arc::clone(key);
             self.pos = close + 2;
             let Ok(value) = self.number() else { return false };
-            entries.push((key, value));
+            values.push(value);
         }
         if bytes.get(self.pos) != Some(&b'}') {
             return false;

@@ -10,11 +10,12 @@
 //! fails the property it happens in, so the decoder properties are the
 //! text codec's never-panics suite as well.
 //!
-//! The shipping decoders share key strings between sibling maps
-//! ([`crate::keys`]), and the text decoder reads a record spelt exactly
-//! like its predecessor by a path of its own (`Parser::same_shape`); the
-//! reference does neither, so the record-batch properties and tables at
-//! the end are also the proof that both are invisible.
+//! The shipping decoders share one key list between sibling maps
+//! ([`crate::keys`]), the text decoder reads a record spelt exactly like
+//! its predecessor by a path of its own (`Parser::same_shape`), and the
+//! encoder spells a shared key list once (`KeyRuns`); the reference does
+//! none of these, so the record-batch properties and tables at the end
+//! are also the proof that all three are invisible.
 
 use std::sync::{Arc, OnceLock};
 
@@ -23,7 +24,7 @@ use proptest::prelude::*;
 
 use super::{find_special, from_text, is_special, reference, to_text};
 use crate::payload::{Payload, PayloadKind};
-use crate::Value;
+use crate::{Record, Value};
 
 /// Splitmix generator, so shapes derive deterministically from the
 /// proptest-provided seed.
@@ -129,14 +130,15 @@ fn leaf_of(rng: &mut Mix) -> Value {
 /// A batch of sibling maps, as a record list is: each record starts from
 /// the batch's shape — a few of [`KEYS`], a different few at every depth —
 /// and most keep it; the rest swap two keys, repeat one, drop one or
-/// trade one for another. The records share the shape's key strings, as
-/// records built or decoded together do, and a traded key is a string of
-/// its own. Some fields hold a batch of their own.
+/// trade one for another. The records that keep the shape share its key
+/// list, as records built or decoded together do; the others have a list
+/// of their own over the shape's key strings, and a traded key is a
+/// string of its own. Some fields hold a batch of their own.
 fn batch_of(rng: &mut Mix, depth: usize) -> Value {
-    let shape: Vec<Arc<str>> = (0..rng.below(6)).map(|_| Arc::from(rng.pick(KEYS))).collect();
+    let shape: Arc<[Arc<str>]> = (0..rng.below(6)).map(|_| Arc::from(rng.pick(KEYS))).collect();
     let nested: Vec<bool> = shape.iter().map(|_| depth > 0 && rng.below(4) == 0).collect();
     Value::list((0..rng.below(7)).map(|_| {
-        let mut keys = shape.clone();
+        let mut keys = shape.to_vec();
         if !keys.is_empty() {
             let (a, b) = (rng.below(keys.len()), rng.below(keys.len()));
             match rng.below(10) {
@@ -147,13 +149,14 @@ fn batch_of(rng: &mut Mix, depth: usize) -> Value {
                 _ => {}
             }
         }
-        Value::map(keys.into_iter().enumerate().map(|(at, key)| {
-            let field = match nested.get(at) {
+        let values = (0..keys.len())
+            .map(|at| match nested.get(at) {
                 Some(true) => batch_of(rng, depth - 1),
                 _ => leaf_of(rng),
-            };
-            (key, field)
-        }))
+            })
+            .collect();
+        let keys = if *keys == *shape { Arc::clone(&shape) } else { keys.into() };
+        Value::Map(Record::new(keys, values).expect("one value per key"))
     }))
 }
 
@@ -257,9 +260,9 @@ proptest! {
         let mut rng = Mix(seed);
         let batch = batch_of(&mut rng, 3);
         let doc = to_text(&batch);
-        // Records sharing key strings take the encoder's sibling path.
+        // Records sharing a key list take the encoder's key-run path.
         prop_assert_eq!(&doc, &reference::to_text(&batch));
-        // What `Value::map` built is what comes back, through either
+        // What `batch_of` built is what comes back, through either
         // codec, whichever keys the decoder found in its cache.
         prop_assert_eq!(from_text(&doc), Ok(batch.clone()));
         prop_assert_eq!(crate::binary::from_binary(&crate::binary::to_binary(&batch)), Ok(batch));
@@ -374,6 +377,42 @@ fn records_that_leave_the_cached_shape_decode_as_the_reference_does() {
         "[{\"\\u0001\":1},{\"\u{1}\":2},{\"\u{1}\":3}]",
     ] {
         assert_same_decode(doc);
+    }
+}
+
+#[test]
+fn batches_over_shared_key_lists_encode_and_decode_as_the_reference_does() {
+    let list =
+        |keys: &[&str]| -> Arc<[Arc<str>]> { keys.iter().map(|&key| Arc::from(key)).collect() };
+    let record = |keys: &Arc<[Arc<str>]>, n: i64| {
+        let values = (0..keys.len() as i64).map(|at| Value::I64(n * 10 + at)).collect();
+        Value::Map(Record::new(Arc::clone(keys), values).expect("one value per key"))
+    };
+    let sensor = list(&["id", "ts", "lane"]);
+    let escaped = list(&["a\"b", "back\\slash", "line\nbreak", "\u{1}", "é"]);
+    let shorter = list(&["id", "ts"]);
+    let empty = list(&[]);
+    // Runs of records over one list, broken by a change of shape mid-list,
+    // an equal list held in other `Arc`s, an empty record, a value that
+    // is not a map, and a return to a list spelt before.
+    let batches = [
+        vec![record(&sensor, 1), record(&sensor, 2), record(&shorter, 3), record(&sensor, 4)],
+        vec![record(&escaped, 1), record(&escaped, 2), record(&sensor, 3), record(&escaped, 4)],
+        vec![record(&sensor, 1), record(&list(&["id", "ts", "lane"]), 2), record(&sensor, 3)],
+        vec![record(&empty, 0), record(&sensor, 1), record(&empty, 2), record(&empty, 3)],
+        vec![
+            record(&sensor, 1),
+            Value::Null,
+            record(&sensor, 2),
+            Value::list([record(&sensor, 3)]),
+        ],
+        vec![Value::map([("outer", Value::list([record(&escaped, 1), record(&escaped, 2)]))])],
+    ];
+    for batch in batches.map(Value::List) {
+        let doc = to_text(&batch);
+        assert_eq!(doc, reference::to_text(&batch));
+        assert_eq!(from_text(&doc), Ok(batch.clone()), "{doc}");
+        assert_same_decode(&doc);
     }
 }
 

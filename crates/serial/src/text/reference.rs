@@ -58,9 +58,9 @@ fn write_value(out: &mut String, value: &Value) {
             }
             out.push(']');
         }
-        Value::Map(entries) => {
+        Value::Map(record) => {
             out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
+            for (i, (k, v)) in record.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -319,11 +319,11 @@ fn parse_list(bytes: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
 fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
-    let mut entries = Vec::new();
+    let mut entries: Vec<(String, Value)> = Vec::new();
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Map(entries));
+        return Ok(Value::map(entries));
     }
     loop {
         skip_ws(bytes, pos);
@@ -338,13 +338,13 @@ fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
         *pos += 1;
         skip_ws(bytes, pos);
         let value = parse_value(bytes, pos)?;
-        entries.push((key.into(), value));
+        entries.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Value::Map(entries));
+                return Ok(Value::map(entries));
             }
             _ => return Err(DecodeError::new(*pos, "expected `,` or `}` in map")),
         }

@@ -30,15 +30,8 @@ pub enum Value {
     Bytes(Bytes),
     /// An ordered sequence of values.
     List(Vec<Value>),
-    /// An ordered string-keyed map.
-    ///
-    /// A key is a shared immutable string: cloning one bumps a reference
-    /// count, so a batch of records that all carry the same field names
-    /// can hold one allocation per distinct name. The decoders hand out
-    /// such clones when sibling maps repeat their keys; nothing observable
-    /// through this type — equality, [`heap_size`](Self::heap_size), the
-    /// bytes either codec writes — depends on which keys share storage.
-    Map(Vec<(Arc<str>, Value)>),
+    /// An ordered string-keyed map: a [`Record`].
+    Map(Record),
 }
 
 impl Value {
@@ -55,26 +48,24 @@ impl Value {
 
     /// Builds a [`Value::Map`] from `(key, value)` pairs, preserving order.
     ///
-    /// A `&str` or `String` key is copied into a fresh allocation; pass
-    /// clones of one `Arc<str>` to build many maps over the same names
-    /// without allocating per key.
+    /// The map gets a key list of its own; build a [`Record`] over one
+    /// shared list to hold many maps over the same names.
     ///
     /// ```
-    /// # use std::sync::Arc;
     /// # use roadrunner_serial::Value;
     /// let v = Value::map([("k", Value::Null)]);
     /// assert!(v.get("k").is_some());
-    /// let name: Arc<str> = Arc::from("k");
-    /// assert_eq!(Value::map([(Arc::clone(&name), Value::Null)]), v);
     /// ```
     pub fn map<K: Into<Arc<str>>, I: IntoIterator<Item = (K, Value)>>(entries: I) -> Self {
-        Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        let (keys, values): (Vec<Arc<str>>, Vec<Value>) =
+            entries.into_iter().map(|(k, v)| (k.into(), v)).unzip();
+        Value::Map(Record::from_parts(keys.into(), values))
     }
 
     /// Returns the value under `key` if `self` is a map containing it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Map(entries) => entries.iter().find(|(k, _)| **k == *key).map(|(_, v)| v),
+            Value::Map(record) => record.iter().find(|(k, _)| ***k == *key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -145,8 +136,8 @@ impl Value {
             Value::Str(s) => s.len() + 8,
             Value::Bytes(b) => b.len() + 8,
             Value::List(items) => 16 + items.iter().map(Value::heap_size).sum::<usize>(),
-            Value::Map(entries) => {
-                16 + entries.iter().map(|(k, v)| k.len() + 8 + v.heap_size()).sum::<usize>()
+            Value::Map(record) => {
+                16 + record.iter().map(|(k, v)| k.len() + 8 + v.heap_size()).sum::<usize>()
             }
         }
     }
@@ -157,9 +148,73 @@ impl Value {
     pub fn node_count(&self) -> usize {
         match self {
             Value::List(items) => 1 + items.iter().map(Value::node_count).sum::<usize>(),
-            Value::Map(entries) => 1 + entries.iter().map(|(_, v)| v.node_count()).sum::<usize>(),
+            Value::Map(record) => 1 + record.values().iter().map(Value::node_count).sum::<usize>(),
             _ => 1,
         }
+    }
+}
+
+/// The entries of a [`Value::Map`]: a list of keys, and one value per key
+/// beside it, in order.
+///
+/// The key list is shared, immutable storage. A batch of records that all
+/// carry the same field names can hold one list between them: cloning it
+/// bumps a reference count, and the decoders hand every record of a batch
+/// a clone of one list while the records repeat their keys. Nothing
+/// observable through this type — equality, [`Value::heap_size`], the
+/// bytes either codec writes — depends on which maps share a list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    keys: Arc<[Arc<str>]>,
+    values: Vec<Value>,
+}
+
+impl Record {
+    /// The record holding `values` under `keys`, position by position —
+    /// or `None` unless there is exactly one value per key.
+    ///
+    /// ```
+    /// # use std::sync::Arc;
+    /// # use roadrunner_serial::{Record, Value};
+    /// let keys: Arc<[Arc<str>]> = ["id", "ts"].map(Arc::from).into();
+    /// let a = Record::new(Arc::clone(&keys), vec![Value::from(1i64), Value::from(2i64)]);
+    /// assert_eq!(a.map(Value::Map), Some(Value::map([("id", 1i64.into()), ("ts", 2i64.into())])));
+    /// assert!(Record::new(keys, vec![Value::Null]).is_none());
+    /// ```
+    pub fn new(keys: Arc<[Arc<str>]>, values: Vec<Value>) -> Option<Self> {
+        (keys.len() == values.len()).then_some(Record { keys, values })
+    }
+
+    /// [`new`](Self::new) for callers that built one value per key.
+    pub(crate) fn from_parts(keys: Arc<[Arc<str>]>, values: Vec<Value>) -> Self {
+        debug_assert_eq!(keys.len(), values.len());
+        Record { keys, values }
+    }
+
+    /// The keys, in order: the list shared with every record built or
+    /// decoded over it.
+    pub fn keys(&self) -> &Arc<[Arc<str>]> {
+        &self.keys
+    }
+
+    /// The values, one per key, in order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the record has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The `(key, value)` entries, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, &Value)> {
+        self.keys.iter().zip(&self.values)
     }
 }
 

@@ -1,11 +1,11 @@
 //! A batch of records costs one allocation per record, not one per field:
-//! the decoders and the generator share the five key strings across all
-//! records. Counted with a test-only global allocator; this file holds
-//! one test so nothing else allocates on the counting thread.
+//! the decoders and the generator share one key list across all records.
+//! Counted with a test-only global allocator; this file holds one test so
+//! nothing else allocates on the counting thread.
 //!
 //! With a `String` per key (before `Value::Map` keyed on `Arc<str>`) the
 //! three counts below were 24 003, 24 001 and 24 012 — six allocations
-//! per record, five of them keys — against 4 008, 4 009 and 4 020 now.
+//! per record, five of them keys — against 4 009, 4 010 and 4 021 now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,8 +66,9 @@ fn a_sensor_batch_allocates_once_per_record() {
     assert_eq!(from_text.as_ref(), Ok(sensor.value()));
     assert_eq!(from_binary.as_ref(), Ok(sensor.value()));
 
-    // One entry vector per record; beyond that the flat buffer, the
-    // record list, the five keys and — decoding — the key cache.
+    // One value vector per record; beyond that the flat buffer, the
+    // record list, the key list and its five keys and — decoding — the
+    // key cache.
     assert!(synth <= records + 16, "synthetic: {synth} allocations");
     assert!(binary_allocs <= records + 16, "from_binary: {binary_allocs} allocations");
     // The text document does not say how long its list is, so the list

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_serial::payload::{Payload, PayloadKind};
-use roadrunner_serial::{binary, text, Value};
+use roadrunner_serial::{binary, text, Record, Value};
 
 /// Splitmix-style generator so value shapes derive deterministically
 /// from the proptest-provided seed.
@@ -135,13 +135,13 @@ proptest! {
     }
 }
 
-/// The field names of every record of a decoded batch.
-fn record_keys(batch: &Value) -> Vec<Vec<&Arc<str>>> {
+/// The record of every entry of a batch.
+fn records(batch: &Value) -> Vec<&Record> {
     let records = batch.as_list().expect("a list of records");
     records
         .iter()
         .map(|record| match record {
-            Value::Map(entries) => entries.iter().map(|(key, _)| key).collect(),
+            Value::Map(record) => record,
             other => panic!("record is {other:?}"),
         })
         .collect()
@@ -149,26 +149,48 @@ fn record_keys(batch: &Value) -> Vec<Vec<&Arc<str>>> {
 
 #[test]
 fn sibling_records_share_their_key_strings() {
-    let sensor = Payload::synthetic(PayloadKind::SensorRecords, 5, 32 * 64);
-    let via_text = text::from_text(&text::to_text(sensor.value())).expect("text round-trip");
-    let via_binary =
-        binary::from_binary(&binary::to_binary(sensor.value())).expect("binary round-trip");
-    for batch in [sensor.value(), &via_text, &via_binary] {
-        let keys = record_keys(batch);
-        assert_eq!(keys.len(), 64);
-        for record in &keys {
-            assert_eq!(record.len(), 5);
-            for (key, first) in record.iter().zip(&keys[0]) {
-                assert!(Arc::ptr_eq(key, first), "{key} is a copy");
+    for count in [2, 64, 4_000] {
+        let sensor = Payload::synthetic(PayloadKind::SensorRecords, 5, 32 * count);
+        let via_text = text::from_text(&text::to_text(sensor.value())).expect("text round-trip");
+        let via_binary =
+            binary::from_binary(&binary::to_binary(sensor.value())).expect("binary round-trip");
+        assert_eq!(&via_text, sensor.value());
+        assert_eq!(&via_binary, sensor.value());
+        for batch in [sensor.value(), &via_text, &via_binary] {
+            let records = records(batch);
+            assert_eq!(records.len(), count);
+            let keys = records[0].keys();
+            assert_eq!(keys.len(), 5);
+            for record in &records {
+                let own = record.keys();
+                assert!(Arc::ptr_eq(own, keys), "{own:?} is a list of its own");
+            }
+            // One list holds each key, however many records share it.
+            assert_eq!(Arc::strong_count(keys), count);
+            for key in keys.iter() {
+                assert_eq!(Arc::strong_count(key), 1, "{key}");
             }
         }
     }
-    // Sharing is storage only: a map over fresh copies is the same value.
-    let shared = via_text.at(1).expect("a second record");
-    let keys = &record_keys(&via_text)[1];
-    let copied = Value::map(keys.iter().map(|key| (key.to_string(), shared.get(key).cloned().unwrap())));
+}
+
+#[test]
+fn sharing_is_storage_only() {
+    let sensor = Payload::synthetic(PayloadKind::SensorRecords, 5, 32 * 3);
+    let shared = sensor.value().at(1).expect("a second record");
+    let Value::Map(record) = shared else { panic!("record is {shared:?}") };
+    // A map over fresh copies of the keys is the same value, and so is a
+    // record over a list of its own.
+    let copied = Value::map(record.iter().map(|(key, value)| (key.to_string(), value.clone())));
     assert_eq!(&copied, shared);
-    assert_eq!(&via_text, sensor.value());
+    let own_list: Arc<[Arc<str>]> = record.keys().iter().map(|key| Arc::from(&**key)).collect();
+    let rebuilt = Record::new(own_list, record.values().to_vec()).expect("one value per key");
+    assert_eq!(&Value::Map(rebuilt), shared);
+    assert_eq!(copied.heap_size(), shared.heap_size());
+    assert_eq!(text::to_text(&copied), text::to_text(shared));
+    assert_eq!(binary::to_binary(&copied), binary::to_binary(shared));
+    // A list of a different length is refused.
+    assert!(Record::new(Arc::clone(record.keys()), vec![Value::Null]).is_none());
 }
 
 #[test]

@@ -34,6 +34,11 @@
 #   check:benchmark       benchmark/ (its own workspace, which imports the
 #                         crates' public API) type-checks with every
 #                         target, against its committed Cargo.lock
+#   reference:benchmark   each benchmark workload's --smoke virt_digest
+#                         for seeds 1 and 2 ==
+#                         crates/bench/reference/benchmark_smoke_digests.txt
+#                         (a host-only change leaves every virtual output
+#                         of the benchmark as it was)
 #
 # Worker-count independence (one worker == four) is not a gate here:
 # crates/bench/tests/sweep_golden.rs checks it for fig12-fig16 in tier-1.
@@ -248,6 +253,31 @@ if cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml -
 else
     fail check:benchmark \
         "$(grep -m1 -A4 '^error' "$out/check_benchmark.err" || tail -n 4 "$out/check_benchmark.err")"
+fi
+
+# One "workload seed digest" line per smoke run; a run that fails or
+# prints no digest reads "none".
+gate_start=$EPOCHREALTIME
+if cargo build --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml \
+    > "$out/build_benchmark.err" 2>&1; then
+    benchmark=${CARGO_TARGET_DIR:-$root/benchmark/target}/release/roadrunner-benchmark
+    for workload in hose_bulk hose_small baseline_codec edge_resize cluster_load; do
+        for seed in 1 2; do
+            digest=$("$benchmark" --workload "$workload" --seed "$seed" --smoke --trace 0 2>/dev/null |
+                sed -n 's/^INFO .*"virt_digest": "\([0-9a-f]*\)".*/\1/p')
+            echo "$workload $seed ${digest:-none}"
+        done
+    done > "$out/benchmark_smoke_digests.txt"
+    # Not `same`: the gate's seconds include the build and the runs.
+    if cmp -s "$out/benchmark_smoke_digests.txt" crates/bench/reference/benchmark_smoke_digests.txt; then
+        pass reference:benchmark
+    else
+        fail reference:benchmark \
+            "$(diff "$out/benchmark_smoke_digests.txt" crates/bench/reference/benchmark_smoke_digests.txt | head -n 4)"
+    fi
+else
+    fail reference:benchmark \
+        "$(grep -m1 -A4 '^error' "$out/build_benchmark.err" || tail -n 4 "$out/build_benchmark.err")"
 fi
 
 echo
