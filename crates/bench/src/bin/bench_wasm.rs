@@ -5,7 +5,7 @@
 //!
 //! * `compute` — a two-round xorshift32/accumulate loop in the
 //!   local-SSA style compilers emit: pure local arithmetic and branch
-//!   dispatch, the superinstruction pass's best case;
+//!   dispatch;
 //! * `calls` — naive recursive `fib`, all frame setup/teardown on the
 //!   reusable frame arena;
 //! * `memory` — a bounds-checked load/increment/store loop;

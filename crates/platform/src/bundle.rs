@@ -3,39 +3,26 @@
 //! The shim "packages the Wasm VM as an OCI-compliant bundle … executed
 //! as a container by high-level container managers such as containerd"
 //! (paper §3.2.5). A [`FunctionBundle`] is that artifact: a real encoded
-//! Wasm binary plus the manifest metadata orchestrators read — including
-//! the workflow/tenant annotations Roadrunner's trust validation checks
-//! before enabling user-space mode. The container baselines deploy no
-//! bundle: their image sizes are `baselines::coldstart` constants.
+//! Wasm binary plus the workflow and tenant Roadrunner's trust
+//! validation checks before enabling user-space mode. The container
+//! baselines deploy no bundle: their image sizes are
+//! `baselines::coldstart` constants.
 
-use std::collections::BTreeMap;
-
-/// Annotation key naming the workflow a function belongs to.
-pub const ANNOTATION_WORKFLOW: &str = "dev.roadrunner.workflow";
-/// Annotation key naming the tenant that owns a function.
-pub const ANNOTATION_TENANT: &str = "dev.roadrunner.tenant";
-
-/// Manifest metadata carried alongside the payload.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Manifest {
-    /// Free-form annotations (workflow, tenant, …), sorted for
-    /// deterministic encoding.
-    pub annotations: BTreeMap<String, String>,
-}
-
-/// A deployable function artifact: a named Wasm binary and its manifest.
+/// A deployable function artifact: a named Wasm binary and the workflow
+/// and tenant it belongs to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionBundle {
     name: String,
     /// Encoded `\0asm` bytes.
     binary: Vec<u8>,
-    manifest: Manifest,
+    workflow: Option<String>,
+    tenant: Option<String>,
 }
 
 impl FunctionBundle {
     /// Creates a Wasm bundle from real module bytes.
     pub fn wasm(name: impl Into<String>, binary: Vec<u8>) -> Self {
-        Self { name: name.into(), binary, manifest: Manifest::default() }
+        Self { name: name.into(), binary, workflow: None, tenant: None }
     }
 
     /// Function name.
@@ -48,33 +35,26 @@ impl FunctionBundle {
         &self.binary
     }
 
-    /// Manifest metadata.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// Sets the workflow annotation (chainable).
+    /// Sets the workflow (chainable).
     pub fn with_workflow(mut self, workflow: impl Into<String>) -> Self {
-        self.manifest
-            .annotations
-            .insert(ANNOTATION_WORKFLOW.to_owned(), workflow.into());
+        self.workflow = Some(workflow.into());
         self
     }
 
-    /// Sets the tenant annotation (chainable).
+    /// Sets the tenant (chainable).
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.manifest.annotations.insert(ANNOTATION_TENANT.to_owned(), tenant.into());
+        self.tenant = Some(tenant.into());
         self
     }
 
-    /// Workflow annotation, if present.
+    /// The workflow, if set.
     pub fn workflow(&self) -> Option<&str> {
-        self.manifest.annotations.get(ANNOTATION_WORKFLOW).map(String::as_str)
+        self.workflow.as_deref()
     }
 
-    /// Tenant annotation, if present.
+    /// The tenant, if set.
     pub fn tenant(&self) -> Option<&str> {
-        self.manifest.annotations.get(ANNOTATION_TENANT).map(String::as_str)
+        self.tenant.as_deref()
     }
 
     /// Whether two bundles may share a Wasm VM under Roadrunner's trust

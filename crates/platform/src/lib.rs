@@ -76,7 +76,7 @@ pub mod warmpool;
 mod wordhash;
 pub mod workflow;
 
-pub use bundle::{FunctionBundle, Manifest};
+pub use bundle::FunctionBundle;
 pub use dag::WorkflowDag;
 pub use error::PlatformError;
 pub use loadgen::{

@@ -112,9 +112,9 @@ impl Timeline {
         start
     }
 
-    /// Total busy time reserved across all lanes since construction or the
-    /// last [`reset`](Self::reset) — the numerator of the resource's
-    /// utilization (`reserved_ns / (capacity × horizon)`).
+    /// Total busy time reserved across all lanes since construction — the
+    /// numerator of the resource's utilization (`reserved_ns / (capacity
+    /// × horizon)`).
     pub fn reserved_ns(&self) -> Nanos {
         self.reserved
     }
@@ -146,15 +146,6 @@ impl Timeline {
         let mut ends: Vec<Nanos> = self.lanes.iter().map(|&Reverse(t)| t).collect();
         ends.sort_unstable();
         ends
-    }
-
-    /// Clears all reservations.
-    pub fn reset(&mut self) {
-        let capacity = self.lanes.len();
-        self.lanes.clear();
-        self.lanes.extend((0..capacity).map(|_| Reverse(0)));
-        self.reserved = 0;
-        self.latest = 0;
     }
 }
 
@@ -261,18 +252,10 @@ impl<T> std::fmt::Debug for EventQueue<T> {
 pub struct NodeView {
     /// Core count (the CPU timeline's lane count).
     pub cores: u32,
-    /// Earliest time any core lane is free.
-    pub free_at: Nanos,
     /// Work queued beyond the snapshot instant: how long the busiest
     /// lane still has to drain. The backlog-depth signal placement
     /// policies and the autoscaler route on.
     pub backlog_ns: Nanos,
-    /// Total busy time reserved on the node since construction/reset.
-    pub reserved_ns: Nanos,
-    /// Reserved-time utilization up to the snapshot instant:
-    /// `reserved_ns / (cores × now)`, 0 at `now == 0`. Can exceed 1
-    /// transiently — reservations may extend past `now`.
-    pub utilization: f64,
 }
 
 /// A cheap, immutable snapshot of a [`SchedResources`]' live state at one
@@ -472,11 +455,6 @@ impl SchedResources {
         self.outages = Some(schedule);
     }
 
-    /// The attached outage schedule, if any.
-    pub fn outages(&self) -> Option<&Arc<OutageSchedule>> {
-        self.outages.as_ref()
-    }
-
     /// Whether node `idx` is down at `at` under the attached schedule
     /// (always up without one; indexes wrap like [`cpu`](Self::cpu)).
     pub fn node_down_at(&self, idx: usize, at: Nanos) -> bool {
@@ -579,25 +557,9 @@ impl SchedResources {
     pub fn view_into(&self, now: Nanos, out: &mut ResourceView) {
         out.now = now;
         out.nodes.clear();
-        out.nodes.extend(self.cpus.iter().map(|cpu| {
-            let reserved = cpu.reserved_ns();
-            let lanes = cpu.capacity() as u64;
-            NodeView {
-                cores: cpu.capacity() as u32,
-                free_at: cpu.free_at(),
-                backlog_ns: cpu.backlog_at(now),
-                reserved_ns: reserved,
-                utilization: if now == 0 {
-                    0.0
-                } else {
-                    // Lane-nanoseconds elapsed; past `u64::MAX` of them the
-                    // product is taken in floats instead of overflowing.
-                    let elapsed = lanes
-                        .checked_mul(now)
-                        .map_or(lanes as f64 * now as f64, |ns| ns as f64);
-                    reserved as f64 / elapsed
-                },
-            }
+        out.nodes.extend(self.cpus.iter().map(|cpu| NodeView {
+            cores: cpu.capacity() as u32,
+            backlog_ns: cpu.backlog_at(now),
         }));
         out.link_backlogs.clear();
         out.link_backlogs.extend(self.links.iter().map(|l| l.backlog_at(now)));
@@ -752,16 +714,6 @@ impl SchedResources {
         let reserved = self.links.iter().map(Timeline::reserved_ns).sum::<Nanos>();
         (reserved + self.retired_link_ns, self.links.len())
     }
-
-    /// Clears all reservations (including retired totals), keeping the
-    /// topology.
-    pub fn reset(&mut self) {
-        for timeline in self.cpus.iter_mut().chain(&mut self.links) {
-            timeline.reset();
-        }
-        self.retired_cpu_ns = 0;
-        self.retired_link_ns = 0;
-    }
 }
 
 // The parallel sweep engine (`platform::sweep`) constructs one
@@ -811,15 +763,6 @@ mod tests {
         link.reserve(0, 1_000);
         assert_eq!(link.reserve(200, 0), 200);
         assert_eq!(link.busy_until(), 1_000);
-    }
-
-    #[test]
-    fn timeline_reset_clears_lanes() {
-        let mut cpu = Timeline::new("cpu", 2);
-        cpu.reserve(0, 5_000);
-        cpu.reset();
-        assert_eq!(cpu.busy_until(), 0);
-        assert_eq!(cpu.reserve(0, 10), 0);
     }
 
     #[test]
@@ -888,8 +831,6 @@ mod tests {
         res.link_between(0, 1).reserve(0, 5_000);
         res.cpu(1).reserve(0, 300);
         assert_eq!(res.busy_until(), 5_000);
-        res.reset();
-        assert_eq!(res.busy_until(), 0);
     }
 
     #[test]
@@ -900,14 +841,12 @@ mod tests {
     }
 
     #[test]
-    fn reserved_ns_accumulates_and_resets() {
+    fn reserved_ns_accumulates() {
         let mut cpu = Timeline::new("cpu", 2);
         cpu.reserve(0, 100);
         cpu.reserve(0, 250);
         cpu.reserve(50, 0); // zero-duration never counts
         assert_eq!(cpu.reserved_ns(), 350);
-        cpu.reset();
-        assert_eq!(cpu.reserved_ns(), 0);
     }
 
     #[test]
@@ -954,13 +893,10 @@ mod tests {
         assert_eq!((cpu_ns, lanes), (400, 4));
         let (link_ns, links) = res.link_reserved();
         assert_eq!((link_ns, links), (700, 1));
-        res.reset();
-        assert_eq!(res.cpu_reserved().0, 0);
-        assert_eq!(res.link_reserved().0, 0);
     }
 
     #[test]
-    fn view_reports_backlog_and_utilization() {
+    fn view_reports_cores_and_backlog() {
         let mut res = SchedResources::mesh(&[2, 4]);
         res.cpu(0).reserve(0, 600);
         res.cpu(0).reserve(0, 1_000);
@@ -969,23 +905,18 @@ mod tests {
         assert_eq!(view.now(), 500);
         assert_eq!(view.node_count(), 2);
         assert_eq!(view.node(0).cores, 2);
-        // Lanes busy until 600 and 1_000: earliest free 600, backlog
-        // beyond now=500 is 500.
-        assert_eq!(view.node(0).free_at, 600);
+        // Lanes busy until 600 and 1_000: the backlog beyond now=500 is
+        // the busiest lane's 500.
         assert_eq!(view.node(0).backlog_ns, 500);
-        assert_eq!(view.node(0).reserved_ns, 1_600);
-        assert!((view.node(0).utilization - 1_600.0 / (2.0 * 500.0)).abs() < 1e-12);
         // Node 1 idle.
+        assert_eq!(view.node(1).cores, 4);
         assert_eq!(view.node(1).backlog_ns, 0);
-        assert_eq!(view.node(1).utilization, 0.0);
         assert_eq!(view.link_backlog_between(0, 1), 400);
         // No link joins a node and itself, wrapped indexes included.
         assert_eq!(view.link_backlog_between(0, 0), 0);
         assert_eq!(view.link_backlog_between(1, 3), 0);
         assert_eq!(view.total_backlog_ns(), 500);
         assert_eq!(view.mean_backlog_ns(), 250);
-        // A snapshot at time 0 reports zero utilization, not NaN.
-        assert_eq!(res.view(0).node(0).utilization, 0.0);
     }
 
     #[test]
@@ -1091,9 +1022,6 @@ mod tests {
         assert_eq!(res.link_reserved().1, 1);
         // …and the surviving pair kept its reservations.
         assert_eq!(res.link_between(0, 1).busy_until(), 400);
-        res.reset();
-        assert_eq!(res.cpu_reserved().0, 0);
-        assert_eq!(res.link_reserved().0, 0);
     }
 
     #[test]
@@ -1187,7 +1115,6 @@ mod tests {
         assert_eq!(granted, Some(6_000));
         // Rejected attempts reserved nothing.
         assert_eq!(res.cpu(1).reserved_ns(), 100);
-        assert!(res.outages().is_some());
     }
 
     #[test]

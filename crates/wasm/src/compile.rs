@@ -37,10 +37,11 @@
 //!
 //! # Superinstruction fusion
 //!
-//! A peephole pass ([`fuse`]) then rewrites hot patterns over locals and
-//! constants — `local.get a; local.get b; i32.add; local.set d` and
-//! friends — into single register-style superinstructions, cutting both
-//! dispatch count and operand-stack traffic. Only *pure* ops fuse:
+//! A peephole pass ([`fuse`]) then rewrites the five patterns over locals
+//! and constants that the guests' loops run — `local.get i; i32.const 1;
+//! i32.add; local.set i` and its kin — into single register-style
+//! superinstructions, cutting both dispatch count and operand-stack
+//! traffic. Only *pure* ops fuse:
 //! non-trapping i32 arithmetic/comparisons, `local.get`/`local.set` and
 //! `i32.const`. Each fused op charges the exact number of source
 //! instructions it replaces; when fuel runs out inside a group, the
@@ -123,18 +124,9 @@ pub(crate) enum I32Bin {
     GeU,
 }
 
-/// Fused `local.get a; local.get b; <cmp>; br_if` — a compare-and-
+/// Fused `local.get a; i32.const c; <cmp>; br_if` — a compare-and-
 /// branch with no operand-stack traffic (boxed: the jump plus operands
 /// exceed the 16-byte op budget).
-#[derive(Debug, Clone)]
-pub(crate) struct BrFuseLL {
-    pub op: I32Bin,
-    pub a: u16,
-    pub b: u16,
-    pub jump: Jump,
-}
-
-/// Fused `local.get a; i32.const c; <cmp>; br_if`.
 #[derive(Debug, Clone)]
 pub(crate) struct BrFuseLC {
     pub op: I32Bin,
@@ -261,29 +253,14 @@ macro_rules! define_op {
             // comment gives the replaced pattern; each counts as that
             // many source instructions ("L" local, "C" const, "T" stack
             // top; the second operand of `TL`/`TC` forms is the RHS).
-            /// `local[dst] = local[a] ⊕ local[b]` (get·get·op·set, 4).
-            I32BinLLSet { op: I32Bin, a: u16, b: u16, dst: u16 },
             /// `local[dst] = local[a] ⊕ c` (get·const·op·set, 4).
             I32BinLCSet { op: I32Bin, a: u16, c: i32, dst: u16 },
-            /// `local[dst] = pop() ⊕ local[a]` (get·op·set, 3).
-            I32BinTLSet { op: I32Bin, a: u16, dst: u16 },
-            /// `local[dst] = pop() ⊕ c` (const·op·set, 3).
-            I32BinTCSet { op: I32Bin, c: i32, dst: u16 },
-            /// `push(local[a] ⊕ local[b])` (get·get·op, 3).
-            I32BinLL { op: I32Bin, a: u16, b: u16 },
             /// `push(local[a] ⊕ c)` (get·const·op, 3).
             I32BinLC { op: I32Bin, a: u16, c: i32 },
             /// `push(pop() ⊕ local[a])` (get·op, 2).
             I32BinTL { op: I32Bin, a: u16 },
             /// `push(pop() ⊕ c)` (const·op, 2).
             I32BinTC { op: I32Bin, c: i32 },
-            /// `local[dst] = local[src]`, any type (get·set, 2).
-            LocalCopy { src: u16, dst: u16 },
-            /// `local[dst] = c` (const·set, 2).
-            I32ConstSet { c: i32, dst: u16 },
-            /// Branch when `local[a] ⊕ local[b]` is nonzero
-            /// (get·get·cmp·br_if, 4).
-            BrIfBinLL(Box<BrFuseLL>),
             /// Branch when `local[a] ⊕ c` is nonzero
             /// (get·const·cmp·br_if, 4).
             BrIfBinLC(Box<BrFuseLC>),
@@ -397,7 +374,7 @@ fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
     match op {
         Op::I32Const(_) | Op::I64Const(_) => (0, 1),
         Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize => (0, 1),
-        Op::I32BinLL { .. } | Op::I32BinLC { .. } => (0, 1),
+        Op::I32BinLC { .. } => (0, 1),
         Op::I32BinTL { .. } | Op::I32BinTC { .. } | Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
         Op::I32Load(_) | Op::I64Load(_) => (1, 1),
         Op::I32Load8S(_) | Op::I32Load8U(_) | Op::I32Load16S(_) | Op::I32Load16U(_) => (1, 1),
@@ -405,7 +382,6 @@ fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
         Op::I64Load32S(_) | Op::I64Load32U(_) => (1, 1),
         Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
         Op::IfElse(_) | Op::BrIf(_) | Op::BrTable(_) => (1, 0),
-        Op::I32BinTLSet { .. } | Op::I32BinTCSet { .. } => (1, 0),
         Op::I32Store(_) | Op::I64Store(_) => (2, 0),
         Op::I32Store8(_) | Op::I32Store16(_) => (2, 0),
         Op::I64Store8(_) | Op::I64Store16(_) | Op::I64Store32(_) => (2, 0),
@@ -414,8 +390,8 @@ fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
         Op::Call(f) => sig(module.funcs[*f as usize].type_idx),
         Op::CallHost { func, .. } => sig(module.imports[*func as usize].type_idx),
         // Control that moves no value (the values a taken branch carries
-        // stay where the unwind puts them) and the local-to-local fused
-        // forms.
+        // stay where the unwind puts them) and `I32BinLCSet`, which reads
+        // and writes only locals.
         _ => (0, 0),
     }
 }
@@ -523,7 +499,6 @@ fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> 
 fn jumps_of(op: &Op) -> Vec<&Jump> {
     match op {
         Op::Br(j) | Op::BrIf(j) => vec![j],
-        Op::BrIfBinLL(f) => vec![&f.jump],
         Op::BrIfBinLC(f) => vec![&f.jump],
         Op::BrTable(bt) => bt.targets.iter().chain([&bt.default]).collect(),
         _ => Vec::new(),
@@ -585,7 +560,6 @@ fn fuse(code: Vec<Op>) -> Vec<Op> {
         match op {
             Op::Goto(t) | Op::IfElse(t) => *t = map[*t as usize],
             Op::Br(j) | Op::BrIf(j) => j.target = map[j.target as usize],
-            Op::BrIfBinLL(f) => f.jump.target = map[f.jump.target as usize],
             Op::BrIfBinLC(f) => f.jump.target = map[f.jump.target as usize],
             Op::BrTable(bt) => {
                 for j in bt.targets.iter_mut() {
@@ -601,80 +575,33 @@ fn fuse(code: Vec<Op>) -> Vec<Op> {
 
 /// Matches the longest superinstruction pattern at the head of `w`,
 /// using at most `free` ops. Local indices above `u16::MAX` simply
-/// don't fuse.
+/// don't fuse. The five forms are the ones the guests' loops run (see
+/// DESIGN §6); any other run of pure ops lowers to plain ops or to a
+/// shorter form inside it.
 fn match_superop(w: &[Op], free: usize) -> Option<(Op, usize)> {
     let loc = |i: &u32| u16::try_from(*i).ok();
-    if free >= 4 {
-        if let [Op::LocalGet(a), Op::LocalGet(b), o, Op::BrIf(jump), ..] = w {
-            if let (Some(op), Some(a), Some(b)) = (i32_bin_of(o), loc(a), loc(b)) {
-                let f = BrFuseLL { op, a, b, jump: *jump };
-                return Some((Op::BrIfBinLL(Box::new(f)), 4));
-            }
+    match w {
+        [Op::LocalGet(a), Op::I32Const(c), o, rest @ ..] if free >= 3 => {
+            let (op, a, c) = (i32_bin_of(o)?, loc(a)?, *c);
+            let next = if free >= 4 { rest.first() } else { None };
+            Some(match next {
+                Some(Op::BrIf(jump)) => {
+                    (Op::BrIfBinLC(Box::new(BrFuseLC { op, a, c, jump: *jump })), 4)
+                }
+                Some(Op::LocalSet(d)) if loc(d).is_some() => {
+                    (Op::I32BinLCSet { op, a, c, dst: loc(d)? }, 4)
+                }
+                _ => (Op::I32BinLC { op, a, c }, 3),
+            })
         }
-        if let [Op::LocalGet(a), Op::I32Const(c), o, Op::BrIf(jump), ..] = w {
-            if let (Some(op), Some(a)) = (i32_bin_of(o), loc(a)) {
-                let f = BrFuseLC { op, a, c: *c, jump: *jump };
-                return Some((Op::BrIfBinLC(Box::new(f)), 4));
-            }
+        [Op::LocalGet(a), o, ..] if free >= 2 => {
+            Some((Op::I32BinTL { op: i32_bin_of(o)?, a: loc(a)? }, 2))
         }
-        if let [Op::LocalGet(a), Op::LocalGet(b), o, Op::LocalSet(d), ..] = w {
-            if let (Some(op), Some(a), Some(b), Some(dst)) =
-                (i32_bin_of(o), loc(a), loc(b), loc(d))
-            {
-                return Some((Op::I32BinLLSet { op, a, b, dst }, 4));
-            }
+        [Op::I32Const(c), o, ..] if free >= 2 => {
+            Some((Op::I32BinTC { op: i32_bin_of(o)?, c: *c }, 2))
         }
-        if let [Op::LocalGet(a), Op::I32Const(c), o, Op::LocalSet(d), ..] = w {
-            if let (Some(op), Some(a), Some(dst)) = (i32_bin_of(o), loc(a), loc(d)) {
-                return Some((Op::I32BinLCSet { op, a, c: *c, dst }, 4));
-            }
-        }
+        _ => None,
     }
-    if free >= 3 {
-        if let [Op::LocalGet(a), o, Op::LocalSet(d), ..] = w {
-            if let (Some(op), Some(a), Some(dst)) = (i32_bin_of(o), loc(a), loc(d)) {
-                return Some((Op::I32BinTLSet { op, a, dst }, 3));
-            }
-        }
-        if let [Op::I32Const(c), o, Op::LocalSet(d), ..] = w {
-            if let (Some(op), Some(dst)) = (i32_bin_of(o), loc(d)) {
-                return Some((Op::I32BinTCSet { op, c: *c, dst }, 3));
-            }
-        }
-        if let [Op::LocalGet(a), Op::LocalGet(b), o, ..] = w {
-            if let (Some(op), Some(a), Some(b)) = (i32_bin_of(o), loc(a), loc(b)) {
-                return Some((Op::I32BinLL { op, a, b }, 3));
-            }
-        }
-        if let [Op::LocalGet(a), Op::I32Const(c), o, ..] = w {
-            if let (Some(op), Some(a)) = (i32_bin_of(o), loc(a)) {
-                return Some((Op::I32BinLC { op, a, c: *c }, 3));
-            }
-        }
-    }
-    if free >= 2 {
-        if let [Op::LocalGet(a), o, ..] = w {
-            if let (Some(op), Some(a)) = (i32_bin_of(o), loc(a)) {
-                return Some((Op::I32BinTL { op, a }, 2));
-            }
-        }
-        if let [Op::I32Const(c), o, ..] = w {
-            if let Some(op) = i32_bin_of(o) {
-                return Some((Op::I32BinTC { op, c: *c }, 2));
-            }
-        }
-        if let [Op::LocalGet(s), Op::LocalSet(d), ..] = w {
-            if let (Some(src), Some(dst)) = (loc(s), loc(d)) {
-                return Some((Op::LocalCopy { src, dst }, 2));
-            }
-        }
-        if let [Op::I32Const(c), Op::LocalSet(d), ..] = w {
-            if let Some(dst) = loc(d) {
-                return Some((Op::I32ConstSet { c: *c, dst }, 2));
-            }
-        }
-    }
-    None
 }
 
 enum CtrlKind {
@@ -1085,10 +1012,10 @@ mod tests {
 
     #[test]
     fn fusion_rewrites_local_arithmetic_into_superops() {
-        // get·get·add·set collapses to a single register-style op.
+        // get·const·add·set collapses to a single register-style op.
         let f = compile_locals(vec![
             Instr::LocalGet(0),
-            Instr::LocalGet(1),
+            Instr::I32Const(5),
             Instr::I32Add,
             Instr::LocalSet(0),
             Instr::LocalGet(0),
@@ -1096,7 +1023,7 @@ mod tests {
         assert_eq!(f.code.len(), 3);
         assert!(matches!(
             f.code[0],
-            Op::I32BinLLSet { op: I32Bin::Add, a: 0, b: 1, dst: 0 }
+            Op::I32BinLCSet { op: I32Bin::Add, a: 0, c: 5, dst: 0 }
         ));
         assert!(matches!(f.code[1], Op::LocalGet(0)));
         assert!(matches!(f.code[2], Op::FnEnd));
@@ -1104,21 +1031,23 @@ mod tests {
 
     #[test]
     fn fusion_handles_stack_top_forms() {
-        // The value under get·add·set comes off the operand stack, so
-        // only the trailing three ops fuse (TLSet), not the ctz.
+        // The left operand of get·add and of const·shl comes off the
+        // operand stack, so each pair fuses (TL, then TC) but the ctz
+        // beneath them does not.
         let f = compile_locals(vec![
             Instr::LocalGet(0),
             Instr::I32Ctz,
             Instr::LocalGet(1),
             Instr::I32Add,
-            Instr::LocalSet(0),
-            Instr::LocalGet(0),
+            Instr::I32Const(3),
+            Instr::I32Shl,
         ]);
         assert_eq!(f.code.len(), 5);
         assert!(matches!(f.code[0], Op::LocalGet(0)));
         assert!(matches!(f.code[1], Op::I32Ctz));
-        assert!(matches!(f.code[2], Op::I32BinTLSet { op: I32Bin::Add, a: 1, dst: 0 }));
-        assert!(matches!(f.code[3], Op::LocalGet(0)));
+        assert!(matches!(f.code[2], Op::I32BinTL { op: I32Bin::Add, a: 1 }));
+        assert!(matches!(f.code[3], Op::I32BinTC { op: I32Bin::Shl, c: 3 }));
+        assert!(matches!(f.code[4], Op::FnEnd));
     }
 
     #[test]
@@ -1152,25 +1081,26 @@ mod tests {
         // the IfElse target must follow.
         let f = compile_locals(vec![
             Instr::LocalGet(0),
-            Instr::LocalGet(1),
+            Instr::I32Const(1),
             Instr::I32Add,
             Instr::LocalSet(0),
             Instr::LocalGet(0),
             Instr::If(BlockType::Empty, vec![Instr::Nop], vec![]),
             Instr::LocalGet(0),
         ]);
-        // LLSet(0), LG0(1), IfElse(2), Nop(3), LG0(4), FnEnd(5).
+        // LCSet(0), LG0(1), IfElse(2), Nop(3), LG0(4), FnEnd(5).
         assert_eq!(f.code.len(), 6);
-        assert!(matches!(f.code[0], Op::I32BinLLSet { .. }));
+        assert!(matches!(f.code[0], Op::I32BinLCSet { .. }));
         let Op::IfElse(t) = f.code[2] else { panic!("expected IfElse, got {:?}", f.code[2]) };
         assert_eq!(t, 4, "merge offset remapped from the unfused stream");
     }
 
     #[test]
     fn fusion_fuses_loop_compare_branches() {
-        // The canonical counted loop: the exit test becomes one
-        // compare-and-branch, the increment one LCSet, and the back-edge
-        // still re-enters past the counted loop header.
+        // The counted loop as the guests write it, against a constant
+        // bound: the exit test becomes one compare-and-branch, the
+        // increment one LCSet, and the back-edge still re-enters past
+        // the counted loop header.
         let f = compile_locals(vec![
             Instr::Block(
                 BlockType::Empty,
@@ -1178,7 +1108,7 @@ mod tests {
                     BlockType::Empty,
                     vec![
                         Instr::LocalGet(1),
-                        Instr::LocalGet(0),
+                        Instr::I32Const(16),
                         Instr::I32GeU,
                         Instr::BrIf(1),
                         Instr::LocalGet(1),
@@ -1191,13 +1121,13 @@ mod tests {
             ),
             Instr::LocalGet(1),
         ]);
-        // Enter(0), Enter(1), BrIfBinLL(2), LCSet(3), Br(4)->2, LG1(5), FnEnd(6).
+        // Enter(0), Enter(1), BrIfBinLC(2), LCSet(3), Br(4)->2, LG1(5), FnEnd(6).
         assert_eq!(f.code.len(), 7);
-        let Op::BrIfBinLL(fused) = &f.code[2] else {
-            panic!("expected BrIfBinLL, got {:?}", f.code[2])
+        let Op::BrIfBinLC(fused) = &f.code[2] else {
+            panic!("expected BrIfBinLC, got {:?}", f.code[2])
         };
         assert_eq!(fused.op, I32Bin::GeU);
-        assert_eq!((fused.a, fused.b), (1, 0));
+        assert_eq!((fused.a, fused.c), (1, 16));
         assert_eq!(fused.jump.target, 5, "block merge remapped past the fused body");
         assert!(matches!(
             f.code[3],
@@ -1205,6 +1135,114 @@ mod tests {
         ));
         let Op::Br(back) = &f.code[4] else { panic!("expected Br, got {:?}", f.code[4]) };
         assert_eq!(back.target, 2, "back-edge lands on the fused exit test, past Enter");
+    }
+
+    #[test]
+    fn fusion_lowers_each_pattern_to_its_kept_form() {
+        use BlockType::Empty;
+        use Instr::{I32Add, I32Const, I32GeU, I32LtS, I32Mul, I32Shl, LocalGet, LocalSet};
+        let br = |target| Jump { target, height: 0, arity: 0 };
+        // (pattern, body, expected code without the trailing FnEnd). The
+        // first five are the fused forms; every other run of pure ops
+        // lowers to plain ops or to a shorter form inside it.
+        let cases: Vec<(&str, Vec<Instr>, Vec<Op>)> = vec![
+            (
+                "get·const·op",
+                vec![LocalGet(0), I32Const(3), I32Add],
+                vec![Op::I32BinLC { op: I32Bin::Add, a: 0, c: 3 }],
+            ),
+            (
+                "const·op",
+                vec![I32Const(1), I32Const(2), I32Add],
+                vec![Op::I32Const(1), Op::I32BinTC { op: I32Bin::Add, c: 2 }],
+            ),
+            (
+                "get·op",
+                vec![I32Const(1), LocalGet(1), I32Mul],
+                vec![Op::I32Const(1), Op::I32BinTL { op: I32Bin::Mul, a: 1 }],
+            ),
+            (
+                "get·const·op·set",
+                vec![LocalGet(0), I32Const(1), I32Add, LocalSet(1), LocalGet(1)],
+                vec![Op::I32BinLCSet { op: I32Bin::Add, a: 0, c: 1, dst: 1 }, Op::LocalGet(1)],
+            ),
+            (
+                "get·const·cmp·br_if",
+                vec![
+                    Instr::Block(Empty, vec![LocalGet(0), I32Const(7), I32LtS, Instr::BrIf(0)]),
+                    LocalGet(0),
+                ],
+                vec![
+                    Op::Enter,
+                    Op::BrIfBinLC(Box::new(BrFuseLC { op: I32Bin::LtS, a: 0, c: 7, jump: br(2) })),
+                    Op::LocalGet(0),
+                ],
+            ),
+            (
+                "get·get·op·set",
+                vec![LocalGet(0), LocalGet(1), I32Add, LocalSet(0), LocalGet(0)],
+                vec![
+                    Op::LocalGet(0),
+                    Op::I32BinTL { op: I32Bin::Add, a: 1 },
+                    Op::LocalSet(0),
+                    Op::LocalGet(0),
+                ],
+            ),
+            (
+                "get·op·set",
+                vec![I32Const(5), LocalGet(1), I32Add, LocalSet(0), LocalGet(0)],
+                vec![
+                    Op::I32Const(5),
+                    Op::I32BinTL { op: I32Bin::Add, a: 1 },
+                    Op::LocalSet(0),
+                    Op::LocalGet(0),
+                ],
+            ),
+            (
+                "const·op·set",
+                vec![I32Const(5), I32Const(3), I32Shl, LocalSet(0), LocalGet(0)],
+                vec![
+                    Op::I32Const(5),
+                    Op::I32BinTC { op: I32Bin::Shl, c: 3 },
+                    Op::LocalSet(0),
+                    Op::LocalGet(0),
+                ],
+            ),
+            (
+                "get·get·op",
+                vec![LocalGet(0), LocalGet(1), I32Mul],
+                vec![Op::LocalGet(0), Op::I32BinTL { op: I32Bin::Mul, a: 1 }],
+            ),
+            (
+                "get·set",
+                vec![LocalGet(0), LocalSet(1), LocalGet(1)],
+                vec![Op::LocalGet(0), Op::LocalSet(1), Op::LocalGet(1)],
+            ),
+            (
+                "const·set",
+                vec![I32Const(9), LocalSet(1), LocalGet(1)],
+                vec![Op::I32Const(9), Op::LocalSet(1), Op::LocalGet(1)],
+            ),
+            (
+                "get·get·cmp·br_if",
+                vec![
+                    Instr::Block(Empty, vec![LocalGet(0), LocalGet(1), I32GeU, Instr::BrIf(0)]),
+                    LocalGet(0),
+                ],
+                vec![
+                    Op::Enter,
+                    Op::LocalGet(0),
+                    Op::I32BinTL { op: I32Bin::GeU, a: 1 },
+                    Op::BrIf(br(4)),
+                    Op::LocalGet(0),
+                ],
+            ),
+        ];
+        for (pattern, body, mut expected) in cases {
+            expected.push(Op::FnEnd);
+            let f = compile_locals(body);
+            assert_eq!(format!("{:?}", f.code), format!("{expected:?}"), "{pattern}");
+        }
     }
 
     #[test]

@@ -574,7 +574,9 @@ fn division_traps_match() {
 
 /// `loop(n) { x = xorshift32(xorshift32(x)); acc += x }` in the local-SSA
 /// style compilers emit — locals 0 = n (param), 1 = i, 2 = x, 3 = acc,
-/// 4 = t; nearly every instruction lands in a fused superinstruction.
+/// 4 = t. Fusion covers the shifts and the counter (`I32BinLCSet`); the
+/// local-to-local steps and the exit test run as `LocalGet` then
+/// `I32BinTL`.
 fn compute_kernel() -> Module {
     let shift = |amount: i32, op: Instr| {
         vec![

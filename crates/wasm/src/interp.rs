@@ -379,33 +379,10 @@ impl<'a> Exec<'a> {
                         // ------------------------- fused superinstructions
                         // Each charges its remaining group size on top of
                         // the 1 the prelude already counted.
-                        Op::I32BinLLSet { op, a, b, dst } => {
-                            charge!(3);
-                            let x = s.local_i32(lbase, *a);
-                            let y = s.local_i32(lbase, *b);
-                            s.set_local_i32(lbase, *dst, i32_bin_eval(*op, x, y));
-                        }
                         Op::I32BinLCSet { op, a, c, dst } => {
                             charge!(3);
                             let x = s.local_i32(lbase, *a);
                             s.set_local_i32(lbase, *dst, i32_bin_eval(*op, x, *c));
-                        }
-                        Op::I32BinTLSet { op, a, dst } => {
-                            charge!(2);
-                            let t = s.pop_i32();
-                            let y = s.local_i32(lbase, *a);
-                            s.set_local_i32(lbase, *dst, i32_bin_eval(*op, t, y));
-                        }
-                        Op::I32BinTCSet { op, c, dst } => {
-                            charge!(2);
-                            let t = s.pop_i32();
-                            s.set_local_i32(lbase, *dst, i32_bin_eval(*op, t, *c));
-                        }
-                        Op::I32BinLL { op, a, b } => {
-                            charge!(2);
-                            let x = s.local_i32(lbase, *a);
-                            let y = s.local_i32(lbase, *b);
-                            s.push_i32(i32_bin_eval(*op, x, y));
                         }
                         Op::I32BinLC { op, a, c } => {
                             charge!(2);
@@ -422,22 +399,6 @@ impl<'a> Exec<'a> {
                             charge!(1);
                             let t = s.pop_i32();
                             s.push_i32(i32_bin_eval(*op, t, *c));
-                        }
-                        Op::LocalCopy { src, dst } => {
-                            charge!(1);
-                            s.slots[lbase + *dst as usize] = s.slots[lbase + *src as usize];
-                        }
-                        Op::I32ConstSet { c, dst } => {
-                            charge!(1);
-                            s.set_local_i32(lbase, *dst, *c);
-                        }
-                        Op::BrIfBinLL(f) => {
-                            charge!(3);
-                            let x = s.local_i32(lbase, f.a);
-                            let y = s.local_i32(lbase, f.b);
-                            if i32_bin_eval(f.op, x, y) != 0 {
-                                pc = s.take_branch(obase, &f.jump);
-                            }
                         }
                         Op::BrIfBinLC(f) => {
                             charge!(3);
