@@ -93,8 +93,8 @@ mod tests {
 
     #[test]
     fn conversions_preserve_detail() {
-        let e: RoadrunnerError = Trap::DivisionByZero.into();
-        assert!(e.to_string().contains("division"));
+        let e: RoadrunnerError = Trap::FuelExhausted.into();
+        assert!(e.to_string().contains("fuel"));
         assert!(e.source().is_some());
         let e: RoadrunnerError = VkError::Closed.into();
         assert!(e.to_string().contains("closed"));

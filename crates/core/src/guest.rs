@@ -884,6 +884,68 @@ mod tests {
     }
 
     #[test]
+    fn the_engine_decodes_exactly_the_instructions_the_guests_emit() {
+        use std::collections::BTreeSet;
+
+        /// An instruction's variant name, immediates and body dropped.
+        fn kind(instr: &Instr) -> String {
+            let debug = format!("{instr:?}");
+            debug.split(|c: char| !c.is_alphanumeric()).next().unwrap_or_default().to_owned()
+        }
+        fn walk(body: &[Instr], kinds: &mut BTreeSet<String>) {
+            for instr in body {
+                kinds.insert(kind(instr));
+                match instr {
+                    Instr::Block(_, inner) | Instr::Loop(_, inner) => walk(inner, kinds),
+                    Instr::If(_, then, els) => {
+                        walk(then, kinds);
+                        walk(els, kinds);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let guests = [
+            producer(),
+            consumer(),
+            relay(),
+            hello_world(),
+            wasi_sender(),
+            wasi_receiver(),
+            resize_image(ResizeSpec { width: 8, height: 4 }),
+        ];
+        let mut emitted = BTreeSet::new();
+        for func in guests.iter().flat_map(|module| &module.funcs) {
+            walk(&func.body, &mut emitted);
+        }
+        // `bench_wasm`'s kernels time the engine on three instructions no
+        // guest emits: `calls`' `n < 2`, `compute`'s xorshift right
+        // shift and `memory`'s address `local.tee`.
+        emitted.extend(["I32LtS", "I32ShrU", "LocalTee"].map(String::from));
+
+        // What the decoder builds from each first byte (and each `0xFC`
+        // sub-opcode) followed by zero immediates, or by an empty block
+        // type and `end` for the structured instructions, in the one
+        // function body of a `[] -> []` module.
+        let decoded = |body: &[u8]| {
+            let mut bytes = roadrunner_wasm::encode::PREAMBLE.to_vec();
+            let code_len = body.len() as u8 + 3;
+            bytes.extend([1, 4, 1, 0x60, 0, 0, 3, 2, 1, 0, 10, code_len, 1, code_len - 2, 0]);
+            bytes.extend_from_slice(body);
+            decode::decode(&bytes).ok().map(|module| kind(&module.funcs[0].body[0]))
+        };
+        let plain = (0x00..=0xFF_u8)
+            .map(|op| decoded(&[op, 0, 0, 0, 0x0B]).or_else(|| decoded(&[op, 0x40, 0x0B, 0x0B])));
+        let prefixed = (0x00..=0x7F_u8).map(|sub| decoded(&[0xFC, sub, 0, 0, 0, 0x0B]));
+        let engine: BTreeSet<String> = plain.chain(prefixed).flatten().collect();
+        let unused: Vec<_> = engine.difference(&emitted).collect();
+        let missing: Vec<_> = emitted.difference(&engine).collect();
+        assert!(unused.is_empty(), "the engine decodes what no module emits: {unused:?}");
+        assert!(missing.is_empty(), "a module emits what the engine refuses: {missing:?}");
+        assert_eq!(engine.len(), 39);
+    }
+
+    #[test]
     fn resize_spec_sizes() {
         let spec = ResizeSpec { width: 640, height: 480 };
         assert_eq!(spec.input_len(), 307_200);

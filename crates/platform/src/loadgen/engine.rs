@@ -372,9 +372,8 @@ impl<'a> Engine<'a> {
             return;
         }
         let shed_tenant = match qcfg.policy {
-            // Tail drop (CoDel also tail-drops on overflow; its sojourn
-            // check runs at dequeue).
-            ShedPolicy::RejectNewest | ShedPolicy::CoDel { .. } => tenant,
+            // Tail drop (CoDel's sojourn check runs at dequeue).
+            ShedPolicy::CoDel { .. } => tenant,
             // Shed the globally oldest queued entry (most likely
             // already stale) and queue the newcomer in its place.
             ShedPolicy::RejectOldest => {

@@ -701,6 +701,10 @@ fn open_loop_offered_rate_comes_from_the_arrival_process() {
     assert!((run.offered_rps - 1_000.0).abs() < 1e-9);
 }
 
+/// Plain tail drop: a CoDel whose sojourn target is never exceeded
+/// sheds only arrivals that find the queue full.
+const TAIL_DROP: ShedPolicy = ShedPolicy::CoDel { target_ns: Nanos::MAX };
+
 fn queue_only(max_in_flight: usize, queue_cap: usize, policy: ShedPolicy) -> OverloadConfig {
     OverloadConfig {
         queue: Some(QueueConfig { max_in_flight, queue_cap, policy }),
@@ -713,7 +717,7 @@ fn an_all_shed_run_reports_zeroes_and_none_never_nan() {
     let mut res = SchedResources::new(2, 4);
     let mut policy = LocalityFirst::new();
     // Zero slots, zero queue: every arrival is shed at admission.
-    let cfg = queue_only(0, 0, ShedPolicy::RejectNewest);
+    let cfg = queue_only(0, 0, TAIL_DROP);
     let run = run_fixed(&open(pipeline_spec(), 1_000, 5), &mut res, &mut policy, overloaded(cfg))
         .unwrap();
     assert_eq!(run.arrivals, 5);
@@ -859,7 +863,7 @@ fn the_weighted_queue_drains_tenants_by_their_weights() {
     let load = MultiLoad { tenants: vec![heavy, light], admission: AdmissionConfig::warm() };
     // One slot, everything else queues: the drain order is pure
     // smooth-WRR — a 4:1 cycle of [alice ×2, bob, alice ×2].
-    let cfg = queue_only(1, 64, ShedPolicy::RejectNewest);
+    let cfg = queue_only(1, 64, TAIL_DROP);
     let run = run_fixed(&load, &mut res, &mut policy, overloaded(cfg))
         .unwrap();
     assert_eq!(run.outcomes.len(), 20);
@@ -885,10 +889,10 @@ fn reject_newest_and_reject_oldest_shed_opposite_ends_of_the_queue() {
     };
     // All ten arrivals land before the first completion (1500 ns):
     // user 0 runs, four queue, five overflow.
-    let newest = run_with(ShedPolicy::RejectNewest);
+    let newest = run_with(TAIL_DROP);
     assert_eq!((newest.shed, newest.outcomes.len()), (5, 5));
     let survivors: Vec<usize> = newest.outcomes.iter().map(|o| o.user).collect();
-    assert_eq!(survivors, vec![0, 1, 2, 3, 4], "reject-newest keeps the early arrivals");
+    assert_eq!(survivors, vec![0, 1, 2, 3, 4], "tail drop keeps the early arrivals");
 
     let oldest = run_with(ShedPolicy::RejectOldest);
     assert_eq!((oldest.shed, oldest.outcomes.len()), (5, 5));

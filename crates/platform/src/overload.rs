@@ -32,7 +32,7 @@
 //!   the [`PlacementPolicy`](crate::scheduler::PlacementPolicy) routes
 //!   on.
 //! * **Load shedding** — bounded admission queues in the load engine
-//!   with a configurable policy (reject-newest, reject-oldest, or a
+//!   with a configurable policy (reject-oldest, or tail drop with a
 //!   CoDel-style sojourn target at dequeue) and smooth
 //!   weighted-round-robin dequeue across tenants, so one adversarial
 //!   tenant cannot starve the rest.
@@ -256,14 +256,14 @@ impl CircuitBreaker {
 /// How a full admission queue (or a stale queue entry) sheds load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedPolicy {
-    /// A full queue rejects the arriving instance (tail drop).
-    RejectNewest,
     /// A full queue sheds the oldest queued instance cluster-wide (the
     /// one most likely already stale) and admits the new arrival.
     RejectOldest,
     /// CoDel-style: tail-drop on overflow, and additionally shed at
     /// *dequeue* any instance whose queue sojourn already exceeds
     /// `target_ns` — dead-on-arrival work never reaches the engine.
+    /// With `target_ns: Nanos::MAX` no sojourn exceeds the target, and
+    /// this is plain tail drop.
     CoDel {
         /// Queue-sojourn target past which a dequeued entry is shed.
         target_ns: Nanos,

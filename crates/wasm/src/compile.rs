@@ -9,7 +9,6 @@
 //! * blocks, loops and ifs become *jumps*: every branch carries a
 //!   pre-resolved instruction offset plus the static operand-stack height
 //!   and arity needed to unwind in O(arity);
-//! * `br_table` becomes a dense offset table ([`BrTableOp`]);
 //! * immediates are unpacked (`MemArg` → bare static offset, call targets
 //!   split into defined vs host at compile time);
 //! * per-function metadata (param count, locals, result arity) is computed
@@ -17,7 +16,7 @@
 //!
 //! The lowering is a single pass that mirrors the validator's control
 //! stack. Forward targets are backpatched when a frame closes; loop
-//! back-edges resolve immediately. Dead code (after `br`/`return`/
+//! back-edges resolve immediately. Dead code (after `br` or
 //! `unreachable`) is lowered with saturating height tracking — the
 //! validator's unreachable-code polymorphism means static heights there
 //! are meaningless, and the ops can never execute.
@@ -41,8 +40,8 @@
 //! and constants that the guests' loops run — `local.get i; i32.const 1;
 //! i32.add; local.set i` and its kin — into single register-style
 //! superinstructions, cutting both dispatch count and operand-stack
-//! traffic. Only *pure* ops fuse:
-//! non-trapping i32 arithmetic/comparisons, `local.get`/`local.set` and
+//! traffic. Only *pure* ops fuse — i32 binary arithmetic and
+//! comparisons (none of which traps), `local.get`/`local.set` and
 //! `i32.const`. Each fused op charges the exact number of source
 //! instructions it replaces; when fuel runs out inside a group, the
 //! remaining sub-instructions are skipped entirely, which is
@@ -87,40 +86,22 @@ pub(crate) struct Jump {
     pub arity: u32,
 }
 
-/// Pre-resolved `br_table`: a dense jump table plus the default.
-#[derive(Debug, Clone)]
-pub(crate) struct BrTableOp {
-    /// Jump per table entry, indexed by the popped selector.
-    pub targets: Box<[Jump]>,
-    /// Jump taken when the selector is out of range.
-    pub default: Jump,
-}
-
-/// The non-trapping i32 binary operators eligible for fusion. The
-/// interpreter's `i32_bin_eval` must agree op-for-op with the plain
-/// dispatch arms; the differential suite holds it to that.
+/// The i32 binary operators, all eligible for fusion. The interpreter's
+/// `i32_bin_eval` must agree op-for-op with the plain dispatch arms; the
+/// differential suite holds it to that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum I32Bin {
     Add,
     Sub,
     Mul,
     And,
-    Or,
     Xor,
     Shl,
-    ShrS,
     ShrU,
-    Rotl,
-    Rotr,
     Eq,
-    Ne,
     LtS,
     LtU,
-    GtS,
-    GtU,
-    LeS,
     LeU,
-    GeS,
     GeU,
 }
 
@@ -135,31 +116,22 @@ pub(crate) struct BrFuseLC {
     pub jump: Jump,
 }
 
-/// The fusable twin of a flat op, if it has one. Division and
-/// remainder are deliberately absent: they trap, and a trap inside a
-/// fused group would need partial-execution bookkeeping.
+/// The fusable twin of a flat op, if it has one. None of them traps,
+/// so a fused group never stops part-way but for fuel (see
+/// `charge!` in the interpreter).
 fn i32_bin_of(op: &Op) -> Option<I32Bin> {
     Some(match op {
         Op::I32Add => I32Bin::Add,
         Op::I32Sub => I32Bin::Sub,
         Op::I32Mul => I32Bin::Mul,
         Op::I32And => I32Bin::And,
-        Op::I32Or => I32Bin::Or,
         Op::I32Xor => I32Bin::Xor,
         Op::I32Shl => I32Bin::Shl,
-        Op::I32ShrS => I32Bin::ShrS,
         Op::I32ShrU => I32Bin::ShrU,
-        Op::I32Rotl => I32Bin::Rotl,
-        Op::I32Rotr => I32Bin::Rotr,
         Op::I32Eq => I32Bin::Eq,
-        Op::I32Ne => I32Bin::Ne,
         Op::I32LtS => I32Bin::LtS,
         Op::I32LtU => I32Bin::LtU,
-        Op::I32GtS => I32Bin::GtS,
-        Op::I32GtU => I32Bin::GtU,
-        Op::I32LeS => I32Bin::LeS,
         Op::I32LeU => I32Bin::LeU,
-        Op::I32GeS => I32Bin::GeS,
         Op::I32GeU => I32Bin::GeU,
         _ => return None,
     })
@@ -172,14 +144,8 @@ fn i32_bin_of(op: &Op) -> Option<I32Bin> {
 macro_rules! for_each_numeric_op {
     ($m:ident) => {
         $m! {
-            I32Eqz, I32Eq, I32Ne, I32LtS, I32LtU, I32GtS, I32GtU, I32LeS, I32LeU,
-            I32GeS, I32GeU, I64Eqz, I64Eq, I64Ne, I64LtS, I64LtU, I64GtS, I64GtU,
-            I64LeS, I64LeU, I64GeS, I64GeU, I32Clz, I32Ctz, I32Popcnt, I32Add,
-            I32Sub, I32Mul, I32DivS, I32DivU, I32RemS, I32RemU, I32And, I32Or,
-            I32Xor, I32Shl, I32ShrS, I32ShrU, I32Rotl, I32Rotr, I64Clz, I64Ctz,
-            I64Popcnt, I64Add, I64Sub, I64Mul, I64DivS, I64DivU, I64RemS, I64RemU,
-            I64And, I64Or, I64Xor, I64Shl, I64ShrS, I64ShrU, I64Rotl, I64Rotr,
-            I32WrapI64, I64ExtendI32S, I64ExtendI32U,
+            I32Eqz, I32Eq, I32LtS, I32LtU, I32LeU, I32GeU, I32Add, I32Sub, I32Mul,
+            I32And, I32Xor, I32Shl, I32ShrU, I32WrapI64, I64ExtendI32U,
         }
     };
 }
@@ -196,7 +162,6 @@ macro_rules! define_op {
             FnEnd,
             // Control.
             Unreachable,
-            Nop,
             /// `Block`/`Loop` header: counts one instruction, no effect.
             Enter,
             /// Pops the condition; jumps to the else arm (or merge point)
@@ -204,8 +169,6 @@ macro_rules! define_op {
             IfElse(u32),
             Br(Jump),
             BrIf(Jump),
-            BrTable(Box<BrTableOp>),
-            Return,
             /// Call a module-defined function, by *defined* index.
             Call(u32),
             /// Call an imported host function.
@@ -225,27 +188,12 @@ macro_rules! define_op {
             // Memory (immediate = static offset; align is a hint, dropped).
             I32Load(u32),
             I64Load(u32),
-            I32Load8S(u32),
             I32Load8U(u32),
-            I32Load16S(u32),
-            I32Load16U(u32),
-            I64Load8S(u32),
-            I64Load8U(u32),
-            I64Load16S(u32),
-            I64Load16U(u32),
-            I64Load32S(u32),
-            I64Load32U(u32),
             I32Store(u32),
             I64Store(u32),
             I32Store8(u32),
-            I32Store16(u32),
-            I64Store8(u32),
-            I64Store16(u32),
-            I64Store32(u32),
             MemorySize,
             MemoryGrow,
-            MemoryCopy,
-            MemoryFill,
             I32Const(i32),
             I64Const(i64),
             // Fused superinstructions — produced only by the [`fuse`]
@@ -267,11 +215,11 @@ macro_rules! define_op {
             $( $num, )*
         }
 
-        /// Maps a pure-numeric [`Instr`] to its [`Op`] twin.
-        fn numeric_op(i: &Instr) -> Op {
+        /// The [`Op`] twin of a pure-numeric [`Instr`].
+        fn numeric_op(i: &Instr) -> Option<Op> {
             match i {
-                $( Instr::$num => Op::$num, )*
-                other => unreachable!("not a pure numeric instruction: {other:?}"),
+                $( Instr::$num => Some(Op::$num), )*
+                _ => None,
             }
         }
 
@@ -343,8 +291,8 @@ pub(crate) fn compile(module: &Module) -> CompiledModule {
             // Branches to the function label land on the trailing FnEnd.
             let root = c.ctrls.pop().expect("root frame");
             let end = c.ops.len() as u32;
-            for (at, slot) in root.patches {
-                patch_op(&mut c.ops[at], slot, end);
+            for at in root.patches {
+                patch(&mut c.ops, at, end);
             }
             c.ops.push(Op::FnEnd);
             debug_assert_eq!(verify(&c.ops, module, c.max_height), Ok(()), "after lowering");
@@ -376,17 +324,11 @@ fn stack_effect(op: &Op, module: &Module) -> (usize, usize) {
         Op::LocalGet(_) | Op::GlobalGet(_) | Op::MemorySize => (0, 1),
         Op::I32BinLC { .. } => (0, 1),
         Op::I32BinTL { .. } | Op::I32BinTC { .. } | Op::LocalTee(_) | Op::MemoryGrow => (1, 1),
-        Op::I32Load(_) | Op::I64Load(_) => (1, 1),
-        Op::I32Load8S(_) | Op::I32Load8U(_) | Op::I32Load16S(_) | Op::I32Load16U(_) => (1, 1),
-        Op::I64Load8S(_) | Op::I64Load8U(_) | Op::I64Load16S(_) | Op::I64Load16U(_) => (1, 1),
-        Op::I64Load32S(_) | Op::I64Load32U(_) => (1, 1),
+        Op::I32Load(_) | Op::I64Load(_) | Op::I32Load8U(_) => (1, 1),
         Op::Drop | Op::LocalSet(_) | Op::GlobalSet(_) => (1, 0),
-        Op::IfElse(_) | Op::BrIf(_) | Op::BrTable(_) => (1, 0),
-        Op::I32Store(_) | Op::I64Store(_) => (2, 0),
-        Op::I32Store8(_) | Op::I32Store16(_) => (2, 0),
-        Op::I64Store8(_) | Op::I64Store16(_) | Op::I64Store32(_) => (2, 0),
+        Op::IfElse(_) | Op::BrIf(_) => (1, 0),
+        Op::I32Store(_) | Op::I64Store(_) | Op::I32Store8(_) => (2, 0),
         Op::Select => (3, 1),
-        Op::MemoryCopy | Op::MemoryFill => (3, 0),
         Op::Call(f) => sig(module.funcs[*f as usize].type_idx),
         Op::CallHost { func, .. } => sig(module.imports[*func as usize].type_idx),
         // Control that moves no value (the values a taken branch carries
@@ -422,7 +364,7 @@ fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> 
         Ok(())
     };
     for (at, op) in code.iter().enumerate() {
-        for j in jumps_of(op) {
+        if let Some(j) = jump_of(op) {
             jump(at, j)?;
         }
         match op {
@@ -470,7 +412,7 @@ fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> 
                     "op {at}: {op:?} raises the stack to {height}, max_stack is {max_stack}"
                 ));
             }
-            for j in jumps_of(op) {
+            if let Some(j) = jump_of(op) {
                 let landing = (j.height + j.arity) as usize;
                 if height < landing {
                     return Err(format!(
@@ -481,7 +423,7 @@ fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> 
                 pending.push((j.target as usize, landing));
             }
             match op {
-                Op::FnEnd | Op::Unreachable | Op::Return | Op::Br(_) | Op::BrTable(_) => break,
+                Op::FnEnd | Op::Unreachable | Op::Br(_) => break,
                 Op::Goto(t) => {
                     at = *t as usize;
                     continue;
@@ -495,13 +437,23 @@ fn verify(code: &[Op], module: &Module, max_stack: usize) -> Result<(), String> 
     Ok(())
 }
 
-/// Every pre-resolved branch an op carries.
-fn jumps_of(op: &Op) -> Vec<&Jump> {
+/// The pre-resolved branch an op carries, if any.
+fn jump_of(op: &Op) -> Option<&Jump> {
     match op {
-        Op::Br(j) | Op::BrIf(j) => vec![j],
-        Op::BrIfBinLC(f) => vec![&f.jump],
-        Op::BrTable(bt) => bt.targets.iter().chain([&bt.default]).collect(),
-        _ => Vec::new(),
+        Op::Br(j) | Op::BrIf(j) => Some(j),
+        Op::BrIfBinLC(f) => Some(&f.jump),
+        _ => None,
+    }
+}
+
+/// The code offset an op jumps to, if it jumps: the field lowering
+/// patches, fusion remaps, and both read.
+fn target_mut(op: &mut Op) -> Option<&mut u32> {
+    match op {
+        Op::Goto(t) | Op::IfElse(t) => Some(t),
+        Op::Br(j) | Op::BrIf(j) => Some(&mut j.target),
+        Op::BrIfBinLC(f) => Some(&mut f.jump.target),
+        _ => None,
     }
 }
 
@@ -510,23 +462,12 @@ fn jumps_of(op: &Op) -> Vec<&Jump> {
 /// Branch targets never land *inside* a fused run — a run may begin at
 /// a target (the jump then resumes at the superinstruction) but never
 /// extend across one. After rewriting, every surviving jump offset is
-/// remapped to the shortened stream. `Return`'s jump-to-`FnEnd` and
-/// call return addresses need no remapping: both are computed from the
-/// new stream at run time.
-fn fuse(code: Vec<Op>) -> Vec<Op> {
+/// remapped to the shortened stream. Call return addresses need no
+/// remapping: they are computed from the new stream at run time.
+fn fuse(mut code: Vec<Op>) -> Vec<Op> {
     let mut is_target = vec![false; code.len()];
-    for op in &code {
-        match op {
-            Op::Goto(t) | Op::IfElse(t) => is_target[*t as usize] = true,
-            Op::Br(j) | Op::BrIf(j) => is_target[j.target as usize] = true,
-            Op::BrTable(bt) => {
-                for j in bt.targets.iter() {
-                    is_target[j.target as usize] = true;
-                }
-                is_target[bt.default.target as usize] = true;
-            }
-            _ => {}
-        }
+    for t in code.iter_mut().filter_map(target_mut) {
+        is_target[*t as usize] = true;
     }
 
     let mut out = Vec::with_capacity(code.len());
@@ -556,19 +497,8 @@ fn fuse(code: Vec<Op>) -> Vec<Op> {
         }
     }
 
-    for op in &mut out {
-        match op {
-            Op::Goto(t) | Op::IfElse(t) => *t = map[*t as usize],
-            Op::Br(j) | Op::BrIf(j) => j.target = map[j.target as usize],
-            Op::BrIfBinLC(f) => f.jump.target = map[f.jump.target as usize],
-            Op::BrTable(bt) => {
-                for j in bt.targets.iter_mut() {
-                    j.target = map[j.target as usize];
-                }
-                bt.default.target = map[bt.default.target as usize];
-            }
-            _ => {}
-        }
+    for t in out.iter_mut().filter_map(target_mut) {
+        *t = map[*t as usize];
     }
     out
 }
@@ -617,9 +547,8 @@ struct Ctrl {
     arity: u32,
     /// Static operand height at block entry (= unwind floor).
     height: usize,
-    /// Ops awaiting this frame's merge offset: `(op index, slot)`, where
-    /// `slot` selects the entry inside a `br_table`.
-    patches: Vec<(usize, usize)>,
+    /// Indices of the jumping ops awaiting this frame's merge offset.
+    patches: Vec<usize>,
 }
 
 struct FnCompiler<'m> {
@@ -635,18 +564,13 @@ struct FnCompiler<'m> {
     max_height: usize,
 }
 
-fn patch_op(op: &mut Op, slot: usize, target: u32) {
-    match op {
-        Op::Goto(t) | Op::IfElse(t) => *t = target,
-        Op::Br(j) | Op::BrIf(j) => j.target = target,
-        Op::BrTable(bt) => {
-            if slot < bt.targets.len() {
-                bt.targets[slot].target = target;
-            } else {
-                bt.default.target = target;
-            }
-        }
-        other => unreachable!("unpatchable op {other:?}"),
+/// Points the jumping op at `ops[at]` to `target`. Only `IfElse`,
+/// `Goto`, `Br` and `BrIf` are ever registered for patching, so every
+/// patched op has a target; one left unpatched would still hold
+/// `u32::MAX`, which [`verify`] refuses.
+fn patch(ops: &mut [Op], at: usize, target: u32) {
+    if let Some(t) = target_mut(&mut ops[at]) {
+        *t = target;
     }
 }
 
@@ -681,14 +605,14 @@ impl FnCompiler<'_> {
                     self.seq(then);
                     if els.is_empty() {
                         // No else: a false condition falls through to merge.
-                        self.ctrls.last_mut().expect("if frame").patches.push((if_at, 0));
+                        self.ctrls.last_mut().expect("if frame").patches.push(if_at);
                     } else {
                         let goto_at = self.ops.len();
                         self.ops.push(Op::Goto(u32::MAX));
                         let else_start = self.ops.len() as u32;
-                        patch_op(&mut self.ops[if_at], 0, else_start);
+                        patch(&mut self.ops, if_at, else_start);
                         let frame = self.ctrls.last_mut().expect("if frame");
-                        frame.patches.push((goto_at, 0));
+                        frame.patches.push(goto_at);
                         let floor = frame.height;
                         self.height = floor;
                         self.seq(els);
@@ -725,17 +649,17 @@ impl FnCompiler<'_> {
     fn close(&mut self) {
         let frame = self.ctrls.pop().expect("ctrl frame");
         let merge = self.ops.len() as u32;
-        for (at, slot) in frame.patches {
-            patch_op(&mut self.ops[at], slot, merge);
+        for at in frame.patches {
+            patch(&mut self.ops, at, merge);
         }
         self.height = frame.height + frame.arity as usize;
         self.max_height = self.max_height.max(self.height);
     }
 
     /// Builds the jump for a branch to the `depth`-th enclosing label.
-    /// The op that will hold it sits at `at` (`slot` indexes `br_table`
-    /// entries); forward targets are registered for backpatching.
-    fn jump_to(&mut self, depth: u32, at: usize, slot: usize) -> Jump {
+    /// The op that will hold it sits at `at`; forward targets are
+    /// registered for backpatching.
+    fn jump_to(&mut self, depth: u32, at: usize) -> Jump {
         let idx = self.ctrls.len() - 1 - depth as usize;
         let frame = &mut self.ctrls[idx];
         match frame.kind {
@@ -743,7 +667,7 @@ impl FnCompiler<'_> {
                 Jump { target: start, height: frame.height as u32, arity: 0 }
             }
             CtrlKind::Block => {
-                frame.patches.push((at, slot));
+                frame.patches.push(at);
                 Jump { target: u32::MAX, height: frame.height as u32, arity: frame.arity }
             }
         }
@@ -758,42 +682,25 @@ impl FnCompiler<'_> {
     /// Lowers one instruction that contains no others.
     fn lower_plain(&mut self, instr: &Instr) {
         use Instr as I;
-        if let Some((params, results)) = numeric_sig(instr) {
-            return self.emit(numeric_op(instr), params.len(), results.len());
+        if let (Some(op), Some((params, results))) = (numeric_op(instr), numeric_sig(instr)) {
+            return self.emit(op, params.len(), results.len());
         }
         match instr {
             I::Unreachable => {
                 self.ops.push(Op::Unreachable);
                 self.reset_to_floor();
             }
-            I::Nop => self.ops.push(Op::Nop),
             I::Br(depth) => {
                 let at = self.ops.len();
-                let jump = self.jump_to(*depth, at, 0);
+                let jump = self.jump_to(*depth, at);
                 self.ops.push(Op::Br(jump));
                 self.reset_to_floor();
             }
             I::BrIf(depth) => {
                 self.pop_vals(1);
                 let at = self.ops.len();
-                let jump = self.jump_to(*depth, at, 0);
+                let jump = self.jump_to(*depth, at);
                 self.ops.push(Op::BrIf(jump));
-            }
-            I::BrTable(targets, default) => {
-                self.pop_vals(1);
-                let at = self.ops.len();
-                let entries: Box<[Jump]> = targets
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &d)| self.jump_to(d, at, slot))
-                    .collect();
-                let default = self.jump_to(*default, at, targets.len());
-                self.ops.push(Op::BrTable(Box::new(BrTableOp { targets: entries, default })));
-                self.reset_to_floor();
-            }
-            I::Return => {
-                self.ops.push(Op::Return);
-                self.reset_to_floor();
             }
             I::Call(idx) => {
                 let ty = self.module.func_type(*idx).expect("validated call target");
@@ -816,27 +723,12 @@ impl FnCompiler<'_> {
             I::GlobalSet(i) => self.emit(Op::GlobalSet(*i), 1, 0),
             I::I32Load(m) => self.emit(Op::I32Load(m.offset), 1, 1),
             I::I64Load(m) => self.emit(Op::I64Load(m.offset), 1, 1),
-            I::I32Load8S(m) => self.emit(Op::I32Load8S(m.offset), 1, 1),
             I::I32Load8U(m) => self.emit(Op::I32Load8U(m.offset), 1, 1),
-            I::I32Load16S(m) => self.emit(Op::I32Load16S(m.offset), 1, 1),
-            I::I32Load16U(m) => self.emit(Op::I32Load16U(m.offset), 1, 1),
-            I::I64Load8S(m) => self.emit(Op::I64Load8S(m.offset), 1, 1),
-            I::I64Load8U(m) => self.emit(Op::I64Load8U(m.offset), 1, 1),
-            I::I64Load16S(m) => self.emit(Op::I64Load16S(m.offset), 1, 1),
-            I::I64Load16U(m) => self.emit(Op::I64Load16U(m.offset), 1, 1),
-            I::I64Load32S(m) => self.emit(Op::I64Load32S(m.offset), 1, 1),
-            I::I64Load32U(m) => self.emit(Op::I64Load32U(m.offset), 1, 1),
             I::I32Store(m) => self.emit(Op::I32Store(m.offset), 2, 0),
             I::I64Store(m) => self.emit(Op::I64Store(m.offset), 2, 0),
             I::I32Store8(m) => self.emit(Op::I32Store8(m.offset), 2, 0),
-            I::I32Store16(m) => self.emit(Op::I32Store16(m.offset), 2, 0),
-            I::I64Store8(m) => self.emit(Op::I64Store8(m.offset), 2, 0),
-            I::I64Store16(m) => self.emit(Op::I64Store16(m.offset), 2, 0),
-            I::I64Store32(m) => self.emit(Op::I64Store32(m.offset), 2, 0),
             I::MemorySize => self.emit(Op::MemorySize, 0, 1),
             I::MemoryGrow => self.emit(Op::MemoryGrow, 1, 1),
-            I::MemoryCopy => self.emit(Op::MemoryCopy, 3, 0),
-            I::MemoryFill => self.emit(Op::MemoryFill, 3, 0),
             I::I32Const(v) => self.emit(Op::I32Const(*v), 0, 1),
             I::I64Const(v) => self.emit(Op::I64Const(*v), 0, 1),
             other => unreachable!("structured or numeric instruction fell through: {other:?}"),
@@ -912,10 +804,10 @@ mod tests {
     fn if_without_else_jumps_to_merge() {
         let f = compile_body(vec![
             Instr::I32Const(1),
-            Instr::If(BlockType::Empty, vec![Instr::Nop], vec![]),
+            Instr::If(BlockType::Empty, vec![Instr::Unreachable], vec![]),
             Instr::I32Const(9),
         ]);
-        // I32Const(0), IfElse(1), Nop(2), I32Const(3), FnEnd(4).
+        // I32Const(0), IfElse(1), Unreachable(2), I32Const(3), FnEnd(4).
         let Op::IfElse(t) = f.code[1] else { panic!("expected IfElse, got {:?}", f.code[1]) };
         assert_eq!(t, 3);
     }
@@ -935,30 +827,6 @@ mod tests {
         assert_eq!(t, 4, "false condition jumps to the else arm");
         let Op::Goto(g) = f.code[3] else { panic!("expected Goto, got {:?}", f.code[3]) };
         assert_eq!(g, 5, "then arm skips the else to the merge point");
-    }
-
-    #[test]
-    fn br_table_entries_resolve_independently() {
-        // block { block { br_table [1, 0] default=1 } nop }; i32.const 7
-        let f = compile_body(vec![
-            Instr::Block(
-                BlockType::Empty,
-                vec![
-                    Instr::Block(
-                        BlockType::Empty,
-                        vec![Instr::I32Const(0), Instr::BrTable(vec![1, 0], 1)],
-                    ),
-                    Instr::Nop,
-                ],
-            ),
-            Instr::I32Const(7),
-        ]);
-        // Enter(0), Enter(1), I32Const(2), BrTable(3), Nop(4), I32Const(5), FnEnd(6).
-        let Op::BrTable(bt) = &f.code[3] else { panic!("expected BrTable, got {:?}", f.code[3]) };
-        // Entry 0 targets the outer block's merge, entry 1 the inner one.
-        assert_eq!(bt.targets[0].target, 5);
-        assert_eq!(bt.targets[1].target, 4);
-        assert_eq!(bt.default.target, 5);
     }
 
     #[test]
@@ -1032,11 +900,11 @@ mod tests {
     #[test]
     fn fusion_handles_stack_top_forms() {
         // The left operand of get·add and of const·shl comes off the
-        // operand stack, so each pair fuses (TL, then TC) but the ctz
+        // operand stack, so each pair fuses (TL, then TC) but the eqz
         // beneath them does not.
         let f = compile_locals(vec![
             Instr::LocalGet(0),
-            Instr::I32Ctz,
+            Instr::I32Eqz,
             Instr::LocalGet(1),
             Instr::I32Add,
             Instr::I32Const(3),
@@ -1044,7 +912,7 @@ mod tests {
         ]);
         assert_eq!(f.code.len(), 5);
         assert!(matches!(f.code[0], Op::LocalGet(0)));
-        assert!(matches!(f.code[1], Op::I32Ctz));
+        assert!(matches!(f.code[1], Op::I32Eqz));
         assert!(matches!(f.code[2], Op::I32BinTL { op: I32Bin::Add, a: 1 }));
         assert!(matches!(f.code[3], Op::I32BinTC { op: I32Bin::Shl, c: 3 }));
         assert!(matches!(f.code[4], Op::FnEnd));
@@ -1085,10 +953,10 @@ mod tests {
             Instr::I32Add,
             Instr::LocalSet(0),
             Instr::LocalGet(0),
-            Instr::If(BlockType::Empty, vec![Instr::Nop], vec![]),
+            Instr::If(BlockType::Empty, vec![Instr::Unreachable], vec![]),
             Instr::LocalGet(0),
         ]);
-        // LCSet(0), LG0(1), IfElse(2), Nop(3), LG0(4), FnEnd(5).
+        // LCSet(0), LG0(1), IfElse(2), Unreachable(3), LG0(4), FnEnd(5).
         assert_eq!(f.code.len(), 6);
         assert!(matches!(f.code[0], Op::I32BinLCSet { .. }));
         let Op::IfElse(t) = f.code[2] else { panic!("expected IfElse, got {:?}", f.code[2]) };
@@ -1257,7 +1125,7 @@ mod tests {
             (vec![Op::Br(jump(1, 2, 1)), Op::FnEnd], "exceeds operand depth"),
             (vec![Op::Call(1), Op::FnEnd], "undefined function"),
             (vec![Op::CallHost { func: 0, params: 0 }, Op::FnEnd], "unknown import"),
-            (vec![Op::Nop], "not FnEnd"),
+            (vec![Op::Enter], "not FnEnd"),
             (vec![Op::Drop, Op::FnEnd], "pops 1 from height 0"),
             (vec![Op::Br(jump(1, 0, 1)), Op::FnEnd], "branch from height 0 carries 1"),
             // The then arm leaves a value the else arm does not.
@@ -1376,7 +1244,7 @@ mod tests {
     fn module_with_start_and_globals_compiles_every_func(){
         let module = ModuleBuilder::new()
             .global(ValType::I32, true, Value::I32(0))
-            .func(FuncType::new([], []), [], vec![Instr::Nop])
+            .func(FuncType::new([], []), [], vec![])
             .func(
                 FuncType::new([ValType::I64], [ValType::I64]),
                 [ValType::I64],

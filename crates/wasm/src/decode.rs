@@ -2,9 +2,13 @@
 //!
 //! Accepts artifacts produced by [`crate::encode`] (and any standard
 //! binary that stays within the reproduced subset). Structured control
-//! flow is rebuilt from the flat opcode stream; anything outside the
-//! subset (float types and opcodes, tables, element segments, SIMD,
-//! reference types) is rejected with an error at the offending byte.
+//! flow is rebuilt from the flat opcode stream. The subset is the 39
+//! instructions the tree's modules emit ([`Instr`]); anything outside
+//! it — float types and opcodes, `i64` arithmetic and compares,
+//! division, the narrow loads and stores other than `i32.load8_u` and
+//! `i32.store8`, `br_table`, `return`, `nop`, the `0xFC` prefix (bulk
+//! memory), tables, element segments, SIMD, reference types — is
+//! rejected with an error at the offending byte.
 
 use std::error::Error;
 use std::fmt;
@@ -441,18 +445,6 @@ impl<'a> Parser<'a> {
         match op {
             OP_BR => Ok(Instr::Br(self.u32()?)),
             OP_BR_IF => Ok(Instr::BrIf(self.u32()?)),
-            OP_BR_TABLE => {
-                let count = self.count()?;
-                if count > 100_000 {
-                    return self.err("br_table too large");
-                }
-                let mut targets = Vec::with_capacity(count);
-                for _ in 0..count {
-                    targets.push(self.u32()?);
-                }
-                let default = self.u32()?;
-                Ok(Instr::BrTable(targets, default))
-            }
             OP_CALL => Ok(Instr::Call(self.u32()?)),
             OP_LOCAL_GET => Ok(Instr::LocalGet(self.u32()?)),
             OP_LOCAL_SET => Ok(Instr::LocalSet(self.u32()?)),
@@ -469,21 +461,6 @@ impl<'a> Parser<'a> {
             }
             OP_I32_CONST => Ok(Instr::I32Const(self.i32()?)),
             OP_I64_CONST => Ok(Instr::I64Const(self.i64()?)),
-            OP_PREFIX_FC => {
-                let sub = self.u32()?;
-                match sub {
-                    FC_MEMORY_COPY => {
-                        self.expect_zero_byte()?;
-                        self.expect_zero_byte()?;
-                        Ok(Instr::MemoryCopy)
-                    }
-                    FC_MEMORY_FILL => {
-                        self.expect_zero_byte()?;
-                        Ok(Instr::MemoryFill)
-                    }
-                    other => self.err(format!("unsupported 0xFC sub-opcode {other}")),
-                }
-            }
             other => Err(WasmDecodeError::new(
                 self.pos - 1,
                 format!("unsupported opcode 0x{other:02x}"),
@@ -681,7 +658,6 @@ pub(crate) mod tests {
             ("params", one_section(1, &[&[1, 0x60][..], &MAX].concat())),
             ("results", one_section(1, &[&[1, 0x60, 0][..], &MAX].concat())),
             ("local runs", module_with_func(&MAX, &[OP_END])),
-            ("br_table", module_with_func(&[0], &[&[OP_BR_TABLE][..], &MAX, &[OP_END]].concat())),
         ];
         for (what, bytes) in cases {
             // Refused at the count itself — `Vec::with_capacity(n_params)`
@@ -699,7 +675,6 @@ pub(crate) mod tests {
     #[test]
     fn float_types_and_opcodes_are_refused_at_their_byte() {
         // Each module's offending byte sits `back` bytes from its end.
-        let body = |op: u8, imm: &[u8]| [&[op][..], imm, &[OP_END]].concat();
         let mut cases = vec![
             ("f32 param", one_section(1, &[1, 0x60, 1, 0x7D, 0]), 2),
             ("f64 result", one_section(1, &[1, 0x60, 0, 1, 0x7C]), 1),
@@ -707,22 +682,20 @@ pub(crate) mod tests {
             ("f64 global", one_section(6, &[1, 0x7C, 0, OP_I64_CONST, 0, OP_END]), 5),
             ("f32.const global init", one_section(6, &[1, 0x7F, 0, 0x43, 0, 0, 0, 0, OP_END]), 6),
         ];
-        let opcodes: [(u8, &[u8]); 10] = [
-            (0x2A, &[2, 0]), // f32.load
-            (0x2B, &[3, 0]), // f64.load
-            (0x38, &[2, 0]), // f32.store
-            (0x39, &[3, 0]), // f64.store
-            (0x43, &[0; 4]), // f32.const
-            (0x44, &[0; 8]), // f64.const
-            (0x5B, &[]),     // f32.eq
-            (0x92, &[]),     // f32.add
-            (0xA8, &[]),     // i32.trunc_f32_s
-            (0xBC, &[]),     // i32.reinterpret_f32
-        ];
-        for (op, imm) in opcodes {
-            let code = body(op, imm);
-            cases.push(("opcode", module_with_func(&[0], &code), code.len()));
+        // Every first byte no opcode table holds — floats, `i64`
+        // arithmetic, division, `br_table`, `return`, `nop`, … — with
+        // a zero immediate behind it, in case one is read.
+        for op in (0x00..=0xFF).filter(|&op| !crate::opcode::tests::is_tabled(op)) {
+            cases.push(("opcode", module_with_func(&[0], &[op, 0, OP_END]), 3));
         }
+        // The `0xFC` prefix (bulk memory and the saturating truncations)
+        // is untabled whole: each sub-opcode is refused at the prefix.
+        for sub in (0x00..=0x7F).map(|sub| vec![sub]).chain([vec![0x80, 0x01]]) {
+            let code = [&[0xFC][..], &sub, &[0, 0, OP_END]].concat();
+            cases.push(("0xFC sub-opcode", module_with_func(&[0], &code), code.len()));
+        }
+        // 0x00..=0xFF less 17 explicit and 24 tabled opcodes.
+        assert_eq!(cases.len(), 5 + 215 + 129);
         for (what, bytes, back) in cases {
             let at = bytes.len() - back;
             let err = decode(&bytes).unwrap_err();

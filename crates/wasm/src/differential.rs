@@ -15,8 +15,10 @@
 //!
 //! The generators lean on typed construction: each strategy emits an
 //! instruction sequence with a known stack effect, so generated modules
-//! always validate, while division, out-of-bounds accesses, fuel
-//! budgets and call depth still make traps common.
+//! always validate, while out-of-bounds accesses, guarded `unreachable`s,
+//! a host import that refuses one argument, fuel budgets and call depth
+//! still make traps common. [`every_trap_variant_is_reached_alike`]
+//! holds the suite to reaching each [`Trap`] variant on both runners.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -95,7 +97,8 @@ fn build_module(body: Vec<Instr>) -> Module {
 }
 
 /// A linker providing `env.acc`: logs its argument into the instance's
-/// `Vec<i32>` host data and returns it plus one.
+/// `Vec<i32>` host data and returns it plus one — except `i32::MIN`,
+/// which it logs and refuses with a host trap.
 fn acc_linker() -> Linker {
     let mut linker = Linker::new();
     linker.define(
@@ -108,6 +111,9 @@ fn acc_linker() -> Linker {
                 _ => unreachable!("acc takes one i32"),
             };
             caller.data::<Vec<i32>>()?.push(x);
+            if x == i32::MIN {
+                return Err(Trap::host("acc refuses i32::MIN"));
+            }
             Ok(vec![Value::I32(x.wrapping_add(1))])
         },
     );
@@ -173,7 +179,8 @@ fn assert_runners_agree(body: Vec<Instr>, fuel: Option<u64>) -> Result<(), TestC
 // --------------------------------------------------------------- generators
 
 /// Interesting i32 constants: boundary values dominate so wrapping,
-/// division overflow (`i32::MIN / -1`) and shift-mask cases come up.
+/// unsigned-compare and shift-mask cases (and the host's refusal of
+/// `i32::MIN`) come up.
 fn arb_const() -> impl Strategy<Value = i32> {
     prop_oneof![
         4 => (-4i32..=4).prop_map(|v| v),
@@ -206,46 +213,32 @@ fn arb_expr() -> BoxedStrategy<Vec<Instr>> {
         1 => Just(vec![Instr::MemorySize]),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
-        let unop = prop_oneof![
-            Just(Instr::I32Eqz),
-            Just(Instr::I32Clz),
-            Just(Instr::I32Ctz),
-            Just(Instr::I32Popcnt),
-        ];
         let binop = prop_oneof![
             Just(Instr::I32Add),
             Just(Instr::I32Sub),
             Just(Instr::I32Mul),
             Just(Instr::I32And),
-            Just(Instr::I32Or),
             Just(Instr::I32Xor),
             Just(Instr::I32Shl),
-            Just(Instr::I32ShrS),
             Just(Instr::I32ShrU),
-            Just(Instr::I32Rotl),
-            Just(Instr::I32DivS),
-            Just(Instr::I32DivU),
-            Just(Instr::I32RemS),
-            Just(Instr::I32RemU),
             Just(Instr::I32Eq),
-            Just(Instr::I32Ne),
             Just(Instr::I32LtS),
-            Just(Instr::I32GtU),
-            Just(Instr::I32LeS),
+            Just(Instr::I32LtU),
+            Just(Instr::I32LeU),
             Just(Instr::I32GeU),
         ];
         let load = prop_oneof![
-            Just(Instr::I32Load(MemArg::default())),
-            Just(Instr::I32Load8U(MemArg::default())),
-            Just(Instr::I32Load16S(MemArg::offset(2))),
+            Just(vec![Instr::I32Load(MemArg::default())]),
+            Just(vec![Instr::I32Load8U(MemArg::offset(2))]),
+            Just(vec![Instr::I64Load(MemArg::default()), Instr::I32WrapI64]),
         ];
         prop_oneof![
             // unary
-            (inner.clone(), unop).prop_map(|(mut a, op)| {
-                a.push(op);
+            inner.clone().prop_map(|mut a| {
+                a.push(Instr::I32Eqz);
                 a
             }),
-            // binary (incl. comparisons and trapping div/rem)
+            // binary (incl. comparisons)
             (inner.clone(), inner.clone(), binop).prop_map(|(mut a, b, op)| {
                 a.extend(b);
                 a.push(op);
@@ -272,7 +265,7 @@ fn arb_expr() -> BoxedStrategy<Vec<Instr>> {
             }),
             // memory load (address sometimes out of bounds)
             (arb_addr(inner.clone()), load).prop_map(|(mut a, op)| {
-                a.push(op);
+                a.extend(op);
                 a
             }),
             // wasm -> wasm call
@@ -301,7 +294,11 @@ fn arb_expr() -> BoxedStrategy<Vec<Instr>> {
 fn arb_stmt() -> BoxedStrategy<Vec<Instr>> {
     let expr = arb_expr();
     let simple = prop_oneof![
-        Just(vec![Instr::Nop]),
+        // `unreachable` behind a condition: traps only when it holds.
+        expr.clone().prop_map(|mut e| {
+            e.push(Instr::If(BlockType::Empty, vec![Instr::Unreachable], vec![]));
+            e
+        }),
         (expr.clone(), 0..SCRATCH).prop_map(|(mut e, i)| {
             e.push(Instr::LocalSet(i));
             e
@@ -322,6 +319,11 @@ fn arb_stmt() -> BoxedStrategy<Vec<Instr>> {
         (arb_addr(expr.clone()), expr.clone()).prop_map(|(mut a, v)| {
             a.extend(v);
             a.push(Instr::I32Store8(MemArg::offset(1)));
+            a
+        }),
+        (arb_addr(expr.clone()), expr.clone()).prop_map(|(mut a, v)| {
+            a.extend(v);
+            a.extend([Instr::I64ExtendI32U, Instr::I64Store(MemArg::offset(4))]);
             a
         }),
     ]
@@ -349,34 +351,39 @@ fn arb_stmt() -> BoxedStrategy<Vec<Instr>> {
         ]
     });
 
-    // Three-way br_table dispatch over nested empty blocks; each arm is
-    // a nested statement.
-    let dispatch = (expr, simple.clone(), simple.clone()).prop_map(|(sel, arm0, arm1)| {
-        let mut innermost = sel;
-        innermost.push(Instr::BrTable(vec![0, 1], 2));
-        let mut mid = vec![Instr::Block(BlockType::Empty, innermost)];
-        mid.extend(arm0);
-        let mut outer = vec![Instr::Block(BlockType::Empty, mid)];
-        outer.extend(arm1);
-        vec![Instr::Block(BlockType::Empty, outer)]
-    });
+    // Three-way dispatch out of two nested empty blocks: a true first
+    // selector (or neither) runs both arms, a true second selector
+    // skips to the last; each arm is a nested statement.
+    let dispatch = (expr.clone(), expr, simple.clone(), simple.clone()).prop_map(
+        |(sel0, sel1, arm0, arm1)| {
+            let mut innermost = sel0;
+            innermost.push(Instr::BrIf(0));
+            innermost.extend(sel1);
+            innermost.push(Instr::BrIf(1));
+            let mut outer = vec![Instr::Block(BlockType::Empty, innermost)];
+            outer.extend(arm0);
+            let mut body = vec![Instr::Block(BlockType::Empty, outer)];
+            body.extend(arm1);
+            body
+        },
+    );
 
     prop_oneof![4 => simple, 1 => looped, 1 => dispatch].boxed()
 }
 
 /// A full `run` body: a few statements then the result expression,
-/// occasionally behind an explicit `return`.
+/// occasionally followed by an explicit branch to the function label.
 fn arb_body() -> impl Strategy<Value = Vec<Instr>> {
     (
         proptest::collection::vec(arb_stmt(), 0..4),
         arb_expr(),
         any::<bool>(),
     )
-        .prop_map(|(stmts, expr, explicit_return)| {
+        .prop_map(|(stmts, expr, explicit_exit)| {
             let mut body: Vec<Instr> = stmts.into_iter().flatten().collect();
             body.extend(expr);
-            if explicit_return {
-                body.push(Instr::Return);
+            if explicit_exit {
+                body.push(Instr::Br(0));
             }
             body
         })
@@ -545,23 +552,94 @@ fn host_trap_propagates_identically() {
     assert_eq!(flat.2, vec![10, 99], "host saw both calls before the trap");
 }
 
-/// Division traps (by zero and `i32::MIN / -1`) carry the same variant
-/// and leave the same counts on both runners.
+/// Stores and loads at the edge of memory trap at the same byte on both
+/// runners, and those that fit do not: the last whole word, the byte
+/// after it, and a static offset that carries the address past 4 GiB.
 #[test]
-fn division_traps_match() {
-    for (a, b, expect_trap) in [
-        (10, 0, true),
-        (i32::MIN, -1, true),
-        (i32::MIN, 1, false),
-        (7, -3, false),
+fn memory_bound_traps_match() {
+    let page = crate::PAGE as i32;
+    let store = |addr: i32, offset: u32, wide: bool| {
+        let mut body = vec![Instr::I32Const(addr)];
+        if wide {
+            body.extend([Instr::I64Const(-1), Instr::I64Store(MemArg::offset(offset))]);
+        } else {
+            body.extend([Instr::I32Const(-1), Instr::I32Store8(MemArg::offset(offset))]);
+        }
+        body.push(Instr::I32Const(0));
+        body
+    };
+    let load = |addr: i32, offset: u32| {
+        vec![Instr::I32Const(addr), Instr::I32Load(MemArg::offset(offset))]
+    };
+    for (what, body, fits) in [
+        ("i64.store at the last word", store(page - 8, 0, true), true),
+        ("i64.store one byte over", store(page - 7, 0, true), false),
+        ("i32.store8 at the last byte", store(page - 2, 1, false), true),
+        ("i32.store8 past the end", store(page, 0, false), false),
+        ("i32.load at the last word", load(page - 8, 4), true),
+        ("i32.load past 4 GiB", load(-4, 8), false),
     ] {
-        let body = vec![Instr::I32Const(a), Instr::I32Const(b), Instr::I32DivS];
         let module = build_module(body);
         let flat = run_on(&module, Runner::Loop, None);
         let tree = run_on(&module, Runner::Oracle, None);
-        assert_eq!(flat, tree, "divergence for {a} / {b}");
-        assert_eq!(flat.outcome.is_err(), expect_trap, "{a} / {b}");
+        assert_eq!(flat, tree, "divergence for {what}");
+        match flat.outcome {
+            Ok(_) => assert!(fits, "{what} must trap"),
+            Err(Trap::MemoryOutOfBounds { .. }) => assert!(!fits, "{what} must fit"),
+            Err(other) => panic!("{what}: {other}"),
+        }
     }
+}
+
+/// Every [`Trap`] variant, by name. The match is exhaustive, so a new
+/// variant does not compile until it is named here — and then
+/// [`every_trap_variant_is_reached_alike`] fails until a case reaches it.
+fn trap_name(trap: &Trap) -> &'static str {
+    match trap {
+        Trap::Unreachable => "Unreachable",
+        Trap::MemoryOutOfBounds { .. } => "MemoryOutOfBounds",
+        Trap::StackOverflow => "StackOverflow",
+        Trap::FuelExhausted => "FuelExhausted",
+        Trap::Host(_) => "Host",
+        Trap::BadExport(_) => "BadExport",
+    }
+}
+
+/// One case per [`Trap`] variant, each run on both runners: they agree
+/// on everything observable, and together they reach every variant.
+#[test]
+fn every_trap_variant_is_reached_alike() {
+    let unlimited = limits_with(None, 48);
+    let cases = [
+        (build_module(vec![Instr::Unreachable]), unlimited, "run", vec![]),
+        (
+            build_module(vec![
+                Instr::I32Const(crate::PAGE as i32),
+                Instr::I32Load(MemArg::default()),
+            ]),
+            unlimited,
+            "run",
+            vec![],
+        ),
+        (calls_kernel(), limits_with(None, 4), "run", vec![Value::I32(9)]),
+        (calls_kernel(), limits_with(Some(100), 48), "run", vec![Value::I32(9)]),
+        (
+            build_module(vec![Instr::I32Const(i32::MIN), Instr::Call(HOST)]),
+            unlimited,
+            "run",
+            vec![],
+        ),
+        (build_module(vec![Instr::I32Const(0)]), unlimited, "missing", vec![]),
+    ];
+    let mut reached = std::collections::BTreeSet::new();
+    for (module, limits, export, args) in &cases {
+        let flat = observe(module, Runner::Loop, *limits, export, args);
+        let tree = observe(module, Runner::Oracle, *limits, export, args);
+        assert_eq!(flat, tree, "{export}: {:?}", flat.outcome);
+        let trap = flat.outcome.expect_err("every case traps");
+        assert!(reached.insert(trap_name(&trap)), "two cases reach {trap}");
+    }
+    assert_eq!(reached.len(), 6, "one case per variant: {reached:?}");
 }
 
 // ------------------------------------------------- whole-kernel fixed cases
@@ -1017,39 +1095,32 @@ fn i32_slots_carry_no_stale_high_bits() {
         0xFFFF_FFFF
     );
     assert_eq!(
+        // The word at 0 has its sign bit set.
         run(vec![
             Instr::I32Const(0),
-            Instr::I32Load8S(MemArg::default()),
+            Instr::I32Load(MemArg::default()),
             Instr::I64ExtendI32U,
         ]),
-        0xFFFF_FFA0
+        0xA3A2_A1A0
     );
-    assert_eq!(run(vec![Instr::I32Const(-1), Instr::I64ExtendI32S]), u64::MAX);
 
-    // Wrapping 0x1_0000_0001 leaves 1 — as a `br_table` selector…
+    // Wrapping 0x1_0000_0000 leaves 0 — a `br_if` condition that does
+    // not branch…
+    let branch = vec![Instr::Block(
+        BlockType::Value(ValType::I64),
+        vec![
+            Instr::I64Const(100),
+            Instr::I64Const(0x1_0000_0000),
+            Instr::I32WrapI64,
+            Instr::BrIf(0),
+            Instr::Drop,
+            Instr::I64Const(101),
+        ],
+    )];
+    assert_eq!(run(branch), 101);
+    // …and wrapping 0x1_0000_0001 leaves 1, under `i32.eqz`, a
+    // conditional and `select`…
     let wrapped = || [Instr::I64Const(0x1_0000_0001), Instr::I32WrapI64];
-    let mut selector = wrapped().to_vec();
-    selector.push(Instr::BrTable(vec![0, 1], 2));
-    let table = vec![
-        Instr::Block(
-            BlockType::Empty,
-            vec![
-                Instr::Block(
-                    BlockType::Empty,
-                    vec![
-                        Instr::Block(BlockType::Empty, selector),
-                        Instr::I64Const(100),
-                        Instr::Return,
-                    ],
-                ),
-                Instr::I64Const(101),
-                Instr::Return,
-            ],
-        ),
-        Instr::I64Const(102),
-    ];
-    assert_eq!(run(table), 101);
-    // …under `i32.eqz`, a conditional and `select`…
     let mut eqz = wrapped().to_vec();
     eqz.extend([Instr::I32Eqz, Instr::I64ExtendI32U]);
     assert_eq!(run(eqz), 0);
@@ -1072,10 +1143,16 @@ fn i32_slots_carry_no_stale_high_bits() {
     let mut tee = wrapped().to_vec();
     tee.extend([Instr::LocalTee(0), Instr::Drop, Instr::LocalGet(0), Instr::I64ExtendI32U]);
     assert_eq!(run(tee), 1);
-    // An i64 whose low half is zero is not "false" to i64.eqz.
+    // An i64 keeps its high half through a store and a load.
     assert_eq!(
-        run(vec![Instr::I64Const(0x1_0000_0000), Instr::I64Eqz, Instr::I64ExtendI32U]),
-        0
+        run(vec![
+            Instr::I32Const(8),
+            Instr::I64Const(0x1_0000_0000),
+            Instr::I64Store(MemArg::default()),
+            Instr::I32Const(8),
+            Instr::I64Load(MemArg::default()),
+        ]),
+        0x1_0000_0000
     );
 }
 
@@ -1085,11 +1162,11 @@ fn i32_slots_carry_no_stale_high_bits() {
 ///   all-ones patterns of both types, recursing `depth` levels so the
 ///   junk reaches well up the slot stack, and returns normally;
 /// * `zeros()` — declares two locals of each type and returns all four
-///   plus a nested call's, untouched: every one must read
-///   zero however dirty the slots they land on;
-/// * `div_deep(depth)`, `store_deep(depth)`, `spin_deep(depth)` — leave
-///   the same junk, then trap `depth` frames down: division by zero, an
-///   out-of-bounds store, an endless loop that runs out of fuel.
+///   plus a nested call's argument and four locals, untouched: every
+///   local must read zero however dirty the slots they land on;
+/// * `unreachable_deep(depth)`, `store_deep(depth)`, `spin_deep(depth)`
+///   — leave the same junk, then trap `depth` frames down: `unreachable`,
+///   an out-of-bounds store, an endless loop that runs out of fuel.
 fn stale_slot_module() -> Module {
     use ValType::{I32, I64};
     const JUNK: u32 = 0;
@@ -1143,7 +1220,7 @@ fn stale_slot_module() -> Module {
     ModuleBuilder::new()
         .func(FuncType::new([I32], []), locals, descend(JUNK, vec![]))
         .func(
-            FuncType::new([], [I32, I64, I32, I64, I64]),
+            FuncType::new([], [I32, I64, I32, I64, I64, I32, I64, I32, I64]),
             locals,
             vec![
                 Instr::LocalGet(0),
@@ -1156,28 +1233,12 @@ fn stale_slot_module() -> Module {
             ],
         )
         .func(
-            // fresh(x: i64) -> i64: x plus every one of its zeroed locals.
-            FuncType::new([I64], [I64]),
+            // fresh(x: i64): x and every one of its zeroed locals.
+            FuncType::new([I64], [I64, I32, I64, I32, I64]),
             locals,
-            vec![
-                Instr::LocalGet(0),
-                Instr::LocalGet(1),
-                Instr::I64ExtendI32U,
-                Instr::I64Add,
-                Instr::LocalGet(2),
-                Instr::I64Add,
-                Instr::LocalGet(3),
-                Instr::I64ExtendI32U,
-                Instr::I64Add,
-                Instr::LocalGet(4),
-                Instr::I64Add,
-            ],
+            (0..5).map(Instr::LocalGet).collect::<Vec<_>>(),
         )
-        .func(
-            FuncType::new([I32], []),
-            locals,
-            descend(3, vec![Instr::I32Const(1), Instr::I32Const(0), Instr::I32DivU, Instr::Drop]),
-        )
+        .func(FuncType::new([I32], []), locals, descend(3, vec![Instr::Unreachable]))
         .func(
             FuncType::new([I32], []),
             locals,
@@ -1194,17 +1255,19 @@ fn stale_slot_module() -> Module {
         .memory(1, Some(1))
         .export_func("junk", JUNK)
         .export_func("zeros", ZEROS)
-        .export_func("div_deep", 3)
+        .export_func("unreachable_deep", 3)
         .export_func("store_deep", 4)
         .export_func("spin_deep", 5)
         .build()
         .expect("stale slot module validates")
 }
 
-/// What `zeros()` must return: four zeroed locals and `fresh(5)`.
+/// What `zeros()` must return: four zeroed locals, then `fresh(5)`'s
+/// argument and four zeroed locals.
 fn all_zero() -> Result<Vec<(ValType, u64)>, Trap> {
     use ValType::{I32, I64};
-    Ok(vec![(I32, 0), (I64, 0), (I32, 0), (I64, 0), (I64, 5)])
+    let locals = [(I32, 0), (I64, 0), (I32, 0), (I64, 0)];
+    Ok([&locals[..], &[(I64, 5)], &locals].concat())
 }
 
 #[test]
@@ -1229,7 +1292,7 @@ fn declared_locals_read_zero_over_stale_slots() {
 fn an_invoke_after_a_trap_mid_frame_starts_clean() {
     let module = stale_slot_module();
     let calls = [
-        ("div_deep", vec![Value::I32(6)]),
+        ("unreachable_deep", vec![Value::I32(6)]),
         ("zeros", vec![]),
         ("store_deep", vec![Value::I32(4)]),
         ("zeros", vec![]),
@@ -1242,7 +1305,7 @@ fn an_invoke_after_a_trap_mid_frame_starts_clean() {
     ];
     // Enough fuel for everything but the endless loop.
     let steps = agreed_session(&module, limits_with(Some(2_000), 48), &calls);
-    assert_eq!(steps[0].outcome, Err(Trap::DivisionByZero));
+    assert_eq!(steps[0].outcome, Err(Trap::Unreachable));
     assert!(matches!(steps[2].outcome, Err(Trap::MemoryOutOfBounds { .. })));
     assert_eq!(steps[4].outcome, Err(Trap::FuelExhausted));
     assert_eq!(steps[6].outcome, Err(Trap::StackOverflow));

@@ -16,6 +16,7 @@ use crate::decode::decode;
 use crate::decode::tests::module_with_func;
 use crate::encode::{encode, PREAMBLE};
 use crate::module::ExportKind;
+use crate::opcode::tests::is_tabled;
 use crate::validate::validate;
 
 /// How far down the pipeline some bytes got before a stage refused them.
@@ -107,14 +108,13 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
 /// the preamble (section framing), and as the body of the one exported
 /// function of an otherwise well-formed module (the instruction decoder
 /// and, when the noise happens to parse, everything after it). Bytes
-/// lean toward the one-byte opcodes so bodies parse often enough to
-/// matter.
+/// lean toward the opcodes the decoder takes, so bodies parse often
+/// enough to matter.
 fn arb_noise() -> impl Strategy<Value = Vec<u8>> {
+    let opcodes: Vec<u8> = (0x00..=0xFF).filter(|&op| is_tabled(op)).collect();
     let byte = prop_oneof![
         2 => any::<u8>(),
-        1 => 0x00u8..=0x11,
-        1 => 0x1Au8..=0x24,
-        3 => 0x41u8..=0xBF,
+        5 => (0..opcodes.len()).prop_map(move |i| opcodes[i]),
     ];
     (0u8..3, vec(byte, 0..64)).prop_map(|(shape, noise)| match shape {
         0 => noise,

@@ -270,14 +270,6 @@ pub(crate) fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
             out.push(OP_BR_IF);
             leb::write_u32(out, *depth);
         }
-        Instr::BrTable(targets, default) => {
-            out.push(OP_BR_TABLE);
-            leb::write_u32(out, targets.len() as u32);
-            for t in targets {
-                leb::write_u32(out, *t);
-            }
-            leb::write_u32(out, *default);
-        }
         Instr::Call(idx) => {
             out.push(OP_CALL);
             leb::write_u32(out, *idx);
@@ -308,17 +300,6 @@ pub(crate) fn encode_instr(out: &mut Vec<u8>, instr: &Instr) {
         }
         Instr::MemoryGrow => {
             out.push(OP_MEMORY_GROW);
-            out.push(0x00);
-        }
-        Instr::MemoryCopy => {
-            out.push(OP_PREFIX_FC);
-            leb::write_u32(out, FC_MEMORY_COPY);
-            out.push(0x00);
-            out.push(0x00);
-        }
-        Instr::MemoryFill => {
-            out.push(OP_PREFIX_FC);
-            leb::write_u32(out, FC_MEMORY_FILL);
             out.push(0x00);
         }
         Instr::I32Const(v) => {
@@ -367,13 +348,13 @@ mod tests {
         let mut out = Vec::new();
         encode_instr(
             &mut out,
-            &Instr::If(BlockType::Empty, vec![Instr::Nop], vec![]),
+            &Instr::If(BlockType::Empty, vec![Instr::Unreachable], vec![]),
         );
         assert!(!out.contains(&OP_ELSE));
         let mut out2 = Vec::new();
         encode_instr(
             &mut out2,
-            &Instr::If(BlockType::Empty, vec![Instr::Nop], vec![Instr::Nop]),
+            &Instr::If(BlockType::Empty, vec![Instr::Unreachable], vec![Instr::Unreachable]),
         );
         assert!(out2.contains(&OP_ELSE));
     }

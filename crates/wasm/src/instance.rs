@@ -344,6 +344,7 @@ mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::instr::{BlockType, Instr, MemArg};
+    use crate::memory::PAGE;
     use crate::types::ValType;
 
     fn instantiate(module: Module) -> Instance {
@@ -373,10 +374,10 @@ mod tests {
         // fact(n): local acc=1; loop { if n<=1 break; acc*=n; n-=1 }
         let module = ModuleBuilder::new()
             .func(
-                FuncType::new([ValType::I64], [ValType::I64]),
-                [ValType::I64],
+                FuncType::new([ValType::I32], [ValType::I32]),
+                [ValType::I32],
                 [
-                    Instr::I64Const(1),
+                    Instr::I32Const(1),
                     Instr::LocalSet(1),
                     Instr::Block(
                         BlockType::Empty,
@@ -384,16 +385,16 @@ mod tests {
                             BlockType::Empty,
                             vec![
                                 Instr::LocalGet(0),
-                                Instr::I64Const(1),
-                                Instr::I64LeS,
+                                Instr::I32Const(1),
+                                Instr::I32LeU,
                                 Instr::BrIf(1),
                                 Instr::LocalGet(1),
                                 Instr::LocalGet(0),
-                                Instr::I64Mul,
+                                Instr::I32Mul,
                                 Instr::LocalSet(1),
                                 Instr::LocalGet(0),
-                                Instr::I64Const(1),
-                                Instr::I64Sub,
+                                Instr::I32Const(1),
+                                Instr::I32Sub,
                                 Instr::LocalSet(0),
                                 Instr::Br(0),
                             ],
@@ -406,8 +407,8 @@ mod tests {
             .build()
             .unwrap();
         let mut inst = instantiate(module);
-        let out = inst.invoke("fact", &[Value::I64(10)]).unwrap();
-        assert_eq!(out, vec![Value::I64(3_628_800)]);
+        let out = inst.invoke("fact", &[Value::I32(10)]).unwrap();
+        assert_eq!(out, vec![Value::I32(3_628_800)]);
     }
 
     #[test]
@@ -485,23 +486,40 @@ mod tests {
     }
 
     #[test]
-    fn memory_data_segments_and_bulk_ops() {
+    fn memory_data_segments_and_byte_ops() {
+        // Copy the data segment elsewhere byte by byte, as the guests
+        // move pixels, and store one word.
         let module = ModuleBuilder::new()
             .memory(1, Some(4))
             .data(16, b"roadrunner".to_vec())
             .func(
                 FuncType::new([], []),
-                [],
+                [ValType::I32],
                 [
-                    // Copy the data segment elsewhere and fill a region.
-                    Instr::I32Const(100),
-                    Instr::I32Const(16),
-                    Instr::I32Const(10),
-                    Instr::MemoryCopy,
+                    Instr::Block(
+                        BlockType::Empty,
+                        vec![Instr::Loop(
+                            BlockType::Empty,
+                            vec![
+                                Instr::LocalGet(0),
+                                Instr::I32Const(10),
+                                Instr::I32GeU,
+                                Instr::BrIf(1),
+                                Instr::LocalGet(0),
+                                Instr::LocalGet(0),
+                                Instr::I32Load8U(MemArg::offset(16)),
+                                Instr::I32Store8(MemArg::offset(100)),
+                                Instr::LocalGet(0),
+                                Instr::I32Const(1),
+                                Instr::I32Add,
+                                Instr::LocalSet(0),
+                                Instr::Br(0),
+                            ],
+                        )],
+                    ),
                     Instr::I32Const(200),
-                    Instr::I32Const(0x2A),
-                    Instr::I32Const(4),
-                    Instr::MemoryFill,
+                    Instr::I32Const(0x2A2A_2A2A),
+                    Instr::I32Store(MemArg::natural(4)),
                 ],
             )
             .export_func("run", 0)
@@ -521,15 +539,20 @@ mod tests {
             .func(
                 FuncType::new([ValType::I32], [ValType::I32]),
                 [],
-                [Instr::I32Const(1), Instr::LocalGet(0), Instr::I32DivS],
+                [Instr::LocalGet(0), Instr::I32Load(MemArg::natural(4))],
             )
-            .export_func("inv", 0)
+            .memory(1, Some(1))
+            .data(0, vec![1, 0, 0, 0])
+            .export_func("peek", 0)
             .build()
             .unwrap();
         let mut inst = instantiate(module);
-        assert_eq!(inst.invoke("inv", &[Value::I32(0)]).unwrap_err(), Trap::DivisionByZero);
+        assert_eq!(
+            inst.invoke("peek", &[Value::I32(PAGE as i32 - 2)]).unwrap_err(),
+            Trap::MemoryOutOfBounds { addr: PAGE as u64 - 2, len: 4, memory_size: PAGE as u64 }
+        );
         // The instance stays usable after a trap — fail-stop, not corrupt.
-        assert_eq!(inst.invoke("inv", &[Value::I32(1)]).unwrap(), vec![Value::I32(1)]);
+        assert_eq!(inst.invoke("peek", &[Value::I32(0)]).unwrap(), vec![Value::I32(1)]);
     }
 
     #[test]
@@ -635,8 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn br_table_dispatch() {
-        // Returns 10/20/30 for inputs 0/1/other via br_table.
+    fn nested_branch_dispatch() {
+        // Returns 10 for input 0 and 20 for anything else, by a `br_if`
+        // out of two nested blocks.
         let module = ModuleBuilder::new()
             .func(
                 FuncType::new([ValType::I32], [ValType::I32]),
@@ -649,7 +673,7 @@ mod tests {
                             BlockType::Empty,
                             vec![
                                 Instr::LocalGet(0),
-                                Instr::BrTable(vec![0, 1], 1),
+                                Instr::BrIf(1),
                             ],
                         ),
                         Instr::I32Const(10),
@@ -709,8 +733,10 @@ mod tests {
                 [],
                 [
                     Instr::GlobalGet(0),
-                    Instr::I64Const(10),
-                    Instr::I64Mul,
+                    Instr::I32WrapI64,
+                    Instr::I32Const(10),
+                    Instr::I32Mul,
+                    Instr::I64ExtendI32U,
                     Instr::GlobalSet(0),
                     Instr::GlobalGet(0),
                 ],

@@ -1,6 +1,7 @@
-//! The instruction set: a structured AST over the MVP integer subset plus
-//! the bulk-memory operations (`memory.copy`, `memory.fill`) that guests
-//! use for efficient data movement.
+//! The instruction set: a structured AST over the 39 integer
+//! instructions the tree's modules emit. `i64` values are loaded,
+//! stored, made by `const` and converted to and from `i32`; every
+//! computation runs in `i32`.
 //!
 //! Bodies are kept as trees (blocks contain their instructions) rather
 //! than a flat stream with jump targets; the binary codec flattens and
@@ -55,14 +56,15 @@ impl MemArg {
     }
 }
 
-/// One WebAssembly instruction.
+/// One WebAssembly instruction: the 39 that the tree's modules emit (the
+/// guests of `roadrunner-core`, `bench_wasm`'s kernels and the WASI
+/// host's tests), and no others — a module using any other opcode is
+/// refused by the decoder at that byte.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // ------------------------------------------------------------ control
     /// Trap unconditionally.
     Unreachable,
-    /// Do nothing.
-    Nop,
     /// A block: branches to it jump *forward* to its end.
     Block(BlockType, Vec<Instr>),
     /// A loop: branches to it jump *back* to its start.
@@ -73,10 +75,6 @@ pub enum Instr {
     Br(u32),
     /// Conditional branch.
     BrIf(u32),
-    /// Indexed branch: `(targets, default)`.
-    BrTable(Vec<u32>, u32),
-    /// Return from the current function.
-    Return,
     /// Direct call by function index (imports precede module functions).
     Call(u32),
 
@@ -103,48 +101,18 @@ pub enum Instr {
     I32Load(MemArg),
     /// Load 8 bytes as `i64`.
     I64Load(MemArg),
-    /// Load 1 byte, sign-extend to `i32`.
-    I32Load8S(MemArg),
     /// Load 1 byte, zero-extend to `i32`.
     I32Load8U(MemArg),
-    /// Load 2 bytes, sign-extend to `i32`.
-    I32Load16S(MemArg),
-    /// Load 2 bytes, zero-extend to `i32`.
-    I32Load16U(MemArg),
-    /// Load 1 byte, sign-extend to `i64`.
-    I64Load8S(MemArg),
-    /// Load 1 byte, zero-extend to `i64`.
-    I64Load8U(MemArg),
-    /// Load 2 bytes, sign-extend to `i64`.
-    I64Load16S(MemArg),
-    /// Load 2 bytes, zero-extend to `i64`.
-    I64Load16U(MemArg),
-    /// Load 4 bytes, sign-extend to `i64`.
-    I64Load32S(MemArg),
-    /// Load 4 bytes, zero-extend to `i64`.
-    I64Load32U(MemArg),
     /// Store 4 bytes from `i32`.
     I32Store(MemArg),
     /// Store 8 bytes from `i64`.
     I64Store(MemArg),
     /// Store the low byte of `i32`.
     I32Store8(MemArg),
-    /// Store the low 2 bytes of `i32`.
-    I32Store16(MemArg),
-    /// Store the low byte of `i64`.
-    I64Store8(MemArg),
-    /// Store the low 2 bytes of `i64`.
-    I64Store16(MemArg),
-    /// Store the low 4 bytes of `i64`.
-    I64Store32(MemArg),
     /// Push the current memory size in pages.
     MemorySize,
     /// Grow memory by N pages; push previous size or -1.
     MemoryGrow,
-    /// Bulk copy within linear memory (dst, src, len).
-    MemoryCopy,
-    /// Bulk fill of linear memory (dst, byte, len).
-    MemoryFill,
 
     // ------------------------------------------------------------- consts
     /// Push a constant `i32`.
@@ -157,130 +125,34 @@ pub enum Instr {
     I32Eqz,
     /// `i32` equality.
     I32Eq,
-    /// `i32` inequality.
-    I32Ne,
     /// `i32` signed less-than.
     I32LtS,
     /// `i32` unsigned less-than.
     I32LtU,
-    /// `i32` signed greater-than.
-    I32GtS,
-    /// `i32` unsigned greater-than.
-    I32GtU,
-    /// `i32` signed ≤.
-    I32LeS,
     /// `i32` unsigned ≤.
     I32LeU,
-    /// `i32` signed ≥.
-    I32GeS,
     /// `i32` unsigned ≥.
     I32GeU,
 
-    // -------------------------------------------------- i64 comparisons
-    /// `i64` equals zero.
-    I64Eqz,
-    /// `i64` equality.
-    I64Eq,
-    /// `i64` inequality.
-    I64Ne,
-    /// `i64` signed less-than.
-    I64LtS,
-    /// `i64` unsigned less-than.
-    I64LtU,
-    /// `i64` signed greater-than.
-    I64GtS,
-    /// `i64` unsigned greater-than.
-    I64GtU,
-    /// `i64` signed ≤.
-    I64LeS,
-    /// `i64` unsigned ≤.
-    I64LeU,
-    /// `i64` signed ≥.
-    I64GeS,
-    /// `i64` unsigned ≥.
-    I64GeU,
-
     // ---------------------------------------------------- i32 arithmetic
-    /// Count leading zeros.
-    I32Clz,
-    /// Count trailing zeros.
-    I32Ctz,
-    /// Population count.
-    I32Popcnt,
     /// Wrapping addition.
     I32Add,
     /// Wrapping subtraction.
     I32Sub,
     /// Wrapping multiplication.
     I32Mul,
-    /// Signed division (traps on /0 and overflow).
-    I32DivS,
-    /// Unsigned division (traps on /0).
-    I32DivU,
-    /// Signed remainder (traps on /0).
-    I32RemS,
-    /// Unsigned remainder (traps on /0).
-    I32RemU,
     /// Bitwise and.
     I32And,
-    /// Bitwise or.
-    I32Or,
     /// Bitwise xor.
     I32Xor,
     /// Shift left.
     I32Shl,
-    /// Arithmetic shift right.
-    I32ShrS,
     /// Logical shift right.
     I32ShrU,
-    /// Rotate left.
-    I32Rotl,
-    /// Rotate right.
-    I32Rotr,
-
-    // ---------------------------------------------------- i64 arithmetic
-    /// Count leading zeros.
-    I64Clz,
-    /// Count trailing zeros.
-    I64Ctz,
-    /// Population count.
-    I64Popcnt,
-    /// Wrapping addition.
-    I64Add,
-    /// Wrapping subtraction.
-    I64Sub,
-    /// Wrapping multiplication.
-    I64Mul,
-    /// Signed division (traps on /0 and overflow).
-    I64DivS,
-    /// Unsigned division (traps on /0).
-    I64DivU,
-    /// Signed remainder (traps on /0).
-    I64RemS,
-    /// Unsigned remainder (traps on /0).
-    I64RemU,
-    /// Bitwise and.
-    I64And,
-    /// Bitwise or.
-    I64Or,
-    /// Bitwise xor.
-    I64Xor,
-    /// Shift left.
-    I64Shl,
-    /// Arithmetic shift right.
-    I64ShrS,
-    /// Logical shift right.
-    I64ShrU,
-    /// Rotate left.
-    I64Rotl,
-    /// Rotate right.
-    I64Rotr,
 
     // --------------------------------------------------------- conversions
     /// Truncate `i64` to `i32`.
     I32WrapI64,
-    /// Sign-extend `i32` to `i64`.
-    I64ExtendI32S,
     /// Zero-extend `i32` to `i64`.
     I64ExtendI32U,
 }
@@ -314,13 +186,13 @@ mod tests {
                 Instr::I32Const(1),
                 Instr::If(
                     BlockType::Empty,
-                    vec![Instr::Nop, Instr::Nop],
+                    vec![Instr::Drop, Instr::Drop],
                     vec![Instr::Unreachable],
                 ),
             ],
         );
         assert_eq!(i.size(), 6);
-        assert_eq!(Instr::Nop.size(), 1);
+        assert_eq!(Instr::Drop.size(), 1);
     }
 
     #[test]

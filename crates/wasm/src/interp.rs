@@ -33,7 +33,7 @@
 //! differential suite compares the two on outcome, trap variant,
 //! `instr_count`, remaining fuel, host-call log, globals and memory.
 //!
-//! All *dynamic* failure modes (memory bounds, division, fuel, call
+//! All *dynamic* failure modes (memory bounds, `unreachable`, fuel, call
 //! depth, host errors) surface as [`Trap`]s.
 
 use std::any::Any;
@@ -286,7 +286,7 @@ impl<'a> Exec<'a> {
                     match op {
                         Op::Goto(_) | Op::FnEnd => unreachable!("handled uncounted above"),
                         Op::Unreachable => break 'run Err(Trap::Unreachable),
-                        Op::Nop | Op::Enter => {}
+                        Op::Enter => {}
                         Op::IfElse(els) => {
                             if s.pop_i32() == 0 {
                                 pc = *els as usize;
@@ -298,15 +298,6 @@ impl<'a> Exec<'a> {
                                 pc = s.take_branch(obase, jump);
                             }
                         }
-                        Op::BrTable(table) => {
-                            let idx = s.pop_i32() as u32 as usize;
-                            let jump = table.targets.get(idx).unwrap_or(&table.default);
-                            pc = s.take_branch(obase, jump);
-                        }
-                        // Return jumps to the trailing FnEnd, which
-                        // performs the actual frame pop (uncounted: only
-                        // the `return` itself is a source instruction).
-                        Op::Return => pc = body.len() - 1,
                         Op::Call(callee) => {
                             if frames.len() >= max_call_depth {
                                 break 'run Err(Trap::StackOverflow);
@@ -419,55 +410,10 @@ impl<'a> Exec<'a> {
                             let raw = tri!(mem!().load::<8>(a, *off));
                             s.push_i64(i64::from_le_bytes(raw));
                         }
-                        Op::I32Load8S(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<1>(a, *off));
-                            s.push_i32(raw[0] as i8 as i32);
-                        }
                         Op::I32Load8U(off) => {
                             let a = s.pop_addr();
                             let raw = tri!(mem!().load::<1>(a, *off));
                             s.push_i32(raw[0] as i32);
-                        }
-                        Op::I32Load16S(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<2>(a, *off));
-                            s.push_i32(i16::from_le_bytes(raw) as i32);
-                        }
-                        Op::I32Load16U(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<2>(a, *off));
-                            s.push_i32(u16::from_le_bytes(raw) as i32);
-                        }
-                        Op::I64Load8S(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<1>(a, *off));
-                            s.push_i64(raw[0] as i8 as i64);
-                        }
-                        Op::I64Load8U(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<1>(a, *off));
-                            s.push_i64(raw[0] as i64);
-                        }
-                        Op::I64Load16S(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<2>(a, *off));
-                            s.push_i64(i16::from_le_bytes(raw) as i64);
-                        }
-                        Op::I64Load16U(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<2>(a, *off));
-                            s.push_i64(u16::from_le_bytes(raw) as i64);
-                        }
-                        Op::I64Load32S(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<4>(a, *off));
-                            s.push_i64(i32::from_le_bytes(raw) as i64);
-                        }
-                        Op::I64Load32U(off) => {
-                            let a = s.pop_addr();
-                            let raw = tri!(mem!().load::<4>(a, *off));
-                            s.push_i64(u32::from_le_bytes(raw) as i64);
                         }
                         Op::I32Store(off) => {
                             let v = s.pop_i32();
@@ -484,26 +430,6 @@ impl<'a> Exec<'a> {
                             let a = s.pop_addr();
                             tri!(mem!().store::<1>(a, *off, [v as u8]));
                         }
-                        Op::I32Store16(off) => {
-                            let v = s.pop_i32();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<2>(a, *off, (v as u16).to_le_bytes()));
-                        }
-                        Op::I64Store8(off) => {
-                            let v = s.pop_i64();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<1>(a, *off, [v as u8]));
-                        }
-                        Op::I64Store16(off) => {
-                            let v = s.pop_i64();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<2>(a, *off, (v as u16).to_le_bytes()));
-                        }
-                        Op::I64Store32(off) => {
-                            let v = s.pop_i64();
-                            let a = s.pop_addr();
-                            tri!(mem!().store::<4>(a, *off, (v as u32).to_le_bytes()));
-                        }
                         Op::MemorySize => {
                             let pages = mem!().size_pages();
                             s.push_i32(pages as i32);
@@ -516,168 +442,32 @@ impl<'a> Exec<'a> {
                             };
                             s.push_i32(result);
                         }
-                        Op::MemoryCopy => {
-                            let len = s.pop_i32() as u32;
-                            let src = s.pop_addr();
-                            let dst = s.pop_addr();
-                            tri!(mem!().copy_within(dst, src, len));
-                        }
-                        Op::MemoryFill => {
-                            let len = s.pop_i32() as u32;
-                            let byte = s.pop_i32() as u8;
-                            let dst = s.pop_addr();
-                            tri!(mem!().fill(dst, byte, len));
-                        }
 
                         // --------------------------------------------- consts
                         Op::I32Const(v) => s.push_i32(*v),
                         Op::I64Const(v) => s.push_i64(*v),
 
-                        // ----------------------------------- i32 test/compare
+                        // ------------------------------ i32 compare/arith
                         Op::I32Eqz => s.un_i32(|a| (a == 0) as i32),
                         Op::I32Eq => s.cmp_i32(|a, b| a == b),
-                        Op::I32Ne => s.cmp_i32(|a, b| a != b),
                         Op::I32LtS => s.cmp_i32(|a, b| a < b),
                         Op::I32LtU => s.cmp_u32(|a, b| a < b),
-                        Op::I32GtS => s.cmp_i32(|a, b| a > b),
-                        Op::I32GtU => s.cmp_u32(|a, b| a > b),
-                        Op::I32LeS => s.cmp_i32(|a, b| a <= b),
                         Op::I32LeU => s.cmp_u32(|a, b| a <= b),
-                        Op::I32GeS => s.cmp_i32(|a, b| a >= b),
                         Op::I32GeU => s.cmp_u32(|a, b| a >= b),
-
-                        // ----------------------------------- i64 test/compare
-                        Op::I64Eqz => {
-                            let a = s.pop_i64();
-                            s.push_i32((a == 0) as i32);
-                        }
-                        Op::I64Eq => s.cmp_i64(|a, b| a == b),
-                        Op::I64Ne => s.cmp_i64(|a, b| a != b),
-                        Op::I64LtS => s.cmp_i64(|a, b| a < b),
-                        Op::I64LtU => s.cmp_u64(|a, b| a < b),
-                        Op::I64GtS => s.cmp_i64(|a, b| a > b),
-                        Op::I64GtU => s.cmp_u64(|a, b| a > b),
-                        Op::I64LeS => s.cmp_i64(|a, b| a <= b),
-                        Op::I64LeU => s.cmp_u64(|a, b| a <= b),
-                        Op::I64GeS => s.cmp_i64(|a, b| a >= b),
-                        Op::I64GeU => s.cmp_u64(|a, b| a >= b),
-
-                        // ----------------------------------------- i32 arith
-                        Op::I32Clz => s.un_i32(|a| a.leading_zeros() as i32),
-                        Op::I32Ctz => s.un_i32(|a| a.trailing_zeros() as i32),
-                        Op::I32Popcnt => s.un_i32(|a| a.count_ones() as i32),
                         Op::I32Add => s.bin_i32(i32::wrapping_add),
                         Op::I32Sub => s.bin_i32(i32::wrapping_sub),
                         Op::I32Mul => s.bin_i32(i32::wrapping_mul),
-                        Op::I32DivS => {
-                            let b = s.pop_i32();
-                            let a = s.pop_i32();
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            let (v, overflow) = a.overflowing_div(b);
-                            if overflow {
-                                break 'run Err(Trap::IntegerOverflow);
-                            }
-                            s.push_i32(v);
-                        }
-                        Op::I32DivU => {
-                            let b = s.pop_i32() as u32;
-                            let a = s.pop_i32() as u32;
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i32((a / b) as i32);
-                        }
-                        Op::I32RemS => {
-                            let b = s.pop_i32();
-                            let a = s.pop_i32();
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i32(a.wrapping_rem(b));
-                        }
-                        Op::I32RemU => {
-                            let b = s.pop_i32() as u32;
-                            let a = s.pop_i32() as u32;
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i32((a % b) as i32);
-                        }
                         Op::I32And => s.bin_i32(|a, b| a & b),
-                        Op::I32Or => s.bin_i32(|a, b| a | b),
                         Op::I32Xor => s.bin_i32(|a, b| a ^ b),
                         Op::I32Shl => s.bin_i32(|a, b| a.wrapping_shl(b as u32)),
-                        Op::I32ShrS => s.bin_i32(|a, b| a.wrapping_shr(b as u32)),
                         Op::I32ShrU => {
                             s.bin_i32(|a, b| ((a as u32).wrapping_shr(b as u32)) as i32)
                         }
-                        Op::I32Rotl => s.bin_i32(|a, b| a.rotate_left(b as u32 & 31)),
-                        Op::I32Rotr => s.bin_i32(|a, b| a.rotate_right(b as u32 & 31)),
-
-                        // ----------------------------------------- i64 arith
-                        Op::I64Clz => s.un_i64(|a| a.leading_zeros() as i64),
-                        Op::I64Ctz => s.un_i64(|a| a.trailing_zeros() as i64),
-                        Op::I64Popcnt => s.un_i64(|a| a.count_ones() as i64),
-                        Op::I64Add => s.bin_i64(i64::wrapping_add),
-                        Op::I64Sub => s.bin_i64(i64::wrapping_sub),
-                        Op::I64Mul => s.bin_i64(i64::wrapping_mul),
-                        Op::I64DivS => {
-                            let b = s.pop_i64();
-                            let a = s.pop_i64();
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            let (v, overflow) = a.overflowing_div(b);
-                            if overflow {
-                                break 'run Err(Trap::IntegerOverflow);
-                            }
-                            s.push_i64(v);
-                        }
-                        Op::I64DivU => {
-                            let b = s.pop_i64() as u64;
-                            let a = s.pop_i64() as u64;
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i64((a / b) as i64);
-                        }
-                        Op::I64RemS => {
-                            let b = s.pop_i64();
-                            let a = s.pop_i64();
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i64(a.wrapping_rem(b));
-                        }
-                        Op::I64RemU => {
-                            let b = s.pop_i64() as u64;
-                            let a = s.pop_i64() as u64;
-                            if b == 0 {
-                                break 'run Err(Trap::DivisionByZero);
-                            }
-                            s.push_i64((a % b) as i64);
-                        }
-                        Op::I64And => s.bin_i64(|a, b| a & b),
-                        Op::I64Or => s.bin_i64(|a, b| a | b),
-                        Op::I64Xor => s.bin_i64(|a, b| a ^ b),
-                        Op::I64Shl => s.bin_i64(|a, b| a.wrapping_shl(b as u32)),
-                        Op::I64ShrS => s.bin_i64(|a, b| a.wrapping_shr(b as u32)),
-                        Op::I64ShrU => {
-                            s.bin_i64(|a, b| ((a as u64).wrapping_shr(b as u32)) as i64)
-                        }
-                        Op::I64Rotl => s.bin_i64(|a, b| a.rotate_left(b as u32 & 63)),
-                        Op::I64Rotr => s.bin_i64(|a, b| a.rotate_right(b as u32 & 63)),
 
                         // ---------------------------------------- conversions
                         Op::I32WrapI64 => {
                             let a = s.pop_i64();
                             s.push_i32(a as i32);
-                        }
-                        Op::I64ExtendI32S => {
-                            let a = s.pop_i32();
-                            s.push_i64(a as i64);
                         }
                         Op::I64ExtendI32U => {
                             let a = s.pop_i32();
@@ -801,31 +591,6 @@ impl Operands<'_> {
     fn cmp_u32(&mut self, f: impl FnOnce(u32, u32) -> bool) {
         self.bin_i32(|a, b| f(a as u32, b as u32) as i32);
     }
-
-    #[inline(always)]
-    fn un_i64(&mut self, f: impl FnOnce(i64) -> i64) {
-        let a = self.pop_i64();
-        self.push_i64(f(a));
-    }
-
-    #[inline(always)]
-    fn bin_i64(&mut self, f: impl FnOnce(i64, i64) -> i64) {
-        let b = self.pop_i64();
-        let a = self.pop_i64();
-        self.push_i64(f(a, b));
-    }
-
-    #[inline(always)]
-    fn cmp_i64(&mut self, f: impl FnOnce(i64, i64) -> bool) {
-        let b = self.pop_i64();
-        let a = self.pop_i64();
-        self.push_i32(f(a, b) as i32);
-    }
-
-    #[inline(always)]
-    fn cmp_u64(&mut self, f: impl FnOnce(u64, u64) -> bool) {
-        self.cmp_i64(|a, b| f(a as u64, b as u64));
-    }
 }
 
 /// Evaluates a fused i32 binary op. Each arm must mirror the plain
@@ -838,22 +603,13 @@ fn i32_bin_eval(op: I32Bin, a: i32, b: i32) -> i32 {
         I32Bin::Sub => a.wrapping_sub(b),
         I32Bin::Mul => a.wrapping_mul(b),
         I32Bin::And => a & b,
-        I32Bin::Or => a | b,
         I32Bin::Xor => a ^ b,
         I32Bin::Shl => a.wrapping_shl(b as u32),
-        I32Bin::ShrS => a.wrapping_shr(b as u32),
         I32Bin::ShrU => ((a as u32).wrapping_shr(b as u32)) as i32,
-        I32Bin::Rotl => a.rotate_left(b as u32 & 31),
-        I32Bin::Rotr => a.rotate_right(b as u32 & 31),
         I32Bin::Eq => (a == b) as i32,
-        I32Bin::Ne => (a != b) as i32,
         I32Bin::LtS => (a < b) as i32,
         I32Bin::LtU => ((a as u32) < (b as u32)) as i32,
-        I32Bin::GtS => (a > b) as i32,
-        I32Bin::GtU => ((a as u32) > (b as u32)) as i32,
-        I32Bin::LeS => (a <= b) as i32,
         I32Bin::LeU => ((a as u32) <= (b as u32)) as i32,
-        I32Bin::GeS => (a >= b) as i32,
         I32Bin::GeU => ((a as u32) >= (b as u32)) as i32,
     }
 }

@@ -30,8 +30,6 @@ enum Flow {
     Normal,
     /// Branching to the n-th enclosing label.
     Branch(u32),
-    /// Returning from the current function.
-    Return,
 }
 
 impl Exec<'_> {
@@ -88,8 +86,8 @@ impl Exec<'_> {
         locals.extend(def.locals.iter().map(|&t| Value::zero(t)));
         stack.truncate(height);
         self.run_seq(&def.body, stack, &mut locals, depth)?;
-        // On fall-through or return, the top `arity` values are the
-        // results (validation guarantees presence and types); anything
+        // On fall-through or a branch to the function label, the top
+        // `arity` values are the results (validation guarantees presence and types); anything
         // the body left beneath them is dropped.
         let arity = ty.results().len();
         stack.drain(height..stack.len() - arity);
@@ -125,14 +123,12 @@ impl Exec<'_> {
             }
             match instr {
                 Unreachable => return Err(Trap::Unreachable),
-                Nop => {}
                 Block(bt, inner) => {
                     let height = stack.len();
                     match self.run_seq(inner, stack, locals, depth)? {
                         Flow::Normal => {}
                         Flow::Branch(0) => Self::unwind(stack, height, bt.arity()),
                         Flow::Branch(n) => return Ok(Flow::Branch(n - 1)),
-                        Flow::Return => return Ok(Flow::Return),
                     }
                 }
                 Loop(_bt, inner) => {
@@ -147,7 +143,6 @@ impl Exec<'_> {
                                 continue;
                             }
                             Flow::Branch(n) => return Ok(Flow::Branch(n - 1)),
-                            Flow::Return => return Ok(Flow::Return),
                         }
                     }
                 }
@@ -159,7 +154,6 @@ impl Exec<'_> {
                         Flow::Normal => {}
                         Flow::Branch(0) => Self::unwind(stack, height, bt.arity()),
                         Flow::Branch(n) => return Ok(Flow::Branch(n - 1)),
-                        Flow::Return => return Ok(Flow::Return),
                     }
                 }
                 Br(n) => return Ok(Flow::Branch(*n)),
@@ -168,12 +162,6 @@ impl Exec<'_> {
                         return Ok(Flow::Branch(*n));
                     }
                 }
-                BrTable(targets, default) => {
-                    let idx = pop_i32(stack) as u32 as usize;
-                    let n = targets.get(idx).copied().unwrap_or(*default);
-                    return Ok(Flow::Branch(n));
-                }
-                Return => return Ok(Flow::Return),
                 Call(idx) => self.call_into(*idx, stack, depth + 1)?,
                 Drop => {
                     stack.pop().expect("validated drop");
@@ -203,55 +191,10 @@ impl Exec<'_> {
                     let raw = self.mem()?.load::<8>(a, m.offset)?;
                     stack.push(Value::I64(i64::from_le_bytes(raw)));
                 }
-                I32Load8S(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<1>(a, m.offset)?;
-                    stack.push(Value::I32(raw[0] as i8 as i32));
-                }
                 I32Load8U(m) => {
                     let a = pop_addr(stack);
                     let raw = self.mem()?.load::<1>(a, m.offset)?;
                     stack.push(Value::I32(raw[0] as i32));
-                }
-                I32Load16S(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<2>(a, m.offset)?;
-                    stack.push(Value::I32(i16::from_le_bytes(raw) as i32));
-                }
-                I32Load16U(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<2>(a, m.offset)?;
-                    stack.push(Value::I32(u16::from_le_bytes(raw) as i32));
-                }
-                I64Load8S(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<1>(a, m.offset)?;
-                    stack.push(Value::I64(raw[0] as i8 as i64));
-                }
-                I64Load8U(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<1>(a, m.offset)?;
-                    stack.push(Value::I64(raw[0] as i64));
-                }
-                I64Load16S(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<2>(a, m.offset)?;
-                    stack.push(Value::I64(i16::from_le_bytes(raw) as i64));
-                }
-                I64Load16U(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<2>(a, m.offset)?;
-                    stack.push(Value::I64(u16::from_le_bytes(raw) as i64));
-                }
-                I64Load32S(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<4>(a, m.offset)?;
-                    stack.push(Value::I64(i32::from_le_bytes(raw) as i64));
-                }
-                I64Load32U(m) => {
-                    let a = pop_addr(stack);
-                    let raw = self.mem()?.load::<4>(a, m.offset)?;
-                    stack.push(Value::I64(u32::from_le_bytes(raw) as i64));
                 }
                 I32Store(m) => {
                     let v = pop_i32(stack);
@@ -268,26 +211,6 @@ impl Exec<'_> {
                     let a = pop_addr(stack);
                     self.mem()?.store::<1>(a, m.offset, [v as u8])?;
                 }
-                I32Store16(m) => {
-                    let v = pop_i32(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<2>(a, m.offset, (v as u16).to_le_bytes())?;
-                }
-                I64Store8(m) => {
-                    let v = pop_i64(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<1>(a, m.offset, [v as u8])?;
-                }
-                I64Store16(m) => {
-                    let v = pop_i64(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<2>(a, m.offset, (v as u16).to_le_bytes())?;
-                }
-                I64Store32(m) => {
-                    let v = pop_i64(stack);
-                    let a = pop_addr(stack);
-                    self.mem()?.store::<4>(a, m.offset, (v as u32).to_le_bytes())?;
-                }
                 MemorySize => {
                     let pages = self.mem()?.size_pages();
                     stack.push(Value::I32(pages as i32));
@@ -300,164 +223,29 @@ impl Exec<'_> {
                     };
                     stack.push(Value::I32(result));
                 }
-                MemoryCopy => {
-                    let len = pop_i32(stack) as u32;
-                    let src = pop_addr(stack);
-                    let dst = pop_addr(stack);
-                    self.mem()?.copy_within(dst, src, len)?;
-                }
-                MemoryFill => {
-                    let len = pop_i32(stack) as u32;
-                    let byte = pop_i32(stack) as u8;
-                    let dst = pop_addr(stack);
-                    self.mem()?.fill(dst, byte, len)?;
-                }
-
                 // -------------------------------------------------- consts
                 I32Const(v) => stack.push(Value::I32(*v)),
                 I64Const(v) => stack.push(Value::I64(*v)),
 
-                // --------------------------------------- i32 test/compare
+                // ---------------------------------- i32 compare/arith
                 I32Eqz => un_i32(stack, |a| (a == 0) as i32),
                 I32Eq => cmp_i32(stack, |a, b| a == b),
-                I32Ne => cmp_i32(stack, |a, b| a != b),
                 I32LtS => cmp_i32(stack, |a, b| a < b),
                 I32LtU => cmp_u32(stack, |a, b| a < b),
-                I32GtS => cmp_i32(stack, |a, b| a > b),
-                I32GtU => cmp_u32(stack, |a, b| a > b),
-                I32LeS => cmp_i32(stack, |a, b| a <= b),
                 I32LeU => cmp_u32(stack, |a, b| a <= b),
-                I32GeS => cmp_i32(stack, |a, b| a >= b),
                 I32GeU => cmp_u32(stack, |a, b| a >= b),
-
-                // --------------------------------------- i64 test/compare
-                I64Eqz => {
-                    let a = pop_i64(stack);
-                    stack.push(Value::I32((a == 0) as i32));
-                }
-                I64Eq => cmp_i64(stack, |a, b| a == b),
-                I64Ne => cmp_i64(stack, |a, b| a != b),
-                I64LtS => cmp_i64(stack, |a, b| a < b),
-                I64LtU => cmp_u64(stack, |a, b| a < b),
-                I64GtS => cmp_i64(stack, |a, b| a > b),
-                I64GtU => cmp_u64(stack, |a, b| a > b),
-                I64LeS => cmp_i64(stack, |a, b| a <= b),
-                I64LeU => cmp_u64(stack, |a, b| a <= b),
-                I64GeS => cmp_i64(stack, |a, b| a >= b),
-                I64GeU => cmp_u64(stack, |a, b| a >= b),
-
-                // --------------------------------------------- i32 arith
-                I32Clz => un_i32(stack, |a| a.leading_zeros() as i32),
-                I32Ctz => un_i32(stack, |a| a.trailing_zeros() as i32),
-                I32Popcnt => un_i32(stack, |a| a.count_ones() as i32),
                 I32Add => bin_i32(stack, i32::wrapping_add),
                 I32Sub => bin_i32(stack, i32::wrapping_sub),
                 I32Mul => bin_i32(stack, i32::wrapping_mul),
-                I32DivS => {
-                    let b = pop_i32(stack);
-                    let a = pop_i32(stack);
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    let (v, overflow) = a.overflowing_div(b);
-                    if overflow {
-                        return Err(Trap::IntegerOverflow);
-                    }
-                    stack.push(Value::I32(v));
-                }
-                I32DivU => {
-                    let b = pop_i32(stack) as u32;
-                    let a = pop_i32(stack) as u32;
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I32((a / b) as i32));
-                }
-                I32RemS => {
-                    let b = pop_i32(stack);
-                    let a = pop_i32(stack);
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I32(a.wrapping_rem(b)));
-                }
-                I32RemU => {
-                    let b = pop_i32(stack) as u32;
-                    let a = pop_i32(stack) as u32;
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I32((a % b) as i32));
-                }
                 I32And => bin_i32(stack, |a, b| a & b),
-                I32Or => bin_i32(stack, |a, b| a | b),
                 I32Xor => bin_i32(stack, |a, b| a ^ b),
                 I32Shl => bin_i32(stack, |a, b| a.wrapping_shl(b as u32)),
-                I32ShrS => bin_i32(stack, |a, b| a.wrapping_shr(b as u32)),
                 I32ShrU => bin_i32(stack, |a, b| ((a as u32).wrapping_shr(b as u32)) as i32),
-                I32Rotl => bin_i32(stack, |a, b| a.rotate_left(b as u32 & 31)),
-                I32Rotr => bin_i32(stack, |a, b| a.rotate_right(b as u32 & 31)),
-
-                // --------------------------------------------- i64 arith
-                I64Clz => un_i64(stack, |a| a.leading_zeros() as i64),
-                I64Ctz => un_i64(stack, |a| a.trailing_zeros() as i64),
-                I64Popcnt => un_i64(stack, |a| a.count_ones() as i64),
-                I64Add => bin_i64(stack, i64::wrapping_add),
-                I64Sub => bin_i64(stack, i64::wrapping_sub),
-                I64Mul => bin_i64(stack, i64::wrapping_mul),
-                I64DivS => {
-                    let b = pop_i64(stack);
-                    let a = pop_i64(stack);
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    let (v, overflow) = a.overflowing_div(b);
-                    if overflow {
-                        return Err(Trap::IntegerOverflow);
-                    }
-                    stack.push(Value::I64(v));
-                }
-                I64DivU => {
-                    let b = pop_i64(stack) as u64;
-                    let a = pop_i64(stack) as u64;
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I64((a / b) as i64));
-                }
-                I64RemS => {
-                    let b = pop_i64(stack);
-                    let a = pop_i64(stack);
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I64(a.wrapping_rem(b)));
-                }
-                I64RemU => {
-                    let b = pop_i64(stack) as u64;
-                    let a = pop_i64(stack) as u64;
-                    if b == 0 {
-                        return Err(Trap::DivisionByZero);
-                    }
-                    stack.push(Value::I64((a % b) as i64));
-                }
-                I64And => bin_i64(stack, |a, b| a & b),
-                I64Or => bin_i64(stack, |a, b| a | b),
-                I64Xor => bin_i64(stack, |a, b| a ^ b),
-                I64Shl => bin_i64(stack, |a, b| a.wrapping_shl(b as u32)),
-                I64ShrS => bin_i64(stack, |a, b| a.wrapping_shr(b as u32)),
-                I64ShrU => bin_i64(stack, |a, b| ((a as u64).wrapping_shr(b as u32)) as i64),
-                I64Rotl => bin_i64(stack, |a, b| a.rotate_left(b as u32 & 63)),
-                I64Rotr => bin_i64(stack, |a, b| a.rotate_right(b as u32 & 63)),
 
                 // -------------------------------------------- conversions
                 I32WrapI64 => {
                     let a = pop_i64(stack);
                     stack.push(Value::I32(a as i32));
-                }
-                I64ExtendI32S => {
-                    let a = pop_i32(stack);
-                    stack.push(Value::I64(a as i64));
                 }
                 I64ExtendI32U => {
                     let a = pop_i32(stack);
@@ -514,32 +302,5 @@ fn cmp_i32(stack: &mut Vec<Value>, f: impl FnOnce(i32, i32) -> bool) {
 fn cmp_u32(stack: &mut Vec<Value>, f: impl FnOnce(u32, u32) -> bool) {
     let b = pop_i32(stack) as u32;
     let a = pop_i32(stack) as u32;
-    stack.push(Value::I32(f(a, b) as i32));
-}
-
-#[inline]
-fn un_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64) -> i64) {
-    let a = pop_i64(stack);
-    stack.push(Value::I64(f(a)));
-}
-
-#[inline]
-fn bin_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> i64) {
-    let b = pop_i64(stack);
-    let a = pop_i64(stack);
-    stack.push(Value::I64(f(a, b)));
-}
-
-#[inline]
-fn cmp_i64(stack: &mut Vec<Value>, f: impl FnOnce(i64, i64) -> bool) {
-    let b = pop_i64(stack);
-    let a = pop_i64(stack);
-    stack.push(Value::I32(f(a, b) as i32));
-}
-
-#[inline]
-fn cmp_u64(stack: &mut Vec<Value>, f: impl FnOnce(u64, u64) -> bool) {
-    let b = pop_i64(stack) as u64;
-    let a = pop_i64(stack) as u64;
     stack.push(Value::I32(f(a, b) as i32));
 }

@@ -18,9 +18,10 @@
 //!   memory; boundary violations trap ([`Trap`]) without corrupting
 //!   anything else.
 //! * **Real binary format** ([`encode`]/[`decode`]) — modules round-trip
-//!   through the standard `\0asm` encoding (MVP integer subset + bulk
-//!   memory; a float type or opcode is a decode error), so bundles,
-//!   cold-start measurements and module sizes are genuine.
+//!   through the standard `\0asm` encoding (the 39 integer instructions
+//!   the tree's modules emit; any other opcode, a float one included, is
+//!   a decode error at its byte), so bundles, cold-start measurements and
+//!   module sizes are genuine.
 //! * **Validation** ([`validate`]) — the standard stack-discipline type
 //!   checker runs before any instantiation.
 //! * **Metering** — executed-instruction counts and optional fuel, which

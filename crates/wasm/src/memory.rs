@@ -164,30 +164,6 @@ impl Memory {
         self.data[start..start + N].copy_from_slice(&value);
         Ok(())
     }
-
-    /// `memory.fill`: sets `len` bytes at `dst` to `byte`.
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::MemoryOutOfBounds`] if the range exceeds the memory.
-    pub fn fill(&mut self, dst: u32, byte: u8, len: u32) -> Result<(), Trap> {
-        let start = self.check(dst as u64, len as u64)?;
-        self.data[start..start + len as usize].fill(byte);
-        Ok(())
-    }
-
-    /// `memory.copy`: moves `len` bytes from `src` to `dst` (overlap-safe,
-    /// like `memmove`).
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::MemoryOutOfBounds`] if either range exceeds the memory.
-    pub fn copy_within(&mut self, dst: u32, src: u32, len: u32) -> Result<(), Trap> {
-        let s = self.check(src as u64, len as u64)?;
-        let d = self.check(dst as u64, len as u64)?;
-        self.data.copy_within(s..s + len as usize, d);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +319,7 @@ mod tests {
         }
     }
 
-    /// Random `grow` / `store` / `fill` / `copy_within` sequences against
+    /// Random `grow` / `store` / `write` / `read` sequences against
     /// a plain `Vec<u8>` grown with `resize`: the same bytes, size and
     /// refusals after every step, whichever growth path ran.
     #[test]
@@ -367,7 +343,6 @@ mod tests {
                 let span = (model.len() + PAGE + 1) as u64;
                 let (at, src) = (draw(span) as usize, draw(span) as usize);
                 let n = draw(3 * PAGE as u64) as usize;
-                let fits = at.max(src) + n <= model.len();
                 match draw(4) {
                     0 => {
                         let pages = (model.len() / PAGE) as u32;
@@ -392,19 +367,17 @@ mod tests {
                         assert_eq!(m.store::<8>(at as u32, 0, value).is_ok(), fits);
                     }
                     2 => {
-                        let byte = draw(255) as u8 + 1;
+                        let bytes = vec![draw(255) as u8 + 1; n];
                         let fits = at + n <= model.len();
                         if fits {
-                            model[at..at + n].fill(byte);
+                            model[at..at + n].copy_from_slice(&bytes);
                         }
-                        assert_eq!(m.fill(at as u32, byte, n as u32).is_ok(), fits);
+                        assert_eq!(m.write(at as u32, &bytes).is_ok(), fits);
                     }
-                    _ => {
-                        if fits {
-                            model.copy_within(src..src + n, at);
-                        }
-                        assert_eq!(m.copy_within(at as u32, src as u32, n as u32).is_ok(), fits);
-                    }
+                    _ => match m.read(src as u32, n as u32) {
+                        Ok(bytes) => assert!(bytes == &model[src..src + n]),
+                        Err(_) => assert!(src + n > model.len(), "seed {seed} step {step}"),
+                    },
                 }
                 assert_eq!(m.size_pages() as usize, model.len() / PAGE, "seed {seed} step {step}");
                 assert!(m.read(0, m.len() as u32).unwrap() == model, "seed {seed} step {step}");
@@ -418,25 +391,6 @@ mod tests {
         m.store::<4>(8, 4, 0xDEADBEEFu32.to_le_bytes()).unwrap();
         let raw = m.load::<4>(8, 4).unwrap();
         assert_eq!(u32::from_le_bytes(raw), 0xDEADBEEF);
-    }
-
-    #[test]
-    fn fill_and_copy() {
-        let mut m = mem(1);
-        m.fill(10, 0xAB, 20).unwrap();
-        assert!(m.read(10, 20).unwrap().iter().all(|&b| b == 0xAB));
-        m.copy_within(100, 10, 20).unwrap();
-        assert!(m.read(100, 20).unwrap().iter().all(|&b| b == 0xAB));
-        // Overlapping copy behaves like memmove.
-        m.copy_within(15, 10, 20).unwrap();
-        assert!(m.read(15, 20).unwrap().iter().all(|&b| b == 0xAB));
-    }
-
-    #[test]
-    fn fill_out_of_bounds_traps() {
-        let mut m = mem(1);
-        assert!(m.fill(PAGE as u32 - 2, 0, 4).is_err());
-        assert!(m.copy_within(0, PAGE as u32 - 2, 4).is_err());
     }
 
     #[test]

@@ -189,7 +189,7 @@ mod tests {
             funcs: vec![FuncDef {
                 type_idx: 0,
                 locals: vec![ValType::I64],
-                body: vec![Instr::LocalGet(0), Instr::Return],
+                body: vec![Instr::LocalGet(0), Instr::Br(0)],
             }],
             memory: Some(Limits::new(1, Some(4))),
             globals: vec![],

@@ -14,7 +14,7 @@ use std::fmt;
 pub enum Trap {
     /// The `unreachable` instruction executed.
     Unreachable,
-    /// A load/store/bulk-memory access fell outside linear memory.
+    /// A load, a store or a host access fell outside linear memory.
     MemoryOutOfBounds {
         /// First byte of the attempted access.
         addr: u64,
@@ -23,10 +23,6 @@ pub enum Trap {
         /// Current memory size in bytes.
         memory_size: u64,
     },
-    /// Integer division or remainder by zero.
-    DivisionByZero,
-    /// `i32.div_s`/`i64.div_s` overflow (MIN / -1).
-    IntegerOverflow,
     /// Call stack exceeded the engine limit.
     StackOverflow,
     /// The instance ran out of execution fuel (used for CPU metering).
@@ -35,10 +31,6 @@ pub enum Trap {
     Host(String),
     /// An exported item was missing or had the wrong kind/signature.
     BadExport(String),
-    /// `memory.grow` beyond the declared or engine maximum. Not a spec
-    /// trap (grow returns -1); raised only by embedder APIs that require
-    /// growth to succeed.
-    MemoryLimit,
 }
 
 impl Trap {
@@ -56,13 +48,10 @@ impl fmt::Display for Trap {
                 f,
                 "out-of-bounds memory access: [{addr}, {addr}+{len}) beyond {memory_size} bytes"
             ),
-            Trap::DivisionByZero => write!(f, "integer division by zero"),
-            Trap::IntegerOverflow => write!(f, "integer overflow"),
             Trap::StackOverflow => write!(f, "call stack exhausted"),
             Trap::FuelExhausted => write!(f, "execution fuel exhausted"),
             Trap::Host(msg) => write!(f, "host error: {msg}"),
             Trap::BadExport(name) => write!(f, "unknown or mismatched export `{name}`"),
-            Trap::MemoryLimit => write!(f, "memory limit exceeded"),
         }
     }
 }

@@ -345,7 +345,6 @@ impl<'m> FuncValidator<'m> {
         }
         match instr {
             Instr::Unreachable => self.set_unreachable(),
-            Instr::Nop => {}
             Instr::Br(depth) => {
                 for &ty in self.label_types(*depth)?.iter().rev() {
                     self.pop_expect(ty)?;
@@ -361,29 +360,6 @@ impl<'m> FuncValidator<'m> {
                 for &ty in &types {
                     self.push_val(ty);
                 }
-            }
-            Instr::BrTable(targets, default) => {
-                self.pop_expect(I32)?;
-                let expected = self.label_types(*default)?;
-                for &t in targets {
-                    let got = self.label_types(t)?;
-                    if got != expected {
-                        return self.fail(format!(
-                            "br_table targets disagree: {got:?} vs {expected:?}"
-                        ));
-                    }
-                }
-                for &ty in expected.iter().rev() {
-                    self.pop_expect(ty)?;
-                }
-                self.set_unreachable();
-            }
-            Instr::Return => {
-                let results = self.ctrls[0].results.clone();
-                for &ty in results.iter().rev() {
-                    self.pop_expect(ty)?;
-                }
-                self.set_unreachable();
             }
             Instr::Call(idx) => {
                 let Some(ty) = self.module.func_type(*idx) else {
@@ -450,18 +426,10 @@ impl<'m> FuncValidator<'m> {
                 }
                 self.pop_expect(global.ty)?;
             }
-            // Loads.
-            Instr::I32Load(_) | Instr::I32Load8S(_) | Instr::I32Load8U(_)
-            | Instr::I32Load16S(_) | Instr::I32Load16U(_) => self.mem_load(I32)?,
-            Instr::I64Load(_) | Instr::I64Load8S(_) | Instr::I64Load8U(_)
-            | Instr::I64Load16S(_) | Instr::I64Load16U(_) | Instr::I64Load32S(_)
-            | Instr::I64Load32U(_) => self.mem_load(I64)?,
-            // Stores.
-            Instr::I32Store(_) | Instr::I32Store8(_) | Instr::I32Store16(_) => {
-                self.mem_store(I32)?
-            }
-            Instr::I64Store(_) | Instr::I64Store8(_) | Instr::I64Store16(_)
-            | Instr::I64Store32(_) => self.mem_store(I64)?,
+            Instr::I32Load(_) | Instr::I32Load8U(_) => self.mem_load(I32)?,
+            Instr::I64Load(_) => self.mem_load(I64)?,
+            Instr::I32Store(_) | Instr::I32Store8(_) => self.mem_store(I32)?,
+            Instr::I64Store(_) => self.mem_store(I64)?,
             Instr::MemorySize => {
                 self.require_memory()?;
                 self.push_val(I32);
@@ -470,12 +438,6 @@ impl<'m> FuncValidator<'m> {
                 self.require_memory()?;
                 self.pop_expect(I32)?;
                 self.push_val(I32);
-            }
-            Instr::MemoryCopy | Instr::MemoryFill => {
-                self.require_memory()?;
-                self.pop_expect(I32)?;
-                self.pop_expect(I32)?;
-                self.pop_expect(I32)?;
             }
             Instr::I32Const(_) => self.push_val(I32),
             Instr::I64Const(_) => self.push_val(I64),
@@ -517,25 +479,11 @@ const I64_: ValType = ValType::I64;
 pub(crate) fn numeric_sig(i: &Instr) -> Option<(&'static [ValType], &'static [ValType])> {
     use Instr::*;
     Some(match i {
-        // i32 unary / test.
-        I32Clz | I32Ctz | I32Popcnt | I32Eqz => (&[I32_], &[I32_]),
-        // i32 binops and comparisons.
-        I32Add | I32Sub | I32Mul | I32DivS | I32DivU | I32RemS | I32RemU | I32And | I32Or
-        | I32Xor | I32Shl | I32ShrS | I32ShrU | I32Rotl | I32Rotr | I32Eq | I32Ne | I32LtS
-        | I32LtU | I32GtS | I32GtU | I32LeS | I32LeU | I32GeS | I32GeU => {
-            (&[I32_, I32_], &[I32_])
-        }
-        // i64.
-        I64Clz | I64Ctz | I64Popcnt => (&[I64_], &[I64_]),
-        I64Eqz => (&[I64_], &[I32_]),
-        I64Add | I64Sub | I64Mul | I64DivS | I64DivU | I64RemS | I64RemU | I64And | I64Or
-        | I64Xor | I64Shl | I64ShrS | I64ShrU | I64Rotl | I64Rotr => (&[I64_, I64_], &[I64_]),
-        I64Eq | I64Ne | I64LtS | I64LtU | I64GtS | I64GtU | I64LeS | I64LeU | I64GeS | I64GeU => {
-            (&[I64_, I64_], &[I32_])
-        }
-        // Conversions.
+        I32Eqz => (&[I32_], &[I32_]),
+        I32Add | I32Sub | I32Mul | I32And | I32Xor | I32Shl | I32ShrU | I32Eq | I32LtS
+        | I32LtU | I32LeU | I32GeU => (&[I32_, I32_], &[I32_]),
         I32WrapI64 => (&[I64_], &[I32_]),
-        I64ExtendI32S | I64ExtendI32U => (&[I32_], &[I64_]),
+        I64ExtendI32U => (&[I32_], &[I64_]),
         _ => return None,
     })
 }
@@ -668,23 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn br_table_targets_must_agree() {
-        let err = check(ModuleBuilder::new().func(
-            FuncType::new([ValType::I32], []),
-            [],
-            [Instr::Block(
-                BlockType::Empty,
-                vec![Instr::Block(
-                    BlockType::Value(ValType::I32),
-                    vec![Instr::I32Const(0), Instr::LocalGet(0), Instr::BrTable(vec![0], 1)],
-                )],
-            )],
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("br_table"));
-    }
-
-    #[test]
     fn call_checks_signature() {
         let b = ModuleBuilder::new()
             .import_func("env", "h", FuncType::new([ValType::I64], [ValType::I32]))
@@ -806,7 +737,7 @@ mod tests {
         // `ModuleBuilder` bypasses the decoder, so the validator holds the
         // same line before the lowering recurses over the body.
         let nested = |depth: usize| {
-            let body = (0..depth).fold(vec![Instr::Nop], |inner, level| match level % 3 {
+            let body = (0..depth).fold(vec![], |inner, level| match level % 3 {
                 0 => vec![Instr::Block(BlockType::Empty, inner)],
                 1 => vec![Instr::Loop(BlockType::Empty, inner)],
                 _ => vec![Instr::I32Const(0), Instr::If(BlockType::Empty, vec![], inner)],
@@ -816,24 +747,5 @@ mod tests {
         check(nested(MAX_NESTING)).unwrap();
         let err = check(nested(MAX_NESTING + 1)).unwrap_err();
         assert!(err.message().contains("nested deeper"), "{err}");
-    }
-
-    #[test]
-    fn memory_copy_and_fill_check() {
-        check(ModuleBuilder::new().memory(1, None).func(
-            FuncType::new([], []),
-            [],
-            [
-                Instr::I32Const(0),
-                Instr::I32Const(64),
-                Instr::I32Const(32),
-                Instr::MemoryCopy,
-                Instr::I32Const(0),
-                Instr::I32Const(0xAB),
-                Instr::I32Const(16),
-                Instr::MemoryFill,
-            ],
-        ))
-        .unwrap();
     }
 }

@@ -219,15 +219,15 @@ count count:panics:vkernel vkernel 7
 # slot over its cap), wordhash.rs 1 (the hasher is only fed u64 keys),
 # workflow.rs 1 (a node's input exists before it runs).
 count count:panics:platform platform 8
-# compile.rs 10 (six control-frame pops and peeks and one call target,
-# over a body validation already accepted; three `unreachable!` arms for
-# ops only the callers' other arms produce: a non-numeric instruction, a
-# non-branch patch, a structured instruction), encode.rs 2 (an
-# opcode-table arm the match covers; `unwrap()` in a rustdoc example),
-# interp.rs 2 (a return pops the frame it runs in; an op dispatched before
-# the counted match), validate.rs 4 (control-frame pops and peeks: the
-# function's own frame stays pushed until its body ends).
-count count:panics:wasm wasm 18
+# compile.rs 8 (six control-frame pops and peeks and one call target,
+# over a body validation already accepted; one `unreachable!` arm for a
+# structured instruction, which `seq` lowers before it gets there),
+# encode.rs 2 (an opcode-table arm the match covers; `unwrap()` in a
+# rustdoc example), interp.rs 2 (a return pops the frame it runs in; an
+# op dispatched before the counted match), validate.rs 4 (control-frame
+# pops and peeks: the function's own frame stays pushed until its body
+# ends).
+count count:panics:wasm wasm 16
 # bench is the figure harness, where a panic is the failing gate itself:
 # lib.rs 23 (deploys of the SDK's constant guests, their warm-up, serial
 # and pair transfers, a breakdown the transfer just recorded, two

@@ -157,7 +157,8 @@ fn arbitrary_overload(seed: u64) -> OverloadConfig {
         max_in_flight: 1 + rng.below(6) as usize,
         queue_cap: rng.below(8) as usize,
         policy: match rng.below(3) {
-            0 => ShedPolicy::RejectNewest,
+            // A target no sojourn reaches: plain tail drop.
+            0 => ShedPolicy::CoDel { target_ns: Nanos::MAX },
             1 => ShedPolicy::RejectOldest,
             _ => ShedPolicy::CoDel { target_ns: 500 + rng.below(10_000) },
         },
