@@ -134,10 +134,9 @@ impl DataPlane for RuncPair {
         payload: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let outcome = RuncPair::transfer(self, &Payload::opaque(payload))?;
-        let timing = outcome.timing();
-        Ok((outcome.received_flat(), Some(timing)))
+        Ok((outcome.received_flat(), outcome.timing()))
     }
 }
 
@@ -219,7 +218,6 @@ mod tests {
         let (received, timing) =
             pair.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
-        let timing = timing.expect("baselines attribute every edge");
         assert!(timing.prepare_ns > 0, "serialization charged to prepare");
         assert!(timing.consume_ns > 0, "deserialization charged to consume");
         assert!(timing.transfer_ns >= bed.link_between(0, 1).wire_ns(50_000));

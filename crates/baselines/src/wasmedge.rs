@@ -269,10 +269,9 @@ impl DataPlane for WasmedgePair {
         payload: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let outcome = WasmedgePair::transfer(self, &Payload::opaque(payload))?;
-        let timing = outcome.timing();
-        Ok((outcome.received_flat(), Some(timing)))
+        Ok((outcome.received_flat(), outcome.timing()))
     }
 }
 
@@ -354,7 +353,6 @@ mod tests {
         let (received, timing) =
             pair.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
-        let timing = timing.expect("baselines attribute every edge");
         // In-VM serialization dominates the prepare phase.
         assert!(timing.prepare_ns >= bed.cost().serialize_wasm_ns(40_000, 0));
     }

@@ -29,7 +29,8 @@
 use bytes::Bytes;
 use roadrunner_platform::{
     loadgen, parallel_map, replicate, AdmissionConfig, ArrivalProcess, Cluster, Controls,
-    LocalityFirst, OpenLoop, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad,
+    LocalityFirst, MultiLoad, PercentileSummary, PlacementPolicy, ReplicatedStat, SpreadLoad,
+    TenantLoad,
 };
 use roadrunner_vkernel::{Nanos, SchedResources};
 
@@ -119,23 +120,26 @@ fn run_job(job: &Job, instances: usize) -> JobResult {
     // re-seeded per replica.
     let mean_interval_ns = (wasmedge_solo as f64 * RATE_FACTORS[job.rate_index].1).round() as Nanos;
     let arrivals = ArrivalProcess::Poisson { mean_interval_ns, seed: 0 }.with_seed(job.seed);
+    let offered_rps = 1e9 / mean_interval_ns.max(1) as f64;
 
     let mut runs = Vec::with_capacity(under_load.len());
     for ((label, plane), &solo) in under_load.iter_mut().zip(&solos) {
         let mut policy = policy_of(job.policy);
         let mut resources = SchedResources::for_testbed(&bed);
-        let load = OpenLoop {
-            spec: pipeline_spec("bench"),
-            payload: payload.clone(),
-            arrivals,
+        let spec = pipeline_spec("bench");
+        let tenant = TenantLoad::from_process(
+            spec.tenant.clone(),
+            spec,
+            payload.clone(),
+            &arrivals,
             instances,
-            admission: AdmissionConfig::warm(),
-        };
+        );
+        let load = MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() };
         let clock = bed.clock().clone();
         let run = plane
             .drive(&clock, |plane| {
                 let policy = policy.as_mut();
-                let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+                let cluster = Cluster { plane, resources: &mut resources, policy };
                 loadgen::run(&load, cluster, Controls::default())
             })
             .expect("load run");
@@ -156,7 +160,7 @@ fn run_job(job: &Job, instances: usize) -> JobResult {
         runs.push(SystemRun {
             label,
             uncontended_ns: solo,
-            offered_rps: run.offered_rps,
+            offered_rps,
             achieved_rps: run.throughput_rps(),
             digest,
             cpu_utilization: run.cpu_utilization,

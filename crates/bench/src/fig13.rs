@@ -166,7 +166,7 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
         .plane
         .drive(&clock, |plane| {
             let policy = policy.as_mut();
-            let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+            let cluster = Cluster { plane, resources: &mut resources, policy };
             let controls =
                 Controls { autoscaler: autoscaled.then_some(&mut scaler), ..Controls::default() };
             loadgen::run(&load, cluster, controls)

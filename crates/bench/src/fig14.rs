@@ -215,7 +215,7 @@ fn run_cell(system: &mut SystemUnderLoad, bed: &Arc<Testbed>, payload: &Bytes, j
                           policy: &mut dyn PlacementPolicy,
                           autoscaler: Option<&mut Autoscaler>,
                           failures: Option<&FailurePlan>| {
-            let cluster = Cluster { plane: &mut *plane, clock: &clock, resources, policy };
+            let cluster = Cluster { plane: &mut *plane, resources, policy };
             let controls = Controls { autoscaler, failures, ..Controls::default() };
             loadgen::run(&shape.load, cluster, controls).expect("closed-loop run")
         };

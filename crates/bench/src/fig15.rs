@@ -164,7 +164,7 @@ fn run_cell(
         .plane
         .drive(&clock, |plane| {
             let policy = &mut placement;
-            let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy };
+            let cluster = Cluster { plane, resources: &mut resources, policy };
             loadgen::run(&load, cluster, Controls { autoscaler, ..Controls::default() })
         })
         .expect("bursty closed-loop run");

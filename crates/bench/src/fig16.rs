@@ -40,7 +40,7 @@ use roadrunner_platform::{
     DataPlane, FailurePlan, LoadRun, MultiLoad, OverloadConfig, QueueConfig, RetryBudgetConfig,
     RetryPolicy, ShedPolicy, SpreadLoad, TenantLoad,
 };
-use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
 use crate::fig13::{cluster, systems, CORES, START_NODES};
 use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
@@ -234,7 +234,7 @@ struct CellResult {
 /// horizon over the completions. Every cell runs the same probe on
 /// fresh resources, so the calibration is deterministic and identical
 /// across cells.
-fn saturation_interval(plane: &mut dyn DataPlane, clock: &VirtualClock, payload: &Bytes) -> Nanos {
+fn saturation_interval(plane: &mut dyn DataPlane, payload: &Bytes) -> Nanos {
     let users = START_NODES * CORES as usize;
     let probe = ClosedLoop {
         spec: pipeline_spec("bench"),
@@ -247,7 +247,6 @@ fn saturation_interval(plane: &mut dyn DataPlane, clock: &VirtualClock, payload:
     };
     let cluster = Cluster {
         plane,
-        clock,
         resources: &mut SchedResources::mesh(&[CORES; START_NODES]),
         policy: &mut SpreadLoad::new(),
     };
@@ -260,13 +259,12 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     let bed = cluster();
     let mut under_load = systems(&bed, payload);
     let system = &mut under_load[0]; // roadrunner
-    let clock = bed.clock().clone();
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let ids = (resources.node_id(0), resources.node_id(1));
     let mut policy = SpreadLoad::new();
     // Roadrunner's plane runs every edge for real (see `load_planes`).
     let plane = system.plane.bare();
-    let i = saturation_interval(plane, &clock, payload);
+    let i = saturation_interval(plane, payload);
 
     let (load, plan, overload, windows) = if job.cell.is_fair() {
         let (_, _, _, n_inter, n_flood) = counts(job.quick);
@@ -320,7 +318,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         )
     };
 
-    let cluster = Cluster { plane, clock: &clock, resources: &mut resources, policy: &mut policy };
+    let cluster = Cluster { plane, resources: &mut resources, policy: &mut policy };
     let controls = Controls { failures: plan.as_ref(), overload, ..Controls::default() };
     let run = loadgen::run(&load, cluster, controls).expect("fig16 cell run");
 

@@ -346,6 +346,20 @@ impl RoadrunnerPlane {
         src_node: Option<usize>,
         dst_node: Option<usize>,
     ) -> Result<Bytes, RoadrunnerError> {
+        let (received, _) = self.move_edge(from, to, payload, src_node, dst_node)?;
+        Ok(received)
+    }
+
+    /// The body of [`transfer_edge_placed`](Self::transfer_edge_placed),
+    /// returning the edge's breakdown beside the received bytes.
+    fn move_edge(
+        &mut self,
+        from: &str,
+        to: &str,
+        payload: &Bytes,
+        src_node: Option<usize>,
+        dst_node: Option<usize>,
+    ) -> Result<(Bytes, EdgeBreakdown), RoadrunnerError> {
         // Each endpoint is looked up once; mode, effective nodes, shims
         // and handlers all come from these two entries. Every borrow below
         // is of one field, so the clock and the entries stay borrowed
@@ -401,7 +415,8 @@ impl RoadrunnerPlane {
         run_handler(shim, to, target, region_b)?;
         let consume_ns = clock.now() - t2;
 
-        self.last_breakdown = Some(EdgeBreakdown { mode, prepare_ns, transfer_ns, consume_ns });
+        let breakdown = EdgeBreakdown { mode, prepare_ns, transfer_ns, consume_ns };
+        self.last_breakdown = Some(breakdown);
 
         // Integrity read-back. If the target handler forwarded the data
         // (relay) the region is still registered; if it consumed it we
@@ -411,7 +426,7 @@ impl RoadrunnerPlane {
         if !target_kept {
             shim.deallocate(to, region_b)?;
         }
-        Ok(received)
+        Ok((received, breakdown))
     }
 }
 
@@ -451,9 +466,9 @@ impl DataPlane for RoadrunnerPlane {
         payload: Bytes,
         src_node: Option<usize>,
         dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let received = self.transfer_edge_placed(from, to, &payload, src_node, dst_node)?;
-        Ok((received, self.last_breakdown.map(TransferTiming::from)))
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
+        let (received, breakdown) = self.move_edge(from, to, &payload, src_node, dst_node)?;
+        Ok((received, breakdown.into()))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {
@@ -670,7 +685,6 @@ mod tests {
         let payload = Bytes::from(vec![0x42u8; 80_000]);
         let (received, timing) = p.transfer_placed("a", "b", payload.clone(), None, None).unwrap();
         assert_eq!(&received[..], &payload[..]);
-        let timing = timing.expect("roadrunner attributes every edge");
         let bd = p.last_breakdown().unwrap();
         assert_eq!(timing.prepare_ns, bd.prepare_ns);
         assert_eq!(timing.transfer_ns, bd.transfer_ns);

@@ -21,8 +21,9 @@
 //!   recorded outcome (bytes, timing, virtual-clock advance) instead of
 //!   recomputing codec and cost-model work.
 //! * [`loadgen`] — multi-tenant load generation and the elastic control
-//!   loop: open- and closed-loop drivers over one completion-event
-//!   engine, instances placed per arrival by a
+//!   loop: open-loop ([`loadgen::MultiLoad`]) and closed-loop
+//!   ([`loadgen::ClosedLoop`]) loads over one completion-event engine,
+//!   instances placed per arrival by a
 //!   [`scheduler::PlacementPolicy`] observing the live
 //!   [`ResourceView`](roadrunner_vkernel::ResourceView), optional
 //!   cold-start admission, and a backlog-driven [`loadgen::Autoscaler`]
@@ -81,8 +82,8 @@ pub use dag::WorkflowDag;
 pub use error::PlatformError;
 pub use loadgen::{
     ArrivalProcess, Autoscaler, AutoscalerConfig, ClosedLoop, Cluster, Controls, FailurePlan,
-    InstanceOutcome, Load, LoadRun, MultiLoad, NodeKill, OpenLoop, PrewarmConfig, ScaleAction,
-    ScaleEvent, TenantLoad, TenantStats,
+    InstanceOutcome, Load, LoadRun, MultiLoad, NodeKill, PrewarmConfig, ScaleAction, ScaleEvent,
+    TenantLoad, TenantStats,
 };
 pub use warmpool::{AdmissionConfig, Admitted, KeepAlive, PoolStats, WarmPool, WarmPoolConfig};
 pub use metrics::{

@@ -47,15 +47,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// Mean inter-arrival gap (exact for uniform, the distribution mean
-    /// for Poisson).
-    pub fn mean_interval_ns(&self) -> Nanos {
-        match *self {
-            ArrivalProcess::Uniform { interval_ns } => interval_ns,
-            ArrivalProcess::Poisson { mean_interval_ns, .. } => mean_interval_ns,
-        }
-    }
-
     /// The same process re-seeded — the replication seam the sweep
     /// engine uses to run one grid cell under several arrival seeds.
     /// Uniform arrivals carry no randomness and are returned unchanged.

@@ -35,7 +35,7 @@ use super::autoscaler::Autoscaler;
 use super::events::MergedEvents;
 use super::failure::FailurePlan;
 use super::report::{InstanceOutcome, LoadRun, TenantStats};
-use super::{Admission, Cluster, Controls, Load};
+use super::{Admission, Cluster, Controls, Load, TenantWork};
 use crate::error::PlatformError;
 use crate::overload::{OverloadConfig, OverloadCtl, OverloadState, QueueConfig, ShedPolicy};
 use crate::warmpool::{AdmissionConfig, Admitted, PoolStats, WarmPool};
@@ -195,15 +195,15 @@ impl<'a> Engine<'a> {
             link_lanes: resources.link_lanes(),
             cpu_lane_ns: 0,
             link_lane_ns: 0,
-            cpu0: resources.cpu_reserved().0,
-            link0: resources.link_reserved().0,
+            cpu0: resources.cpu_reserved(),
+            link0: resources.link_reserved(),
         };
         // Closed loop: the seeded arrivals count against `instances`.
         let admitted = match admission {
             Admission::Closed { users, instances, .. } => users.min(instances),
             _ => 0,
         };
-        let seeded = Self::arm(&admission, admitted, controls.failures, cluster.resources);
+        let seeded = Self::arm(&admission, &tenants, admitted, controls.failures, cluster.resources);
         Ok(Self {
             cluster,
             autoscaler: controls.autoscaler,
@@ -229,9 +229,12 @@ impl<'a> Engine<'a> {
     /// known before the run starts, in insertion order: kill removals
     /// first, so at equal times the control plane acts before any
     /// arrival (FIFO among equals), then the arrivals — for a closed
-    /// loop, one per user already counted in `admitted`.
+    /// loop, one per user already counted in `admitted`; for an open
+    /// one, each tenant's trace in lane order, so equal instants admit
+    /// by tenant, then by user.
     fn arm(
         admission: &Admission,
+        tenants: &[TenantWork<'_>],
         admitted: usize,
         failures: Option<&FailurePlan>,
         resources: &mut SchedResources,
@@ -245,25 +248,20 @@ impl<'a> Engine<'a> {
             }));
         }
         match admission {
-            Admission::Open { releases, .. } => {
-                seeded.extend(
-                    releases
-                        .iter()
-                        .enumerate()
-                        .map(|(user, &at)| (at, LoadEvent::Arrival { tenant: 0, user })),
-                );
+            Admission::Multi => {
+                for (tenant, work) in tenants.iter().enumerate() {
+                    seeded.extend(
+                        work.releases
+                            .iter()
+                            .enumerate()
+                            .map(|(user, &at)| (at, LoadEvent::Arrival { tenant, user })),
+                    );
+                }
             }
             Admission::Closed { ramp_ns, .. } => {
                 seeded.extend((0..admitted).filter_map(|user| {
                     closed_arrival((user as Nanos).saturating_mul(*ramp_ns), user)
                 }));
-            }
-            Admission::Multi { releases } => {
-                seeded.extend(
-                    releases
-                        .iter()
-                        .map(|&(at, tenant, user)| (at, LoadEvent::Arrival { tenant, user })),
-                );
             }
         }
         seeded
@@ -509,7 +507,7 @@ impl<'a> Engine<'a> {
         start_ns: Nanos,
         view_is_fresh: bool,
     ) -> Result<(), PlatformError> {
-        let Cluster { plane, clock, resources, policy } = &mut self.cluster;
+        let Cluster { plane, resources, policy } = &mut self.cluster;
         let lane = &mut self.lanes[tenant];
         if !view_is_fresh {
             resources.view_into(start_ns, &mut self.view);
@@ -553,7 +551,6 @@ impl<'a> Engine<'a> {
         };
         let outcome = run_compiled_at(
             &mut **plane,
-            clock,
             &lane.compiled,
             resources,
             instance,
@@ -605,29 +602,6 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Offered load is a property of the admission process, so the
-    /// engine computes it. An empty run offers nothing — 0.0, never NaN.
-    fn offered_rps(admission: &Admission, achieved_rps: f64) -> f64 {
-        match admission {
-            Admission::Open { releases, .. } if releases.is_empty() => 0.0,
-            Admission::Open { mean_interval_ns, .. } => 1e9 / (*mean_interval_ns).max(1) as f64,
-            // A closed loop offers exactly what it completes: each user
-            // admits its next instance only after the previous finishes.
-            Admission::Closed { .. } => achieved_rps,
-            // Multi offers the merged trace's mean rate: n−1 gaps over
-            // the release span. Degenerate traces (< 2 releases, or all
-            // at one instant) offer 0.0.
-            Admission::Multi { releases } => {
-                let first_at = releases.first().map_or(0, |r| r.0);
-                let last_at = releases.last().map_or(0, |r| r.0);
-                match last_at.saturating_sub(first_at) {
-                    0 => 0.0,
-                    span => (releases.len() - 1) as f64 * 1e9 / span as f64,
-                }
-            }
-        }
-    }
-
     /// Settles the run: leftover queue entries, horizon, pool fates,
     /// utilizations — and checks conservation before returning.
     fn finish(mut self) -> LoadRun {
@@ -657,11 +631,10 @@ impl<'a> Engine<'a> {
         };
         let resources = &*self.cluster.resources;
         let cap = &self.capacity;
-        let mut run = LoadRun {
+        let run = LoadRun {
             horizon_ns: last - first,
-            offered_rps: 0.0,
-            cpu_utilization: util(resources.cpu_reserved().0 - cap.cpu0, cap.cpu_lane_ns),
-            link_utilization: util(resources.link_reserved().0 - cap.link0, cap.link_lane_ns),
+            cpu_utilization: util(resources.cpu_reserved() - cap.cpu0, cap.cpu_lane_ns),
+            link_utilization: util(resources.link_reserved() - cap.link0, cap.link_lane_ns),
             scale_events: self.autoscaler.map(|a| a.events().to_vec()).unwrap_or_default(),
             final_nodes: resources.node_count(),
             failed: self.counters.failed,
@@ -673,7 +646,6 @@ impl<'a> Engine<'a> {
             tenants: self.stats,
             outcomes: self.outcomes,
         };
-        run.offered_rps = Self::offered_rps(&self.admission, run.throughput_rps());
         debug_assert_eq!(run.arrivals, run.outcomes.len() + run.shed, "arrivals are conserved");
         debug_assert_eq!(
             run.outcomes.len(),

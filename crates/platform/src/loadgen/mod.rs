@@ -9,11 +9,11 @@
 //! loadgen::run(load, cluster, controls) -> Result<LoadRun, PlatformError>
 //! ```
 //!
-//! * `load` — *what arrives*: an [`OpenLoop`], a [`ClosedLoop`] or a
-//!   [`MultiLoad`], passed by reference (each converts into the
-//!   engine's [`Load`] description).
-//! * [`Cluster`] — *where it runs*: the data plane, its virtual clock,
-//!   the shared resource timelines and the placement policy.
+//! * `load` — *what arrives*: a [`MultiLoad`] or a [`ClosedLoop`],
+//!   passed by reference (each converts into the engine's [`Load`]
+//!   description).
+//! * [`Cluster`] — *where it runs*: the data plane, the shared
+//!   resource timelines and the placement policy.
 //! * [`Controls`] — *what watches it*: an optional [`Autoscaler`], an
 //!   optional [`FailurePlan`] and the [`OverloadConfig`]; the default is
 //!   all three off, and a run with a layer off is byte-identical to one
@@ -29,16 +29,18 @@
 //! they gate the next arrival of a closed-loop user, drain the bounded
 //! admission queue and give the autoscaler its observation points.
 //!
-//! * [`OpenLoop`] — arrivals do not wait for completions (the classic
-//!   serverless traffic model — users do not coordinate), so offered
-//!   load can exceed capacity and queueing shows up as growing sojourn
-//!   times rather than a throttled arrival stream.
+//! * [`MultiLoad`] — open loop: each tenant's explicit release trace,
+//!   with its own spec, warmth and fair-share weight; arrivals do not
+//!   wait for completions (the classic serverless traffic model — users
+//!   do not coordinate), so offered load can exceed capacity and
+//!   queueing shows up as growing sojourn times rather than a throttled
+//!   arrival stream. One tenant is the single-workflow open loop
+//!   ([`TenantLoad::from_process`] draws its trace from an
+//!   [`ArrivalProcess`]).
 //! * [`ClosedLoop`] — N virtual users each keep exactly one instance in
 //!   flight: a user's next arrival fires only after its previous
 //!   instance completed plus a think time. Saturation throughput is
 //!   measured directly instead of read off the achieved-vs-offered gap.
-//! * [`MultiLoad`] — several tenants' explicit release traces
-//!   interleaved, each with its own spec, warmth and fair-share weight.
 //!
 //! Admission is FIFO in arrival order: an earlier instance's
 //! reservations are placed before a later instance's, the discipline of
@@ -79,10 +81,9 @@ pub use report::{InstanceOutcome, LoadRun, TenantStats};
 /// pre-load it (e.g. with background traffic). Utilizations are computed
 /// from the reservations the run added, over its own horizon.
 pub struct Cluster<'a> {
-    /// The data plane every edge is driven through.
+    /// The data plane every edge is driven through; each edge costs
+    /// the [`TransferTiming`](crate::workflow::TransferTiming) it reports.
     pub plane: &'a mut dyn DataPlane,
-    /// The virtual clock `plane` advances as it measures.
-    pub clock: &'a VirtualClock,
     /// The shared per-node core lanes and per-pair links.
     pub resources: &'a mut SchedResources,
     /// Where each instance's functions go.
@@ -123,45 +124,33 @@ pub fn run<'a>(
 }
 
 /// What arrives, in the engine's terms: the tenants' work, the arrival
-/// discipline and the cold-start admission model. Built from an
-/// [`OpenLoop`], [`ClosedLoop`] or [`MultiLoad`] by reference.
+/// discipline and the cold-start admission model. Built from a
+/// [`MultiLoad`] or a [`ClosedLoop`] by reference.
 pub struct Load<'a> {
     tenants: Vec<TenantWork<'a>>,
     admission: Admission,
     admission_cfg: &'a AdmissionConfig,
 }
 
-/// One tenant's share of a [`Load`]: the spec/payload to run and the
-/// fair-share weight. Single-tenant loads carry exactly one.
+/// One tenant's share of a [`Load`]: the spec/payload to run, the
+/// fair-share weight and, for an open loop, its release trace. A closed
+/// loop carries exactly one, with no trace.
 struct TenantWork<'a> {
     name: &'a str,
     spec: &'a WorkflowSpec,
     payload: &'a Bytes,
     weight: u64,
+    releases: &'a [Nanos],
 }
 
 /// How the engine admits instances.
 enum Admission {
-    /// Pre-scheduled arrival times (instance k = user k, tenant 0).
-    Open { releases: Vec<Nanos>, mean_interval_ns: Nanos },
+    /// Every tenant's release trace, as given: a tenant's `k`-th
+    /// release is its user `k`.
+    Multi,
     /// `users` slots seeded `ramp_ns` apart, each re-arming `think_ns`
     /// after its completion, until `instances` total have been admitted.
     Closed { users: usize, think_ns: Nanos, ramp_ns: Nanos, instances: usize },
-    /// Pre-merged multi-tenant release trace: `(at, tenant, user)`,
-    /// non-decreasing in time.
-    Multi { releases: Vec<(Nanos, usize, usize)> },
-}
-
-impl<'a> Load<'a> {
-    fn single(
-        spec: &'a WorkflowSpec,
-        payload: &'a Bytes,
-        admission: Admission,
-        admission_cfg: &'a AdmissionConfig,
-    ) -> Self {
-        let tenants = vec![TenantWork { name: &spec.tenant, spec, payload, weight: 1 }];
-        Self { tenants, admission, admission_cfg }
-    }
 }
 
 /// One tenant's workload in a [`MultiLoad`] run: a workflow spec, its
@@ -204,12 +193,13 @@ impl TenantLoad {
     }
 }
 
-/// A multi-tenant open-loop workload: every tenant's release trace is
-/// interleaved onto the **shared** timelines (stable-ordered by time,
-/// ties by tenant index), each instance runs its own tenant's spec and
-/// payload, and per-tenant warmth never aliases — each tenant gets its
-/// own admission lane, so one tenant's warm instances are invisible to
-/// another's (the paper's per-tenant trust boundary).
+/// An open-loop workload of one or more tenants: every tenant's release
+/// trace is interleaved onto the **shared** timelines (ordered by time;
+/// at one instant by tenant index, then by release index), each instance
+/// runs its own tenant's spec and payload, and per-tenant warmth never
+/// aliases — each tenant gets its own admission lane, so one tenant's
+/// warm instances are invisible to another's (the paper's per-tenant
+/// trust boundary).
 ///
 /// Combined with an overload [`QueueConfig`](crate::overload::QueueConfig),
 /// the weighted admission queue is the fairness lever the ROADMAP's
@@ -225,15 +215,6 @@ pub struct MultiLoad {
 
 impl<'a> From<&'a MultiLoad> for Load<'a> {
     fn from(load: &'a MultiLoad) -> Self {
-        let mut releases: Vec<(Nanos, usize, usize)> = Vec::new();
-        for (tenant, t) in load.tenants.iter().enumerate() {
-            for (user, &at) in t.releases.iter().enumerate() {
-                releases.push((at, tenant, user));
-            }
-        }
-        // Stable by time: equal instants keep tenant order, so the
-        // interleaving is deterministic.
-        releases.sort_by_key(|&(at, _, _)| at);
         let tenants = load
             .tenants
             .iter()
@@ -242,36 +223,10 @@ impl<'a> From<&'a MultiLoad> for Load<'a> {
                 spec: &t.spec,
                 payload: &t.payload,
                 weight: t.weight,
+                releases: &t.releases,
             })
             .collect();
-        Self { tenants, admission: Admission::Multi { releases }, admission_cfg: &load.admission }
-    }
-}
-
-/// An open-loop workload: `instances` copies of `spec` carrying
-/// `payload`, admitted per `arrivals`.
-#[derive(Debug, Clone)]
-pub struct OpenLoop {
-    /// The workflow every instance runs.
-    pub spec: WorkflowSpec,
-    /// Payload injected into every instance's roots.
-    pub payload: Bytes,
-    /// The arrival process.
-    pub arrivals: ArrivalProcess,
-    /// Number of instances to admit.
-    pub instances: usize,
-    /// How instances are admitted: all-warm, or a warm pool with
-    /// keep-alive eviction (see [`AdmissionConfig`]).
-    pub admission: AdmissionConfig,
-}
-
-impl<'a> From<&'a OpenLoop> for Load<'a> {
-    fn from(load: &'a OpenLoop) -> Self {
-        let admission = Admission::Open {
-            releases: load.arrivals.times(load.instances),
-            mean_interval_ns: load.arrivals.mean_interval_ns(),
-        };
-        Self::single(&load.spec, &load.payload, admission, &load.admission)
+        Self { tenants, admission: Admission::Multi, admission_cfg: &load.admission }
     }
 }
 
@@ -314,24 +269,33 @@ impl<'a> From<&'a ClosedLoop> for Load<'a> {
             ramp_ns: load.ramp_ns,
             instances: load.instances,
         };
-        Self::single(&load.spec, &load.payload, admission, &load.admission)
+        let tenant = TenantWork {
+            name: &load.spec.tenant,
+            spec: &load.spec,
+            payload: &load.payload,
+            weight: 1,
+            releases: &[],
+        };
+        Self { tenants: vec![tenant], admission, admission_cfg: &load.admission }
     }
 }
 
 // The three signatures below are frozen by the benchmark package —
 // `benchmark/src/workloads/cluster.rs` is their sole caller — and are
-// one-expression forwards to [`run`]. They go when that file is ported.
+// one-expression forwards to [`run`]. Each takes a clock and ignores it:
+// an edge costs the timing its plane reports. They go when that file is
+// ported.
 
 impl ClosedLoop {
     #[doc(hidden)]
     pub fn run(
         &self,
         plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
+        _clock: &VirtualClock,
         resources: &mut SchedResources,
         policy: &mut dyn PlacementPolicy,
     ) -> Result<LoadRun, PlatformError> {
-        run(self, Cluster { plane, clock, resources, policy }, Controls::default())
+        run(self, Cluster { plane, resources, policy }, Controls::default())
     }
 
     #[doc(hidden)]
@@ -339,7 +303,7 @@ impl ClosedLoop {
     pub fn run_overloaded(
         &self,
         plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
+        _clock: &VirtualClock,
         resources: &mut SchedResources,
         policy: &mut dyn PlacementPolicy,
         autoscaler: Option<&mut Autoscaler>,
@@ -348,7 +312,7 @@ impl ClosedLoop {
     ) -> Result<LoadRun, PlatformError> {
         run(
             self,
-            Cluster { plane, clock, resources, policy },
+            Cluster { plane, resources, policy },
             Controls { autoscaler, failures, overload: *overload },
         )
     }
@@ -360,7 +324,7 @@ impl MultiLoad {
     pub fn run_overloaded(
         &self,
         plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
+        _clock: &VirtualClock,
         resources: &mut SchedResources,
         policy: &mut dyn PlacementPolicy,
         autoscaler: Option<&mut Autoscaler>,
@@ -369,7 +333,7 @@ impl MultiLoad {
     ) -> Result<LoadRun, PlatformError> {
         run(
             self,
-            Cluster { plane, clock, resources, policy },
+            Cluster { plane, resources, policy },
             Controls { autoscaler, failures, overload: *overload },
         )
     }

@@ -13,8 +13,12 @@ use crate::warmpool::PoolStats;
 pub struct InstanceOutcome {
     /// Instance index in admission order.
     pub instance: usize,
-    /// The virtual user that issued the instance (equals `instance` for
-    /// open-loop runs, the user slot for closed-loop runs).
+    /// The virtual user that issued the instance: for a [`MultiLoad`]
+    /// run, the index of the instance's release in its tenant's trace;
+    /// for a [`ClosedLoop`] run, the user slot.
+    ///
+    /// [`MultiLoad`]: super::MultiLoad
+    /// [`ClosedLoop`]: super::ClosedLoop
     pub user: usize,
     /// Arrival time on the shared timescale.
     pub release_ns: Nanos,
@@ -58,15 +62,6 @@ pub struct LoadRun {
     /// First release to last finish — the horizon utilizations are
     /// normalized by. 0 for an empty run.
     pub horizon_ns: Nanos,
-    /// Offered arrival rate (instances per second of virtual time,
-    /// `1 / mean inter-arrival gap`) for open-loop runs; for closed-loop
-    /// runs this equals the achieved rate (a closed loop offers exactly
-    /// what completes). Note that achieved throughput
-    /// ([`LoadRun::throughput_rps`]) can slightly exceed this under
-    /// light open load with few instances: the horizon ends at the last
-    /// *completion*, which then trails the last arrival by less than one
-    /// inter-arrival gap.
-    pub offered_rps: f64,
     /// Core-lane utilization over the horizon: Σ reserved CPU time
     /// divided by the **time-weighted** active core-lane capacity
     /// (∫ active lanes dt across the event timeline), so the figure

@@ -13,18 +13,7 @@ use crate::workflow::{execute_concurrent_at, RetryPolicy, TransferTiming};
 
 /// A plane charging fixed phase costs, payload-independent, so
 /// schedules are easy to reason about.
-struct FixedPlane {
-    clock: VirtualClock,
-    prepare_ns: Nanos,
-    transfer_ns: Nanos,
-    consume_ns: Nanos,
-}
-
-impl FixedPlane {
-    fn new(clock: VirtualClock) -> Self {
-        Self { clock, prepare_ns: 200, transfer_ns: 1_000, consume_ns: 300 }
-    }
-}
+struct FixedPlane;
 
 impl DataPlane for FixedPlane {
     fn transfer_placed(
@@ -34,14 +23,8 @@ impl DataPlane for FixedPlane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let timing = TransferTiming {
-            prepare_ns: self.prepare_ns,
-            transfer_ns: self.transfer_ns,
-            consume_ns: self.consume_ns,
-        };
-        self.clock.advance(timing.total_ns());
-        Ok((p, Some(timing)))
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
+        Ok((p, TransferTiming { prepare_ns: 200, transfer_ns: 1_000, consume_ns: 300 }))
     }
 }
 
@@ -49,14 +32,13 @@ fn pipeline_spec() -> WorkflowSpec {
     WorkflowSpec::sequence("pipe", "t", ["a".to_owned(), "b".to_owned()])
 }
 
-fn open(spec: WorkflowSpec, interval_ns: Nanos, instances: usize) -> OpenLoop {
-    OpenLoop {
-        spec,
-        payload: Bytes::new(),
-        arrivals: ArrivalProcess::Uniform { interval_ns },
-        instances,
-        admission: AdmissionConfig::warm(),
-    }
+/// A warm open loop: one tenant, named after `spec`'s, releasing
+/// `instances` instances `interval_ns` apart.
+fn open(spec: WorkflowSpec, interval_ns: Nanos, instances: usize) -> MultiLoad {
+    let arrivals = ArrivalProcess::Uniform { interval_ns };
+    let tenant =
+        TenantLoad::from_process(spec.tenant.clone(), spec, Bytes::new(), &arrivals, instances);
+    MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() }
 }
 
 /// A warm closed loop over the two-function pipeline, unramped.
@@ -72,16 +54,14 @@ fn closed(users: usize, think_ns: Nanos, instances: usize) -> ClosedLoop {
     }
 }
 
-/// Runs `load` over a fresh [`FixedPlane`] on `res`.
+/// Runs `load` over a [`FixedPlane`] on `res`.
 fn run_fixed<'a>(
     load: impl Into<Load<'a>>,
     res: &mut SchedResources,
     policy: &mut dyn PlacementPolicy,
     controls: Controls<'a>,
 ) -> Result<LoadRun, PlatformError> {
-    let clock = VirtualClock::new();
-    let mut plane = FixedPlane::new(clock.clone());
-    run(load.into(), Cluster { plane: &mut plane, clock: &clock, resources: res, policy }, controls)
+    run(load.into(), Cluster { plane: &mut FixedPlane, resources: res, policy }, controls)
 }
 
 fn scaled(scaler: &mut Autoscaler) -> Controls<'_> {
@@ -142,7 +122,7 @@ fn the_plane_sees_every_edge_under_the_policys_assignment() {
             p: Bytes,
             src: Option<usize>,
             dst: Option<usize>,
-        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+        ) -> Result<(Bytes, TransferTiming), PlatformError> {
             self.seen.push((from.to_owned(), to.to_owned(), src, dst));
             self.inner.transfer_placed(from, to, p, src, dst)
         }
@@ -157,11 +137,9 @@ fn the_plane_sees_every_edge_under_the_policys_assignment() {
     let spec = WorkflowSpec::fan_in("wf", "t", ["s1".to_owned(), "s2".to_owned()], "sink");
     assert_eq!(spec.functions(), ["s1", "sink", "s2"]);
     let load = open(spec, 10_000, 5);
-    let clock = VirtualClock::new();
-    let mut plane = Recording { inner: FixedPlane::new(clock.clone()), seen: Vec::new() };
+    let mut plane = Recording { inner: FixedPlane, seen: Vec::new() };
     let cluster = Cluster {
         plane: &mut plane,
-        clock: &clock,
         resources: &mut SchedResources::new(4, 4),
         policy: &mut Rotating { len: 3, next: 0 },
     };
@@ -205,13 +183,12 @@ fn a_policy_placing_the_wrong_number_of_functions_is_an_error_not_a_panic() {
 #[test]
 fn contention_never_speeds_an_instance_up() {
     let clock = VirtualClock::new();
-    let mut plane = FixedPlane::new(clock.clone());
     let spec = pipeline_spec();
 
     // Uncontended makespan of one instance, both functions on node 0
     // (where locality placement packs them).
     let mut fresh = SchedResources::mesh(&[1, 1]);
-    let solo = execute_concurrent_at(&mut plane, &clock, &spec, Bytes::new(), &mut fresh, 0)
+    let solo = execute_concurrent_at(&mut FixedPlane, &clock, &spec, Bytes::new(), &mut fresh, 0)
         .unwrap()
         .total_latency_ns;
     assert_eq!(solo, 1_500);
@@ -233,8 +210,9 @@ fn contention_never_speeds_an_instance_up() {
     }
     // Queueing builds: the last instance waits longer than the first.
     assert!(run.outcomes[11].sojourn_ns > run.outcomes[0].sojourn_ns);
-    // Overload: achieved throughput falls short of offered.
-    assert!(run.throughput_rps() < run.offered_rps);
+    // Overload: achieved throughput falls short of the offered one
+    // instance per 100 ns.
+    assert!(run.throughput_rps() < 1e9 / 100.0);
 }
 
 #[test]
@@ -279,14 +257,13 @@ fn transfer_errors_propagate_out_of_the_loop() {
             _: Bytes,
             _: Option<usize>,
             _: Option<usize>,
-        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+        ) -> Result<(Bytes, TransferTiming), PlatformError> {
             Err(PlatformError::Transfer("down".into()))
         }
     }
     let load = open(pipeline_spec(), 1, 2);
     let cluster = Cluster {
         plane: &mut Failing,
-        clock: &VirtualClock::new(),
         resources: &mut SchedResources::new(2, 4),
         policy: &mut LocalityFirst::new(),
     };
@@ -305,7 +282,6 @@ fn empty_run_reports_zeroes_not_nan() {
     assert!(run.outcomes.is_empty());
     assert_eq!(run.horizon_ns, 0);
     assert_eq!(run.throughput_rps(), 0.0);
-    assert_eq!(run.offered_rps, 0.0, "an empty run offers nothing");
     assert_eq!(run.max_sojourn_ns(), None);
     assert!(run.sojourn_percentiles().is_none());
     assert_eq!(run.cpu_utilization, 0.0);
@@ -343,8 +319,6 @@ fn closed_loop_gates_arrivals_on_completions() {
             assert_eq!(pair[1].release_ns, pair[0].finish_ns + 400);
         }
     }
-    // Closed loop: offered equals achieved by definition.
-    assert_eq!(run.offered_rps, run.throughput_rps());
 }
 
 #[test]
@@ -562,7 +536,6 @@ fn an_empty_failure_plan_is_byte_identical_to_a_failure_free_run() {
         assert!(!b.failed);
         assert_eq!(b.retries, 0);
     }
-    assert_eq!(baseline.offered_rps, faulty.offered_rps);
     assert_eq!(baseline.cpu_utilization, faulty.cpu_utilization);
     assert_eq!(baseline.link_utilization, faulty.link_utilization);
     assert_eq!((faulty.failed, faulty.retries), (0, 0));
@@ -686,19 +659,6 @@ fn failed_instances_re_arm_their_closed_loop_user() {
     assert_eq!(run.outcomes.len(), 6);
     assert_eq!(run.failed, 6);
     assert_eq!(run.completed(), 0);
-    assert_eq!(run.offered_rps, 0.0, "a closed loop that completes nothing offers nothing");
-    assert!(!run.offered_rps.is_nan());
-}
-
-#[test]
-fn open_loop_offered_rate_comes_from_the_arrival_process() {
-    let mut res = SchedResources::new(2, 4);
-    let mut policy = LocalityFirst::new();
-    // 1 ms mean interval → 1000 rps offered, computed by the engine
-    // (no driver fills it in after the fact).
-    let load = open(pipeline_spec(), 1_000_000, 3);
-    let run = run_fixed(&load, &mut res, &mut policy, Controls::default()).unwrap();
-    assert!((run.offered_rps - 1_000.0).abs() < 1e-9);
 }
 
 /// Plain tail drop: a CoDel whose sojourn target is never exceeded
@@ -726,7 +686,6 @@ fn an_all_shed_run_reports_zeroes_and_none_never_nan() {
     assert_eq!((run.completed(), run.failed, run.deadline_exceeded), (0, 0, 0));
     assert!(run.sojourn_percentiles().is_none());
     assert!(run.throughput_rps() == 0.0 && !run.throughput_rps().is_nan());
-    assert!(!run.offered_rps.is_nan());
     assert!(!run.cpu_utilization.is_nan() && !run.link_utilization.is_nan());
     let t = &run.tenants[0];
     assert_eq!((t.arrivals, t.shed, t.completed), (5, 5, 0));
@@ -822,13 +781,7 @@ fn blown_deadlines_are_accounted_apart_from_failures() {
     let spec =
         WorkflowSpec::sequence("pipe3", "t", ["a".to_owned(), "b".to_owned(), "c".to_owned()]);
     let cfg = OverloadConfig { deadline_ns: Some(100), ..OverloadConfig::default() };
-    let load = OpenLoop {
-        spec,
-        payload: Bytes::new(),
-        arrivals: ArrivalProcess::Uniform { interval_ns: 5_000 },
-        instances: 3,
-        admission: AdmissionConfig::warm(),
-    };
+    let load = open(spec, 5_000, 3);
     let run = run_fixed(&load, &mut res, &mut policy, overloaded(cfg))
         .unwrap();
     assert_eq!(run.outcomes.len(), 3);
@@ -954,7 +907,7 @@ fn degenerate_loads_err_or_report_cleanly() {
                 assert_eq!(run.outcomes.len(), admitted, "{case}");
                 assert_eq!(run.arrivals, run.outcomes.len() + run.shed, "{case}");
                 assert_eq!(run.completed(), admitted, "{case}");
-                for x in [run.offered_rps, run.throughput_rps(), run.cpu_utilization, run.link_utilization] {
+                for x in [run.throughput_rps(), run.cpu_utilization, run.link_utilization] {
                     assert!(!x.is_nan(), "{case}: NaN in the report");
                 }
                 assert_eq!(run.sojourn_percentiles().is_none(), admitted == 0, "{case}");
@@ -998,4 +951,33 @@ fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
         );
         assert!(run.outcomes.iter().all(|o| o.finish_ns == Nanos::MAX), "{admission:?}");
     }
+}
+
+/// Releases at one instant admit after a kill detected there, then in
+/// lane order, then in each lane's user order.
+#[test]
+fn simultaneous_releases_admit_after_the_kill_in_lane_then_user_order() {
+    let tenant = |name: &str, releases: Vec<Nanos>| TenantLoad {
+        name: name.to_owned(),
+        spec: WorkflowSpec::sequence("pipe", name, ["a".to_owned(), "b".to_owned()]),
+        payload: Bytes::new(),
+        releases,
+        weight: 1,
+    };
+    let load = MultiLoad {
+        tenants: vec![tenant("alice", vec![0, 5_000, 5_000]), tenant("bob", vec![0, 0, 5_000])],
+        admission: AdmissionConfig::warm(),
+    };
+    let mut res = SchedResources::new(3, 4);
+    // Node 2 dies at 4 µs, long after the first burst drained, and is
+    // detected at 5 µs, the instant of the second burst.
+    let plan = FailurePlan::new(RetryPolicy::default()).kill_node(res.node_id(2), 4_000, 1_000);
+    let mut policy = Rotating { len: 2, next: 0 };
+    let run = run_fixed(&load, &mut res, &mut policy, failing(&plan)).unwrap();
+    let order: Vec<(usize, usize)> = run.outcomes.iter().map(|o| (o.tenant, o.user)).collect();
+    assert_eq!(order, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (1, 2)]);
+    // The kill went first: the second burst was placed over two nodes.
+    let assignments: Vec<&[usize]> = run.outcomes.iter().map(|o| &o.assignment[..]).collect();
+    assert_eq!(assignments, [[1, 2], [2, 0], [0, 1], [0, 1], [1, 0], [0, 1]]);
+    assert_eq!((run.completed(), run.final_nodes), (6, 2));
 }

@@ -38,8 +38,7 @@ use roadrunner_vkernel::sched::SchedResources;
 use roadrunner_vkernel::Nanos;
 
 /// How the load engine admits instances, shared by
-/// [`OpenLoop`](crate::OpenLoop), [`ClosedLoop`](crate::ClosedLoop) and
-/// [`MultiLoad`](crate::MultiLoad):
+/// [`MultiLoad`](crate::MultiLoad) and [`ClosedLoop`](crate::ClosedLoop):
 ///
 /// * [`AdmissionConfig::warm`] — every instance admits warm (no cold
 ///   starts at all);

@@ -230,9 +230,7 @@ pub trait DataPlane {
     /// them. The engine charges the edge exactly the reported
     /// [`TransferTiming`], not the clock's advance across the call, so
     /// work the plane does after its breakdown (an ack, a release) costs
-    /// the edge nothing. Planes that cannot attribute return `None` for
-    /// the timing; the engine then treats the whole measured duration as
-    /// transfer time.
+    /// the edge nothing.
     ///
     /// # Errors
     ///
@@ -245,7 +243,7 @@ pub trait DataPlane {
         payload: Bytes,
         src_node: Option<usize>,
         dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError>;
+    ) -> Result<(Bytes, TransferTiming), PlatformError>;
 
     /// [`transfer_placed`](Self::transfer_placed) under the plane's own
     /// deployment placement, returning only the received bytes.
@@ -296,13 +294,6 @@ pub struct EdgeResult {
     pub finish_ns: Nanos,
     /// The payload as received (reference-counted; cheap to hold).
     pub received: Bytes,
-}
-
-impl EdgeResult {
-    /// FNV-1a checksum of the received payload, for integrity assertions.
-    pub fn checksum(&self) -> u64 {
-        fnv1a(&self.received)
-    }
 }
 
 /// Result of a workflow execution.
@@ -373,35 +364,40 @@ pub fn critical_path_ns(spec: &WorkflowSpec, run: &WorkflowRun) -> Result<Nanos,
 /// it receives (identical to every other delivery on integrity-preserving
 /// planes).
 ///
+/// `_clock` is ignored: every edge costs the [`TransferTiming`] its
+/// plane reports. The parameter stays while `benchmark/` calls this
+/// signature.
+///
 /// # Errors
 ///
 /// Propagates validation and transfer errors.
 pub fn execute(
     plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
+    _clock: &VirtualClock,
     spec: &WorkflowSpec,
     payload: Bytes,
 ) -> Result<WorkflowRun, PlatformError> {
-    execute_compiled(plane, clock, &CompiledWorkflow::compile(spec)?, payload)
+    execute_compiled(plane, _clock, &CompiledWorkflow::compile(spec)?, payload)
 }
 
 /// [`execute`] over a pre-compiled workflow: validation was paid once at
 /// [`CompiledWorkflow::compile`] time, so repeated executions of the same
-/// spec skip all per-run graph checks.
+/// spec skip all per-run graph checks. `_clock` is ignored, as in
+/// [`execute`].
 ///
 /// # Errors
 ///
 /// Propagates transfer errors.
 pub fn execute_compiled(
     plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
+    _clock: &VirtualClock,
     compiled: &CompiledWorkflow<'_>,
     payload: Bytes,
 ) -> Result<WorkflowRun, PlatformError> {
     let placement = deployed_nodes(plane, compiled.dag());
     let nodes = placement.iter().max().map_or(1, |&node| node + 1);
     let mut resources = SchedResources::new(nodes, 1);
-    let mut run = run_placed(plane, clock, compiled, &payload, &placement, &mut resources, 0)?;
+    let mut run = run_placed(plane, compiled, &payload, &placement, &mut resources, 0)?;
     let mut elapsed: Nanos = 0;
     for edge in &mut run.edges {
         edge.start_ns = elapsed;
@@ -436,7 +432,7 @@ pub fn execute_compiled(
 /// genuinely contend for cores and links: edge `start_ns`/`finish_ns` are
 /// absolute on the resources' timescale, and `total_latency_ns` is the
 /// instance's makespan measured **from its release** (its sojourn time
-/// under load).
+/// under load). `_clock` is ignored, as in [`execute`].
 ///
 /// # Errors
 ///
@@ -446,7 +442,7 @@ pub fn execute_compiled(
 /// entry point carries no retry policy, so the first refusal is final.
 pub fn execute_concurrent_at(
     plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
+    _clock: &VirtualClock,
     spec: &WorkflowSpec,
     payload: Bytes,
     resources: &mut SchedResources,
@@ -454,7 +450,7 @@ pub fn execute_concurrent_at(
 ) -> Result<WorkflowRun, PlatformError> {
     let compiled = CompiledWorkflow::compile(spec)?;
     let placement = deployed_nodes(plane, compiled.dag());
-    run_placed(plane, clock, &compiled, &payload, &placement, resources, release_ns)
+    run_placed(plane, &compiled, &payload, &placement, resources, release_ns)
 }
 
 /// One fault-free run of `compiled` under `placement`, released at
@@ -463,7 +459,6 @@ pub fn execute_concurrent_at(
 /// [`PlatformError::Transfer`].
 fn run_placed(
     plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
     compiled: &CompiledWorkflow<'_>,
     payload: &Bytes,
     placement: &[usize],
@@ -474,7 +469,6 @@ fn run_placed(
     let mut edges = Vec::with_capacity(compiled.edge_count());
     let outcome = run_compiled_at(
         plane,
-        clock,
         compiled,
         resources,
         instance,
@@ -646,7 +640,6 @@ enum Attempt {
 /// fault and overload inputs switch on.
 pub(crate) fn run_compiled_at(
     plane: &mut dyn DataPlane,
-    clock: &VirtualClock,
     compiled: &CompiledWorkflow<'_>,
     resources: &mut SchedResources,
     instance: Instance<'_>,
@@ -708,15 +701,8 @@ pub(crate) fn run_compiled_at(
                 if !blocked {
                     // One logical copy per attempt: the reference-counted
                     // handle given to the plane.
-                    let t0 = clock.now();
                     let (received, timing) =
                         plane.transfer_placed(from, to, sending.clone(), Some(src), Some(dst))?;
-                    let measured = clock.now() - t0;
-                    let timing = timing.unwrap_or(TransferTiming {
-                        prepare_ns: 0,
-                        transfer_ns: measured,
-                        consume_ns: 0,
-                    });
 
                     // Place the three phases, in order, on their
                     // resources. A rejection mid-edge (a down window
@@ -818,15 +804,6 @@ pub(crate) fn run_compiled_at(
     Ok(RunOutcome::Completed { makespan_ns: makespan.saturating_sub(release_ns), retries })
 }
 
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,10 +822,10 @@ mod tests {
             payload: Bytes,
             _src_node: Option<usize>,
             _dst_node: Option<usize>,
-        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+        ) -> Result<(Bytes, TransferTiming), PlatformError> {
             let transfer_ns = 1_000 + payload.len() as u64;
             self.clock.advance(transfer_ns);
-            Ok((payload, Some(TransferTiming { prepare_ns: 0, transfer_ns, consume_ns: 0 })))
+            Ok((payload, TransferTiming { prepare_ns: 0, transfer_ns, consume_ns: 0 }))
         }
     }
 
@@ -881,9 +858,9 @@ mod tests {
             payload: Bytes,
             _src_node: Option<usize>,
             _dst_node: Option<usize>,
-        ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+        ) -> Result<(Bytes, TransferTiming), PlatformError> {
             self.clock.advance(self.timing.total_ns());
-            Ok((payload, Some(self.timing)))
+            Ok((payload, self.timing))
         }
 
         fn placement(&self, function: &str) -> Option<usize> {
@@ -906,7 +883,7 @@ mod tests {
         assert_eq!(run.edges[1].to, "c");
         assert_eq!(run.total_bytes(), 200);
         assert_eq!(run.total_latency_ns, 2 * (1_000 + 100));
-        assert_eq!(run.edges[0].checksum(), run.edges[1].checksum());
+        assert_eq!(run.edges[0].received, run.edges[1].received);
         // Serial schedule: edges back to back.
         assert_eq!(run.edges[0].start_ns, 0);
         assert_eq!(run.edges[1].start_ns, run.edges[0].finish_ns);
@@ -1007,7 +984,7 @@ mod tests {
                 _: Bytes,
                 _: Option<usize>,
                 _: Option<usize>,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+            ) -> Result<(Bytes, TransferTiming), PlatformError> {
                 Err(PlatformError::Transfer("link down".into()))
             }
         }
@@ -1079,7 +1056,7 @@ mod tests {
         for e in &serial.edges {
             let c = conc.edge(&e.from, &e.to).unwrap();
             assert_eq!(e.bytes, c.bytes);
-            assert_eq!(e.checksum(), c.checksum());
+            assert_eq!(e.received, c.received);
         }
         assert!(conc.total_latency_ns <= serial.total_latency_ns);
     }
@@ -1194,7 +1171,7 @@ mod tests {
                 .unwrap();
         assert_eq!(run.total_latency_ns, 1_000);
         assert_eq!(res.cpu(0).reserved_ns(), 1_000);
-        assert_eq!(res.link_reserved(), (0, 1));
+        assert_eq!((res.link_reserved(), res.link_lanes()), (0, 1));
     }
 
     #[test]
@@ -1271,7 +1248,7 @@ mod tests {
         assert_eq!(plain.edges.len(), fast.edges.len());
         for (a, b) in plain.edges.iter().zip(&fast.edges) {
             assert_eq!((&a.from, &a.to, a.bytes, a.latency_ns), (&b.from, &b.to, b.bytes, b.latency_ns));
-            assert_eq!(a.checksum(), b.checksum());
+            assert_eq!(a.received, b.received);
         }
 
         let clock = VirtualClock::new();
@@ -1298,50 +1275,9 @@ mod tests {
     }
 
     #[test]
-    fn an_unattributed_transfer_is_all_transfer_time() {
-        struct Plain {
-            clock: VirtualClock,
-        }
-        impl DataPlane for Plain {
-            fn transfer_placed(
-                &mut self,
-                _: &str,
-                _: &str,
-                p: Bytes,
-                _: Option<usize>,
-                _: Option<usize>,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-                self.clock.advance(500);
-                Ok((p, None))
-            }
-        }
-        let clock = VirtualClock::new();
-        let mut plane = Plain { clock: clock.clone() };
-        // The provided `transfer` is the same call with no placement.
-        let received = plane.transfer("a", "b", Bytes::from_static(b"q")).unwrap();
-        assert_eq!(&received[..], b"q");
-        assert_eq!(clock.now(), 500);
-        // The engine falls back to the measured duration.
-        let spec = WorkflowSpec::sequence("wf", "t", ["a".to_owned(), "b".to_owned()]);
-        let mut res = SchedResources::new(1, 4);
-        let run = execute_concurrent_at(
-            &mut plane,
-            &clock,
-            &spec,
-            Bytes::from_static(b"q"),
-            &mut res,
-            0,
-        )
-        .unwrap();
-        assert_eq!(run.total_latency_ns, 500);
-        assert_eq!(run.edges[0].latency_ns, 500);
-    }
-
-    #[test]
     fn a_plane_that_places_nothing_runs_every_edge_on_node_zero() {
-        /// Records the nodes the engine hands `transfer_placed`.
+        /// Records the nodes each call hands `transfer_placed`.
         struct Recording {
-            clock: VirtualClock,
             seen: Vec<(Option<usize>, Option<usize>)>,
         }
         impl DataPlane for Recording {
@@ -1352,14 +1288,18 @@ mod tests {
                 p: Bytes,
                 src: Option<usize>,
                 dst: Option<usize>,
-            ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+            ) -> Result<(Bytes, TransferTiming), PlatformError> {
                 self.seen.push((src, dst));
-                self.clock.advance(1_000);
-                Ok((p, None))
+                Ok((p, TransferTiming { transfer_ns: 1_000, ..TransferTiming::default() }))
             }
         }
+        let mut plane = Recording { seen: Vec::new() };
+        // The provided `transfer` is the same call with no placement.
+        let received = plane.transfer("a", "b", Bytes::from_static(b"q")).unwrap();
+        assert_eq!(&received[..], b"q");
+        assert_eq!(plane.seen, [(None, None)]);
+        plane.seen.clear();
         let clock = VirtualClock::new();
-        let mut plane = Recording { clock: clock.clone(), seen: Vec::new() };
         let spec = diamond_spec();
         let mut res = SchedResources::new(2, 4);
         execute_concurrent_at(&mut plane, &clock, &spec, Bytes::from_static(b"x"), &mut res, 0)
@@ -1375,7 +1315,6 @@ mod tests {
     /// collecting its edges.
     fn run_faulty(
         plane: &mut dyn DataPlane,
-        clock: &VirtualClock,
         compiled: &CompiledWorkflow<'_>,
         payload: Bytes,
         resources: &mut SchedResources,
@@ -1393,7 +1332,6 @@ mod tests {
         let mut edges = Vec::new();
         let outcome = run_compiled_at(
             plane,
-            clock,
             compiled,
             resources,
             instance,
@@ -1463,7 +1401,7 @@ mod tests {
         let mut plane = PassThrough { clock: clock.clone() };
         let mut res = SchedResources::new(1, 4);
         let (outcome, edges) =
-            run_faulty(&mut plane, &clock, &compiled, payload, &mut res, 100, &RetryPolicy::default());
+            run_faulty(&mut plane, &compiled, payload, &mut res, 100, &RetryPolicy::default());
         assert_eq!(
             outcome,
             RunOutcome::Completed { makespan_ns: plain.total_latency_ns, retries: 0 }
@@ -1471,8 +1409,8 @@ mod tests {
         assert_eq!(edges.len(), plain.edges.len());
         for (a, b) in plain.edges.iter().zip(&edges) {
             assert_eq!(
-                (a.start_ns, a.finish_ns, a.checksum()),
-                (b.start_ns, b.finish_ns, b.checksum())
+                (a.start_ns, a.finish_ns, &a.received),
+                (b.start_ns, b.finish_ns, &b.received)
             );
         }
     }
@@ -1496,7 +1434,7 @@ mod tests {
         ));
         let policy = RetryPolicy::new(4, 1_000, 1 << 40);
         let (outcome, edges) =
-            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+            run_faulty(&mut plane, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
         // The flap ends before the budget does.
         assert_eq!(outcome, RunOutcome::Completed { makespan_ns: 4_000, retries: 2 });
         assert_eq!(edges[0].start_ns, 3_000);
@@ -1518,7 +1456,7 @@ mod tests {
         ));
         let policy = RetryPolicy::new(3, 1_000, 1 << 40);
         let (outcome, edges) =
-            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+            run_faulty(&mut plane, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
         // A dead target cannot complete. Backoffs 1 µs then 2 µs: the
         // engine gave up on src → dst at t = 3 µs.
         assert_eq!(
@@ -1582,7 +1520,7 @@ mod tests {
         ));
         let policy = RetryPolicy::new(2, 4_000, 4_000);
         let (outcome, edges) =
-            run_faulty(&mut plane, &clock, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
+            run_faulty(&mut plane, &compiled, Bytes::from_static(b"x"), &mut res, 0, &policy);
         // The retry lands after the window: attempt 2 at t=4_000 runs
         // clean; the wasted prepare from attempt 1 stays on node 0's CPU
         // (2 × 1_000 prepare total).

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use bytes::Bytes;
 use roadrunner_platform::{
     loadgen, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, MemoizedPlane,
-    OpenLoop, PackThenSpill, PlatformError, TransferTiming, WorkflowSpec,
+    MultiLoad, PackThenSpill, PlatformError, TenantLoad, TransferTiming, WorkflowSpec,
 };
 use roadrunner_vkernel::{SchedResources, VirtualClock};
 
@@ -60,11 +60,11 @@ impl DataPlane for Plane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let timing = TransferTiming { prepare_ns: 200, transfer_ns: 1_000, consume_ns: 300 };
         self.clock.advance(timing.total_ns());
         let received = Bytes::from(p.iter().map(|b| b.wrapping_add(1)).collect::<Vec<u8>>());
-        Ok((received, Some(timing)))
+        Ok((received, timing))
     }
 }
 
@@ -76,27 +76,26 @@ fn a_warm_memoized_instance_costs_at_most_three_allocations() {
         "t",
         ["src".to_owned(), "relay".to_owned(), "sink".to_owned()],
     );
-    let load = |instances| OpenLoop {
-        spec: spec.clone(),
-        payload: Bytes::from(vec![7u8; 4_096]),
-        arrivals: ArrivalProcess::Uniform { interval_ns: 2_000 },
-        instances,
-        admission: AdmissionConfig::warm(),
+    let arrivals = ArrivalProcess::Uniform { interval_ns: 2_000 };
+    let payload = Bytes::from(vec![7u8; 4_096]);
+    let load = |instances| {
+        let tenant =
+            TenantLoad::from_process("t", spec.clone(), payload.clone(), &arrivals, instances);
+        MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() }
     };
     let clock = VirtualClock::new();
     let mut plane = Plane { clock: clock.clone() };
     let mut memo = MemoizedPlane::new(&mut plane, clock.clone());
-    let mut run = |load: &OpenLoop| {
+    let mut run = |load: &MultiLoad| {
         let cluster = Cluster {
             plane: &mut memo,
-            clock: &clock,
             resources: &mut SchedResources::mesh(&[4, 4]),
             policy: &mut PackThenSpill::new(10_000),
         };
         let before = ALLOCATIONS.with(Cell::get);
         let run = loadgen::run(load, cluster, Controls::default()).unwrap();
         let spent = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(run.completed(), load.instances);
+        assert_eq!(run.completed(), load.tenants[0].releases.len());
         spent
     };
     // One instance fills the memo (its two edges run for real) and pays

@@ -7,13 +7,13 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
     loadgen, AdmissionConfig, ArrivalProcess, ClosedLoop, Cluster, Controls, DataPlane,
-    InstanceOutcome, LocalityFirst, OpenLoop, PlatformError, TransferTiming, WorkflowSpec,
+    InstanceOutcome, LocalityFirst, MultiLoad, PlatformError, TenantLoad, TransferTiming,
+    WorkflowSpec,
 };
-use roadrunner_vkernel::{Nanos, SchedResources, VirtualClock};
+use roadrunner_vkernel::{Nanos, SchedResources};
 
 /// A pass-through plane with fixed per-edge phase costs.
 struct FixedPlane {
-    clock: VirtualClock,
     edge_ns: Nanos,
 }
 
@@ -25,11 +25,8 @@ impl DataPlane for FixedPlane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let timing =
-            TransferTiming { prepare_ns: 0, transfer_ns: self.edge_ns, consume_ns: 0 };
-        self.clock.advance(self.edge_ns);
-        Ok((p, Some(timing)))
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
+        Ok((p, TransferTiming { prepare_ns: 0, transfer_ns: self.edge_ns, consume_ns: 0 }))
     }
 }
 
@@ -71,8 +68,7 @@ proptest! {
         nodes in 1usize..4,
         cores in 1u32..4,
     ) {
-        let clock = VirtualClock::new();
-        let mut plane = FixedPlane { clock: clock.clone(), edge_ns };
+        let mut plane = FixedPlane { edge_ns };
         let load = ClosedLoop {
             spec: pipeline(),
             payload: Bytes::new(),
@@ -84,8 +80,7 @@ proptest! {
         };
         let mut res = SchedResources::new(nodes, cores);
         let mut policy = LocalityFirst::new();
-        let cluster =
-            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let cluster = Cluster { plane: &mut plane, resources: &mut res, policy: &mut policy };
         let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), users * rounds);
         prop_assert!(
@@ -105,8 +100,7 @@ proptest! {
         ramp_ns in 0u64..1_500,
         edge_ns in 1u64..4_000,
     ) {
-        let clock = VirtualClock::new();
-        let mut plane = FixedPlane { clock: clock.clone(), edge_ns };
+        let mut plane = FixedPlane { edge_ns };
         let load = ClosedLoop {
             spec: pipeline(),
             payload: Bytes::new(),
@@ -118,8 +112,7 @@ proptest! {
         };
         let mut res = SchedResources::new(2, 2);
         let mut policy = LocalityFirst::new();
-        let cluster =
-            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let cluster = Cluster { plane: &mut plane, resources: &mut res, policy: &mut policy };
         let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), users * rounds);
         for user in 0..users {
@@ -151,19 +144,13 @@ proptest! {
         interval_ns in 1u64..4_000,
         edge_ns in 1u64..3_000,
     ) {
-        let clock = VirtualClock::new();
-        let mut plane = FixedPlane { clock: clock.clone(), edge_ns };
-        let load = OpenLoop {
-            spec: pipeline(),
-            payload: Bytes::new(),
-            arrivals: ArrivalProcess::Uniform { interval_ns },
-            instances,
-            admission: AdmissionConfig::warm(),
-        };
+        let mut plane = FixedPlane { edge_ns };
+        let arrivals = ArrivalProcess::Uniform { interval_ns };
+        let tenant = TenantLoad::from_process("t", pipeline(), Bytes::new(), &arrivals, instances);
+        let load = MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() };
         let mut res = SchedResources::new(2, 2);
         let mut policy = LocalityFirst::new();
-        let cluster =
-            Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+        let cluster = Cluster { plane: &mut plane, resources: &mut res, policy: &mut policy };
         let run = loadgen::run(&load, cluster, Controls::default()).unwrap();
         prop_assert_eq!(run.outcomes.len(), instances);
         for (k, o) in run.outcomes.iter().enumerate() {

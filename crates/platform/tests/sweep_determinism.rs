@@ -5,7 +5,7 @@
 //! loop's (one worker), at 2 and 4 workers.
 //!
 //! Each job runs a real `loadgen` open-loop simulation against
-//! its own deterministic data plane, clock, scheduler resources and
+//! its own deterministic data plane, scheduler resources and
 //! placement policy, all constructed inside the job — the same
 //! isolation discipline the fig12/fig13 sweeps follow. Serialization
 //! captures every outcome field (virtual times, assignments) plus the
@@ -19,10 +19,10 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use roadrunner_platform::{
     loadgen, parallel_map, AdmissionConfig, ArrivalProcess, Cluster, Controls, DataPlane, LoadRun,
-    LocalityFirst, OpenLoop, PackThenSpill, PlacementPolicy, PlatformError, SpreadLoad,
-    TransferTiming, WorkflowDag, WorkflowSpec,
+    LocalityFirst, MultiLoad, PackThenSpill, PlacementPolicy, PlatformError, SpreadLoad,
+    TenantLoad, TransferTiming, WorkflowDag, WorkflowSpec,
 };
-use roadrunner_vkernel::{SchedResources, VirtualClock};
+use roadrunner_vkernel::SchedResources;
 
 /// Splitmix-style generator so graph shapes derive deterministically
 /// from the proptest-provided seed.
@@ -67,9 +67,7 @@ fn forward_dag(n: usize, extra: usize, seed: u64) -> WorkflowDag {
 /// A deterministic plane whose per-edge costs depend on the endpoints
 /// and the payload content, so distinct jobs produce distinct
 /// virtual-time trajectories.
-struct KeyedPlane {
-    clock: VirtualClock,
-}
+struct KeyedPlane;
 
 impl KeyedPlane {
     fn key(from: &str, to: &str, payload: &[u8]) -> u64 {
@@ -95,15 +93,14 @@ impl DataPlane for KeyedPlane {
         payload: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let key = Self::key(from, to, &payload);
         let timing = TransferTiming {
             prepare_ns: 100 + key % 400,
             transfer_ns: 1_000 + payload.len() as u64 + key % 1_000,
             consume_ns: 50 + key % 200,
         };
-        self.clock.advance(timing.total_ns());
-        Ok((payload, Some(timing)))
+        Ok((payload, timing))
     }
 }
 
@@ -156,14 +153,13 @@ fn serialize_run(index: usize, job: &Job, run: &LoadRun) -> String {
         })
         .collect();
     format!(
-        "[{} {} {} {} seed={}] horizon={} offered={:016x} cpu={:016x} link={:016x} {}",
+        "[{} {} {} {} seed={}] horizon={} cpu={:016x} link={:016x} {}",
         index,
         job.policy,
         job.payload_bytes,
         job.rate,
         job.seed,
         run.horizon_ns,
-        run.offered_rps.to_bits(),
         run.cpu_utilization.to_bits(),
         run.link_utilization.to_bits(),
         outcomes.join(";"),
@@ -176,22 +172,17 @@ fn run_job(index: usize, job: &Job, dag_seed: u64, fill: u8) -> String {
     let extra = (dag_seed % 4) as usize;
     let dag = forward_dag(nodes, extra, dag_seed);
     let spec = WorkflowSpec::from_dag("sweep-prop", "t", dag);
-    let clock = VirtualClock::new();
-    let mut plane = KeyedPlane { clock: clock.clone() };
     let mut resources = SchedResources::new(3, 2);
     let mut policy = policy_of(job.policy);
-    let load = OpenLoop {
-        spec,
-        payload: Bytes::from(vec![fill; job.payload_bytes]),
-        arrivals: ArrivalProcess::Poisson {
-            mean_interval_ns: (2_000.0 * job.rate).round() as u64,
-            seed: job.seed,
-        },
-        instances: 5,
-        admission: AdmissionConfig::warm(),
+    let arrivals = ArrivalProcess::Poisson {
+        mean_interval_ns: (2_000.0 * job.rate).round() as u64,
+        seed: job.seed,
     };
+    let payload = Bytes::from(vec![fill; job.payload_bytes]);
+    let tenant = TenantLoad::from_process("t", spec, payload, &arrivals, 5);
+    let load = MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() };
     let cluster =
-        Cluster { plane: &mut plane, clock: &clock, resources: &mut resources, policy: policy.as_mut() };
+        Cluster { plane: &mut KeyedPlane, resources: &mut resources, policy: policy.as_mut() };
     let run = loadgen::run(&load, cluster, Controls::default()).expect("run");
     serialize_run(index, job, &run)
 }

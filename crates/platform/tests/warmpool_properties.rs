@@ -7,11 +7,10 @@ use roadrunner_platform::{
     loadgen, AdmissionConfig, ClosedLoop, Cluster, Controls, DataPlane, KeepAlive, LoadRun,
     LocalityFirst, PlatformError, TransferTiming, WarmPoolConfig, WorkflowSpec,
 };
-use roadrunner_vkernel::{Nanos, SchedResources, VirtualClock};
+use roadrunner_vkernel::{Nanos, SchedResources};
 
 /// A pass-through plane with fixed per-edge phase costs.
 struct FixedPlane {
-    clock: VirtualClock,
     edge_ns: Nanos,
 }
 
@@ -23,11 +22,8 @@ impl DataPlane for FixedPlane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
-        let timing =
-            TransferTiming { prepare_ns: 0, transfer_ns: self.edge_ns, consume_ns: 0 };
-        self.clock.advance(self.edge_ns);
-        Ok((p, Some(timing)))
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
+        Ok((p, TransferTiming { prepare_ns: 0, transfer_ns: self.edge_ns, consume_ns: 0 }))
     }
 }
 
@@ -48,8 +44,7 @@ fn run_closed(
     nodes: usize,
     cores: u32,
 ) -> LoadRun {
-    let clock = VirtualClock::new();
-    let mut plane = FixedPlane { clock: clock.clone(), edge_ns };
+    let mut plane = FixedPlane { edge_ns };
     let load = ClosedLoop {
         spec: pipeline(),
         payload: Bytes::new(),
@@ -61,8 +56,7 @@ fn run_closed(
     };
     let mut res = SchedResources::new(nodes, cores);
     let mut policy = LocalityFirst::new();
-    let cluster =
-        Cluster { plane: &mut plane, clock: &clock, resources: &mut res, policy: &mut policy };
+    let cluster = Cluster { plane: &mut plane, resources: &mut res, policy: &mut policy };
     loadgen::run(&load, cluster, Controls::default()).expect("closed loop runs")
 }
 

@@ -697,22 +697,17 @@ impl SchedResources {
 
     /// Total CPU busy time reserved across every node (including nodes
     /// since removed by [`remove_last_node`](Self::remove_last_node), so
-    /// the total never goes backwards under scale-in), and the number of
-    /// currently active core lanes — the inputs to a cluster-wide CPU
+    /// the total never goes backwards under scale-in) — with
+    /// [`cpu_lanes`](Self::cpu_lanes), the inputs to a cluster-wide CPU
     /// utilization figure (`reserved / (lanes × horizon)`).
-    pub fn cpu_reserved(&self) -> (Nanos, usize) {
-        let reserved = self.cpus.iter().map(Timeline::reserved_ns).sum::<Nanos>()
-            + self.retired_cpu_ns;
-        let lanes = self.cpus.iter().map(Timeline::capacity).sum();
-        (reserved, lanes)
+    pub fn cpu_reserved(&self) -> Nanos {
+        self.cpus.iter().map(Timeline::reserved_ns).sum::<Nanos>() + self.retired_cpu_ns
     }
 
     /// Total link busy time reserved across every pair link (including
-    /// links since retired by scale-in), and the number of active pair
-    /// links.
-    pub fn link_reserved(&self) -> (Nanos, usize) {
-        let reserved = self.links.iter().map(Timeline::reserved_ns).sum::<Nanos>();
-        (reserved + self.retired_link_ns, self.links.len())
+    /// links since retired by scale-in).
+    pub fn link_reserved(&self) -> Nanos {
+        self.links.iter().map(Timeline::reserved_ns).sum::<Nanos>() + self.retired_link_ns
     }
 }
 
@@ -889,10 +884,8 @@ mod tests {
         res.cpu(0).reserve(0, 100);
         res.cpu(1).reserve(0, 300);
         res.link_between(0, 1).reserve(0, 700);
-        let (cpu_ns, lanes) = res.cpu_reserved();
-        assert_eq!((cpu_ns, lanes), (400, 4));
-        let (link_ns, links) = res.link_reserved();
-        assert_eq!((link_ns, links), (700, 1));
+        assert_eq!((res.cpu_reserved(), res.cpu_lanes()), (400, 4));
+        assert_eq!((res.link_reserved(), res.link_lanes()), (700, 1));
     }
 
     #[test]
@@ -956,7 +949,7 @@ mod tests {
     fn a_single_node_has_no_links() {
         let res = SchedResources::new(1, 2);
         assert_eq!(res.link_lanes(), 0);
-        assert_eq!(res.link_reserved(), (0, 0));
+        assert_eq!(res.link_reserved(), 0);
         assert_eq!(res.view(0).link_backlog_between(0, 1), 0);
     }
 
@@ -972,7 +965,7 @@ mod tests {
         // 0 and 2 wrap onto node 0: its CPU, not a link, carries the bytes.
         assert_eq!(res.try_reserve_transfer(0, 2, 0, 700), Some(0));
         assert_eq!(res.cpu(0).busy_until(), 700);
-        assert_eq!(res.link_reserved().0, 0);
+        assert_eq!(res.link_reserved(), 0);
         // A distinct pair uses its link.
         assert_eq!(res.try_reserve_transfer(1, 2, 0, 300), Some(0));
         assert_eq!(res.link_between(0, 1).busy_until(), 300);
@@ -1012,14 +1005,12 @@ mod tests {
         res.cpu(0).reserve(0, 300);
         res.link_between(1, 2).reserve(0, 2_000);
         res.link_between(0, 1).reserve(0, 400);
-        let (cpu_before, _) = res.cpu_reserved();
-        let (link_before, _) = res.link_reserved();
+        let (cpu_before, link_before) = (res.cpu_reserved(), res.link_reserved());
         res.remove_last_node();
         assert_eq!(res.node_count(), 2);
         // Totals are monotone: retired time stays in the books…
-        assert_eq!(res.cpu_reserved(), (cpu_before, 8));
-        assert_eq!(res.link_reserved().0, link_before);
-        assert_eq!(res.link_reserved().1, 1);
+        assert_eq!((res.cpu_reserved(), res.cpu_lanes()), (cpu_before, 8));
+        assert_eq!((res.link_reserved(), res.link_lanes()), (link_before, 1));
         // …and the surviving pair kept its reservations.
         assert_eq!(res.link_between(0, 1).busy_until(), 400);
     }
@@ -1037,7 +1028,7 @@ mod tests {
         assert_eq!(res.link_between(0, 2).busy_until(), 0);
         assert_eq!(res.link_between(1, 2).busy_until(), 0);
         // The dropped pairs' 2_000 ns went into the retired total.
-        assert_eq!(res.link_reserved().0, 2_000);
+        assert_eq!(res.link_reserved(), 2_000);
     }
 
     #[test]
@@ -1051,7 +1042,7 @@ mod tests {
         let mut res = SchedResources::new(3, 1);
         res.cpu(2).reserve(0, 1_000); // runs 0..1_000: half done at 500
         res.cpu(0).reserve(0, 200);
-        let (total_before, _) = res.cpu_reserved();
+        let total_before = res.cpu_reserved();
         res.remove_node(2, 500);
         assert_eq!(res.node_count(), 2);
         // 500 ns of un-started work re-queued at t=500 on the emptier
@@ -1059,7 +1050,7 @@ mod tests {
         assert_eq!(res.cpu(1).busy_until(), 1_000);
         assert_eq!(res.cpu(0).busy_until(), 200);
         // Totals conserved: migrated time moved, spent time retired.
-        assert_eq!(res.cpu_reserved().0, total_before);
+        assert_eq!(res.cpu_reserved(), total_before);
     }
 
     #[test]
@@ -1074,7 +1065,7 @@ mod tests {
         // pairs retired.
         assert_eq!(res.link_between(0, 2).busy_until(), 900);
         assert_eq!(res.link_between(1, 2).busy_until(), 0);
-        assert_eq!(res.link_reserved().0, 900 + 400);
+        assert_eq!(res.link_reserved(), 900 + 400);
         // Old node 3 (now index 2) kept its CPU reservations.
         assert_eq!(res.cpu(2).busy_until(), 777);
     }

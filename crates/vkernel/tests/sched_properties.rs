@@ -76,6 +76,6 @@ proptest! {
         while res.node_count() > 2 {
             res.remove_last_node();
         }
-        prop_assert_eq!(res.link_reserved().0, expected);
+        prop_assert_eq!(res.link_reserved(), expected);
     }
 }

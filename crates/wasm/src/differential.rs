@@ -552,6 +552,36 @@ fn host_trap_propagates_identically() {
     assert_eq!(flat.2, vec![10, 99], "host saw both calls before the trap");
 }
 
+/// A host function whose results do not match its import's signature
+/// traps on both runners, with the same message, before the caller
+/// sees the value.
+#[test]
+fn a_mistyped_host_result_traps_alike() {
+    let module = build_module(vec![
+        Instr::I32Const(5),
+        Instr::Call(HOST),
+        Instr::I32Const(1),
+        Instr::I32Add,
+    ]);
+    let make = |runner: Runner| {
+        let mut linker = Linker::new();
+        linker.define(
+            "env",
+            "acc",
+            FuncType::new([ValType::I32], [ValType::I32]),
+            |_, _| Ok(vec![Value::I64(7)]),
+        );
+        let mut inst =
+            Instance::new(module.clone(), &linker, EngineLimits::default(), Box::new(())).unwrap();
+        let out = runner.invoke(&mut inst, "run", &[]);
+        (out, inst.instr_count())
+    };
+    let flat = make(Runner::Loop);
+    let tree = make(Runner::Oracle);
+    assert_eq!(flat, tree);
+    assert!(matches!(&flat.0, Err(Trap::Host(why)) if why.contains("signature")), "{flat:?}");
+}
+
 /// Stores and loads at the edge of memory trap at the same byte on both
 /// runners, and those that fit do not: the last whole word, the byte
 /// after it, and a static offset that carries the address past 4 GiB.

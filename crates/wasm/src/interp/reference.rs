@@ -64,14 +64,17 @@ impl Exec<'_> {
         }
         let imports = self.module.imports.len();
         if (func_idx as usize) < imports {
-            let params =
-                self.module.types[self.module.imports[func_idx as usize].type_idx as usize]
-                    .params()
-                    .len();
-            let split = stack.len() - params;
+            let module = Arc::clone(self.module);
+            let ty = &module.types[module.imports[func_idx as usize].type_idx as usize];
+            let split = stack.len() - ty.params().len();
             let f = Arc::clone(&self.host_funcs[func_idx as usize]);
             let caller = Caller::new(self.memory.as_mut(), self.host_data.as_mut());
             let results = f(caller, &stack[split..])?;
+            if !results.iter().map(Value::ty).eq(ty.results().iter().copied()) {
+                return Err(Trap::host(format!(
+                    "host function {func_idx} returned values not of its signature {ty}"
+                )));
+            }
             stack.truncate(split);
             stack.extend_from_slice(&results);
             return Ok(());

@@ -77,10 +77,10 @@ impl DataPlane for TestPlane {
         payload: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let timing = Self::timing(payload.len());
         self.clock.advance(timing.total_ns());
-        Ok((payload, Some(timing)))
+        Ok((payload, timing))
     }
 
     fn placement(&self, function: &str) -> Option<usize> {
@@ -189,8 +189,8 @@ proptest! {
                 .edge(&edge.from, &edge.to)
                 .expect("every serial edge ran concurrently too");
             prop_assert_eq!(
-                (edge.bytes, edge.latency_ns, edge.checksum()),
-                (twin.bytes, twin.latency_ns, twin.checksum())
+                (edge.bytes, edge.latency_ns, &edge.received),
+                (twin.bytes, twin.latency_ns, &twin.received)
             );
         }
         prop_assert_eq!(serial.total_latency_ns, concurrent.serialized_ns());

@@ -20,10 +20,10 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_platform::{
     loadgen, AdmissionConfig, ArrivalProcess, ClosedLoop, Cluster, Controls, DataPlane, FailurePlan,
-    KeepAlive, Load, LoadRun, OpenLoop, PlatformError, RetryPolicy, SpreadLoad, TransferTiming,
-    WarmPoolConfig, WorkflowDag, WorkflowSpec,
+    KeepAlive, Load, LoadRun, MultiLoad, PlatformError, RetryPolicy, SpreadLoad, TenantLoad,
+    TransferTiming, WarmPoolConfig, WorkflowDag, WorkflowSpec,
 };
-use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
 /// Splitmix-style generator so schedule shapes derive deterministically
 /// from the proptest-provided seed (same idiom as `memo_properties`).
@@ -68,9 +68,7 @@ fn forward_dag(n: usize, extra: usize, seed: u64) -> WorkflowDag {
 /// A deterministic plane charging fixed phase costs. The engine hands
 /// every edge its instance's nodes; a plane with one mode ignores them
 /// and needs no placement table of its own.
-struct FixedPlane {
-    clock: VirtualClock,
-}
+struct FixedPlane;
 
 impl DataPlane for FixedPlane {
     fn transfer_placed(
@@ -80,24 +78,21 @@ impl DataPlane for FixedPlane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let timing = TransferTiming {
             prepare_ns: 200,
             transfer_ns: 1_000 + p.len() as u64,
             consume_ns: 300,
         };
-        self.clock.advance(timing.total_ns());
-        Ok((p, Some(timing)))
+        Ok((p, timing))
     }
 }
 
-/// Runs `load` over a fresh [`FixedPlane`] on `nodes` two-core nodes
-/// under spread placement.
+/// Runs `load` over a [`FixedPlane`] on `nodes` two-core nodes under
+/// spread placement.
 fn run_on<'a>(load: impl Into<Load<'a>>, nodes: usize, controls: Controls<'a>) -> LoadRun {
-    let clock = VirtualClock::new();
     let cluster = Cluster {
-        plane: &mut FixedPlane { clock: clock.clone() },
-        clock: &clock,
+        plane: &mut FixedPlane,
         resources: &mut SchedResources::new(nodes, 2),
         policy: &mut SpreadLoad::new(),
     };
@@ -166,7 +161,6 @@ fn assert_runs_identical(a: &LoadRun, b: &LoadRun) -> Result<(), TestCaseError> 
     prop_assert_eq!(a.failed, b.failed);
     prop_assert_eq!(a.retries, b.retries);
     prop_assert_eq!(a.final_nodes, b.final_nodes);
-    prop_assert_eq!(a.offered_rps.to_bits(), b.offered_rps.to_bits());
     prop_assert_eq!(a.cpu_utilization.to_bits(), b.cpu_utilization.to_bits());
     prop_assert_eq!(a.link_utilization.to_bits(), b.link_utilization.to_bits());
     Ok(())
@@ -239,11 +233,11 @@ proptest! {
         prop_assert!(empty.is_empty());
 
         let run_with = |plan: Option<&FailurePlan>| -> LoadRun {
-            let load = OpenLoop {
-                spec: spec.clone(),
-                payload: payload.clone(),
-                arrivals: ArrivalProcess::Poisson { mean_interval_ns: 3_000, seed },
-                instances,
+            let arrivals = ArrivalProcess::Poisson { mean_interval_ns: 3_000, seed };
+            let tenant =
+                TenantLoad::from_process("t", spec.clone(), payload.clone(), &arrivals, instances);
+            let load = MultiLoad {
+                tenants: vec![tenant],
                 admission: AdmissionConfig::pooled(
                     10_000,
                     WarmPoolConfig {

@@ -27,11 +27,11 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_platform::{
     loadgen, AdmissionConfig, ArrivalProcess, BreakerConfig, ClosedLoop, Cluster, Controls,
-    DataPlane, FailurePlan, Load, LoadRun, MultiLoad, OpenLoop, OverloadConfig, PlatformError,
+    DataPlane, FailurePlan, Load, LoadRun, MultiLoad, OverloadConfig, PlatformError,
     QueueConfig, RetryBudgetConfig, RetryPolicy, ShedPolicy, SpreadLoad, TenantLoad,
     TransferTiming, WorkflowDag, WorkflowSpec, RETRY_COST_MILLITOKENS,
 };
-use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources, VirtualClock};
+use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
 /// Splitmix-style generator so schedule and config shapes derive
 /// deterministically from the proptest-provided seed (same idiom as
@@ -81,9 +81,7 @@ fn forward_dag(n: usize, extra: usize, seed: u64) -> WorkflowDag {
 /// A deterministic plane charging fixed phase costs (the engine hands
 /// every edge its instance's nodes; a plane with one mode ignores them
 /// and needs no placement table).
-struct FixedPlane {
-    clock: VirtualClock,
-}
+struct FixedPlane;
 
 impl DataPlane for FixedPlane {
     fn transfer_placed(
@@ -93,24 +91,21 @@ impl DataPlane for FixedPlane {
         p: Bytes,
         _src_node: Option<usize>,
         _dst_node: Option<usize>,
-    ) -> Result<(Bytes, Option<TransferTiming>), PlatformError> {
+    ) -> Result<(Bytes, TransferTiming), PlatformError> {
         let timing = TransferTiming {
             prepare_ns: 200,
             transfer_ns: 1_000 + p.len() as u64,
             consume_ns: 300,
         };
-        self.clock.advance(timing.total_ns());
-        Ok((p, Some(timing)))
+        Ok((p, timing))
     }
 }
 
-/// Runs `load` over a fresh [`FixedPlane`] on `nodes` two-core nodes
-/// under spread placement.
+/// Runs `load` over a [`FixedPlane`] on `nodes` two-core nodes under
+/// spread placement.
 fn run_on<'a>(load: impl Into<Load<'a>>, nodes: usize, controls: Controls<'a>) -> LoadRun {
-    let clock = VirtualClock::new();
     let cluster = Cluster {
-        plane: &mut FixedPlane { clock: clock.clone() },
-        clock: &clock,
+        plane: &mut FixedPlane,
         resources: &mut SchedResources::new(nodes, 2),
         policy: &mut SpreadLoad::new(),
     };
@@ -245,7 +240,6 @@ fn assert_runs_identical(a: &LoadRun, b: &LoadRun) -> Result<(), TestCaseError> 
     prop_assert_eq!(a.deadline_exceeded, b.deadline_exceeded);
     prop_assert_eq!(a.retries, b.retries);
     prop_assert_eq!(a.final_nodes, b.final_nodes);
-    prop_assert_eq!(a.offered_rps.to_bits(), b.offered_rps.to_bits());
     prop_assert_eq!(a.cpu_utilization.to_bits(), b.cpu_utilization.to_bits());
     prop_assert_eq!(a.link_utilization.to_bits(), b.link_utilization.to_bits());
     prop_assert_eq!(a.tenants.len(), b.tenants.len());
@@ -352,13 +346,10 @@ proptest! {
             ..OverloadConfig::default()
         };
 
-        let load = OpenLoop {
-            spec,
-            payload: Bytes::from_static(b"budget"),
-            arrivals: ArrivalProcess::Uniform { interval_ns: 2_500 },
-            instances,
-            admission: AdmissionConfig::warm(),
-        };
+        let arrivals = ArrivalProcess::Uniform { interval_ns: 2_500 };
+        let payload = Bytes::from_static(b"budget");
+        let tenant = TenantLoad::from_process("t", spec, payload, &arrivals, instances);
+        let load = MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() };
         let controls = Controls { failures: Some(&plan), overload, ..Controls::default() };
         let run = run_on(&load, nodes, controls);
 
