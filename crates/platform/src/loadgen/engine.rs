@@ -3,13 +3,14 @@
 //! Events drain in deterministic time order (FIFO among equals) from
 //! two sources merged by [`MergedEvents`]: the ones known before the
 //! run starts (kills, then arrivals) from a time-sorted list, the ones
-//! the run creates (completions, closed-loop re-arrivals) from a heap.
+//! the run creates (completions, closed tenants' re-arrivals) from a heap.
 //! Every event first passes [`Engine::observe`] — capacity integration,
 //! health epoch, autoscaler, pre-warming — then its own step: an
 //! arrival is admitted, queued or shed ([`Engine::on_arrival`]); a
-//! completion returns warmth, re-arms its closed-loop user and drains
-//! the bounded queue ([`Engine::on_completion`]); a detected kill
-//! removes its node ([`Engine::on_node_kill`]).
+//! completion returns warmth, re-arms its user if its own lane is a
+//! closed loop with admissions left, and drains the bounded queue
+//! ([`Engine::on_completion`]); a detected kill removes its node
+//! ([`Engine::on_node_kill`]).
 //! [`Engine::start_instance`] is the one place → admit → execute →
 //! account sequence all admissions share, and [`Engine::finish`]
 //! settles the books into a [`LoadRun`].
@@ -35,7 +36,7 @@ use super::autoscaler::Autoscaler;
 use super::events::MergedEvents;
 use super::failure::FailurePlan;
 use super::report::{InstanceOutcome, LoadRun, TenantStats};
-use super::{Admission, Cluster, Controls, Load, TenantWork};
+use super::{Arrivals, Cluster, Controls, Load, TenantWork};
 use crate::error::PlatformError;
 use crate::overload::{OverloadConfig, OverloadCtl, OverloadState, QueueConfig, ShedPolicy};
 use crate::warmpool::{AdmissionConfig, Admitted, PoolStats, WarmPool};
@@ -48,15 +49,8 @@ use crate::workflow::{
 /// or the control plane removing a node it detected dead.
 enum LoadEvent {
     Arrival { tenant: usize, user: usize },
-    Completion { user: usize, instance: usize },
+    Completion { instance: usize },
     NodeKill { node_id: u64 },
-}
-
-/// A closed-loop user's arrival at `at` — unless `at` saturated to
-/// `Nanos::MAX`, the end of virtual time: a ramp offset or think time
-/// that long never elapses, and nothing can be reserved after it.
-fn closed_arrival(at: Nanos, user: usize) -> Option<(Nanos, LoadEvent)> {
-    (at < Nanos::MAX).then_some((at, LoadEvent::Arrival { tenant: 0, user }))
 }
 
 /// One tenant's per-run lane: the compiled spec, the workflow engine's
@@ -78,6 +72,12 @@ struct Lane<'a> {
     /// Smooth weighted-round-robin credit (the queue-drain fairness
     /// state).
     wrr_credit: i128,
+    /// A closed loop's think time between a user's completion and its
+    /// next arrival.
+    think_ns: Nanos,
+    /// Closed-loop arrivals the lane may still re-arm; a trace lane has
+    /// none.
+    rearms_left: usize,
 }
 
 /// Run-wide counters. Conservation, checked by [`Engine::finish`]:
@@ -100,6 +100,7 @@ struct Counters {
 /// timeline) — the utilization denominators under elastic capacity.
 /// Lane counts only change when the node count moves, so they are cached
 /// and refreshed then.
+#[derive(Default)]
 struct Capacity {
     prev_event_ns: Option<Nanos>,
     known_nodes: usize,
@@ -130,10 +131,6 @@ pub(super) struct Engine<'a> {
     overload: OverloadConfig,
     /// Budget buckets and breaker circuits for the whole run.
     overload_state: OverloadState,
-    admission: Admission,
-    /// Closed loop: instances admitted so far (seeded arrivals
-    /// included), against `Admission::Closed::instances`.
-    admitted: usize,
     lanes: Vec<Lane<'a>>,
     stats: Vec<TenantStats>,
     /// Whether the lanes have pools (the pre-warming precondition).
@@ -158,17 +155,25 @@ impl<'a> Engine<'a> {
         cluster: Cluster<'a>,
         controls: Controls<'a>,
     ) -> Result<Self, PlatformError> {
-        let Load { tenants, admission, admission_cfg } = load;
-        if matches!(admission, Admission::Closed { users: 0, .. }) {
-            return Err(PlatformError::InvalidLoad(
-                "a closed loop needs at least one user".into(),
-            ));
-        }
+        let Load { tenants, admission_cfg } = load;
         // Each lane owns its pool, so one tenant's warmth is invisible to
         // another's.
         let mut lanes: Vec<Lane<'a>> = Vec::with_capacity(tenants.len());
         let mut stats: Vec<TenantStats> = Vec::with_capacity(tenants.len());
         for t in &tenants {
+            // The seeded users count against `instances`.
+            let (think_ns, rearms_left) = match t.arrivals {
+                Arrivals::Trace(_) => (0, 0),
+                Arrivals::Closed { users: 0, .. } => {
+                    return Err(PlatformError::InvalidLoad(format!(
+                        "closed tenant `{}` needs at least one user",
+                        t.name
+                    )));
+                }
+                Arrivals::Closed { users, think_ns, instances, .. } => {
+                    (think_ns, instances.saturating_sub(users))
+                }
+            };
             let compiled = CompiledWorkflow::compile(t.spec)?;
             lanes.push(Lane {
                 spec: t.spec,
@@ -184,34 +189,25 @@ impl<'a> Engine<'a> {
                 weight: t.weight.max(1),
                 queued: VecDeque::new(),
                 wrr_credit: 0,
+                think_ns,
+                rearms_left,
             });
             stats.push(TenantStats::new(t.name));
         }
-        let Cluster { resources, .. } = &cluster;
-        let capacity = Capacity {
-            prev_event_ns: None,
-            known_nodes: resources.node_count(),
-            cpu_lanes: resources.cpu_lanes(),
-            link_lanes: resources.link_lanes(),
-            cpu_lane_ns: 0,
-            link_lane_ns: 0,
+        let resources = &*cluster.resources;
+        let mut capacity = Capacity {
             cpu0: resources.cpu_reserved(),
             link0: resources.link_reserved(),
+            ..Capacity::default()
         };
-        // Closed loop: the seeded arrivals count against `instances`.
-        let admitted = match admission {
-            Admission::Closed { users, instances, .. } => users.min(instances),
-            _ => 0,
-        };
-        let seeded = Self::arm(&admission, &tenants, admitted, controls.failures, cluster.resources);
+        capacity.refresh(resources);
+        let seeded = Self::arm(&tenants, controls.failures, cluster.resources);
         Ok(Self {
             cluster,
             autoscaler: controls.autoscaler,
             failures: controls.failures,
             overload: controls.overload,
             overload_state: OverloadState::new(&controls.overload),
-            admission,
-            admitted,
             pooled: matches!(admission_cfg, AdmissionConfig::Pooled { .. }),
             lanes,
             stats,
@@ -228,14 +224,13 @@ impl<'a> Engine<'a> {
     /// rejecting reservations inside down windows) and lists the events
     /// known before the run starts, in insertion order: kill removals
     /// first, so at equal times the control plane acts before any
-    /// arrival (FIFO among equals), then the arrivals — for a closed
-    /// loop, one per user already counted in `admitted`; for an open
-    /// one, each tenant's trace in lane order, so equal instants admit
-    /// by tenant, then by user.
+    /// arrival (FIFO among equals), then each tenant's arrivals in lane
+    /// order, so equal instants admit by tenant, then by user: a trace
+    /// tenant's every release, a closed one's first `min(users,
+    /// instances)` users `ramp_ns` apart. A ramp offset that saturates
+    /// to `Nanos::MAX`, the end of virtual time, never elapses.
     fn arm(
-        admission: &Admission,
         tenants: &[TenantWork<'_>],
-        admitted: usize,
         failures: Option<&FailurePlan>,
         resources: &mut SchedResources,
     ) -> Vec<(Nanos, LoadEvent)> {
@@ -247,21 +242,18 @@ impl<'a> Engine<'a> {
                 (detected, LoadEvent::NodeKill { node_id: kill.node_id })
             }));
         }
-        match admission {
-            Admission::Multi => {
-                for (tenant, work) in tenants.iter().enumerate() {
-                    seeded.extend(
-                        work.releases
-                            .iter()
-                            .enumerate()
-                            .map(|(user, &at)| (at, LoadEvent::Arrival { tenant, user })),
-                    );
+        for (tenant, work) in tenants.iter().enumerate() {
+            let arrival = |(user, at)| (at, LoadEvent::Arrival { tenant, user });
+            match work.arrivals {
+                Arrivals::Trace(releases) => {
+                    seeded.extend(releases.iter().copied().enumerate().map(arrival));
                 }
-            }
-            Admission::Closed { ramp_ns, .. } => {
-                seeded.extend((0..admitted).filter_map(|user| {
-                    closed_arrival((user as Nanos).saturating_mul(*ramp_ns), user)
-                }));
+                Arrivals::Closed { users, ramp_ns, instances, .. } => seeded.extend(
+                    (0..users.min(instances))
+                        .map(|user| (user, (user as Nanos).saturating_mul(ramp_ns)))
+                        .filter(|&(_, at)| at < Nanos::MAX)
+                        .map(arrival),
+                ),
             }
         }
         seeded
@@ -278,9 +270,7 @@ impl<'a> Engine<'a> {
                 LoadEvent::Arrival { tenant, user } => {
                     self.on_arrival(now, tenant, user, view_is_fresh)?;
                 }
-                LoadEvent::Completion { user, instance } => {
-                    self.on_completion(now, user, instance)?;
-                }
+                LoadEvent::Completion { instance } => self.on_completion(now, instance)?,
                 LoadEvent::NodeKill { node_id } => self.on_node_kill(now, node_id),
             }
         }
@@ -399,34 +389,30 @@ impl<'a> Engine<'a> {
     }
 
     /// A completion (or failure, or deadline abort — the user saw an
-    /// outcome either way): frees its slot, hands warmth back, re-arms a
-    /// closed-loop user and drains the bounded queue into the freed
-    /// capacity.
-    fn on_completion(
-        &mut self,
-        now: Nanos,
-        user: usize,
-        instance: usize,
-    ) -> Result<(), PlatformError> {
+    /// outcome either way): frees its slot, hands warmth back, re-arms
+    /// its user if its lane is a closed loop with admissions left, and
+    /// drains the bounded queue into the freed capacity.
+    fn on_completion(&mut self, now: Nanos, instance: usize) -> Result<(), PlatformError> {
         self.counters.in_flight = self.counters.in_flight.saturating_sub(1);
         let done = &self.outcomes[instance];
-        let tenant = done.tenant;
+        let (tenant, user) = (done.tenant, done.user);
+        let lane = &mut self.lanes[tenant];
         // A completed instance hands its functions back to the pool; a
         // failed or deadline-blown one is torn down where it died, so
         // it returns nothing.
-        if let Some(pool) = self.lanes[tenant].pool.as_deref_mut() {
+        if let Some(pool) = lane.pool.as_deref_mut() {
             if !done.failed && !done.deadline_exceeded {
                 pool.complete(now, &done.assignment, self.cluster.resources.node_count());
             }
         }
         // Closed loop: the freed user thinks, then re-arrives — the
-        // arrival is gated on this completion by construction.
-        if let Admission::Closed { think_ns, instances, .. } = self.admission {
-            if self.admitted < instances {
-                self.admitted += 1;
-                if let Some((at, arrival)) = closed_arrival(now.saturating_add(think_ns), user) {
-                    self.events.push(at, arrival);
-                }
+        // arrival is gated on this completion by construction. A think
+        // time that saturates to `Nanos::MAX` never elapses.
+        if lane.rearms_left > 0 {
+            lane.rearms_left -= 1;
+            let at = now.saturating_add(lane.think_ns);
+            if at < Nanos::MAX {
+                self.events.push(at, LoadEvent::Arrival { tenant, user });
             }
         }
         match self.overload.queue {
@@ -598,7 +584,7 @@ impl<'a> Engine<'a> {
             retries,
         });
         self.counters.in_flight += 1;
-        self.events.push(finish, LoadEvent::Completion { user, instance });
+        self.events.push(finish, LoadEvent::Completion { instance });
         Ok(())
     }
 

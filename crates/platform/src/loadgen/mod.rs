@@ -10,8 +10,9 @@
 //! ```
 //!
 //! * `load` — *what arrives*: a [`MultiLoad`] or a [`ClosedLoop`],
-//!   passed by reference (each converts into the engine's [`Load`]
-//!   description).
+//!   passed by reference. Each lowers to the engine's [`Load`], a list
+//!   of tenants that each carry their own arrival discipline: a release
+//!   trace, or a closed loop of users.
 //! * [`Cluster`] — *where it runs*: the data plane, the shared
 //!   resource timelines and the placement policy.
 //! * [`Controls`] — *what watches it*: an optional [`Autoscaler`], an
@@ -26,8 +27,9 @@
 //! release time over a workflow compiled **once per run** — so every
 //! in-flight instance contends for the same per-node core lanes and
 //! per-pair links in virtual time. Completion events close the loop:
-//! they gate the next arrival of a closed-loop user, drain the bounded
-//! admission queue and give the autoscaler its observation points.
+//! they re-arm a closed tenant's user in that tenant's own lane, drain
+//! the bounded admission queue and give the autoscaler its observation
+//! points.
 //!
 //! * [`MultiLoad`] — open loop: each tenant's explicit release trace,
 //!   with its own spec, warmth and fair-share weight; arrivals do not
@@ -113,7 +115,7 @@ pub struct Controls<'a> {
 /// # Errors
 ///
 /// [`PlatformError::InvalidLoad`] for a load that can never admit
-/// anything by construction (a closed loop without users), the first
+/// anything by construction (a closed tenant without users), the first
 /// workflow-validation error, or the first non-fault transfer error.
 pub fn run<'a>(
     load: impl Into<Load<'a>>,
@@ -123,33 +125,30 @@ pub fn run<'a>(
     engine::Engine::new(load.into(), cluster, controls)?.run()
 }
 
-/// What arrives, in the engine's terms: the tenants' work, the arrival
-/// discipline and the cold-start admission model. Built from a
-/// [`MultiLoad`] or a [`ClosedLoop`] by reference.
+/// What arrives, in the engine's terms: each tenant's work, arrival
+/// discipline included, and the cold-start admission model. Built from
+/// a [`MultiLoad`] or a [`ClosedLoop`] by reference.
 pub struct Load<'a> {
     tenants: Vec<TenantWork<'a>>,
-    admission: Admission,
     admission_cfg: &'a AdmissionConfig,
 }
 
 /// One tenant's share of a [`Load`]: the spec/payload to run, the
-/// fair-share weight and, for an open loop, its release trace. A closed
-/// loop carries exactly one, with no trace.
+/// fair-share weight and how its instances arrive.
 struct TenantWork<'a> {
     name: &'a str,
     spec: &'a WorkflowSpec,
     payload: &'a Bytes,
     weight: u64,
-    releases: &'a [Nanos],
+    arrivals: Arrivals<'a>,
 }
 
-/// How the engine admits instances.
-enum Admission {
-    /// Every tenant's release trace, as given: a tenant's `k`-th
-    /// release is its user `k`.
-    Multi,
+/// A tenant's arrival discipline.
+enum Arrivals<'a> {
+    /// An explicit release trace: release `k` is user `k`.
+    Trace(&'a [Nanos]),
     /// `users` slots seeded `ramp_ns` apart, each re-arming `think_ns`
-    /// after its completion, until `instances` total have been admitted.
+    /// after its completion, until the tenant has admitted `instances`.
     Closed { users: usize, think_ns: Nanos, ramp_ns: Nanos, instances: usize },
 }
 
@@ -223,10 +222,10 @@ impl<'a> From<&'a MultiLoad> for Load<'a> {
                 spec: &t.spec,
                 payload: &t.payload,
                 weight: t.weight,
-                releases: &t.releases,
+                arrivals: Arrivals::Trace(&t.releases),
             })
             .collect();
-        Self { tenants, admission: Admission::Multi, admission_cfg: &load.admission }
+        Self { tenants, admission_cfg: &load.admission }
     }
 }
 
@@ -263,20 +262,19 @@ pub struct ClosedLoop {
 
 impl<'a> From<&'a ClosedLoop> for Load<'a> {
     fn from(load: &'a ClosedLoop) -> Self {
-        let admission = Admission::Closed {
-            users: load.users,
-            think_ns: load.think_ns,
-            ramp_ns: load.ramp_ns,
-            instances: load.instances,
-        };
         let tenant = TenantWork {
             name: &load.spec.tenant,
             spec: &load.spec,
             payload: &load.payload,
             weight: 1,
-            releases: &[],
+            arrivals: Arrivals::Closed {
+                users: load.users,
+                think_ns: load.think_ns,
+                ramp_ns: load.ramp_ns,
+                instances: load.instances,
+            },
         };
-        Self { tenants: vec![tenant], admission, admission_cfg: &load.admission }
+        Self { tenants: vec![tenant], admission_cfg: &load.admission }
     }
 }
 

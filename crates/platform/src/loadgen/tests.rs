@@ -41,6 +41,19 @@ fn open(spec: WorkflowSpec, interval_ns: Nanos, instances: usize) -> MultiLoad {
     MultiLoad { tenants: vec![tenant], admission: AdmissionConfig::warm() }
 }
 
+/// A tenant running the two-function pipeline under its own name.
+fn tenant(name: &str, releases: Vec<Nanos>, weight: u64) -> TenantLoad {
+    let spec = WorkflowSpec::sequence("pipe", name, ["a".to_owned(), "b".to_owned()]);
+    TenantLoad { name: name.to_owned(), spec, payload: Bytes::new(), releases, weight }
+}
+
+/// One weight-1 tenant of a hand-built [`Load`], named after `spec`'s,
+/// with an empty payload.
+fn work<'a>(spec: &'a WorkflowSpec, arrivals: Arrivals<'a>) -> TenantWork<'a> {
+    static EMPTY: Bytes = Bytes::new();
+    TenantWork { name: &spec.tenant, spec, payload: &EMPTY, weight: 1, arrivals }
+}
+
 /// A warm closed loop over the two-function pipeline, unramped.
 fn closed(users: usize, think_ns: Nanos, instances: usize) -> ClosedLoop {
     ClosedLoop {
@@ -696,27 +709,9 @@ fn an_all_shed_run_reports_zeroes_and_none_never_nan() {
 fn multi_tenant_runs_interleave_and_account_per_tenant() {
     let mut res = SchedResources::new(2, 4);
     let mut policy = SpreadLoad::new();
-    let spec_a = WorkflowSpec::sequence("pipe-a", "alice", ["a".to_owned(), "b".to_owned()]);
-    let spec_b = WorkflowSpec::sequence("pipe-b", "bob", ["a".to_owned(), "b".to_owned()]);
-    let load = MultiLoad {
-        tenants: vec![
-            TenantLoad::from_process(
-                "alice",
-                spec_a,
-                Bytes::new(),
-                &ArrivalProcess::Uniform { interval_ns: 2_000 },
-                5,
-            ),
-            TenantLoad::from_process(
-                "bob",
-                spec_b,
-                Bytes::new(),
-                &ArrivalProcess::Uniform { interval_ns: 3_000 },
-                4,
-            ),
-        ],
-        admission: AdmissionConfig::warm(),
-    };
+    let alice = tenant("alice", vec![0, 2_000, 4_000, 6_000, 8_000], 1);
+    let bob = tenant("bob", vec![0, 3_000, 6_000, 9_000], 1);
+    let load = MultiLoad { tenants: vec![alice, bob], admission: AdmissionConfig::warm() };
     let run = run_fixed(&load, &mut res, &mut policy, Controls::default()).unwrap();
     assert_eq!(run.outcomes.len(), 9);
     assert_eq!(run.arrivals, 9);
@@ -797,22 +792,7 @@ fn blown_deadlines_are_accounted_apart_from_failures() {
 fn the_weighted_queue_drains_tenants_by_their_weights() {
     let mut res = SchedResources::new(2, 4);
     let mut policy = LocalityFirst::new();
-    let spec_a = WorkflowSpec::sequence("pipe-a", "alice", ["a".to_owned(), "b".to_owned()]);
-    let spec_b = WorkflowSpec::sequence("pipe-b", "bob", ["a".to_owned(), "b".to_owned()]);
-    let heavy = TenantLoad {
-        name: "alice".to_owned(),
-        spec: spec_a,
-        payload: Bytes::new(),
-        releases: vec![0; 10],
-        weight: 4,
-    };
-    let light = TenantLoad {
-        name: "bob".to_owned(),
-        spec: spec_b,
-        payload: Bytes::new(),
-        releases: vec![0; 10],
-        weight: 1,
-    };
+    let (heavy, light) = (tenant("alice", vec![0; 10], 4), tenant("bob", vec![0; 10], 1));
     let load = MultiLoad { tenants: vec![heavy, light], admission: AdmissionConfig::warm() };
     // One slot, everything else queues: the drain order is pure
     // smooth-WRR — a 4:1 cycle of [alice ×2, bob, alice ×2].
@@ -832,7 +812,7 @@ fn the_weighted_queue_drains_tenants_by_their_weights() {
 }
 
 #[test]
-fn reject_newest_and_reject_oldest_shed_opposite_ends_of_the_queue() {
+fn tail_drop_and_reject_oldest_shed_opposite_ends_of_the_queue() {
     let run_with = |policy_kind: ShedPolicy| {
         let mut res = SchedResources::new(2, 4);
         let mut policy = LocalityFirst::new();
@@ -842,9 +822,9 @@ fn reject_newest_and_reject_oldest_shed_opposite_ends_of_the_queue() {
     };
     // All ten arrivals land before the first completion (1500 ns):
     // user 0 runs, four queue, five overflow.
-    let newest = run_with(TAIL_DROP);
-    assert_eq!((newest.shed, newest.outcomes.len()), (5, 5));
-    let survivors: Vec<usize> = newest.outcomes.iter().map(|o| o.user).collect();
+    let tail = run_with(TAIL_DROP);
+    assert_eq!((tail.shed, tail.outcomes.len()), (5, 5));
+    let survivors: Vec<usize> = tail.outcomes.iter().map(|o| o.user).collect();
     assert_eq!(survivors, vec![0, 1, 2, 3, 4], "tail drop keeps the early arrivals");
 
     let oldest = run_with(ShedPolicy::RejectOldest);
@@ -876,20 +856,23 @@ fn codel_sheds_entries_that_outstayed_the_target_at_dequeue() {
 fn degenerate_loads_err_or_report_cleanly() {
     let ramped = |ramp_ns| ClosedLoop { ramp_ns, ..closed(3, 0, 6) };
     let multi = |tenants| MultiLoad { tenants, admission: AdmissionConfig::warm() };
-    let silent = TenantLoad {
-        name: "silent".to_owned(),
-        spec: pipeline_spec(),
-        payload: Bytes::new(),
-        releases: Vec::new(),
-        weight: 0,
-    };
+    let silent = tenant("silent", Vec::new(), 0);
     let no_deadline = OverloadConfig { deadline_ns: Some(Nanos::MAX), ..OverloadConfig::default() };
+    let spec = pipeline_spec();
+    let idle_in_lane_1 = Load {
+        tenants: vec![
+            work(&spec, Arrivals::Trace(&[0])),
+            work(&spec, Arrivals::Closed { users: 0, think_ns: 0, ramp_ns: 0, instances: 4 }),
+        ],
+        admission_cfg: &AdmissionConfig::Warm,
+    };
     fn go<'a>(load: impl Into<Load<'a>>, controls: Controls<'a>) -> Result<LoadRun, PlatformError> {
         run_fixed(load, &mut SchedResources::new(2, 4), &mut LocalityFirst::new(), controls)
     }
     // (case, result, admitted instances expected of an `Ok`)
     let cases = [
         ("zero users", go(&closed(0, 0, 4), Controls::default()), None),
+        ("zero users in lane 1", go(idle_in_lane_1, Controls::default()), None),
         ("zero instances, closed", go(&closed(2, 0, 0), Controls::default()), Some(0)),
         ("zero instances, open", go(&open(pipeline_spec(), 1_000, 0), Controls::default()), Some(0)),
         ("empty tenant list", go(&multi(Vec::new()), Controls::default()), Some(0)),
@@ -924,13 +907,7 @@ fn degenerate_loads_err_or_report_cleanly() {
 #[test]
 fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
     let late = |admission| MultiLoad {
-        tenants: vec![TenantLoad {
-            name: "late".to_owned(),
-            spec: pipeline_spec(),
-            payload: Bytes::new(),
-            releases: vec![Nanos::MAX - 1],
-            weight: 1,
-        }],
+        tenants: vec![tenant("late", vec![Nanos::MAX - 1], 1)],
         admission,
     };
     for admission in
@@ -957,15 +934,11 @@ fn a_release_at_the_end_of_virtual_time_saturates_instead_of_overflowing() {
 /// lane order, then in each lane's user order.
 #[test]
 fn simultaneous_releases_admit_after_the_kill_in_lane_then_user_order() {
-    let tenant = |name: &str, releases: Vec<Nanos>| TenantLoad {
-        name: name.to_owned(),
-        spec: WorkflowSpec::sequence("pipe", name, ["a".to_owned(), "b".to_owned()]),
-        payload: Bytes::new(),
-        releases,
-        weight: 1,
-    };
     let load = MultiLoad {
-        tenants: vec![tenant("alice", vec![0, 5_000, 5_000]), tenant("bob", vec![0, 0, 5_000])],
+        tenants: vec![
+            tenant("alice", vec![0, 5_000, 5_000], 1),
+            tenant("bob", vec![0, 0, 5_000], 1),
+        ],
         admission: AdmissionConfig::warm(),
     };
     let mut res = SchedResources::new(3, 4);
@@ -980,4 +953,42 @@ fn simultaneous_releases_admit_after_the_kill_in_lane_then_user_order() {
     let assignments: Vec<&[usize]> = run.outcomes.iter().map(|o| &o.assignment[..]).collect();
     assert_eq!(assignments, [[1, 2], [2, 0], [0, 1], [0, 1], [1, 0], [0, 1]]);
     assert_eq!((run.completed(), run.final_nodes), (6, 2));
+}
+
+/// Each lane keeps its own arrival discipline: two closed tenants with
+/// different users, think times and instance counts beside a trace
+/// tenant, in one run.
+#[test]
+fn closed_and_trace_tenants_keep_their_own_disciplines_in_one_run() {
+    let [alice, bob, carol] = ["alice", "bob", "carol"]
+        .map(|t| WorkflowSpec::sequence("pipe", t, ["a".to_owned(), "b".to_owned()]));
+    let load = Load {
+        tenants: vec![
+            work(&alice, Arrivals::Closed { users: 2, think_ns: 400, ramp_ns: 100, instances: 7 }),
+            work(&bob, Arrivals::Trace(&[0, 700, 700, 5_000])),
+            work(&carol, Arrivals::Closed { users: 3, think_ns: 1_000, ramp_ns: 0, instances: 5 }),
+        ],
+        admission_cfg: &AdmissionConfig::Warm,
+    };
+    let mut res = SchedResources::new(2, 4);
+    let run = run_fixed(load, &mut res, &mut LocalityFirst::new(), Controls::default()).unwrap();
+    let lane = |tenant| run.outcomes.iter().filter(move |o: &&InstanceOutcome| o.tenant == tenant);
+    // (lane, users, think time, instances) of each closed tenant.
+    for (tenant, users, think_ns, instances) in [(0, 2, 400, 7), (2, 3, 1_000, 5)] {
+        assert_eq!(lane(tenant).count(), instances, "lane {tenant} admits its own instances");
+        for user in 0..users {
+            let theirs: Vec<&InstanceOutcome> = lane(tenant).filter(|o| o.user == user).collect();
+            assert!(!theirs.is_empty(), "lane {tenant} seeds user {user}");
+            for pair in theirs.windows(2) {
+                assert_eq!(pair[1].release_ns, pair[0].finish_ns + think_ns, "lane {tenant}");
+            }
+        }
+    }
+    let trace: Vec<(usize, Nanos)> = lane(1).map(|o| (o.user, o.release_ns)).collect();
+    assert_eq!(trace, [(0, 0), (1, 700), (2, 700), (3, 5_000)]);
+    assert_eq!(run.arrivals, run.outcomes.len() + run.shed);
+    for (i, t) in run.tenants.iter().enumerate() {
+        assert_eq!(t.arrivals, lane(i).count() + t.shed, "lane {i}");
+        assert_eq!(lane(i).count(), t.completed + t.failed + t.deadline_exceeded, "lane {i}");
+    }
 }

@@ -31,6 +31,15 @@
 #                         the pin only ever falls)
 #   count:panics:*        the same count under crates/{serial,baselines,
 #                         http,wasi,vkernel,platform,wasm,bench}/src
+#   check:docs            every backticked Rust-shaped name in DESIGN.md,
+#                         README.md and EXPERIMENTS.md (`a`, `a::b`,
+#                         `a::{b, c}`, `f(..)`, `m!`) is an identifier or
+#                         file stem of the Rust under crates/,
+#                         benchmark/src, examples/, tests/ or src/
+#                         (comments stripped), or on the short list of
+#                         outside names; sections under a heading that
+#                         says "retired" or "history" are exempt. A
+#                         failure prints file:line and the name
 #   check:benchmark       benchmark/ (its own workspace, which imports the
 #                         crates' public API) type-checks with every
 #                         target, against its committed Cargo.lock
@@ -242,6 +251,77 @@ count count:panics:wasm wasm 16
 # bin/fig16_overload.rs 1 (the `BENCH_*.json` write), bin/fig2b.rs 1 (an
 # `unreachable!` arm for the systems the loop does not visit).
 count count:panics:bench bench 74
+
+# Names the docs cite from outside the tree, one per line with why.
+outside_names=$(awk '{ print $1 }' <<'NAMES'
+vmsplice      Linux syscall the virtual pipe's gift splice models
+memcpy        the C copy the data path counts and models
+memset        C fill, weighed against plain stores in the frame arena
+memmove       C overlapping copy, the interpreter's rare multi-value return
+O_CREAT       POSIX open(2) flag the WASI host does not offer
+SO_SNDBUF     socket option the kernel-space edge's one queued chunk mirrors
+tc            Linux traffic control, the paper's link shaping tool
+Vec::set_len  std method the interpreter's memory growth rejected
+extend_i32_u  wasm mnemonic; the Rust opcode is I64ExtendI32U
+br_table      wasm mnemonic the decoder refuses
+nop           wasm mnemonic the decoder refuses
+fib           the bench_wasm `calls` kernel's wasm function, which has no Rust name
+vm_io         the cost model's VM-boundary copy, CostModel::vm_io_ns in code
+bench_engine  the retired wall-clock engine binary, cited as history
+NAMES
+)
+
+# doc_names FILE: "FILE:LINE NAME" for each backticked Rust-shaped name
+# outside fenced code and history sections; `a::{b, c}` yields `a::b`
+# and `a::c`, and a trailing call `(..)` or macro `!` is dropped.
+doc_names() {
+    awk -v f="$1" '
+        /^```/ { fence = !fence; next }
+        fence { next }
+        /^#+ / {
+            level = index($0, " ") - 1
+            if (history && level <= history) history = 0
+            if (!history && tolower($0) ~ /retired|history/) history = level
+        }
+        history { next }
+        {
+            line = $0
+            path = "[A-Za-z][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*"
+            while (match(line, /`[^`]+`/)) {
+                span = substr(line, RSTART + 1, RLENGTH - 2)
+                line = substr(line, RSTART + RLENGTH)
+                sub(/(\(.*\)|!)$/, "", span)
+                if (span ~ ("^" path "$")) {
+                    print f ":" FNR " " span
+                } else if (span ~ ("^" path "::\\{[A-Za-z0-9_, ]+\\}$")) {
+                    head = span
+                    sub(/::\{.*$/, "", head)
+                    leaves = substr(span, length(head) + 4)
+                    n = split(substr(leaves, 1, length(leaves) - 1), leaf, /, */)
+                    for (i = 1; i <= n; i++) print f ":" FNR " " head "::" leaf[i]
+                }
+            }
+        }' "$1"
+}
+
+# A name is known if it, or each of its `::` segments, is a word of the
+# Rust (outside `//` comments), a file stem there, or an outside name.
+# benchmark/README.md joins once its stale `OpenLoop` line is fixed
+# (ROADMAP 1(g)).
+gate_start=$EPOCHREALTIME
+rust=$(find crates benchmark/src examples tests src -name '*.rs' | sort)
+stale=$(awk 'NR == FNR { known[$1]; next }
+        $2 in known { next }
+        { n = split($2, seg, "::"); for (i = 1; i <= n; i++) if (!(seg[i] in known)) { print; next } }' \
+    <(printf '%s\n' $rust | xargs sed 's://.*$::' | grep -o '[A-Za-z_][A-Za-z0-9_]*'
+      printf '%s\n' $rust | sed 's:^.*/::; s:\.rs$::'
+      printf '%s\n' "$outside_names") \
+    <(for doc in DESIGN.md README.md EXPERIMENTS.md; do doc_names "$doc"; done))
+if [ -z "$stale" ]; then
+    pass check:docs
+else
+    fail check:docs "$stale"
+fi
 
 produce bench_wasm.json bench_wasm --quick
 
