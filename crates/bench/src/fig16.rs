@@ -42,8 +42,10 @@ use roadrunner_platform::{
 };
 use roadrunner_vkernel::{Nanos, OutageSchedule, SchedResources};
 
-use crate::fig13::{cluster, systems, CORES, START_NODES};
-use crate::{fixed, json_secs, object, pipeline_spec, Object, MB};
+use crate::fig13::{cluster, CORES, START_NODES};
+use crate::{
+    fixed, json_secs, object, pipeline_spec, roadrunner_pipeline, uncontended, Object, MB,
+};
 
 /// The SLO every goodput number is measured against, in multiples of
 /// the measured saturation interval (also the mitigated cell's
@@ -257,14 +259,15 @@ fn saturation_interval(plane: &mut dyn DataPlane, payload: &Bytes) -> Nanos {
 
 fn run_job(job: &Job, payload: &Bytes) -> CellResult {
     let bed = cluster();
-    let mut under_load = systems(&bed, payload);
-    let system = &mut under_load[0]; // roadrunner
+    // fig13's Roadrunner system alone: co-located, so its edges are
+    // kernel-space, and run for real (see `load_planes`).
+    let mut plane = roadrunner_pipeline(&bed, "fig13", [0; 3]);
+    let mut fresh = SchedResources::mesh(&[CORES; START_NODES]);
+    let solo_ns = uncontended(&mut plane, &bed, payload, &mut fresh);
     let mut resources = SchedResources::mesh(&[CORES; START_NODES]);
     let ids = (resources.node_id(0), resources.node_id(1));
     let mut policy = SpreadLoad::new();
-    // Roadrunner's plane runs every edge for real (see `load_planes`).
-    let plane = system.plane.bare();
-    let i = saturation_interval(plane, payload);
+    let i = saturation_interval(&mut plane, payload);
 
     let (load, plan, overload, windows) = if job.cell.is_fair() {
         let (_, _, _, n_inter, n_flood) = counts(job.quick);
@@ -318,7 +321,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         )
     };
 
-    let cluster = Cluster { plane, resources: &mut resources, policy: &mut policy };
+    let cluster = Cluster { plane: &mut plane, resources: &mut resources, policy: &mut policy };
     let controls = Controls { failures: plan.as_ref(), overload, ..Controls::default() };
     let run = loadgen::run(&load, cluster, controls).expect("fig16 cell run");
 
@@ -334,7 +337,7 @@ fn run_job(job: &Job, payload: &Bytes) -> CellResult {
         let slo = SLO_INTERVALS * i;
         (goodput_rps(&run, 0, burst_start, slo), goodput_rps(&run, post_start, post_end, slo))
     });
-    CellResult { job: *job, solo_ns: system.solo_ns, interval_ns: i, run, goodput }
+    CellResult { job: *job, solo_ns, interval_ns: i, run, goodput }
 }
 
 fn cell_row(result: &CellResult) -> Object {

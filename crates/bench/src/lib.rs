@@ -376,26 +376,33 @@ fn measure_baseline_pair(
     }
 }
 
-fn measure_roadrunner(system: System, bed: Arc<Testbed>, payload: &Payload) -> Measurement {
-    let mut plane = RoadrunnerPlane::new(
-        Arc::clone(&bed),
-        ShimConfig::default().with_load_costs(false),
-    );
+/// A Roadrunner plane on `bed` with the producer `a` on node 0 and a
+/// consumer per name in `consumers`, each placed as `system` places the
+/// target of an edge: `a`'s own VM (user space), `a`'s node (kernel
+/// space) or node 1 (network).
+fn deploy_edges(system: System, bed: &Arc<Testbed>, consumers: &[String]) -> RoadrunnerPlane {
+    let mut plane =
+        RoadrunnerPlane::new(Arc::clone(bed), ShimConfig::default().with_load_costs(false));
     plane
         .deploy(0, "a", rr_bundle("eval", "a", guest::producer()), "produce", false)
         .expect("deploy a");
-    match system {
-        System::RoadrunnerUser => plane
-            .deploy_into_shared_vm("a", "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
-            .expect("deploy b"),
-        System::RoadrunnerKernel => plane
-            .deploy(0, "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
-            .expect("deploy b"),
-        System::RoadrunnerNetwork => plane
-            .deploy(1, "b", rr_bundle("eval", "b", guest::consumer()), "consume", true)
-            .expect("deploy b"),
-        _ => unreachable!("baseline systems handled elsewhere"),
+    for name in consumers {
+        let bundle = rr_bundle("eval", name, guest::consumer());
+        match system {
+            System::RoadrunnerUser => {
+                plane.deploy_into_shared_vm("a", name, bundle, "consume", true)
+            }
+            System::RoadrunnerKernel => plane.deploy(0, name, bundle, "consume", true),
+            System::RoadrunnerNetwork => plane.deploy(1, name, bundle, "consume", true),
+            _ => unreachable!("the baselines deploy no plane"),
+        }
+        .expect("deploy a consumer");
     }
+    plane
+}
+
+fn measure_roadrunner(system: System, bed: Arc<Testbed>, payload: &Payload) -> Measurement {
+    let mut plane = deploy_edges(system, &bed, &["b".to_owned()]);
     // Deliver the input and run the producer *before* the measured
     // window, as §6.1 measures from "source sends".
     plane.inject("a", payload.flat()).expect("inject input");
@@ -491,37 +498,15 @@ pub fn measure_fanout(system: System, degree: usize, bytes: usize, intra: bool) 
             }
         }
         _ => {
-            let mut plane = RoadrunnerPlane::new(
-                Arc::clone(&bed),
-                ShimConfig::default().with_load_costs(false),
-            );
-            plane
-                .deploy(0, "a", rr_bundle("eval", "a", guest::producer()), "produce", false)
-                .expect("deploy a");
-            for i in 0..degree {
-                let name = format!("b{i}");
-                let bundle = rr_bundle("eval", &name, guest::consumer());
-                match system {
-                    System::RoadrunnerUser => plane
-                        .deploy_into_shared_vm("a", &name, bundle, "consume", true)
-                        .expect("deploy branch"),
-                    System::RoadrunnerKernel => plane
-                        .deploy(0, &name, bundle, "consume", true)
-                        .expect("deploy branch"),
-                    System::RoadrunnerNetwork => plane
-                        .deploy(1, &name, bundle, "consume", true)
-                        .expect("deploy branch"),
-                    _ => unreachable!(),
-                }
-            }
+            let branches: Vec<String> = (0..degree).map(|i| format!("b{i}")).collect();
+            let mut plane = deploy_edges(system, &bed, &branches);
             bed.reset_telemetry();
             let cost = bed.cost();
             serialization_ns = cost.wasm_boundary_ns + cost.vm_io_ns(8);
-            for i in 0..degree {
-                let name = format!("b{i}");
+            for name in &branches {
                 plane.inject("a", payload.flat()).expect("inject");
                 plane
-                    .transfer_edge("a", &name, &Bytes::new())
+                    .transfer_edge("a", name, &Bytes::new())
                     .expect("roadrunner fanout transfer");
                 let bd = plane.last_breakdown().expect("breakdown");
                 branch_total += bd.transfer_ns;

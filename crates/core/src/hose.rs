@@ -87,7 +87,8 @@ pub fn recv(
 ) -> Result<MemoryRegion, RoadrunnerError> {
     let sandbox = shim.sandbox();
     // Header arrives through the ordinary lane.
-    let (total, overshoot) = recv_header(sandbox, "hose", |sink| tcp.recv_with(sandbox, sink))?;
+    let (total, overshoot) =
+        recv_header(sandbox, "hose", |sink| tcp.recv_with(sandbox, usize::MAX, sink))?;
 
     // ⑤ allocate the target region, then splice pages from the socket
     // through the target-side pipe and write them into the VM (the one

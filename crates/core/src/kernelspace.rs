@@ -118,8 +118,9 @@ pub fn recv(
     endpoint: &UnixEndpoint,
 ) -> Result<MemoryRegion, RoadrunnerError> {
     let sandbox = shim.sandbox();
-    let (total, extra) =
-        recv_header(sandbox, "kernel-space", |sink| endpoint.recv_with(sandbox, sink))?;
+    let (total, extra) = recv_header(sandbox, "kernel-space", |sink| {
+        endpoint.recv_with(sandbox, usize::MAX, sink)
+    })?;
     shim.fill_inbox(module, total, |inbox| {
         Landing::start(inbox, &extra, total)?.until(endpoint, inbox, total)
     })
@@ -169,8 +170,9 @@ fn lockstep(
 ) -> Result<MemoryRegion, RoadrunnerError> {
     send_header(tx, sender, data.len())?;
     let receiver = dst.sandbox();
-    let (total, extra) =
-        recv_header(receiver, "kernel-space", |sink| rx.recv_with(receiver, sink))?;
+    let (total, extra) = recv_header(receiver, "kernel-space", |sink| {
+        rx.recv_with(receiver, usize::MAX, sink)
+    })?;
     dst.fill_inbox(to, total, |inbox| {
         let mut landing = Landing::start(inbox, &extra, total)?;
         send_chunks(tx, sender, data, chunk, |sent| landing.until(rx, inbox, sent))?;
@@ -207,7 +209,7 @@ impl Landing {
         while self.offset < upto {
             let (offset, total) = (self.offset, self.total);
             self.offset += endpoint
-                .recv_with(sandbox, |seg| {
+                .recv_with(sandbox, usize::MAX, |seg| {
                     if seg.is_empty() {
                         return Err(RoadrunnerError::Config(format!(
                             "kernel-space recv: stream stalled at {offset}/{total} bytes"

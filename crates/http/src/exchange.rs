@@ -72,7 +72,7 @@ fn read_message<M>(
             caller.charge_user(cost.http_head_ns);
             return Ok(msg);
         }
-        let landed = stream.recv_with(caller, |seg| {
+        let landed = stream.recv_with(caller, usize::MAX, |seg| {
             caller.account().count_copy(seg.len());
             reader.feed(seg);
             seg.len()

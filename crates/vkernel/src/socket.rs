@@ -139,31 +139,38 @@ impl Endpoint {
         self.push(caller, data.len(), charge_ns, std::iter::once(data))
     }
 
-    /// The next segment towards this endpoint: `None` if the peer closed
-    /// and the stream is drained, `Some(None)` if no data is ready.
-    fn pop(&self) -> Option<Option<Segment>> {
+    /// The next segment towards this endpoint, cut to its first `max`
+    /// bytes (the rest stays queued at the head of the stream): `None` if
+    /// the peer closed and the stream is drained, `Some(None)` if no data
+    /// is ready.
+    fn pop(&self, max: usize) -> Option<Option<Segment>> {
         let mut shared = self.shared.lock();
         let dir = &mut shared.dirs[1 - self.tx];
-        match dir.queue.pop_front() {
+        match dir.queue.front_mut() {
             None if dir.closed => None,
-            seg => Some(seg),
+            Some(seg) if seg.data.len() > max => {
+                Some(Some(Segment { data: seg.data.split_to(max), arrives_at: seg.arrives_at }))
+            }
+            _ => Some(dir.queue.pop_front()),
         }
     }
 
-    /// Receives one buffered segment, waiting (in virtual time) until it
-    /// has crossed the link, and lends it, still in its kernel buffer, to
-    /// `sink` — which performs the kernel→user copy of `recv(2)` straight
-    /// into wherever the bytes are to rest. Charges that copy, the
-    /// syscall and the receiver's wakeup context switch before `sink`
-    /// runs. Returns `Ok(None)` if the peer closed and the stream is
-    /// drained; `sink` sees an empty slice, for one syscall, if no data is
-    /// ready.
+    /// Receives at most `max` bytes of one buffered segment, waiting (in
+    /// virtual time) until it has crossed the link, and lends them, still
+    /// in their kernel buffer, to `sink` — which performs the kernel→user
+    /// copy of `recv(2)` straight into wherever the bytes are to rest.
+    /// What the segment holds past `max` stays at the head of the stream
+    /// for the next receive. Charges that copy, the syscall and the
+    /// receiver's wakeup context switch before `sink` runs. Returns
+    /// `Ok(None)` if the peer closed and the stream is drained; `sink`
+    /// sees an empty slice, for one syscall, if no data is ready.
     pub fn recv_with<R>(
         &self,
         caller: &Sandbox,
+        max: usize,
         sink: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, VkError> {
-        let Some(seg) = self.pop() else {
+        let Some(seg) = self.pop(max) else {
             return Ok(None);
         };
         let cost = caller.cost();
@@ -180,7 +187,7 @@ impl Endpoint {
     /// the copied segment, `Ok(None)` if the peer closed and the stream
     /// is drained, and an empty buffer if no data is ready.
     pub fn recv(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        self.recv_with(caller, |seg| {
+        self.recv_with(caller, usize::MAX, |seg| {
             if seg.is_empty() {
                 return Bytes::new();
             }
@@ -193,7 +200,7 @@ impl Endpoint {
     /// after the same wait as [`recv_with`](Self::recv_with), page
     /// references move — no copy, no user-space wakeup.
     pub fn recv_spliced(&self, caller: &Sandbox) -> Result<Option<Bytes>, VkError> {
-        let Some(seg) = self.pop() else {
+        let Some(seg) = self.pop(usize::MAX) else {
             return Ok(None);
         };
         let cost = caller.cost();
@@ -283,6 +290,7 @@ pub(crate) mod table {
                 empty_send_is_noop,
                 empty_queue_reports_empty_chunk_and_costs_syscall,
                 recv_with_lends_the_kernel_segment_and_charges_like_recv,
+                recv_with_takes_at_most_max_and_leaves_the_rest,
                 recv_copies_bytes,
                 spliced_path_is_zero_copy,
                 only_the_copying_lane_reaches_the_copy_ledger,
@@ -389,7 +397,7 @@ pub(crate) mod table {
         let ptr = data.as_ptr();
         c.a.send_spliced(&c.sa, data.clone()).unwrap();
         c.a.send_spliced(&c.sa, data).unwrap();
-        let seen = c.b.recv_with(&lent, |seg| (seg.as_ptr(), seg.len())).unwrap();
+        let seen = c.b.recv_with(&lent, usize::MAX, |seg| (seg.as_ptr(), seg.len())).unwrap();
         assert_eq!(seen, Some((ptr, 4096)), "the sink sees the queued buffer itself");
         c.b.recv(&copied).unwrap().unwrap();
         assert_eq!(lent.kernel_ns(), copied.kernel_ns());
@@ -398,10 +406,26 @@ pub(crate) mod table {
         assert_eq!((lent.account().copied_bytes(), copied.account().copied_bytes()), (0, 4096));
         // Nothing ready: the sink sees an empty slice for one syscall.
         let before = lent.kernel_ns();
-        assert_eq!(c.b.recv_with(&lent, <[u8]>::len).unwrap(), Some(0));
+        assert_eq!(c.b.recv_with(&lent, usize::MAX, <[u8]>::len).unwrap(), Some(0));
         assert_eq!(lent.kernel_ns() - before, cost().syscall_ns);
         c.a.close();
-        assert_eq!(c.b.recv_with(&lent, <[u8]>::len).unwrap(), None);
+        assert_eq!(c.b.recv_with(&lent, usize::MAX, <[u8]>::len).unwrap(), None);
+    }
+
+    /// A receive bounded below the segment's length lends a prefix and is
+    /// charged for it alone; the rest stays at the head of the stream, and
+    /// the next receive returns it, ahead of anything sent later.
+    pub(crate) fn recv_with_takes_at_most_max_and_leaves_the_rest(c: Conn) {
+        let cost = cost();
+        c.a.send(&c.sa, b"0123456789abcdef").unwrap();
+        c.a.send(&c.sa, b"next").unwrap();
+        c.a.close();
+        let before = c.sb.kernel_ns();
+        assert_eq!(c.b.recv_with(&c.sb, 10, <[u8]>::to_vec).unwrap().unwrap(), b"0123456789");
+        let charged = cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(10);
+        assert_eq!(c.sb.kernel_ns() - before, charged);
+        assert_eq!(c.b.recv_with(&c.sb, 10, <[u8]>::to_vec).unwrap().unwrap(), b"abcdef");
+        assert_eq!(drain(&c.b, &c.sb), b"next");
     }
 
     pub(crate) fn recv_copies_bytes(c: Conn) {

@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use roadrunner_vkernel::node::Sandbox;
 
+use crate::sock::EndpointSocket;
+
 /// WASI errno values used by this subset.
 pub mod errno {
     /// Success.
@@ -16,18 +18,6 @@ pub mod errno {
     pub const IO: i32 = 29;
     /// No such file or directory.
     pub const NOENT: i32 = 44;
-}
-
-/// A socket backend a WASI `sock_send`/`sock_recv` pair talks to.
-///
-/// The baselines install adapters over the virtual kernel's TCP or Unix
-/// endpoints; tests install loopback stubs.
-pub trait WasiSocket: Send {
-    /// Sends `data`, returning bytes accepted.
-    fn send(&mut self, sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32>;
-    /// Receives up to one buffered segment (empty when nothing is ready,
-    /// `None` when the peer closed).
-    fn recv(&mut self, sandbox: &Sandbox) -> Result<Option<Vec<u8>>, i32>;
 }
 
 #[derive(Debug)]
@@ -51,7 +41,7 @@ pub struct WasiCtx {
     pub stdout: Vec<u8>,
     files: HashMap<String, Vec<u8>>,
     open_files: HashMap<u32, OpenFile>,
-    sockets: HashMap<u32, Box<dyn WasiSocket>>,
+    sockets: HashMap<u32, Box<EndpointSocket>>,
     next_fd: u32,
     /// Number of WASI calls made (diagnostic; each one paid the boundary
     /// cost).
@@ -94,16 +84,17 @@ impl WasiCtx {
         self.files.insert(path.into(), contents);
     }
 
-    /// Installs a socket backend; returns its fd.
-    pub fn add_socket(&mut self, socket: Box<dyn WasiSocket>) -> u32 {
+    /// Installs a socket (boxed, the shape `benchmark/` calls); returns
+    /// its fd.
+    pub fn add_socket(&mut self, socket: Box<EndpointSocket>) -> u32 {
         let fd = self.next_fd;
         self.next_fd += 1;
         self.sockets.insert(fd, socket);
         fd
     }
 
-    pub(crate) fn socket_mut(&mut self, fd: u32) -> Option<&mut Box<dyn WasiSocket>> {
-        self.sockets.get_mut(&fd)
+    pub(crate) fn socket(&self, fd: u32) -> Option<&EndpointSocket> {
+        self.sockets.get(&fd).map(Box::as_ref)
     }
 
     pub(crate) fn open_path(&mut self, path: &str) -> Result<u32, i32> {
@@ -116,21 +107,32 @@ impl WasiCtx {
         Ok(fd)
     }
 
-    pub(crate) fn write_fd(&mut self, fd: u32, data: &[u8]) -> Result<usize, i32> {
+    /// Appends `parts`, in order, to `fd` — stdout, the one writable
+    /// descriptor — and returns the bytes written.
+    pub(crate) fn write_fd<'a>(
+        &mut self,
+        fd: u32,
+        parts: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<usize, i32> {
         if fd != 1 {
             return Err(errno::BADF);
         }
-        self.stdout.extend_from_slice(data);
-        Ok(data.len())
+        let before = self.stdout.len();
+        for part in parts {
+            self.stdout.extend_from_slice(part);
+        }
+        Ok(self.stdout.len() - before)
     }
 
-    pub(crate) fn read_fd(&mut self, fd: u32, max: usize) -> Result<Vec<u8>, i32> {
+    /// Lends the next at most `max` bytes of the open file `fd`, straight
+    /// from the seeded contents, and moves its cursor past them.
+    pub(crate) fn read_fd(&mut self, fd: u32, max: usize) -> Result<&[u8], i32> {
         let open = self.open_files.get_mut(&fd).ok_or(errno::BADF)?;
         let file = self.files.get(&open.path).ok_or(errno::NOENT)?;
         // Empty once the cursor is past the end (the host may have
         // re-seeded the file shorter while it was open).
         let rest = file.get(open.cursor..).unwrap_or_default();
-        let out = rest[..max.min(rest.len())].to_vec();
+        let out = &rest[..max.min(rest.len())];
         open.cursor += out.len();
         Ok(out)
     }
@@ -164,9 +166,9 @@ mod tests {
         let mut c = ctx();
         c.put_file("/in.bin", vec![1]);
         let fd = c.open_path("/in.bin").unwrap();
-        assert_eq!(c.write_fd(1, b"out").unwrap(), 3);
+        assert_eq!(c.write_fd(1, [b"ou".as_slice(), b"t"]).unwrap(), 3);
         for other in [0, 2, fd] {
-            assert_eq!(c.write_fd(other, b"x").unwrap_err(), errno::BADF);
+            assert_eq!(c.write_fd(other, []).unwrap_err(), errno::BADF);
         }
         assert_eq!(c.stdout, b"out");
     }
@@ -179,7 +181,7 @@ mod tests {
         assert_eq!(c.read_fd(fd, 2).unwrap(), vec![1, 2]);
         assert_eq!(c.read_fd(fd, 10).unwrap(), vec![3, 4]);
         assert_eq!(c.read_fd(fd, 10).unwrap(), b"");
-        assert_eq!(c.write_fd(fd, &[9, 9]).unwrap_err(), errno::BADF, "files are read-only");
+        assert_eq!(c.write_fd(fd, [[9, 9].as_slice()]).unwrap_err(), errno::BADF, "read-only");
         // A second open reads from the start; the host's re-seed is seen.
         c.put_file("/in.bin", vec![7]);
         let again = c.open_path("/in.bin").unwrap();
@@ -205,7 +207,7 @@ mod tests {
     #[test]
     fn bad_fd_errors() {
         let mut c = ctx();
-        assert_eq!(c.write_fd(99, b"x").unwrap_err(), errno::BADF);
+        assert_eq!(c.write_fd(99, [b"x".as_slice()]).unwrap_err(), errno::BADF);
         assert_eq!(c.read_fd(99, 1).unwrap_err(), errno::BADF);
         assert_eq!(c.read_fd(0, 1).unwrap_err(), errno::BADF, "no stdin");
     }

@@ -15,8 +15,13 @@
 //!   the host seeds, sockets.
 //! * [`mod@register`] — installs the five calls into a
 //!   [`roadrunner_wasm::Linker`].
-//! * [`sock`] — the socket adapter over the virtual kernel's stream
-//!   socket (TCP or Unix), and an in-process loopback for tests.
+//! * [`sock`] — the WASI socket over the virtual kernel's stream socket
+//!   (TCP or Unix).
+//!
+//! Each data call copies guest bytes once, straight between linear
+//! memory and where they rest: a received segment's kernel buffer, a
+//! seeded file, stdout, or (for a single-iovec send) the socket's send
+//! path.
 //!
 //! The host-state type is generic via [`HasWasi`], so the Roadrunner shim
 //! can embed a `WasiCtx` inside its own state: unmodified modules keep
@@ -27,5 +32,5 @@ pub mod ctx;
 pub mod register;
 pub mod sock;
 
-pub use ctx::{errno, WasiCtx, WasiSocket};
+pub use ctx::{errno, WasiCtx};
 pub use register::{register, HasWasi, MODULE};

@@ -10,6 +10,8 @@
 //! quantifies. A guest importing any other WASI call fails to
 //! instantiate with `InstanceError::MissingImport` (deny-by-default).
 
+use std::borrow::Cow;
+
 use roadrunner_wasm::types::{FuncType, ValType};
 use roadrunner_wasm::{Caller, Linker, Memory, Trap};
 
@@ -76,26 +78,25 @@ fn read_iovecs(memory: &Memory, iovs: u32, count: u32) -> Result<Vec<IoVec>, Tra
     Ok(out)
 }
 
-/// Gathers the bytes the `count` iovecs at `iovs` name, in order —
-/// `None` when together they name more bytes than the memory holds
-/// (iovecs may overlap, so a few words could otherwise ask the host to
-/// assemble gigabytes).
-fn gather(memory: &Memory, iovs: u32, count: u32) -> Result<Option<Vec<u8>>, Trap> {
-    let iovecs = read_iovecs(memory, iovs, count)?;
-    let total: u64 = iovecs.iter().map(|v| v.len as u64).sum();
-    if total > memory.len() as u64 {
+/// The buffers `iovecs` name, lent from `memory` in order — `None` when
+/// together they name more bytes than the memory holds (iovecs may
+/// overlap, so a few words could otherwise make the host move gigabytes).
+fn lend<'m>(memory: &'m Memory, iovecs: &[IoVec]) -> Result<Option<Vec<&'m [u8]>>, Trap> {
+    if capacity(iovecs) > memory.len() {
         return Ok(None);
     }
-    let mut data = Vec::with_capacity(total as usize);
-    for iov in iovecs {
-        data.extend_from_slice(memory.read(iov.ptr, iov.len)?);
-    }
-    Ok(Some(data))
+    let parts = iovecs.iter().map(|iov| memory.read(iov.ptr, iov.len));
+    parts.collect::<Result<_, _>>().map(Some)
+}
+
+/// The bytes `iovecs` name together.
+fn capacity(iovecs: &[IoVec]) -> usize {
+    iovecs.iter().map(|iov| iov.len as usize).sum()
 }
 
 /// Scatters `data` over `iovecs` in order; returns the bytes placed
 /// (`data` may be longer than the buffers, or shorter).
-fn scatter(memory: &mut Memory, iovecs: &[IoVec], data: &[u8]) -> Result<u32, Trap> {
+fn scatter(memory: &mut Memory, iovecs: &[IoVec], data: &[u8]) -> Result<usize, Trap> {
     let mut offset = 0usize;
     for iov in iovecs {
         if offset >= data.len() {
@@ -105,7 +106,7 @@ fn scatter(memory: &mut Memory, iovecs: &[IoVec], data: &[u8]) -> Result<u32, Tr
         memory.write(iov.ptr, &data[offset..offset + take])?;
         offset += take;
     }
-    Ok(offset as u32)
+    Ok(offset)
 }
 
 fn arg_i32(args: &[roadrunner_wasm::Value], i: usize) -> i32 {
@@ -133,16 +134,17 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let nwritten_ptr = arg_i32(args, 3) as u32;
-            let memory = caller.memory()?;
+            let (memory, state) = caller.memory_and_data::<T>()?;
             check_range(memory, nwritten_ptr, 4)?;
-            let Some(data) = gather(memory, iovs, count)? else {
+            let iovecs = read_iovecs(memory, iovs, count)?;
+            let Some(parts) = lend(memory, &iovecs)? else {
                 return ret(errno::INVAL);
             };
-            let ctx = caller.data::<T>()?.wasi();
-            ctx.charge_boundary(data.len());
-            match ctx.write_fd(fd, &data) {
+            let ctx = state.wasi();
+            ctx.charge_boundary(capacity(&iovecs));
+            match ctx.write_fd(fd, parts) {
                 Ok(n) => {
-                    caller.memory()?.store::<4>(nwritten_ptr, 0, (n as u32).to_le_bytes())?;
+                    memory.store::<4>(nwritten_ptr, 0, (n as u32).to_le_bytes())?;
                     ret(errno::SUCCESS)
                 }
                 Err(e) => ret(e),
@@ -160,19 +162,16 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let nread_ptr = arg_i32(args, 3) as u32;
-            let memory = caller.memory()?;
+            let (memory, state) = caller.memory_and_data::<T>()?;
             check_range(memory, nread_ptr, 4)?;
             let iovecs = read_iovecs(memory, iovs, count)?;
-            let want: usize = iovecs.iter().map(|v| v.len as usize).sum();
-            let ctx = caller.data::<T>()?.wasi();
-            let data = match ctx.read_fd(fd, want) {
-                Ok(d) => d,
+            let ctx = state.wasi();
+            let placed = match ctx.read_fd(fd, capacity(&iovecs)) {
+                Ok(data) => scatter(memory, &iovecs, data)?,
                 Err(e) => return ret(e),
             };
-            ctx.charge_boundary(data.len());
-            let memory = caller.memory()?;
-            let placed = scatter(memory, &iovecs, &data)?;
-            memory.store::<4>(nread_ptr, 0, placed.to_le_bytes())?;
+            ctx.charge_boundary(placed);
+            memory.store::<4>(nread_ptr, 0, (placed as u32).to_le_bytes())?;
             ret(errno::SUCCESS)
         },
     );
@@ -214,20 +213,26 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let iovs = arg_i32(args, 1) as u32;
             let count = arg_i32(args, 2) as u32;
             let sent_ptr = arg_i32(args, 4) as u32;
-            let memory = caller.memory()?;
+            let (memory, state) = caller.memory_and_data::<T>()?;
             check_range(memory, sent_ptr, 4)?;
-            let Some(data) = gather(memory, iovs, count)? else {
+            let iovecs = read_iovecs(memory, iovs, count)?;
+            let Some(parts) = lend(memory, &iovecs)? else {
                 return ret(errno::INVAL);
             };
-            let ctx = caller.data::<T>()?.wasi();
+            // The socket takes one buffer: several iovecs are gathered
+            // into one first, a single one is sent from where it lies.
+            let data = match parts[..] {
+                [one] => Cow::Borrowed(one),
+                _ => Cow::Owned(parts.concat()),
+            };
+            let ctx = state.wasi();
             ctx.charge_boundary(data.len());
-            let sandbox = ctx.sandbox().clone();
-            let Some(socket) = ctx.socket_mut(fd) else {
+            let Some(socket) = ctx.socket(fd) else {
                 return ret(errno::BADF);
             };
-            match socket.send(&sandbox, &data) {
+            match socket.send(ctx.sandbox(), &data) {
                 Ok(n) => {
-                    caller.memory()?.store::<4>(sent_ptr, 0, (n as u32).to_le_bytes())?;
+                    memory.store::<4>(sent_ptr, 0, (n as u32).to_le_bytes())?;
                     ret(errno::SUCCESS)
                 }
                 Err(e) => ret(e),
@@ -246,25 +251,29 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
             let count = arg_i32(args, 2) as u32;
             let recvd_ptr = arg_i32(args, 4) as u32;
             let flags_ptr = arg_i32(args, 5) as u32;
-            let memory = caller.memory()?;
+            let (memory, state) = caller.memory_and_data::<T>()?;
             check_range(memory, recvd_ptr, 4)?;
             check_range(memory, flags_ptr, 4)?;
             let iovecs = read_iovecs(memory, iovs, count)?;
-            let ctx = caller.data::<T>()?.wasi();
-            let sandbox = ctx.sandbox().clone();
-            let Some(socket) = ctx.socket_mut(fd) else {
+            let ctx = state.wasi();
+            let Some(socket) = ctx.socket(fd) else {
                 return ret(errno::BADF);
             };
-            let data = match socket.recv(&sandbox) {
-                Ok(Some(d)) => d,
+            // The segment lands straight from its kernel buffer; what the
+            // iovecs cannot hold stays queued for the next call.
+            let sandbox = ctx.sandbox();
+            let landed = socket.recv_with(sandbox, capacity(&iovecs), |seg| {
+                sandbox.account().count_copy(seg.len());
+                scatter(memory, &iovecs, seg)
+            });
+            let placed = match landed {
+                Ok(Some(placed)) => placed?,
                 // Peer closed: zero bytes, ro_flags = 0 (like EOF).
-                Ok(None) => Vec::new(),
+                Ok(None) => 0,
                 Err(e) => return ret(e),
             };
-            caller.data::<T>()?.wasi().charge_boundary(data.len());
-            let memory = caller.memory()?;
-            let placed = scatter(memory, &iovecs, &data)?;
-            memory.store::<4>(recvd_ptr, 0, placed.to_le_bytes())?;
+            ctx.charge_boundary(placed);
+            memory.store::<4>(recvd_ptr, 0, (placed as u32).to_le_bytes())?;
             memory.store::<4>(flags_ptr, 0, 0u32.to_le_bytes())?;
             ret(errno::SUCCESS)
         },
@@ -274,17 +283,20 @@ pub fn register<T: HasWasi + Send + 'static>(linker: &mut Linker) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sock::LoopbackSocket;
+    use crate::sock::EndpointSocket;
     use roadrunner_vkernel::node::Sandbox;
+    use roadrunner_vkernel::unix::UnixConn;
     use roadrunner_vkernel::{CostModel, VirtualClock};
     use roadrunner_wasm::types::Value;
     use roadrunner_wasm::{EngineLimits, Instance, InstanceError, Instr, MemArg, ModuleBuilder};
     use std::sync::Arc;
 
+    fn sandbox(name: &str) -> Sandbox {
+        Sandbox::detached(name, VirtualClock::new(), Arc::new(CostModel::paper_testbed()))
+    }
+
     fn wasi_ctx() -> WasiCtx {
-        let sandbox =
-            Sandbox::detached("guest", VirtualClock::new(), Arc::new(CostModel::paper_testbed()));
-        WasiCtx::new(sandbox)
+        WasiCtx::new(sandbox("guest"))
     }
 
     fn linker() -> Linker {
@@ -376,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn sock_send_and_recv_through_loopback() {
+    fn sock_send_and_recv_through_a_unix_pair() {
         let i32_ = ValType::I32;
         let module = ModuleBuilder::new()
             .import_func(
@@ -430,16 +442,82 @@ mod tests {
             .export_func("echo", 2)
             .build()
             .unwrap();
+        let (peer, end) = UnixConn::pair();
+        let outside = sandbox("peer");
+        peer.send(&outside, b"pong").unwrap();
         let mut ctx = wasi_ctx();
-        let fd = ctx.add_socket(Box::new(LoopbackSocket::new()));
+        let fd = ctx.add_socket(Box::new(EndpointSocket::new(end)));
         let mut inst =
             Instance::new(module, &linker(), EngineLimits::default(), Box::new(ctx)).unwrap();
         let out = inst.invoke("echo", &[Value::I32(fd as i32)]).unwrap();
         assert_eq!(out, vec![Value::I32(errno::SUCCESS)]);
         let mem = inst.memory().unwrap();
-        assert_eq!(mem.read(64, 4).unwrap(), b"ping");
+        assert_eq!(mem.read(64, 4).unwrap(), b"pong");
         let received = u32::from_le_bytes(mem.load::<4>(20, 0).unwrap());
         assert_eq!(received, 4);
+        assert_eq!(peer.recv(&outside).unwrap().unwrap(), b"ping".as_slice());
+    }
+
+    /// A module exporting `recv(fd, ptr, len)`: one `sock_recv` into the
+    /// iovec `{ptr, len}` at address 0, the byte count received at 8.
+    fn recv_module() -> roadrunner_wasm::Module {
+        let i32_ = ValType::I32;
+        ModuleBuilder::new()
+            .import_func(MODULE, "sock_recv", FuncType::new([i32_; 6], [i32_]))
+            .memory(1, None)
+            .func(
+                FuncType::new([i32_; 3], [i32_]),
+                [],
+                [
+                    Instr::I32Const(0),
+                    Instr::LocalGet(1),
+                    Instr::I32Store(MemArg::default()),
+                    Instr::I32Const(4),
+                    Instr::LocalGet(2),
+                    Instr::I32Store(MemArg::default()),
+                    // sock_recv(fd, 0, 1, 0, 8, 12)
+                    Instr::LocalGet(0),
+                    Instr::I32Const(0),
+                    Instr::I32Const(1),
+                    Instr::I32Const(0),
+                    Instr::I32Const(8),
+                    Instr::I32Const(12),
+                    Instr::Call(0),
+                ],
+            )
+            .export_func("recv", 1)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sock_recv_keeps_what_a_short_iovec_cannot_hold() {
+        let (peer, end) = UnixConn::pair();
+        peer.send(&sandbox("peer"), b"0123456789abcdef").unwrap();
+        peer.send(&sandbox("peer"), b"next").unwrap();
+        let mut ctx = wasi_ctx();
+        let fd = ctx.add_socket(Box::new(EndpointSocket::new(end))) as i32;
+        let guest = ctx.sandbox().clone();
+        let cost = guest.cost().clone();
+        let mut inst =
+            Instance::new(recv_module(), &linker(), EngineLimits::default(), Box::new(ctx))
+                .unwrap();
+        for (at, want) in [(64, b"01234567"), (128, b"89abcdef")] {
+            let (user, kernel) = (guest.user_ns(), guest.kernel_ns());
+            let out = inst.invoke("recv", &[Value::I32(fd), Value::I32(at), Value::I32(8)]);
+            assert_eq!(out.unwrap(), vec![Value::I32(errno::SUCCESS)]);
+            let mem = inst.memory().unwrap();
+            assert_eq!(mem.load::<4>(8, 0).unwrap(), 8u32.to_le_bytes());
+            assert_eq!(mem.read(at as u32, 8).unwrap(), want);
+            // Each call is charged for the eight bytes it placed.
+            assert_eq!(guest.user_ns() - user, cost.wasm_boundary_ns + cost.vm_io_ns(8));
+            let recv = cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(8);
+            assert_eq!(guest.kernel_ns() - kernel, recv);
+        }
+        assert_eq!(guest.account().copied_bytes(), 16);
+        let out = inst.invoke("recv", &[Value::I32(fd), Value::I32(192), Value::I32(8)]);
+        assert_eq!(out.unwrap(), vec![Value::I32(errno::SUCCESS)]);
+        assert_eq!(inst.memory().unwrap().read(192, 4).unwrap(), b"next");
     }
 
     #[test]

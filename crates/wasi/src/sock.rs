@@ -1,10 +1,10 @@
-//! Socket adapters bridging WASI descriptors to virtual-kernel sockets.
+//! The WASI socket: a descriptor over a virtual-kernel stream socket.
 
 use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::socket::Endpoint;
 use roadrunner_vkernel::VkError;
 
-use crate::ctx::{errno, WasiSocket};
+use crate::ctx::errno;
 
 fn map_err(e: VkError) -> i32 {
     match e {
@@ -29,58 +29,22 @@ impl EndpointSocket {
     pub fn new(endpoint: Endpoint) -> Self {
         Self { endpoint }
     }
-}
 
-impl WasiSocket for EndpointSocket {
-    fn send(&mut self, sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32> {
+    /// Sends `data`, returning the bytes accepted.
+    pub(crate) fn send(&self, sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32> {
         self.endpoint.send(sandbox, data).map_err(map_err)
     }
 
-    fn recv(&mut self, sandbox: &Sandbox) -> Result<Option<Vec<u8>>, i32> {
-        match self.endpoint.recv(sandbox) {
-            Ok(Some(seg)) => Ok(Some(seg.to_vec())),
-            Ok(None) => Ok(None),
-            Err(e) => Err(map_err(e)),
-        }
-    }
-}
-
-/// An in-process loopback socket for tests: everything sent is readable
-/// back in FIFO order.
-#[derive(Debug, Default)]
-pub struct LoopbackSocket {
-    queue: std::collections::VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-impl LoopbackSocket {
-    /// Creates an empty loopback.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the loopback closed; subsequent receives report end of
-    /// stream once drained.
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
-}
-
-impl WasiSocket for LoopbackSocket {
-    fn send(&mut self, _sandbox: &Sandbox, data: &[u8]) -> Result<usize, i32> {
-        if self.closed {
-            return Err(errno::BADF);
-        }
-        self.queue.push_back(data.to_vec());
-        Ok(data.len())
-    }
-
-    fn recv(&mut self, _sandbox: &Sandbox) -> Result<Option<Vec<u8>>, i32> {
-        match self.queue.pop_front() {
-            Some(seg) => Ok(Some(seg)),
-            None if self.closed => Ok(None),
-            None => Ok(Some(Vec::new())),
-        }
+    /// Lends at most `max` bytes of the next segment to `sink`, as
+    /// [`Endpoint::recv_with`] does: `None` once the peer closed and the
+    /// stream is drained, an empty slice when nothing is ready.
+    pub(crate) fn recv_with<R>(
+        &self,
+        sandbox: &Sandbox,
+        max: usize,
+        sink: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, i32> {
+        self.endpoint.recv_with(sandbox, max, sink).map_err(map_err)
     }
 }
 
@@ -102,10 +66,10 @@ mod tests {
         let sa = sandbox("a");
         let sb = sandbox("b");
         let (ea, eb) = TcpConn::establish(&sa, Link::loopback("lo"));
-        let mut tx = TcpSocket::new(ea);
-        let mut rx = TcpSocket::new(eb);
-        tx.send(&sa, b"hello").unwrap();
-        let got = rx.recv(&sb).unwrap().unwrap();
+        let tx = TcpSocket::new(ea);
+        let rx = TcpSocket::new(eb);
+        assert_eq!(tx.send(&sa, b"hello").unwrap(), 5);
+        let got = rx.recv_with(&sb, usize::MAX, <[u8]>::to_vec).unwrap().unwrap();
         assert_eq!(got, b"hello");
     }
 
@@ -114,22 +78,19 @@ mod tests {
         let sa = sandbox("a");
         let sb = sandbox("b");
         let (ea, eb) = UnixConn::pair();
-        let mut tx = EndpointSocket::new(ea);
-        let mut rx = EndpointSocket::new(eb);
+        let tx = EndpointSocket::new(ea);
+        let rx = EndpointSocket::new(eb);
         tx.send(&sa, b"ipc").unwrap();
-        assert_eq!(rx.recv(&sb).unwrap().unwrap(), b"ipc");
+        assert_eq!(rx.recv_with(&sb, usize::MAX, <[u8]>::to_vec).unwrap().unwrap(), b"ipc");
     }
 
     #[test]
-    fn loopback_fifo_and_close() {
-        let sb = sandbox("x");
-        let mut lo = LoopbackSocket::new();
-        lo.send(&sb, b"1").unwrap();
-        lo.send(&sb, b"2").unwrap();
-        assert_eq!(lo.recv(&sb).unwrap().unwrap(), b"1");
-        lo.close();
-        assert_eq!(lo.recv(&sb).unwrap().unwrap(), b"2");
-        assert_eq!(lo.recv(&sb).unwrap(), None);
-        assert_eq!(lo.send(&sb, b"3").unwrap_err(), errno::BADF);
+    fn a_closed_stream_ends_and_refuses_sends() {
+        let sb = sandbox("b");
+        let (ea, eb) = UnixConn::pair();
+        ea.close();
+        let (tx, rx) = (EndpointSocket::new(ea), EndpointSocket::new(eb));
+        assert_eq!(rx.recv_with(&sb, usize::MAX, <[u8]>::len).unwrap(), None);
+        assert_eq!(tx.send(&sb, b"x").unwrap_err(), errno::BADF);
     }
 }

@@ -9,10 +9,11 @@
 //! `overflow-checks=on` pass) or an allocation the guest sized — and may
 //! write only to the guest ranges the call's arguments name.
 //!
-//! The instance under test has one page of memory, an open file and a
-//! loopback socket, so the success paths are reachable too. Calls go through wasm wrapper functions, so
-//! the arguments also cross the interpreter's slot-to-`Value` conversion
-//! at the host-call boundary.
+//! The instance under test has one page of memory, an open file and one
+//! end of a Unix socket pair, so the success paths are reachable too.
+//! Calls go through wasm wrapper functions, so the arguments also cross
+//! the interpreter's slot-to-`Value` conversion at the host-call
+//! boundary.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -22,7 +23,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::{CostModel, VirtualClock};
-use roadrunner_wasi::sock::LoopbackSocket;
+use roadrunner_vkernel::unix::UnixConn;
+use roadrunner_wasi::sock::EndpointSocket;
 use roadrunner_wasi::{errno, register, WasiCtx, MODULE};
 use roadrunner_wasm::types::{FuncType, ValType, Value};
 use roadrunner_wasm::{EngineLimits, Instance, Instr, Linker, ModuleBuilder, Trap, PAGE};
@@ -84,14 +86,12 @@ fn fixture() -> Instance {
     );
     let mut ctx = WasiCtx::new(sandbox);
     ctx.put_file(FILE_PATH, (0..200u8).collect());
-    let mut socket = LoopbackSocket::new();
-    {
-        use roadrunner_wasi::WasiSocket;
-        socket
-            .send(ctx.sandbox(), b"a queued segment")
-            .expect("loopback accepts");
-    }
-    let socket_fd = ctx.add_socket(Box::new(socket));
+    // The peer's end is dropped once the segment is queued; the guest's
+    // end stays open both ways.
+    let (peer, end) = UnixConn::pair();
+    peer.send(ctx.sandbox(), b"a queued segment")
+        .expect("an open pair accepts");
+    let socket_fd = ctx.add_socket(Box::new(EndpointSocket::new(end)));
     assert_eq!(socket_fd, SOCKET_FD);
 
     let mut inst = Instance::new(module, &linker, EngineLimits::default(), Box::new(ctx))

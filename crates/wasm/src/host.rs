@@ -31,7 +31,7 @@ impl<'a> Caller<'a> {
     ///
     /// Returns a [`Trap`] if the module declared no memory.
     pub fn memory(&mut self) -> Result<&mut Memory, Trap> {
-        self.memory.as_deref_mut().ok_or_else(|| Trap::host("module has no memory"))
+        self.memory.as_deref_mut().ok_or_else(no_memory)
     }
 
     /// Downcasts the host state to `T`.
@@ -41,9 +41,18 @@ impl<'a> Caller<'a> {
     /// Returns a [`Trap`] if the instance was created with a different
     /// host-state type.
     pub fn data<T: 'static>(&mut self) -> Result<&mut T, Trap> {
-        self.data
-            .downcast_mut::<T>()
-            .ok_or_else(|| Trap::host("host state has unexpected type"))
+        downcast(self.data)
+    }
+
+    /// The linear memory and the host state downcast to `T`, lent
+    /// together, so a host call can move bytes straight between the two.
+    ///
+    /// # Errors
+    ///
+    /// As [`memory`](Self::memory) and [`data`](Self::data).
+    pub fn memory_and_data<T: 'static>(&mut self) -> Result<(&mut Memory, &mut T), Trap> {
+        let memory = self.memory.as_deref_mut().ok_or_else(no_memory)?;
+        Ok((memory, downcast(self.data)?))
     }
 
     /// Reads a guest string given `(ptr, len)` — the common ABI for
@@ -52,6 +61,14 @@ impl<'a> Caller<'a> {
         let bytes = self.memory()?.read(ptr, len)?.to_vec();
         String::from_utf8(bytes).map_err(|_| Trap::host("guest string is not UTF-8"))
     }
+}
+
+fn no_memory() -> Trap {
+    Trap::host("module has no memory")
+}
+
+fn downcast<T: 'static>(data: &mut dyn Any) -> Result<&mut T, Trap> {
+    data.downcast_mut::<T>().ok_or_else(|| Trap::host("host state has unexpected type"))
 }
 
 impl fmt::Debug for Caller<'_> {
@@ -160,6 +177,19 @@ mod tests {
         let mut caller = Caller::new(None, &mut data);
         assert_eq!(*caller.data::<i64>().unwrap(), 42);
         assert!(caller.data::<String>().is_err());
+    }
+
+    #[test]
+    fn caller_lends_memory_and_data_together() {
+        let mut memory = Memory::new(crate::types::Limits { min: 1, max: None }, 1);
+        let mut data = vec![7u8; 4];
+        let mut caller = Caller::new(Some(&mut memory), &mut data);
+        let (memory, data) = caller.memory_and_data::<Vec<u8>>().unwrap();
+        memory.write(0, data).unwrap();
+        data.clear();
+        assert_eq!(memory.read(0, 4).unwrap(), [7; 4]);
+        assert!(caller.memory_and_data::<String>().is_err());
+        assert!(Caller::new(None, &mut 0i64).memory_and_data::<i64>().is_err());
     }
 
     #[test]
