@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use roadrunner::guest::{self, ResizeSpec, RESIZE_INPUT_PATH};
+use roadrunner_vkernel::costmodel::round_ns;
 use roadrunner_vkernel::{ClusterSpec, CostModel, Nanos, Testbed};
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::{encode, EngineLimits, Instance, Linker};
@@ -33,6 +34,11 @@ pub const WASM_INVOKE_NS: Nanos = 100_000;
 /// same logical work compiled natively.
 pub const NATIVE_INSTR_NS: f64 = 0.15;
 
+/// CPU time of `instructions` run natively, at [`NATIVE_INSTR_NS`].
+fn native_ns(instructions: u64) -> Nanos {
+    round_ns(instructions as f64 * NATIVE_INSTR_NS)
+}
+
 /// One bar group of Fig. 2a.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColdStartSample {
@@ -48,13 +54,12 @@ pub struct ColdStartSample {
 
 /// Container cold start: pull/unpack the image from disk + runtime init.
 pub fn container_cold_ns(cost: &CostModel, image_bytes: u64) -> Nanos {
-    (image_bytes as f64 / cost.image_unpack_bytes_per_ns).round() as Nanos
-        + cost.container_init_ns
+    cost.container_load_ns(image_bytes as usize)
 }
 
 /// Wasm cold start: decode + instantiate the binary.
 pub fn wasm_cold_ns(cost: &CostModel, binary_bytes: u64) -> Nanos {
-    (binary_bytes as f64 / cost.wasm_load_bytes_per_ns).round() as Nanos + cost.wasm_init_ns
+    cost.wasm_load_ns(binary_bytes as usize)
 }
 
 /// A system's two-tier instantiation cost model: the **full** tier
@@ -130,7 +135,7 @@ pub fn container_hello(cost: &CostModel) -> ColdStartSample {
     ColdStartSample {
         label: "cont-hello".into(),
         cold_ns: container_cold_ns(cost, CONTAINER_IMAGE_BYTES),
-        exec_ns: CONTAINER_INVOKE_NS + (work as f64 * NATIVE_INSTR_NS).round() as Nanos,
+        exec_ns: CONTAINER_INVOKE_NS + native_ns(work),
         artifact_bytes: CONTAINER_IMAGE_BYTES,
     }
 }
@@ -149,8 +154,7 @@ pub fn wasm_hello(testbed: &Arc<Testbed>) -> ColdStartSample {
     )
     .expect("hello instantiates");
     inst.invoke("_start", &[]).expect("hello runs");
-    let exec_ns =
-        WASM_INVOKE_NS + (inst.instr_count() as f64 * cost.wasm_instr_ns).round() as Nanos;
+    let exec_ns = WASM_INVOKE_NS + cost.wasm_instr_ns_for(inst.instr_count());
     sandbox.charge_user(exec_ns);
     ColdStartSample {
         label: "wasm-hello".into(),
@@ -169,9 +173,7 @@ pub fn container_resize(cost: &CostModel, spec: ResizeSpec) -> ColdStartSample {
     ColdStartSample {
         label: "cont-resize".into(),
         cold_ns: container_cold_ns(cost, CONTAINER_IMAGE_BYTES),
-        exec_ns: CONTAINER_INVOKE_NS
-            + (work as f64 * NATIVE_INSTR_NS).round() as Nanos
-            + io_ns,
+        exec_ns: CONTAINER_INVOKE_NS + native_ns(work) + io_ns,
         artifact_bytes: CONTAINER_IMAGE_BYTES,
     }
 }
@@ -199,9 +201,7 @@ pub fn wasm_resize(testbed: &Arc<Testbed>, spec: ResizeSpec) -> ColdStartSample 
         Instance::new(module, &linker, EngineLimits::default(), Box::new(ctx)).expect("resize");
     inst.invoke("_start", &[]).expect("resize runs");
     let wasi_ns = sandbox.account().user_ns() - user_before;
-    let exec_ns = WASM_INVOKE_NS
-        + (inst.instr_count() as f64 * cost.wasm_instr_ns).round() as Nanos
-        + wasi_ns;
+    let exec_ns = WASM_INVOKE_NS + cost.wasm_instr_ns_for(inst.instr_count()) + wasi_ns;
     ColdStartSample {
         label: "wasm-resize".into(),
         cold_ns: wasm_cold_ns(cost, binary_len.max(47_800)),

@@ -20,12 +20,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use roadrunner::call_charged;
 use roadrunner::guest::{self, ALLOCATE, DEALLOCATE};
 use roadrunner_platform::{DataPlane, PlatformError, TransferTiming};
 use roadrunner_serial::{text, Payload};
 use roadrunner_vkernel::node::Sandbox;
 use roadrunner_vkernel::tcp::TcpConn;
-use roadrunner_vkernel::{Nanos, Testbed};
+use roadrunner_vkernel::Testbed;
 use roadrunner_wasi::sock::TcpSocket;
 use roadrunner_wasi::WasiCtx;
 use roadrunner_wasm::types::Value;
@@ -115,24 +116,18 @@ impl WasmedgePair {
         &self.sandbox_b
     }
 
-    fn invoke_charged(
-        instance: &mut Instance,
+    /// Invokes export `func`, metered as a shim meters its modules
+    /// ([`call_charged`]).
+    fn invoke_charged<'i>(
+        instance: &'i mut Instance,
         sandbox: &Sandbox,
         func: &str,
         args: &[Value],
-    ) -> Result<Vec<Value>, PlatformError> {
-        let before_mem = instance.memory().map(|m| m.len()).unwrap_or(0);
-        instance.reset_instr_count();
-        let result = instance
-            .invoke(func, args)
-            .map_err(|t| PlatformError::Transfer(format!("guest `{func}` trapped: {t}")));
-        let instr = instance.instr_count();
-        sandbox.charge_user((instr as f64 * sandbox.cost().wasm_instr_ns).round() as Nanos);
-        let after_mem = instance.memory().map(|m| m.len()).unwrap_or(0);
-        if after_mem > before_mem {
-            sandbox.account().alloc((after_mem - before_mem) as u64);
-        }
-        result
+    ) -> Result<&'i [Value], PlatformError> {
+        let trapped = |t| PlatformError::Transfer(format!("guest `{func}` trapped: {t}"));
+        let idx = instance.exported_func(func).map_err(trapped)?;
+        let mut memory_len = instance.memory().map_or(0, |m| m.len());
+        call_charged(instance, sandbox, idx, args, &mut memory_len).map_err(trapped)
     }
 
     /// Transfers one payload and returns the timing breakdown.

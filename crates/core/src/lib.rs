@@ -85,6 +85,7 @@ pub mod userspace;
 pub use api::ShimState;
 pub use config::ShimConfig;
 pub use error::RoadrunnerError;
+pub use module::call_charged;
 pub use plane::{EdgeBreakdown, Mode, RoadrunnerPlane};
 pub use region::{MemoryRegion, RegionRegistry};
 pub use shim::Shim;

@@ -29,6 +29,39 @@ pub(crate) struct LoadedModule {
     deallocate: Option<u32>,
 }
 
+/// Calls function `func` of `instance` with `args`, charging `sandbox`
+/// the interpreted instructions as user CPU time and the growth of linear
+/// memory past `memory_len` (the size last charged, updated here) as RAM,
+/// and lends the results from the instance. Memory only grows while the
+/// guest runs — a host write cannot grow it — so charging it here misses
+/// nothing. The one body behind every metered guest call: a shim's
+/// modules and the WasmEdge baseline's instances.
+///
+/// # Errors
+///
+/// Any [`Trap`] of the call, after its instructions are charged.
+pub fn call_charged<'i>(
+    instance: &'i mut Instance,
+    sandbox: &Sandbox,
+    func: u32,
+    args: &[Value],
+    memory_len: &mut usize,
+) -> Result<&'i [Value], Trap> {
+    instance.reset_instr_count();
+    // The results stay in the instance while the charges read it.
+    let trap = instance.call_index(func, args).err();
+    let grown = instance.memory().map_or(0, |m| m.len()).saturating_sub(*memory_len);
+    *memory_len += grown;
+    sandbox.charge_user(sandbox.cost().wasm_instr_ns_for(instance.instr_count()));
+    if grown > 0 {
+        sandbox.account().alloc(grown as u64);
+    }
+    match trap {
+        Some(trap) => Err(trap),
+        None => Ok(instance.results()),
+    }
+}
+
 fn not_shim_state() -> RoadrunnerError {
     RoadrunnerError::Config("host state is not ShimState".into())
 }
@@ -45,26 +78,16 @@ impl LoadedModule {
         Self { name, instance, bundle, known_memory_len, allocate, deallocate }
     }
 
-    /// Calls guest function `func`, charging `sandbox` the interpreted
-    /// instructions as user CPU time and any memory growth as RAM.
+    /// Calls guest function `func` through [`call_charged`], lending its
+    /// results from the instance.
     pub(crate) fn call(
         &mut self,
         sandbox: &Sandbox,
         func: u32,
         args: &[Value],
-    ) -> Result<Vec<Value>, RoadrunnerError> {
-        self.instance.reset_instr_count();
-        let result = self.instance.call_index(func, args);
-        let executed = self.instance.instr_count();
-        // RAM accounting: linear memory only grows, and only while the
-        // guest runs (a host write cannot grow it).
-        let grown = self.memory_len().saturating_sub(self.known_memory_len);
-        self.known_memory_len += grown;
-        sandbox.charge_user((executed as f64 * sandbox.cost().wasm_instr_ns).round() as u64);
-        if grown > 0 {
-            sandbox.account().alloc(grown as u64);
-        }
-        result.map_err(RoadrunnerError::from)
+    ) -> Result<&[Value], RoadrunnerError> {
+        call_charged(&mut self.instance, sandbox, func, args, &mut self.known_memory_len)
+            .map_err(RoadrunnerError::from)
     }
 
     /// Asks the guest allocator for `len` bytes and registers them for

@@ -10,7 +10,6 @@
 //! * same node, different sandboxes → **kernel space** (Unix socket);
 //! * different nodes → **network** (virtual data hose).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -72,6 +71,7 @@ impl EdgeBreakdown {
 }
 
 struct FunctionEntry {
+    name: String,
     shim_idx: usize,
     node: usize,
     /// Function index of the handler export, resolved at deploy time.
@@ -82,13 +82,15 @@ struct FunctionEntry {
 }
 
 /// Connected socket pairs by `(lower, higher)` shim index.
-type Links = HashMap<(usize, usize), (Endpoint, Endpoint)>;
+type Links = Vec<((usize, usize), (Endpoint, Endpoint))>;
 
 /// The live Roadrunner deployment: shims, placements and cached channels.
 pub struct RoadrunnerPlane {
     testbed: Arc<Testbed>,
     shims: Vec<Shim>,
-    functions: HashMap<String, FunctionEntry>,
+    /// Functions and links are found by scanning, like a shim's modules:
+    /// comparing a few names or index pairs costs less than hashing one.
+    functions: Vec<FunctionEntry>,
     // Kept apart: one shim pair can need a Unix pair under one placement
     // and a TCP connection under another.
     unix_links: Links,
@@ -100,19 +102,24 @@ pub struct RoadrunnerPlane {
 impl std::fmt::Debug for RoadrunnerPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoadrunnerPlane")
-            .field("functions", &self.functions.keys().collect::<Vec<_>>())
+            .field("functions", &self.functions.iter().map(|e| &e.name).collect::<Vec<_>>())
             .field("shims", &self.shims.len())
             .finish_non_exhaustive()
     }
 }
 
-/// The deployed `function`. Takes the map alone so the caller's `shims`
-/// stay borrowable beside the entry.
+/// The deployed `function`, if it is. Takes the list alone so the
+/// caller's `shims` stay borrowable beside the entry.
+fn find<'a>(functions: &'a [FunctionEntry], function: &str) -> Option<&'a FunctionEntry> {
+    functions.iter().find(|e| e.name == function)
+}
+
+/// [`find`], or the error naming an undeployed function.
 fn entry<'a>(
-    functions: &'a HashMap<String, FunctionEntry>,
+    functions: &'a [FunctionEntry],
     function: &str,
 ) -> Result<&'a FunctionEntry, RoadrunnerError> {
-    functions.get(function).ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))
+    find(functions, function).ok_or_else(|| RoadrunnerError::UnknownModule(function.to_owned()))
 }
 
 /// Mode and effective `(source, target)` nodes of an edge from `a` to `b`
@@ -169,16 +176,16 @@ impl RoadrunnerPlane {
         Self {
             testbed,
             shims: Vec::new(),
-            functions: HashMap::new(),
-            unix_links: HashMap::new(),
-            tcp_links: HashMap::new(),
+            functions: Vec::new(),
+            unix_links: Vec::new(),
+            tcp_links: Vec::new(),
             last_breakdown: None,
             config,
         }
     }
 
     fn refuse_duplicate(&self, function: &str) -> Result<(), RoadrunnerError> {
-        if self.functions.contains_key(function) {
+        if find(&self.functions, function).is_some() {
             return Err(RoadrunnerError::Config(format!(
                 "function `{function}` is already deployed"
             )));
@@ -221,10 +228,8 @@ impl RoadrunnerPlane {
         let handler = shim.load_function(function, bundle, handler)?;
         let shim_idx = self.shims.len();
         self.shims.push(shim);
-        self.functions.insert(
-            function.to_owned(),
-            FunctionEntry { shim_idx, node, handler, handler_returns },
-        );
+        let name = function.to_owned();
+        self.functions.push(FunctionEntry { name, shim_idx, node, handler, handler_returns });
         Ok(())
     }
 
@@ -249,10 +254,8 @@ impl RoadrunnerPlane {
         let host = entry(&self.functions, colocate_with)?;
         let (shim_idx, node) = (host.shim_idx, host.node);
         let handler = self.shims[shim_idx].load_function(function, bundle, handler)?;
-        self.functions.insert(
-            function.to_owned(),
-            FunctionEntry { shim_idx, node, handler, handler_returns },
-        );
+        let name = function.to_owned();
+        self.functions.push(FunctionEntry { name, shim_idx, node, handler, handler_returns });
         Ok(())
     }
 
@@ -440,7 +443,15 @@ fn channel(
     to: usize,
     connect: impl FnOnce() -> (Endpoint, Endpoint),
 ) -> (&Endpoint, &Endpoint) {
-    let (low, high) = links.entry((from.min(to), from.max(to))).or_insert_with(connect);
+    let pair = (from.min(to), from.max(to));
+    let at = match links.iter().position(|(key, _)| *key == pair) {
+        Some(at) => at,
+        None => {
+            links.push((pair, connect()));
+            links.len() - 1
+        }
+    };
+    let (low, high) = &links[at].1;
     if from < to {
         (low, high)
     } else {
@@ -472,7 +483,7 @@ impl DataPlane for RoadrunnerPlane {
     }
 
     fn placement(&self, function: &str) -> Option<usize> {
-        self.functions.get(function).map(|e| e.node)
+        find(&self.functions, function).map(|e| e.node)
     }
 }
 

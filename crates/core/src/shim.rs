@@ -183,10 +183,7 @@ impl Shim {
         })?;
 
         if self.config.charge_load_costs {
-            let cost = self.sandbox.cost();
-            let load_ns = (binary.len() as f64 / cost.wasm_load_bytes_per_ns).round() as u64
-                + cost.wasm_init_ns;
-            self.sandbox.charge_user(load_ns);
+            self.sandbox.charge_user(self.sandbox.cost().wasm_load_ns(binary.len()));
         }
 
         let state = ShimState::new(WasiCtx::new(self.sandbox.clone()));
@@ -221,7 +218,9 @@ impl Shim {
     }
 
     /// Invokes an exported guest function, charging interpreted
-    /// instructions as user CPU time and tracking memory growth.
+    /// instructions as user CPU time and tracking memory growth
+    /// ([`call_charged`](crate::call_charged)); the results are lent from
+    /// the module's instance.
     ///
     /// # Errors
     ///
@@ -232,7 +231,7 @@ impl Shim {
         module: &str,
         func: &str,
         args: &[Value],
-    ) -> Result<Vec<Value>, RoadrunnerError> {
+    ) -> Result<&[Value], RoadrunnerError> {
         let (module, sandbox) = self.parts(module)?;
         let func = module.instance.exported_func(func)?;
         module.call(sandbox, func, args)
@@ -245,7 +244,7 @@ impl Shim {
         module: &str,
         func: u32,
         args: &[Value],
-    ) -> Result<Vec<Value>, RoadrunnerError> {
+    ) -> Result<&[Value], RoadrunnerError> {
         let (module, sandbox) = self.parts(module)?;
         module.call(sandbox, func, args)
     }

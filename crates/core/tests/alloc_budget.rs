@@ -1,7 +1,7 @@
 //! The real plane's fixed path allocates a known, small number of times
-//! per edge: guest-call result vectors, the kernel buffers a socket send
-//! copies into, and the integrity read-back — nothing per name looked up
-//! and nothing for the frame header. Counted with a test-only global
+//! per edge: the kernel buffers a socket send copies into and the
+//! integrity read-back — nothing per name looked up, nothing for the
+//! frame header and nothing for a guest call's results. Counted with a test-only global
 //! allocator; this file holds one test so nothing else allocates on the
 //! counting thread.
 
@@ -92,11 +92,13 @@ fn a_warm_4_kib_edge_allocates_a_pinned_number_of_times_per_mode() {
     let payload = Bytes::from(vec![7u8; 4_096]);
 
     // (mode, sink, allocations per warm edge). Before the fixed path
-    // stopped hashing names and staging the header: 5 / 12 / 14.
+    // stopped hashing names and staging the header: 5 / 12 / 14; before
+    // guest calls lent their results instead of returning a `Vec`: 5 / 9 /
+    // 11.
     for (mode, sink, pinned) in [
-        (Mode::UserSpace, "user", 5),
-        (Mode::KernelSpace, "kernel", 9),
-        (Mode::Network, "network", 11),
+        (Mode::UserSpace, "user", 2),
+        (Mode::KernelSpace, "kernel", 6),
+        (Mode::Network, "network", 8),
     ] {
         // Warm-up: the connection, the guest heap and every queue grow
         // to their steady size.

@@ -1,5 +1,6 @@
 //! Open-loop arrival processes: deterministic release-time generators.
 
+use roadrunner_vkernel::costmodel::round_ns;
 use roadrunner_vkernel::Nanos;
 
 /// The inter-arrival process of an open-loop workload.
@@ -39,7 +40,7 @@ impl ArrivalProcess {
                         // splitmix64 uniform draw.
                         let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
                         let gap = -(1.0 - u).ln() * mean_interval_ns as f64;
-                        at = at.saturating_add(gap.round() as Nanos);
+                        at = at.saturating_add(round_ns(gap));
                         release
                     })
                     .collect()

@@ -12,8 +12,11 @@ use crate::Nanos;
 /// `memcpy`'d ([`copied_bytes`](Self::copied_bytes)), so the cost model's
 /// copy charges can be held against the copies the host performs.
 ///
-/// Handles are cheaply cloneable and thread-safe; all charging methods take
-/// `&self`.
+/// Handles are cheaply cloneable and `Sync`; all charging methods take
+/// `&self`. Like the [`VirtualClock`](crate::VirtualClock) they are charged
+/// beside, an account has one writer at a time — its simulation's thread —
+/// so each update is a plain load and store rather than a locked
+/// read-modify-write. Counters saturate at `u64::MAX`.
 ///
 /// ```
 /// # use roadrunner_vkernel::ResourceAccount;
@@ -46,45 +49,39 @@ impl ResourceAccount {
     }
 
     /// Charges `ns` of user-space CPU time.
+    #[inline]
     pub fn charge_user(&self, ns: Nanos) {
-        self.user_ns.fetch_add(ns, Ordering::Relaxed);
+        add(&self.user_ns, ns);
     }
 
     /// Charges `ns` of kernel-space CPU time.
+    #[inline]
     pub fn charge_kernel(&self, ns: Nanos) {
-        self.kernel_ns.fetch_add(ns, Ordering::Relaxed);
+        add(&self.kernel_ns, ns);
     }
 
     /// Records one real host `memcpy` of `bytes` payload bytes made on
     /// this sandbox's behalf. Called once per copying *call*, beside the
     /// virtual charge for it; reference moves (gift, splice) never call it.
+    #[inline]
     pub fn count_copy(&self, bytes: usize) {
-        self.copied_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        add(&self.copied_bytes, bytes as u64);
     }
 
     /// Records an allocation of `bytes`, updating the peak watermark.
     pub fn alloc(&self, bytes: u64) {
-        let new = self.ram_current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.ram_peak.fetch_max(new, Ordering::Relaxed);
+        let current = add(&self.ram_current, bytes);
+        if current > self.ram_peak() {
+            self.ram_peak.store(current, Ordering::Relaxed);
+        }
     }
 
     /// Records a release of `bytes`. Saturates at zero rather than
     /// panicking so accounting bugs degrade to warnings in reports instead
     /// of aborting simulations.
     pub fn free(&self, bytes: u64) {
-        let mut current = self.ram_current.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_sub(bytes);
-            match self.ram_current.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
+        let current = self.ram_current().saturating_sub(bytes);
+        self.ram_current.store(current, Ordering::Relaxed);
     }
 
     /// Accumulated user-space CPU time.
@@ -99,7 +96,7 @@ impl ResourceAccount {
 
     /// Total CPU time (user + kernel).
     pub fn total_cpu_ns(&self) -> Nanos {
-        self.user_ns() + self.kernel_ns()
+        self.user_ns().saturating_add(self.kernel_ns())
     }
 
     /// Currently allocated memory in bytes.
@@ -126,6 +123,15 @@ impl ResourceAccount {
         let current = self.ram_current.load(Ordering::Relaxed);
         self.ram_peak.store(current, Ordering::Relaxed);
     }
+}
+
+/// Adds `n` to `counter`, saturating, and returns the new value: the one
+/// writer's load and store.
+#[inline]
+fn add(counter: &AtomicU64, n: u64) -> u64 {
+    let value = counter.load(Ordering::Relaxed).saturating_add(n);
+    counter.store(value, Ordering::Relaxed);
+    value
 }
 
 #[cfg(test)]
@@ -174,6 +180,23 @@ mod tests {
         assert_eq!(a.copied_bytes(), 0);
         assert_eq!(a.ram_current(), 64);
         assert_eq!(a.ram_peak(), 64);
+    }
+
+    /// Regression: the counters wrapped past `u64::MAX`.
+    #[test]
+    fn counters_saturate() {
+        let a = ResourceAccount::new("x");
+        a.charge_user(u64::MAX - 1);
+        a.charge_user(5);
+        a.charge_kernel(u64::MAX);
+        a.charge_kernel(5);
+        a.count_copy(usize::MAX);
+        a.count_copy(5);
+        a.alloc(u64::MAX);
+        a.alloc(5);
+        let all = [a.user_ns(), a.kernel_ns(), a.total_cpu_ns(), a.copied_bytes()];
+        assert_eq!(all, [u64::MAX; 4]);
+        assert_eq!((a.ram_current(), a.ram_peak()), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -13,6 +13,17 @@ use crate::Nanos;
 ///
 /// Cloning a `VirtualClock` yields a handle to the *same* clock.
 ///
+/// **One writer.** A clock is advanced by one thread at a time: each
+/// simulation owns its clock (every job of a parallel sweep builds its
+/// own testbed, as the module docs of `roadrunner_platform::sweep`, in
+/// `sweep.rs`, require), and two threads charging one clock would
+/// already make its readings depend on their interleaving. So an advance
+/// is a plain load and store, not a locked read-modify-write; the type
+/// stays `Sync`, and a concurrent writer could lose an advance but never
+/// tear a reading.
+///
+/// Time ends at `Nanos::MAX`: an advance past it stays there.
+///
 /// ```
 /// # use roadrunner_vkernel::VirtualClock;
 /// let clock = VirtualClock::new();
@@ -32,20 +43,28 @@ impl VirtualClock {
     }
 
     /// Current virtual time in nanoseconds.
+    #[inline]
     pub fn now(&self) -> Nanos {
         self.now.load(Ordering::Relaxed)
     }
 
-    /// Advances the clock by `delta` nanoseconds and returns the new time.
+    /// Advances the clock by `delta` nanoseconds, saturating at the end of
+    /// time, and returns the new time.
+    #[inline]
     pub fn advance(&self, delta: Nanos) -> Nanos {
-        self.now.fetch_add(delta, Ordering::Relaxed) + delta
+        let now = self.now().saturating_add(delta);
+        self.now.store(now, Ordering::Relaxed);
+        now
     }
 
     /// Moves the clock forward to `t` if `t` is later than now; returns the
     /// (possibly unchanged) current time. Used when merging parallel
     /// branches whose completion times were computed independently.
+    #[inline]
     pub fn advance_to(&self, t: Nanos) -> Nanos {
-        self.now.fetch_max(t, Ordering::Relaxed).max(t)
+        let now = self.now().max(t);
+        self.now.store(now, Ordering::Relaxed);
+        now
     }
 }
 
@@ -84,5 +103,17 @@ mod tests {
         assert_eq!(clock.now(), 100);
         assert_eq!(clock.advance_to(250), 250);
         assert_eq!(clock.now(), 250);
+    }
+
+    /// Regression: `advance` wrapped past `Nanos::MAX` (a release build
+    /// ran time backwards to a small value; a debug build panicked).
+    #[test]
+    fn advance_saturates_at_the_end_of_virtual_time() {
+        let clock = VirtualClock::new();
+        clock.advance_to(Nanos::MAX - 5);
+        assert_eq!(clock.advance(10), Nanos::MAX);
+        assert_eq!(clock.advance(1), Nanos::MAX);
+        assert_eq!(clock.advance_to(3), Nanos::MAX);
+        assert_eq!(clock.now(), Nanos::MAX);
     }
 }

@@ -132,11 +132,13 @@ impl CostModel {
     }
 
     /// Nanoseconds to `memcpy` `bytes`.
+    #[inline]
     pub fn memcpy_ns(&self, bytes: usize) -> Nanos {
         per_byte(bytes, self.memcpy_bytes_per_ns)
     }
 
     /// Nanoseconds to allocate (and zero) a buffer of `bytes`.
+    #[inline]
     pub fn alloc_ns(&self, bytes: usize) -> Nanos {
         per_byte(bytes, self.alloc_bytes_per_ns)
     }
@@ -167,19 +169,42 @@ impl CostModel {
 
     /// Nanoseconds for the shim to move `bytes` across the Wasm VM
     /// boundary in one direction (the "Wasm VM I/O" cost).
+    #[inline]
     pub fn vm_io_ns(&self, bytes: usize) -> Nanos {
         per_byte(bytes, self.vm_io_bytes_per_ns)
     }
 
     /// Number of pages needed to hold `bytes`.
+    #[inline]
     pub fn pages(&self, bytes: usize) -> usize {
         bytes.div_ceil(PAGE_SIZE)
     }
 
     /// Nanoseconds to move the page references of `bytes` through
     /// `splice`/`vmsplice` (no byte copies).
+    #[inline]
     pub fn page_map_ns_for(&self, bytes: usize) -> Nanos {
         self.pages(bytes) as Nanos * self.page_map_ns
+    }
+
+    /// User CPU time of `instructions` interpreted Wasm instructions.
+    #[inline]
+    pub fn wasm_instr_ns_for(&self, instructions: u64) -> Nanos {
+        round_ns(instructions as f64 * self.wasm_instr_ns)
+    }
+
+    /// Wasm cold start of a `binary_bytes` module: decode and instantiate
+    /// at [`wasm_load_bytes_per_ns`](Self::wasm_load_bytes_per_ns), plus
+    /// the VM bring-up.
+    pub fn wasm_load_ns(&self, binary_bytes: usize) -> Nanos {
+        per_byte(binary_bytes, self.wasm_load_bytes_per_ns) + self.wasm_init_ns
+    }
+
+    /// Container cold start from an `image_bytes` image: unpack at
+    /// [`image_unpack_bytes_per_ns`](Self::image_unpack_bytes_per_ns),
+    /// plus the runtime initialization.
+    pub fn container_load_ns(&self, image_bytes: usize) -> Nanos {
+        per_byte(image_bytes, self.image_unpack_bytes_per_ns) + self.container_init_ns
     }
 }
 
@@ -189,13 +214,37 @@ impl Default for CostModel {
     }
 }
 
+#[inline]
 fn per_byte(bytes: usize, bytes_per_ns: f64) -> Nanos {
     debug_assert!(bytes_per_ns > 0.0, "throughput must be positive");
-    (bytes as f64 / bytes_per_ns).round() as Nanos
+    round_ns(bytes as f64 / bytes_per_ns)
+}
+
+/// `x` rounded half away from zero to whole nanoseconds, saturating as an
+/// `as` cast does: negatives and NaN give 0, values from 2⁶⁴ up (and +∞)
+/// give `Nanos::MAX`. Equal to `f64::round` followed by `as Nanos` for
+/// every `f64`, without the library call the baseline x86-64 target makes
+/// for `f64::round` (it has no rounding instruction): below 2⁶³ a signed
+/// cast truncates, and a remainder of one half or more adds one. Both
+/// steps are exact — the truncation of an `f64` is an `f64`, and so is
+/// what it leaves — and each signed conversion is one instruction. From
+/// 2⁶³ up every `f64` is a whole number, so the cast alone rounds. Every
+/// model charge computed in floating point goes through here.
+#[inline]
+pub fn round_ns(x: f64) -> Nanos {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if (0.0..TWO_POW_63).contains(&x) {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as Nanos
+    } else {
+        x as Nanos
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -251,5 +300,72 @@ mod tests {
     #[test]
     fn default_is_paper_testbed() {
         assert_eq!(CostModel::default(), CostModel::paper_testbed());
+    }
+
+    /// The library's rounding, cast as every charge used to cast it.
+    fn library(x: f64) -> Nanos {
+        x.round() as Nanos
+    }
+
+    #[test]
+    fn round_ns_matches_the_library_on_the_edge_cases() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        // Halves round away from zero, after odd and even k alike.
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            3.5,
+            1_000.5,
+            4_095.5,
+            0.49999999999999994,
+            two52 - 0.5,
+            two52 + 1.0,
+            two53 + 1.0,
+            two53 + 2.0,
+            9_223_372_036_854_774_784.0,  // the last f64 below 2⁶³
+            9_223_372_036_854_775_808.0,  // 2⁶³
+            18_446_744_073_709_551_616.0, // 2⁶⁴
+            36_893_488_147_419_103_232.0, // 2⁶⁵
+            -0.5,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        for x in cases {
+            assert_eq!(round_ns(x), library(x), "{x:e}");
+        }
+        assert_eq!(round_ns(f64::INFINITY), Nanos::MAX);
+        assert_eq!(round_ns(f64::NAN), 0);
+    }
+
+    #[test]
+    fn the_named_charges_are_their_formulas() {
+        let m = CostModel::paper_testbed();
+        assert_eq!(m.wasm_instr_ns_for(3), 10); // 9.9 ns
+        assert_eq!(m.wasm_load_ns(1_000), 20_000 + m.wasm_init_ns);
+        assert_eq!(m.container_load_ns(1_000), 5_000 + m.container_init_ns);
+    }
+
+    proptest! {
+        /// Uniform over [−1, 2⁶⁵), then the small charges most calls make,
+        /// then halves, then any bit pattern at all.
+        #[test]
+        fn round_ns_is_the_library_rounding(
+            x in prop_oneof![
+                -1.0f64..36_893_488_147_419_103_232.0,
+                -1.0f64..1e6,
+                (0u64..1 << 53).prop_map(|k| k as f64 + 0.5),
+                any::<u64>().prop_map(f64::from_bits),
+            ]
+        ) {
+            prop_assert_eq!(round_ns(x), library(x));
+        }
     }
 }

@@ -92,22 +92,13 @@ impl Link {
     /// Reserves the link for `bytes` starting no earlier than `now`.
     /// Returns the time the last bit leaves the wire at the far end
     /// (transmission + propagation), accounting for earlier reservations.
+    /// A link has one writer at a time, as the clock its senders charge
+    /// does ([`VirtualClock`](crate::VirtualClock)): a load and a store.
     pub fn reserve(&self, now: Nanos, bytes: usize) -> Nanos {
-        let tx = self.wire_ns(bytes);
-        let mut observed = self.busy_until.load(Ordering::Relaxed);
-        loop {
-            let start = observed.max(now);
-            let done = start.saturating_add(tx);
-            match self.busy_until.compare_exchange_weak(
-                observed,
-                done,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return done.saturating_add(self.propagation_ns()),
-                Err(v) => observed = v,
-            }
-        }
+        let start = self.busy_until.load(Ordering::Relaxed).max(now);
+        let done = start.saturating_add(self.wire_ns(bytes));
+        self.busy_until.store(done, Ordering::Relaxed);
+        done.saturating_add(self.propagation_ns())
     }
 
     /// Forgets prior reservations (between benchmark repetitions).

@@ -83,6 +83,13 @@ impl Node {
 /// handles to the clock and cost model. All virtual-kernel object methods
 /// take a `&Sandbox` identifying the calling process, so CPU time lands in
 /// the right cgroup — exactly how the paper attributes usage.
+///
+/// A sandbox is charged from one thread at a time, the thread of the
+/// simulation that owns its testbed (every job of a parallel sweep builds
+/// its own, as the module docs of `roadrunner_platform::sweep`, in
+/// `sweep.rs`, require): its account and clock are single-writer
+/// ([`VirtualClock`]), so a charge is two plain load-and-store updates,
+/// each saturating at `u64::MAX`.
 #[derive(Debug, Clone)]
 pub struct Sandbox {
     account: Arc<ResourceAccount>,
@@ -113,6 +120,7 @@ impl Sandbox {
     }
 
     /// Charges `ns` of user-space CPU: advances the clock and the account.
+    #[inline]
     pub fn charge_user(&self, ns: Nanos) {
         self.account.charge_user(ns);
         self.clock.advance(ns);
@@ -120,6 +128,7 @@ impl Sandbox {
 
     /// Charges `ns` of kernel-space CPU: advances the clock and the
     /// account.
+    #[inline]
     pub fn charge_kernel(&self, ns: Nanos) {
         self.account.charge_kernel(ns);
         self.clock.advance(ns);

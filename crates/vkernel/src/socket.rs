@@ -297,6 +297,7 @@ pub(crate) mod table {
                 receiver_pays_context_switch,
                 receiver_waits_for_wire_time,
                 spliced_send_charges_less_than_copy_send,
+                a_receive_at_the_end_of_virtual_time_stays_there,
             );
         };
         (@rows $lanes:expr; $($row:ident),+ $(,)?) => {
@@ -474,6 +475,24 @@ pub(crate) mod table {
         let waited = (c.sb.clock().now() - sent_at) - (c.sb.kernel_ns() - charged);
         let wire = c.link().map_or(0, |link| link.wire_ns(len) + link.propagation_ns());
         assert_eq!(waited, wire);
+    }
+
+    /// Time stops at its end. Over a link whose reservations already run
+    /// to `Nanos::MAX`, a segment arrives there, and the receive that
+    /// waits for it is then charged without wrapping the clock back to
+    /// the start; a Unix pair, which never waits, gets there on the clock.
+    pub(crate) fn a_receive_at_the_end_of_virtual_time_stays_there(c: Conn) {
+        match c.link() {
+            Some(link) => assert_eq!(link.reserve(Nanos::MAX - 1, 1), Nanos::MAX),
+            None => assert_eq!(c.sb.clock().advance_to(Nanos::MAX - 1), Nanos::MAX - 1),
+        }
+        c.a.send(&c.sa, b"late").unwrap();
+        let charged = c.sb.kernel_ns();
+        assert_eq!(c.b.recv(&c.sb).unwrap().unwrap(), b"late"[..]);
+        let cost = cost();
+        let recv_ns = cost.syscall_ns + cost.ctx_switch_ns + cost.memcpy_ns(4);
+        assert_eq!(c.sb.kernel_ns() - charged, recv_ns);
+        assert_eq!(c.sb.clock().now(), Nanos::MAX);
     }
 
     /// The same bytes cost the sender less kernel time spliced than

@@ -117,7 +117,7 @@ fn instance(buffer: usize, ctx: WasiCtx) -> Instance {
 /// Makes the call `name(args)`, which must succeed, and returns the word
 /// it stored at [`RESULT`].
 fn call(inst: &mut Instance, name: &str, args: &[Value]) -> u32 {
-    assert_eq!(inst.invoke(name, args), Ok(vec![Value::I32(errno::SUCCESS)]), "{name}");
+    assert_eq!(inst.invoke(name, args), Ok(&[Value::I32(errno::SUCCESS)][..]), "{name}");
     let memory = inst.memory().expect("declared");
     u32::from_le_bytes(memory.load::<4>(RESULT, 0).expect("in memory"))
 }

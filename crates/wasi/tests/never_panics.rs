@@ -108,7 +108,7 @@ fn fixture() -> Instance {
     let open = path_open_args(PATH_ADDR, FILE_PATH.len() as u32, 256);
     assert_eq!(
         inst.invoke("path_open", &open),
-        Ok(vec![Value::I32(errno::SUCCESS)])
+        Ok(&[Value::I32(errno::SUCCESS)][..])
     );
     assert_eq!(
         inst.memory().unwrap().read(256, 4).unwrap(),

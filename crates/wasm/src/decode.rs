@@ -633,7 +633,7 @@ pub(crate) mod tests {
                 Box::new(()),
             )
             .expect("validates and instantiates");
-            assert_eq!(inst.invoke("f", &[]), Ok(vec![]));
+            assert_eq!(inst.invoke("f", &[]), Ok(&[][..]));
         }
     }
 

@@ -42,7 +42,7 @@ enum Runner {
 impl Runner {
     fn invoke(self, inst: &mut Instance, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
         match self {
-            Runner::Loop => inst.invoke(name, args),
+            Runner::Loop => inst.invoke(name, args).map(<[Value]>::to_vec),
             Runner::Oracle => inst.invoke_reference(name, args),
         }
     }

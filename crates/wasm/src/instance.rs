@@ -193,13 +193,13 @@ impl Instance {
 
     /// Invokes the exported function `name` with `args`:
     /// [`exported_func`](Self::exported_func), then
-    /// [`call_index`](Self::call_index).
+    /// [`call_index`](Self::call_index), whose results it lends.
     ///
     /// # Errors
     ///
     /// [`Trap::BadExport`] if `name` is missing or not a function, a
     /// host-error trap if argument types mismatch, plus any runtime trap.
-    pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
+    pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<&[Value], Trap> {
         let idx = self.exported_func(name)?;
         self.call_index(idx, args)
     }
@@ -255,11 +255,16 @@ impl Instance {
     /// [`exported_func`](Self::exported_func)) with `args`. The index and
     /// the argument types are checked on every call.
     ///
+    /// The results are lent from a buffer the instance keeps, so a warm
+    /// call allocates nothing for them; the borrow ends before the
+    /// instance can be called again (`.to_vec()` keeps them longer), and
+    /// [`results`](Self::results) lends them again after it has.
+    ///
     /// # Errors
     ///
     /// [`Trap::BadExport`] if the module has no such function, a
     /// host-error trap if argument types mismatch, plus any runtime trap.
-    pub fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
+    pub fn call_index(&mut self, func_idx: u32, args: &[Value]) -> Result<&[Value], Trap> {
         self.check_args(func_idx, args)?;
         let (mut exec, machine, code) = self.parts();
         exec.run_flat(machine, code, func_idx, args)
@@ -282,6 +287,15 @@ impl Instance {
             max_call_depth: self.limits.max_call_depth,
         };
         (exec, &mut self.machine, code)
+    }
+
+    /// The results of the last [`call_index`](Self::call_index) or
+    /// [`invoke`](Self::invoke) — the buffer those lend from — or nothing
+    /// if it trapped. An embedder that reads the instance between the
+    /// call and its results (instruction count, memory size) takes them
+    /// here.
+    pub fn results(&self) -> &[Value] {
+        self.machine.results()
     }
 
     /// The instance's module.
@@ -552,7 +566,30 @@ mod tests {
             Trap::MemoryOutOfBounds { addr: PAGE as u64 - 2, len: 4, memory_size: PAGE as u64 }
         );
         // The instance stays usable after a trap — fail-stop, not corrupt.
-        assert_eq!(inst.invoke("peek", &[Value::I32(0)]).unwrap(), vec![Value::I32(1)]);
+        assert_eq!(inst.invoke("peek", &[Value::I32(0)]).unwrap(), [Value::I32(1)]);
+    }
+
+    /// `results` lends what the last call returned, and nothing once a
+    /// call has trapped, so a stale value cannot pass for a new one.
+    #[test]
+    fn results_are_the_last_calls() {
+        let module = ModuleBuilder::new()
+            .func(
+                FuncType::new([ValType::I32], [ValType::I32]),
+                [],
+                [Instr::LocalGet(0), Instr::I32Load(MemArg::natural(4))],
+            )
+            .memory(1, Some(1))
+            .data(0, vec![1, 0, 0, 0])
+            .export_func("peek", 0)
+            .build()
+            .unwrap();
+        let mut inst = instantiate(module);
+        assert!(inst.results().is_empty());
+        inst.invoke("peek", &[Value::I32(0)]).unwrap();
+        assert_eq!(inst.results(), [Value::I32(1)]);
+        inst.invoke("peek", &[Value::I32(PAGE as i32)]).unwrap_err();
+        assert!(inst.results().is_empty());
     }
 
     #[test]

@@ -51,7 +51,8 @@ mod reference;
 
 /// Reusable execution state for the dispatch loop, owned by an
 /// [`crate::Instance`]. Buffers keep their size between invocations, so
-/// steady-state calls allocate nothing but their result `Vec`.
+/// steady-state calls allocate nothing: not even their results, which
+/// are lent from `results` until the next call.
 #[derive(Debug, Default)]
 pub(crate) struct Machine {
     /// One shared stack of untyped slots: each frame's
@@ -65,6 +66,16 @@ pub(crate) struct Machine {
     frames: Vec<Frame>,
     /// A host call's arguments, turned back into [`Value`]s.
     host_args: Vec<Value>,
+    /// The last entry call's results, lent to the embedder; empty after
+    /// a trap.
+    results: Vec<Value>,
+}
+
+impl Machine {
+    /// The results of the last call, empty if it trapped.
+    pub(crate) fn results(&self) -> &[Value] {
+        &self.results
+    }
 }
 
 /// Bookkeeping for one active call.
@@ -133,14 +144,16 @@ fn open_frame(stack: &mut Vec<u64>, lbase: usize, f: &CompiledFunc) {
 
 impl<'a> Exec<'a> {
     /// Calls the function at `func_idx` (imports first) with `args`,
-    /// reusing `mach`'s stack and frame arena.
-    pub fn run_flat(
+    /// reusing `mach`'s stack and frame arena, and lends the results from
+    /// `mach`.
+    pub fn run_flat<'m>(
         &mut self,
-        mach: &mut Machine,
+        mach: &'m mut Machine,
         code: &CompiledModule,
         func_idx: u32,
         args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
+    ) -> Result<&'m [Value], Trap> {
+        mach.results.clear();
         // The entry call is depth 0, so a zero budget admits nothing.
         if self.max_call_depth == 0 {
             return Err(Trap::StackOverflow);
@@ -148,7 +161,8 @@ impl<'a> Exec<'a> {
         let imports = self.module.imports.len();
         if (func_idx as usize) < imports {
             let caller = Caller::new(self.memory.as_mut(), self.host_data.as_mut());
-            return (self.host_funcs[func_idx as usize])(caller, args);
+            mach.results = (self.host_funcs[func_idx as usize])(caller, args)?;
+            return Ok(&mach.results);
         }
         let entry = func_idx as usize - imports;
         let ef = &code.funcs[entry];
@@ -173,7 +187,9 @@ impl<'a> Exec<'a> {
         }
         result?;
         // The entry frame's return left the results at the bottom.
-        Ok(ef.results.iter().zip(&mach.stack).map(|(&ty, &slot)| value_of(ty, slot)).collect())
+        let values = ef.results.iter().zip(&mach.stack).map(|(&ty, &slot)| value_of(ty, slot));
+        mach.results.extend(values);
+        Ok(&mach.results)
     }
 
     /// The program-counter dispatch loop over flat [`Op`] code. Runs the
@@ -186,7 +202,7 @@ impl<'a> Exec<'a> {
         entry: usize,
         mut fuel: u64,
     ) -> (Result<(), Trap>, u64, u64) {
-        let Machine { stack, frames, host_args } = mach;
+        let Machine { stack, frames, host_args, .. } = mach;
         let module: &Module = self.module;
         let host_funcs = self.host_funcs;
         let max_call_depth = self.max_call_depth;

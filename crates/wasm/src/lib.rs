@@ -26,6 +26,10 @@
 //!   checker runs before any instantiation.
 //! * **Metering** — executed-instruction counts and optional fuel, which
 //!   the simulation converts into CPU time.
+//! * **Lent results** — [`Instance::invoke`] and [`Instance::call_index`]
+//!   return `&[Value]` from a buffer the instance keeps (refilled by each
+//!   call, emptied by a trap, lent again by [`Instance::results`]), so a
+//!   warm call allocates nothing.
 //! * **One interpreter** — function bodies are lowered once per module to
 //!   flat bytecode (cached, shared across clones) and run by a single
 //!   program-counter dispatch loop over a reusable frame arena and a
@@ -58,7 +62,7 @@
 //!
 //! let mut instance = Instance::new(module, &Linker::new(), EngineLimits::default(), Box::new(()))?;
 //! let out = instance.invoke("mul", &[Value::I32(6), Value::I32(7)])?;
-//! assert_eq!(out, vec![Value::I32(42)]);
+//! assert_eq!(out, [Value::I32(42)]);
 //! # Ok(())
 //! # }
 //! ```

@@ -32,6 +32,10 @@
 #                         a count re-pins it, so no pin goes stale)
 #   count:panics:*        the same count under crates/{serial,baselines,
 #                         http,wasi,vkernel,platform,wasm,bench}/src
+#   count:float_round     the same count, pinned the same way, of
+#                         `.round()` calls under crates/*/src: every model
+#                         charge rounds through `costmodel::round_ns`,
+#                         which calls no library rounding routine
 #   check:docs            every backticked Rust-shaped name in DESIGN.md,
 #                         README.md and EXPERIMENTS.md (`a`, `a::b`,
 #                         `a::{b, c}`, `f(..)`, `m!`) is an identifier or
@@ -148,15 +152,16 @@ for n in fig11 fig12 fig13 fig14 fig15 fig16; do
     same "reference:$n" "$out/$n.json" "crates/bench/reference/${n}_quick.json"
 done
 
-# panic_sites CRATE: non-test lines of crates/CRATE/src that can panic
-# by construction, one "count file" line per file that has any. A file
-# counts up to its first `#[cfg(test)]` item, except one gating a
+# sites PATTERN DIR...: non-test lines of the Rust under each DIR that
+# match the grep PATTERN, one "count file" line per file that has any. A
+# file counts up to its first `#[cfg(test)]` item, except one gating a
 # `mod x;` line: that line is skipped, and the child it names (`x.rs`, or
 # anything under `x/`, beside a `mod.rs` / `lib.rs` or in the declaring
 # file's own directory) is test-only, so it and its children never count.
-panic_sites() {
-    local files skip f p n
-    files=$(find "crates/$1/src" -name '*.rs' | sort)
+sites() {
+    local pattern=$1 files skip f p n
+    shift
+    files=$(find "$@" -name '*.rs' | sort)
     skip=$(for f in $files; do
         awk -v f="$f" '
             gated && /^(pub(\([^)]*\))? )?mod [A-Za-z0-9_]+;/ {
@@ -178,27 +183,33 @@ panic_sites() {
                 exit
             }
             { print }' "$f" |
-            grep -c 'unwrap()\|\.expect(\|panic!\|unreachable!')
+            grep -c "$pattern")
         [ "$n" -gt 0 ] && echo "$n $f"
     done
 }
 
-# count GATE CRATE PIN: the crate's panic sites number exactly PIN. A
-# count below the pin fails too, naming the count to re-pin at.
-count() {
-    local sites total
+# count_sites GATE PIN PATTERN DIR...: the sites of PATTERN under the DIRs
+# number exactly PIN. A count below the pin fails too, naming the count
+# to re-pin at.
+count_sites() {
+    local found total
     gate_start=$EPOCHREALTIME
-    sites=$(panic_sites "$2")
-    total=$(printf '%s\n' "$sites" | awk '{ n += $1 } END { print n + 0 }')
-    if [ "$total" -eq "$3" ]; then
+    found=$(sites "$3" "${@:4}")
+    total=$(printf '%s\n' "$found" | awk '{ n += $1 } END { print n + 0 }')
+    if [ "$total" -eq "$2" ]; then
         pass "$1"
-    elif [ "$total" -lt "$3" ]; then
-        fail "$1" "$total panic sites, pinned at $3: re-pin at $total
-$sites"
+    elif [ "$total" -lt "$2" ]; then
+        fail "$1" "$total sites, pinned at $2: re-pin at $total
+$found"
     else
-        fail "$1" "$total panic sites, pinned at $3:
-$sites"
+        fail "$1" "$total sites, pinned at $2:
+$found"
     fi
+}
+
+# count GATE CRATE PIN: the crate's panic sites number exactly PIN.
+count() {
+    count_sites "$1" "$3" 'unwrap()\|\.expect(\|panic!\|unreachable!' "crates/$2/src"
 }
 
 # guest.rs 7 (module builders over constant input), api.rs 2 (arguments
@@ -256,6 +267,10 @@ count count:panics:wasm wasm 16
 # bin/fig16_overload.rs 1 (the `BENCH_*.json` write), bin/fig2b.rs 1 (an
 # `unreachable!` arm for the systems the loop does not visit).
 count count:panics:bench bench 67
+# metrics.rs 1 (the P² estimate a report prints, host-side, never
+# charged) and fig12.rs 1 (an arrival interval from a rate factor, set
+# once per load job): neither is on a charge path.
+count_sites count:float_round 2 '\.round()' crates/*/src
 
 # Names the docs cite from outside the tree, one per line with why.
 outside_names=$(awk '{ print $1 }' <<'NAMES'
